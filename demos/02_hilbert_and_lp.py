@@ -2,9 +2,9 @@
 
 The Hilbert recurrence is exact on squares, so the irrational target
 sqrt(2) is handled without any floating error; the prescribed norms are
-then cross-checked against a dense SVD.  For p = 1.5 the norm solver is
-a monotone bisection wrapped around the golden-section norm
-computation, sandwiched between a brute-force lower bound and the
+then cross-checked against a dense SVD.  For p = 1.5 the coefficient and
+the norm come from the Hoelder closed forms, (1 + U**q)**(1/q) with q the
+dual exponent, sandwiched between a brute-force lower bound and the
 interpolation upper bound.
 """
 

@@ -27,9 +27,7 @@ from .natset import (
     enumerate_prefix,
     member,
     natural_density,
-    parse_set_expr,
     set_equal,
-    weight_sum,
 )
 from .sequences import (
     Constant,
@@ -45,7 +43,7 @@ from .sequences import (
     seq_scale,
     threshold_ge,
 )
-from .series import sum_inverse_p_verdict
+from .series import sum_inverse_p_verdict, weight_sum
 from .filters import (
     DominationVerdict,
     FilterSpec,
@@ -73,7 +71,6 @@ from .admissibility import (
 )
 from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
 from .lp_operators import (
-    ConvergenceFailure,
     DimensionMismatch,
     NormReport,
     SpaceKind,
@@ -83,11 +80,11 @@ from .lp_operators import (
     l2,
     lp,
     op_norm,
-    op_norm_bruteforce,
     remainder_norm,
     solve_b_next,
     solve_next_square,
 )
+from .oracles import op_norm_bruteforce
 from .basis_builder import (
     BasisSystem,
     ConvergenceReport,
@@ -109,7 +106,7 @@ from .separation import (
     plank_separator,
 )
 from .vectors import BasisVector, PowerTail, Spike, TestVector
-from .parsing import ParseError, parse_filter, parse_scalar_seq, parse_test_vector
+from .parsing import ParseError, parse_filter, parse_scalar_seq, parse_set_expr, parse_test_vector
 from .reports import emit_report
 
 __version__ = "0.1.0"

@@ -18,6 +18,8 @@ infinite-tail content.
 from __future__ import annotations
 
 import math
+import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,19 +34,21 @@ from .filters import (
 )
 from .natset import Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
+    DimensionMismatch,
     NormReport,
     SpaceKind,
     TailOp,
-    op_norm,
-    solve_b_next,
-    solve_next_square,
+    _dual_power,
+    _prescribed_ratio,
+    _root,
+    _stage_norm,
+    apply,
 )
 from .sequences import (
     DomainError,
     PowerLog,
     ScalarSeq,
     eval_at,
-    exact_root,
     seq_mul,
     seq_pow,
     seq_scale,
@@ -70,7 +74,6 @@ class BasisSystem:
     filter: FilterSpec
     coefficients: list  # b_1 .. b_{n_max}
     coefficients_squared: Optional[list]  # exact squares on the Hilbert path
-    stages: list  # TailOp at stages 1 .. n_max - 1
     norm_reports: list
     defect_coeffs: list  # c_n = ||v_n|| / b_{n+1}
     admissibility: AdmissVerdict
@@ -80,8 +83,29 @@ class BasisSystem:
     def n_max(self) -> int:
         return len(self.coefficients)
 
+    @property
+    def stages(self) -> "_Stages":
+        """The tail operators at stages 1 .. n_max - 1, built on access."""
+        return _Stages(self)
+
+    def stage(self, n: int) -> TailOp:
+        sq = self.coefficients_squared
+        return TailOp(n, tuple(self.coefficients[: n + 1]), self.space,
+                      b_squared=None if sq is None else tuple(sq[: n + 1]))
+
     def target_at(self, n: int):
         return eval_at(self.target, n)
+
+
+class _Stages(SequenceABC):
+    def __init__(self, system: BasisSystem):
+        self._system = system
+
+    def __len__(self) -> int:
+        return self._system.n_max - 1
+
+    def __getitem__(self, i: int) -> TailOp:
+        return self._system.stage(range(1, len(self) + 1)[i])
 
 
 def build_basis(
@@ -93,19 +117,27 @@ def build_basis(
 ) -> BasisSystem:
     """Run the recurrence and certify every stage invariant.
 
-    ``a_squared`` optionally supplies exact squared targets for the
-    Hilbert-space path (so irrational targets like sqrt(2) stay exact on
-    squares).
+    The loop carries the mass S = b_1**p + ... + b_n**p and prescribes
+    b_{n+1}**p = S / W with W = (a_n**q - 1)**(p - 1) (W = a_n at p = 1).
+    It stays in rationals while the targets do: the coefficients for
+    p = 1, the squares for p = 2; from the first stage that leaves them
+    it continues in floats.  ``a_squared`` optionally supplies exact
+    squared targets for the Hilbert-space path (so irrational targets like
+    sqrt(2) stay exact on squares).
     """
     if n_max < 2:
         raise DomainError("need at least two coefficients")
+    if space.dim < n_max:
+        raise DimensionMismatch(f"{n_max} coefficients need dimension {n_max}, got {space.dim}")
     admiss_seq = a
     if a is None:
         if a_squared is None:
             raise DomainError("a target sequence is required")
         admiss_seq = seq_pow(a_squared, Fraction(1, 2))
-    for n in range(1, n_max):
-        _check_target(float(eval_at(admiss_seq, n)), n)
+    targets = [eval_at(admiss_seq, n) for n in range(1, n_max)]
+    for n, t in enumerate(targets, start=1):
+        if not float(t) > 1:
+            raise DomainError(f"target norm at stage {n} must exceed 1, got {float(t)}")
     p = space.p if isinstance(space.p, Fraction) else Fraction(space.p).limit_denominator(10 ** 6)
     verdict = check_admissible(admiss_seq, F, max(p, Fraction(1)))
     if verdict.kind == "refuted":
@@ -117,117 +149,50 @@ def build_basis(
             "produced system is not certified (" + verdict.reason + ")"
         )
 
-    if space.is_l2 and a_squared is None and a is not None:
-        a_squared = _exact_squares(a)
-
-    if space.is_l2 and a_squared is not None:
-        return _build_l2_exact(admiss_seq, a_squared, space, F, n_max, verdict, warnings)
-    return _build_generic(admiss_seq, space, F, n_max, verdict, warnings)
-
-
-def _exact_squares(a: ScalarSeq) -> Optional[ScalarSeq]:
-    try:
-        return seq_pow(a, 2)
-    except Exception:  # pragma: no cover - defensive
-        return None
-
-
-def _check_target(value: float, n: int) -> None:
-    if not value > 1:
-        raise DomainError(f"target norm at stage {n} must exceed 1, got {value}")
-
-
-def _build_generic(a, space, F, n_max, verdict, warnings) -> BasisSystem:
-    exact = space.is_l1
-    one = Fraction(1)
-    coeffs: list = [one if exact else 1.0]
-    stages: list = []
+    p = space.p
+    if space.is_l2 and a_squared is None:
+        a_squared = seq_pow(a, 2)
+    dual_targets = a_squared if space.is_l2 else None  # a_n**q, known exactly
+    squares = [Fraction(1)] if space.is_l2 else None
+    coeffs: list = [Fraction(1) if p == 1 else 1.0]
+    mass = Fraction(1)
     reports: list = []
     defects: list = []
-    for n in range(1, n_max):
-        t_n = eval_at(a, n)
-        _check_target(float(t_n), n)
-        if exact and not isinstance(t_n, Fraction):
-            exact = False
-            coeffs = [float(v) for v in coeffs]
-        nxt = solve_b_next(tuple(coeffs), t_n if exact else float(t_n), space)
-        coeffs.append(nxt)
-        T = TailOp(n, tuple(coeffs), space)
-        stages.append(T)
-        rep = op_norm(T)
-        reports.append(rep)
-        _certify_stage_norm(rep, float(t_n), space, n)
-        defects.append(_defect_value(T))
-    return BasisSystem(
-        space=space,
-        target=a,
-        filter=F,
-        coefficients=coeffs,
-        coefficients_squared=None,
-        stages=stages,
-        norm_reports=reports,
-        defect_coeffs=defects,
-        admissibility=verdict,
-        warnings=warnings,
-    )
-
-
-def _build_l2_exact(a, a_squared, space, F, n_max, verdict, warnings) -> BasisSystem:
-    squares: list = [Fraction(1)]
-    coeffs: list = [1.0]
-    stages: list = []
-    reports: list = []
-    defects: list = []
-    for n in range(1, n_max):
-        t_sq = eval_at(a_squared, n)
-        if not isinstance(t_sq, Fraction):
+    for n, t in enumerate(targets, start=1):
+        t_dual = eval_at(dual_targets, n) if dual_targets is not None else _dual_power(t, p)
+        nxt = mass / _prescribed_ratio(t_dual, p)  # b_{n+1}**p
+        if squares is not None and not isinstance(nxt, Fraction):
+            squares = None
             warnings.append("squared targets left the rationals; continuing in floats")
-            return _build_generic(a, space, F, n_max, verdict, warnings)
-        if not t_sq > 1:
-            raise DomainError(f"squared target at stage {n} must exceed 1, got {t_sq}")
-        nxt_sq = solve_next_square(tuple(squares), t_sq)
-        squares.append(nxt_sq)
-        root = exact_root(nxt_sq, 2)
-        coeffs.append(float(root) if root is not None else math.sqrt(float(nxt_sq)))
-        T = TailOp(n, tuple(coeffs), space, b_squared=tuple(squares))
-        stages.append(T)
-        rep = op_norm(T)
+        if squares is not None:
+            squares.append(nxt)
+        b = _root(nxt, p)
+        if isinstance(coeffs[-1], Fraction) and not isinstance(b, Fraction):
+            coeffs = [float(v) for v in coeffs]
+        coeffs.append(b if p == 1 else float(b))
+        W = mass / nxt
+        rep = _stage_norm(W, p, lambda: TailOp(n, tuple(coeffs), space))
+        _certify_stage_norm(rep, t, t_dual, n)
         reports.append(rep)
-        if rep.exact_square != t_sq:
-            raise ArithmeticError(
-                f"stage {n}: certified squared norm {rep.exact_square} != target {t_sq}"
-            )
-        defects.append(_defect_value(T))
-    return BasisSystem(
-        space=space,
-        target=a,
-        filter=F,
-        coefficients=coeffs,
-        coefficients_squared=squares,
-        stages=stages,
-        norm_reports=reports,
-        defect_coeffs=defects,
-        admissibility=verdict,
-        warnings=warnings,
-    )
+        c = _root(W, p)  # U = ||v_n||_p / b_{n+1}
+        defects.append(c if p == 1 else float(c))
+        mass += nxt
+    return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
+                       coefficients_squared=squares, norm_reports=reports,
+                       defect_coeffs=defects, admissibility=verdict, warnings=warnings)
 
 
-def _certify_stage_norm(rep: NormReport, target: float, space: SpaceKind, n: int) -> None:
-    tol = 0.0 if (space.is_l1 or space.is_l2) else 1e-6
-    if abs(rep.value - target) > tol * max(1.0, target) + 1e-12:
-        raise ArithmeticError(
-            f"stage {n}: certified norm {rep.value} misses the target {target}"
-        )
-
-
-def _defect_value(T: TailOp):
-    """c_n = ||v_n|| / b_{n+1} in the operator's own space."""
-    n = T.stage
-    if T.space.is_l1 and all(isinstance(v, Fraction) for v in T.b):
-        return sum(T.b[:n], Fraction(0)) / T.b[n]
-    p = T.space.p_float
-    bf = T.b_floats()
-    return float((bf[:n] ** p).sum() ** (1.0 / p) / bf[n])
+def _certify_stage_norm(rep: NormReport, target, target_dual, n: int) -> None:
+    """An exact norm must equal the target (its square at p = 2); a float
+    norm's certified lower bound must lie within 1e-9 of it."""
+    exact = rep.exact if rep.exact is not None else rep.exact_square
+    if exact is not None:
+        missed = exact != target_dual
+    else:
+        missed = abs(rep.lower - float(target)) > 1e-9 * float(target)
+    if missed:
+        raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
+                              f"{rep.lower}) misses the target {target}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +207,27 @@ class BiorthReport:
 
 
 def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
-    """Evaluate v*_m(v_n) for all m, n below the truncation.
-
-    v*_m(v_n) telescopes to [m <= n] - [m + 1 <= n], so the check is
-    exact whenever coefficient ratios are; float ratios of identical
-    entries are still exactly one, which keeps the off-diagonal at
-    exactly zero in either representation.
-    """
+    """Check sum_{k<=n} v*_k(x) v_k == T_n x, with the coordinate functionals
+    v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated through ``apply``,
+    for one seeded random rational x at the stages 1, 2, 4, ... and n_max - 1.
+    Float coefficients convert to Fractions exactly, so any error is real."""
     k = sys.n_max - 1
-    worst = 0.0
-    for m in range(1, k + 1):
-        for n in range(1, k + 1):
-            got = _pairing(sys, m, n)
-            want = 1.0 if m == n else 0.0
-            worst = max(worst, abs(float(got) - want))
-    return BiorthReport(size=k, max_error=worst, ok=worst <= 1e-12)
-
-
-def _pairing(sys: BasisSystem, m: int, n: int):
-    b = sys.coefficients
-    first = (b[m - 1] / b[m - 1]) if m <= n else 0.0
-    second = (b[m] / b[m]) if m + 1 <= n else 0.0
-    return first - second
+    b = [Fraction(v) for v in sys.coefficients]
+    rng = random.Random(0)
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
+    stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
+    worst = Fraction(0)
+    for n in stages:
+        # v_j has b_i at every i <= j, so coordinate i of the sum is
+        # b_i * (v*_i(x) + ... + v*_n(x))
+        partial = [Fraction(0)] * len(x)
+        tail = Fraction(0)
+        for i in range(n, 0, -1):
+            tail += x[i - 1] / b[i - 1] - x[i] / b[i]
+            partial[i - 1] = b[i - 1] * tail
+        got = apply(TailOp(n, tuple(b[: n + 1]), sys.space), x)
+        worst = max([worst] + [abs(u - v) for u, v in zip(partial, got)])
+    return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ exit codes encode verdict kinds so shell pipelines can branch:
     64 usage or precondition error
     65 parse error in one of the mini-languages
 
-Identical configuration and seed produce byte-identical reports.
+Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ def _argument_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", dest="n_max", default=None)
         p.add_argument("--dim", default=None)
         p.add_argument("--horizon", default=None)
-        p.add_argument("--seed", default=None)
         p.add_argument("--band", action="store_true", default=False)
         p.add_argument("--format", dest="format_", default=None)
         p.add_argument("--output", default=None)
@@ -132,7 +131,6 @@ def load_config(argv: list[str]) -> RunConfig:
             options["horizon"] = env
     options.setdefault("horizon", str(DEFAULT_HORIZON))
     options.setdefault("n_max", "32")
-    options.setdefault("seed", "0")
     options.setdefault("format", "json")
     return RunConfig(ns.command, options)
 
@@ -161,6 +159,19 @@ def _parse_space(text: str, dim: int) -> lp_operators.SpaceKind:
 
 def _number(text: str) -> Fraction:
     return Fraction(text)
+
+
+def _truncation(cfg: RunConfig) -> tuple[lp_operators.SpaceKind, int]:
+    """The space and n_max; --dim defaults to n_max + 1, the coordinates
+    a build touches plus one for the remainder."""
+    try:
+        n_max = int(cfg.get("n_max"))
+        dim = int(cfg.get("dim", n_max + 1))
+    except ValueError:
+        raise DomainError("--n-max and --dim must be integers") from None
+    if dim < n_max + 1:
+        raise DomainError(f"--dim must be at least n_max + 1 = {n_max + 1}, got {dim}")
+    return _parse_space(_require(cfg, "space"), dim), n_max
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +262,8 @@ def _cmd_check_admissible(cfg: RunConfig):
 
 
 def _cmd_build_basis(cfg: RunConfig):
-    space = _parse_space(_require(cfg, "space"), int(cfg.get("dim", "64")))
+    space, n_max = _truncation(cfg)
     filt = parse_filter(_require(cfg, "filter"))
-    n_max = int(cfg.get("n_max"))
     seq_text = cfg.get("seq")
     sq_text = cfg.get("a_squared")
     seq = parse_scalar_seq(seq_text) if seq_text else None
@@ -382,9 +392,8 @@ def _cmd_classify_set(cfg: RunConfig):
 
 
 def _cmd_demo_convergence(cfg: RunConfig):
-    space = _parse_space(_require(cfg, "space"), int(cfg.get("dim", "64")))
+    space, n_max = _truncation(cfg)
     filt = parse_filter(_require(cfg, "filter"))
-    n_max = int(cfg.get("n_max"))
     seq = parse_scalar_seq(cfg.get("seq")) if cfg.get("seq") else None
     a_squared = parse_scalar_seq(cfg.get("a_squared")) if cfg.get("a_squared") else None
     vector = parse_test_vector(_require(cfg, "vector"))

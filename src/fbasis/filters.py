@@ -32,7 +32,6 @@ from .natset import (
     is_certainly_finite,
     is_certainly_infinite,
     natural_density,
-    weight_sum,
 )
 from .sequences import (
     ScalarSeq,
@@ -40,6 +39,7 @@ from .sequences import (
     threshold_ge,
 )
 from .series import sum_inverse_p_verdict  # noqa: F401  (re-exported for callers)
+from .series import weight_sum
 
 
 class FilterConstructionError(ValueError):

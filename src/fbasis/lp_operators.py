@@ -1,17 +1,17 @@
 """Finite truncations of the sequence spaces and the tail operators.
 
-The tail operator at stage n is the rank-structured projection
-
-    T x = (x_1 - q b_1, ..., x_n - q b_n, 0, 0, ...),   q = x_{n+1} / b_{n+1},
-
-the partial-sum projection of the rebuilt system v_k = b_1 e_1 + ... + b_k e_k.
-Its norm is exact for p = 1 (column maximum) and p = 2 (closed form on
-the squares); for general p it is computed by the stated optimization:
-an outer golden-section search over the mass tau placed on coordinate
-n+1 and an inner Lagrange-stationarity solve by monotone scalar
-root-finding.  Every numeric norm report carries a certified lower
-bound (an evaluated vector) and a certified upper bound
-(Riesz-Thorin interpolation of the 1- and infinity-norms).
+The stage-n tail operator T x = (x_1 - q b_1, ..., x_n - q b_n, 0, ...),
+q = x_{n+1} / b_{n+1}, is the partial-sum projection of the rebuilt
+system v_k = b_1 e_1 + ... + b_k e_k.  Everything here is a closed form in
+W = U**p = S / b_{n+1}**p, with the mass S = b_1**p + ... + b_n**p,
+U = ||v_n||_p / b_{n+1} and q the dual exponent (Minkowski, then Hoelder
+with equality): ||T|| = (1 + U**q)**(1/q), ||Id - T|| = (1 + U**p)**(1/p),
+and the target norm a needs b_{n+1} = ||v_n||_p / (a**q - 1)**(1/q); at
+p = 1 these are max(1, U), 1 + U and S / a.  Evaluated on rationals they
+stay exact for p = 1, and on the squares for p = 2.  A stage norm that
+leaves the rationals carries a certified lower bound, ||T x|| / ||x|| of
+the extremal vector evaluated through ``apply``, and the Riesz-Thorin
+upper bound.
 """
 
 from __future__ import annotations
@@ -19,25 +19,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .sequences import DomainError
+from .sequences import DomainError, exact_root
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_OUTER = 200
-_MAX_INNER = 200
+_METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
 
 
 class DimensionMismatch(ValueError):
     pass
 
 
-class ConvergenceFailure(RuntimeError):
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(f"{message} (bracket {bracket[0]!r}..{bracket[1]!r})")
-        self.bracket = bracket
+def _number(v):
+    """Rationals as Fractions, everything else as floats (tested first: it is cheap)."""
+    if isinstance(v, float):
+        return v
+    return Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,7 @@ class SpaceKind:
     dim: int
 
     def __post_init__(self):
-        p = self.p
-        if isinstance(p, (int, Fraction)):
-            p = Fraction(p)
-        else:
-            p = float(p)
+        p = _number(self.p)
         object.__setattr__(self, "p", p)
         if p < 1:
             raise DomainError("the exponent must satisfy p >= 1")
@@ -76,10 +71,7 @@ class SpaceKind:
             return "l1"
         if self.is_l2:
             return "l2"
-        p = self.p
-        if isinstance(p, Fraction):
-            return f"lp({p.numerator}/{p.denominator})" if p.denominator != 1 else f"lp({p.numerator})"
-        return f"lp({p!r})"
+        return f"lp({self.p})" if isinstance(self.p, Fraction) else f"lp({self.p!r})"
 
 
 def l1(dim: int = 64) -> SpaceKind:
@@ -108,7 +100,7 @@ class TailOp:
             raise DimensionMismatch(
                 f"stage {self.stage} needs {self.stage + 1} coefficients, got {len(self.b)}"
             )
-        b = tuple(Fraction(v) if isinstance(v, (int, Fraction)) else float(v) for v in self.b)
+        b = tuple(_number(v) for v in self.b)
         object.__setattr__(self, "b", b)
         if any(float(v) <= 0 for v in b):
             raise DomainError("coefficients must be positive")
@@ -120,17 +112,14 @@ class TailOp:
         if self.space.dim < self.stage + 1:
             raise DimensionMismatch("truncation dimension below stage + 1")
 
-    # -- data views ---------------------------------------------------------
-
     def b_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.b], dtype=float)
 
-    def squares(self) -> Optional[tuple]:
-        if self.b_squared is not None:
+    def powers(self) -> tuple:
+        """b_i**p: exact for rational entries at p = 1, and on the squares at p = 2."""
+        if self.b_squared is not None and self.space.is_l2:
             return self.b_squared
-        if all(isinstance(v, Fraction) for v in self.b):
-            return tuple(v * v for v in self.b)
-        return None
+        return tuple(v ** self.space.p for v in self.b)
 
     def dense_matrix(self, dim: Optional[int] = None) -> np.ndarray:
         dim = dim or self.space.dim
@@ -139,8 +128,7 @@ class TailOp:
         n = self.stage
         bf = self.b_floats()
         M = np.zeros((dim, dim))
-        for j in range(n):
-            M[j, j] = 1.0
+        M[range(n), range(n)] = 1.0
         M[:n, n] = -bf[:n] / bf[n]
         return M
 
@@ -153,22 +141,15 @@ def apply(T: TailOp, x: Sequence) -> list:
     exact = all(isinstance(v, (int, Fraction)) for v in x) and all(
         isinstance(v, Fraction) for v in T.b
     )
-    if exact:
-        q = Fraction(x[n]) / T.b[n]
-        out = [Fraction(x[i]) - q * T.b[i] for i in range(n)]
-        zero = Fraction(0)
-    else:
-        q = float(x[n]) / float(T.b[n])
-        out = [float(x[i]) - q * float(T.b[i]) for i in range(n)]
-        zero = 0.0
-    out.extend([zero] * (len(x) - n))
-    return out
+    num = Fraction if exact else float
+    q = num(x[n]) / num(T.b[n])
+    return [num(x[i]) - q * num(T.b[i]) for i in range(n)] + [num(0)] * (len(x) - n)
 
 
 @dataclass(frozen=True)
 class NormReport:
     value: float
-    method: str  # ColumnMax | ClosedFormL2 | NumericOpt | BruteForce
+    method: str  # ColumnMax | ClosedFormL2 | ClosedForm | BruteForce
     lower: float
     upper: float
     exact: Optional[Fraction] = None
@@ -181,226 +162,115 @@ class NormReport:
             raise ValueError("norm report value above the upper bound")
 
 
-def _norms_1_inf(T: TailOp) -> tuple[float, float]:
-    bf = T.b_floats()
-    n = T.stage
-    col = max(1.0, float(bf[:n].sum()) / float(bf[n]))
-    row = 1.0 + float(bf[:n].max()) / float(bf[n]) if n else 1.0
-    return col, row
+def lp_norm(v, p: float) -> float:
+    v = np.abs(np.asarray(v, dtype=float))
+    if math.isinf(p):
+        return float(v.max()) if v.size else 0.0
+    return float((v ** p).sum() ** (1.0 / p))
+
+
+def norm_ratio(T: TailOp, x) -> float:
+    """||T x||_p / ||x||_p, evaluated through ``apply``."""
+    p = T.space.p_float
+    nx = lp_norm(x, p)
+    return lp_norm(apply(T, list(x)), p) / nx if nx > 0 else 0.0
 
 
 def riesz_thorin_upper(T: TailOp, p: float) -> float:
-    m1, minf = _norms_1_inf(T)
+    """||T||_1**(1/p) ||T||_inf**(1 - 1/p): interpolating the column and row maxima."""
+    bf = T.b_floats()
+    n = T.stage
+    m1 = max(1.0, float(bf[:n].sum()) / float(bf[n]))
+    minf = 1.0 + float(bf[:n].max()) / float(bf[n]) if n else 1.0
     return m1 ** (1.0 / p) * minf ** (1.0 - 1.0 / p)
+
+
+def norming_input(T: TailOp) -> np.ndarray:
+    """A unit vector with ||T x||_p = ||T||_p, Hoelder's equality case: a basis
+    column at p = 1, else x = (u / (U (1 + V)**(1/p)), -(V / (1 + V))**(1/p))
+    with u = (b_1, ..., b_n) / b_{n+1} and V = U**q."""
+    p = T.space.p_float
+    n = T.stage
+    bf = T.b_floats()
+    x = np.zeros(n + 1)
+    if p == 1:
+        x[n if bf[:n].sum() >= bf[n] else 0] = 1.0
+        return x
+    u = bf[:n] / bf[n]
+    U = lp_norm(u, p)
+    V = U ** (p / (p - 1.0))
+    x[:n] = u / (U * (1.0 + V) ** (1.0 / p))
+    x[n] = -((V / (1.0 + V)) ** (1.0 / p))
+    return x
+
+
+def _root(x, k):
+    """x**(1/k): exact for k = 1 and for rational squares at k = 2."""
+    if k == 1:
+        return x
+    if k == 2:
+        root = exact_root(x, 2) if isinstance(x, Fraction) else None
+        return root if root is not None else math.sqrt(x)
+    return float(x) ** (1.0 / float(k))
+
+
+def _mass_ratio(T: TailOp):
+    """W = U**p = S / b_{n+1}**p."""
+    powers = T.powers()
+    return sum(powers[:-1]) / powers[-1]
+
+
+def _dual_power(a, p):
+    """The target norm to the dual exponent, a**q (a itself at p = 1)."""
+    return a if p == 1 else a ** (p / (p - 1))
+
+
+def _prescribed_ratio(a_dual, p):
+    """The W = S / b_{n+1}**p whose stage norm is a, given a_dual = a**q."""
+    if not a_dual > 1:
+        raise DomainError("the target norm must exceed 1")
+    return a_dual if p == 1 else (a_dual - 1) ** (p - 1)
+
+
+def _closed_form_report(power, k, method: str) -> NormReport:
+    """An attained norm whose k-th power is ``power``; rational powers are
+    reported exactly (the value at k = 1, the square at k = 2)."""
+    value = float(_root(power, k))
+    rational = isinstance(power, Fraction)
+    return NormReport(value, method, value, value, exact=power if rational and k == 1 else None,
+                      exact_square=power if rational and k == 2 else None)
+
+
+def _stage_norm(W, p, stage_op: Callable[[], TailOp]) -> NormReport:
+    """The stage norm from W = U**p.  A rational result certifies itself; a
+    float one is bracketed by the extremal ratio on ``stage_op()`` and the
+    Riesz-Thorin bound."""
+    if p == 1:
+        k, power = 1, max(W, type(W)(1))
+    else:
+        k, power = p / (p - 1), 1 + W ** (1 / (p - 1))
+    rep = _closed_form_report(power, k, _METHODS.get(p, "ClosedForm"))
+    if isinstance(power, Fraction):
+        return rep
+    T = stage_op()
+    lower = norm_ratio(T, norming_input(T))
+    value = max(rep.value, lower)
+    return NormReport(value, rep.method, lower, max(riesz_thorin_upper(T, float(p)), value))
 
 
 def op_norm(T: TailOp) -> NormReport:
     """Norm of the tail operator in its space."""
-    n = T.stage
-    if T.space.is_l1:
-        sq = all(isinstance(v, Fraction) for v in T.b)
-        if sq:
-            ratio = sum(T.b[:n], Fraction(0)) / T.b[n]
-            value = max(Fraction(1), ratio)
-            f = float(value)
-            return NormReport(f, "ColumnMax", f, f, exact=value)
-        bf = T.b_floats()
-        f = max(1.0, float(bf[:n].sum() / bf[n]))
-        return NormReport(f, "ColumnMax", f, f)
-    if T.space.is_l2:
-        squares = T.squares()
-        if squares is not None:
-            vsq = sum(squares[:n], Fraction(0))
-            value_sq = 1 + vsq / squares[n]
-            f = math.sqrt(float(value_sq))
-            return NormReport(f, "ClosedFormL2", f, f, exact_square=value_sq)
-        bf = T.b_floats()
-        f = math.sqrt(1.0 + float((bf[:n] ** 2).sum()) / float(bf[n]) ** 2)
-        return NormReport(f, "ClosedFormL2", f, f)
-    return _op_norm_numeric(T)
-
-
-def _op_norm_numeric(T: TailOp) -> NormReport:
-    p = T.space.p_float
-    n = T.stage
-    bf = T.b_floats()
-    u = bf[:n] / bf[n]
-
-    def inner_value(tau: float) -> tuple[float, float]:
-        """Best objective for fixed tau, via the stationarity equation."""
-        if tau <= 0.0:
-            return 1.0, 0.0
-        if tau >= 1.0:
-            return float((u ** p).sum() ** (1.0 / p)), math.inf
-        s = 1.0 - tau ** p
-        mu = _solve_stationarity(u, tau, p, s)
-        x = tau * u / mu
-        val = float(((x + tau * u) ** p).sum() ** (1.0 / p))
-        return val, mu
-
-    best_tau, best_val = 0.0, 1.0
-    for tau in (0.0, 1.0):
-        val, _ = inner_value(tau)
-        if val > best_val:
-            best_tau, best_val = tau, val
-    lo, hi = 0.0, 1.0
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, _ = inner_value(c)
-    fd, _ = inner_value(d)
-    for _ in range(_MAX_OUTER):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc, _ = inner_value(c)
-            if fc > best_val:
-                best_tau, best_val = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd, _ = inner_value(d)
-            if fd > best_val:
-                best_tau, best_val = d, fd
-        if hi - lo < 1e-14:
-            break
-    # certify the winner by evaluating an explicit vector
-    lower = _evaluate_candidate(T, best_tau, u, p)
-    lower = max(lower, 1.0)
-    value = max(best_val, lower)
-    upper = riesz_thorin_upper(T, p)
-    return NormReport(value, "NumericOpt", lower, max(upper, value))
-
-
-def _solve_stationarity(u: np.ndarray, tau: float, p: float, s: float) -> float:
-    """Monotone root of sum((tau*u/mu)**p) = s in mu."""
-    target = s
-    scale = float((u ** p).sum())
-
-    def f(mu: float) -> float:
-        return (tau / mu) ** p * scale - target
-
-    lo = hi = (tau * scale ** (1.0 / p)) / max(target, 1e-300) ** (1.0 / p)
-    lo /= 2.0
-    hi *= 2.0
-    it = 0
-    while f(lo) < 0.0:
-        lo /= 2.0
-        it += 1
-        if it > _MAX_INNER:
-            raise ConvergenceFailure("stationarity bracketing failed", (lo, hi))
-    it = 0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        it += 1
-        if it > _MAX_INNER:
-            raise ConvergenceFailure("stationarity bracketing failed", (lo, hi))
-    for _ in range(_MAX_INNER):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _evaluate_candidate(T: TailOp, tau: float, u: np.ndarray, p: float) -> float:
-    """Norm ratio of the reconstructed optimizer, a certified lower bound."""
-    n = T.stage
-    if tau <= 0.0 or n == 0:
-        x = np.zeros(n + 1)
-        x[0 if n else n] = 1.0
-    else:
-        s = max(1.0 - tau ** p, 0.0)
-        if s == 0.0:
-            x = np.zeros(n + 1)
-            x[n] = -1.0
-        else:
-            mu = _solve_stationarity(u, tau, p, s)
-            x = np.concatenate([tau * u / mu, [-tau]])
-    y = np.array(apply(T, list(x)), dtype=float)
-    nx = float((np.abs(x) ** p).sum() ** (1.0 / p))
-    ny = float((np.abs(y) ** p).sum() ** (1.0 / p))
-    return ny / nx if nx > 0 else 0.0
-
-
-def op_norm_bruteforce(T: TailOp, budget: int = 200, seed: int = 0) -> NormReport:
-    """Certified lower bound: extreme directions, seeded random search,
-    and coordinate ascent.  Exact for p = 1, where a basis direction
-    attains the norm."""
-    p = T.space.p_float
-    n = T.stage
-    dim = n + 1
-    if T.space.is_l1 and all(isinstance(v, Fraction) for v in T.b):
-        ratio = sum(T.b[:n], Fraction(0)) / T.b[n]
-        value = max(Fraction(1), ratio)
-        f = float(value)
-        return NormReport(f, "BruteForce", f, f, exact=value)
-
-    def ratio_of(x: np.ndarray) -> float:
-        y = np.array(apply(T, list(x)), dtype=float)
-        nx = float((np.abs(x) ** p).sum() ** (1.0 / p))
-        if nx == 0.0:
-            return 0.0
-        return float((np.abs(y) ** p).sum() ** (1.0 / p)) / nx
-
-    best = 0.0
-    best_x = None
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        r = ratio_of(e)
-        if r > best:
-            best, best_x = r, e
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, budget)):
-        x = rng.standard_normal(dim)
-        r = ratio_of(x)
-        if r > best:
-            best, best_x = r, x
-    if best_x is not None:
-        x = best_x.astype(float)
-        for step in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6):
-            improved = True
-            while improved:
-                improved = False
-                for i in range(dim):
-                    for sgn in (1.0, -1.0):
-                        trial = x.copy()
-                        trial[i] += sgn * step * max(1.0, abs(trial[i]))
-                        r = ratio_of(trial)
-                        if r > best:
-                            best, x, improved = r, trial, True
-    upper = riesz_thorin_upper(T, p) if p > 1 else max(1.0, float(T.b_floats()[:n].sum() / float(T.b[n])))
-    return NormReport(best, "BruteForce", best, max(upper, best))
-
-
-# ---------------------------------------------------------------------------
-# prescribing the norm
+    return _stage_norm(_mass_ratio(T), T.space.p, lambda: T)
 
 
 def solve_b_next(b: Sequence, a_target, space: SpaceKind):
-    """The coefficient b_{n+1} giving the stage-n operator norm a_target.
-
-    Exact for p = 1 and (on squares) p = 2; monotone bisection to
-    relative tolerance 1e-12 otherwise.
-    """
+    """The coefficient b_{n+1} giving the stage-n operator norm a_target;
+    exact for rational input at p = 1, and at p = 2 when the root is rational."""
     if float(a_target) <= 1:
         raise DomainError("the target norm must exceed 1")
-    b = tuple(Fraction(v) if isinstance(v, (int, Fraction)) else float(v) for v in b)
-    if space.is_l1:
-        if all(isinstance(v, Fraction) for v in b) and isinstance(a_target, (int, Fraction)):
-            return sum(b, Fraction(0)) / Fraction(a_target)
-        return float(sum(float(v) for v in b)) / float(a_target)
-    if space.is_l2:
-        if all(isinstance(v, Fraction) for v in b) and isinstance(a_target, (int, Fraction)):
-            sq = solve_next_square(tuple(v * v for v in b), Fraction(a_target) ** 2)
-            root = _sqrt_fraction(sq)
-            return root if root is not None else math.sqrt(float(sq))
-        total = sum(float(v) ** 2 for v in b)
-        return math.sqrt(total / (float(a_target) ** 2 - 1.0))
-    return _solve_bisection(b, float(a_target), space)
+    p = space.p
+    mass = sum(_number(v) ** p for v in b)
+    return _root(mass / _prescribed_ratio(_dual_power(_number(a_target), p), p), p)
 
 
 def solve_next_square(b_squared: Sequence[Fraction], a_target_squared: Fraction) -> Fraction:
@@ -411,88 +281,15 @@ def solve_next_square(b_squared: Sequence[Fraction], a_target_squared: Fraction)
     return sum((Fraction(v) for v in b_squared), Fraction(0)) / (a2 - 1)
 
 
-def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    from .sequences import exact_root
-
-    return exact_root(Fraction(x), 2)
-
-
-def _solve_bisection(b: tuple, target: float, space: SpaceKind) -> float:
-    n = len(b)
-
-    def norm_at(t: float) -> float:
-        return op_norm(TailOp(n, tuple(b) + (t,), space)).value
-
-    # closed-form guess from the stationarity structure, then bracket
-    p = space.p_float
-    q = p / (p - 1.0)
-    vnorm = float(sum(float(v) ** p for v in b) ** (1.0 / p))
-    guess = vnorm / max((target ** q - 1.0) ** (1.0 / q), 1e-300)
-    lo, hi = guess / 2.0, guess * 2.0
-    it = 0
-    while norm_at(lo) < target:
-        lo /= 2.0
-        it += 1
-        if it > _MAX_INNER:
-            raise ConvergenceFailure("bisection bracketing failed low", (lo, hi))
-    it = 0
-    while norm_at(hi) > target:
-        hi *= 2.0
-        it += 1
-        if it > _MAX_INNER:
-            raise ConvergenceFailure("bisection bracketing failed high", (lo, hi))
-    f_lo, f_hi = norm_at(lo), norm_at(hi)
-    if not f_lo >= f_hi:
-        raise ConvergenceFailure("norm not decreasing across the bracket", (lo, hi))
-    for _ in range(_MAX_INNER):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            return 0.5 * (lo + hi)
-    raise ConvergenceFailure("bisection did not reach tolerance", (lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# remainders
-
-
 def remainder_norm(T: TailOp, dim: Optional[int] = None) -> NormReport:
-    """Norm of Id - T on the truncation (needs dim > stage + 1).
-
-    The remainder sends x to x_{n+1} * w plus the untouched coordinates
-    past n+1, where w stacks b_i / b_{n+1} over the first n slots and 1
-    at slot n+1; its norm is max(1, ||w||_p).
-    """
+    """Norm of Id - T on the truncation (needs dim > stage + 1): it sends x
+    to x_{n+1} (b_1, ..., b_n, b_{n+1}) / b_{n+1} plus the coordinates past
+    n+1, so the norm is (1 + U**p)**(1/p)."""
     dim = dim or T.space.dim
-    n = T.stage
-    if dim <= n + 1:
+    if dim <= T.stage + 1:
         raise DimensionMismatch("remainder needs the truncation to extend past stage + 1")
-    if T.space.is_l1:
-        if all(isinstance(v, Fraction) for v in T.b):
-            value = 1 + sum(T.b[:n], Fraction(0)) / T.b[n]
-            f = float(value)
-            return NormReport(f, "ColumnMax", f, f, exact=value)
-        bf = T.b_floats()
-        f = 1.0 + float(bf[:n].sum() / bf[n])
-        return NormReport(f, "ColumnMax", f, f)
-    if T.space.is_l2:
-        squares = T.squares()
-        if squares is not None:
-            vsq = sum(squares[:n], Fraction(0))
-            value_sq = 1 + vsq / squares[n]
-            f = math.sqrt(float(value_sq))
-            return NormReport(f, "ClosedFormL2", f, f, exact_square=value_sq)
-        bf = T.b_floats()
-        f = math.sqrt(1.0 + float((bf[:n] ** 2).sum()) / float(bf[n]) ** 2)
-        return NormReport(f, "ClosedFormL2", f, f)
-    p = T.space.p_float
-    bf = T.b_floats()
-    w = np.concatenate([bf[:n] / bf[n], [1.0]])
-    val = max(1.0, float((w ** p).sum() ** (1.0 / p)))
-    return NormReport(val, "NumericOpt", val, val)
+    p = T.space.p
+    return _closed_form_report(1 + _mass_ratio(T), p, _METHODS.get(p, "ClosedForm"))
 
 
 def remainder_dense_matrix(T: TailOp, dim: Optional[int] = None) -> np.ndarray:

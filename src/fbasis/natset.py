@@ -831,19 +831,3 @@ def set_equal(a: SetExpr, b: SetExpr, check_horizon: int = 10 ** 4) -> bool:
     except HorizonExceeded:
         return False
     return ca.desc_pair() == cb.desc_pair()
-
-
-# thin entry points for operations whose machinery lives elsewhere
-
-
-def weight_sum(s: SetExpr, w, horizon: int = DEFAULT_HORIZON) -> SumVerdict:
-    """Verdict for sum over s of the weight sequence w."""
-    from .series import weight_sum as _impl
-
-    return _impl(s, w, horizon)
-
-
-def parse_set_expr(text: str) -> SetExpr:
-    from .parsing import parse_set_expr as _impl
-
-    return _impl(text)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .natset import NATURALS
-from .lp_operators import TailOp, op_norm
+from .lp_operators import TailOp, apply, lp_norm, norming_input, op_norm
 from .sequences import (
     DomainError,
     ScalarSeq,
@@ -248,22 +248,20 @@ def extract_norming_functionals(
         n = T.stage
         dim = n + 1
         rep = op_norm(T)
-        x_best = _norming_input(T)
-        y = np.array([float(v) for v in _apply_np(T, x_best)])
+        y = np.array(apply(T, list(norming_input(T))), dtype=float)
         ystar = _dual_norming(y, p)
         # coefficients of T* ystar: column dot products
         M = T.dense_matrix(dim)[:dim, :dim]
         coeffs = ystar @ M
         q = p / (p - 1.0) if p > 1 else math.inf
-        nrm = _lp_norm(coeffs, q)
+        nrm = lp_norm(coeffs, q)
         if nrm <= 0:
             raise ArithmeticError("extracted functional vanished")
         coeffs = coeffs * (rep.value / nrm)
         factor = 0.0
         for _ in range(samples):
             x = rng.standard_normal(dim)
-            tx = np.array([float(v) for v in _apply_np(T, x)])
-            denom = _lp_norm(tx, p)
+            denom = lp_norm(apply(T, list(x)), p)
             if denom <= 1e-12:
                 continue
             factor = max(factor, abs(float(coeffs @ x)) / denom)
@@ -279,50 +277,12 @@ def extract_norming_functionals(
     return out
 
 
-def _apply_np(T: TailOp, x):
-    from .lp_operators import apply as _apply
-
-    return _apply(T, list(np.asarray(x, dtype=float)))
-
-
-def _lp_norm(v: np.ndarray, p: float) -> float:
-    v = np.abs(np.asarray(v, dtype=float))
-    if math.isinf(p):
-        return float(v.max()) if v.size else 0.0
-    return float((v ** p).sum() ** (1.0 / p))
-
-
-def _norming_input(T: TailOp) -> np.ndarray:
-    """A vector achieving (or nearly achieving) the operator norm."""
-    p = T.space.p_float
-    n = T.stage
-    dim = n + 1
-    bf = T.b_floats()
-    if T.space.is_l1:
-        # the norm is attained at a basis column
-        ratio = float(bf[:n].sum() / bf[n])
-        e = np.zeros(dim)
-        e[n if ratio >= 1.0 else 0] = 1.0
-        return e
-    u = bf[:n] / bf[n]
-    q = p / (p - 1.0)
-    U = _lp_norm(u, p)
-    V = U ** q
-    tau = (V / (1.0 + V)) ** (1.0 / p)
-    s = max(1.0 - tau ** p, 0.0)
-    x = np.zeros(dim)
-    if s > 0 and U > 0:
-        x[:n] = tau * u * (s ** (1.0 / p) / (tau * U))
-    x[n] = -tau
-    return x
-
-
 def _dual_norming(y: np.ndarray, p: float) -> np.ndarray:
     """A dual unit vector y* with y*(y) = ||y||_p."""
     y = np.asarray(y, dtype=float)
     if p == 1:
         return np.sign(y)
-    ny = _lp_norm(y, p)
+    ny = lp_norm(y, p)
     if ny == 0:
         out = np.zeros_like(y)
         out[0] = 1.0

@@ -601,10 +601,6 @@ def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
     return _assemble(hits, None)
 
 
-def threshold_gt(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
-    return threshold_ge(a, math.nextafter(float(t), math.inf), horizon)
-
-
 def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool) -> Optional[int]:
     """Smallest n > lo hitting the condition; the condition is monotone there."""
 

@@ -272,11 +272,14 @@ def _sparse_converging_bound(elems: _GeomElements, form: WeightForm) -> SumVerdi
         settled = e > form.start and e >= 4 * max(1, abs(elems.offset)) and count >= 8
         if alpha > 0 and settled and (g >= 0 or math.log(e + 1) > -g / alpha):
             # weights decrease beyond e; elements grow at least by factor r
+            limit = r ** (-alpha)  # rho decreases to this as e grows
             if g >= 0:
-                rho = r ** (-alpha)
+                rho = limit
             else:
-                rho = r ** (-alpha) * (1.0 + math.log(r) / math.log(e + 1)) ** (-g)
-            if rho <= 0.95:
+                rho = limit * (1.0 + math.log(r) / math.log(e + 1)) ** (-g)
+            # the bound holds for every rho < 1; waiting for rho <= 0.95
+            # only tightens it, and never ends when the limit is above 0.95
+            if rho <= 0.95 or (limit > 0.95 and rho < 1.0):
                 tail_first = form.float_at(max(int(e * r) - 1, e + 1))
                 return SumVerdict.converges(total + tail_first / (1.0 - rho))
         if alpha == 0 and g > 1 and count >= 16:

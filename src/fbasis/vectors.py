@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Union as TUnion
 
 from .natset import NATURALS, SetExpr, member
-from .sequences import Constant, PowerLog, ScalarSeq, SpikeSeq, seq_pow
+from .sequences import Constant, PowerLog, ScalarSeq, seq_pow
 from .series import weight_sum
 
 
@@ -112,10 +112,6 @@ class Spike:
 
 
 TestVector = TUnion[BasisVector, PowerTail, Spike]
-
-
-def as_spike_seq(v: TestVector) -> SpikeSeq:
-    return SpikeSeq(v.support(), v.amplitude())
 
 
 def coordinate_vector(v: TestVector, horizon: int):

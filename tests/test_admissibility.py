@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from fbasis import (
     NATURALS,
     NotDivergent,
     PowerLog,
+    Residue,
     SetClass,
     Statistical,
     Summable,
@@ -21,6 +23,7 @@ from fbasis import (
     nonadmissibility_witness,
     slow_certificate,
     sum_inverse_p_verdict,
+    trace_filter,
     weight_sum,
 )
 from fbasis.filters import not_negligible
@@ -226,3 +229,24 @@ class TestTraceAdmissibility:
         # member of its own trace filter
         assert v.kind == "refuted"
         assert v.witness == GeometricIndex(Fraction(2))
+
+
+class TestSlowGeometricSums:
+    # the weights n**(-1/8) shrink by 2**(-1/8) ~ 0.917 per element of
+    # geom(2); the sum over geom(2) once overflowed a float before settling
+
+    def test_frechet_refutation_carries_a_true_bound(self):
+        v = check_admissible(PowerLog(2, Fraction(1, 8)), Frechet(), 1)
+        assert v.kind == "refuted"
+        assert v.witness == GeometricIndex(Fraction(2))
+        r = 2.0 ** (-1 / 8)
+        exact = 0.5 * r / (1.0 - r)  # sum over k >= 1 of 1 / (2 * 2**(k/8))
+        assert v.certificate.inverse_p_sum.kind == "converges"
+        assert exact <= v.certificate.inverse_p_sum.bound < math.inf
+
+    def test_trace_with_log_factor_is_never_proved(self):
+        # unbounded, so refuted under any trace of Frechet; the engine may
+        # stop short of a witness, but it must answer
+        a = PowerLog(Fraction(3, 2), Fraction(1, 8), Fraction(1, 2))
+        v = check_admissible(a, trace_filter(Frechet(), Residue(5, 2)), 1)
+        assert v.kind in ("refuted", "inconclusive")

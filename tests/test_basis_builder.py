@@ -26,6 +26,8 @@ from fbasis import (
     remainder_norm,
     verify_biorthogonality,
 )
+from fbasis import basis_builder
+from fbasis.lp_operators import TailOp
 from fbasis.sequences import DomainError
 
 from conftest import random_target_seq
@@ -138,6 +140,41 @@ class TestBiorthogonality:
         sys = build_basis(Constant(2), lp(Fraction(3, 2), 64), Frechet(), n_max=6)
         rep = verify_biorthogonality(sys)
         assert rep.ok and rep.max_error == 0.0
+
+    def test_corrupted_tail_operator_is_caught(self, monkeypatch):
+        sys = build_basis(Constant(2), l1(64), summable_half(), n_max=8)
+
+        def without_defect(T, x):  # drops the q * b_i term
+            n = T.stage
+            return [Fraction(v) for v in x[:n]] + [Fraction(0)] * (len(x) - n)
+
+        monkeypatch.setattr(basis_builder, "apply", without_defect)
+        rep = verify_biorthogonality(sys)
+        assert rep.ok is False
+        assert rep.max_error > 0
+
+
+class TestStages:
+    def test_stages_are_built_on_access(self):
+        sys = build_basis(None, l2(64), Frechet(), n_max=6, a_squared=Constant(2))
+        assert len(sys.stages) == 5
+        assert [T.stage for T in sys.stages] == [1, 2, 3, 4, 5]
+        last = sys.stages[-1]
+        assert last == TailOp(5, tuple(sys.coefficients), sys.space,
+                              b_squared=tuple(sys.coefficients_squared))
+        with pytest.raises(IndexError):
+            sys.stages[5]
+
+    def test_l2_continues_in_floats_once_the_squares_leave_the_rationals(self):
+        # targets 2 n**(1/4): the squared target 4 sqrt(n) is rational at n = 1 only
+        sys = build_basis(PowerLog(2, Fraction(1, 4)), l2(64), Summable(HARMONIC), n_max=6)
+        assert sys.coefficients_squared is None
+        assert "squared targets left the rationals; continuing in floats" in sys.warnings
+        assert sys.norm_reports[0].exact_square == 4
+        assert all(r.exact_square is None for r in sys.norm_reports[1:])
+        for n, rep in enumerate(sys.norm_reports, start=1):
+            assert rep.lower <= rep.value <= rep.upper
+            assert rep.value == pytest.approx(2 * n ** 0.25, rel=1e-12)
 
 
 class TestConvergenceDemo:

@@ -68,6 +68,30 @@ class TestExitCodes:
         assert code == EXIT_REFUTED
 
 
+class TestTruncation:
+    BUILD = ["build-basis", "--seq", "const(2)", "--space", "l1", "--filter", "frechet"]
+
+    def test_dim_defaults_to_n_max_plus_one(self):
+        code, out = run(self.BUILD + ["--n-max", "100"])
+        assert code == EXIT_OK
+        assert len(get_json(out)["stage_norms"]) == 99
+
+    def test_dim_below_n_max_plus_one_is_a_usage_error(self):
+        code, out = run(self.BUILD + ["--n-max", "10", "--dim", "10"])
+        assert code == EXIT_USAGE
+        assert get_json(out)["error"] == "usage"
+
+    def test_non_integer_sizes_are_usage_errors(self):
+        assert run(self.BUILD + ["--n-max", "3.5"])[0] == EXIT_USAGE
+        assert run(self.BUILD + ["--n-max", "8", "--dim", "x"])[0] == EXIT_USAGE
+
+    def test_seed_is_not_an_option(self):
+        from fbasis.cli import main
+
+        argv = ["classify-set", "--set", "residue(2,0)", "--filter", "statistical"]
+        assert main(argv + ["--seed", "1"]) == EXIT_USAGE
+
+
 class TestReports:
     def test_build_basis_document(self):
         code, out = run(

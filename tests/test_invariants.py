@@ -32,11 +32,11 @@ from fbasis import (
     weight_sum,
 )
 from fbasis.filters import witness_library
-from fbasis.lp_operators import _op_norm_numeric
 from fbasis.sequences import eval_at
 from fbasis.series import partial_sum
 
 from conftest import random_power_seq, random_set_expr
+from norm_oracle import golden_section_norm
 
 HARMONIC = PowerLog(1, Fraction(-1))
 
@@ -104,18 +104,20 @@ class TestPiecewiseAdmissibility:
 class TestNormConsistency:
     def test_numeric_path_matches_dual_exponent_closed_form(self):
         # independent derivation: the norm is (1 + U**q)**(1/q) with
-        # U = |v|_p / b_{n+1} and q the dual exponent
+        # U = |v|_p / b_{n+1} and q the dual exponent; the golden-section
+        # oracle and op_norm must both agree with it
         rng = random.Random(71)
         for _ in range(12):
             n = rng.randrange(1, 5)
             b = tuple(0.2 + rng.random() * 2 for _ in range(n + 1))
             p = rng.choice([1.2, 1.5, 2.5, 3.0])
             T = TailOp(n, b, lp(p, 12))
-            got = _op_norm_numeric(T).value
+            got = golden_section_norm(T)
             q = p / (p - 1.0)
             U = sum(x ** p for x in b[:n]) ** (1.0 / p) / b[n]
             want = (1.0 + U ** q) ** (1.0 / q)
             assert got == pytest.approx(want, abs=1e-9)
+            assert got == pytest.approx(op_norm(T).value, abs=1e-9)
 
 
 class TestWitnessAtomTexts:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbasis import (
     DimensionMismatch,
@@ -19,7 +20,9 @@ from fbasis import (
     solve_b_next,
     solve_next_square,
 )
-from fbasis.lp_operators import _op_norm_numeric, remainder_dense_matrix, riesz_thorin_upper
+from fbasis.lp_operators import remainder_dense_matrix, riesz_thorin_upper
+
+from norm_oracle import golden_section_norm
 
 
 def svd_norm(T, dim=None):
@@ -99,14 +102,15 @@ class TestNorms:
         assert r.exact == 2
 
     def test_numeric_path_matches_closed_forms(self):
+        # the golden-section oracle against the closed form at p -> 1 and p = 2
         b = (1.0, 0.7, 1.3)
-        near_one = _op_norm_numeric(TailOp(2, b, lp(1 + 1e-12, 8)))
+        near_one = golden_section_norm(TailOp(2, b, lp(1 + 1e-12, 8)))
         exact_one = op_norm(TailOp(2, tuple(Fraction(x).limit_denominator(10) for x in b), l1(8)))
         # allow the tiny exponent perturbation itself
-        assert near_one.value == pytest.approx(float(exact_one.value), abs=1e-9)
-        at_two = _op_norm_numeric(TailOp(2, b, l2(8)))
+        assert near_one == pytest.approx(float(exact_one.value), abs=1e-9)
+        at_two = golden_section_norm(TailOp(2, b, l2(8)))
         closed_two = op_norm(TailOp(2, b, l2(8)))
-        assert at_two.value == pytest.approx(closed_two.value, abs=1e-9)
+        assert at_two == pytest.approx(closed_two.value, abs=1e-9)
 
     def test_riesz_thorin_dominates_truth(self):
         rng = random.Random(9)
@@ -154,6 +158,42 @@ class TestSolve:
             rb = op_norm_bruteforce(T, budget=300, seed=trial)
             assert r.value - rb.value <= 1e-6
             assert rb.value <= riesz_thorin_upper(T, 1.5) + 1e-9
+
+
+@st.composite
+def prescriptions(draw):
+    """(p, b_1..b_n, a): rational coefficients and target, p in {1, 3/2, 2, 3}."""
+    p = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]))
+    n = draw(st.integers(1, 4))
+    b = tuple(Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 20))) for _ in range(n))
+    a = Fraction(draw(st.integers(11, 60)), 10)
+    return p, b, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(prescriptions())
+def test_prescribed_coefficient_hits_the_target(case):
+    p, b, a = case
+    space = lp(p, 8)
+    nxt = solve_b_next(b, a, space)
+    squares = None
+    if p == 2:
+        # exact on the squares; the coefficient itself is their root
+        squares = tuple(v * v for v in b)
+        squares += (solve_next_square(squares, a * a),)
+        assert float(nxt) ** 2 == pytest.approx(float(squares[-1]), rel=1e-12)
+    T = TailOp(len(b), b + (nxt,), space, b_squared=squares)
+    rep = op_norm(T)
+    if p == 1:
+        assert rep.exact == a
+    elif p == 2:
+        assert rep.exact_square == a * a
+    else:
+        assert rep.value == pytest.approx(float(a), rel=1e-12)
+        assert rep.lower == pytest.approx(float(a), rel=1e-9)
+    brute = op_norm_bruteforce(T, budget=30, seed=0)
+    assert brute.value <= rep.value * (1 + 1e-9)
+    assert brute.value <= rep.upper * (1 + 1e-12)
 
 
 class TestRemainder:
