@@ -49,11 +49,7 @@ from .sequences import (
     seq_pow,
     tail_form,
 )
-from .series import (
-    sum_inverse_p_verdict,
-    weight_form,
-    weight_sum,
-)
+from .series import sum_inverse_p_verdict, weight_sum
 from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
 
 
@@ -90,9 +86,12 @@ class AdmissVerdict:
         return AdmissVerdict("inconclusive", reason=reason)
 
 
-def _refute(a: ScalarSeq, F: FilterSpec, p: Fraction, witness: SetExpr) -> AdmissVerdict:
-    """Build a refutation, machine-checking its certificate first."""
-    inv = sum_inverse_p_verdict(a, p, witness)
+def _refute(a: ScalarSeq, F: FilterSpec, p: Fraction, witness: SetExpr,
+            inv: Optional[SumVerdict] = None) -> AdmissVerdict:
+    """Build a refutation, machine-checking its certificate first; ``inv`` is
+    the witness's inverse-p verdict when the caller already holds it."""
+    if inv is None:
+        inv = sum_inverse_p_verdict(a, p, witness)
     if inv.kind != "converges":
         raise ArithmeticError(
             f"refutation witness {witness.to_text()} lacks a certified convergent sum"
@@ -121,7 +120,7 @@ def check_admissible(a: ScalarSeq, F: FilterSpec, p) -> AdmissVerdict:
     # a convergent global sum refutes over the whole line
     global_verdict = sum_inverse_p_verdict(a, p, NATURALS)
     if global_verdict.kind == "converges":
-        return _refute(a, F, p, NATURALS)
+        return _refute(a, F, p, NATURALS, global_verdict)
 
     bounded = is_bounded(a)
     if bounded is True:
@@ -144,8 +143,9 @@ def _frechet_case(a: ScalarSeq, p: Fraction, bounded) -> AdmissVerdict:
         return AdmissVerdict.inconclusive("boundedness undecided in the symbolic family")
     # refutation: a sparse infinite set with convergent inverse-p sum
     geom = GeometricIndex(Fraction(2))
-    if sum_inverse_p_verdict(a, p, geom).kind == "converges":
-        return _refute(a, Frechet(), p, geom)
+    on_geom = sum_inverse_p_verdict(a, p, geom)
+    if on_geom.kind == "converges":
+        return _refute(a, Frechet(), p, geom, on_geom)
     try:
         witness = SparseThresholdSet(a, p)
     except CriterionHolds:
@@ -226,7 +226,7 @@ def _trace_case(a: ScalarSeq, F: Trace, p: Fraction) -> AdmissVerdict:
         return AdmissVerdict.proved(f"base filter: {inner.criterion}")
     on_index = sum_inverse_p_verdict(a, p, F.index_set)
     if on_index.kind == "converges":
-        return _refute(a, F, p, F.index_set)
+        return _refute(a, F, p, F.index_set, on_index)
     return _library_sweep(a, F, p)
 
 
@@ -234,8 +234,9 @@ def _library_sweep(a: ScalarSeq, F: FilterSpec, p: Fraction) -> AdmissVerdict:
     for W in witness_library():
         if not_negligible(W, F) is not True:
             continue
-        if sum_inverse_p_verdict(a, p, W).kind == "converges":
-            return _refute(a, F, p, W)
+        on_w = sum_inverse_p_verdict(a, p, W)
+        if on_w.kind == "converges":
+            return _refute(a, F, p, W, on_w)
     return AdmissVerdict.inconclusive("no criterion applied and no library witness found")
 
 
@@ -305,12 +306,13 @@ def slow_certificate(F: FilterSpec) -> SlowVerdict:
     """Slowness verdict: a slow filter admits no admissible sequence that
     grows at least like sqrt(n)."""
     if isinstance(F, Summable):
-        form = weight_form(F.weights)
-        if form is not None and form.g == 0 and not form.head:
-            if 0 < form.alpha < Fraction(1, 2):
+        form = tail_form(F.weights)
+        if form is not None and form.gamma == 0 and not form.head:
+            alpha = -form.beta
+            if 0 < alpha < Fraction(1, 2):
                 return SlowVerdict(
                     "slow-by-rule",
-                    detail=f"summable weights n**(-{form.alpha}) with exponent below 1/2",
+                    detail=f"summable weights n**(-{alpha}) with exponent below 1/2",
                 )
     for cand in (_ROOT_N, PowerLog(2, Fraction(1, 2)), PowerLog(1, Fraction(3, 5))):
         if check_admissible(cand, F, 1).kind == "proved":

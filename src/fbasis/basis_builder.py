@@ -38,7 +38,6 @@ from .lp_operators import (
     NormReport,
     SpaceKind,
     TailOp,
-    _dual_power,
     _prescribed_ratio,
     _root,
     _stage_norm,
@@ -152,15 +151,14 @@ def build_basis(
     p = space.p
     if space.is_l2 and a_squared is None:
         a_squared = seq_pow(a, 2)
-    dual_targets = a_squared if space.is_l2 else None  # a_n**q, known exactly
     squares = [Fraction(1)] if space.is_l2 else None
     coeffs: list = [Fraction(1) if p == 1 else 1.0]
     mass = Fraction(1)
     reports: list = []
     defects: list = []
     for n, t in enumerate(targets, start=1):
-        t_dual = eval_at(dual_targets, n) if dual_targets is not None else _dual_power(t, p)
-        nxt = mass / _prescribed_ratio(t_dual, p)  # b_{n+1}**p
+        t_square = eval_at(a_squared, n) if space.is_l2 else None
+        nxt = mass / _prescribed_ratio(t, p, t_square)  # b_{n+1}**p
         if squares is not None and not isinstance(nxt, Fraction):
             squares = None
             warnings.append("squared targets left the rationals; continuing in floats")
@@ -172,7 +170,7 @@ def build_basis(
         coeffs.append(b if p == 1 else float(b))
         W = mass / nxt
         rep = _stage_norm(W, p, lambda: TailOp(n, tuple(coeffs), space))
-        _certify_stage_norm(rep, t, t_dual, n)
+        _certify_stage_norm(rep, t, t_square, n)
         reports.append(rep)
         c = _root(W, p)  # U = ||v_n||_p / b_{n+1}
         defects.append(c if p == 1 else float(c))
@@ -182,12 +180,13 @@ def build_basis(
                        defect_coeffs=defects, admissibility=verdict, warnings=warnings)
 
 
-def _certify_stage_norm(rep: NormReport, target, target_dual, n: int) -> None:
+def _certify_stage_norm(rep: NormReport, target, target_square, n: int) -> None:
     """An exact norm must equal the target (its square at p = 2); a float
     norm's certified lower bound must lie within 1e-9 of it."""
-    exact = rep.exact if rep.exact is not None else rep.exact_square
-    if exact is not None:
-        missed = exact != target_dual
+    if rep.exact is not None:
+        missed = rep.exact != target
+    elif rep.exact_square is not None:
+        missed = rep.exact_square != target_square
     else:
         missed = abs(rep.lower - float(target)) > 1e-9 * float(target)
     if missed:

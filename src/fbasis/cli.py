@@ -31,7 +31,7 @@ from .parsing import (
     parse_test_vector,
 )
 from .reports import emit_report
-from .sequences import DomainError
+from .sequences import DomainError, tail_form
 from .filters import SetClass
 from .witnesses import CriterionHolds
 
@@ -146,6 +146,15 @@ def _require(cfg: RunConfig, key: str) -> str:
     return v
 
 
+def _numeric(text, kind, option: str):
+    """``kind(text)`` for kind int, float or Fraction; a malformed value is a
+    usage error, not a traceback."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise _Usage(f"--{option}: malformed number {text!r}") from None
+
+
 def _parse_space(text: str, dim: int) -> lp_operators.SpaceKind:
     text = text.strip().lower()
     if text == "l1":
@@ -154,21 +163,14 @@ def _parse_space(text: str, dim: int) -> lp_operators.SpaceKind:
         return lp_operators.l2(dim)
     if text.startswith("lp(") and text.endswith(")"):
         text = text[3:-1]
-    return lp_operators.lp(Fraction(text), dim)
-
-
-def _number(text: str) -> Fraction:
-    return Fraction(text)
+    return lp_operators.lp(_numeric(text, Fraction, "space"), dim)
 
 
 def _truncation(cfg: RunConfig) -> tuple[lp_operators.SpaceKind, int]:
     """The space and n_max; --dim defaults to n_max + 1, the coordinates
     a build touches plus one for the remainder."""
-    try:
-        n_max = int(cfg.get("n_max"))
-        dim = int(cfg.get("dim", n_max + 1))
-    except ValueError:
-        raise DomainError("--n-max and --dim must be integers") from None
+    n_max = _numeric(cfg.get("n_max"), int, "n-max")
+    dim = _numeric(cfg.get("dim", n_max + 1), int, "dim")
     if dim < n_max + 1:
         raise DomainError(f"--dim must be at least n_max + 1 = {n_max + 1}, got {dim}")
     return _parse_space(_require(cfg, "space"), dim), n_max
@@ -241,7 +243,7 @@ def _limit_doc(v: filters.LimitVerdict) -> dict:
 def _cmd_check_admissible(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
     filt = parse_filter(_require(cfg, "filter"))
-    p = _number(_require(cfg, "p"))
+    p = _numeric(_require(cfg, "p"), Fraction, "p")
     verdict = admissibility.check_admissible(seq, filt, p)
     doc = {
         "command": cfg.command,
@@ -327,7 +329,7 @@ def _build_inputs(cfg: RunConfig, space, filt, n_max) -> dict:
 def _cmd_witness(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
     weights = parse_scalar_seq(_require(cfg, "weights"))
-    p = _number(_require(cfg, "p"))
+    p = _numeric(_require(cfg, "p"), Fraction, "p")
     doc = {
         "command": cfg.command,
         "inputs": {"seq": seq.to_text(), "weights": weights.to_text(), "p": p},
@@ -348,10 +350,9 @@ def _cmd_witness(cfg: RunConfig):
     doc["block_sums"] = witness.block_sums()
     doc["prefix_inverse_sum"] = witness.prefix_inverse_sum()
     doc["certificates"] = {
-        "filter_mass": _sum_verdict_doc(witness.certified_weight_sum(
-            admissibility.weight_form(weights))),
+        "filter_mass": _sum_verdict_doc(witness.certified_weight_sum(tail_form(weights))),
         "inverse_p_sum": _sum_verdict_doc(witness.certified_weight_sum(
-            admissibility.weight_form(admissibility.seq_pow(seq, -p)))),
+            tail_form(admissibility.seq_pow(seq, -p)))),
     }
     return EXIT_REFUTED, doc
 
@@ -360,7 +361,7 @@ def _cmd_separate(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
     dual = cfg.get("dual", "linf")
     dual_kind = {"linf": "linf-diagonal", "l2": "l2-diagonal"}.get(dual, dual)
-    margin = float(cfg.get("margin", "0.1"))
+    margin = _numeric(cfg.get("margin", "0.1"), float, "margin")
     doc = {
         "command": cfg.command,
         "inputs": {"seq": seq.to_text(), "dual": dual_kind, "margin": margin},
@@ -398,6 +399,7 @@ def _cmd_demo_convergence(cfg: RunConfig):
     a_squared = parse_scalar_seq(cfg.get("a_squared")) if cfg.get("a_squared") else None
     vector = parse_test_vector(_require(cfg, "vector"))
     under = parse_filter(cfg.get("under")) if cfg.get("under") else None
+    horizon = _numeric(cfg.get("horizon"), int, "horizon")
     try:
         system = basis_builder.build_basis(seq, space, filt, n_max, a_squared=a_squared)
     except basis_builder.NotAdmissible as exc:
@@ -405,7 +407,7 @@ def _cmd_demo_convergence(cfg: RunConfig):
         doc.update(_admiss_doc(exc.verdict))
         return EXIT_REFUTED, doc
     report = basis_builder.convergence_demo(
-        system, vector, horizon=int(cfg.get("horizon")), under=under
+        system, vector, horizon=horizon, under=under
     )
     doc = {
         "command": cfg.command,
@@ -458,7 +460,7 @@ def _cmd_profile_lemma1(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
     vec_texts = [t for t in _require(cfg, "vectors").split(";") if t.strip()]
     xs = [parse_test_vector(t) for t in vec_texts]
-    grid = [int(t) for t in _require(cfg, "grid").split(",")]
+    grid = [_numeric(t, int, "grid") for t in _require(cfg, "grid").split(",")]
     rows = separation.lemma1_profile(seq, xs, grid)
     doc = {
         "command": cfg.command,

@@ -185,10 +185,16 @@ def riesz_thorin_upper(T: TailOp, p: float) -> float:
     return m1 ** (1.0 / p) * minf ** (1.0 - 1.0 / p)
 
 
+def _log1p_exp(z: float) -> float:
+    """ln(1 + e**z) without overflow."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
+
+
 def norming_input(T: TailOp) -> np.ndarray:
     """A unit vector with ||T x||_p = ||T||_p, Hoelder's equality case: a basis
     column at p = 1, else x = (u / (U (1 + V)**(1/p)), -(V / (1 + V))**(1/p))
-    with u = (b_1, ..., b_n) / b_{n+1} and V = U**q."""
+    with u = (b_1, ..., b_n) / b_{n+1} and V = U**q, evaluated in logs so
+    that V may leave the float range (p close to 1)."""
     p = T.space.p_float
     n = T.stage
     bf = T.b_floats()
@@ -197,20 +203,27 @@ def norming_input(T: TailOp) -> np.ndarray:
         x[n if bf[:n].sum() >= bf[n] else 0] = 1.0
         return x
     u = bf[:n] / bf[n]
-    U = lp_norm(u, p)
-    V = U ** (p / (p - 1.0))
-    x[:n] = u / (U * (1.0 + V) ** (1.0 / p))
-    x[n] = -((V / (1.0 + V)) ** (1.0 / p))
+    log_u = math.log(lp_norm(u, p))
+    log_v = log_u * p / (p - 1.0)
+    x[:n] = u * math.exp(-log_u - _log1p_exp(log_v) / p)
+    x[n] = -math.exp(-_log1p_exp(-log_v) / p)
     return x
 
 
 def _root(x, k):
-    """x**(1/k): exact for k = 1 and for rational squares at k = 2."""
+    """x**(1/k): exact for k = 1 and for rational squares at k = 2.  A
+    rational square root is taken after scaling by a power of four, so it
+    neither overflows nor differs from math.sqrt where that one is finite."""
     if k == 1:
         return x
     if k == 2:
-        root = exact_root(x, 2) if isinstance(x, Fraction) else None
-        return root if root is not None else math.sqrt(x)
+        if not isinstance(x, Fraction):
+            return math.sqrt(x)
+        root = exact_root(x, 2)
+        if root is not None:
+            return root
+        j = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+        return math.ldexp(math.sqrt(x / Fraction(4) ** j), j)
     return float(x) ** (1.0 / float(k))
 
 
@@ -220,16 +233,18 @@ def _mass_ratio(T: TailOp):
     return sum(powers[:-1]) / powers[-1]
 
 
-def _dual_power(a, p):
-    """The target norm to the dual exponent, a**q (a itself at p = 1)."""
-    return a if p == 1 else a ** (p / (p - 1))
-
-
-def _prescribed_ratio(a_dual, p):
-    """The W = S / b_{n+1}**p whose stage norm is a, given a_dual = a**q."""
-    if not a_dual > 1:
+def _prescribed_ratio(a, p, a_square=None):
+    """The W = S / b_{n+1}**p whose stage norm is a, (a**q - 1)**(p - 1): a
+    itself at p = 1, a**2 - 1 at p = 2 (from the exact square when given),
+    else a**p * (1 - a**-q)**(p - 1), which stays finite as q grows."""
+    if not a > 1:
         raise DomainError("the target norm must exceed 1")
-    return a_dual if p == 1 else (a_dual - 1) ** (p - 1)
+    if p == 1:
+        return a
+    if p == 2:
+        return (a * a if a_square is None else a_square) - 1
+    p, a = float(p), float(a)
+    return a ** p * (-math.expm1(-math.log(a) * p / (p - 1))) ** (p - 1)
 
 
 def _closed_form_report(power, k, method: str) -> NormReport:
@@ -244,13 +259,20 @@ def _closed_form_report(power, k, method: str) -> NormReport:
 def _stage_norm(W, p, stage_op: Callable[[], TailOp]) -> NormReport:
     """The stage norm from W = U**p.  A rational result certifies itself; a
     float one is bracketed by the extremal ratio on ``stage_op()`` and the
-    Riesz-Thorin bound."""
+    Riesz-Thorin bound.  Past p = 1 and 2 the norm (1 + U**q)**(1/q) is
+    taken as max(1, U) (1 + m**q)**(1/q) with m = min(U, 1/U), finite for
+    every q."""
     if p == 1:
-        k, power = 1, max(W, type(W)(1))
+        rep = _closed_form_report(max(W, type(W)(1)), 1, _METHODS[1])
+    elif p == 2:
+        rep = _closed_form_report(1 + W, 2, _METHODS[2])
     else:
-        k, power = p / (p - 1), 1 + W ** (1 / (p - 1))
-    rep = _closed_form_report(power, k, _METHODS.get(p, "ClosedForm"))
-    if isinstance(power, Fraction):
+        q = float(p) / (float(p) - 1.0)
+        U = float(W) ** (1.0 / float(p))
+        m = min(U, 1.0 / U)
+        value = max(1.0, U) * math.exp(math.log1p(m ** q) / q)
+        rep = NormReport(value, "ClosedForm", value, value)
+    if rep.exact is not None or rep.exact_square is not None:
         return rep
     T = stage_op()
     lower = norm_ratio(T, norming_input(T))
@@ -266,11 +288,9 @@ def op_norm(T: TailOp) -> NormReport:
 def solve_b_next(b: Sequence, a_target, space: SpaceKind):
     """The coefficient b_{n+1} giving the stage-n operator norm a_target;
     exact for rational input at p = 1, and at p = 2 when the root is rational."""
-    if float(a_target) <= 1:
-        raise DomainError("the target norm must exceed 1")
     p = space.p
     mass = sum(_number(v) ** p for v in b)
-    return _root(mass / _prescribed_ratio(_dual_power(_number(a_target), p), p), p)
+    return _root(mass / _prescribed_ratio(_number(a_target), p), p)
 
 
 def solve_next_square(b_squared: Sequence[Fraction], a_target_squared: Fraction) -> Fraction:

@@ -61,13 +61,20 @@ def exact_root(value: Fraction, k: int) -> Optional[Fraction]:
 
 
 def _int_root(v: int, k: int) -> Optional[int]:
-    if v < 0:
-        return None
-    r = round(v ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** k == v:
-            return c
-    return None
+    """The exact integer k-th root of v, or None; integer arithmetic only, so
+    any size of v works (Newton's iteration from above, isqrt at k = 2)."""
+    if v < 2:
+        return v if v >= 0 else None
+    if k == 2:
+        r = math.isqrt(v)
+    else:
+        r = 1 << -(-v.bit_length() // k)  # above the root
+        while True:
+            s = ((k - 1) * r + v // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == v else None
 
 
 def exact_pow(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
@@ -83,6 +90,19 @@ def exact_pow(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
         return None
     out = root ** exponent.numerator
     return 1 / out if neg else out
+
+
+def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
+    """c * n**beta * ln(n+1)**gamma: exact when gamma = 0, c is rational and
+    n**beta is; binary64 otherwise."""
+    if gamma == 0 and isinstance(c, Fraction):
+        p = exact_pow(Fraction(n), beta)
+        if p is not None:
+            return c * p
+    out = float(c) * float(n) ** float(beta)
+    if gamma != 0:
+        out *= math.log(n + 1) ** float(gamma)
+    return out
 
 
 def power(base: Fraction, exponent: Fraction) -> Number:
@@ -143,14 +163,7 @@ class PowerLog(ScalarSeq):
             raise SeqConstructionError("leading coefficient must be positive")
 
     def value_at(self, n):
-        if self.gamma == 0 and isinstance(self.c, Fraction):
-            p = exact_pow(Fraction(n), self.beta)
-            if p is not None:
-                return self.c * p
-        out = float(self.c) * float(n) ** float(self.beta)
-        if self.gamma != 0:
-            out *= math.log(n + 1) ** float(self.gamma)
-        return out
+        return power_log_at(self.c, self.beta, self.gamma, n)
 
     def to_text(self):
         if self.gamma == 0:
@@ -253,14 +266,8 @@ def eval_at(a: ScalarSeq, n: int) -> Number:
 
 def eval_vector(a, horizon: int) -> np.ndarray:
     """Float values at 1..horizon, vectorized for the symbolic family."""
-    n = np.arange(1, horizon + 1, dtype=float)
-    if isinstance(a, Constant):
-        return np.full(horizon, float(a.c))
-    if isinstance(a, PowerLog):
-        out = float(a.c) * n ** float(a.beta)
-        if a.gamma != 0:
-            out *= np.log(n + 1) ** float(a.gamma)
-        return out
+    if isinstance(a, (Constant, PowerLog)):
+        return tail_form(a).vector(horizon)
     if isinstance(a, ExplicitPrefix):
         out = eval_vector(a.tail, horizon)
         k = min(len(a.values), horizon)
@@ -319,13 +326,17 @@ class TailForm:
         for i, v in self.head:
             if i == n:
                 return v
-        if self.gamma == 0 and isinstance(self.c, Fraction):
-            p = exact_pow(Fraction(n), self.beta)
-            if p is not None:
-                return self.c * p
-        out = float(self.c) * float(n) ** float(self.beta)
+        return power_log_at(self.c, self.beta, self.gamma, n)
+
+    def vector(self, horizon: int) -> np.ndarray:
+        """Float values at 1..horizon, the head entries applied."""
+        n = np.arange(1, horizon + 1, dtype=float)
+        out = float(self.c) * n ** float(self.beta)
         if self.gamma != 0:
-            out *= math.log(n + 1) ** float(self.gamma)
+            out *= np.log(n + 1) ** float(self.gamma)
+        for i, v in self.head:
+            if i <= horizon:
+                out[i - 1] = float(v)
         return out
 
 

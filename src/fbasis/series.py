@@ -18,13 +18,15 @@ the horizon.
 
 Convergence verdicts always carry a finite certified upper bound:
 exact rational where the terms are exact and the tail telescopes to a
-geometric series, binary64 with explicit tail estimates otherwise.
+geometric series, otherwise binary64 with explicit tail estimates,
+rounded outward so that every float bound is an upper bound under IEEE
+rounding.  A weight is taken in its tail form c * n**beta * ln(n+1)**gamma,
+so alpha = -beta and g = -gamma above.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -43,48 +45,21 @@ from .natset import (
 from .sequences import (
     Piecewise,
     ScalarSeq,
+    TailForm,
     eval_vector,
+    exact_pow,
     seq_pow,
     tail_form,
 )
 
-_EXACT_PREFIX_CAP = 4096
+_PREFIX_CAP = 4096
 
 
-@dataclass(frozen=True)
-class WeightForm:
-    """w(n) = c * n**(-alpha) * ln(n+1)**(-g) for n >= start, head explicit."""
-
-    c: object  # Fraction or float, positive
-    alpha: Fraction
-    g: Fraction
-    start: int
-    head: tuple[tuple[int, object], ...] = ()
-
-    def value_at(self, n: int):
-        for i, v in self.head:
-            if i == n:
-                return v
-        from .sequences import exact_pow
-
-        if self.g == 0 and isinstance(self.c, Fraction):
-            p = exact_pow(Fraction(n), -self.alpha)
-            if p is not None:
-                return self.c * p
-        out = float(self.c) * float(n) ** (-float(self.alpha))
-        if self.g != 0:
-            out *= math.log(n + 1) ** (-float(self.g))
-        return out
-
-    def float_at(self, n: int) -> float:
-        return float(self.value_at(n))
-
-
-def weight_form(w: ScalarSeq) -> Optional[WeightForm]:
-    f = tail_form(w)
-    if f is None:
-        return None
-    return WeightForm(f.c, -f.beta, -f.gamma, f.start, f.head)
+def _round_up(x: float) -> float:
+    """An upper bound for a value computed as x in binary64.  The sums are
+    correctly rounded (fsum), so only the few-ulp error of each pow/log term
+    needs covering, and the relative margin 2**-40 covers it widely."""
+    return math.nextafter(x * (1.0 + 2.0 ** -40), math.inf)
 
 
 def full_rule_diverges(alpha: Fraction, g: Fraction) -> bool:
@@ -101,65 +76,59 @@ def geometric_rule_converges(alpha: Fraction, g: Fraction) -> bool:
 # certified tail bounds
 
 
-def full_tail_upper(form: WeightForm, start: int) -> float:
+def full_tail_upper(form: TailForm, start: int) -> float:
     """Certified upper bound for sum_{n >= start} of the family part.
 
     Requires the full-sum convergence condition (alpha > 1, or alpha = 1
     with g > 1).  Uses the integral test; a log factor in the numerator
     is absorbed via ln y <= y**d / (e*d).
     """
-    a = float(form.alpha)
-    g = float(form.g)
+    a = -float(form.beta)
+    g = -float(form.gamma)
     c = float(form.c)
     n0 = max(start, form.start, 2)
     if a > 1:
         if g >= 0:
             lead = c * math.log(n0 + 1) ** (-g) if g else c
-            return lead * (n0 ** (1.0 - a) / (a - 1.0) + n0 ** (-a))
+            return _round_up(lead * (n0 ** (1.0 - a) / (a - 1.0) + n0 ** (-a)))
         k = -g
         d = (a - 1.0) / (2.0 * k)
         cc = c * (2.0 ** d / (math.e * d)) ** k
         a2 = (a + 1.0) / 2.0
-        return cc * (n0 ** (1.0 - a2) / (a2 - 1.0) + n0 ** (-a2))
+        return _round_up(cc * (n0 ** (1.0 - a2) / (a2 - 1.0) + n0 ** (-a2)))
     if a == 1 and g > 1:
         # terms <= x**-1 * ln(x)**-g for x >= 2
-        return c * (math.log(n0) ** (1.0 - g) / (g - 1.0) + form.float_at(n0))
+        last = float(form.value_at(n0))
+        return _round_up(c * (math.log(n0) ** (1.0 - g) / (g - 1.0) + last))
     raise ValueError("tail bound requested for a divergent family")
 
 
-def weight_prefix_upper(form: WeightForm, upto: int):
-    """Certified upper bound for sum_{n=1}^{upto} w(n) (always finite)."""
+def weight_prefix_upper(form: TailForm, upto: int):
+    """Certified upper bound for sum_{n=1}^{upto} w(n) (always finite): the
+    first _PREFIX_CAP terms summed in floats, past them an integral bound."""
     if upto <= 0:
         return Fraction(0)
-    if upto <= _EXACT_PREFIX_CAP:
-        total = Fraction(0)
-        fl = 0.0
-        exact = True
-        for n in range(1, upto + 1):
-            v = form.value_at(n)
-            if isinstance(v, Fraction) and exact:
-                total += v
-            else:
-                exact = False
-                fl += float(v)
-        return total if exact else float(total) + fl
-    a = float(form.alpha)
-    g = float(form.g)
-    head = float(weight_prefix_upper(form, _EXACT_PREFIX_CAP))
-    # explicit head entries past the exact cap are not family values
-    head += sum(float(v) for i, v in form.head if _EXACT_PREFIX_CAP < i <= upto)
+    head = _round_up(math.fsum(form.vector(min(upto, _PREFIX_CAP)).tolist()))
+    if upto <= _PREFIX_CAP:
+        return head
+    a = -float(form.beta)
+    g = -float(form.gamma)
+    # explicit head entries past the cap are not family values
+    extra = [float(v) for i, v in form.head if _PREFIX_CAP < i <= upto]
     if a > 1 or (a == 1 and g > 1):
-        return head + full_tail_upper(form, _EXACT_PREFIX_CAP + 1)
+        return _add_bounds([head, full_tail_upper(form, _PREFIX_CAP + 1)] + extra)
     # divergent family: w(n) <= lead * n**-a on [lo, upto], then integrate
     c = float(form.c)
-    lo = _EXACT_PREFIX_CAP
+    lo = _PREFIX_CAP
     if g >= 0:
         lead = c * math.log(lo + 1) ** (-g) if g else c
     else:
         lead = c * math.log(upto + 1) ** (-g)
     if a < 1:
-        return head + lead * (lo ** (-a) + (upto ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a))
-    return head + lead * (lo ** (-a) + math.log(upto / lo))
+        tail = lead * (lo ** (-a) + (upto ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a))
+    else:
+        tail = lead * (lo ** (-a) + math.log(upto / lo))
+    return _add_bounds([head, tail] + extra)
 
 
 class _GeomElements:
@@ -201,7 +170,7 @@ def _base_token(token):
     return token
 
 
-def sparse_token_sum(token, form: WeightForm) -> SumVerdict:
+def sparse_token_sum(token, form: TailForm) -> SumVerdict:
     """Verdict for the weighted sum over one sparse token."""
     hook = getattr(token, "certified_weight_sum", None)
     if hook is not None:
@@ -211,7 +180,7 @@ def sparse_token_sum(token, form: WeightForm) -> SumVerdict:
     elems = _token_elements(token)
     if elems is None:
         return SumVerdict.inconclusive(0.0, 0)
-    alpha, g = form.alpha, form.g
+    alpha, g = -form.beta, -form.gamma
     if isinstance(_base_token(token), GeometricIndex):
         if geometric_rule_converges(alpha, g):
             exact = _exact_geometric_sum(token, form)
@@ -227,15 +196,13 @@ def sparse_token_sum(token, form: WeightForm) -> SumVerdict:
     return _sparse_converging_bound(elems, form)
 
 
-def _exact_geometric_sum(token, form: WeightForm) -> Optional[Fraction]:
+def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
     """Exact total for an integer-base geometric set and exact power weights."""
-    from .sequences import exact_pow
-
     if not isinstance(token, GeometricIndex) or token.base.denominator != 1:
         return None
-    if form.g != 0 or not isinstance(form.c, Fraction):
+    if form.gamma != 0 or not isinstance(form.c, Fraction):
         return None
-    r = exact_pow(token.base, -form.alpha)
+    r = exact_pow(token.base, form.beta)
     if r is None or not 0 < r < 1:
         return None
     b = int(token.base)
@@ -255,9 +222,9 @@ def _exact_geometric_sum(token, form: WeightForm) -> Optional[Fraction]:
     return total
 
 
-def _sparse_converging_bound(elems: _GeomElements, form: WeightForm) -> SumVerdict:
-    alpha = float(form.alpha)
-    g = float(form.g)
+def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict:
+    alpha = -float(form.beta)
+    g = -float(form.gamma)
     # a positive shift dilutes the growth ratio; past e >= 4*offset the loss
     # is at most a quarter of (r - 1)
     r = elems.ratio_lower
@@ -280,16 +247,16 @@ def _sparse_converging_bound(elems: _GeomElements, form: WeightForm) -> SumVerdi
             # the bound holds for every rho < 1; waiting for rho <= 0.95
             # only tightens it, and never ends when the limit is above 0.95
             if rho <= 0.95 or (limit > 0.95 and rho < 1.0):
-                tail_first = form.float_at(max(int(e * r) - 1, e + 1))
-                return SumVerdict.converges(total + tail_first / (1.0 - rho))
+                tail_first = float(form.value_at(max(int(e * r) - 1, e + 1)))
+                return SumVerdict.converges(_round_up(total + tail_first / (1.0 - rho)))
         if alpha == 0 and g > 1 and count >= 16:
             # elements grow at least like r**m, so ln n_m >= (m-1) ln r
             m = count - 1
             lead = float(form.c) * math.log(r) ** (-g)
             tail = lead * (m ** (1.0 - g) / (g - 1.0) + m ** (-g))
-            return SumVerdict.converges(total + tail)
-        total += form.float_at(e)
-    return SumVerdict.converges(total)
+            return SumVerdict.converges(_round_up(total + tail))
+        total += float(form.value_at(e))
+    return SumVerdict.converges(_round_up(total))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +281,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
         return _numeric_fallback(s, w, horizon)
 
     hook = getattr(s, "certified_weight_sum", None)
-    form = weight_form(w)
+    form = tail_form(w)
     if hook is not None and form is not None:
         v = hook(form)
         if v is not None:
@@ -327,17 +294,18 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
     except HorizonExceeded:
         return _numeric_fallback(s, w, horizon)
     slack = s.slack_bound()
+    alpha, g = -form.beta, -form.gamma
 
-    if not full_rule_diverges(form.alpha, form.g):
+    if not full_rule_diverges(alpha, g):
         # any subset inherits the full bound
-        bound = weight_prefix_upper(form, _EXACT_PREFIX_CAP)
-        tail = full_tail_upper(form, _EXACT_PREFIX_CAP + 1)
-        extra = sum(float(v) for i, v in form.head if i > _EXACT_PREFIX_CAP)
-        return SumVerdict.converges(_add_bounds([bound, tail, extra] if extra else [bound, tail]))
+        bound = weight_prefix_upper(form, _PREFIX_CAP)
+        tail = full_tail_upper(form, _PREFIX_CAP + 1)
+        extra = [float(v) for i, v in form.head if i > _PREFIX_CAP]
+        return SumVerdict.converges(_add_bounds([bound, tail] + extra))
 
     if not lo.ep.is_empty:
         # positive density survives sparse removals
-        if form.alpha < 1:
+        if alpha < 1:
             return SumVerdict.diverges()
         removable = [sparse_token_sum(t, form) for t in lo.minus]
         if all(v.kind == "converges" for v in removable):
@@ -361,30 +329,20 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
     return _numeric_fallback(s, w, horizon)
 
 
-def _prefix_sum_bound(s: SetExpr, form: WeightForm, slack: int, horizon: int):
+def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int, horizon: int):
     """Bound for the finite slack part below the description's validity."""
     if slack <= 0:
         return Fraction(0)
     if slack <= min(horizon, 10 ** 5):
-        members = enumerate_prefix(s, slack)
-        total = Fraction(0)
-        fl = 0.0
-        exact = True
-        for n in members:
-            v = form.value_at(n)
-            if exact and isinstance(v, Fraction):
-                total += v
-            else:
-                exact = False
-                fl += float(v)
-        return total if exact else float(total) + fl
+        return _add_bounds([form.value_at(n) for n in enumerate_prefix(s, slack)])
     return weight_prefix_upper(form, slack)
 
 
 def _add_bounds(bounds):
+    """The exact sum of rational bounds, else the outward-rounded float sum."""
     if all(isinstance(b, Fraction) for b in bounds):
         return sum(bounds, Fraction(0))
-    return float(sum(float(b) for b in bounds))
+    return _round_up(math.fsum(float(b) for b in bounds))
 
 
 def _numeric_fallback(s: SetExpr, w, horizon: int) -> SumVerdict:

@@ -36,8 +36,7 @@ from .natset import (
     _DESC_FULL,
     _EP_EMPTY,
 )
-from .sequences import ScalarSeq, eval_vector, is_bounded, seq_pow
-from .series import WeightForm, weight_form
+from .sequences import ScalarSeq, TailForm, eval_vector, is_bounded, seq_pow, tail_form
 
 _DEFAULT_BLOCKS = 8
 _MATERIALIZE_CAP = 10 ** 6
@@ -48,12 +47,12 @@ class CriterionHolds(Exception):
     """The boundedness criterion is satisfied, so no witness exists."""
 
 
-def _forms_match(a: Optional[WeightForm], b: Optional[WeightForm]) -> bool:
+def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
     if a is None or b is None:
         return False
     return (
-        a.alpha == b.alpha
-        and a.g == b.g
+        a.beta == b.beta
+        and a.gamma == b.gamma
         and float(a.c) == float(b.c)
         and a.start == b.start
         and tuple((i, float(v)) for i, v in a.head) == tuple((i, float(v)) for i, v in b.head)
@@ -244,11 +243,11 @@ class GreedyBlockSet(SetExpr):
             return SumVerdict.converges(Fraction(2))
         return None
 
-    def certified_weight_sum(self, form: WeightForm) -> Optional[SumVerdict]:
-        if _forms_match(form, weight_form(self.weights)):
+    def certified_weight_sum(self, form: TailForm) -> Optional[SumVerdict]:
+        if _forms_match(form, tail_form(self.weights)):
             # every completed block contributes at least one unit
             return SumVerdict.diverges()
-        inv = weight_form(seq_pow(self.target, -self.exponent))
+        inv = tail_form(seq_pow(self.target, -self.exponent))
         if _forms_match(form, inv):
             return SumVerdict.converges(Fraction(2))
         return None
@@ -337,8 +336,8 @@ class SparseThresholdSet(SetExpr):
             return SumVerdict.converges(Fraction(1))
         return None
 
-    def certified_weight_sum(self, form: WeightForm) -> Optional[SumVerdict]:
-        inv = weight_form(seq_pow(self.target, -self.exponent))
+    def certified_weight_sum(self, form: TailForm) -> Optional[SumVerdict]:
+        inv = tail_form(seq_pow(self.target, -self.exponent))
         if _forms_match(form, inv):
             # a(n_k)**p >= 2**k * k**2, so the inverse sum stays below 1
             return SumVerdict.converges(Fraction(1))

@@ -63,6 +63,23 @@ class TestCriteria:
             assert v.witness == NATURALS
             assert_sound_refutation(LINEAR, F, 2, v)
 
+    def test_refutation_sums_each_witness_once(self, monkeypatch):
+        from fbasis import admissibility
+
+        seen = []
+        inner = admissibility.sum_inverse_p_verdict
+
+        def counted(a, p, I=NATURALS, *args):
+            seen.append(I)
+            return inner(a, p, I, *args)
+
+        monkeypatch.setattr(admissibility, "sum_inverse_p_verdict", counted)
+        assert check_admissible(LINEAR, Frechet(), 2).kind == "refuted"
+        assert seen == [NATURALS]
+        seen.clear()
+        assert check_admissible(SQRT_N, Frechet(), 1).kind == "refuted"
+        assert seen == [NATURALS, GeometricIndex(Fraction(2))]
+
     def test_summable_prop_proved(self):
         v = check_admissible(SQRT_N, Summable(PowerLog(1, Fraction(-1, 2))), 1)
         assert v.kind == "proved"

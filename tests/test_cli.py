@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 
 from fbasis import parse_scalar_seq, parse_set_expr, set_equal
 from fbasis.cli import (
@@ -84,6 +85,27 @@ class TestTruncation:
     def test_non_integer_sizes_are_usage_errors(self):
         assert run(self.BUILD + ["--n-max", "3.5"])[0] == EXIT_USAGE
         assert run(self.BUILD + ["--n-max", "8", "--dim", "x"])[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("p", ["1001/1000", "101/100"])
+    def test_exponents_close_to_one_build(self, p):
+        # a**q and U**q leave the float range here (q = 1001 and 101)
+        code, out = run(["build-basis", "--seq", "const(5)", "--space", f"lp({p})",
+                         "--filter", "frechet", "--n-max", "4"])
+        assert code == EXIT_OK
+        doc = get_json(out)
+        assert doc["biorthogonality"]["ok"] is True
+        for rep in doc["stage_norms"]:
+            assert rep["lower"] <= rep["value"] <= rep["upper"]
+            assert abs(rep["lower"] - 5) <= 5e-9
+
+    def test_squares_beyond_float_range_stay_exact(self):
+        # the squares 2**n pass 1e308 before n = 1100
+        code, out = run(["build-basis", "--a-squared", "const(2)", "--space", "l2",
+                         "--filter", "frechet", "--n-max", "1100"])
+        assert code == EXIT_OK
+        doc = get_json(out)
+        assert doc["biorthogonality"]["ok"] is True
+        assert all(Fraction(r["exact_square"]) == 2 for r in doc["stage_norms"])
 
     def test_seed_is_not_an_option(self):
         from fbasis.cli import main
@@ -258,3 +280,18 @@ class TestConfig:
         )
         assert code == EXIT_OK
         assert b"stationary" in out_path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-basis", "--seq", "const(2)", "--space", "foo", "--filter", "frechet"],
+    ["check-admissible", "--seq", "pow(1,2)", "--filter", "frechet", "--p", "abc"],
+    ["separate", "--seq", "pow(1,2)", "--margin", "abc"],
+    ["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", "e(1)", "--grid", "10,x"],
+    ["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
+     "--n-max", "4", "--vector", "e(1)", "--horizon", "x"],
+])
+def test_malformed_numbers_are_usage_errors(argv):
+    code, out = run(argv)
+    assert code == EXIT_USAGE
+    doc = get_json(out)
+    assert doc["command"] == argv[0] and doc["error"] == "usage"

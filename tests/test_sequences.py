@@ -36,6 +36,14 @@ class TestEval:
     def test_constant(self):
         assert eval_at(Constant(2), 10 ** 6) == 2
 
+    def test_exact_roots_beyond_float_range(self):
+        from fbasis.sequences import exact_root
+
+        big = 3 ** 1000 + 1
+        for k in (2, 3, 5):
+            assert exact_root(Fraction(big ** k, 7 ** k), k) == Fraction(big, 7)
+            assert exact_root(Fraction(big ** k + 1), k) is None
+
     def test_prefix_tail(self):
         s = ExplicitPrefix((5, 7), Constant(1))
         assert eval_at(s, 1) == 5
