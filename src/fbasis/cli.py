@@ -3,11 +3,14 @@
 Subcommands dispatch to the engines and emit machine-readable reports;
 exit codes encode verdict kinds so shell pipelines can branch:
 
-    0  proved / constructed / converges
-    1  refuted / not separable / does not converge as asked
+    0  proved / constructed / separated / classified; for
+       demo-convergence, the demo ran (its verdict is in the report)
+    1  refuted / not separable / not admissible / witness found
     2  inconclusive
-    64 usage or precondition error
-    65 parse error in one of the mini-languages
+    64 usage or precondition error, including an option the subcommand
+       does not read and an output or config file that cannot be opened
+    65 parse error in one of the mini-languages or in a config file
+    70 internal error (EX_SOFTWARE): a bug, never a verdict
 
 Identical configurations produce byte-identical reports.
 """
@@ -15,8 +18,10 @@ Identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -30,7 +35,7 @@ from .parsing import (
     parse_set_expr,
     parse_test_vector,
 )
-from .reports import emit_report
+from .reports import IoError, emit_report
 from .sequences import DomainError, tail_form
 from .filters import SetClass
 from .witnesses import CriterionHolds
@@ -40,17 +45,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
-
-_COMMANDS = (
-    "check-admissible",
-    "build-basis",
-    "witness",
-    "separate",
-    "classify-set",
-    "demo-convergence",
-    "dominates",
-    "profile-lemma1",
-)
+EXIT_SOFTWARE = 70
 
 
 @dataclass
@@ -63,73 +58,62 @@ class RunConfig:
         return default if v is None else v
 
 
+@functools.cache
 def _argument_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fbasis", add_help=True, description=__doc__)
+    """Built on first use and shared, since ``parse_args`` keeps no state."""
+    top = argparse.ArgumentParser(prog="fbasis", description=__doc__, allow_abbrev=False)
     sub = top.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seq", default=None)
-        p.add_argument("--a-squared", dest="a_squared", default=None)
-        p.add_argument("--weights", default=None)
-        p.add_argument("--filter", dest="filter_", default=None)
-        p.add_argument("--filter2", default=None)
-        p.add_argument("--under", default=None)
-        p.add_argument("--set", dest="set_", default=None)
-        p.add_argument("--vector", default=None)
-        p.add_argument("--vectors", default=None)
-        p.add_argument("--p", default=None)
-        p.add_argument("--space", default=None)
-        p.add_argument("--dual", default=None)
-        p.add_argument("--margin", default=None)
-        p.add_argument("--grid", default=None)
-        p.add_argument("--n-max", dest="n_max", default=None)
-        p.add_argument("--dim", default=None)
-        p.add_argument("--horizon", default=None)
-        p.add_argument("--band", action="store_true", default=False)
-        p.add_argument("--format", dest="format_", default=None)
-        p.add_argument("--output", default=None)
+    for name, (_, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for option in _COMMON + options:
+            if option == "band":
+                p.add_argument("--band", action="store_true")
+            elif option == "format":
+                p.add_argument("--format", choices=("json", "csv"))
+            else:
+                p.add_argument("--" + option)
     return top
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str) -> dict:
+    # the subcommand's options, less --config: a config file names no other
+    readable = {o.replace("-", "_") for o in _COMMON + _SUBCOMMANDS[command][1]} - {"config"}
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError("config files are ASCII", exc.start) from None
+    except OSError as exc:
+        raise _Usage(f"--config: {exc}") from None
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("config lines are key = value", 0, ("key = value",))
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("config lines are key = value", 0, ("key = value",))
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in readable:
+            raise _Usage(f"{command} does not read the config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
 def load_config(argv: list[str]) -> RunConfig:
-    parser = _argument_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _argument_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses its own codes
         if exc.code == 0:
             raise
         raise _Usage("bad arguments") from None
     if ns.command is None:
-        raise _Usage("a subcommand is required: " + ", ".join(_COMMANDS))
-    options = {}
-    if ns.config:
-        options.update(_read_config_file(ns.config))
+        raise _Usage("a subcommand is required: " + ", ".join(_SUBCOMMANDS))
+    options = _read_config_file(ns.config, ns.command) if ns.config else {}
     for key, value in vars(ns).items():
-        if key in ("command", "config"):
-            continue
-        name = key.rstrip("_")
-        if value not in (None, False):
-            options[name] = value
-    if "horizon" not in options:
-        env = os.environ.get("FBASIS_HORIZON")
-        if env:
-            options["horizon"] = env
-    options.setdefault("horizon", str(DEFAULT_HORIZON))
+        if key not in ("command", "config") and value not in (None, False):
+            options[key] = value
+    options.setdefault("horizon", os.environ.get("FBASIS_HORIZON") or str(DEFAULT_HORIZON))
     options.setdefault("n_max", "32")
     options.setdefault("format", "json")
     return RunConfig(ns.command, options)
@@ -478,48 +462,59 @@ def _cmd_profile_lemma1(cfg: RunConfig):
     return EXIT_OK, doc
 
 
-_HANDLERS = {
-    "check-admissible": _cmd_check_admissible,
-    "build-basis": _cmd_build_basis,
-    "witness": _cmd_witness,
-    "separate": _cmd_separate,
-    "classify-set": _cmd_classify_set,
-    "demo-convergence": _cmd_demo_convergence,
-    "dominates": _cmd_dominates,
-    "profile-lemma1": _cmd_profile_lemma1,
+# Each subcommand's handler and the options it reads.  A subcommand accepts
+# these and _COMMON, on the command line and in a config file alike.
+_COMMON = ("config", "format", "output")
+_SUBCOMMANDS = {
+    "check-admissible": (_cmd_check_admissible, ("seq", "filter", "p", "band")),
+    "build-basis": (_cmd_build_basis, ("seq", "a-squared", "space", "filter", "n-max", "dim")),
+    "witness": (_cmd_witness, ("seq", "weights", "p")),
+    "separate": (_cmd_separate, ("seq", "dual", "margin")),
+    "classify-set": (_cmd_classify_set, ("set", "filter")),
+    "demo-convergence": (_cmd_demo_convergence, ("seq", "a-squared", "space", "filter",
+                                                 "n-max", "dim", "vector", "under", "horizon")),
+    "dominates": (_cmd_dominates, ("filter", "filter2")),
+    "profile-lemma1": (_cmd_profile_lemma1, ("seq", "vectors", "grid")),
 }
 
 
+def _error_report(cfg: RunConfig, kind: str, detail: str) -> bytes:
+    return emit_report({"command": cfg.command, "error": kind, "detail": detail}, "json")
+
+
 def run_command(cfg: RunConfig) -> tuple[int, bytes]:
-    """Dispatch a configuration to its handler and render the report."""
+    """Dispatch a configuration to its handler and render the report.  A
+    failure comes back as its exit code with a JSON error document."""
     try:
-        code, doc = _HANDLERS[cfg.command](cfg)
+        code, doc = _SUBCOMMANDS[cfg.command][0](cfg)
+        return code, emit_report(doc, cfg.get("format", "json"))
     except ParseError as exc:
-        doc = {"command": cfg.command, "error": "parse", "detail": str(exc)}
-        return EXIT_PARSE, emit_report(doc, cfg.get("format", "json"))
-    except (_Usage, DomainError) as exc:
-        doc = {"command": cfg.command, "error": "usage", "detail": str(exc)}
-        return EXIT_USAGE, emit_report(doc, "json")
-    return code, emit_report(doc, cfg.get("format", "json"))
+        return EXIT_PARSE, _error_report(cfg, "parse", str(exc))
+    except (_Usage, DomainError, IoError) as exc:
+        return EXIT_USAGE, _error_report(cfg, "usage", str(exc))
+    except Exception as exc:  # a bug must not exit 1, the code for refuted
+        traceback.print_exc()
+        return EXIT_SOFTWARE, _error_report(cfg, "internal", f"{type(exc).__name__}: {exc}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         cfg = load_config(argv)
-    except _Usage as exc:
+    except (_Usage, ParseError) as exc:
         sys.stderr.write(str(exc) + "\n")
-        return EXIT_USAGE
-    except ParseError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return EXIT_PARSE
+        return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_USAGE
     code, payload = run_command(cfg)
     out_path = cfg.get("output")
-    if out_path:
+    if not out_path:
+        sys.stdout.buffer.write(payload)
+        return code
+    try:
         with open(out_path, "wb") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+    except OSError as exc:
+        sys.stderr.write(f"--output: {exc}\n")
+        return EXIT_USAGE
     return code
 
 

@@ -8,6 +8,7 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -32,22 +33,8 @@ def _float_text(x: float) -> str:
 
 
 def _escape(s: str) -> str:
-    out = ["\""]
-    for ch in s:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+    """A JSON string literal in ASCII: non-ASCII characters become escapes."""
+    return json.dumps(s)
 
 
 def _encode(value, indent: int, pieces: list[str]) -> None:

@@ -295,3 +295,134 @@ def test_malformed_numbers_are_usage_errors(argv):
     assert code == EXIT_USAGE
     doc = get_json(out)
     assert doc["command"] == argv[0] and doc["error"] == "usage"
+
+
+# ---------------------------------------------------------------------------
+# the option table: each subcommand accepts only the options it reads
+
+from fbasis import cli  # noqa: E402
+
+# one accepted argv per subcommand, from the README
+README_ARGV = {
+    "check-admissible": ["--seq", "pow(1,0.5)", "--filter", "statistical", "--p", "2"],
+    "build-basis": ["--seq", "const(2)", "--space", "l1", "--filter",
+                    "summable(const(0.5))", "--n-max", "8"],
+    "witness": ["--seq", "pow(1,2)", "--weights", "pow(1,-1)", "--p", "1"],
+    "separate": ["--seq", "pow(1,2)", "--dual", "linf", "--margin", "0.1"],
+    "classify-set": ["--set", "residue(2,0)", "--filter", "statistical"],
+    "demo-convergence": ["--seq", "prefix[2]:pow(1,1)", "--space", "l1", "--filter",
+                         "summable(pow(1,-1))", "--n-max", "10", "--vector",
+                         "spike(shift(geom(2),1); powlog(1,0,-2))", "--under", "frechet"],
+    "dominates": ["--filter", "frechet", "--filter2", "statistical"],
+    "profile-lemma1": ["--seq", "pow(1,1/2)", "--vectors", "powtail(2); e(1)",
+                       "--grid", "10,100,1000"],
+}
+
+_ALL_OPTIONS = sorted({o for _, row in cli._SUBCOMMANDS.values() for o in row})
+_UNREAD = [(command, option) for command, (_, row) in cli._SUBCOMMANDS.items()
+           for option in _ALL_OPTIONS if option not in row]
+
+
+def _readme(command):
+    return [command] + README_ARGV[command]
+
+
+def test_table_covers_every_subcommand():
+    assert sorted(README_ARGV) == sorted(cli._SUBCOMMANDS)
+    assert sum(len(cli._COMMON + row) for _, row in cli._SUBCOMMANDS.values()) == 56
+
+
+@pytest.mark.parametrize("command,option", _UNREAD)
+def test_unread_option_is_a_usage_error(command, option):
+    extra = ["--band"] if option == "band" else [f"--{option}", "1"]
+    assert cli.main(_readme(command) + extra) == EXIT_USAGE
+
+
+def test_handlers_read_exactly_their_row(monkeypatch):
+    reads = []
+    original = cli.RunConfig.get
+
+    def recording_get(self, key, default=None):
+        reads.append(key)
+        return original(self, key, default)
+
+    monkeypatch.setattr(cli.RunConfig, "get", recording_get)
+    for command, (_, row) in cli._SUBCOMMANDS.items():
+        reads.clear()
+        code, _ = run(_readme(command))
+        assert code not in (EXIT_USAGE, EXIT_PARSE), command
+        names = {o.replace("-", "_") for o in row}
+        common = {o.replace("-", "_") for o in cli._COMMON}
+        assert set(reads) <= names | common, command
+        assert names <= set(reads), command
+
+
+def test_abbreviated_option_is_a_usage_error():
+    argv = ["witness", "--seq", "pow(1,2)", "--wei", "pow(1,-1)", "--p", "1"]
+    assert cli.main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("line", ["zzz = 1", "space = l9"])
+def test_unread_config_key_is_a_usage_error(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"set = residue(2,0)\nfilter = statistical\n{line}\n", encoding="ascii")
+    assert cli.main(["classify-set", "--config", str(path)]) == EXIT_USAGE
+
+
+def test_shared_parser_keeps_no_state(tmp_path):
+    argv = _readme("check-admissible")
+    assert load_config(argv + ["--band"]).get("band") is True
+    assert load_config(argv).get("band") is None
+    path = tmp_path / "run.cfg"
+    path.write_text("band = 1\n", encoding="ascii")
+    assert load_config(argv + ["--config", str(path)]).get("band") == "1"
+    assert load_config(argv).get("band") is None
+    assert cli._argument_parser() is cli._argument_parser()
+
+
+# ---------------------------------------------------------------------------
+# every failure maps to a documented exit code, never to 1
+
+
+def _bad_io_argv(case, tmp_path):
+    classify = _readme("classify-set")
+    if case == "format-xml":
+        return classify + ["--format", "xml"]
+    if case == "no-csv-form":
+        return classify + ["--format", "csv"]
+    if case == "missing-output-dir":
+        return classify + ["--output", str(tmp_path / "missing" / "x.json")]
+    if case == "missing-config":
+        return ["classify-set", "--config", str(tmp_path / "missing.cfg")]
+    path = tmp_path / "run.cfg"
+    path.write_bytes("set = residue(2,0)\nfilter = statistical # é\n".encode("utf-8"))
+    return ["classify-set", "--config", str(path)]
+
+
+@pytest.mark.parametrize("case,want", [
+    ("format-xml", EXIT_USAGE),
+    ("no-csv-form", EXIT_USAGE),
+    ("missing-output-dir", EXIT_USAGE),
+    ("missing-config", EXIT_USAGE),
+    ("non-ascii-config", EXIT_PARSE),
+])
+def test_io_and_format_failures_have_codes(tmp_path, capsys, case, want):
+    assert cli.main(_bad_io_argv(case, tmp_path)) == want
+    out = capsys.readouterr().out
+    assert out == "" or get_json(out.encode())["error"] in ("usage", "parse")
+
+
+def test_non_ascii_input_is_a_parse_error():
+    code, out = run(["classify-set", "--set", "é", "--filter", "statistical"])
+    assert code == EXIT_PARSE
+    doc = get_json(out)
+    assert doc["error"] == "parse" and "é" in doc["detail"]
+
+
+def test_internal_error_exits_70(capsys):
+    deep = "(" * 3000 + "residue(2,0)" + ")" * 3000
+    code, out = run(["classify-set", "--set", deep, "--filter", "statistical"])
+    assert code == cli.EXIT_SOFTWARE == 70
+    doc = get_json(out)
+    assert doc["error"] == "internal" and doc["detail"].startswith("RecursionError")
+    assert "RecursionError" in capsys.readouterr().err

@@ -1,0 +1,26 @@
+"""JSON string escaping in ``reports`` against the loop it replaced."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from fbasis.reports import _escape
+
+from escape_oracle import escape_by_loop
+
+# the four characters the loop escaped differently from json.dumps
+_DIFFERENT = "\b\f\r\x7f"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_escape_round_trips_any_text(s):
+    out = _escape(s)
+    assert out.isascii()
+    assert json.loads(out) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.characters(max_codepoint=0x7f, exclude_characters=_DIFFERENT)))
+def test_escape_matches_the_loop_on_ascii(s):
+    assert _escape(s) == escape_by_loop(s)
