@@ -59,10 +59,26 @@ class ParseError(ValueError):
         self.expected = expected
 
 
+# Deepest nesting the parsers accept.  Each level costs up to four Python
+# frames, so the limit stays well inside the interpreter's recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """``parse(self)`` one nesting level down.  An exception ends the
+        whole parse, so the depth needs no restoring on the way out."""
+        if self.depth >= _MAX_DEPTH:
+            raise ParseError(f"nested more than {_MAX_DEPTH} levels deep", self.pos)
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -170,9 +186,9 @@ def _set_inter(cur: _Cursor) -> SetExpr:
 
 def _set_unary(cur: _Cursor) -> SetExpr:
     if cur.take("!"):
-        return Complement(_set_unary(cur))
+        return Complement(cur.nested(_set_unary))
     if cur.take("("):
-        inner = _set_union(cur)
+        inner = cur.nested(_set_union)
         cur.expect(")")
         return inner
     return _set_atom(cur)
@@ -223,7 +239,7 @@ def _set_atom(cur: _Cursor) -> SetExpr:
             return Sampled(frozenset(vals), horizon)
         if word == "shift":
             cur.expect("(")
-            base = _set_union(cur)
+            base = cur.nested(_set_union)
             cur.expect(",")
             off = cur.integer()
             cur.expect(")")
@@ -233,9 +249,9 @@ def _set_atom(cur: _Cursor) -> SetExpr:
             from .witnesses import GreedyBlockSet
 
             cur.expect("(")
-            target = _seq(cur)
+            target = cur.nested(_seq)
             cur.expect(";")
-            weights = _seq(cur)
+            weights = cur.nested(_seq)
             cur.expect(";")
             p = cur.number()
             cur.expect(")")
@@ -247,7 +263,7 @@ def _set_atom(cur: _Cursor) -> SetExpr:
             from .witnesses import CriterionHolds, SparseThresholdSet
 
             cur.expect("(")
-            target = _seq(cur)
+            target = cur.nested(_seq)
             cur.expect(";")
             p = cur.number()
             cur.expect(")")
@@ -309,15 +325,15 @@ def _seq(cur: _Cursor) -> ScalarSeq:
                     vals.append(cur.number())
             cur.expect("]")
             cur.expect(":")
-            tail = _seq(cur)
+            tail = cur.nested(_seq)
             return ExplicitPrefix(tuple(vals), tail)
         if word == "piece":
             cur.expect("{")
             pieces = []
             while True:
-                s = _set_union(cur)
+                s = cur.nested(_set_union)
                 cur.expect("=>")
-                q = _seq(cur)
+                q = cur.nested(_seq)
                 pieces.append((s, q))
                 if not cur.take(";"):
                     break
@@ -351,7 +367,7 @@ def _filter(cur: _Cursor) -> FilterSpec:
         return Statistical()
     if word == "summable":
         cur.expect("(")
-        weights = _seq(cur)
+        weights = cur.nested(_seq)
         cur.expect(")")
         try:
             return Summable(weights)
@@ -359,9 +375,9 @@ def _filter(cur: _Cursor) -> FilterSpec:
             raise ParseError(str(exc), at) from None
     if word == "trace":
         cur.expect("(")
-        base = _filter(cur)
+        base = cur.nested(_filter)
         cur.expect(";")
-        index_set = _set_union(cur)
+        index_set = cur.nested(_set_union)
         cur.expect(")")
         try:
             return Trace(base, index_set)

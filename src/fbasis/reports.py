@@ -68,6 +68,11 @@ def _encode(value, indent: int, pieces: list[str]) -> None:
         if not seq:
             pieces.append("[]")
             return
+        if all(type(v) is int for v in seq):
+            # the loop below, joined at once: witness blocks run to 10**5 indices
+            pieces.append("[\n" + pad + "  " + (",\n" + pad + "  ").join(map(str, seq))
+                          + "\n" + pad + "]")
+            return
         pieces.append("[\n")
         for i, v in enumerate(seq):
             pieces.append(pad + "  ")

@@ -328,15 +328,22 @@ class TailForm:
                 return v
         return power_log_at(self.c, self.beta, self.gamma, n)
 
-    def vector(self, horizon: int) -> np.ndarray:
-        """Float values at 1..horizon, the head entries applied."""
-        n = np.arange(1, horizon + 1, dtype=float)
-        out = float(self.c) * n ** float(self.beta)
+    def vector(self, horizon: int, start: int = 0) -> np.ndarray:
+        """Float values at start+1..horizon, the head entries applied.  Each
+        entry depends on its index alone, so pieces evaluated with different
+        starts join bit for bit into one evaluation from 1."""
+        n = np.arange(start + 1, horizon + 1, dtype=float)
+        out = n ** float(self.beta)
+        out *= float(self.c)
         if self.gamma != 0:
-            out *= np.log(n + 1) ** float(self.gamma)
+            # in place: allocating fresh arrays this long costs more than the log
+            n += 1
+            np.log(n, out=n)
+            n **= float(self.gamma)
+            out *= n
         for i, v in self.head:
-            if i <= horizon:
-                out[i - 1] = float(v)
+            if start < i <= horizon:
+                out[i - 1 - start] = float(v)
         return out
 
 
@@ -358,6 +365,16 @@ def tail_form(a: ScalarSeq) -> Optional[TailForm]:
         if len(a.pieces) == 1:
             return tail_form(a.pieces[0][1])
         return None
+    return None
+
+
+def vector_form(a) -> Optional[TailForm]:
+    """The tail form whose ``vector`` is ``eval_vector(a, ...)`` bit for bit,
+    or None when ``eval_vector`` takes another path."""
+    if isinstance(a, (Constant, PowerLog)) or (
+        isinstance(a, ExplicitPrefix) and vector_form(a.tail) is not None
+    ):
+        return tail_form(a)
     return None
 
 
@@ -558,6 +575,11 @@ def _eventual_direction(f: TailForm) -> int:
     return 0
 
 
+# Head scans shorter than this take value_at per index: the vector path's
+# fixed cost (~30 us of numpy calls on a 2-vCPU x86 host) exceeds the loop's.
+_VECTOR_SCAN_MIN = 16
+
+
 def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
     """The set {n : a(n) >= t} as a SetExpr, or None if undecidable.
 
@@ -585,7 +607,16 @@ def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
     if n0 is None or n0 > horizon:
         return None
     scan_to = min(max(n0, f.start, max([1] + [i for i, _ in f.head])), horizon)
-    hits = [n for n in range(1, scan_to + 1) if float(a.value_at(n)) >= t]
+    if scan_to < _VECTOR_SCAN_MIN:
+        hits = [n for n in range(1, scan_to + 1) if float(a.value_at(n)) >= t]
+    else:
+        # the vector may differ from value_at in the last bits, so an entry
+        # within rounding of t is decided by value_at
+        v = eval_vector(a, scan_to)
+        hit = v >= t
+        for i in np.nonzero(np.abs(v - t) <= 1e-9 * t)[0].tolist():
+            hit[i] = float(a.value_at(i + 1)) >= t
+        hits = np.flatnonzero(hit) + 1
     direction = _eventual_direction(f)
     val0 = float(a.value_at(scan_to))
     # the crossing search is logarithmic, so it may run far past the
@@ -642,17 +673,21 @@ def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool)
     return hi_s
 
 
-def _assemble(hits: list[int], tail: Optional[SetExpr]) -> SetExpr:
-    hits = sorted(set(hits))
+def _assemble(hits, tail: Optional[Range]) -> SetExpr:
+    """The ascending hits joined with the tail range."""
+    hits = np.asarray(hits, dtype=np.int64)
     if tail is None:
-        return Finite(tuple(hits))
-    # absorb a trailing run of hits that abuts the range start
-    while hits and hits[-1] + 1 == tail.lo:
-        tail = Range(hits.pop(), tail.hi)
-    if not hits:
+        return Finite(tuple(hits.tolist()))
+    # absorb the trailing run of hits that abuts the range start: the hits
+    # after the last one off the run lo - len(hits), ..., lo - 1
+    off_run = np.flatnonzero(hits != np.arange(tail.lo - len(hits), tail.lo))
+    k = int(off_run[-1]) + 1 if off_run.size else 0
+    if k < len(hits):
+        tail = Range(tail.lo - (len(hits) - k), tail.hi)
+    if not k:
         if tail.lo == 1 and tail.hi is None:
             from .natset import NATURALS
 
             return NATURALS
         return tail
-    return Union((Finite(tuple(hits)), tail))
+    return Union((Finite(tuple(hits[:k].tolist())), tail))

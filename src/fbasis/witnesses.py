@@ -21,6 +21,7 @@ so reports containing them re-parse to semantically equal objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -36,7 +37,17 @@ from .natset import (
     _DESC_FULL,
     _EP_EMPTY,
 )
-from .sequences import ScalarSeq, TailForm, eval_vector, is_bounded, seq_pow, tail_form
+from .sequences import (
+    ScalarSeq,
+    TailForm,
+    _monotone_start,
+    eval_vector,
+    is_bounded,
+    seq_mul,
+    seq_pow,
+    tail_form,
+    vector_form,
+)
 
 _DEFAULT_BLOCKS = 8
 _MATERIALIZE_CAP = 10 ** 6
@@ -60,17 +71,29 @@ def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
 
 
 class _ChunkedValues:
-    """Vectorized values of a sequence, materialized chunk by chunk."""
+    """Float values of a sequence at 1..size, grown on demand.  A sequence
+    with a vector form is extended by the missing indices only, into a
+    buffer that at least doubles; any other is evaluated again from 1."""
 
     def __init__(self, seq):
         self.seq = seq
-        self.values = np.empty(0)
+        self.form = vector_form(seq)
+        self.buf = np.empty(0)
+        self.size = 0
 
     def upto(self, limit: int) -> np.ndarray:
-        if limit > len(self.values):
-            size = ((limit // _CHUNK) + 1) * _CHUNK
-            self.values = eval_vector(self.seq, size)
-        return self.values
+        if limit > self.size:
+            if self.form is None:
+                self.size = ((limit // _CHUNK) + 1) * _CHUNK
+                self.buf = eval_vector(self.seq, self.size)
+            else:
+                if limit > len(self.buf):
+                    grown = np.empty(max(limit, 2 * len(self.buf)))
+                    grown[: self.size] = self.buf[: self.size]
+                    self.buf = grown
+                self.buf[self.size : limit] = self.form.vector(limit, self.size)
+                self.size = limit
+        return self.buf[: self.size]
 
 
 @dataclass(frozen=True)
@@ -83,17 +106,20 @@ class GreedyBlockSet(SetExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", Fraction(self.exponent))
+        target_p = seq_pow(self.target, self.exponent)
+        product = seq_mul(target_p, self.weights)
         object.__setattr__(
             self,
             "_state",
             {
+                "product": tail_form(product) if product is not None else None,
                 "blocks": [],  # completed blocks, tuples of indices
-                "current": [],  # indices of the block being filled
+                "current": [],  # index arrays of the block being filled
                 "current_sum": 0.0,
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
                 "svals": _ChunkedValues(self.weights),
-                "pvals": _ChunkedValues(seq_pow(self.target, self.exponent)),
+                "pvals": _ChunkedValues(target_p),
             },
         )
         count = self.blocks if self.blocks is not None else self._adaptive_count()
@@ -102,9 +128,10 @@ class GreedyBlockSet(SetExpr):
 
     def _adaptive_count(self) -> int:
         """As many blocks as actually complete below the horizon, capped at
-        the default.  Fewer than two is too thin a certificate."""
-        self._advance(self.horizon)
-        count = min(_DEFAULT_BLOCKS, len(self._state["blocks"]))
+        the default.  Fewer than two is too thin a certificate.  The scan
+        stops at the last block counted; later indices are scanned only
+        when a membership question reaches them."""
+        count = min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
         if count < 2:
             raise HorizonExceeded(
                 f"only {count} greedy blocks complete below the horizon"
@@ -133,20 +160,25 @@ class GreedyBlockSet(SetExpr):
                 if float(terms.max()) > 1.0:
                     pos = self._advance_scalar(lo, sv, pv, pos, width)
                     continue
-                csum = np.cumsum(terms)
-                need = 1.0 - st["current_sum"]
-                k = int(np.searchsorted(csum, need))
+                # the block's running sum, left to right from its first
+                # index, so a block ends where it would in one window
+                csum = np.cumsum(np.concatenate(([st["current_sum"]], terms)))[1:]
+                k = int(np.searchsorted(csum, 1.0))
                 if k >= len(csum):
-                    st["current"].extend((lo + pos + cand).tolist())
-                    st["current_sum"] += float(csum[-1])
+                    st["current"].append(lo + pos + cand)
+                    st["current_sum"] = float(csum[-1])
                     break
-                st["current"].extend((lo + pos + cand[: k + 1]).tolist())
-                st["blocks"].append(tuple(st["current"]))
-                st["current"] = []
-                st["current_sum"] = 0.0
-                st["m"] += 1
+                st["current"].append(lo + pos + cand[: k + 1])
+                self._close_block()
                 pos = pos + int(cand[k]) + 1
             st["scan"] = hi
+
+    def _close_block(self) -> None:
+        st = self._state
+        st["blocks"].append(tuple(np.concatenate(st["current"]).tolist()))
+        st["current"] = []
+        st["current_sum"] = 0.0
+        st["m"] += 1
 
     def _advance_scalar(self, lo: int, sv, pv, pos: int, width: int) -> int:
         """Plain scan for stretches containing weights above one."""
@@ -154,24 +186,45 @@ class GreedyBlockSet(SetExpr):
         for i in range(pos, width):
             s_n = float(sv[i])
             if pv[i] * s_n > 2.0 ** st["m"] and st["current_sum"] + s_n <= 2.0:
-                st["current"].append(lo + i)
+                st["current"].append(np.array([lo + i]))
                 st["current_sum"] += s_n
                 if st["current_sum"] >= 1.0:
-                    st["blocks"].append(tuple(st["current"]))
-                    st["current"] = []
-                    st["current_sum"] = 0.0
-                    st["m"] += 1
+                    self._close_block()
                     return i + 1
         return width
 
-    def _scan_until_blocks(self, count: int) -> None:
+    def _scan_for(self, count: int) -> int:
+        """Scan in growing windows until ``count`` blocks are complete, the
+        horizon is reached, or no index left below it can join the open
+        block; the number of complete blocks."""
         st = self._state
-        while len(st["blocks"]) < count:
-            if st["scan"] >= self.horizon:
-                raise HorizonExceeded(
-                    f"greedy block {len(st['blocks']) + 1} incomplete at the horizon"
-                )
-            self._advance(min(self.horizon, max(4096, st["scan"] * 4)))
+        while (len(st["blocks"]) < count and st["scan"] < self.horizon
+               and not self._below_threshold_to_horizon()):
+            self._advance(min(max(4096, st["scan"] * 4), st["scan"] + _CHUNK))
+        return len(st["blocks"])
+
+    def _below_threshold_to_horizon(self) -> bool:
+        """Whether a(n)**p * s(n) provably stays below 2**m from the scan to
+        the horizon, so that the open block cannot complete there: the
+        product's tail form is monotone on that stretch, and at both ends its
+        log is below m log 2 by far more than rounding."""
+        st = self._state
+        f = st["product"]
+        lo = st["scan"] + 1
+        n0 = _monotone_start(f) if f is not None else None
+        if n0 is None or n0 > lo:
+            return False
+
+        def log_at(n: int) -> float:
+            return (math.log(f.c) + float(f.beta) * math.log(n)
+                    + float(f.gamma) * math.log(math.log(n + 1)))
+
+        return max(log_at(lo), log_at(self.horizon)) < st["m"] * math.log(2) - 1e-9
+
+    def _scan_until_blocks(self, count: int) -> None:
+        done = self._scan_for(count)
+        if done < count:
+            raise HorizonExceeded(f"greedy block {done + 1} incomplete at the horizon")
 
     # certificates ------------------------------------------------------------
 
@@ -180,27 +233,20 @@ class GreedyBlockSet(SetExpr):
         self._scan_until_blocks(count)
         return tuple(self._state["blocks"][:count])
 
-    def block_sums(self) -> list[float]:
-        sv = self._state["svals"]
-        return [
-            float(sum(float(sv.upto(blk[-1])[n - 1]) for n in blk))
-            for blk in self.materialized_blocks()
-        ]
+    def _block_values(self, key: str) -> list[np.ndarray]:
+        """The cached values of ``key`` on each materialized block."""
+        blocks = self.materialized_blocks()
+        vals = self._state[key].upto(blocks[-1][-1])
+        return [vals[np.array(blk) - 1] for blk in blocks]
 
-    @property
-    def materialized_count(self) -> int:
-        return self._target_blocks
+    # Sums run left to right with the builtin sum, as the block scan adds;
+    # numpy's pairwise sum would change the last bits.
+    def block_sums(self) -> list[float]:
+        return [sum(v.tolist()) for v in self._block_values("svals")]
 
     def prefix_inverse_sum(self) -> float:
         """Sum of a**(-p) over the materialized prefix of the set."""
-        pv = self._state["pvals"]
-        return float(
-            sum(
-                1.0 / float(pv.upto(n)[n - 1])
-                for blk in self.materialized_blocks()
-                for n in blk
-            )
-        )
+        return sum((1.0 / np.concatenate(self._block_values("pvals"))).tolist())
 
     # set protocol -------------------------------------------------------------
 
@@ -208,7 +254,8 @@ class GreedyBlockSet(SetExpr):
         self._advance(limit)
         st = self._state
         out = [n for blk in st["blocks"] for n in blk if n <= limit]
-        out.extend(n for n in st["current"] if n <= limit)
+        for part in st["current"]:
+            out.extend(part[part <= limit].tolist())
         return out
 
     def member_at(self, n):

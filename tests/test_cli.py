@@ -374,8 +374,8 @@ def test_shared_parser_keeps_no_state(tmp_path):
     assert load_config(argv + ["--band"]).get("band") is True
     assert load_config(argv).get("band") is None
     path = tmp_path / "run.cfg"
-    path.write_text("band = 1\n", encoding="ascii")
-    assert load_config(argv + ["--config", str(path)]).get("band") == "1"
+    path.write_text("band = true\n", encoding="ascii")
+    assert load_config(argv + ["--config", str(path)]).get("band") is True
     assert load_config(argv).get("band") is None
     assert cli._argument_parser() is cli._argument_parser()
 
@@ -419,10 +419,61 @@ def test_non_ascii_input_is_a_parse_error():
     assert doc["error"] == "parse" and "é" in doc["detail"]
 
 
-def test_internal_error_exits_70(capsys):
-    deep = "(" * 3000 + "residue(2,0)" + ")" * 3000
-    code, out = run(["classify-set", "--set", deep, "--filter", "statistical"])
+def test_internal_error_exits_70(capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("a bug")
+
+    row = cli._SUBCOMMANDS["classify-set"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "classify-set", (broken, row[1]))
+    code, out = run(_readme("classify-set"))
     assert code == cli.EXIT_SOFTWARE == 70
     doc = get_json(out)
-    assert doc["error"] == "internal" and doc["detail"].startswith("RecursionError")
-    assert "RecursionError" in capsys.readouterr().err
+    assert doc["error"] == "internal" and doc["detail"] == "RuntimeError: a bug"
+    assert "RuntimeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-set", "--set", "(" * 3000 + "residue(2,0)" + ")" * 3000,
+     "--filter", "statistical"],
+    ["classify-set", "--set", "!" * 3000 + "residue(2,0)", "--filter", "statistical"],
+    ["check-admissible", "--seq", "prefix[2]:" * 3000 + "pow(1,1)", "--filter", "frechet",
+     "--p", "1"],
+    ["dominates", "--filter", "trace(" * 3000 + "frechet" + "; residue(2,0))" * 3000,
+     "--filter2", "statistical"],
+])
+def test_deep_nesting_is_a_parse_error(capsys, argv):
+    code, out = run(argv)
+    assert code == EXIT_PARSE
+    doc = get_json(out)
+    assert doc["error"] == "parse" and "nested more than" in doc["detail"]
+    assert capsys.readouterr().err == ""
+
+
+def test_nesting_at_the_limit_parses():
+    from fbasis.parsing import _MAX_DEPTH
+
+    code, out = run(["classify-set", "--set", "(" * _MAX_DEPTH + "residue(2,0)"
+                     + ")" * _MAX_DEPTH, "--filter", "statistical"])
+    assert code == EXIT_OK and get_json(out)["class"] == "stationary"
+
+
+def _band_config(tmp_path, value):
+    path = tmp_path / "band.cfg"
+    path.write_text(f"seq = pow(1,0.5)\nfilter = statistical\np = 3/2\nband = {value}\n",
+                    encoding="ascii")
+    return ["check-admissible", "--config", str(path)]
+
+
+def test_config_flag_is_true_or_false(tmp_path):
+    code, out = run(_band_config(tmp_path, "false"))
+    assert code == EXIT_OK and "band" not in get_json(out)
+    code, out = run(_band_config(tmp_path, "true"))
+    assert code == EXIT_OK and "band" in get_json(out)
+    # --band on the command line still turns it on over a config file
+    code, out = run(_band_config(tmp_path, "false") + ["--band"])
+    assert code == EXIT_OK and "band" in get_json(out)
+
+
+@pytest.mark.parametrize("value", ["0", "1", "False", "yes", ""])
+def test_config_flag_other_values_are_usage_errors(tmp_path, value):
+    assert cli.main(_band_config(tmp_path, value)) == EXIT_USAGE

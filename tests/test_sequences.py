@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fbasis import (
     Complement,
@@ -23,7 +25,14 @@ from fbasis import (
     threshold_ge,
 )
 from fbasis.natset import member
-from fbasis.sequences import eval_vector, is_bounded, is_eventually_nondecreasing, seq_mul
+from fbasis.sequences import (
+    _monotone_start,
+    eval_vector,
+    is_bounded,
+    is_eventually_nondecreasing,
+    seq_mul,
+    tail_form,
+)
 
 from conftest import random_power_seq
 
@@ -195,3 +204,45 @@ class TestSeqParsing:
     def test_decimal_literals(self):
         s = parse_scalar_seq("pow(1,0.5)")
         assert s == PowerLog(1, Fraction(1, 2))
+
+
+@st.composite
+def _threshold_case(draw):
+    """A sequence whose head scan runs to its monotone start (up to ~22000,
+    with beta and gamma of opposite signs), and a threshold that is often
+    one of its values, so that entries within rounding of it come up."""
+    beta = Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), 8)
+    gamma = Fraction(draw(st.integers(-10, 10)), 4)
+    if draw(st.booleans()):
+        gamma = -abs(gamma) if beta > 0 else abs(gamma)  # a dip or a bump first
+    seq = PowerLog(draw(st.sampled_from((1, Fraction(3, 2), Fraction(1, 3)))), beta, gamma)
+    head = draw(st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)), max_size=6))
+    if head:
+        seq = ExplicitPrefix(tuple(head), seq)
+    f = tail_form(seq)
+    n0 = _monotone_start(f)
+    assume(n0 is not None and n0 <= 25_000)
+    scan_to = max(n0, f.start, max([1] + [i for i, _ in f.head]))
+    k = draw(st.integers(1, scan_to))
+    t = float(seq.value_at(k))
+    t = draw(st.sampled_from((t, math.nextafter(t, math.inf), math.nextafter(t, 0),
+                              t * draw(st.floats(0.5, 2)))))
+    return seq, t, scan_to
+
+
+# numpy's vector of _DIP is one ulp below value_at at n = 37, that of _BUMP
+# one ulp above it at n = 1105: thresholds there need the scalar re-check
+_DIP = PowerLog(Fraction(3, 2), Fraction(1, 4), Fraction(-1))
+_BUMP = PowerLog(Fraction(3, 2), Fraction(-1, 4), Fraction(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_threshold_case())
+@example(case=(_DIP, float(_DIP.value_at(37)), 56))
+@example(case=(_BUMP, math.nextafter(float(_BUMP.value_at(1105)), math.inf), 2982))
+def test_threshold_head_matches_per_index_scan(case):
+    seq, t, scan_to = case
+    got = threshold_ge(seq, t)
+    assume(got is not None)  # no crossing below 2**60, so no set to compare
+    want = [n for n in range(1, scan_to + 1) if float(seq.value_at(n)) >= t]
+    assert (np.flatnonzero(got.mask(scan_to)) + 1).tolist() == want

@@ -1,0 +1,160 @@
+"""The greedy block scan and its value cache against per-index oracles."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fbasis import Constant, ExplicitPrefix, Piecewise, PowerLog, Residue
+from fbasis.natset import HorizonExceeded
+from fbasis.sequences import eval_vector, seq_pow
+from fbasis.witnesses import GreedyBlockSet, _ChunkedValues
+
+from greedy_oracle import greedy_scan
+
+HARMONIC = PowerLog(1, Fraction(-1))
+
+fractions = st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+eighths = st.builds(Fraction, st.integers(1, 24), st.just(8))
+
+
+@st.composite
+def targets(draw):
+    gamma = draw(st.sampled_from((0, 0, Fraction(-1), Fraction(-1, 2), Fraction(1, 2), 1, 3)))
+    tail = PowerLog(draw(fractions), draw(eighths), gamma)
+    head = draw(st.lists(fractions, max_size=3))
+    return ExplicitPrefix(tuple(head), tail) if head else tail
+
+
+@st.composite
+def weights(draw):
+    alpha = Fraction(draw(st.integers(1, 4)), 4)
+    tail = PowerLog(draw(st.sampled_from((1, Fraction(1, 2), 2))), -alpha)
+    # a head above one sends the scan through its per-index path
+    head = draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.just(2)), max_size=4))
+    return ExplicitPrefix(tuple(head), tail) if head else tail
+
+
+exponents = st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)))
+
+
+def _values(seq, blocks, horizon):
+    v = eval_vector(seq, horizon)
+    return [[float(v[n - 1]) for n in blk] for blk in blocks]
+
+
+def _assert_matches_oracle(a, s, p, horizon, blocks=None):
+    want, _ = greedy_scan(a, s, p, blocks or 8, horizon)
+    if len(want) < (blocks or 2):
+        with pytest.raises(HorizonExceeded):
+            GreedyBlockSet(a, s, p, blocks=blocks, horizon=horizon)
+        return None
+    g = GreedyBlockSet(a, s, p, blocks=blocks, horizon=horizon)
+    assert g.materialized_blocks() == tuple(want)
+    # the report sums add left to right, as the oracle's builtin sum does
+    assert g.block_sums() == [sum(vals) for vals in _values(s, want, horizon)]
+    inverse = _values(seq_pow(a, p), want, horizon)
+    assert g.prefix_inverse_sum() == sum(1.0 / x for vals in inverse for x in vals)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=targets(), s=weights(), p=exponents, horizon=st.integers(1, 20_000))
+def test_blocks_match_the_per_index_scan(a, s, p, horizon):
+    _assert_matches_oracle(a, s, p, horizon)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=targets(), s=weights(), p=exponents, blocks=st.integers(1, 10))
+def test_fixed_block_counts_match_the_per_index_scan(a, s, p, blocks):
+    _assert_matches_oracle(a, s, p, 20_000, blocks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=targets(), s=weights(), p=exponents, horizon=st.integers(4097, 20_000))
+def test_membership_past_the_reported_blocks(a, s, p, horizon):
+    """Indices past the last reported block are scanned on demand, with the
+    same blocks as one scan to the horizon."""
+    try:
+        g = GreedyBlockSet(a, s, p, horizon=horizon)
+    except HorizonExceeded:
+        return
+    every, open_block = greedy_scan(a, s, p, horizon, horizon)
+    members = [n for blk in every for n in blk] + open_block
+    assert (np.flatnonzero(g.mask(horizon)) + 1).tolist() == members
+
+
+def test_readme_witness_stops_after_its_blocks():
+    g = GreedyBlockSet(PowerLog(1, 2), HARMONIC, 1)
+    blocks = g.materialized_blocks()
+    assert len(blocks) == 8
+    assert blocks == tuple(greedy_scan(PowerLog(1, 2), HARMONIC, 1, 8, 65_536)[0])
+    # its last block runs across the first scan window, which ends at 4096
+    assert any(blk[0] <= 4096 < blk[-1] for blk in blocks)
+    assert g._state["scan"] <= 65_536
+
+
+def test_weights_above_one_take_the_per_index_path(monkeypatch):
+    calls = []
+    inner = GreedyBlockSet._advance_scalar
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(GreedyBlockSet, "_advance_scalar", counted)
+    s = ExplicitPrefix((Fraction(3), Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)), HARMONIC)
+    g = _assert_matches_oracle(PowerLog(1, 2), s, Fraction(1), 20_000)
+    assert calls and len(g.materialized_blocks()) == 8
+
+
+def test_adaptive_count_below_eight():
+    # a(n) s(n) = n**(1/2) passes 2**m at n = 4**m, so below 20000 only
+    # seven blocks can start
+    g = _assert_matches_oracle(PowerLog(1, 1), PowerLog(1, Fraction(-1, 2)), Fraction(1),
+                               20_000)
+    assert len(g.materialized_blocks()) == 7
+
+
+def test_scan_stops_once_no_index_can_join_a_block():
+    # a(n) s(n) = 4 n**(1/4) passes 2**7 only past 32**4 > 200000, so once
+    # block 6 is complete the scan ends without reaching the horizon
+    a, s = PowerLog(4, Fraction(3, 4)), PowerLog(1, Fraction(-1, 2))
+    g = _assert_matches_oracle(a, s, Fraction(1), 200_000)
+    assert len(g.materialized_blocks()) == 6
+    assert g._state["scan"] < 200_000
+
+
+@pytest.mark.parametrize("a,p", [
+    (PowerLog(4, Fraction(1, 8)), Fraction(2)),  # a(n) s(n) falls
+    (PowerLog(4, Fraction(1, 8), 3), Fraction(1)),  # it rises, then falls
+])
+def test_scan_goes_on_while_an_index_can_join(a, p):
+    _assert_matches_oracle(a, HARMONIC, p, 20_000)
+
+
+@st.composite
+def sequences(draw):
+    kind = draw(st.integers(0, 3))
+    tail = PowerLog(draw(fractions), Fraction(draw(st.integers(-8, 8)), 4),
+                    Fraction(draw(st.integers(-4, 4)), 2))
+    if kind == 0:
+        return tail
+    if kind == 1:
+        return Constant(draw(fractions))
+    if kind == 2:
+        return ExplicitPrefix(tuple(draw(st.lists(fractions, min_size=1, max_size=5))), tail)
+    return Piecewise(((Residue(2, 0), tail), (Residue(2, 1), Constant(draw(fractions)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=sequences(), steps=st.lists(st.integers(1, 70_000), min_size=1, max_size=6))
+@example(seq=PowerLog(Fraction(3, 2), Fraction(1, 4), Fraction(-2)), steps=[1, 4095, 12_288])
+def test_chunked_values_grow_bit_identical(seq, steps):
+    vals = _ChunkedValues(seq)
+    for limit in itertools.accumulate(steps):
+        got = vals.upto(limit)
+        assert len(got) >= limit
+        assert got.tobytes() == eval_vector(seq, len(got)).tobytes()
