@@ -66,8 +66,8 @@ def _argument_parser() -> argparse.ArgumentParser:
     for name, (_, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         for option in _COMMON + options:
-            if option in _FLAGS:
-                p.add_argument("--" + option, action="store_true")
+            if option == "band":
+                p.add_argument("--band", action="store_true")
             elif option == "format":
                 p.add_argument("--format", choices=("json", "csv"))
             else:
@@ -97,7 +97,7 @@ def _read_config_file(path: str, command: str) -> dict:
         if key not in readable:
             raise _Usage(f"{command} does not read the config key {key!r}")
         value = value.strip()
-        if key in _FLAGS:
+        if key == "band":  # the one on/off option
             if value not in ("true", "false"):
                 raise _Usage(f"config key {key!r} is true or false, not {value!r}")
             value = value == "true"
@@ -470,7 +470,6 @@ def _cmd_profile_lemma1(cfg: RunConfig):
 # Each subcommand's handler and the options it reads.  A subcommand accepts
 # these and _COMMON, on the command line and in a config file alike.
 _COMMON = ("config", "format", "output")
-_FLAGS = ("band",)  # on/off options: --band, or band = true|false in a config file
 _SUBCOMMANDS = {
     "check-admissible": (_cmd_check_admissible, ("seq", "filter", "p", "band")),
     "build-basis": (_cmd_build_basis, ("seq", "a-squared", "space", "filter", "n-max", "dim")),

@@ -266,9 +266,10 @@ def eval_at(a: ScalarSeq, n: int) -> Number:
 
 def eval_vector(a, horizon: int) -> np.ndarray:
     """Float values at 1..horizon, vectorized for the symbolic family."""
-    if isinstance(a, (Constant, PowerLog)):
-        return tail_form(a).vector(horizon)
-    if isinstance(a, ExplicitPrefix):
+    f = vector_form(a)
+    if f is not None:
+        return f.vector(horizon)
+    if isinstance(a, ExplicitPrefix):  # over a tail without a vector form
         out = eval_vector(a.tail, horizon)
         k = min(len(a.values), horizon)
         out[:k] = [float(v) for v in a.values[:k]]
@@ -369,8 +370,8 @@ def tail_form(a: ScalarSeq) -> Optional[TailForm]:
 
 
 def vector_form(a) -> Optional[TailForm]:
-    """The tail form whose ``vector`` is ``eval_vector(a, ...)`` bit for bit,
-    or None when ``eval_vector`` takes another path."""
+    """The tail form through whose ``vector`` ``eval_vector`` evaluates a,
+    or None when it takes another path."""
     if isinstance(a, (Constant, PowerLog)) or (
         isinstance(a, ExplicitPrefix) and vector_form(a.tail) is not None
     ):

@@ -22,6 +22,7 @@ so reports containing them re-parse to semantically equal objects.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -73,10 +74,13 @@ def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
 class _ChunkedValues:
     """Float values of a sequence at 1..size, grown on demand.  A sequence
     with a vector form is extended by the missing indices only, into a
-    buffer that at least doubles; any other is evaluated again from 1."""
+    buffer that at least doubles.  Any other is evaluated again from 1, at
+    a size that at least doubles (capped by the horizon).  Both are linear
+    in the final size; the first holds less and evaluates nothing twice."""
 
-    def __init__(self, seq):
+    def __init__(self, seq, horizon: int = _MATERIALIZE_CAP):
         self.seq = seq
+        self.horizon = horizon
         self.form = vector_form(seq)
         self.buf = np.empty(0)
         self.size = 0
@@ -84,7 +88,7 @@ class _ChunkedValues:
     def upto(self, limit: int) -> np.ndarray:
         if limit > self.size:
             if self.form is None:
-                self.size = ((limit // _CHUNK) + 1) * _CHUNK
+                self.size = max(limit, min(2 * self.size, self.horizon))
                 self.buf = eval_vector(self.seq, self.size)
             else:
                 if limit > len(self.buf):
@@ -118,8 +122,8 @@ class GreedyBlockSet(SetExpr):
                 "current_sum": 0.0,
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
-                "svals": _ChunkedValues(self.weights),
-                "pvals": _ChunkedValues(target_p),
+                "svals": _ChunkedValues(self.weights, self.horizon),
+                "pvals": _ChunkedValues(target_p, self.horizon),
             },
         )
         count = self.blocks if self.blocks is not None else self._adaptive_count()
@@ -207,16 +211,23 @@ class GreedyBlockSet(SetExpr):
         """Whether a(n)**p * s(n) provably stays below 2**m from the scan to
         the horizon, so that the open block cannot complete there: the
         product's tail form is monotone on that stretch, and at both ends its
-        log is below m log 2 by far more than rounding."""
+        log is below m log 2 by far more than rounding.  A coefficient outside
+        the normal floats leaves the question to the plain scan."""
         st = self._state
         f = st["product"]
         lo = st["scan"] + 1
         n0 = _monotone_start(f) if f is not None else None
         if n0 is None or n0 > lo:
             return False
+        try:
+            c = float(f.c)
+        except OverflowError:
+            return False
+        if not sys.float_info.min <= c <= sys.float_info.max:
+            return False
 
         def log_at(n: int) -> float:
-            return (math.log(f.c) + float(f.beta) * math.log(n)
+            return (math.log(c) + float(f.beta) * math.log(n)
                     + float(f.gamma) * math.log(math.log(n + 1)))
 
         return max(log_at(lo), log_at(self.horizon)) < st["m"] * math.log(2) - 1e-9
@@ -317,7 +328,7 @@ class SparseThresholdSet(SetExpr):
                 "elements": [],
                 "scan": 0,
                 "k": 1,
-                "pvals": _ChunkedValues(seq_pow(self.target, self.exponent)),
+                "pvals": _ChunkedValues(seq_pow(self.target, self.exponent), self.horizon),
             },
         )
 

@@ -477,3 +477,20 @@ def test_config_flag_is_true_or_false(tmp_path):
 @pytest.mark.parametrize("value", ["0", "1", "False", "yes", ""])
 def test_config_flag_other_values_are_usage_errors(tmp_path, value):
     assert cli.main(_band_config(tmp_path, value)) == EXIT_USAGE
+
+
+# 10**-200 squared lies below the smallest float, so the product's
+# coefficient has no float log; the plain scan finds no block, as it always did
+_TINY = "0." + "0" * 199 + "1"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["classify-set", "--set", f"greedy(pow({_TINY},1); pow(1,-1); 2)"], EXIT_PARSE),
+    (["witness", "--seq", f"pow({_TINY},1)", "--weights", "pow(1,-1)", "--p", "2"],
+     EXIT_INCONCLUSIVE),
+])
+def test_underflowing_greedy_product_reaches_the_horizon(capsys, argv, want):
+    code, out = run(argv)
+    assert code == want
+    assert "only 0 greedy blocks complete below the horizon" in get_json(out)["detail"]
+    assert capsys.readouterr().err == ""
