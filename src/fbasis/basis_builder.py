@@ -17,6 +17,7 @@ infinite-tail content.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Sequence as SequenceABC
@@ -76,6 +77,7 @@ class BasisSystem:
     norm_reports: list
     defect_coeffs: list  # c_n = ||v_n|| / b_{n+1}
     admissibility: AdmissVerdict
+    targets: list  # a_1 .. a_{n_max - 1}, as the recurrence evaluated them
     warnings: list = field(default_factory=list)
 
     @property
@@ -91,9 +93,6 @@ class BasisSystem:
         sq = self.coefficients_squared
         return TailOp(n, tuple(self.coefficients[: n + 1]), self.space,
                       b_squared=None if sq is None else tuple(sq[: n + 1]))
-
-    def target_at(self, n: int):
-        return eval_at(self.target, n)
 
 
 class _Stages(SequenceABC):
@@ -135,8 +134,12 @@ def build_basis(
         admiss_seq = seq_pow(a_squared, Fraction(1, 2))
     targets = [eval_at(admiss_seq, n) for n in range(1, n_max)]
     for n, t in enumerate(targets, start=1):
-        if not float(t) > 1:
-            raise DomainError(f"target norm at stage {n} must exceed 1, got {float(t)}")
+        try:
+            value = float(t)
+        except OverflowError:
+            raise DomainError(f"target norm at stage {n} lies beyond the float range") from None
+        if not value > 1:
+            raise DomainError(f"target norm at stage {n} must exceed 1, got {value}")
     p = space.p if isinstance(space.p, Fraction) else Fraction(space.p).limit_denominator(10 ** 6)
     verdict = check_admissible(admiss_seq, F, max(p, Fraction(1)))
     if verdict.kind == "refuted":
@@ -177,7 +180,8 @@ def build_basis(
         mass += nxt
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
-                       defect_coeffs=defects, admissibility=verdict, warnings=warnings)
+                       defect_coeffs=defects, admissibility=verdict, targets=targets,
+                       warnings=warnings)
 
 
 def _certify_stage_norm(rep: NormReport, target, target_square, n: int) -> None:
@@ -214,18 +218,22 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     b = [Fraction(v) for v in sys.coefficients]
     rng = random.Random(0)
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
+    ratios = [u / v for u, v in zip(x, b)]
+    functionals = [ratios[i] - ratios[i + 1] for i in range(k)]  # v*_1(x) .. v*_k(x)
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
         # v_j has b_i at every i <= j, so coordinate i of the sum is
-        # b_i * (v*_i(x) + ... + v*_n(x))
-        partial = [Fraction(0)] * len(x)
+        # b_i * (v*_i(x) + ... + v*_n(x)), and 0 past n
+        partial = [Fraction(0)] * n
         tail = Fraction(0)
         for i in range(n, 0, -1):
-            tail += x[i - 1] / b[i - 1] - x[i] / b[i]
+            tail += functionals[i - 1]
             partial[i - 1] = b[i - 1] * tail
         got = apply(TailOp(n, tuple(b[: n + 1]), sys.space), x)
-        worst = max([worst] + [abs(u - v) for u, v in zip(partial, got)])
+        if got[:n] != partial or any(got[n:]):
+            partial += [Fraction(0)] * (len(x) - n)
+            worst = max([worst] + [abs(u - v) for u, v in zip(partial, got)])
     return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)
 
 
@@ -255,20 +263,16 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
     """The defect coefficients with their unit-band check and the
     filter-vanishing verdicts of the defect functionals on a test family."""
     values = [float(c) for c in sys.defect_coeffs]
-    devs = []
+    devs = [abs(v - float(t)) for v, t in zip(values, sys.targets)]
     exact_l1: Optional[bool] = None
-    for n, c in enumerate(sys.defect_coeffs, start=1):
-        t = sys.target_at(n)
-        devs.append(abs(float(c) - float(t)))
     if sys.space.is_l1:
-        exact_l1 = all(
-            isinstance(c, Fraction) and c == sys.target_at(n)
-            for n, c in enumerate(sys.defect_coeffs, start=1)
-        )
+        exact_l1 = all(isinstance(c, Fraction) and c == t
+                       for c, t in zip(sys.defect_coeffs, sys.targets))
     if test_family is None:
         test_family = default_test_family(sys.space)
+    bounds = functools.cache(lambda: _defect_bound_seqs(sys))
     vanishing = tuple(
-        (x.to_text(), convergence_demo(sys, x).verdict.kind) for x in test_family
+        (x.to_text(), _classify_defects(sys, x, bounds)[1].kind) for x in test_family
     )
     return DefectReport(
         values=values,
@@ -362,27 +366,36 @@ def convergence_demo(
     epsilon the exceptional set is bracketed between derived under- and
     over-approximations and classified under the system's filter (or the
     ``under`` override, for side-by-side comparisons)."""
+    stage_defects = [
+        float(abs(float(x.coordinate(n + 1))) * float(c))
+        for n, c in enumerate(sys.defect_coeffs, start=1)
+    ]
+    entries, verdict = _classify_defects(sys, x, lambda: _defect_bound_seqs(sys),
+                                         eps_schedule, horizon, under)
+    return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
+
+
+def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
+                      horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
+    """The epsilon table and the limit verdict of ``convergence_demo``.
+    ``bounds()`` returns the system's ``_defect_bound_seqs``, so a caller
+    classifying several vectors computes them once."""
     filt = under if under is not None else sys.filter
     if eps_schedule is None:
         from .filters import DEFAULT_EPS_SCHEDULE
 
         eps_schedule = DEFAULT_EPS_SCHEDULE
-    stage_defects = [
-        float(abs(float(x.coordinate(n + 1))) * float(c))
-        for n, c in enumerate(sys.defect_coeffs, start=1)
-    ]
     if isinstance(x, BasisVector):
-        verdict = LimitVerdict.converges_to(0)
         entries = tuple(
             EpsilonEntry(float(e), Finite(()).to_text(), Finite(()).to_text(), "negligible")
             for e in eps_schedule[:1]
         )
-        return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
+        return entries, LimitVerdict.converges_to(0)
 
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
-    c_exact, c_lower, c_upper = _defect_bound_seqs(sys)
+    c_exact, c_lower, c_upper = bounds()
     prod_hi = seq_mul(amp, c_upper) if c_upper is not None else None
     prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
 
@@ -430,6 +443,4 @@ def convergence_demo(
         verdict = LimitVerdict.inconclusive(f"{unknowns} epsilon levels undecided")
     else:
         verdict = LimitVerdict.converges_to(0)
-    return ConvergenceReport(
-        x.to_text(), stage_defects, tuple(entries), verdict, _TRUNCATION_CAVEAT
-    )
+    return tuple(entries), verdict

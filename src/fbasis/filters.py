@@ -181,11 +181,24 @@ def _classify_summable(A: SetExpr, weights: ScalarSeq) -> SetClass:
 def _classify_trace(A: SetExpr, F: Trace) -> SetClass:
     # A is a member iff A contains (B and I) for a base member B, which
     # happens iff A union the complement of I is itself a base member.
-    widened_cls = classify_set(canonicalize(Union((A, Complement(F.index_set)))), F.base)
+    # Nested traces fold, trace(trace(G; J); I) = trace(G; I & J): the
+    # widened and the restricted set are carried down, one index set at a
+    # time, to the first base that is not a trace and classified there once.
+    index_sets = []
+    base: FilterSpec = F
+    while isinstance(base, Trace):
+        index_sets.append(base.index_set)
+        base = base.base
+    widened = A
+    for I in index_sets:
+        widened = canonicalize(Union((widened, Complement(I))))
+    widened_cls = classify_set(widened, base)
     if widened_cls == SetClass.MEMBER:
         return SetClass.MEMBER
-    restricted = canonicalize(_intersect(A, F.index_set))
-    inner = classify_set(restricted, F.base)
+    restricted = A
+    for I in index_sets:
+        restricted = canonicalize(_intersect(restricted, I))
+    inner = classify_set(restricted, base)
     if inner == SetClass.NEGLIGIBLE:
         return SetClass.NEGLIGIBLE
     if inner == SetClass.INCONCLUSIVE or widened_cls == SetClass.INCONCLUSIVE:

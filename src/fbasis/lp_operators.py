@@ -34,9 +34,9 @@ class DimensionMismatch(ValueError):
 
 def _number(v):
     """Rationals as Fractions, everything else as floats (tested first: it is cheap)."""
-    if isinstance(v, float):
+    if isinstance(v, (float, Fraction)):
         return v
-    return Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
+    return Fraction(v) if isinstance(v, int) else float(v)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class TailOp:
             )
         b = tuple(_number(v) for v in self.b)
         object.__setattr__(self, "b", b)
-        if any(float(v) <= 0 for v in b):
+        if any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
         if self.b_squared is not None:
             sq = tuple(Fraction(v) for v in self.b_squared)
@@ -138,12 +138,12 @@ def apply(T: TailOp, x: Sequence) -> list:
     n = T.stage
     if len(x) < n + 1:
         raise DimensionMismatch(f"need at least {n + 1} coordinates, got {len(x)}")
-    exact = all(isinstance(v, (int, Fraction)) for v in x) and all(
-        isinstance(v, Fraction) for v in T.b
-    )
-    num = Fraction if exact else float
-    q = num(x[n]) / num(T.b[n])
-    return [num(x[i]) - q * num(T.b[i]) for i in range(n)] + [num(0)] * (len(x) - n)
+    b = T.b
+    if all(isinstance(v, (int, Fraction)) for v in x) and all(isinstance(v, Fraction) for v in b):
+        q = x[n] / b[n]  # a Fraction: b[n] is one
+        return [x[i] - q * b[i] for i in range(n)] + [Fraction(0)] * (len(x) - n)
+    q = float(x[n]) / float(b[n])
+    return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ class IoError(OSError):
 
 
 def rational_text(x: Fraction) -> str:
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -33,7 +32,10 @@ def _float_text(x: float) -> str:
 
 
 def _escape(s: str) -> str:
-    """A JSON string literal in ASCII: non-ASCII characters become escapes."""
+    """A JSON string literal in ASCII: non-ASCII characters become escapes.
+    Printable ASCII with no quote or backslash needs none."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
     return json.dumps(s)
 
 

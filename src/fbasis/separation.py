@@ -205,9 +205,6 @@ class RankOneOp:
     norm: float
     anchor: int
 
-    def to_row(self):
-        return {"n": self.index, "norm": self.norm, "anchor": self.anchor}
-
 
 def lift_functionals_to_operators(
     a: ScalarSeq, anchor: int, count: int

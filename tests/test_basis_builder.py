@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbasis import (
     BasisVector,
@@ -30,6 +31,7 @@ from fbasis import basis_builder
 from fbasis.lp_operators import TailOp
 from fbasis.sequences import DomainError
 
+import biorth_oracle
 from conftest import random_target_seq
 
 HARMONIC = PowerLog(1, Fraction(-1))
@@ -209,3 +211,65 @@ class TestConvergenceDemo:
         sys = build_basis(a, l1(64), Summable(HARMONIC), n_max=8)
         rep = convergence_demo(sys, PowerTail(Fraction(2)), under=Frechet())
         assert rep.verdict.kind == "converges"
+
+
+@st.composite
+def built_systems(draw):
+    """Exact l1 and l2 systems, float lp systems, and irrational targets whose
+    l1/l2 stages leave the rationals, at n_max 2 .. 40."""
+    space = draw(st.sampled_from([l1(64), l2(64), lp(Fraction(3, 2), 64), lp(Fraction(4), 64)]))
+    n_max = draw(st.integers(2, 40))
+    c = Fraction(draw(st.integers(3, 12)), 2)
+    if draw(st.booleans()):
+        head = tuple(Fraction(draw(st.integers(3, 12)), 2)
+                     for _ in range(draw(st.integers(0, 3))))
+        a = ExplicitPrefix(head, Constant(c)) if head else Constant(c)
+        return build_basis(a, space, Frechet(), n_max=n_max)
+    return build_basis(PowerLog(c, Fraction(1, 4)), space, Summable(HARMONIC), n_max=n_max)
+
+
+def _without_defect(T, x):  # drops the q * b_i term
+    n = T.stage
+    return [Fraction(v) for v in x[:n]] + [Fraction(0)] * (len(x) - n)
+
+
+def _shifted_coefficient(T, x):  # pairs coordinate i with b_{i+1}
+    n = T.stage
+    q = Fraction(x[n]) / T.b[n]
+    return [x[i] - q * T.b[i + 1] for i in range(n)] + [Fraction(0)] * (len(x) - n)
+
+
+def _leaks_past_stage(T, x):  # a nonzero coordinate n + 1, which T sends to 0
+    out = apply(T, x)
+    out[T.stage] = Fraction(1)
+    return out
+
+
+class TestBiorthogonalityOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(built_systems())
+    def test_matches_the_recomputing_loop(self, sys):
+        rep = verify_biorthogonality(sys)
+        assert rep == biorth_oracle.verify_biorthogonality(sys)
+        assert rep.ok and rep.max_error == 0.0
+
+    @pytest.mark.parametrize("corrupted",
+                             [_without_defect, _shifted_coefficient, _leaks_past_stage])
+    @settings(max_examples=15, deadline=None)
+    @given(sys=built_systems())
+    def test_corrupted_apply_gives_the_oracle_error(self, corrupted, sys):
+        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis_builder, "apply", corrupted)
+            rep = verify_biorthogonality(sys)
+        assert rep == want
+        assert rep.ok is False and rep.max_error > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(built_systems())
+    def test_vanishing_verdicts_are_the_demo_verdicts(self, sys):
+        rep = defect_report(sys)
+        family = basis_builder.default_test_family(sys.space)
+        assert rep.vanishing == tuple(
+            (x.to_text(), convergence_demo(sys, x).verdict.kind) for x in family
+        )

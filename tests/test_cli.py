@@ -494,3 +494,22 @@ def test_underflowing_greedy_product_reaches_the_horizon(capsys, argv, want):
     assert code == want
     assert "only 0 greedy blocks complete below the horizon" in get_json(out)["detail"]
     assert capsys.readouterr().err == ""
+
+
+# 10**400 has no float; a target there is a usage error, not a traceback
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-basis", "--seq", f"pow({_HUGE},1)", "--space", "l1", "--filter", "frechet",
+     "--n-max", "3"],
+    ["demo-convergence", "--seq", f"const({_HUGE})", "--space", "l1", "--filter", "frechet",
+     "--n-max", "3", "--vector", "e(1)"],
+])
+def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv):
+    code, out = run(argv)
+    assert code == EXIT_USAGE
+    doc = get_json(out)
+    assert doc["error"] == "usage"
+    assert doc["detail"] == "target norm at stage 1 lies beyond the float range"
+    assert capsys.readouterr().err == ""

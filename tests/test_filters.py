@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from fbasis import (
     f_limit_scalar,
     trace_filter,
 )
+from fbasis.cli import load_config, run_command
 from fbasis.filters import FilterConstructionError, not_negligible, witness_library
 
 from conftest import random_set_expr
@@ -200,3 +204,91 @@ class TestTrace:
         F = Summable(HARMONIC)
         assert not_negligible(Residue(2, 0), F) is True
         assert not_negligible(GEOM2, F) is False
+
+
+# Reports for nested trace filters at depths 1 to 8 (classify-set, dominates
+# and check-admissible), recorded when each trace level still classified
+# against its base twice; folding the traces must keep every byte.
+NESTED_TRACE_REPORTS = [
+    (["dominates", "--filter", "trace(summable(const(1/2)); residue(5,2))", "--filter2", "trace(statistical; residue(2,1))"],
+     1, "eef7449bf80607f9098700b90ce8ffdd5f6c680a704097e276b9b5f9e8baab29"),
+    (["dominates", "--filter", "frechet", "--filter2", "trace(frechet; cofinite{1,2})"],
+     2, "dbfce530c0e7aa2c360fe72e8b4108da7f8506d4bf4fd2aafa4e16d92ad0e9f8"),
+    (["classify-set", "--set", "!residue(2,0)", "--filter", "trace(frechet; residue(2,0))"],
+     0, "dda6899e1342efe33f3bf10bb2f69ea615a2751e1bfb2c258c8eefa7545b2c4b"),
+    (["check-admissible", "--seq", "pow(1,2)", "--filter", "trace(trace(frechet; residue(2,0)); residue(3,1))", "--p", "3/2"],
+     1, "fb5c2ff8ee554ba09af504bfaa5d9e1ab620a28615ab8afaeabcbfdf1228fe61"),
+    (["classify-set", "--set", "residue(4,2)", "--filter", "trace(trace(summable(const(1/2)); range(5,)); range(5,))"],
+     0, "0a960c6c855b589af9909da233cca98a026931cbf4e84e7f123316c5ca8a2439"),
+    (["dominates", "--filter", "trace(statistical; range(5,))", "--filter2", "trace(trace(summable(const(1/2)); range(5,)); residue(5,2))"],
+     2, "09c12cace003cd4a40a7d573e19f232154af51b29596a25e8d2657ae80d2686a"),
+    (["check-admissible", "--seq", "pow(2,1)", "--filter", "trace(trace(trace(statistical; residue(2,0)); range(5,)); residue(2,0))", "--p", "1"],
+     0, "e32057cab1dddf26c1b790d9a5038dc371ed540b5c64ef228041b28a6f003d1b"),
+    (["dominates", "--filter", "trace(trace(trace(summable(const(1/2)); residue(2,1)); residue(2,0)); residue(2,1))", "--filter2", "statistical"],
+     65, "b354b61a9b3e2908b0282e7ab6034bfae045c89cfdd568a5325d78731b2affb4"),
+    (["dominates", "--filter", "statistical", "--filter2", "trace(trace(trace(statistical; !finite{3,4}); residue(3,1)); residue(3,1))"],
+     1, "461897cfccc6566407056cc99e265731d85f8ebe1f4f53a62cca96859b725e42"),
+    (["classify-set", "--set", "residue(2,0)", "--filter", "trace(trace(trace(trace(summable(const(1/2)); residue(3,1)); residue(5,2)); range(5,)); residue(5,2))"],
+     0, "32912a3c39bf6f1305ace977afab23a8e8294c8ae2c48a0d05d89ad7eb3755ce"),
+    (["dominates", "--filter", "summable(const(1/2))", "--filter2", "trace(trace(trace(trace(statistical; residue(3,1)); range(5,)); range(5,)); residue(2,0))"],
+     1, "9c1eca346ecd7e95b9bea5fb490d950b8403397dbea89f19f1b95eae5b007137"),
+    (["dominates", "--filter", "trace(trace(trace(trace(summable(const(1/2)); range(5,)); !finite{3,4}); residue(2,1)); !finite{3,4})", "--filter2", "summable(pow(1,-1))"],
+     2, "8ef8c9c5dbbf9aa545e2e36a3bd623c2c1e2c379bae3f5d5b06d4c7e71c739dc"),
+    (["dominates", "--filter", "trace(trace(trace(trace(trace(summable(pow(1,-1)); cofinite{1,2}); residue(3,1)); residue(3,1)); !geom(2)); residue(3,1))", "--filter2", "summable(const(1/2))"],
+     2, "135f7143936e96462146369e5a70b714427ee22c29ff07d8f9397881feb30377"),
+    (["check-admissible", "--seq", "pow(1,1/2)", "--filter", "trace(trace(trace(trace(trace(summable(pow(1,-1)); residue(3,1)); residue(2,0)); !finite{3,4}); residue(2,0)); range(5,))", "--p", "3/2"],
+     0, "66738a8ffd677f61359fcece661445564a694cdc90e9d50c5d7c011fdf8fd77e"),
+    (["dominates", "--filter", "frechet", "--filter2", "trace(trace(trace(trace(trace(statistical; !geom(2)); cofinite{1,2}); residue(5,2)); residue(5,2)); cofinite{1,2})"],
+     1, "b79c676085fc2e8ce23fdfeddff408c2895d3680e6ac87d69269a70a445660ca"),
+    (["check-admissible", "--seq", "pow(2,1)", "--filter", "trace(trace(trace(trace(trace(trace(summable(const(1/2)); residue(4,0) | geom(3)); !finite{3,4}); !geom(2)); range(5,)); residue(3,1)); residue(2,0))", "--p", "3/2"],
+     65, "b42b6dc7940998cf8108cd09021ede89d88b18fde0aefaa770b32f7f3ca208be"),
+    (["dominates", "--filter", "trace(trace(trace(trace(trace(trace(statistical; !geom(2)); !geom(2)); residue(2,1)); residue(3,1)); residue(3,1)); !finite{3,4})", "--filter2", "statistical"],
+     2, "c5e06c94c094ea24e8274179c98ff4db1cceda639b5f48aab718c3d6726e79bb"),
+    (["dominates", "--filter", "trace(statistical; residue(3,1))", "--filter2", "trace(trace(trace(trace(trace(trace(summable(pow(1,-1)); residue(2,1)); residue(5,2)); cofinite{1,2}); !finite{3,4}); range(5,)); residue(3,1))"],
+     1, "12826ec8f490494c7125180aed0e385045b7bd0901553f9461954dea6c620a92"),
+    (["classify-set", "--set", "residue(4,2)", "--filter", "trace(trace(trace(trace(trace(trace(trace(statistical; !finite{3,4}); residue(2,0)); residue(2,0)); residue(5,2)); residue(2,1)); residue(2,0)); residue(4,0) | geom(3))"],
+     65, "a52db1841c5b15e0f799932425c1298e108512016abed786382286daf767052e"),
+    (["dominates", "--filter", "statistical", "--filter2", "trace(trace(trace(trace(trace(trace(trace(frechet; residue(5,2)); !finite{3,4}); cofinite{1,2}); residue(2,0)); residue(5,2)); residue(2,0)); !finite{3,4})"],
+     1, "11bc1a1f164190c85caad5c63adc7ece31ec19a04b0ceab3903fb763793059c9"),
+    (["check-admissible", "--seq", "pow(2,1)", "--filter", "trace(trace(trace(trace(trace(trace(trace(summable(const(1/2)); !geom(2)); !finite{3,4}); !geom(2)); residue(2,1)); cofinite{1,2}); residue(3,1)); !finite{3,4})", "--p", "1"],
+     2, "15f25ea686b31899ac51671f668ac91af07801ecb6032795adb3309f4871a9dc"),
+    (["classify-set", "--set", "geom(2)", "--filter", "trace(trace(trace(trace(trace(trace(trace(trace(statistical; residue(3,1)); residue(2,0)); residue(2,0)); residue(3,1)); !finite{3,4}); cofinite{1,2}); residue(2,0)); range(5,))"],
+     0, "fadbbcb9f7059830d2c0d0ccc029d518b9252fb90073510040e1401e89d01abb"),
+    (["check-admissible", "--seq", "pow(1,2)", "--filter", "trace(trace(trace(trace(trace(trace(trace(trace(summable(pow(1,-1)); residue(2,0)); residue(2,1)); !geom(2)); !geom(2)); !geom(2)); !geom(2)); residue(5,2)); residue(3,1))", "--p", "2"],
+     65, "b2de12b61df997f8ad854ba16964a25cfc5fa950fe755d59d34b1d223ff2a5e1"),
+    (["dominates", "--filter", "trace(trace(trace(trace(trace(trace(trace(trace(summable(const(1/2)); !finite{3,4}); cofinite{1,2}); residue(5,2)); !finite{3,4}); cofinite{1,2}); range(5,)); residue(2,1)); !finite{3,4})", "--filter2", "trace(statistical; !geom(2))"],
+     2, "249cd14cac6cf082cea1b4e32b1039048f44e784a4818bb6214a4c4bdc5fa717"),
+]
+
+
+def _nest(base: str, index_set: str, depth: int) -> str:
+    text = base
+    for _ in range(depth):
+        text = f"trace({text}; {index_set})"
+    return text
+
+
+class TestNestedTraces:
+    @pytest.mark.parametrize("argv,code,digest", NESTED_TRACE_REPORTS)
+    def test_reports_match_the_unfolded_classification(self, argv, code, digest):
+        got_code, payload = run_command(load_config(argv))
+        assert (got_code, hashlib.sha256(payload).hexdigest()) == (code, digest)
+
+    @pytest.mark.parametrize("depth", [16, 100])
+    def test_deep_nesting_answers_in_linear_time(self, depth):
+        filt = _nest("frechet", "residue(2,0)", depth)
+        start = time.perf_counter()
+        code, payload = run_command(load_config(["classify-set", "--set", "residue(6,0)",
+                                                 "--filter", filt]))
+        dominated = run_command(load_config(["dominates", "--filter", filt,
+                                             "--filter2", "statistical"]))
+        assert time.perf_counter() - start < 1.0
+        assert (code, json.loads(payload)["class"]) == (0, "stationary")
+        assert dominated[0] == 2
+
+    def test_trace_of_trace_is_the_trace_on_the_intersection(self):
+        nested = trace_filter(trace_filter(Statistical(), Residue(2, 0)), Residue(3, 0))
+        folded = trace_filter(Statistical(), Intersection((Residue(2, 0), Residue(3, 0))))
+        for A in (Residue(6, 0), Residue(6, 3), Residue(12, 0), Complement(Residue(6, 0)),
+                  Union((Residue(6, 0), Residue(5, 1))), Finite((6, 12))):
+            assert classify_set(A, nested) == classify_set(A, folded), A.to_text()

@@ -1,0 +1,75 @@
+"""Every report byte of the README commands and of a spread of constructions,
+pinned as (exit code, sha256 of the report).
+
+A change that is meant to leave the output alone (a speed-up, a refactor)
+must keep these hashes.  A change that alters a report on purpose updates
+the hash here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from fbasis.cli import load_config, run_command
+
+README = [
+    (["check-admissible", "--seq", "pow(1,0.5)", "--filter", "statistical", "--p", "2"],
+     0, "61021f89f2c685ce2d24eca6f2f3c12bde301328c3b93f4232a13bb148553b2c"),
+    (["build-basis", "--seq", "const(2)", "--space", "l1",
+      "--filter", "summable(const(0.5))", "--n-max", "8"],
+     0, "e42578099f3b078d8313557777f8d91fb308c415de2ac74fdc80329e200c8ca3"),
+    (["build-basis", "--a-squared", "const(2)", "--space", "l2", "--filter", "frechet",
+      "--n-max", "8"],
+     0, "ec94fbfd721182aff5d613965c398661c0841c25411b6f9b462d5a0fb572512b"),
+    (["witness", "--seq", "pow(1,2)", "--weights", "pow(1,-1)", "--p", "1"],
+     1, "68780d995bcce6dbd49a3fb25263d7f0bb437c75e2d6dceb9d08ae2b034de562"),
+    (["separate", "--seq", "pow(1,2)", "--dual", "linf", "--margin", "0.1"],
+     0, "adf3d41be5390158bc952ef67a5f56e5a2a10dd0a6540e7bb9b71941d8cac4e4"),
+    (["classify-set", "--set", "residue(2,0)", "--filter", "statistical"],
+     0, "f17ee54bd00b78ad745d5e06cc1f2f131cbe3f63af3fec55e80bee1be74ce7ac"),
+    (["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
+      "--filter", "summable(pow(1,-1))", "--n-max", "10",
+      "--vector", "spike(shift(geom(2),1); powlog(1,0,-2))", "--under", "frechet"],
+     0, "2e0182e3817ba2387fda93493bfc4636391d16178b71dd03f3e0417b458b4d93"),
+    (["dominates", "--filter", "frechet", "--filter2", "statistical"],
+     1, "8c6379b704a95c00dc295e42425f5ef6dcd4c695cf9f722da212713c35320fc6"),
+    (["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", "powtail(2); e(1)",
+      "--grid", "10,100,1000", "--format", "csv"],
+     0, "7fc4b416733e79119f232c757e6aa39f3f37c5416ebf6609ddb77345acf2b218"),
+]
+
+# exact l1 and l2 at n_max 44 and 240, with and without an explicit head;
+# float stages in lp(5/4) and lp(4); irrational pow(c,1/4) targets in l1 and l2
+CONSTRUCT = [
+    (["build-basis", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
+      "--n-max", "44"],
+     0, "320d4fb003ad78686ef1058de9c4321c21b9ac01e5f95fb1d859be3ca7f9e79a"),
+    (["build-basis", "--seq", "prefix[3,5/2]:const(7/2)", "--space", "l1",
+      "--filter", "statistical", "--n-max", "240"],
+     0, "2a79d906a45c6b189d9fe9ea3a593fffee701c12a75f3500d5efca2a52d3a7b2"),
+    (["build-basis", "--a-squared", "prefix[4,9/4]:const(5/2)", "--space", "l2",
+      "--filter", "frechet", "--n-max", "44"],
+     0, "b2dd309395f1d9fb5e6505a5ba4f1f21d281c3451aa70f2492a4bc7bf6693994"),
+    (["build-basis", "--a-squared", "const(3)", "--space", "l2",
+      "--filter", "summable(pow(1,-1))", "--n-max", "240"],
+     0, "8cd39af1ac9b014674f0ca1b184f61c3c33b371c1f18b6153f92769def5c189c"),
+    (["build-basis", "--seq", "prefix[2]:const(3)", "--space", "lp(5/4)",
+      "--filter", "frechet", "--n-max", "15"],
+     0, "ab28d9c90c68fc28dc7ac715719eccb2e4929459404f2b16e1308a9f1ed1f690"),
+    (["build-basis", "--seq", "const(5/2)", "--space", "lp(4)", "--filter", "statistical",
+      "--n-max", "11"],
+     0, "568178416e5fef0035477d1d3d026a641d8bccb0b18a312910486afca051bbca"),
+    (["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
+      "--filter", "summable(pow(1,-1))", "--n-max", "12"],
+     0, "e9b69748db04a521b4607b48c2c82d641f62d80441ac0e1141cbecbeb4b38027"),
+    (["build-basis", "--seq", "pow(3,1/4)", "--space", "l2",
+      "--filter", "summable(pow(1,-1))", "--n-max", "9"],
+     0, "bd743cc0de6a84b54f0ab96088b2c2bb4b62f4ab4f2dc2b0d1cf59e11a56678f"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_report_bytes_pinned(argv, code, digest):
+    got_code, payload = run_command(load_config(argv))
+    assert (got_code, hashlib.sha256(payload).hexdigest()) == (code, digest)

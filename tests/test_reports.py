@@ -39,3 +39,10 @@ _documents = st.recursive(
 def test_documents_render_as_indented_json(doc):
     # lists of ints take a joined fast path; json.dumps is the independent layout
     assert to_json_bytes(doc) == (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7f)))
+def test_escape_is_json_dumps(s):
+    # the quoted fast path for printable ASCII must give json.dumps's bytes
+    assert _escape(s) == json.dumps(s)
