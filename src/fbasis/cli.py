@@ -447,8 +447,8 @@ def _cmd_dominates(cfg: RunConfig):
 
 def _cmd_profile_lemma1(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
-    vec_texts = [t for t in _require(cfg, "vectors").split(";") if t.strip()]
-    xs = [parse_test_vector(t) for t in vec_texts]
+    xs = [parse_test_vector(t) for t in _top_level_split(_require(cfg, "vectors"))
+          if t.strip()]
     grid = [_numeric(t, int, "grid") for t in _require(cfg, "grid").split(",")]
     rows = separation.lemma1_profile(seq, xs, grid)
     doc = {
@@ -465,6 +465,22 @@ def _cmd_profile_lemma1(cfg: RunConfig):
         ),
     }
     return EXIT_OK, doc
+
+
+def _top_level_split(text: str) -> list[str]:
+    """``text`` cut at each ``;`` outside brackets: the one inside
+    ``spike(SET; SEQ)`` or ``sampled{...;h}`` belongs to its vector."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 # Each subcommand's handler and the options it reads.  A subcommand accepts

@@ -65,9 +65,6 @@ class FilterSpec:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def __str__(self) -> str:  # pragma: no cover
-        return self.to_text()
-
 
 @dataclass(frozen=True)
 class Frechet(FilterSpec):
@@ -156,13 +153,10 @@ def _classify_statistical(A: SetExpr) -> SetClass:
         if d.value == 1:
             return SetClass.MEMBER
         return SetClass.STATIONARY
-    if d.kind == "bounds":
-        if d.upper == 0:
-            return SetClass.NEGLIGIBLE
-        if d.lower == 1:
-            return SetClass.MEMBER
-        if d.lower > 0 and d.upper < 1:
-            return SetClass.STATIONARY
+    # equal bounds come back exact, so bounds never have upper 0 or lower 1;
+    # between 0 and 1, the set and its complement both keep density
+    if d.kind == "bounds" and d.lower > 0 and d.upper < 1:
+        return SetClass.STATIONARY
     return SetClass.INCONCLUSIVE
 
 
@@ -224,17 +218,12 @@ def not_negligible(A: SetExpr, F: FilterSpec) -> Optional[bool]:
         return True
     if cls == SetClass.NEGLIGIBLE:
         return False
-    if isinstance(F, Summable):
-        v = weight_sum(A, F.weights)
-        if v.kind == "diverges":
-            return True
-        if v.kind == "converges":
-            return False
-    if isinstance(F, Frechet):
-        if is_certainly_infinite(A):
-            return True
-        if is_certainly_finite(A):
-            return False
+    # past an inconclusive class, only the wide-sense half is left to decide:
+    # a convergent sum or a certainly finite set would have been negligible
+    if isinstance(F, Summable) and weight_sum(A, F.weights).kind == "diverges":
+        return True
+    if isinstance(F, Frechet) and is_certainly_infinite(A):
+        return True
     return None
 
 

@@ -47,15 +47,6 @@ class SetExpr:
 
     __slots__ = ()
 
-    def __or__(self, other: "SetExpr") -> "SetExpr":
-        return Union((self, other))
-
-    def __and__(self, other: "SetExpr") -> "SetExpr":
-        return Intersection((self, other))
-
-    def __invert__(self) -> "SetExpr":
-        return Complement(self)
-
     # Subclasses added outside this module (witness sets) override the
     # hooks below; the core atoms are dispatched explicitly.
 
@@ -76,9 +67,6 @@ class SetExpr:
 
     def to_text(self) -> str:
         raise NotImplementedError
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.to_text()
 
 
 def _check_sorted(values: tuple, label: str) -> None:
@@ -828,6 +816,12 @@ def set_equal(a: SetExpr, b: SetExpr, check_horizon: int = 10 ** 4) -> bool:
     try:
         if not np.array_equal(ca.mask(check_horizon), cb.mask(check_horizon)):
             return False
+        return all(_same_desc(x, y) for x, y in zip(ca.desc_pair(), cb.desc_pair()))
     except HorizonExceeded:
         return False
-    return ca.desc_pair() == cb.desc_pair()
+
+
+def _same_desc(a: _Desc, b: _Desc) -> bool:
+    """Equal descriptions, residues compared over a common modulus."""
+    m = _ep_lcm(a.ep, b.ep)
+    return (a.ep.lift(m), a.plus, a.minus) == (b.ep.lift(m), b.plus, b.minus)

@@ -279,9 +279,5 @@ def _dual_norming(y: np.ndarray, p: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if p == 1:
         return np.sign(y)
-    ny = lp_norm(y, p)
-    if ny == 0:
-        out = np.zeros_like(y)
-        out[0] = 1.0
-        return out
-    return np.sign(y) * (np.abs(y) / ny) ** (p - 1.0)
+    # y = T x for a norming x, so ||y||_p = ||T|| >= 1
+    return np.sign(y) * (np.abs(y) / lp_norm(y, p)) ** (p - 1.0)

@@ -127,9 +127,6 @@ class ScalarSeq:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def __str__(self) -> str:  # pragma: no cover
-        return self.to_text()
-
 
 @dataclass(frozen=True)
 class Constant(ScalarSeq):
@@ -280,9 +277,6 @@ def eval_vector(a, horizon: int) -> np.ndarray:
             m = s.mask(horizon)
             out[m] = eval_vector(seq, horizon)[m]
         return out
-    if isinstance(a, SpikeSeq):
-        out = eval_vector(a.amplitude, horizon)
-        return np.where(a.support.mask(horizon), out, 0.0)
     return np.array([float(a.value_at(int(k))) for k in range(1, horizon + 1)])
 
 
@@ -296,15 +290,6 @@ class SpikeSeq:
 
     support: SetExpr
     amplitude: ScalarSeq
-
-    def value_at(self, n: int) -> Optional[Number]:
-        v = member(n, self.support)
-        if v is None:
-            return None
-        return self.amplitude.value_at(n) if v else Fraction(0)
-
-    def to_text(self) -> str:
-        return f"spike({self.support.to_text()}; {self.amplitude.to_text()})"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +320,10 @@ class TailForm:
         starts join bit for bit into one evaluation from 1."""
         n = np.arange(start + 1, horizon + 1, dtype=float)
         out = n ** float(self.beta)
-        out *= float(self.c)
+        try:
+            out *= float(self.c)
+        except OverflowError:  # every value lies past the float range
+            out[:] = math.inf
         if self.gamma != 0:
             # in place: allocating fresh arrays this long costs more than the log
             n += 1

@@ -140,16 +140,10 @@ class _GeomElements:
         self.offset = offset
 
 
-def _token_elements(token) -> Optional[_GeomElements]:
-    if isinstance(token, GeometricIndex):
-        b = float(token.base)
-        # floor(b**(m+1)) / floor(b**m) >= b - 1/2 for elements >= 2
-        return _GeomElements(token.elements, max(1.5, b - 0.5))
+def _token_elements(token) -> _GeomElements:
+    """The elements of a geometric set, possibly shifted."""
     if isinstance(token, Shifted):
         inner = _token_elements(token.base)
-        if inner is None:
-            return None
-
         off = token.offset + inner.offset
 
         def gen(inner_gen=inner.elements, off=off):
@@ -158,10 +152,9 @@ def _token_elements(token) -> Optional[_GeomElements]:
                     yield e + off
 
         return _GeomElements(gen, inner.ratio_lower, off)
-    hook = getattr(token, "sparse_elements", None)
-    if hook is not None:
-        return hook()
-    return None
+    b = float(token.base)
+    # floor(b**(m+1)) / floor(b**m) >= b - 1/2 for elements >= 2
+    return _GeomElements(token.elements, max(1.5, b - 0.5))
 
 
 def _base_token(token):
@@ -177,23 +170,21 @@ def sparse_token_sum(token, form: TailForm) -> SumVerdict:
         v = hook(form)
         if v is not None:
             return v
-    elems = _token_elements(token)
-    if elems is None:
-        return SumVerdict.inconclusive(0.0, 0)
     alpha, g = -form.beta, -form.gamma
     if isinstance(_base_token(token), GeometricIndex):
         if geometric_rule_converges(alpha, g):
             exact = _exact_geometric_sum(token, form)
             if exact is not None:
                 return SumVerdict.converges(exact)
-            return _sparse_converging_bound(elems, form)
+            return _sparse_converging_bound(_token_elements(token), form)
         return SumVerdict.diverges()
     if alpha < 0 or (alpha == 0 and g <= 0):
         # terms eventually bounded away from zero along an infinite set
         return SumVerdict.diverges()
-    if not geometric_rule_converges(alpha, g):
-        return SumVerdict.inconclusive(0.0, 0)
-    return _sparse_converging_bound(elems, form)
+    # a threshold set (thresh) has no growth ratio to sum a tail with: its
+    # elements can be consecutive integers for as long as a(n)**p outruns
+    # 2**k * k**2
+    return SumVerdict.inconclusive(0.0, 0)
 
 
 def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
@@ -223,6 +214,8 @@ def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
 
 
 def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict:
+    """A bound from the growth ratio; the elements never run out, so the
+    scan ends in one of its returns (at the latest after 4000 terms)."""
     alpha = -float(form.beta)
     g = -float(form.gamma)
     # a positive shift dilutes the growth ratio; past e >= 4*offset the loss
@@ -256,7 +249,6 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
             tail = lead * (m ** (1.0 - g) / (g - 1.0) + m ** (-g))
             return SumVerdict.converges(_round_up(total + tail))
         total += float(form.value_at(e))
-    return SumVerdict.converges(_round_up(total))
 
 
 # ---------------------------------------------------------------------------

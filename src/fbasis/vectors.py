@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Union as TUnion
 
 from .natset import NATURALS, SetExpr, member
-from .sequences import Constant, PowerLog, ScalarSeq, seq_pow
+from .sequences import DomainError, PowerLog, ScalarSeq, seq_pow
 from .series import weight_sum
 
 
@@ -22,14 +22,6 @@ class BasisVector:
 
     def coordinate(self, n: int):
         return Fraction(1) if n == self.index else Fraction(0)
-
-    def support(self) -> SetExpr:
-        from .natset import Finite
-
-        return Finite((self.index,))
-
-    def amplitude(self) -> ScalarSeq:
-        return Constant(1)
 
     def norm_upper(self, p) -> Fraction:
         return Fraction(1)
@@ -65,7 +57,7 @@ class PowerTail:
     def norm_upper(self, p):
         v = weight_sum(NATURALS, seq_pow(self.amplitude(), Fraction(p)))
         if v.kind != "converges":
-            raise ValueError(f"the tail is not in the space at p={p}")
+            raise DomainError(f"the tail is not in the space at p={p}")
         b = float(v.bound)
         return b ** (1.0 / float(p))
 
@@ -103,7 +95,7 @@ class Spike:
     def norm_upper(self, p):
         v = weight_sum(self.support_set, seq_pow(self.amp, Fraction(p)))
         if v.kind != "converges":
-            raise ValueError(f"the spike is not in the space at p={p}")
+            raise DomainError(f"the spike has no certified norm at p={p}")
         b = float(v.bound)
         return b ** (1.0 / float(p))
 

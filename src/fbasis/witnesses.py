@@ -335,16 +335,20 @@ class SparseThresholdSet(SetExpr):
     def _advance(self, upto: int) -> None:
         st = self._state
         upto = min(upto, self.horizon)
+        pv = st["pvals"].upto(upto)
         while st["scan"] < upto:
-            lo = st["scan"] + 1
-            hi = min(upto, lo + _CHUNK - 1)
-            pv = st["pvals"].upto(hi)
-            for n in range(lo, hi + 1):
-                k = st["k"]
-                if pv[n - 1] >= 2.0 ** k * k * k:
-                    st["elements"].append(n)
-                    st["k"] += 1
-            st["scan"] = hi
+            # the next element is the first index past the scan that reaches
+            # the current threshold; one window at a time, so that each
+            # element costs at most one window of comparisons
+            k, lo = st["k"], st["scan"]
+            hi = min(upto, lo + _CHUNK)
+            hit = np.flatnonzero(pv[lo:hi] >= 2.0 ** k * k * k)
+            if hit.size:
+                st["scan"] = lo + int(hit[0]) + 1
+                st["elements"].append(st["scan"])
+                st["k"] += 1
+            else:
+                st["scan"] = hi
 
     def elements_up_to(self, limit: int) -> list[int]:
         self._advance(limit)
@@ -360,24 +364,6 @@ class SparseThresholdSet(SetExpr):
         for n in self.elements_up_to(min(horizon, self.horizon)):
             m[n - 1] = True
         return m
-
-    def sparse_elements(self):
-        from .series import _GeomElements
-
-        def gen():
-            limit = 4096
-            emitted = 0
-            while limit <= self.horizon:
-                elems = self.elements_up_to(limit)
-                for e in elems[emitted:]:
-                    yield e
-                emitted = len(elems)
-                limit *= 16
-            return
-
-        # thresholds double at every step, so for a power-family target the
-        # selected indices grow at least geometrically
-        return _GeomElements(gen, 1.2)
 
     def desc_pair(self):
         d = _Desc(_EP_EMPTY, frozenset({self}), frozenset())

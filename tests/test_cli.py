@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from fbasis import parse_scalar_seq, parse_set_expr, set_equal
+from fbasis import GeometricIndex, PowerLog, Spike, parse_scalar_seq, parse_set_expr, set_equal
 from fbasis.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -67,6 +68,20 @@ class TestExitCodes:
     def test_not_separable(self):
         code, out = run(["separate", "--seq", "const(2)", "--dual", "linf"])
         assert code == EXIT_REFUTED
+
+    @pytest.mark.parametrize("argv", [
+        ["build-basis"],
+        ["demo-convergence", "--vector", "e(1)"],
+    ])
+    def test_not_admissible(self, argv):
+        # sum of 1/(2 n**2) = pi**2/12 converges, so the whole line refutes
+        code, out = run(argv + ["--seq", "pow(2,2)", "--space", "l1", "--filter", "frechet",
+                                "--n-max", "5"])
+        assert code == EXIT_REFUTED
+        doc = get_json(out)
+        assert (doc["outcome"], doc["verdict"], doc["witness"]) == (
+            "not-admissible", "refuted", "cofinite{}")
+        assert doc["certificate"]["inverse_p_sum"]["bound"] >= math.pi ** 2 / 12
 
 
 class TestTruncation:
@@ -202,6 +217,54 @@ class TestReports:
         lines = out.decode().strip().splitlines()
         assert lines[0] == "n,A,B"
         assert len(lines) == 3
+
+    def test_demo_on_an_intersection_spike(self):
+        # x is 1/n on the powers of two: every exceptional set lies in geom(2),
+        # whose harmonic mass is finite
+        code, out = run(["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
+                         "--filter", "summable(pow(1,-1))", "--n-max", "10",
+                         "--vector", "spike(geom(2)&residue(2,0); pow(1,-1))"])
+        assert code == EXIT_OK
+        doc = get_json(out)
+        assert doc["verdict"]["kind"] == "converges"
+        assert {e["class"] for e in doc["epsilon_table"]} == {"negligible"}
+
+    def test_profile_splits_vectors_at_top_level_semicolons(self):
+        code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)",
+                         "--vectors", "spike(geom(2); pow(1,-1)); e(1);", "--grid", "10,100"])
+        assert code == EXIT_OK
+        doc = get_json(out)
+        assert doc["inputs"]["vectors"] == ["spike(geom(2); pow(1,-1))", "e(1)"]
+        # ||spike||_1 <= 1 (sum of 2**-k) and ||e(1)||_1 = 1, so B(n) = 2 / s_n
+        for n, average, bound in doc["rows"]:
+            s_n = math.fsum(m ** -0.5 for m in range(1, n + 1))
+            mass = 1 + math.fsum(2.0 ** -k for k in range(1, n.bit_length()))
+            assert average == pytest.approx(mass / s_n, rel=1e-12)
+            assert bound == pytest.approx(2 / s_n, rel=1e-12)
+
+    def test_profile_reports_scaled_tails(self):
+        code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)",
+                         "--vectors", "powtail(2,3); powtail(3/2,1/2)", "--grid", "10"])
+        assert code == EXIT_OK
+        assert get_json(out)["inputs"]["vectors"] == ["powtail(2,3)", "powtail(3/2,1/2)"]
+
+    @pytest.mark.parametrize("vector,detail", [
+        ("powtail(1/2)", "the tail is not in the space at p=1"),
+        # known only up to 10, so no norm bound: the ';' in braces is its own
+        ("e(2); spike(sampled{2,4;10}; const(1))", "the spike has no certified norm at p=1"),
+    ])
+    def test_profile_vector_without_a_norm_bound(self, capsys, vector, detail):
+        code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", vector,
+                         "--grid", "10"])
+        assert code == EXIT_USAGE
+        assert get_json(out)["detail"] == detail
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_spike_norm_bound_covers_the_partial_sum(self, p):
+        x = Spike(GeometricIndex(Fraction(2)), PowerLog(1, Fraction(-1)))
+        partial = math.fsum(2.0 ** (-k * p) for k in range(1, 20))  # 2**k <= 10**6
+        assert x.norm_upper(p) >= partial ** (1 / p)
 
     def test_round_trip_texts(self):
         code, out = run(
@@ -498,6 +561,40 @@ def test_underflowing_greedy_product_reaches_the_horizon(capsys, argv, want):
 
 # 10**400 has no float; a target there is a usage error, not a traceback
 _HUGE = "1" + "0" * 400
+_LARGE = "1" + "0" * 200  # a float, whose square is not
+
+
+@pytest.mark.parametrize("c", [_HUGE, _LARGE], ids=["c", "c**p"])
+def test_greedy_witness_past_the_float_range(capsys, c):
+    """a(n)**p past the float range passes every block threshold, as
+    10**200 n**2 does below the horizon: the same blocks."""
+    code, out = run(["witness", "--seq", f"pow({c},1)", "--weights", "pow(1,-1)", "--p", "2"])
+    assert code == EXIT_REFUTED
+    doc = get_json(out)
+    code, ref = run(["witness", "--seq", f"pow(1{'0' * 100},1)", "--weights", "pow(1,-1)",
+                     "--p", "2"])
+    assert doc["blocks"] == get_json(ref)["blocks"]
+    assert doc["certificates"]["inverse_p_sum"] == {"kind": "converges", "bound": "2"}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["classify-set", "--set", f"greedy(pow({_HUGE},1); pow(1,-1); 2)", "--filter", "frechet"],
+     EXIT_INCONCLUSIVE),
+    (["check-admissible", "--seq", f"pow({_HUGE},1)", "--filter", "summable(pow(1,-1/2))",
+      "--p", "1"], EXIT_REFUTED),
+], ids=["classify-set", "check-admissible"])
+def test_greedy_sets_past_the_float_range_answer(capsys, argv, want):
+    code, out = run(argv)
+    assert code == want
+    doc = get_json(out)
+    if want == EXIT_REFUTED:
+        # a**p * s = 10**400 n**(1/2) is unbounded on a set of infinite mass
+        assert doc["witness"].startswith("greedy(")
+        assert doc["certificate"]["witness_filter_mass"] == {"kind": "diverges"}
+    else:
+        assert doc["class"] == "inconclusive"
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

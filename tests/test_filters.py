@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fbasis import (
     Complement,
     Constant,
+    ExplicitPrefix,
     Finite,
     Frechet,
     GeometricIndex,
@@ -16,6 +18,7 @@ from fbasis import (
     NotStationary,
     PowerLog,
     Residue,
+    Sampled,
     SetClass,
     SpikeSeq,
     Statistical,
@@ -132,6 +135,37 @@ class TestLimits:
         v = f_limit_scalar(Constant(2), Frechet(), 1)
         assert v.kind == "does-not-converge"
 
+    def test_limit_past_the_monotone_start(self):
+        """x(n) = ln(n+1)**30 / n rises until n ~ e**30 > 10**12, where no
+        exceptional set can be located, and falls to 0 after: the limit rule
+        alone settles it, for x and for x on a spike."""
+        x = PowerLog(1, Fraction(-1), Fraction(30))
+        # direct evaluation in logs: decreasing past e**30, below every
+        # scheduled epsilon (2**-20 the smallest) by n = 10**100
+        def log_x(n):
+            return 30 * math.log(math.log(n + 1)) - math.log(n)
+
+        assert log_x(10 ** 13) > log_x(10 ** 14) > log_x(10 ** 100)
+        assert log_x(10 ** 100) < -20 * math.log(2)
+        assert f_limit_scalar(x, Frechet(), 0).kind == "converges"
+        assert f_limit_scalar(SpikeSeq(GEOM2, x), Frechet(), 0).kind == "converges"
+
+    def test_undecided_exceptional_sets_leave_the_limit_open(self):
+        # off geom(2) the spike is 0, at distance 1 from the target; on it
+        # no crossing can be located
+        x = SpikeSeq(GEOM2, PowerLog(1, Fraction(-1), Fraction(30)))
+        v = f_limit_scalar(x, Frechet(), 1)
+        assert (v.kind, v.reason) == ("inconclusive", "some exceptional sets were undecidable")
+
+    def test_limit_through_the_wide_sense(self):
+        # 1 on the evens: off the target 0 on an infinite set
+        x = SpikeSeq(Union((Residue(2, 0), Sampled(frozenset({1}), 100))), Constant(1))
+        v = f_limit_scalar(x, Frechet(), 0)
+        assert (v.kind, v.epsilon) == ("does-not-converge", 1.0)
+        # 1 at index 1, and past 100 unknown
+        v = f_limit_scalar(SpikeSeq(Sampled(frozenset({1}), 100), Constant(1)), Frechet(), 0)
+        assert v.kind == "inconclusive"
+
     def test_stationary_set_semantics(self):
         # convergence under the filter passes to traces on stationary sets
         x = SpikeSeq(GEOM2, Constant(1))
@@ -149,6 +183,18 @@ class TestLimits:
         assert carried >= 1
 
 
+def test_density_bounds_classify_statistically():
+    """Past its horizon the sampled part is empty, so the set is residue(4,1)
+    up to finitely many indices: density 1/4, inside the bounds [1/4, 3/4]."""
+    s = Union((Intersection((Sampled(frozenset({1, 2}), 100), Residue(2, 0))), Residue(4, 1)))
+    assert classify_set(s, Statistical()) == SetClass.STATIONARY
+    tail = [n % 4 == 1 for n in range(101, 10 ** 5 + 1)]
+    assert abs(sum(tail) / len(tail) - 1 / 4) < 1e-3
+    # equal bounds are an exact density, never bounds
+    assert classify_set(Intersection((Sampled(frozenset({2}), 100), GEOM2)),
+                        Statistical()) == SetClass.NEGLIGIBLE
+
+
 class TestDominates:
     def test_frechet_bottom(self):
         assert dominates(Summable(HARMONIC), Frechet()).kind == "proved"
@@ -157,6 +203,18 @@ class TestDominates:
     def test_summable_comparison(self):
         v = dominates(Summable(HARMONIC), Summable(PowerLog(1, Fraction(-1, 2))))
         assert v.kind == "proved"
+
+    def test_summable_comparison_by_log_factor(self):
+        # 1/(n ln(n+1)) <= (1/ln 2) / n, so a set of finite harmonic mass has
+        # finite mass under the smaller weights
+        small = PowerLog(1, Fraction(-1), Fraction(-1))
+        ratios = [1 / math.log(n + 1) for n in range(1, 10 ** 4)]
+        assert max(ratios) == ratios[0] < 1.5
+        assert dominates(Summable(small), Summable(HARMONIC)).kind == "proved"
+        assert dominates(Summable(HARMONIC), Summable(small)).kind != "proved"
+        # equal tail forms: an explicit head changes no tail
+        head = ExplicitPrefix((Fraction(5),), HARMONIC)
+        assert dominates(Summable(head), Summable(HARMONIC)).kind == "proved"
 
     def test_frechet_does_not_dominate_statistical(self):
         v = dominates(Frechet(), Statistical())
@@ -204,6 +262,17 @@ class TestTrace:
         F = Summable(HARMONIC)
         assert not_negligible(Residue(2, 0), F) is True
         assert not_negligible(GEOM2, F) is False
+
+    def test_not_negligible_past_an_inconclusive_class(self):
+        # the evens are inside, the rest is known only up to 100: the class
+        # stays open, but the set is infinite with divergent harmonic mass
+        A = Union((Residue(2, 0), Sampled(frozenset({1}), 100)))
+        evens = [1 / n for n in range(2, 10 ** 6 + 1, 2)]
+        assert math.fsum(evens) > math.fsum(evens[:500]) + 3
+        for F in (Summable(HARMONIC), Frechet()):
+            assert classify_set(A, F) == SetClass.INCONCLUSIVE
+            assert not_negligible(A, F) is True
+        assert not_negligible(Sampled(frozenset({1}), 100), Frechet()) is None
 
 
 # Reports for nested trace filters at depths 1 to 8 (classify-set, dominates

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from fbasis import (
     canonicalize,
     enumerate_prefix,
     member,
+    Frechet,
+    SetClass,
+    Statistical,
+    classify_set,
     natural_density,
     parse_set_expr,
     set_equal,
@@ -70,6 +75,55 @@ class TestMembership:
         assert member(3, s) is True
         assert member(2, s) is False
         assert enumerate_prefix(s, 20) == [3, 5, 9, 17]
+
+    @pytest.mark.parametrize("text,want", [
+        ("geom(2)&residue(2,0)", lambda n: _is_power(n, 2)),
+        ("residue(3,0)&sampled{3,6,7;10}",
+         lambda n: False if n % 3 else (n in (3, 6) if n <= 10 else None)),
+    ])
+    def test_intersection_against_a_direct_test(self, text, want):
+        s = parse_set_expr(text)
+        assert [member(n, s) for n in range(1, 3000)] == [want(n) for n in range(1, 3000)]
+
+
+def _is_power(n: int, b: int) -> bool:
+    """n in geom(b) = {b, b**2, ...}, by repeated division."""
+    if n < b:
+        return False
+    while n % b == 0:
+        n //= b
+    return n == 1
+
+
+class TestShiftedDescriptions:
+    """A shifted set is described by shifting its base's description.  Each
+    answer is checked against a direct membership test counted up to N."""
+
+    N = 10 ** 5
+    CASES = [
+        ("shift(residue(3,1),2)", lambda n: n > 2 and (n - 2) % 3 == 1, Fraction(1, 3)),
+        ("shift(residue(4,1)|geom(2),-3)",
+         lambda n: (n + 3) % 4 == 1 or _is_power(n + 3, 2), Fraction(1, 4)),
+        ("shift(shift(geom(2),1),-1)", lambda n: _is_power(n, 2), Fraction(0)),
+        ("shift(!geom(3),5)", lambda n: n > 5 and not _is_power(n - 5, 3), Fraction(1)),
+    ]
+
+    @pytest.mark.parametrize("text,want,density", CASES)
+    def test_density_and_classes_match_a_count(self, text, want, density):
+        s = parse_set_expr(text)
+        members = [n for n in range(1, self.N + 1) if want(n)]
+        assert enumerate_prefix(s, self.N) == members
+        d = natural_density(s)
+        assert d.is_exact and d.value == density
+        assert abs(len(members) / self.N - float(density)) < 1e-3
+        # every case and its complement keep members past N
+        assert classify_set(s, Frechet()) == SetClass.STATIONARY
+        statistical = {0: SetClass.NEGLIGIBLE, 1: SetClass.MEMBER}.get(density, SetClass.STATIONARY)
+        assert classify_set(s, Statistical()) == statistical
+
+    def test_nested_shifts_collapse_to_the_base_token(self):
+        lo, hi = parse_set_expr("shift(shift(geom(2),1),-1)").desc_pair()
+        assert lo == hi == GEOM2.desc_pair()[0]
 
 
 class TestInvariants:
@@ -205,6 +259,16 @@ class TestWeightSum:
             if v.kind == "converges":
                 assert partial_sum(s, w, 10 ** 4) <= float(v.bound) + 1e-9
 
+    def test_sampled_sums_stop_at_the_sampled_horizon(self):
+        s = Sampled(frozenset({1, 2, 7}), 100)
+        on_set = weight_sum(s, HARMONIC)
+        assert (on_set.kind, on_set.horizon) == ("inconclusive", 100)
+        assert on_set.partial == pytest.approx(1 + 1 / 2 + 1 / 7, rel=1e-15)
+        off_set = weight_sum(Complement(s), HARMONIC)
+        assert (off_set.kind, off_set.horizon) == ("inconclusive", 100)
+        want = math.fsum(1 / n for n in range(1, 101) if n not in (1, 2, 7))
+        assert off_set.partial == pytest.approx(want, rel=1e-14)
+
     def test_finite_set_exact(self):
         v = weight_sum(Finite((1, 2, 4)), HARMONIC)
         assert v.kind == "converges"
@@ -250,6 +314,22 @@ class TestCanonicalize:
             c1 = canonicalize(s)
             assert canonicalize(c1) == c1
             assert set_equal(s, c1)
+
+    @pytest.mark.parametrize("a,b,want", [
+        (Residue(3, 0), Intersection((Range(3), Residue(3, 0))), True),
+        (Union((Residue(2, 0), Residue(2, 1))), NATURALS, True),
+        (Residue(2, 0), Union((Residue(4, 0), Residue(4, 2))), True),
+        (Residue(2, 0), Residue(4, 0), False),
+        # the same first 10**4 members, told apart by their descriptions
+        (Range(1, 20_000), NATURALS, False),
+        # membership past 100 is unknown, so equality is not shown
+        (Sampled(frozenset({1}), 100), Finite((1,)), False),
+    ])
+    def test_set_equal_on_different_canonical_forms(self, a, b, want):
+        assert canonicalize(a) != canonicalize(b)
+        same_prefix = all(member(n, a) == member(n, b) for n in range(1, 101))
+        assert set_equal(a, b) is want
+        assert same_prefix or not want
 
     def test_merges(self):
         assert canonicalize(Union((Finite((1,)), Finite((2,))))) == Finite((1, 2))

@@ -1,5 +1,5 @@
-"""Every report byte of the README commands and of a spread of constructions,
-pinned as (exit code, sha256 of the report).
+"""Every report byte of the README commands, of a spread of constructions and
+of two refused constructions, pinned as (exit code, sha256 of the report).
 
 A change that is meant to leave the output alone (a speed-up, a refactor)
 must keep these hashes.  A change that alters a report on purpose updates
@@ -67,8 +67,18 @@ CONSTRUCT = [
      0, "bd743cc0de6a84b54f0ab96088b2c2bb4b62f4ab4f2dc2b0d1cf59e11a56678f"),
 ]
 
+# a target whose inverse sum converges: no basis, and the refutation instead
+NOT_ADMISSIBLE = [
+    (["build-basis", "--seq", "pow(2,2)", "--space", "l1", "--filter", "frechet",
+      "--n-max", "5"],
+     1, "db8be2ef0aced68169f4959fbfff852069980dd84edcecc2a079846cff1c1d2b"),
+    (["demo-convergence", "--seq", "pow(2,2)", "--space", "l1", "--filter", "frechet",
+      "--n-max", "5", "--vector", "e(1)"],
+     1, "279e682e164c99035ac9c18c143e9dbae3033314c76bf313007735ce7275c18e"),
+]
 
-@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT,
+
+@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT + NOT_ADMISSIBLE,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_report_bytes_pinned(argv, code, digest):
     got_code, payload = run_command(load_config(argv))

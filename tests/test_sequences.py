@@ -31,6 +31,7 @@ from fbasis.sequences import (
     is_bounded,
     is_eventually_nondecreasing,
     seq_mul,
+    seq_scale,
     tail_form,
 )
 
@@ -112,6 +113,35 @@ class TestPiecewise:
         vec = eval_vector(p, 10 ** 4)
         for n in random.Random(0).sample(range(1, 10 ** 4 + 1), 200):
             assert float(eval_at(p, n)) == pytest.approx(float(vec[n - 1]))
+
+    # n on the evens, 3 on the odds; a head over it has no single tail form
+    EVENS_N = Piecewise(((Residue(2, 0), PowerLog(1, Fraction(1))), (Residue(2, 1), Constant(3))))
+
+    def test_head_over_a_piecewise_tail(self):
+        a = ExplicitPrefix((Fraction(7), Fraction(1, 2)), self.EVENS_N)
+        want = [7, 0.5] + [n if n % 2 == 0 else 3 for n in range(3, 101)]
+        assert eval_vector(a, 100).tolist() == want
+        assert tail_form(a) is None and threshold_ge(a, 1) is None
+
+    def test_scale_acts_piece_by_piece(self):
+        scaled = seq_scale(self.EVENS_N, Fraction(1, 3))
+        assert [eval_at(scaled, n) for n in range(1, 9)] == [
+            Fraction(n, 3) if n % 2 == 0 else 1 for n in range(1, 9)]
+
+    def test_threshold_per_piece(self):
+        got = threshold_ge(self.EVENS_N, 4)
+        assert all(member(n, got) == (n % 2 == 0 and n >= 4) for n in range(1, 2000))
+        assert threshold_ge(PowerLog(1, Fraction(-1)), 0) == NATURALS
+
+    def test_boundedness_per_piece(self):
+        # an unbounded piece on an infinite set makes the whole unbounded;
+        # on a finite set it is harmless
+        assert is_bounded(self.EVENS_N) is False
+        finite = Piecewise(((Finite((1, 2)), PowerLog(1, Fraction(1))),
+                            (Complement(Finite((1, 2))), Constant(3))))
+        assert is_bounded(finite) is True
+        assert max(float(eval_at(finite, n)) for n in range(1, 10 ** 4)) == 3
+        assert max(float(eval_at(self.EVENS_N, 2 * k)) for k in range(1, 10 ** 4)) > 10 ** 4
 
 
 class TestPredicates:

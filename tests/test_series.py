@@ -1,11 +1,22 @@
 """Soundness of the float bounds in ``series`` against the exact oracle."""
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbasis import NATURALS, Constant, ExplicitPrefix, PowerLog, weight_sum
+from fbasis import (
+    NATURALS,
+    Constant,
+    ExplicitPrefix,
+    PowerLog,
+    parse_scalar_seq,
+    parse_set_expr,
+    weight_sum,
+)
 from fbasis.sequences import TailForm, eval_vector, tail_form
 from fbasis.series import weight_prefix_upper
 
@@ -79,3 +90,94 @@ def test_head_entries_replace_family_values():
     w = ExplicitPrefix((Fraction(7), 0.25), PowerLog(1, Fraction(-2)))
     got = tail_form(w).vector(5)
     assert got.tolist() == [7.0, 0.25, 1 / 9, 1 / 16, 1 / 25]
+
+
+# Sums over sparse sets against direct partial sums up to 10**6.  A
+# `converges` bound must be at least the partial sum; any other verdict
+# claims nothing about it.
+_TOP = 10 ** 6
+
+
+def _terms(elements, c, beta, gamma=0):
+    return [c * n ** beta * math.log(n + 1) ** gamma for n in elements]
+
+
+@pytest.mark.parametrize("base,offset,beta", [
+    (3, 5, -0.25), (2, 1, -0.5), (2, -1, -1.0), (5, 2, -0.125),
+])
+def test_shifted_geometric_bound_covers_the_partial_sum(base, offset, beta):
+    s = parse_set_expr(f"shift(geom({base}),{offset})")
+    v = weight_sum(s, PowerLog(1, Fraction(beta)))
+    assert v.kind == "converges"
+    elements = [base ** m + offset for m in range(1, 40) if 1 <= base ** m + offset <= _TOP]
+    assert float(v.bound) >= math.fsum(_terms(elements, 1, beta))
+
+
+def _thresh_elements(c, beta, gamma, p):
+    """thresh(a; p) up to 10**6 for a nondecreasing a = c n**beta ln(n+1)**gamma:
+    the k-th element is the first index past the (k-1)-th where a(n)**p
+    reaches 2**k k**2, found by bisection in the values."""
+    n = np.arange(1, _TOP + 1, dtype=float)
+    values = (c * n ** beta * np.log(n + 1) ** gamma) ** p
+    out, k = [], 1
+    while True:
+        i = max(out[-1] if out else 0, int(np.searchsorted(values, 2.0 ** k * k * k)))
+        if i >= _TOP:
+            return out
+        out.append(i + 1)
+        k += 1
+
+
+@functools.cache
+def _thresh(c, beta, gamma, p):
+    """One parsed set per target, so its scan runs once for all weights."""
+    seq = f"powlog({c},{beta},{gamma})" if gamma else f"pow({c},{beta})"
+    return parse_set_expr(f"thresh({seq};{p})"), _thresh_elements(c, beta, gamma, p)
+
+
+_THRESH_TARGETS = [(1, 6, 0, 2), (1, 10, 0, 1), (1, 1, 2, 1), (2, 1, 0, 1.5)]
+_THRESH_WEIGHTS = [(1, -1, 0), (1, -0.5, 0), (1, 0, -2), (1, -2, 0), (1, -12, 0), (1, -1, -2)]
+
+
+@pytest.mark.parametrize("weight", _THRESH_WEIGHTS)
+@pytest.mark.parametrize("target", _THRESH_TARGETS)
+def test_thresh_bound_covers_the_partial_sum(target, weight):
+    s, elements = _thresh(*target)
+    assert s.mask(_TOP).nonzero()[0].tolist() == [e - 1 for e in elements]
+    c, beta, gamma = weight
+    w = PowerLog(c, Fraction(beta), Fraction(gamma))
+    v = weight_sum(s, w)
+    partial = math.fsum(_terms(elements, c, beta, gamma))
+    if v.kind == "converges":
+        assert float(v.bound) >= partial
+    else:
+        assert v.kind == "inconclusive"
+        assert v.partial == pytest.approx(partial, rel=1e-12)
+
+
+@pytest.mark.parametrize("target", _THRESH_TARGETS)
+def test_thresh_certifies_its_defining_sum(target):
+    """Sum of a**(-p) over thresh(a; p) is below sum 1/(2**k k**2) < 1, also
+    for a weight equal to a**(-p) only once both are rounded to floats."""
+    s, elements = _thresh(*target)
+    c, beta, gamma, p = target
+    inverse = (c ** -p, -beta * p, -gamma * p)
+    for coefficient in (inverse[0], Fraction(repr(inverse[0]))):
+        w = PowerLog(coefficient, Fraction(inverse[1]), Fraction(inverse[2]))
+        v = weight_sum(s, w)
+        assert v.kind == "converges" and v.bound == 1
+        assert math.fsum(_terms(elements, *inverse)) <= 1
+    assert weight_sum(s, Constant(1)).kind == "diverges"
+
+
+def test_piecewise_weights_sum_piece_by_piece():
+    w = parse_scalar_seq("piece{residue(2,0) => pow(1,-2); residue(2,1) => pow(3,-3/2)}")
+    v = weight_sum(NATURALS, w)
+    assert v.kind == "converges"
+    n = np.arange(1, _TOP + 1, dtype=float)
+    assert float(v.bound) >= math.fsum(np.where(n % 2 == 0, n ** -2, 3 * n ** -1.5).tolist())
+    # a divergent piece over a set known only up to 100 leaves the sum open
+    w = parse_scalar_seq("piece{residue(2,0) => pow(1,-1); residue(2,1) => pow(1,-2)}")
+    v = weight_sum(parse_set_expr("sampled{1,2,3;100}"), w)
+    assert (v.kind, v.horizon) == ("inconclusive", 100)
+    assert v.partial == pytest.approx(1 + 1 / 2 + 1 / 9, rel=1e-15)

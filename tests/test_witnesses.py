@@ -7,10 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbasis import Constant, ExplicitPrefix, Piecewise, PowerLog, Residue
+from fbasis import (
+    Constant,
+    ExplicitPrefix,
+    Frechet,
+    Piecewise,
+    PowerLog,
+    Residue,
+    SetClass,
+    classify_set,
+    member,
+    weight_sum,
+)
 from fbasis.natset import HorizonExceeded
 from fbasis.sequences import eval_vector, seq_pow
-from fbasis.witnesses import GreedyBlockSet, _ChunkedValues
+from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet, _ChunkedValues
 
 from greedy_oracle import greedy_scan
 
@@ -84,6 +95,42 @@ def test_membership_past_the_reported_blocks(a, s, p, horizon):
     every, open_block = greedy_scan(a, s, p, horizon, horizon)
     members = [n for blk in every for n in blk] + open_block
     assert (np.flatnonzero(g.mask(horizon)) + 1).tolist() == members
+
+
+def test_membership_questions_match_the_per_index_scan():
+    """member() scans on demand and knows nothing past the horizon; a sum the
+    blocks do not certify falls back to the members below the horizon."""
+    a, horizon = PowerLog(1, 2), 4096
+    g = GreedyBlockSet(a, HARMONIC, 1, horizon=horizon)
+    every, open_block = greedy_scan(a, HARMONIC, 1, horizon, horizon)
+    members = [n for blk in every for n in blk] + open_block
+    assert [n for n in range(1, horizon + 1) if member(n, g)] == members
+    assert member(horizon + 1, g) is None
+    assert classify_set(g, Frechet()) == SetClass.INCONCLUSIVE
+    count = weight_sum(g, Constant(1))
+    assert (count.kind, count.partial) == ("inconclusive", len(members))
+
+
+def test_coefficients_past_the_float_range_saturate():
+    """a(n)**p = 10**800 n**2 has no float; as +inf it passes every threshold,
+    as 10**200 n**2 does up to the horizon, so the blocks are those."""
+    huge = GreedyBlockSet(PowerLog(10 ** 400, 1), HARMONIC, 2)
+    large = _assert_matches_oracle(PowerLog(10 ** 100, 1), HARMONIC, Fraction(2), 20_000)
+    assert huge.materialized_blocks() == large.materialized_blocks()
+    assert huge.block_sums() == large.block_sums()
+    assert huge.prefix_inverse_sum() == 0.0
+
+
+def test_thresh_membership_matches_a_direct_scan():
+    # a(n)**p = n**4 reaches 2**k k**2 first at n = 2, 3, 4, 5, 7, ...
+    t = SparseThresholdSet(PowerLog(1, 2), 2, horizon=200)
+    want, k = [], 1
+    for n in range(1, 201):
+        if n ** 4 >= 2 ** k * k * k:
+            want.append(n)
+            k += 1
+    assert [n for n in range(1, 201) if member(n, t)] == want
+    assert member(201, t) is None
 
 
 def test_readme_witness_stops_after_its_blocks():
