@@ -34,6 +34,7 @@ from .parsing import (
     parse_scalar_seq,
     parse_set_expr,
     parse_test_vector,
+    parse_test_vectors,
 )
 from .reports import IoError, emit_report
 from .sequences import DomainError, tail_form
@@ -447,8 +448,7 @@ def _cmd_dominates(cfg: RunConfig):
 
 def _cmd_profile_lemma1(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
-    xs = [parse_test_vector(t) for t in _top_level_split(_require(cfg, "vectors"))
-          if t.strip()]
+    xs = parse_test_vectors(_require(cfg, "vectors"))
     grid = [_numeric(t, int, "grid") for t in _require(cfg, "grid").split(",")]
     rows = separation.lemma1_profile(seq, xs, grid)
     doc = {
@@ -465,22 +465,6 @@ def _cmd_profile_lemma1(cfg: RunConfig):
         ),
     }
     return EXIT_OK, doc
-
-
-def _top_level_split(text: str) -> list[str]:
-    """``text`` cut at each ``;`` outside brackets: the one inside
-    ``spike(SET; SEQ)`` or ``sampled{...;h}`` belongs to its vector."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
 
 
 # Each subcommand's handler and the options it reads.  A subcommand accepts

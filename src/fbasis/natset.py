@@ -283,6 +283,9 @@ class Sampled(SetExpr):
                 m[i - 1] = True
         return m
 
+    def known_up_to(self) -> int:
+        return self.horizon
+
     def desc_pair(self):
         return _DESC_EMPTY, _DESC_FULL
 

@@ -394,6 +394,27 @@ _VECTOR_ATOMS = ("e", "powtail", "spike")
 
 def parse_test_vector(text: str) -> TestVector:
     cur = _Cursor(text)
+    out = _vector(cur)
+    if not cur.done():
+        raise ParseError("trailing input", cur.pos, ("end of input",))
+    return out
+
+
+def parse_test_vectors(text: str) -> list[TestVector]:
+    """Test vectors separated by ``;``, empty entries skipped.  A ``;``
+    inside ``spike(SET; SEQ)`` belongs to its vector."""
+    cur = _Cursor(text)
+    out = []
+    while not cur.done():
+        if cur.take(";"):
+            continue
+        out.append(_vector(cur))
+        if not cur.done():
+            cur.expect(";")
+    return out
+
+
+def _vector(cur: _Cursor) -> TestVector:
     at = cur.pos
     word = cur.word()
     out = None
@@ -420,6 +441,4 @@ def parse_test_vector(text: str) -> TestVector:
         out = Spike(support, amp)
     if out is None:
         raise ParseError(f"unknown vector form {word!r}", at, _VECTOR_ATOMS)
-    if not cur.done():
-        raise ParseError("trailing input", cur.pos, ("end of input",))
     return out

@@ -319,17 +319,30 @@ class TailForm:
         entry depends on its index alone, so pieces evaluated with different
         starts join bit for bit into one evaluation from 1."""
         n = np.arange(start + 1, horizon + 1, dtype=float)
-        out = n ** float(self.beta)
         try:
-            out *= float(self.c)
-        except OverflowError:  # every value lies past the float range
-            out[:] = math.inf
-        if self.gamma != 0:
-            # in place: allocating fresh arrays this long costs more than the log
-            n += 1
-            np.log(n, out=n)
-            n **= float(self.gamma)
-            out *= n
+            c = float(self.c)
+        except OverflowError:
+            c = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = n ** float(self.beta)
+            out *= c
+            if self.gamma != 0:
+                # in place: allocating fresh arrays this long costs more than the log
+                n += 1
+                np.log(n, out=n)
+                n **= float(self.gamma)
+                out *= n
+            # a factor past the float range leaves inf or nan; such an entry
+            # is taken from its logarithm, +inf only if the value is past too
+            bad = np.flatnonzero(~np.isfinite(out))
+            if bad.size:
+                m = bad + (start + 1.0)
+                c = Fraction(self.c)
+                logs = float(self.beta) * np.log(m)
+                logs += math.log(c.numerator) - math.log(c.denominator)
+                if self.gamma != 0:
+                    logs += float(self.gamma) * np.log(np.log(m + 1))
+                out[bad] = np.exp(logs)
         for i, v in self.head:
             if start < i <= horizon:
                 out[i - 1 - start] = float(v)

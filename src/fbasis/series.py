@@ -342,9 +342,11 @@ def _numeric_fallback(s: SetExpr, w, horizon: int) -> SumVerdict:
     try:
         mask = s.mask(cap)
     except HorizonExceeded:
+        # sum up to where every atom is known
         for a in natset.iter_atoms(s):
-            if isinstance(a, natset.Sampled):
-                cap = min(cap, a.horizon)
+            known = getattr(a, "known_up_to", None)
+            if known is not None:
+                cap = min(cap, known())
         mask = s.mask(cap)
     vals = eval_vector(w, cap)
     partial = float(vals[mask].sum())

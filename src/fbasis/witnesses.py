@@ -328,21 +328,29 @@ class SparseThresholdSet(SetExpr):
                 "elements": [],
                 "scan": 0,
                 "k": 1,
+                "known": self.horizon,  # membership is decided up to here
                 "pvals": _ChunkedValues(seq_pow(self.target, self.exponent), self.horizon),
             },
         )
 
     def _advance(self, upto: int) -> None:
         st = self._state
-        upto = min(upto, self.horizon)
+        upto = min(upto, st["known"])
         pv = st["pvals"].upto(upto)
         while st["scan"] < upto:
             # the next element is the first index past the scan that reaches
             # the current threshold; one window at a time, so that each
             # element costs at most one window of comparisons
             k, lo = st["k"], st["scan"]
+            try:
+                bar = math.ldexp(k * k, k)  # 2**k * k**2, exactly
+            except OverflowError:
+                # a float value of +inf does not say whether a(n)**p reaches
+                # a threshold past the float range: the scan ends here
+                st["known"] = upto = lo
+                break
             hi = min(upto, lo + _CHUNK)
-            hit = np.flatnonzero(pv[lo:hi] >= 2.0 ** k * k * k)
+            hit = np.flatnonzero(pv[lo:hi] >= bar)
             if hit.size:
                 st["scan"] = lo + int(hit[0]) + 1
                 st["elements"].append(st["scan"])
@@ -350,19 +358,28 @@ class SparseThresholdSet(SetExpr):
             else:
                 st["scan"] = hi
 
-    def elements_up_to(self, limit: int) -> list[int]:
-        self._advance(limit)
-        return [n for n in self._state["elements"] if n <= limit]
+    def known_up_to(self) -> int:
+        """The index up to which membership is decided."""
+        self._advance(self.horizon)
+        return self._state["known"]
 
     def member_at(self, n):
-        if n > self.horizon:
+        self._advance(n)
+        if n > self._state["known"]:
             return None
-        return n in self.elements_up_to(n)
+        return n in self._state["elements"]
 
     def mask(self, horizon):
+        self._advance(horizon)
+        known = self._state["known"]
+        if known < min(horizon, self.horizon):
+            raise HorizonExceeded(
+                f"threshold set only known up to {known}, asked for {horizon}"
+            )
         m = np.zeros(horizon, dtype=bool)
-        for n in self.elements_up_to(min(horizon, self.horizon)):
-            m[n - 1] = True
+        for n in self._state["elements"]:
+            if n <= horizon:
+                m[n - 1] = True
         return m
 
     def desc_pair(self):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,13 @@ class TestReports:
             mass = 1 + math.fsum(2.0 ** -k for k in range(1, n.bit_length()))
             assert average == pytest.approx(mass / s_n, rel=1e-12)
             assert bound == pytest.approx(2 / s_n, rel=1e-12)
+
+    @pytest.mark.parametrize("vectors", ["e(1) e(2)", "spike(geom(2) pow(1,-1))"])
+    def test_profile_vector_list_needs_its_semicolons(self, vectors):
+        code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", vectors,
+                         "--grid", "10"])
+        assert code == EXIT_PARSE
+        assert "missing ';'" in get_json(out)["detail"]
 
     def test_profile_reports_scaled_tails(self):
         code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)",
@@ -575,6 +583,44 @@ def test_greedy_witness_past_the_float_range(capsys, c):
                      "--p", "2"])
     assert doc["blocks"] == get_json(ref)["blocks"]
     assert doc["certificates"]["inverse_p_sum"] == {"kind": "converges", "bound": "2"}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("gamma,blocks", [(400, 6), (380, 6), (360, 7)])
+def test_greedy_witness_with_a_huge_coefficient_and_falling_values(capsys, gamma, blocks):
+    """a(n) s(n) = 10**309 ln(n+1)**-gamma lies past the float range at the
+    first indices only; every block index has an exact value above its
+    block's 2**m, and the values fall short of the next block's."""
+    code, out = run(["witness", "--seq", f"powlog(1{'0' * 309},2,-{gamma})",
+                     "--weights", "pow(1,-1)", "--p", "1"])
+    assert code == EXIT_REFUTED
+    doc = get_json(out)
+    assert len(doc["blocks"]) == blocks
+    inverse = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for m, block in enumerate(doc["blocks"], 1):
+            for n in block:
+                a = Decimal(10) ** 309 * n * n / Decimal(n + 1).ln() ** gamma
+                assert a / n > 2 ** m
+                inverse.append(float(1 / a))
+        # a(n) s(n) falls with n past the last block, and the indices still
+        # above the next 2**m carry too little of s to complete its block
+        n, mass = doc["blocks"][-1][-1] + 1, 0.0
+        while Decimal(10) ** 309 * n / Decimal(n + 1).ln() ** gamma > 2 ** (blocks + 1):
+            n, mass = n + 1, mass + 1 / n
+        assert mass < 1
+    assert doc["prefix_inverse_sum"] == pytest.approx(math.fsum(inverse), rel=1e-9, abs=0)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("target", ["pow(1,60); 1", "pow(1,10); 6", f"pow({_HUGE},1); 1"])
+def test_thresh_sets_past_the_float_range_answer(capsys, target):
+    """Thresholds 2**k k**2 past the float range end the scan, not the run."""
+    code, out = run(["classify-set", "--set", f"thresh({target})",
+                     "--filter", "summable(pow(1,-1))"])
+    assert code == EXIT_INCONCLUSIVE
+    assert get_json(out)["class"] == "inconclusive"
     assert capsys.readouterr().err == ""
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,27 @@ class TestEval:
             exact = eval_at(s, n)
             approx = float(eval_vector(s, n)[n - 1])
             assert float(exact) == pytest.approx(approx, rel=1e-12)
+
+    @pytest.mark.parametrize("c,beta,gamma", [
+        (10 ** 309, 1, -400),  # c has no float, its values fall into range
+        (10 ** 400, -60, 0),
+        (Fraction(1, 10 ** 300), 400, 0),  # n**400 has no float, the value does
+        (1, 400, -1),
+    ])
+    def test_vector_past_the_float_range(self, c, beta, gamma):
+        """Each entry is its value to 1e-12, or +inf where the value lies
+        past the float range, whichever factor leaves it."""
+        v = eval_vector(PowerLog(c, beta, gamma), 1000)
+        c = Fraction(c)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for n in (1, 2, 5, 10, 100, 1000):
+                exact = (Decimal(c.numerator) / c.denominator * Decimal(n) ** beta
+                         * Decimal(n + 1).ln() ** gamma)
+                if exact > Decimal(sys.float_info.max):
+                    assert v[n - 1] == math.inf
+                else:
+                    assert v[n - 1] == pytest.approx(float(exact), rel=1e-12)
 
     def test_positive_required(self):
         with pytest.raises(SeqConstructionError):

@@ -1,6 +1,7 @@
 """The greedy block scan and its value cache against per-index oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,33 @@ def test_coefficients_past_the_float_range_saturate():
     assert huge.materialized_blocks() == large.materialized_blocks()
     assert huge.block_sums() == large.block_sums()
     assert huge.prefix_inverse_sum() == 0.0
+
+
+def test_huge_coefficients_with_falling_values_match_the_scan():
+    """a(n) s(n) = 10**309 ln(n+1)**-380 has no float at the first indices,
+    and falls below 2**7 for good within a thousand: six blocks."""
+    g = _assert_matches_oracle(PowerLog(10 ** 309, 2, -380), HARMONIC, Fraction(1), 20_000)
+    assert len(g.materialized_blocks()) == 6
+
+
+def test_thresh_stops_where_its_thresholds_leave_the_float_range():
+    """n**60 reaches 2**k k**2 for k = 1, ..., 1004 by index 137181; past
+    that the next threshold has no float, so membership is known no further."""
+    t = SparseThresholdSet(PowerLog(1, 60), 1)
+    with pytest.raises(HorizonExceeded):
+        t.mask(10 ** 6)
+    known = t.known_up_to()
+    want, k = [], 1
+    for n in range(1, known + 1):
+        if n ** 60 >= 2 ** k * k * k:
+            want.append(n)
+            k += 1
+    assert len(want) == 1004 and 2.0 ** 1005 * 1005 ** 2 == math.inf
+    assert (np.flatnonzero(t.mask(known)) + 1).tolist() == want
+    assert member(known, t) is True and member(known + 1, t) is None
+    v = weight_sum(t, HARMONIC)
+    assert (v.kind, v.horizon) == ("inconclusive", known)
+    assert v.partial == pytest.approx(math.fsum(1 / n for n in want), rel=1e-12)
 
 
 def test_thresh_membership_matches_a_direct_scan():
