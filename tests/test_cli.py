@@ -614,23 +614,16 @@ def test_greedy_witness_with_a_huge_coefficient_and_falling_values(capsys, gamma
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("target", ["pow(1,60); 1", "pow(1,10); 6", f"pow({_HUGE},1); 1"])
-def test_thresh_sets_past_the_float_range_answer(capsys, target):
-    """Thresholds 2**k k**2 past the float range end the scan, not the run."""
-    code, out = run(["classify-set", "--set", f"thresh({target})",
-                     "--filter", "summable(pow(1,-1))"])
-    assert code == EXIT_INCONCLUSIVE
-    assert get_json(out)["class"] == "inconclusive"
-    assert capsys.readouterr().err == ""
-
-
 @pytest.mark.parametrize("argv,want", [
     (["classify-set", "--set", f"greedy(pow({_HUGE},1); pow(1,-1); 2)", "--filter", "frechet"],
      EXIT_INCONCLUSIVE),
     (["check-admissible", "--seq", f"pow({_HUGE},1)", "--filter", "summable(pow(1,-1/2))",
       "--p", "1"], EXIT_REFUTED),
-], ids=["classify-set", "check-admissible"])
-def test_greedy_sets_past_the_float_range_answer(capsys, argv, want):
+    # thresholds 2**k k**2 past the float range end the scan, not the run
+    *[(["classify-set", "--set", f"thresh({t})", "--filter", "summable(pow(1,-1))"],
+       EXIT_INCONCLUSIVE) for t in ("pow(1,60); 1", "pow(1,10); 6", f"pow({_HUGE},1); 1")],
+], ids=["classify-set", "check-admissible", "thresh-60", "thresh-10-6", "thresh-c"])
+def test_witness_sets_past_the_float_range_answer(capsys, argv, want):
     code, out = run(argv)
     assert code == want
     doc = get_json(out)
