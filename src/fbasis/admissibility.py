@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .natset import NATURALS, SetExpr, SumVerdict, GeometricIndex, is_certainly_finite
+from .natset import (
+    NATURALS,
+    GeometricIndex,
+    HorizonExceeded,
+    SetExpr,
+    SumVerdict,
+    is_certainly_finite,
+)
 from .filters import (
     FilterSpec,
     Frechet,
@@ -161,10 +168,8 @@ def _summable_case(a: ScalarSeq, F: Summable, p: Fraction) -> AdmissVerdict:
             "a**p * s bounded outside a set of finite filter mass"
         )
     if status == "unbounded":
-        from .natset import HorizonExceeded
-
         try:
-            witness = nonadmissibility_witness(a, s, p)
+            witness = GreedyBlockSet(a, s, p)
         except HorizonExceeded as exc:
             return AdmissVerdict.inconclusive(f"witness construction failed: {exc}")
         return _refute(a, F, p, witness)

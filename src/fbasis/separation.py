@@ -46,7 +46,7 @@ class SeparatorSpec:
     dual_kind: str  # "linf-diagonal" | "l2-diagonal"
     margin: float
     vector: ScalarSeq  # coordinates (1 + margin) / a_n
-    norm_bound: float  # certified bound for ||x||_1 or ||h||_2**2
+    norm_bound: object  # certified bound for ||x||_1 or ||h||_2**2: float or Fraction
     identity_constant: float  # the common value of |a_n x_n|
     identity_exact: bool  # verified symbolically on the family
 
@@ -66,10 +66,11 @@ def plank_separator(a: ScalarSeq, dual_kind: str, margin) -> SeparatorSpec:
         )
     scale = Fraction(1 + Fraction(margin).limit_denominator(10 ** 9))
     vector = seq_scale(seq_pow(a, -1), scale)
-    if p == 1:
-        bound = float(scale) * float(verdict.bound)
-    else:
-        bound = float(scale) ** 2 * float(verdict.bound)
+    try:
+        bound = float(scale) ** p * float(verdict.bound)
+    except OverflowError:
+        # a sum bound past the float range is exact, and so is its multiple
+        bound = scale ** p * Fraction(verdict.bound)
     exact = _product_is_constant(a, vector, float(scale))
     return SeparatorSpec(
         dual_kind=dual_kind,

@@ -336,17 +336,21 @@ class TailForm:
             # is taken from its logarithm, +inf only if the value is past too
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
-                m = bad + (start + 1.0)
-                c = Fraction(self.c)
-                logs = float(self.beta) * np.log(m)
-                logs += math.log(c.numerator) - math.log(c.denominator)
-                if self.gamma != 0:
-                    logs += float(self.gamma) * np.log(np.log(m + 1))
-                out[bad] = np.exp(logs)
+                out[bad] = np.exp(self.family_logs(bad + (start + 1.0)))
         for i, v in self.head:
             if start < i <= horizon:
                 out[i - 1 - start] = float(v)
         return out
+
+    def family_logs(self, n: np.ndarray) -> np.ndarray:
+        """ln of the family values c * n**beta * ln(n+1)**gamma at the float
+        indices n, head entries not applied; finite for any coefficient."""
+        c = Fraction(self.c)
+        logs = float(self.beta) * np.log(n)
+        logs += math.log(c.numerator) - math.log(c.denominator)
+        if self.gamma != 0:
+            logs += float(self.gamma) * np.log(np.log(n + 1))
+        return logs
 
 
 def tail_form(a: ScalarSeq) -> Optional[TailForm]:

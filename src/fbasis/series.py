@@ -16,11 +16,12 @@ sparse tokens is summed token by token with certified tail bounds.
 Everything else is an honest inconclusive carrying the partial sum at
 the horizon.
 
-Convergence verdicts always carry a finite certified upper bound:
-exact rational where the terms are exact and the tail telescopes to a
+Convergence verdicts always carry a certified upper bound: exact
+rational where the terms are exact and the tail telescopes to a
 geometric series, otherwise binary64 with explicit tail estimates,
 rounded outward so that every float bound is an upper bound under IEEE
-rounding.  A weight is taken in its tail form c * n**beta * ln(n+1)**gamma,
+rounding.  A bound past the float range is an exact rational, or +inf
+when that rational has more digits than a report can print.  A weight is taken in its tail form c * n**beta * ln(n+1)**gamma,
 so alpha = -beta and g = -gamma above.
 """
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import natset
 from .natset import (
@@ -53,6 +56,9 @@ from .sequences import (
 )
 
 _PREFIX_CAP = 4096
+# A rational with more digits than Python prints (4300) cannot go in a
+# report; a bound past this many bits is +inf instead, still a bound.
+_EXACT_BITS = 13_000
 
 
 def _round_up(x: float) -> float:
@@ -60,6 +66,75 @@ def _round_up(x: float) -> float:
     correctly rounded (fsum), so only the few-ulp error of each pow/log term
     needs covering, and the relative margin 2**-40 covers it widely."""
     return math.nextafter(x * (1.0 + 2.0 ** -40), math.inf)
+
+
+# ---------------------------------------------------------------------------
+# bounds past the float range
+#
+# Where a float bound cannot be formed (the coefficient has no float, or a
+# term or factor overflows), the bound is taken exactly or in logs and
+# reported as a rational.  Where the float path answers, it alone is used.
+
+
+def _ln(x) -> float:
+    """ln of a positive rational or float, which may lie past the float range."""
+    x = Fraction(x)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _exact_bound(x: Fraction):
+    """x as a bound: itself while a report can print it, else +inf."""
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > _EXACT_BITS:
+        return math.inf
+    return x
+
+
+def _exp_upper(log_bound: float):
+    """An upper bound for e**log_bound: a float while one holds it, else
+    exactly m * 2**k for a rounded-up float m.  A relative margin of 2**-30
+    on the exponent covers the rounding of the logs that produced it."""
+    log_bound += 2.0 ** -30 * (1.0 + abs(log_bound))
+    if log_bound < 709.0:
+        return _round_up(math.exp(log_bound))
+    if log_bound > _EXACT_BITS * math.log(2.0):
+        return math.inf
+    k = int(log_bound / math.log(2.0)) - 1
+    return _exact_bound(Fraction(_round_up(math.exp(log_bound - k * math.log(2.0)))) * 2 ** k)
+
+
+def _log_prefix_sum(form: TailForm, upto: int) -> float:
+    """ln of sum_{n=1}^{upto} w(n), head entries applied, summed from the
+    logs of its terms scaled by the largest."""
+    logs = form.family_logs(np.arange(1, upto + 1, dtype=float))
+    for i, v in form.head:
+        if i <= upto:
+            logs[i - 1] = _ln(v)
+    top = float(logs.max())
+    return top + math.log(math.fsum(np.exp(logs - top).tolist()))
+
+
+def _past_floats(c) -> bool:
+    try:
+        float(c)
+    except OverflowError:
+        return True
+    return False
+
+
+def _unit_family(form: TailForm) -> TailForm:
+    """The family part of ``form`` with coefficient 1."""
+    return TailForm(Fraction(1), form.beta, form.gamma, form.start)
+
+
+def _with_coefficient(form: TailForm, unit_bound, upto: int):
+    """For a coefficient c past the float range: c times ``unit_bound``, a
+    bound for the coefficient-1 family over the same indices, plus every
+    head value up to ``upto``; exact.  The family values the head entries
+    replace are positive, so counting both over-counts only."""
+    if unit_bound == math.inf:
+        return math.inf
+    heads = sum((Fraction(v) for i, v in form.head if i <= upto), Fraction(0))
+    return _exact_bound(Fraction(form.c) * Fraction(unit_bound) + heads)
 
 
 def full_rule_diverges(alpha: Fraction, g: Fraction) -> bool:
@@ -76,13 +151,16 @@ def geometric_rule_converges(alpha: Fraction, g: Fraction) -> bool:
 # certified tail bounds
 
 
-def full_tail_upper(form: TailForm, start: int) -> float:
-    """Certified upper bound for sum_{n >= start} of the family part.
+def full_tail_upper(form: TailForm, start: int):
+    """Certified upper bound for sum_{n >= start} of the family part: a
+    float, or past the float range an exact rational (or +inf).
 
     Requires the full-sum convergence condition (alpha > 1, or alpha = 1
     with g > 1).  Uses the integral test; a log factor in the numerator
     is absorbed via ln y <= y**d / (e*d).
     """
+    if _past_floats(form.c):
+        return _with_coefficient(form, full_tail_upper(_unit_family(form), start), 0)
     a = -float(form.beta)
     g = -float(form.gamma)
     c = float(form.c)
@@ -93,9 +171,15 @@ def full_tail_upper(form: TailForm, start: int) -> float:
             return _round_up(lead * (n0 ** (1.0 - a) / (a - 1.0) + n0 ** (-a)))
         k = -g
         d = (a - 1.0) / (2.0 * k)
-        cc = c * (2.0 ** d / (math.e * d)) ** k
         a2 = (a + 1.0) / 2.0
-        return _round_up(cc * (n0 ** (1.0 - a2) / (a2 - 1.0) + n0 ** (-a2)))
+        rest = n0 ** (1.0 - a2) / (a2 - 1.0) + n0 ** (-a2)
+        try:
+            cc = c * (2.0 ** d / (math.e * d)) ** k
+        except OverflowError:
+            # the factor has no float: the same bound, taken in logs
+            return _exp_upper(_ln(form.c) + k * math.log(2.0 ** d / (math.e * d))
+                              + math.log(rest))
+        return _round_up(cc * rest)
     if a == 1 and g > 1:
         # terms <= x**-1 * ln(x)**-g for x >= 2
         last = float(form.value_at(n0))
@@ -104,11 +188,21 @@ def full_tail_upper(form: TailForm, start: int) -> float:
 
 
 def weight_prefix_upper(form: TailForm, upto: int):
-    """Certified upper bound for sum_{n=1}^{upto} w(n) (always finite): the
-    first _PREFIX_CAP terms summed in floats, past them an integral bound."""
+    """Certified upper bound for sum_{n=1}^{upto} w(n): the first
+    _PREFIX_CAP terms summed in floats, past them an integral bound.  Past
+    the float range it is an exact rational (or +inf), as in
+    ``full_tail_upper``."""
     if upto <= 0:
         return Fraction(0)
-    head = _round_up(math.fsum(form.vector(min(upto, _PREFIX_CAP)).tolist()))
+    if _past_floats(form.c):
+        return _with_coefficient(form, weight_prefix_upper(_unit_family(form), upto), upto)
+    try:
+        head = _round_up(math.fsum(form.vector(min(upto, _PREFIX_CAP)).tolist()))
+    except OverflowError:
+        head = math.inf
+    if head == math.inf:
+        # terms or their sum past the float range: take the sum in logs
+        head = _exp_upper(_log_prefix_sum(form, min(upto, _PREFIX_CAP)))
     if upto <= _PREFIX_CAP:
         return head
     a = -float(form.beta)
@@ -216,6 +310,11 @@ def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
 def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict:
     """A bound from the growth ratio; the elements never run out, so the
     scan ends in one of its returns (at the latest after 4000 terms)."""
+    if _past_floats(form.c):
+        v = _sparse_converging_bound(elems, _unit_family(form))
+        if v.kind == "converges":
+            return SumVerdict.converges(_with_coefficient(form, v.bound, math.inf))
+        return SumVerdict.inconclusive(math.inf, v.horizon)
     alpha = -float(form.beta)
     g = -float(form.gamma)
     # a positive shift dilutes the growth ratio; past e >= 4*offset the loss
@@ -331,10 +430,16 @@ def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int, horizon: int):
 
 
 def _add_bounds(bounds):
-    """The exact sum of rational bounds, else the outward-rounded float sum."""
+    """The exact sum of rational bounds, else the outward-rounded float sum;
+    past the float range the exact sum, or +inf if a bound is."""
     if all(isinstance(b, Fraction) for b in bounds):
         return sum(bounds, Fraction(0))
-    return _round_up(math.fsum(float(b) for b in bounds))
+    try:
+        return _round_up(math.fsum(float(b) for b in bounds))
+    except OverflowError:
+        if math.inf in bounds:
+            return math.inf
+        return _exact_bound(sum((Fraction(b) for b in bounds), Fraction(0)))
 
 
 def _numeric_fallback(s: SetExpr, w, horizon: int) -> SumVerdict:

@@ -51,6 +51,7 @@ from .sequences import (
 )
 
 _DEFAULT_BLOCKS = 8
+_CERTIFICATE_BLOCKS = 2  # fewer is too thin a certificate
 _MATERIALIZE_CAP = 10 ** 6
 _CHUNK = 1 << 16
 
@@ -102,6 +103,16 @@ class _ChunkedValues:
 
 @dataclass(frozen=True)
 class GreedyBlockSet(SetExpr):
+    """The greedy block set D of ``target``, ``weights`` and ``exponent``.
+
+    Construction scans until the blocks it needs are complete and raises
+    ``HorizonExceeded`` when they cannot complete below the horizon: a
+    fixed ``blocks`` count, or else the two a certificate needs.  With
+    ``blocks=None`` the count that ``materialized_blocks`` reports (up to
+    eight) is found on its first call; the structural certificates and
+    membership questions never need it, and scan only as far as they ask.
+    """
+
     target: ScalarSeq  # the sequence a
     weights: ScalarSeq  # the filter weights s
     exponent: Fraction  # p
@@ -124,23 +135,26 @@ class GreedyBlockSet(SetExpr):
                 "m": 1,  # threshold exponent of the current block
                 "svals": _ChunkedValues(self.weights, self.horizon),
                 "pvals": _ChunkedValues(target_p, self.horizon),
+                "count": self.blocks,  # blocks to materialize; None until asked
             },
         )
-        count = self.blocks if self.blocks is not None else self._adaptive_count()
-        object.__setattr__(self, "_target_blocks", count)
-        self._scan_until_blocks(count)  # fail fast if blocks cannot complete
+        # fail fast if the blocks a certificate needs cannot complete
+        if self.blocks is not None:
+            self._scan_until_blocks(self.blocks)
+        else:
+            done = self._scan_for(_CERTIFICATE_BLOCKS)
+            if done < _CERTIFICATE_BLOCKS:
+                raise HorizonExceeded(
+                    f"only {done} greedy blocks complete below the horizon"
+                )
 
     def _adaptive_count(self) -> int:
         """As many blocks as actually complete below the horizon, capped at
-        the default.  Fewer than two is too thin a certificate.  The scan
-        stops at the last block counted; later indices are scanned only
-        when a membership question reaches them."""
-        count = min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
-        if count < 2:
-            raise HorizonExceeded(
-                f"only {count} greedy blocks complete below the horizon"
-            )
-        return count
+        the default: at least the two the constructor found.  Only the first
+        ``materialized_blocks`` call asks for it.  The scan stops at the last
+        block counted; later indices are scanned only when a membership
+        question reaches them."""
+        return min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
 
     # scanning ---------------------------------------------------------------
 
@@ -240,9 +254,11 @@ class GreedyBlockSet(SetExpr):
     # certificates ------------------------------------------------------------
 
     def materialized_blocks(self) -> tuple[tuple[int, ...], ...]:
-        count = self._target_blocks
-        self._scan_until_blocks(count)
-        return tuple(self._state["blocks"][:count])
+        st = self._state
+        if st["count"] is None:
+            st["count"] = self._adaptive_count()
+        self._scan_until_blocks(st["count"])
+        return tuple(st["blocks"][: st["count"]])
 
     def _block_values(self, key: str) -> list[np.ndarray]:
         """The cached values of ``key`` on each materialized block."""

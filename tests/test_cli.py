@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fbasis import GeometricIndex, PowerLog, Spike, parse_scalar_seq, parse_set_expr, set_equal
+from fbasis import (
+    GeometricIndex,
+    PowerLog,
+    Spike,
+    parse_scalar_seq,
+    parse_set_expr,
+    set_equal,
+    weight_sum,
+)
 from fbasis.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -614,25 +622,69 @@ def test_greedy_witness_with_a_huge_coefficient_and_falling_values(capsys, gamma
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv,want", [
+def _greedy_refutation(doc):
+    # a**p * s = 10**400 n**(1/2) is unbounded on a set of infinite mass
+    assert doc["witness"].startswith("greedy(")
+    assert doc["certificate"]["witness_filter_mass"] == {"kind": "diverges"}
+
+
+def _inconclusive_class(doc):
+    assert doc["class"] == "inconclusive"
+
+
+def _bound_covers(*keys, upper):
+    """The exact bound under ``keys`` is at least ``upper``, itself at least
+    the true sum, so the bound is one."""
+    def check(doc):
+        for key in keys:
+            doc = doc[key]
+        assert Fraction(doc) >= upper
+    return check
+
+
+_TINY_400 = "0." + "0" * 399 + "1"
+# upper estimates: pi**2 / 6 < 1.6449340668482264365, and
+# sum_n n**-2 ln(n+1)**400 < 1.0001 * 400! (the integral, plus the
+# largest term, plus the error of ln(x+1) against ln(x))
+_ZETA_2 = 10 ** 400 * Fraction(16449340668482264365, 10 ** 19)
+
+
+def _geom_negligible(doc):
+    # the mass 10**400 sum_m 2**(-m/2) = 10**400 / (sqrt(2) - 1) of geom(2)
+    # converges, with a bound past the float range
+    assert doc["class"] == "negligible"
+    v = weight_sum(GeometricIndex(2), PowerLog(10 ** 400, Fraction(-1, 2)))
+    assert v.kind == "converges"
+    assert v.bound >= 10 ** 400 * Fraction(24142135623730950489, 10 ** 19)
+
+
+@pytest.mark.parametrize("argv,want,check", [
     (["classify-set", "--set", f"greedy(pow({_HUGE},1); pow(1,-1); 2)", "--filter", "frechet"],
-     EXIT_INCONCLUSIVE),
+     EXIT_INCONCLUSIVE, _inconclusive_class),
     (["check-admissible", "--seq", f"pow({_HUGE},1)", "--filter", "summable(pow(1,-1/2))",
-      "--p", "1"], EXIT_REFUTED),
+      "--p", "1"], EXIT_REFUTED, _greedy_refutation),
     # thresholds 2**k k**2 past the float range end the scan, not the run
     *[(["classify-set", "--set", f"thresh({t})", "--filter", "summable(pow(1,-1))"],
-       EXIT_INCONCLUSIVE) for t in ("pow(1,60); 1", "pow(1,10); 6", f"pow({_HUGE},1); 1")],
-], ids=["classify-set", "check-admissible", "thresh-60", "thresh-10-6", "thresh-c"])
-def test_witness_sets_past_the_float_range_answer(capsys, argv, want):
+       EXIT_INCONCLUSIVE, _inconclusive_class)
+      for t in ("pow(1,60); 1", "pow(1,10); 6", f"pow({_HUGE},1); 1")],
+    # sums whose coefficient or terms lie past the float range keep their
+    # verdicts, with exact bounds
+    (["check-admissible", "--seq", f"pow({_TINY_400},2)", "--filter", "frechet", "--p", "1"],
+     EXIT_REFUTED, _bound_covers("certificate", "inverse_p_sum", "bound", upper=_ZETA_2)),
+    (["separate", "--seq", f"pow({_TINY_400},2)", "--dual", "linf"],
+     EXIT_OK, _bound_covers("norm_bound", upper=Fraction(11, 10) * _ZETA_2)),
+    (["classify-set", "--set", "geom(2)", "--filter", f"summable(pow({_HUGE},-1/2))"],
+     EXIT_OK, _geom_negligible),
+    (["check-admissible", "--seq", "powlog(1,2,-400)", "--filter", "summable(pow(1,-1))",
+      "--p", "1"],
+     EXIT_REFUTED, _bound_covers("certificate", "inverse_p_sum", "bound",
+                                 upper=Fraction(10001, 10000) * math.factorial(400))),
+], ids=["classify-set", "check-admissible", "thresh-60", "thresh-10-6", "thresh-c",
+        "sum-c-frechet", "sum-c-separate", "sum-c-geom", "sum-log-power"])
+def test_witness_sets_past_the_float_range_answer(capsys, argv, want, check):
     code, out = run(argv)
     assert code == want
-    doc = get_json(out)
-    if want == EXIT_REFUTED:
-        # a**p * s = 10**400 n**(1/2) is unbounded on a set of infinite mass
-        assert doc["witness"].startswith("greedy(")
-        assert doc["certificate"]["witness_filter_mass"] == {"kind": "diverges"}
-    else:
-        assert doc["class"] == "inconclusive"
+    check(get_json(out))
     assert capsys.readouterr().err == ""
 
 

@@ -1,5 +1,6 @@
-"""Every report byte of the README commands, of a spread of constructions and
-of two refused constructions, pinned as (exit code, sha256 of the report).
+"""Every report byte of the README commands, of a spread of constructions, of
+two refused constructions and of the greedy witness paths, pinned as (exit
+code, sha256 of the report).
 
 A change that is meant to leave the output alone (a speed-up, a refactor)
 must keep these hashes.  A change that alters a report on purpose updates
@@ -78,7 +79,24 @@ NOT_ADMISSIBLE = [
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT + NOT_ADMISSIBLE,
+# greedy witnesses: a refutation whose blocks run past index 65536, the
+# scan to the horizon that ``witness`` prints, and a set that cannot
+# complete the two blocks a certificate needs
+GREEDY = [
+    (["check-admissible", "--seq", "pow(3/2,1)", "--filter", "summable(pow(1,-2/3))",
+      "--p", "1"],
+     1, "5b371b55d0646d52f5e8fe40943ab304c996e280d1a9db415490df258a2ab4fb"),
+    (["check-admissible", "--seq", "pow(1,3/8)", "--filter", "summable(pow(1,-2/3))",
+      "--p", "2"],
+     2, "edbb528757b84467725843753c4b3b24ad55cf7a0517b88339b5d5afd4643f80"),
+    (["witness", "--seq", "pow(3/2,1)", "--weights", "pow(1,-2/3)", "--p", "1"],
+     1, "8131a4f3747938225e0fc19eb4898fec5c121f5caf232593c51d4ee07dfdd9be"),
+    (["classify-set", "--set", "greedy(pow(1,3/8); pow(1,-2/3); 2)", "--filter", "frechet"],
+     65, "78d73ed4a5f51f45634688ccf569f7dfa0c11ac1b2d45d9a2a09e7e7323fa347"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT + NOT_ADMISSIBLE + GREEDY,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_report_bytes_pinned(argv, code, digest):
     got_code, payload = run_command(load_config(argv))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from fbasis import (
     weight_sum,
 )
 from fbasis.sequences import TailForm, eval_vector, tail_form
-from fbasis.series import weight_prefix_upper
+from fbasis.series import _exp_upper, weight_prefix_upper
 
 from series_oracle import exact_prefix_sum
 
@@ -55,6 +56,37 @@ def test_convergent_bound_covers_the_exact_prefix(form):
     v = weight_sum(NATURALS, w)
     assert v.kind == "converges"
     assert v.bound >= exact_prefix_sum(form, 4096)
+
+
+@pytest.mark.parametrize("c,gamma", [
+    (1, 400),  # terms past the float range: summed from their logs
+    (10 ** 400, 0),  # a coefficient with no float: c times the unit bound
+    (10 ** 400, Fraction(1, 2)),
+], ids=["terms", "coefficient", "coefficient-log"])
+def test_prefix_bound_past_the_float_range(c, gamma):
+    head = ((1, Fraction(5)), (2, Fraction(7, 2)))
+    form = TailForm(Fraction(c), Fraction(-2), Fraction(gamma), 3, head)
+    got = weight_prefix_upper(form, 4096)
+    assert isinstance(got, Fraction)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g = Decimal(form.gamma.numerator) / form.gamma.denominator
+        family = [Decimal(c) / (n * n) * Decimal(n + 1).ln() ** g for n in range(1, 4097)]
+        want = Fraction(Decimal(5) + Decimal(7) / 2 + sum(family[2:]))
+        replaced = Fraction(family[0] + family[1])
+    assert got >= want * (1 + Fraction(1, 10 ** 40))
+    # the coefficient path also counts the family values the head replaces
+    assert got <= (want + replaced) * (1 + Fraction(1, 10 ** 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(0, 9000))
+def test_exp_upper_covers_the_exponential(x):
+    got = _exp_upper(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = Fraction(Decimal(x).exp())
+    assert want * (1 + Fraction(1, 10 ** 55)) <= Fraction(got) <= want * (1 + Fraction(1, 10 ** 4))
 
 
 def _vector_formula(c, beta, gamma, horizon):

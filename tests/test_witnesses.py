@@ -69,6 +69,11 @@ def _assert_matches_oracle(a, s, p, horizon, blocks=None):
     assert g.block_sums() == [sum(vals) for vals in _values(s, want, horizon)]
     inverse = _values(seq_pow(a, p), want, horizon)
     assert g.prefix_inverse_sum() == sum(1.0 / x for vals in inverse for x in vals)
+    # a membership question first scans to the horizon; the count found
+    # afterwards takes the same blocks
+    asked = GreedyBlockSet(a, s, p, blocks=blocks, horizon=horizon)
+    asked.mask(horizon)
+    assert asked.materialized_blocks() == tuple(want)
     return g
 
 
@@ -169,6 +174,18 @@ def test_readme_witness_stops_after_its_blocks():
     # its last block runs across the first scan window, which ends at 4096
     assert any(blk[0] <= 4096 < blk[-1] for blk in blocks)
     assert g._state["scan"] <= 65_536
+
+
+def test_construction_scans_for_two_blocks_only():
+    """a(n) s(n) = 3/2 n**(1/3): seven blocks complete below the horizon, so
+    the count that ``witness`` prints scans until no later index can join an
+    eighth; building the set for a certificate stops at the second block."""
+    a, s = PowerLog(Fraction(3, 2), 1), PowerLog(1, Fraction(-2, 3))
+    g = GreedyBlockSet(a, s, 1)
+    assert g._state["scan"] <= 4096
+    blocks = g.materialized_blocks()
+    assert blocks == tuple(greedy_scan(a, s, 1, 8, 10 ** 6)[0])
+    assert len(blocks) == 7 and g._state["scan"] > 65_536
 
 
 def test_weights_above_one_take_the_per_index_path(monkeypatch):
