@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .sequences import DomainError, exact_root
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p

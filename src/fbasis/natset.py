@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-import numpy as np
+from ._lazy_numpy import np
 
 DEFAULT_HORIZON = 10 ** 6
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .lp_operators import NormReport, TailOp, norm_ratio, riesz_thorin_upper
 
 

@@ -39,57 +39,51 @@ def _escape(s: str) -> str:
     return json.dumps(s)
 
 
-def _encode(value, indent: int, pieces: list[str]) -> None:
-    pad = "  " * indent
-    if value is None:
-        pieces.append("null")
-    elif value is True:
-        pieces.append("true")
-    elif value is False:
-        pieces.append("false")
-    elif isinstance(value, Fraction):
-        pieces.append(_escape(rational_text(value)))
-    elif isinstance(value, int):
-        pieces.append(str(value))
-    elif isinstance(value, float):
-        pieces.append(_float_text(value))
-    elif isinstance(value, str):
-        pieces.append(_escape(value))
-    elif isinstance(value, dict):
+def _fraction_text(x: Fraction) -> str:
+    return '"' + rational_text(x) + '"'
+
+
+# the text of each scalar, by exact type (a bool is no int here)
+_SCALAR_TEXT = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    Fraction: _fraction_text,
+    int: str,
+    float: _float_text,
+    str: _escape,
+}
+
+
+def _text(value, pad: str) -> str:
+    """The JSON text of ``value``, whose lines past the first start with pad."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
         if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            pieces.append(pad + "  " + _escape(str(k)) + ": ")
-            _encode(v, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(value) else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            pieces.append("[]")
-            return
-        if all(type(v) is int for v in seq):
-            # the loop below, joined at once: witness blocks run to 10**5 indices
-            pieces.append("[\n" + pad + "  " + (",\n" + pad + "  ").join(map(str, seq))
-                          + "\n" + pad + "]")
-            return
-        pieces.append("[\n")
-        for i, v in enumerate(seq):
-            pieces.append(pad + "  ")
-            _encode(v, indent + 1, pieces)
-            pieces.append(",\n" if i + 1 < len(seq) else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise TypeError(f"cannot encode {type(value).__name__} in a report")
+            return "{}"
+        return ("{" + ",".join("\n" + inner + _escape(str(k)) + ": " + _text(v, inner)
+                               for k, v in value.items())
+                + "\n" + pad + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        # one scalar type: one join, with no dispatch per element (witness
+        # blocks run to 10**5 indices, stage tables to n_max rationals)
+        texts = map(text, value) if text else (_text(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    for base in (Fraction, int, float, str):
+        # a subclass (a numpy float) takes its base's text
+        if isinstance(value, base):
+            return _SCALAR_TEXT[base](value)
+    raise TypeError(f"cannot encode {type(value).__name__} in a report")
 
 
 def to_json_bytes(doc) -> bytes:
-    pieces: list[str] = []
-    _encode(doc, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces).encode("ascii")
+    return (_text(doc, "") + "\n").encode("ascii")
 
 
 def table_to_csv_bytes(header: list[str], rows: list[list]) -> bytes:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .natset import NATURALS
 from .lp_operators import TailOp, apply, lp_norm, norming_input, op_norm
 from .sequences import (

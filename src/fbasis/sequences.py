@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union as TUnion
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .natset import (
     Complement,
     Finite,

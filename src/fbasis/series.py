@@ -28,11 +28,11 @@ so alpha = -beta and g = -gamma above.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+from ._lazy_numpy import np
 from . import natset
 from .natset import (
     DEFAULT_HORIZON,
@@ -181,9 +181,9 @@ def full_tail_upper(form: TailForm, start: int):
                               + math.log(rest))
         return _round_up(cc * rest)
     if a == 1 and g > 1:
-        # terms <= x**-1 * ln(x)**-g for x >= 2
+        # terms <= c * x**-1 * ln(x)**-g for x >= 2; the first term carries c
         last = float(form.value_at(n0))
-        return _round_up(c * (math.log(n0) ** (1.0 - g) / (g - 1.0) + last))
+        return _round_up(c * (math.log(n0) ** (1.0 - g) / (g - 1.0)) + last)
     raise ValueError("tail bound requested for a divergent family")
 
 
@@ -307,9 +307,14 @@ def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
     return total
 
 
+# e <= _FLOAT_STEP_MAX / r keeps the float product e * r finite despite rounding
+_FLOAT_STEP_MAX = sys.float_info.max * (1.0 - 2.0 ** -40)
+
+
 def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict:
     """A bound from the growth ratio; the elements never run out, so the
-    scan ends in one of its returns (at the latest after 4000 terms)."""
+    scan ends in one of its returns: at the latest after 4000 terms, or
+    undecided where e * r, and with it the next element, has no float."""
     if _past_floats(form.c):
         v = _sparse_converging_bound(elems, _unit_family(form))
         if v.kind == "converges":
@@ -326,7 +331,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
     count = 0
     for e in elems.elements():
         count += 1
-        if count > 4000:
+        if count > 4000 or e > _FLOAT_STEP_MAX / r:
             return SumVerdict.inconclusive(total, count)
         settled = e > form.start and e >= 4 * max(1, abs(elems.offset)) and count >= 8
         if alpha > 0 and settled and (g >= 0 or math.log(e + 1) > -g / alpha):

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union as TUnion
 
+from ._lazy_numpy import np
 from .natset import NATURALS, SetExpr, member
-from .sequences import DomainError, PowerLog, ScalarSeq, seq_pow
+from .sequences import DomainError, PowerLog, ScalarSeq, eval_vector, seq_pow
 from .series import weight_sum
 
 
@@ -108,10 +109,6 @@ TestVector = TUnion[BasisVector, PowerTail, Spike]
 
 def coordinate_vector(v: TestVector, horizon: int):
     """|coordinates| of the test vector at 1..horizon, as a float array."""
-    import numpy as np
-
-    from .sequences import eval_vector
-
     if isinstance(v, BasisVector):
         out = np.zeros(horizon)
         if v.index <= horizon:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+from ._lazy_numpy import np
 from .natset import (
     HorizonExceeded,
     SetExpr,

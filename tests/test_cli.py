@@ -679,8 +679,12 @@ def _geom_negligible(doc):
       "--p", "1"],
      EXIT_REFUTED, _bound_covers("certificate", "inverse_p_sum", "bound",
                                  upper=Fraction(10001, 10000) * math.factorial(400))),
+    # the settle test needs elements past e**3000: the scan ends where they
+    # leave the float range
+    (["classify-set", "--set", "geom(2)", "--filter", "summable(powlog(1,-1/1000,3))"],
+     EXIT_INCONCLUSIVE, _inconclusive_class),
 ], ids=["classify-set", "check-admissible", "thresh-60", "thresh-10-6", "thresh-c",
-        "sum-c-frechet", "sum-c-separate", "sum-c-geom", "sum-log-power"])
+        "sum-c-frechet", "sum-c-separate", "sum-c-geom", "sum-log-power", "sum-geom-settle"])
 def test_witness_sets_past_the_float_range_answer(capsys, argv, want, check):
     code, out = run(argv)
     assert code == want

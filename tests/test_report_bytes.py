@@ -8,9 +8,14 @@ the hash here and says why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fbasis
 from fbasis.cli import load_config, run_command
 
 README = [
@@ -101,3 +106,30 @@ GREEDY = [
 def test_report_bytes_pinned(argv, code, digest):
     got_code, payload = run_command(load_config(argv))
     assert (got_code, hashlib.sha256(payload).hexdigest()) == (code, digest)
+
+
+def _readme_pin(command):
+    return next(pin for pin in README if pin[0][0] == command)
+
+
+@pytest.mark.parametrize("argv,code,digest,symbolic", [
+    (*_readme_pin("classify-set"), True),
+    (*_readme_pin("dominates"), True),
+    (*_readme_pin("witness"), False),
+], ids=["classify-set", "dominates", "witness"])
+def test_fresh_process_keeps_the_pinned_bytes(argv, code, digest, symbolic):
+    """`python -m fbasis.cli` as its own process: the same bytes as in
+    process, and a symbolic query never runs numpy (in this process numpy
+    is loaded already).  -X importtime names every module whose code ran."""
+    env = dict(os.environ)
+    src = str(Path(fbasis.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "fbasis.cli", *argv],
+                         env=env, capture_output=True, timeout=120)
+    assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == (code, digest)
+    ran = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.decode().splitlines()}
+    ran_numpy = sorted(m for m in ran if m == "numpy" or m.startswith("numpy."))
+    if symbolic:
+        assert ran_numpy == []
+    else:
+        assert ran_numpy  # loaded on first use

@@ -79,6 +79,21 @@ def test_prefix_bound_past_the_float_range(c, gamma):
     assert got <= (want + replaced) * (1 + Fraction(1, 10 ** 5))
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 100), Fraction(3, 2), Fraction(100)],
+                         ids=["c=1/100", "c=3/2", "c=100"])
+def test_log_squared_bound_covers_the_sum(c):
+    """alpha = 1, g = 2: the bound's integral tail against a direct sum.
+
+    Past N the terms c / (n ln(n+1)**2) exceed c / ((x+1) ln(x+1)**2) on
+    [n, n+1], so c / ln(N+2) is below the remainder."""
+    v = weight_sum(NATURALS, parse_scalar_seq(f"powlog({c},-1,-2)"))
+    assert v.kind == "converges"
+    N = 2 ** 20
+    n = np.arange(1, N + 1, dtype=float)
+    head = math.fsum((float(c) / (n * np.log(n + 1) ** 2)).tolist())
+    assert v.bound >= head + float(c) / math.log(N + 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(0, 9000))
 def test_exp_upper_covers_the_exponential(x):
