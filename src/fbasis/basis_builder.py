@@ -33,7 +33,7 @@ from .filters import (
     classify_set,
     not_negligible,
 )
-from .natset import Finite, Intersection, Shifted, canonicalize
+from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
     NormReport,
@@ -49,11 +49,13 @@ from .sequences import (
     PowerLog,
     ScalarSeq,
     eval_at,
+    limit_value,
     seq_mul,
     seq_pow,
     seq_scale,
     tail_form,
     threshold_ge,
+    threshold_levels,
 )
 from .vectors import BasisVector, PowerTail, Spike, TestVector
 
@@ -311,7 +313,8 @@ _TRUNCATION_CAVEAT = (
 
 
 def _defect_bound_seqs(sys: BasisSystem):
-    """(c_exact, c_lower, c_upper) as symbolic sequences where available."""
+    """(c_exact, c_lower, c_upper) as symbolic sequences where available;
+    a lower bound only where it holds at every index."""
     a = sys.target
     if sys.space.is_l1:
         return a, a, a
@@ -319,23 +322,11 @@ def _defect_bound_seqs(sys: BasisSystem):
     upper = a
     p = sys.space.p_float
     q = p / (p - 1.0)
-    # c >= a/2 once a**q >= 1/(1 - 2**-q)
+    # c >= a/2 once a**q >= 1/(1 - 2**-q), so a/2 is a lower bound only
+    # if a(n) reaches that threshold at every n, not just on a probed head
     threshold = (1.0 / (1.0 - 2.0 ** (-q))) ** (1.0 / q)
-    lower = seq_scale(a, Fraction(1, 2)) if _min_value_at_least(a, threshold) else None
+    lower = seq_scale(a, Fraction(1, 2)) if threshold_ge(a, threshold) == NATURALS else None
     return None, lower, upper
-
-
-def _min_value_at_least(a: ScalarSeq, threshold: float) -> bool:
-    f = tail_form(a)
-    if f is None:
-        return False
-    probe = max([64, f.start + 8] + [i + 1 for i, _ in f.head])
-    if any(float(eval_at(a, n)) < threshold for n in range(1, probe + 1)):
-        return False
-    # beyond the probe the family is monotone in one direction
-    if f.beta > 0 or (f.beta == 0 and f.gamma >= 0):
-        return True
-    return False
 
 
 def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
@@ -365,7 +356,12 @@ def convergence_demo(
     The stage-n defect norm is |x_{n+1}| * c_n.  For each scheduled
     epsilon the exceptional set is bracketed between derived under- and
     over-approximations and classified under the system's filter (or the
-    ``under`` override, for side-by-side comparisons)."""
+    ``under`` override, for side-by-side comparisons).  The over-set
+    (``over_set``) is a certified superset of the exceptional set, the
+    under-set (``under_set``) a certified subset.  The upper bound c_n <= a_n
+    holds at every n; the lower bound c_n >= a_n / 2 is used only where
+    a(n) >= t for every n, t being the level from which it holds (see
+    ``_defect_bound_seqs``); otherwise no under-set is given."""
     stage_defects = [
         float(abs(float(x.coordinate(n + 1))) * float(c))
         for n, c in enumerate(sys.defect_coeffs, start=1)
@@ -379,7 +375,17 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
                       horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
     """The epsilon table and the limit verdict of ``convergence_demo``.
     ``bounds()`` returns the system's ``_defect_bound_seqs``, so a caller
-    classifying several vectors computes them once."""
+    classifying several vectors computes them once.
+
+    Level e asks about the exceptional set {n : |x_{n+1}| c_n >= e}.  Its
+    over-set, the support of x (shifted to n) intersected with
+    {n : kappa amp(n) c_upper(n) >= e}, is a superset: a negligible over-set
+    makes the level negligible.  Its under-set, the same with
+    {n : amp(n) c_lower(n) / kappa >= e}, is a subset: an under-set that is
+    not negligible makes the level stationary-or-member.  The over-sets of
+    all levels come from one head scan of their sequence; the under-sets
+    from one more, made only when some level is left open; each distinct
+    set is classified once per table."""
     filt = under if under is not None else sys.filter
     if eps_schedule is None:
         from .filters import DEFAULT_EPS_SCHEDULE
@@ -392,6 +398,7 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
         )
         return entries, LimitVerdict.converges_to(0)
 
+    levels = [float(e) for e in eps_schedule]
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
@@ -399,48 +406,49 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     prod_hi = seq_mul(amp, c_upper) if c_upper is not None else None
     prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
 
-    entries = []
-    failures = 0
-    unknowns = 0
+    # levels share sets, so each is restricted to the support and classified once
+    restrict = functools.cache(lambda s: canonicalize(Intersection((support, s))))
+    classify = functools.cache(lambda s: classify_set(s, filt))
+    wide = functools.cache(lambda s: not_negligible(s, filt))
+    over_txt = [None] * len(levels)
+    under_txt = [None] * len(levels)
+    cls = ["inconclusive"] * len(levels)
+    if kappa is not None and prod_hi is not None:
+        lim = limit_value(prod_hi)
+        if lim is not None and math.isfinite(lim):
+            # the defect bound settles strictly below these levels, so the
+            # exceptional set is finite wherever its boundary lies
+            cls = ["negligible" if lim * kappa < e else c for e, c in zip(levels, cls)]
+        open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
+        overs = threshold_levels(seq_scale(prod_hi, kappa),
+                                 [levels[i] for i in open_levels], horizon) if open_levels else []
+        for i, over in zip(open_levels, overs):
+            if over is None:
+                continue
+            over_set = restrict(over)
+            over_txt[i] = over_set.to_text()
+            if classify(over_set) == SetClass.NEGLIGIBLE:
+                cls[i] = "negligible"
     first_refutation = None
-    from .sequences import limit_value
-
-    for eps in eps_schedule:
-        e = float(eps)
-        over_txt = under_txt = None
-        cls = "inconclusive"
-        if kappa is not None and prod_hi is not None:
-            lim = limit_value(prod_hi)
-            if lim is not None and math.isfinite(lim) and lim * kappa < e:
-                # the defect bound settles strictly below epsilon, so the
-                # exceptional set is finite wherever its boundary lies
-                cls = "negligible"
-            else:
-                over = threshold_ge(seq_scale(prod_hi, kappa), e, horizon)
-                if over is not None:
-                    over_set = canonicalize(Intersection((support, over)))
-                    over_txt = over_set.to_text()
-                    c = classify_set(over_set, filt)
-                    if c == SetClass.NEGLIGIBLE:
-                        cls = "negligible"
-        if cls != "negligible" and kappa is not None and prod_lo is not None:
-            under = threshold_ge(seq_scale(prod_lo, 1.0 / kappa), e, horizon)
-            if under is not None:
-                under_set = canonicalize(Intersection((support, under)))
-                under_txt = under_set.to_text()
-                if not_negligible(under_set, filt) is True:
-                    cls = "stationary-or-member"
-                    if first_refutation is None:
-                        first_refutation = (e, under_set)
-        entries.append(EpsilonEntry(e, over_txt, under_txt, cls))
-        if cls == "stationary-or-member":
-            failures += 1
-        elif cls == "inconclusive":
-            unknowns += 1
+    open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
+    if open_levels and kappa is not None and prod_lo is not None:
+        unders = threshold_levels(seq_scale(prod_lo, 1.0 / kappa),
+                                  [levels[i] for i in open_levels], horizon)
+        for i, under_seq in zip(open_levels, unders):
+            if under_seq is None:
+                continue
+            under_set = restrict(under_seq)
+            under_txt[i] = under_set.to_text()
+            if wide(under_set) is True:
+                cls[i] = "stationary-or-member"
+                if first_refutation is None:
+                    first_refutation = (levels[i], under_set)
+    entries = tuple(EpsilonEntry(*row) for row in zip(levels, over_txt, under_txt, cls))
+    unknowns = cls.count("inconclusive")
     if first_refutation is not None:
         verdict = LimitVerdict.does_not_converge(first_refutation[0], first_refutation[1])
     elif unknowns:
         verdict = LimitVerdict.inconclusive(f"{unknowns} epsilon levels undecided")
     else:
         verdict = LimitVerdict.converges_to(0)
-    return tuple(entries), verdict
+    return entries, verdict

@@ -675,6 +675,8 @@ def enumerate_prefix(s: SetExpr, horizon: int) -> list[int]:
     """Sorted list of the members of s in [1, horizon]."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if isinstance(s, Finite):  # its own indices, without an array
+        return [i for i in s.indices if i <= horizon]
     m = s.mask(horizon)
     return [int(i) + 1 for i in np.nonzero(m)[0]]
 

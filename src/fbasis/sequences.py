@@ -586,66 +586,78 @@ _VECTOR_SCAN_MIN = 16
 
 
 def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
-    """The set {n : a(n) >= t} as a SetExpr, or None if undecidable.
+    """The set {n : a(n) >= t} as a SetExpr, or None if undecidable."""
+    return threshold_levels(a, (t,), horizon)[0]
 
-    The head up to the provable monotonicity point is scanned explicitly;
-    past it a single crossing is located, so the result is a finite list,
-    a final segment, or a union of the two.
+
+def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[SetExpr]]:
+    """The sets {n : a(n) >= t} for each threshold t in ts, each a SetExpr
+    or None if undecidable.
+
+    The head up to the provable monotonicity point is scanned explicitly,
+    once for all thresholds; past it a single crossing is located per
+    threshold, so each result is a finite list, a final segment, or a
+    union of the two.
     """
-    t = float(t)
+    ts = [float(t) for t in ts]
     if isinstance(a, Piecewise):
-        parts = []
-        for s, q in a.pieces:
-            inner = threshold_ge(q, t, horizon)
-            if inner is None:
-                return None
-            parts.append(Intersection((s, inner)))
-        return Union(tuple(parts))
+        per_piece = [(s, threshold_levels(q, ts, horizon)) for s, q in a.pieces]
+        return [None if any(inner[j] is None for _, inner in per_piece)
+                else Union(tuple(Intersection((s, inner[j])) for s, inner in per_piece))
+                for j in range(len(ts))]
     f = tail_form(a)
     if f is None:
-        return None
-    if t <= 0:
-        from .natset import NATURALS
+        return [None] * len(ts)
+    from .natset import NATURALS
 
-        return NATURALS
     n0 = _monotone_start(f)
     if n0 is None or n0 > horizon:
-        return None
+        return [NATURALS if t <= 0 else None for t in ts]
     scan_to = min(max(n0, f.start, max([1] + [i for i, _ in f.head])), horizon)
-    if scan_to < _VECTOR_SCAN_MIN:
-        hits = [n for n in range(1, scan_to + 1) if float(a.value_at(n)) >= t]
-    else:
-        # the vector may differ from value_at in the last bits, so an entry
-        # within rounding of t is decided by value_at
-        v = eval_vector(a, scan_to)
-        hit = v >= t
-        for i in np.nonzero(np.abs(v - t) <= 1e-9 * t)[0].tolist():
-            hit[i] = float(a.value_at(i + 1)) >= t
-        hits = np.flatnonzero(hit) + 1
     direction = _eventual_direction(f)
-    val0 = float(a.value_at(scan_to))
     # the crossing search is logarithmic, so it may run far past the
     # enumeration horizon
     search_to = max(horizon, 2 ** 60)
-    if direction == 0:
-        return _assemble(hits, Range(scan_to + 1, None) if val0 >= t else None)
-    if direction > 0:
-        # increasing without bound beyond scan_to
-        if val0 >= t:
-            return _assemble(hits, Range(scan_to + 1, None))
-        cross = _first_crossing(a, t, scan_to, search_to, upward=True)
-        if cross is None:
-            return None
-        return _assemble(hits, Range(cross, None))
-    # decreasing to zero beyond scan_to
-    if val0 < t:
-        return _assemble(hits, None)
-    cross = _first_crossing(a, t, scan_to, search_to, upward=False)
-    if cross is None:
-        return None
-    if cross - 1 > scan_to:
-        return _assemble(hits, Range(scan_to + 1, cross - 1))
-    return _assemble(hits, None)
+    head = None  # the head values, scanned at the first positive threshold
+    out: list[Optional[SetExpr]] = []
+    for t in ts:
+        if t <= 0:
+            out.append(NATURALS)
+            continue
+        if head is None:
+            head = ([float(a.value_at(n)) for n in range(1, scan_to + 1)]
+                    if scan_to < _VECTOR_SCAN_MIN else eval_vector(a, scan_to))
+            val0 = float(a.value_at(scan_to))
+        hits = _head_hits(a, head, t)
+        if direction == 0:
+            out.append(_assemble(hits, Range(scan_to + 1, None) if val0 >= t else None))
+        elif direction > 0:
+            # increasing without bound beyond scan_to: the first index past
+            # it with a(n) >= t starts the tail
+            cross = (scan_to + 1 if val0 >= t
+                     else _first_crossing(a, t, scan_to, search_to, upward=True))
+            out.append(None if cross is None else _assemble(hits, Range(cross, None)))
+        else:
+            # decreasing to zero beyond scan_to: the first index past it
+            # with a(n) < t ends the tail
+            cross = (scan_to + 1 if val0 < t
+                     else _first_crossing(a, t, scan_to, search_to, upward=False))
+            out.append(None if cross is None else _assemble(
+                hits, Range(scan_to + 1, cross - 1) if cross - 1 > scan_to else None))
+    return out
+
+
+def _head_hits(a: ScalarSeq, head, t: float):
+    """The ascending indices n in the head with a(n) >= t: a list from a
+    list of value_at's own values, an array from a vector."""
+    if isinstance(head, list):
+        return [n for n, v in enumerate(head, start=1) if v >= t]
+    # the vector may differ from value_at in the last bits, so an entry
+    # within rounding of t is decided by value_at
+    hit = head >= t
+    for i in np.nonzero(np.abs(head - t) <= 1e-9 * t)[0].tolist():
+        hit[i] = float(a.value_at(i + 1)) >= t
+    return np.flatnonzero(hit) + 1
 
 
 def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool) -> Optional[int]:
@@ -679,20 +691,26 @@ def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool)
 
 
 def _assemble(hits, tail: Optional[Range]) -> SetExpr:
-    """The ascending hits joined with the tail range."""
-    hits = np.asarray(hits, dtype=np.int64)
-    if tail is None:
-        return Finite(tuple(hits.tolist()))
-    # absorb the trailing run of hits that abuts the range start: the hits
-    # after the last one off the run lo - len(hits), ..., lo - 1
-    off_run = np.flatnonzero(hits != np.arange(tail.lo - len(hits), tail.lo))
-    k = int(off_run[-1]) + 1 if off_run.size else 0
-    if k < len(hits):
+    """The ascending hits joined with the tail range.  The hits are a list
+    (a short head scan, which leaves numpy unloaded) or an array."""
+    k = len(hits)
+    if tail is not None:
+        # absorb the trailing run of hits that abuts the range start: the
+        # hits after the last one off the run lo - len(hits), ..., lo - 1
+        if isinstance(hits, list):
+            while k and hits[k - 1] == tail.lo - len(hits) + k - 1:
+                k -= 1
+        else:
+            off_run = np.flatnonzero(hits != np.arange(tail.lo - len(hits), tail.lo))
+            k = int(off_run[-1]) + 1 if off_run.size else 0
         tail = Range(tail.lo - (len(hits) - k), tail.hi)
+    listed = Finite(tuple(hits[:k] if isinstance(hits, list) else hits[:k].tolist()))
+    if tail is None:
+        return listed
     if not k:
         if tail.lo == 1 and tail.hi is None:
             from .natset import NATURALS
 
             return NATURALS
         return tail
-    return Union((Finite(tuple(hits[:k].tolist())), tail))
+    return Union((listed, tail))

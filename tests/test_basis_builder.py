@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from fbasis import (
     NotAdmissible,
     PowerLog,
     PowerTail,
+    Residue,
     Shifted,
     Spike,
     Statistical,
     Summable,
+    Trace,
     apply,
     build_basis,
     convergence_demo,
@@ -27,11 +30,13 @@ from fbasis import (
     remainder_norm,
     verify_biorthogonality,
 )
-from fbasis import basis_builder
+from fbasis import basis_builder, sequences
+from fbasis.cli import load_config, run_command
 from fbasis.lp_operators import TailOp
 from fbasis.sequences import DomainError
 
 import biorth_oracle
+import defect_table_oracle
 from conftest import random_target_seq
 
 HARMONIC = PowerLog(1, Fraction(-1))
@@ -273,3 +278,107 @@ class TestBiorthogonalityOracle:
         assert rep.vanishing == tuple(
             (x.to_text(), convergence_demo(sys, x).verdict.kind) for x in family
         )
+
+
+TABLE_SPACES = [l1(64), l2(64), lp(Fraction(3, 2), 64)]
+TABLE_FILTERS = [Frechet(), Statistical(), Summable(HARMONIC),
+                 Summable(PowerLog(1, Fraction(-1, 2))), Trace(Frechet(), Residue(2, 0)),
+                 Trace(Statistical(), Residue(3, 1))]
+TABLE_TARGETS = [Constant(Fraction(5, 2)), PowerLog(2, Fraction(1, 4)),
+                 ExplicitPrefix((Fraction(3),), PowerLog(3, Fraction(1, 3))),
+                 PowerLog(4, Fraction(1, 10), Fraction(-1))]
+
+
+class TestDefectTable:
+    @pytest.mark.parametrize("F", TABLE_FILTERS, ids=lambda F: F.to_text())
+    @pytest.mark.parametrize("space", TABLE_SPACES, ids=lambda s: f"p={s.p}")
+    def test_matches_the_per_level_oracle(self, space, F):
+        """Entries and verdicts equal those of the old per-level loop, for
+        the default test family and two vectors outside it."""
+        vectors = basis_builder.default_test_family(space) + (
+            Spike(Residue(2, 0), Constant(1)), PowerTail(Fraction(1, 2)))
+        compared = 0
+        for a in TABLE_TARGETS:
+            try:
+                sys = build_basis(a, space, F, n_max=6)
+            except NotAdmissible:
+                continue
+            bounds = lambda: basis_builder._defect_bound_seqs(sys)  # noqa: E731
+            for x in vectors:
+                for under in [u for u in (None, Frechet()) if u != F]:
+                    got = basis_builder._classify_defects(sys, x, bounds, under=under)
+                    assert got == defect_table_oracle.classify_defects(sys, x, bounds,
+                                                                      under=under)
+                    compared += 1
+        assert compared
+
+    def test_lower_bound_needs_every_value_past_the_threshold(self):
+        """a/2 bounds the l2 defect c = (a**2 - 1)**(1/2) from below only where
+        a >= (4/3)**(1/2).  a = 4 n**(1/10) / ln(n+1) stays above that for
+        n <= 64 but falls to 1.087 at n = 22027, where c = 0.427 < 1/2: no
+        level may claim the odd indices as a subset of the exceptional set."""
+        a = PowerLog(4, Fraction(1, 10), Fraction(-1))
+        at = float(a.value_at(22027))
+        assert min(float(a.value_at(n)) for n in range(1, 65)) > (4 / 3) ** 0.5
+        assert (at ** 2 - 1) ** 0.5 < 0.5
+        sys = build_basis(a, l2(64), Statistical(), n_max=8)
+        assert basis_builder._defect_bound_seqs(sys)[1] is None
+        rep = convergence_demo(sys, Spike(Residue(2, 0), Constant(1)))
+        assert {e.under_set for e in rep.entries} == {None}
+        assert {e.classification for e in rep.entries} == {"inconclusive"}
+        assert rep.verdict.kind == "inconclusive"
+
+
+README_DEMO = ["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
+               "--filter", "summable(pow(1,-1))", "--n-max", "10",
+               "--vector", "spike(shift(geom(2),1); powlog(1,0,-2))", "--under", "frechet"]
+BUILD_L1 = ["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
+            "--filter", "summable(pow(1,-1))", "--n-max", "12"]
+
+
+# the README demo scans heads shorter than a vector; the build's spike scans
+# one to e**8
+@pytest.mark.parametrize("argv,vectors", [(README_DEMO, False), (BUILD_L1, True)],
+                         ids=["demo", "build"])
+def test_each_table_classifies_each_set_once(monkeypatch, argv, vectors):
+    """Within one epsilon table, ``classify_set`` and ``not_negligible`` see
+    each distinct set once, and ``eval_vector`` evaluates each threshold
+    sequence once."""
+    tables = []  # per table: a Counter of (function, argument)
+    in_levels = []
+
+    def counting(module, name, only_in_levels=False):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if tables and (in_levels or not only_in_levels):
+                tables[-1][name, args[0]] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    levels, table = sequences.threshold_levels, basis_builder._classify_defects
+
+    def traced_levels(*args, **kwargs):
+        in_levels.append(1)
+        try:
+            return levels(*args, **kwargs)
+        finally:
+            in_levels.pop()
+
+    def traced_table(*args, **kwargs):
+        tables.append(collections.Counter())
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "threshold_levels", traced_levels)
+    monkeypatch.setattr(basis_builder, "threshold_levels", traced_levels)
+    monkeypatch.setattr(basis_builder, "_classify_defects", traced_table)
+    counting(basis_builder, "classify_set")
+    counting(basis_builder, "not_negligible")
+    counting(sequences, "eval_vector", only_in_levels=True)
+    code, _ = run_command(load_config(argv))
+    assert code == 0 and tables
+    for counts in tables:
+        assert max(counts.values(), default=1) == 1, counts
+    called = {name for counts in tables for name, _ in counts}
+    assert "classify_set" in called and ("eval_vector" in called) == vectors

@@ -84,6 +84,27 @@ NOT_ADMISSIBLE = [
 ]
 
 
+# epsilon tables outside l1: every level stationary-or-member in l2, the
+# limit shortcut in lp(3), and over-sets classified under a summable filter
+# in lp(3/2)
+DEMO = [
+    (["demo-convergence", "--seq", "pow(2,1/4)", "--space", "l2", "--filter", "statistical",
+      "--n-max", "8", "--vector", "spike(residue(2,0); const(1))"],
+     0, "3c70c767c3d5fe37c79215b0f924a2222d4f2df6eb028148edafcd9b71c9e882"),
+    (["demo-convergence", "--seq", "const(5/2)", "--space", "lp(3)", "--filter", "frechet",
+      "--n-max", "6", "--vector", "powtail(1/2)"],
+     0, "f4d59b5586a853a115034fb290548afff87a1fd416a2d387af14f190d410f988"),
+    (["demo-convergence", "--seq", "pow(3,1/3)", "--space", "lp(3/2)",
+      "--filter", "summable(pow(1,-1))", "--n-max", "6",
+      "--vector", "spike(shift(geom(2),1); powlog(1,0,-2))"],
+     0, "992fc2bc2bdab64be7fba2b59475fe109224aa414879b969a82ca1a764f28282"),
+]
+
+# a finite set's weight sum, added term by term
+FINITE_SUM = (["classify-set", "--set", "finite{10,27}", "--filter", "summable(pow(1,-1/2))"],
+              0, "149544c7b03d2d8a10e9a630838157392cadd461a3ebd111d2c1245c2c770135")
+
+
 # greedy witnesses: a refutation whose blocks run past index 65536, the
 # scan to the horizon that ``witness`` prints, and a set that cannot
 # complete the two blocks a certificate needs
@@ -101,7 +122,8 @@ GREEDY = [
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", README + CONSTRUCT + NOT_ADMISSIBLE + GREEDY,
+@pytest.mark.parametrize("argv,code,digest",
+                         README + CONSTRUCT + NOT_ADMISSIBLE + DEMO + [FINITE_SUM] + GREEDY,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_report_bytes_pinned(argv, code, digest):
     got_code, payload = run_command(load_config(argv))
@@ -116,7 +138,11 @@ def _readme_pin(command):
     (*_readme_pin("classify-set"), True),
     (*_readme_pin("dominates"), True),
     (*_readme_pin("witness"), False),
-], ids=["classify-set", "dominates", "witness"])
+    (*FINITE_SUM, True),
+    (*README[2], True),
+    (*_readme_pin("demo-convergence"), True),
+], ids=["classify-set", "dominates", "witness", "classify-set-finite-sum", "build-basis-l2",
+        "demo-convergence"])
 def test_fresh_process_keeps_the_pinned_bytes(argv, code, digest, symbolic):
     """`python -m fbasis.cli` as its own process: the same bytes as in
     process, and a symbolic query never runs numpy (in this process numpy

@@ -35,8 +35,10 @@ from fbasis.sequences import (
     seq_mul,
     seq_scale,
     tail_form,
+    threshold_levels,
 )
 
+import defect_table_oracle
 from conftest import random_power_seq
 
 
@@ -155,6 +157,17 @@ class TestPiecewise:
         got = threshold_ge(self.EVENS_N, 4)
         assert all(member(n, got) == (n % 2 == 0 and n >= 4) for n in range(1, 2000))
         assert threshold_ge(PowerLog(1, Fraction(-1)), 0) == NATURALS
+
+    def test_threshold_levels_per_piece(self):
+        # a piece monotone only past e**320 leaves every positive level undecided
+        stalled = Piecewise(((Residue(2, 0), PowerLog(1, Fraction(1, 8), Fraction(-40))),
+                             (Residue(2, 1), Constant(3))))
+        levels = (4, 3, 1, 0, -1, 10 ** 9)
+        for a in (self.EVENS_N, stalled):
+            want = [defect_table_oracle.threshold_ge(a, t) for t in levels]
+            assert threshold_levels(a, levels) == want
+        undecided = [s is None for s in threshold_levels(stalled, levels)]
+        assert undecided == [True, True, True, False, False, True]
 
     def test_boundedness_per_piece(self):
         # an unbounded piece on an infinite set makes the whole unbounded;
@@ -295,7 +308,11 @@ _BUMP = PowerLog(Fraction(3, 2), Fraction(-1, 4), Fraction(2))
 @example(case=(_BUMP, math.nextafter(float(_BUMP.value_at(1105)), math.inf), 2982))
 def test_threshold_head_matches_per_index_scan(case):
     seq, t, scan_to = case
+    levels = (t, math.nextafter(t, math.inf), t / 2, 2 * t, 0.0)
+    got_levels = threshold_levels(seq, levels)
+    assert got_levels == [defect_table_oracle.threshold_ge(seq, u) for u in levels]
     got = threshold_ge(seq, t)
+    assert got == got_levels[0]
     assume(got is not None)  # no crossing below 2**60, so no set to compare
     want = [n for n in range(1, scan_to + 1) if float(seq.value_at(n)) >= t]
     assert (np.flatnonzero(got.mask(scan_to)) + 1).tolist() == want
