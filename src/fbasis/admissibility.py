@@ -169,7 +169,7 @@ def _summable_case(a: ScalarSeq, F: Summable, p: Fraction) -> AdmissVerdict:
         )
     if status == "unbounded":
         try:
-            witness = GreedyBlockSet(a, s, p)
+            witness = GreedyBlockSet(a, s, p, criterion=status)
         except HorizonExceeded as exc:
             return AdmissVerdict.inconclusive(f"witness construction failed: {exc}")
         return _refute(a, F, p, witness)
@@ -260,7 +260,7 @@ def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> GreedyBlockSet:
     status, _ = summable_criterion(a, s, p)
     if status == "bounded":
         raise CriterionHolds("a**p * s is bounded outside a set of finite s-mass")
-    return GreedyBlockSet(a, s, p)
+    return GreedyBlockSet(a, s, p, criterion=status)
 
 
 # ---------------------------------------------------------------------------

@@ -215,27 +215,32 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     """Check sum_{k<=n} v*_k(x) v_k == T_n x, with the coordinate functionals
     v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated through ``apply``,
     for one seeded random rational x at the stages 1, 2, 4, ... and n_max - 1.
-    Float coefficients convert to Fractions exactly, so any error is real."""
+
+    v_k has b_i at every i <= k, so coordinate i <= n of the sum telescopes,
+    b_i (v*_i(x) + ... + v*_n(x)) = x_i - b_i x_{n+1} / b_{n+1}; past n it
+    is 0.  With x_i = s_i / t_i, b_i = P_i / Q_i and x_{n+1} / b_{n+1} = A / B,
+    coordinate g of T_n x misses it by miss / (g.den t_i Q_i B), where the
+    integer miss = g.den (s_i Q_i B - P_i t_i A) - g.num t_i Q_i B: only a
+    nonzero miss makes a Fraction.  Float coefficients convert to Fractions
+    exactly, so a reported error is the exact distance, never rounding."""
     k = sys.n_max - 1
     b = [Fraction(v) for v in sys.coefficients]
     rng = random.Random(0)
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
-    ratios = [u / v for u, v in zip(x, b)]
-    functionals = [ratios[i] - ratios[i + 1] for i in range(k)]  # v*_1(x) .. v*_k(x)
+    sQ = [u.numerator * v.denominator for u, v in zip(x, b)]
+    Pt = [v.numerator * u.denominator for u, v in zip(x, b)]
+    tQ = [u.denominator * v.denominator for u, v in zip(x, b)]
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
-        # v_j has b_i at every i <= j, so coordinate i of the sum is
-        # b_i * (v*_i(x) + ... + v*_n(x)), and 0 past n
-        partial = [Fraction(0)] * n
-        tail = Fraction(0)
-        for i in range(n, 0, -1):
-            tail += functionals[i - 1]
-            partial[i - 1] = b[i - 1] * tail
         got = apply(TailOp(n, tuple(b[: n + 1]), sys.space), x)
-        if got[:n] != partial or any(got[n:]):
-            partial += [Fraction(0)] * (len(x) - n)
-            worst = max([worst] + [abs(u - v) for u, v in zip(partial, got)])
+        A, B = sQ[n], Pt[n]
+        for i, g in enumerate(got[:n]):
+            miss = g.denominator * (sQ[i] * B - Pt[i] * A) - g.numerator * tQ[i] * B
+            if miss:
+                worst = max(worst, Fraction(abs(miss), g.denominator * tQ[i] * B))
+        if any(got[n : len(x)]):
+            worst = max([worst] + [abs(v) for v in got[n : len(x)]])
     return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)
 
 

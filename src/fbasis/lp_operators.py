@@ -212,7 +212,8 @@ def norming_input(T: TailOp) -> np.ndarray:
 def _root(x, k):
     """x**(1/k): exact for k = 1 and for rational squares at k = 2.  A
     rational square root is taken after scaling by a power of four, so it
-    neither overflows nor differs from math.sqrt where that one is finite."""
+    neither overflows nor differs from math.sqrt where that one is finite;
+    it is an integer shift, and int / int rounds as float(Fraction) does."""
     if k == 1:
         return x
     if k == 2:
@@ -221,8 +222,10 @@ def _root(x, k):
         root = exact_root(x, 2)
         if root is not None:
             return root
-        j = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
-        return math.ldexp(math.sqrt(x / Fraction(4) ** j), j)
+        num, den = x.numerator, x.denominator
+        j = (num.bit_length() - den.bit_length()) // 2
+        scaled = num / (den << 2 * j) if j >= 0 else (num << -2 * j) / den
+        return math.ldexp(math.sqrt(scaled), j)
     return float(x) ** (1.0 / float(k))
 
 

@@ -677,6 +677,8 @@ def enumerate_prefix(s: SetExpr, horizon: int) -> list[int]:
         raise ValueError("horizon must be >= 1")
     if isinstance(s, Finite):  # its own indices, without an array
         return [i for i in s.indices if i <= horizon]
+    if isinstance(s, Range) and s.hi is not None:  # its own bounds
+        return list(range(s.lo, min(s.hi, horizon) + 1))
     m = s.mask(horizon)
     return [int(i) + 1 for i in np.nonzero(m)[0]]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -117,6 +117,8 @@ class GreedyBlockSet(SetExpr):
     exponent: Fraction  # p
     blocks: Optional[int] = None  # None: as many as fit below the horizon
     horizon: int = _MATERIALIZE_CAP
+    # summable_criterion's status, when the caller holds it; None: asked on first use
+    criterion: Optional[str] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", Fraction(self.exponent))
@@ -135,6 +137,7 @@ class GreedyBlockSet(SetExpr):
                 "svals": _ChunkedValues(self.weights, self.horizon),
                 "pvals": _ChunkedValues(target_p, self.horizon),
                 "count": self.blocks,  # blocks to materialize; None until asked
+                "criterion": self.criterion,
             },
         )
         # fail fast if the blocks a certificate needs cannot complete
@@ -307,19 +310,28 @@ class GreedyBlockSet(SetExpr):
             f"{_frac(self.exponent)})"
         )
 
+    def _weights_diverge(self) -> Optional[SumVerdict]:
+        """``diverges`` when the summable criterion finds a**p * s unbounded,
+        for then every block completes and adds a unit of s-mass; else None
+        (summable weights, or an undecided criterion).  Asked once per set."""
+        st = self._state
+        if st["criterion"] is None:
+            from .admissibility import summable_criterion  # it imports this module
+            st["criterion"], _ = summable_criterion(self.target, self.weights, self.exponent)
+        return SumVerdict.diverges() if st["criterion"] == "unbounded" else None
+
     def certified_weight_sum_seq(self, w) -> Optional[SumVerdict]:
         """Structural match against the defining sequences (covers the
         piecewise case the reduced form cannot express)."""
         if w == self.weights:
-            return SumVerdict.diverges()
+            return self._weights_diverge()
         if w == seq_pow(self.target, -self.exponent):
             return SumVerdict.converges(Fraction(2))
         return None
 
     def certified_weight_sum(self, form: TailForm) -> Optional[SumVerdict]:
         if _forms_match(form, tail_form(self.weights)):
-            # every completed block contributes at least one unit
-            return SumVerdict.diverges()
+            return self._weights_diverge()
         inv = tail_form(seq_pow(self.target, -self.exponent))
         if _forms_match(form, inv):
             return SumVerdict.converges(Fraction(2))

@@ -270,6 +270,32 @@ class TestBiorthogonalityOracle:
         assert rep == want
         assert rep.ok is False and rep.max_error > 0
 
+    # past the hypothesis range: numerators of thousands of digits in l1 and
+    # on the l2 squares, and float coefficients of irrational targets
+    LARGE = {
+        "l1-const(3/2)-242": lambda: build_basis(Constant(Fraction(3, 2)), l1(242), Frechet(),
+                                                 n_max=242),
+        "l2-squared-const(9/2)-242": lambda: build_basis(None, l2(242), Frechet(), n_max=242,
+                                                         a_squared=Constant(Fraction(9, 2))),
+        "l1-pow(3,1/4)-40": lambda: build_basis(PowerLog(3, Fraction(1, 4)), l1(40),
+                                                Summable(HARMONIC), n_max=40),
+    }
+
+    @pytest.mark.parametrize("corrupted",
+                             [None, _without_defect, _shifted_coefficient, _leaks_past_stage],
+                             ids=["sound", "without-defect", "shifted", "leaks"])
+    @pytest.mark.parametrize("case", sorted(LARGE))
+    def test_large_systems_match_the_oracle(self, case, corrupted):
+        sys = self.LARGE[case]()
+        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted or apply)
+        with pytest.MonkeyPatch.context() as mp:
+            if corrupted is not None:
+                mp.setattr(basis_builder, "apply", corrupted)
+            rep = verify_biorthogonality(sys)
+        assert rep == want
+        assert rep.ok is (corrupted is None)
+        assert (rep.max_error > 0) is (corrupted is not None)
+
     @settings(max_examples=15, deadline=None)
     @given(built_systems())
     def test_vanishing_verdicts_are_the_demo_verdicts(self, sys):

@@ -2,6 +2,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fbasis import (
@@ -10,6 +11,7 @@ from fbasis import (
     Spike,
     parse_scalar_seq,
     parse_set_expr,
+    parse_test_vector,
     set_equal,
     weight_sum,
 )
@@ -275,6 +277,21 @@ class TestReports:
         assert code == EXIT_USAGE
         assert get_json(out)["detail"] == detail
         assert capsys.readouterr().err == ""
+
+    def test_profile_of_a_spike_on_a_greedy_set_of_summable_weights(self):
+        """The greedy set's own weights 100 n**-2 are summable, so its weight
+        sum is not certified ``diverges``: the norm is bounded by the full
+        sum, which covers the sum over the members below the horizon."""
+        vector = "spike(greedy(pow(1,5); pow(100,-2); 1); pow(100,-2))"
+        code, out = run(["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", vector,
+                         "--grid", "10,100"])
+        assert code == EXIT_OK
+        x = parse_test_vector(vector)
+        members = np.nonzero(x.support_set.mask(x.support_set.horizon))[0] + 1
+        assert x.norm_upper(1) >= math.fsum((100.0 / members ** 2).tolist())
+        for n, average, bound in get_json(out)["rows"]:
+            s_n = math.fsum(m ** -0.5 for m in range(1, n + 1))
+            assert bound == pytest.approx(x.norm_upper(1) / s_n, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_spike_norm_bound_covers_the_partial_sum(self, p):

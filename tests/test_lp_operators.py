@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fbasis import (
     DimensionMismatch,
@@ -20,7 +20,8 @@ from fbasis import (
     solve_b_next,
     solve_next_square,
 )
-from fbasis.lp_operators import remainder_dense_matrix, riesz_thorin_upper
+from fbasis.lp_operators import _root, remainder_dense_matrix, riesz_thorin_upper
+from fbasis.sequences import exact_root
 
 from norm_oracle import golden_section_norm
 
@@ -248,3 +249,40 @@ class TestRemainder:
                 best = max(best, float((np.abs(y) ** 1.5).sum() ** (1 / 1.5)) / nx)
             assert best <= r.value + 1e-9
             assert r.value - best <= 1e-9  # attained at a basis direction
+
+
+def _root_by_fraction_scaling(x: Fraction) -> float:
+    """The square root as ``_root`` took it before: scaled by a Fraction
+    power of four."""
+    j = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(x / Fraction(4) ** j), j)
+
+
+@st.composite
+def non_square_rationals(draw):
+    """m / d * 2**e with e in [-1100, 1100], and a few around the
+    subnormal boundary (2**-1022, 2**-1074) and past it."""
+    e = draw(st.one_of(st.integers(-1100, 1100),
+                       st.sampled_from([-1022, -1023, -1074, -1075, -2044, -2100, -2148])))
+    m = draw(st.integers(1, 2 ** draw(st.sampled_from([8, 53, 64, 200]))))
+    d = draw(st.integers(1, 2 ** draw(st.sampled_from([8, 53, 64, 200]))))
+    x = Fraction(m, d) * Fraction(2) ** e
+    assume(exact_root(x, 2) is None)
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(non_square_rationals())
+def test_shift_scaled_root_matches_fraction_scaling(x):
+    got = _root(x, 2)
+    want = _root_by_fraction_scaling(x)
+    assert got.hex() == want.hex()
+    if Fraction(2) ** -1022 <= x < Fraction(2) ** 1023:
+        assert got == math.sqrt(float(x))
+
+
+@pytest.mark.parametrize("x", [Fraction(2) ** -1074 * 3, Fraction(2) ** -1022 * 5 / 7,
+                               Fraction(2) ** 1100 * 3, Fraction(1, 3) * Fraction(2) ** -2148,
+                               Fraction(2 ** 53 + 1, 2 ** 53 - 1), Fraction(1, 2)])
+def test_shift_scaled_root_fixed_cases(x):
+    assert _root(x, 2).hex() == _root_by_fraction_scaling(x).hex()

@@ -150,6 +150,13 @@ class TestEnumerate:
         assert enumerate_prefix(Complement(Finite((1,))), 3) == [2, 3]
         assert enumerate_prefix(GEOM2, 20) == [2, 4, 8, 16]
 
+    @pytest.mark.parametrize("s", [Range(3, 40), Range(5, 5), Range(1, 9), Range(7, None),
+                                   Finite((2, 9, 30))])
+    @pytest.mark.parametrize("horizon", [1, 5, 9, 40, 100])
+    def test_own_elements_match_the_mask(self, s, horizon):
+        want = [i + 1 for i, m in enumerate(s.mask(horizon)) if m]
+        assert enumerate_prefix(s, horizon) == want
+
     def test_sampled_horizon_error(self):
         s = Sampled(frozenset({1}), 100)
         with pytest.raises(HorizonExceeded):

@@ -100,9 +100,11 @@ DEMO = [
      0, "992fc2bc2bdab64be7fba2b59475fe109224aa414879b969a82ca1a764f28282"),
 ]
 
-# a finite set's weight sum, added term by term
+# a finite set's and a bounded range's weight sums, added term by term
 FINITE_SUM = (["classify-set", "--set", "finite{10,27}", "--filter", "summable(pow(1,-1/2))"],
               0, "149544c7b03d2d8a10e9a630838157392cadd461a3ebd111d2c1245c2c770135")
+RANGE_SUM = (["classify-set", "--set", "range(3,40)", "--filter", "summable(pow(1,-1/2))"],
+             0, "2e36083f5012b37bd40c93c4bbe52fef1778b44ad5b95e3d2dd8723c8dded4cb")
 
 
 # greedy witnesses: a refutation whose blocks run past index 65536, the
@@ -123,7 +125,8 @@ GREEDY = [
 
 
 @pytest.mark.parametrize("argv,code,digest",
-                         README + CONSTRUCT + NOT_ADMISSIBLE + DEMO + [FINITE_SUM] + GREEDY,
+                         README + CONSTRUCT + NOT_ADMISSIBLE + DEMO + [FINITE_SUM, RANGE_SUM]
+                         + GREEDY,
                          ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_report_bytes_pinned(argv, code, digest):
     got_code, payload = run_command(load_config(argv))
@@ -139,10 +142,11 @@ def _readme_pin(command):
     (*_readme_pin("dominates"), True),
     (*_readme_pin("witness"), False),
     (*FINITE_SUM, True),
+    (*RANGE_SUM, True),
     (*README[2], True),
     (*_readme_pin("demo-convergence"), True),
-], ids=["classify-set", "dominates", "witness", "classify-set-finite-sum", "build-basis-l2",
-        "demo-convergence"])
+], ids=["classify-set", "dominates", "witness", "classify-set-finite-sum",
+        "classify-set-range-sum", "build-basis-l2", "demo-convergence"])
 def test_fresh_process_keeps_the_pinned_bytes(argv, code, digest, symbolic):
     """`python -m fbasis.cli` as its own process: the same bytes as in
     process, and a symbolic query never runs numpy (in this process numpy

@@ -20,8 +20,9 @@ from fbasis import (
     member,
     weight_sum,
 )
+from fbasis import admissibility
 from fbasis.natset import HorizonExceeded
-from fbasis.sequences import eval_vector, seq_pow
+from fbasis.sequences import eval_vector, seq_pow, tail_form
 from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet, _ChunkedValues
 
 from greedy_oracle import greedy_scan
@@ -174,6 +175,32 @@ def test_readme_witness_stops_after_its_blocks():
     # its last block runs across the first scan window, which ends at 4096
     assert any(blk[0] <= 4096 < blk[-1] for blk in blocks)
     assert g._state["scan"] <= 65_536
+
+
+@pytest.mark.parametrize("a,s,p,want", [
+    (PowerLog(1, 2), HARMONIC, 1, "diverges"),  # the README witness
+    (PowerLog(Fraction(3, 2), 1), PowerLog(1, Fraction(-2, 3)), 1, "diverges"),
+    # a**p s = 100 n**3 is unbounded, but s is summable: finitely many blocks
+    (PowerLog(1, 5), PowerLog(100, -2), 1, None),
+])
+def test_weights_diverge_only_where_the_criterion_is_unbounded(monkeypatch, a, s, p, want):
+    calls = []
+    criterion = admissibility.summable_criterion
+    monkeypatch.setattr(admissibility, "summable_criterion",
+                        lambda *args: calls.append(args) or criterion(*args))
+    g = GreedyBlockSet(a, s, p)
+    got = [g.certified_weight_sum_seq(s), g.certified_weight_sum(tail_form(s)),
+           weight_sum(g, s)]
+    assert [v and v.kind for v in got[:2]] == [want, want]
+    assert got[2].kind == (want or "converges")  # else bounded by the full sum of s
+    assert len(calls) == 1  # once per set, whichever branch asks
+    assert g.certified_weight_sum_seq(seq_pow(a, -p)).kind == "converges"
+    assert len(calls) == 1  # and never on the inverse-p branch
+    if want is not None:
+        calls.clear()
+        built = admissibility.nonadmissibility_witness(a, s, p)
+        assert weight_sum(built, s).kind == want
+        assert len(calls) == 1  # the set reuses the criterion it was built on
 
 
 def test_construction_scans_for_two_blocks_only():
