@@ -56,6 +56,7 @@ from .sequences import (
     tail_form,
     threshold_ge,
     threshold_levels,
+    to_float,
 )
 from .vectors import BasisVector, PowerTail, Spike, TestVector
 
@@ -136,10 +137,9 @@ def build_basis(
         admiss_seq = seq_pow(a_squared, Fraction(1, 2))
     targets = [eval_at(admiss_seq, n) for n in range(1, n_max)]
     for n, t in enumerate(targets, start=1):
-        try:
-            value = float(t)
-        except OverflowError:
-            raise DomainError(f"target norm at stage {n} lies beyond the float range") from None
+        value = to_float(t)
+        if value == math.inf:
+            raise DomainError(f"target norm at stage {n} lies beyond the float range")
         if not value > 1:
             raise DomainError(f"target norm at stage {n} must exceed 1, got {value}")
     p = space.p if isinstance(space.p, Fraction) else Fraction(space.p).limit_denominator(10 ** 6)
@@ -164,6 +164,8 @@ def build_basis(
     for n, t in enumerate(targets, start=1):
         t_square = eval_at(a_squared, n) if space.is_l2 else None
         nxt = mass / _prescribed_ratio(t, p, t_square)  # b_{n+1}**p
+        if isinstance(nxt, float) and not 0.0 < nxt < math.inf:  # mass or ratio past the range
+            raise DomainError(f"coefficient at stage {n} lies beyond the float range")
         if squares is not None and not isinstance(nxt, Fraction):
             squares = None
             warnings.append("squared targets left the rationals; continuing in floats")

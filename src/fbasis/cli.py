@@ -37,7 +37,8 @@ from .parsing import (
     parse_test_vectors,
 )
 from .reports import IoError, emit_report
-from .sequences import DomainError, tail_form
+from .sequences import DomainError
+from .series import weight_sum
 from .filters import SetClass
 from .witnesses import CriterionHolds
 
@@ -340,9 +341,8 @@ def _cmd_witness(cfg: RunConfig):
     doc["block_sums"] = witness.block_sums()
     doc["prefix_inverse_sum"] = witness.prefix_inverse_sum()
     doc["certificates"] = {
-        "filter_mass": _sum_verdict_doc(witness.certified_weight_sum(tail_form(weights))),
-        "inverse_p_sum": _sum_verdict_doc(witness.certified_weight_sum(
-            tail_form(admissibility.seq_pow(seq, -p)))),
+        "filter_mass": _sum_verdict_doc(weight_sum(witness, weights)),
+        "inverse_p_sum": _sum_verdict_doc(weight_sum(witness, admissibility.seq_pow(seq, -p))),
     }
     return EXIT_REFUTED, doc
 

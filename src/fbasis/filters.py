@@ -161,7 +161,7 @@ def _classify_statistical(A: SetExpr) -> SetClass:
 
 
 def _classify_summable(A: SetExpr, weights: ScalarSeq) -> SetClass:
-    on_complement = weight_sum(Complement(A), weights)
+    on_complement = weight_sum(canonicalize(Complement(A)), weights)
     if on_complement.kind == "converges":
         return SetClass.MEMBER
     on_set = weight_sum(A, weights)
@@ -299,8 +299,7 @@ def exceptional_certainly_finite(x: SignedSeq, target, epsilon) -> bool:
     if isinstance(x, SpikeSeq):
         if abs(t) >= eps:
             return False  # off-support indices are all exceptional
-        lim = limit_value(x.amplitude)
-        return lim is not None and math.isfinite(lim) and abs(lim - t) < eps
+        x = x.amplitude
     lim = limit_value(x)
     return lim is not None and math.isfinite(lim) and abs(lim - t) < eps
 

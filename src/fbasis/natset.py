@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from ._lazy_numpy import np
+from .reports import rational_text
 
 DEFAULT_HORIZON = 10 ** 6
 
@@ -249,8 +250,7 @@ class GeometricIndex(SetExpr):
         return 0
 
     def to_text(self):
-        b = self.base
-        return f"geom({b.numerator})" if b.denominator == 1 else f"geom({b.numerator}/{b.denominator})"
+        return f"geom({rational_text(self.base)})"
 
 
 @dataclass(frozen=True)
@@ -708,20 +708,21 @@ def natural_density(s: SetExpr) -> DensityVerdict:
 
 
 def _sampled_floor(s: SetExpr) -> int:
-    horizons = [a.horizon for a in iter_atoms(s) if isinstance(a, Sampled)]
+    horizons = [a.horizon for a, _ in iter_atoms(s) if isinstance(a, Sampled)]
     return min(horizons) if horizons else DEFAULT_HORIZON
 
 
-def iter_atoms(s: SetExpr) -> Iterator[SetExpr]:
+def iter_atoms(s: SetExpr, offset: int = 0) -> Iterator[tuple[SetExpr, int]]:
+    """The atoms of s, each with the sum of the shifts it lies under."""
     if isinstance(s, Union) or isinstance(s, Intersection):
         for p in s.parts:
-            yield from iter_atoms(p)
+            yield from iter_atoms(p, offset)
     elif isinstance(s, Complement):
-        yield from iter_atoms(s.inner)
+        yield from iter_atoms(s.inner, offset)
     elif isinstance(s, Shifted):
-        yield from iter_atoms(s.base)
+        yield from iter_atoms(s.base, offset + s.offset)
     else:
-        yield s
+        yield s, offset
 
 
 def is_certainly_finite(s: SetExpr) -> bool:

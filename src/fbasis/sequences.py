@@ -15,6 +15,7 @@ threshold sets {n : a_n >= t} as set expressions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union as TUnion
@@ -30,6 +31,7 @@ from .natset import (
     is_certainly_finite,
     member,
 )
+from .reports import rational_text
 
 Number = TUnion[Fraction, float]
 
@@ -91,6 +93,46 @@ def exact_pow(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
     return 1 / out if neg else out
 
 
+# ---------------------------------------------------------------------------
+# the float range: +inf and 0.0 mean a value past it, and nothing else
+
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # e**x is finite iff x <= this
+
+
+def ln(x: Number) -> float:
+    """ln of a positive rational or float, which may lie past the float
+    range; -inf or +inf for a float that saturated to 0.0 or +inf."""
+    if isinstance(x, float) and not 0.0 < x < math.inf:
+        return -math.inf if x == 0.0 else math.inf
+    x = Fraction(x)
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def power_log_ln(c: Number, beta: Fraction, gamma: Fraction, n: Number) -> float:
+    """ln of c * n**beta * ln(n+1)**gamma for any positive coefficient, the
+    scalar twin of ``TailForm.family_logs``; any positive n at gamma = 0."""
+    out = float(beta) * ln(n) + ln(c)
+    if gamma != 0:
+        out += float(gamma) * math.log(math.log(n + 1))
+    return out
+
+
+def to_float(c: Number, beta=0, gamma=0, n: Number = 1) -> float:
+    """c * n**beta * ln(n+1)**gamma in binary64, by default c itself: the
+    direct float product where it is finite and nonzero, else e to its log,
+    so +inf or 0.0 only where the value lies past the float range."""
+    try:
+        out = float(c) * float(n) ** float(beta)
+        if gamma != 0:
+            out *= math.log(n + 1) ** float(gamma)
+    except OverflowError:  # float() of a rational, or a power, past the range
+        out = math.inf
+    if 0.0 < out < math.inf:
+        return out
+    log = power_log_ln(c, beta, gamma, n)
+    return math.exp(log) if log <= _LN_FLOAT_MAX else math.inf
+
+
 def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
     """c * n**beta * ln(n+1)**gamma: exact when gamma = 0, c is rational and
     n**beta is; binary64 otherwise."""
@@ -98,17 +140,19 @@ def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
         p = exact_pow(Fraction(n), beta)
         if p is not None:
             return c * p
-    out = float(c) * float(n) ** float(beta)
-    if gamma != 0:
-        out *= math.log(n + 1) ** float(gamma)
+    return to_float(c, beta, gamma, n)
+
+
+def power(x: Number, e: Fraction) -> Number:
+    """x**e: exact for a rational x where that is possible, else binary64."""
+    if isinstance(x, Fraction):
+        out = exact_pow(x, e)
+        if out is not None:
+            return out
+    out = to_float(1, e, 0, x)
+    if not 0.0 < out < math.inf:
+        raise DomainError("a power of a coefficient lies beyond the float range")
     return out
-
-
-def power(base: Fraction, exponent: Fraction) -> Number:
-    out = exact_pow(Fraction(base), Fraction(exponent))
-    if out is not None:
-        return out
-    return float(base) ** float(exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +207,8 @@ class PowerLog(ScalarSeq):
 
     def to_text(self):
         if self.gamma == 0:
-            return f"pow({_num_text(self.c)},{_frac_text(self.beta)})"
-        return f"powlog({_num_text(self.c)},{_frac_text(self.beta)},{_frac_text(self.gamma)})"
+            return f"pow({_num_text(self.c)},{rational_text(self.beta)})"
+        return f"powlog({_num_text(self.c)},{rational_text(self.beta)},{rational_text(self.gamma)})"
 
 
 @dataclass(frozen=True)
@@ -175,7 +219,7 @@ class ExplicitPrefix(ScalarSeq):
     def __post_init__(self):
         vals = tuple(_as_number(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if any(v <= 0 or (isinstance(v, float) and not math.isfinite(v)) for v in vals):
+        if not all(0 < v < math.inf for v in vals):
             raise SeqConstructionError("prefix values must be finite and positive")
 
     def value_at(self, n):
@@ -235,18 +279,9 @@ def validate_partition(sets: tuple[SetExpr, ...]) -> None:
 
 
 def _num_text(x: Number) -> str:
-    if isinstance(x, Fraction):
-        return _frac_text(x)
     # floats print as their exact binary value so the text re-parses to
     # the same number
-    return _frac_text(Fraction(float(x)))
-
-
-def _frac_text(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return rational_text(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +303,7 @@ def eval_vector(a, horizon: int) -> np.ndarray:
     if isinstance(a, ExplicitPrefix):  # over a tail without a vector form
         out = eval_vector(a.tail, horizon)
         k = min(len(a.values), horizon)
-        out[:k] = [float(v) for v in a.values[:k]]
+        out[:k] = [to_float(v) for v in a.values[:k]]
         return out
     if isinstance(a, Piecewise):
         out = np.zeros(horizon)
@@ -276,7 +311,7 @@ def eval_vector(a, horizon: int) -> np.ndarray:
             m = s.mask(horizon)
             out[m] = eval_vector(seq, horizon)[m]
         return out
-    return np.array([float(a.value_at(int(k))) for k in range(1, horizon + 1)])
+    return np.array([to_float(a.value_at(int(k))) for k in range(1, horizon + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +353,7 @@ class TailForm:
         entry depends on its index alone, so pieces evaluated with different
         starts join bit for bit into one evaluation from 1."""
         n = np.arange(start + 1, horizon + 1, dtype=float)
-        try:
-            c = float(self.c)
-        except OverflowError:
-            c = math.inf
+        c = to_float(self.c)
         with np.errstate(over="ignore", invalid="ignore"):
             out = n ** float(self.beta)
             out *= c
@@ -338,15 +370,14 @@ class TailForm:
                 out[bad] = np.exp(self.family_logs(bad + (start + 1.0)))
         for i, v in self.head:
             if start < i <= horizon:
-                out[i - 1 - start] = float(v)
+                out[i - 1 - start] = to_float(v)
         return out
 
     def family_logs(self, n: np.ndarray) -> np.ndarray:
         """ln of the family values c * n**beta * ln(n+1)**gamma at the float
         indices n, head entries not applied; finite for any coefficient."""
-        c = Fraction(self.c)
         logs = float(self.beta) * np.log(n)
-        logs += math.log(c.numerator) - math.log(c.denominator)
+        logs += ln(self.c)
         if self.gamma != 0:
             logs += float(self.gamma) * np.log(np.log(n + 1))
         return logs
@@ -405,15 +436,11 @@ def seq_pow(a: ScalarSeq, e: Fraction) -> ScalarSeq:
     """Pointwise power a**e, staying in the symbolic family."""
     e = Fraction(e)
     if isinstance(a, Constant):
-        return Constant(power(a.c, e) if isinstance(a.c, Fraction) else float(a.c) ** float(e))
+        return Constant(power(a.c, e))
     if isinstance(a, PowerLog):
-        c = power(a.c, e) if isinstance(a.c, Fraction) else float(a.c) ** float(e)
-        return PowerLog(c, a.beta * e, a.gamma * e)
+        return PowerLog(power(a.c, e), a.beta * e, a.gamma * e)
     if isinstance(a, ExplicitPrefix):
-        vals = tuple(
-            power(v, e) if isinstance(v, Fraction) else float(v) ** float(e) for v in a.values
-        )
-        return ExplicitPrefix(vals, seq_pow(a.tail, e))
+        return ExplicitPrefix(tuple(power(v, e) for v in a.values), seq_pow(a.tail, e))
     if isinstance(a, Piecewise):
         return Piecewise(tuple((s, seq_pow(q, e)) for s, q in a.pieces))
     raise SeqConstructionError(f"cannot exponentiate {type(a).__name__}")
@@ -437,13 +464,8 @@ def seq_scale(a: ScalarSeq, k: Number) -> ScalarSeq:
 def seq_mul(a: ScalarSeq, b: ScalarSeq) -> Optional[ScalarSeq]:
     """Pointwise product when it stays in the family, else None."""
     if isinstance(a, Piecewise):
-        pieces = []
-        for s, q in a.pieces:
-            m = seq_mul(q, b)
-            if m is None:
-                return None
-            pieces.append((s, m))
-        return Piecewise(tuple(pieces))
+        pieces = tuple((s, seq_mul(q, b)) for s, q in a.pieces)
+        return None if any(m is None for _, m in pieces) else Piecewise(pieces)
     if isinstance(b, Piecewise):
         return seq_mul(b, a)
     if isinstance(a, ExplicitPrefix) or isinstance(b, ExplicitPrefix):
@@ -453,18 +475,16 @@ def seq_mul(a: ScalarSeq, b: ScalarSeq) -> Optional[ScalarSeq]:
         k = max([0] + [i for i, _ in fa.head] + [i for i, _ in fb.head])
         vals = tuple(_mul(a.value_at(i), b.value_at(i)) for i in range(1, k + 1))
         tail = seq_mul(_family_of(fa), _family_of(fb))
-        if tail is None:
-            return None
+        if tail is None or not all(0 < v < math.inf for v in vals):
+            return None  # a value past the float range cannot be listed
         return ExplicitPrefix(vals, tail) if vals else tail
     fa, fb = tail_form(a), tail_form(b)
     if fa is None or fb is None:
         return None
     c = _mul(fa.c, fb.c)
-    beta = fa.beta + fb.beta
-    gamma = fa.gamma + fb.gamma
-    if beta == 0 and gamma == 0:
-        return Constant(c)
-    return PowerLog(c, beta, gamma)
+    if not 0 < c < math.inf:
+        return None
+    return _family_of(TailForm(c, fa.beta + fb.beta, fa.gamma + fb.gamma, 1))
 
 
 def _family_of(f: TailForm) -> ScalarSeq:
@@ -474,9 +494,10 @@ def _family_of(f: TailForm) -> ScalarSeq:
 
 
 def _mul(x: Number, y: Number) -> Number:
+    """x * y: exact for two rationals, else the float of x * y**1."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x * y
-    return float(x) * float(y)
+    return to_float(x, 1, 0, y)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +562,7 @@ def limit_value(a) -> Optional[float]:
         return math.inf
     if f.beta < 0 or (f.beta == 0 and f.gamma < 0):
         return 0.0
-    return float(f.c)
+    return to_float(f.c)
 
 
 def compare_pointwise(a: ScalarSeq, b: ScalarSeq) -> Optional[bool]:
@@ -564,11 +585,10 @@ def _monotone_start(f: TailForm) -> Optional[int]:
     """An index from which the family part is provably monotone."""
     if f.beta == 0 or f.gamma == 0 or (f.beta > 0) == (f.gamma > 0):
         return f.start
-    ratio = abs(float(f.gamma) / float(f.beta))
-    n0 = math.exp(ratio)
-    if n0 > 10 ** 12:
+    ratio = abs(float(f.gamma) / float(f.beta))  # the turn lies at e**ratio
+    if ratio > 12 * math.log(10):
         return None
-    return max(f.start, int(math.ceil(n0)) + 1)
+    return max(f.start, int(math.ceil(math.exp(ratio))) + 1)
 
 
 def _eventual_direction(f: TailForm) -> int:
@@ -625,9 +645,9 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
             out.append(NATURALS)
             continue
         if head is None:
-            head = ([float(a.value_at(n)) for n in range(1, scan_to + 1)]
+            head = ([to_float(a.value_at(n)) for n in range(1, scan_to + 1)]
                     if scan_to < _VECTOR_SCAN_MIN else eval_vector(a, scan_to))
-            val0 = float(a.value_at(scan_to))
+            val0 = to_float(a.value_at(scan_to))
         hits = _head_hits(a, head, t)
         if direction == 0:
             out.append(_assemble(hits, Range(scan_to + 1, None) if val0 >= t else None))
@@ -656,7 +676,7 @@ def _head_hits(a: ScalarSeq, head, t: float):
     # within rounding of t is decided by value_at
     hit = head >= t
     for i in np.nonzero(np.abs(head - t) <= 1e-9 * t)[0].tolist():
-        hit[i] = float(a.value_at(i + 1)) >= t
+        hit[i] = to_float(a.value_at(i + 1)) >= t
     return np.flatnonzero(hit) + 1
 
 
@@ -664,7 +684,7 @@ def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool)
     """Smallest n > lo hitting the condition; the condition is monotone there."""
 
     def hit(n):
-        v = float(a.value_at(n))
+        v = to_float(a.value_at(n))
         return v >= t if upward else v < t
 
     step = 1

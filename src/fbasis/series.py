@@ -21,8 +21,10 @@ rational where the terms are exact and the tail telescopes to a
 geometric series, otherwise binary64 with explicit tail estimates,
 rounded outward so that every float bound is an upper bound under IEEE
 rounding.  A bound past the float range is an exact rational, or +inf
-when that rational has more digits than a report can print.  A weight is taken in its tail form c * n**beta * ln(n+1)**gamma,
-so alpha = -beta and g = -gamma above.
+when that rational has more digits than a report can print.
+
+A weight is taken in its tail form c * n**beta * ln(n+1)**gamma, so
+alpha = -beta and g = -gamma above.
 """
 
 from __future__ import annotations
@@ -51,8 +53,10 @@ from .sequences import (
     TailForm,
     eval_vector,
     exact_pow,
+    ln,
     seq_pow,
     tail_form,
+    to_float,
 )
 
 _PREFIX_CAP = 4096
@@ -74,12 +78,6 @@ def _round_up(x: float) -> float:
 # Where a float bound cannot be formed (the coefficient has no float, or a
 # term or factor overflows), the bound is taken exactly or in logs and
 # reported as a rational.  Where the float path answers, it alone is used.
-
-
-def _ln(x) -> float:
-    """ln of a positive rational or float, which may lie past the float range."""
-    x = Fraction(x)
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _exact_bound(x: Fraction):
@@ -108,17 +106,9 @@ def _log_prefix_sum(form: TailForm, upto: int) -> float:
     logs = form.family_logs(np.arange(1, upto + 1, dtype=float))
     for i, v in form.head:
         if i <= upto:
-            logs[i - 1] = _ln(v)
+            logs[i - 1] = ln(v)
     top = float(logs.max())
     return top + math.log(math.fsum(np.exp(logs - top).tolist()))
-
-
-def _past_floats(c) -> bool:
-    try:
-        float(c)
-    except OverflowError:
-        return True
-    return False
 
 
 def _unit_family(form: TailForm) -> TailForm:
@@ -159,11 +149,11 @@ def full_tail_upper(form: TailForm, start: int):
     with g > 1).  Uses the integral test; a log factor in the numerator
     is absorbed via ln y <= y**d / (e*d).
     """
-    if _past_floats(form.c):
+    c = to_float(form.c)
+    if c == math.inf:
         return _with_coefficient(form, full_tail_upper(_unit_family(form), start), 0)
     a = -float(form.beta)
     g = -float(form.gamma)
-    c = float(form.c)
     n0 = max(start, form.start, 2)
     if a > 1:
         if g >= 0:
@@ -176,9 +166,10 @@ def full_tail_upper(form: TailForm, start: int):
         try:
             cc = c * (2.0 ** d / (math.e * d)) ** k
         except OverflowError:
-            # the factor has no float: the same bound, taken in logs
-            return _exp_upper(_ln(form.c) + k * math.log(2.0 ** d / (math.e * d))
-                              + math.log(rest))
+            # the factor has no float: the same bound, taken in logs, with
+            # rest = n0**-a2 (n0 / (a2 - 1) + 1)
+            return _exp_upper(ln(form.c) + k * (d * math.log(2.0) - 1.0 - math.log(d))
+                              - a2 * math.log(n0) + math.log(n0 / (a2 - 1.0) + 1.0))
         return _round_up(cc * rest)
     if a == 1 and g > 1:
         # terms <= c * x**-1 * ln(x)**-g for x >= 2; the first term carries c
@@ -194,7 +185,7 @@ def weight_prefix_upper(form: TailForm, upto: int):
     ``full_tail_upper``."""
     if upto <= 0:
         return Fraction(0)
-    if _past_floats(form.c):
+    if to_float(form.c) == math.inf:
         return _with_coefficient(form, weight_prefix_upper(_unit_family(form), upto), upto)
     try:
         head = _round_up(math.fsum(form.vector(min(upto, _PREFIX_CAP)).tolist()))
@@ -315,7 +306,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
     """A bound from the growth ratio; the elements never run out, so the
     scan ends in one of its returns: at the latest after 4000 terms, or
     undecided where e * r, and with it the next element, has no float."""
-    if _past_floats(form.c):
+    if to_float(form.c) == math.inf:
         v = _sparse_converging_bound(elems, _unit_family(form))
         if v.kind == "converges":
             return SumVerdict.converges(_with_coefficient(form, v.bound, math.inf))
@@ -344,7 +335,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
             # the bound holds for every rho < 1; waiting for rho <= 0.95
             # only tightens it, and never ends when the limit is above 0.95
             if rho <= 0.95 or (limit > 0.95 and rho < 1.0):
-                tail_first = float(form.value_at(max(int(e * r) - 1, e + 1)))
+                tail_first = to_float(form.value_at(max(int(e * r) - 1, e + 1)))
                 return SumVerdict.converges(_round_up(total + tail_first / (1.0 - rho)))
         if alpha == 0 and g > 1 and count >= 16:
             # elements grow at least like r**m, so ln n_m >= (m-1) ln r
@@ -352,7 +343,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
             lead = float(form.c) * math.log(r) ** (-g)
             tail = lead * (m ** (1.0 - g) / (g - 1.0) + m ** (-g))
             return SumVerdict.converges(_round_up(total + tail))
-        total += float(form.value_at(e))
+        total += to_float(form.value_at(e))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +407,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
         token_verdicts = [sparse_token_sum(t, form) for t in hi.plus]
         if all(v.kind == "converges" for v in token_verdicts):
             head = _prefix_sum_bound(s, form, slack, horizon)
-            if head is not None:
-                return SumVerdict.converges(
-                    _add_bounds([head] + [v.bound for v in token_verdicts])
-                )
-        return _numeric_fallback(s, w, horizon)
+            return SumVerdict.converges(_add_bounds([head] + [v.bound for v in token_verdicts]))
 
     return _numeric_fallback(s, w, horizon)
 
@@ -430,7 +417,10 @@ def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int, horizon: int):
     if slack <= 0:
         return Fraction(0)
     if slack <= min(horizon, 10 ** 5):
-        return _add_bounds([form.value_at(n) for n in enumerate_prefix(s, slack)])
+        try:
+            return _add_bounds([form.value_at(n) for n in enumerate_prefix(s, slack)])
+        except HorizonExceeded:
+            pass  # members unknown past a sampled horizon: bound every index
     return weight_prefix_upper(form, slack)
 
 
@@ -452,14 +442,13 @@ def _numeric_fallback(s: SetExpr, w, horizon: int) -> SumVerdict:
     try:
         mask = s.mask(cap)
     except HorizonExceeded:
-        # sum up to where every atom is known
-        for a in natset.iter_atoms(s):
-            known = getattr(a, "known_up_to", None)
-            if known is not None:
-                cap = min(cap, known())
+        # sum up to where every atom is known, seen through its shifts
+        cap = max(0, min([cap] + [a.known_up_to() + shift for a, shift in natset.iter_atoms(s)
+                                  if hasattr(a, "known_up_to")]))
         mask = s.mask(cap)
     vals = eval_vector(w, cap)
-    partial = float(vals[mask].sum())
+    with np.errstate(over="ignore"):  # a partial sum past the range is +inf
+        partial = float(vals[mask].sum())
     return SumVerdict.inconclusive(partial, cap)
 
 

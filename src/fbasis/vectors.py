@@ -13,6 +13,7 @@ from typing import Union as TUnion
 
 from ._lazy_numpy import np
 from .natset import NATURALS, SetExpr, member
+from .reports import rational_text
 from .sequences import DomainError, PowerLog, ScalarSeq, eval_vector, seq_pow
 from .series import weight_sum
 
@@ -63,13 +64,9 @@ class PowerTail:
         return b ** (1.0 / float(p))
 
     def to_text(self) -> str:
-        b = self.beta
-        bt = str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
         if self.scale == 1:
-            return f"powtail({bt})"
-        s = self.scale
-        st = str(s.numerator) if s.denominator == 1 else f"{s.numerator}/{s.denominator}"
-        return f"powtail({bt},{st})"
+            return f"powtail({rational_text(self.beta)})"
+        return f"powtail({rational_text(self.beta)},{rational_text(self.scale)})"
 
 
 @dataclass(frozen=True)

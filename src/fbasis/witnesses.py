@@ -37,15 +37,18 @@ from .natset import (
     _DESC_FULL,
     _EP_EMPTY,
 )
+from .reports import rational_text
 from .sequences import (
     ScalarSeq,
     TailForm,
     _monotone_start,
     eval_vector,
     is_bounded,
+    power_log_ln,
     seq_mul,
     seq_pow,
     tail_form,
+    to_float,
     vector_form,
 )
 
@@ -60,15 +63,13 @@ class CriterionHolds(Exception):
 
 
 def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
-    if a is None or b is None:
-        return False
-    return (
-        a.beta == b.beta
-        and a.gamma == b.gamma
-        and float(a.c) == float(b.c)
-        and a.start == b.start
-        and tuple((i, float(v)) for i, v in a.head) == tuple((i, float(v)) for i, v in b.head)
-    )
+    """Equal forms, each number taken as its float, or past the float range
+    as itself."""
+    def key(f):
+        return (f.beta, f.gamma, f.start, [(i, x if 0.0 < (x := to_float(v)) < math.inf else v)
+                                           for i, v in ((0, f.c),) + f.head])
+
+    return a is not None and b is not None and key(a) == key(b)
 
 
 class _ChunkedValues:
@@ -100,8 +101,32 @@ class _ChunkedValues:
         return self.buf[: self.size]
 
 
+class _ScannedSet(SetExpr):
+    """A set that ``_members(limit)`` scans up to ``_state["known"]``: the
+    horizon, or the last index before a threshold left the float range."""
+
+    def known_up_to(self) -> int:
+        self._advance(self.horizon)
+        return self._state["known"]
+
+    def member_at(self, n):
+        if n > self._state["known"]:
+            return None
+        members = self._members(n)
+        return n in members if n <= self._state["known"] else None
+
+    def mask(self, horizon):
+        members = self._members(min(horizon, self.horizon))
+        known = self._state["known"]
+        if known < min(horizon, self.horizon):
+            raise HorizonExceeded(f"membership only known up to {known}, asked for {horizon}")
+        m = np.zeros(horizon, dtype=bool)
+        m[np.array(members, dtype=int) - 1] = True
+        return m
+
+
 @dataclass(frozen=True)
-class GreedyBlockSet(SetExpr):
+class GreedyBlockSet(_ScannedSet):
     """The greedy block set D of ``target``, ``weights`` and ``exponent``.
 
     Construction scans until the blocks it needs are complete and raises
@@ -134,6 +159,7 @@ class GreedyBlockSet(SetExpr):
                 "current_sum": 0.0,
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
+                "known": self.horizon,  # membership is decided up to here
                 "svals": _ChunkedValues(self.weights, self.horizon),
                 "pvals": _ChunkedValues(target_p, self.horizon),
                 "count": self.blocks,  # blocks to materialize; None until asked
@@ -163,22 +189,29 @@ class GreedyBlockSet(SetExpr):
     def _advance(self, upto: int) -> None:
         """Examine indices up to ``upto`` (capped by the horizon)."""
         st = self._state
-        upto = min(upto, self.horizon)
+        upto = min(upto, st["known"])
         while st["scan"] < upto:
             lo = st["scan"] + 1
             hi = min(upto, lo + 4 * _CHUNK - 1)
             sv = st["svals"].upto(hi)[lo - 1 : hi]
             pv = st["pvals"].upto(hi)[lo - 1 : hi]
-            prod = pv * sv
+            with np.errstate(over="ignore", invalid="ignore"):  # +inf passes any bar
+                prod = pv * sv
             pos = 0
             width = hi - lo + 1
             while pos < width:
-                cand = np.nonzero(prod[pos:] > 2.0 ** st["m"])[0]
+                if st["m"] >= sys.float_info.max_exp:
+                    # a value of +inf does not say whether a(n)**p s(n) passes
+                    # a threshold 2**m past the float range: the scan ends here
+                    st["known"] = upto = hi = lo + pos - 1
+                    break
+                bar = 2.0 ** st["m"]
+                cand = np.nonzero(prod[pos:] > bar)[0]
                 if cand.size == 0:
                     break
                 terms = sv[pos:][cand]
                 if float(terms.max()) > 1.0:
-                    pos = self._advance_scalar(lo, sv, pv, pos, width)
+                    pos = self._advance_scalar(lo, sv, pv, pos, width, bar)
                     continue
                 # the block's running sum, left to right from its first
                 # index, so a block ends where it would in one window
@@ -200,17 +233,21 @@ class GreedyBlockSet(SetExpr):
         st["current_sum"] = 0.0
         st["m"] += 1
 
-    def _advance_scalar(self, lo: int, sv, pv, pos: int, width: int) -> int:
+    def _advance_scalar(self, lo: int, sv, pv, pos: int, width: int, bar: float) -> int:
         """Plain scan for stretches containing weights above one."""
         st = self._state
+        picked = []  # joins the open block as one array
         for i in range(pos, width):
             s_n = float(sv[i])
-            if pv[i] * s_n > 2.0 ** st["m"] and st["current_sum"] + s_n <= 2.0:
-                st["current"].append(np.array([lo + i]))
+            if float(pv[i]) * s_n > bar and st["current_sum"] + s_n <= 2.0:
+                picked.append(lo + i)
                 st["current_sum"] += s_n
                 if st["current_sum"] >= 1.0:
+                    st["current"].append(np.array(picked))
                     self._close_block()
                     return i + 1
+        if picked:
+            st["current"].append(np.array(picked))
         return width
 
     def _scan_for(self, count: int) -> int:
@@ -218,7 +255,7 @@ class GreedyBlockSet(SetExpr):
         horizon is reached, or no index left below it can join the open
         block; the number of complete blocks."""
         st = self._state
-        while (len(st["blocks"]) < count and st["scan"] < self.horizon
+        while (len(st["blocks"]) < count and st["scan"] < st["known"]
                and not self._below_threshold_to_horizon()):
             self._advance(min(max(4096, st["scan"] * 4), st["scan"] + _CHUNK))
         return len(st["blocks"])
@@ -227,26 +264,15 @@ class GreedyBlockSet(SetExpr):
         """Whether a(n)**p * s(n) provably stays below 2**m from the scan to
         the horizon, so that the open block cannot complete there: the
         product's tail form is monotone on that stretch, and at both ends its
-        log is below m log 2 by far more than rounding.  A coefficient outside
-        the normal floats leaves the question to the plain scan."""
+        log is below m log 2 by far more than rounding."""
         st = self._state
         f = st["product"]
         lo = st["scan"] + 1
         n0 = _monotone_start(f) if f is not None else None
         if n0 is None or n0 > lo:
             return False
-        try:
-            c = float(f.c)
-        except OverflowError:
-            return False
-        if not sys.float_info.min <= c <= sys.float_info.max:
-            return False
-
-        def log_at(n: int) -> float:
-            return (math.log(c) + float(f.beta) * math.log(n)
-                    + float(f.gamma) * math.log(math.log(n + 1)))
-
-        return max(log_at(lo), log_at(self.horizon)) < st["m"] * math.log(2) - 1e-9
+        top = max(power_log_ln(f.c, f.beta, f.gamma, n) for n in (lo, self.horizon))
+        return top < st["m"] * math.log(2) - 1e-9
 
     def _scan_until_blocks(self, count: int) -> None:
         done = self._scan_for(count)
@@ -279,24 +305,13 @@ class GreedyBlockSet(SetExpr):
 
     # set protocol -------------------------------------------------------------
 
-    def _decided_members(self, limit: int) -> list[int]:
+    def _members(self, limit: int) -> list[int]:
         self._advance(limit)
         st = self._state
         out = [n for blk in st["blocks"] for n in blk if n <= limit]
         for part in st["current"]:
             out.extend(part[part <= limit].tolist())
         return out
-
-    def member_at(self, n):
-        if n > self.horizon:
-            return None
-        return n in self._decided_members(n)
-
-    def mask(self, horizon):
-        m = np.zeros(horizon, dtype=bool)
-        for n in self._decided_members(min(horizon, self.horizon)):
-            m[n - 1] = True
-        return m
 
     def desc_pair(self):
         return _DESC_EMPTY, _DESC_FULL
@@ -307,7 +322,7 @@ class GreedyBlockSet(SetExpr):
     def to_text(self):
         return (
             f"greedy({self.target.to_text()}; {self.weights.to_text()}; "
-            f"{_frac(self.exponent)})"
+            f"{rational_text(self.exponent)})"
         )
 
     def _weights_diverge(self) -> Optional[SumVerdict]:
@@ -339,7 +354,7 @@ class GreedyBlockSet(SetExpr):
 
 
 @dataclass(frozen=True)
-class SparseThresholdSet(SetExpr):
+class SparseThresholdSet(_ScannedSet):
     target: ScalarSeq
     exponent: Fraction
     horizon: int = _MATERIALIZE_CAP
@@ -369,13 +384,12 @@ class SparseThresholdSet(SetExpr):
             # the current threshold; one window at a time, so that each
             # element costs at most one window of comparisons
             k, lo = st["k"], st["scan"]
-            try:
-                bar = math.ldexp(k * k, k)  # 2**k * k**2, exactly
-            except OverflowError:
+            if k + (k * k).bit_length() > sys.float_info.max_exp:
                 # a float value of +inf does not say whether a(n)**p reaches
                 # a threshold past the float range: the scan ends here
                 st["known"] = upto = lo
                 break
+            bar = math.ldexp(k * k, k)  # 2**k * k**2, exactly
             hi = min(upto, lo + _CHUNK)
             hit = np.flatnonzero(pv[lo:hi] >= bar)
             if hit.size:
@@ -385,29 +399,9 @@ class SparseThresholdSet(SetExpr):
             else:
                 st["scan"] = hi
 
-    def known_up_to(self) -> int:
-        """The index up to which membership is decided."""
-        self._advance(self.horizon)
-        return self._state["known"]
-
-    def member_at(self, n):
-        self._advance(n)
-        if n > self._state["known"]:
-            return None
-        return n in self._state["elements"]
-
-    def mask(self, horizon):
-        self._advance(horizon)
-        known = self._state["known"]
-        if known < min(horizon, self.horizon):
-            raise HorizonExceeded(
-                f"threshold set only known up to {known}, asked for {horizon}"
-            )
-        m = np.zeros(horizon, dtype=bool)
-        for n in self._state["elements"]:
-            if n <= horizon:
-                m[n - 1] = True
-        return m
+    def _members(self, limit: int) -> list[int]:
+        self._advance(limit)
+        return [n for n in self._state["elements"] if n <= limit]
 
     def desc_pair(self):
         d = _Desc(_EP_EMPTY, frozenset({self}), frozenset())
@@ -417,7 +411,7 @@ class SparseThresholdSet(SetExpr):
         return 0
 
     def to_text(self):
-        return f"thresh({self.target.to_text()}; {_frac(self.exponent)})"
+        return f"thresh({self.target.to_text()}; {rational_text(self.exponent)})"
 
     def certified_weight_sum_seq(self, w) -> Optional[SumVerdict]:
         if w == seq_pow(self.target, -self.exponent):
@@ -430,7 +424,3 @@ class SparseThresholdSet(SetExpr):
             # a(n_k)**p >= 2**k * k**2, so the inverse sum stays below 1
             return SumVerdict.converges(Fraction(1))
         return None
-
-
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

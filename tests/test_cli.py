@@ -675,6 +675,35 @@ def _geom_negligible(doc):
     assert v.bound >= 10 ** 400 * Fraction(24142135623730950489, 10 ** 19)
 
 
+def _negligible_index_set(doc):
+    # finite{4,19} carries finite mass under any summable filter
+    assert doc["error"] == "parse"
+    assert doc["detail"].endswith("the index set is negligible for the base filter")
+
+
+def _no_blocks(doc):
+    assert doc["outcome"] == "horizon-exceeded"
+    assert doc["detail"] == "only 0 greedy blocks complete below the horizon"
+
+
+def _pair_blocks(doc):
+    # a(n)**2 s(n) = 10**4 n**800 / 2 passes every 2**m up to m = 1023, and
+    # two indices of mass 1/2 complete each block
+    assert doc["blocks"] == [[2 * m - 1, 2 * m] for m in range(1, 9)]
+    assert doc["certificates"]["filter_mass"] == {"kind": "diverges"}
+    # sum_n 10**-4 n**-800 < 1.0001 * 10**-4
+    _bound_covers("certificates", "inverse_p_sum", "bound", upper=Fraction(10001, 10 ** 8))(doc)
+
+
+def _separate_powlog_upper() -> Fraction:
+    """(1 + 1/10) sum_n n**-400 ln(n+1)**(1/1000) / 10, from above: the first
+    term to 40 digits plus 10**-30, and 2**-399 for the terms from n = 2."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        first = (Decimal(2).ln().ln() / 1000).exp()
+    return Fraction(11, 100) * (Fraction(first) + Fraction(1, 10 ** 30) + Fraction(1, 2 ** 399))
+
+
 @pytest.mark.parametrize("argv,want,check", [
     (["classify-set", "--set", f"greedy(pow({_HUGE},1); pow(1,-1); 2)", "--filter", "frechet"],
      EXIT_INCONCLUSIVE, _inconclusive_class),
@@ -700,8 +729,25 @@ def _geom_negligible(doc):
     # leave the float range
     (["classify-set", "--set", "geom(2)", "--filter", "summable(powlog(1,-1/1000,3))"],
      EXIT_INCONCLUSIVE, _inconclusive_class),
+    # a coefficient with no float, inside a power-log value
+    (["dominates", "--filter", "trace(frechet; geom(2)|geom(2))", "--filter2",
+      f"trace(summable(powlog({_HUGE},5/4,-5/4)); finite{{4,19}})"],
+     EXIT_PARSE, _negligible_index_set),
+    # the turn of n**(1/1000) ln(n+1)**-400 lies at e**400000
+    (["witness", "--seq", "const(5)", "--weights", "powlog(100,1/1000,-400)", "--p", "1"],
+     EXIT_INCONCLUSIVE, _no_blocks),
+    # prefix values of a(n)**p s(n) below the float range
+    (["witness", "--seq", "prefix[1/2,5]:pow(100,-3/4)", "--weights",
+      f"powlog({_TINY_400},-5/4,-3)", "--p", "2"], EXIT_INCONCLUSIVE, _no_blocks),
+    # block thresholds 2**m past the float range end the scan
+    (["witness", "--seq", "pow(100,400)", "--weights", "const(1/2)", "--p", "2"],
+     EXIT_REFUTED, _pair_blocks),
+    # the integral test's factor (2**d / (e d))**k with d = 199500
+    (["separate", "--seq", "powlog(10,400,-1/1000)"],
+     EXIT_OK, _bound_covers("norm_bound", upper=_separate_powlog_upper())),
 ], ids=["classify-set", "check-admissible", "thresh-60", "thresh-10-6", "thresh-c",
-        "sum-c-frechet", "sum-c-separate", "sum-c-geom", "sum-log-power", "sum-geom-settle"])
+        "sum-c-frechet", "sum-c-separate", "sum-c-geom", "sum-log-power", "sum-geom-settle",
+        "powlog-c", "monotone-start", "prefix-product", "greedy-bar", "tail-factor"])
 def test_witness_sets_past_the_float_range_answer(capsys, argv, want, check):
     code, out = run(argv)
     assert code == want
@@ -709,16 +755,25 @@ def test_witness_sets_past_the_float_range_answer(capsys, argv, want, check):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["build-basis", "--seq", f"pow({_HUGE},1)", "--space", "l1", "--filter", "frechet",
-     "--n-max", "3"],
-    ["demo-convergence", "--seq", f"const({_HUGE})", "--space", "l1", "--filter", "frechet",
-     "--n-max", "3", "--vector", "e(1)"],
-])
-def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv):
+_TARGET_1 = "target norm at stage 1 lies beyond the float range"
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["build-basis", "--seq", f"pow({_HUGE},1)", "--space", "l1", "--filter", "frechet",
+      "--n-max", "3"], _TARGET_1),
+    (["demo-convergence", "--seq", f"const({_HUGE})", "--space", "l1", "--filter", "frechet",
+      "--n-max", "3", "--vector", "e(1)"], _TARGET_1),
+    # the float mass S = b_1**p + ... + b_n**p passes the float range: the
+    # next coefficient S / W would be +inf, and W = S / b**p nan
+    (["build-basis", "--seq", "const(2)", "--space", "lp(3/2)", "--filter", "frechet",
+      "--n-max", "2230"], "coefficient at stage 2215 lies beyond the float range"),
+    (["build-basis", "--seq", "const(2)", "--space", "lp(4)", "--filter", "frechet",
+      "--n-max", "4000"], "coefficient at stage 2833 lies beyond the float range"),
+], ids=["argv0", "argv1", "mass-lp-3/2", "mass-lp-4"])
+def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv, detail):
     code, out = run(argv)
     assert code == EXIT_USAGE
     doc = get_json(out)
     assert doc["error"] == "usage"
-    assert doc["detail"] == "target norm at stage 1 lies beyond the float range"
+    assert doc["detail"] == detail
     assert capsys.readouterr().err == ""

@@ -29,6 +29,7 @@ from fbasis import (
     f_limit_scalar,
     trace_filter,
 )
+from fbasis import parse_set_expr
 from fbasis.cli import load_config, run_command
 from fbasis.filters import FilterConstructionError, not_negligible, witness_library
 
@@ -64,6 +65,14 @@ class TestClassify:
         assert classify_set(Residue(2, 0), Statistical()) == SetClass.STATIONARY
         assert classify_set(Complement(GEOM2), Summable(HARMONIC)) == SetClass.MEMBER
         assert classify_set(Finite((1, 2, 3)), Frechet()) == SetClass.NEGLIGIBLE
+
+    def test_complement_of_a_greedy_set_is_a_member(self):
+        """The greedy set G certifies sum over G of a**(-p) <= 2; its
+        complement is a member because the sum over !!G = G converges."""
+        g = parse_set_expr("greedy(pow(1,3/4); pow(1,-1/3); 1)")
+        F = Summable(PowerLog(1, Fraction(-3, 4)))
+        assert classify_set(g, F) == SetClass.NEGLIGIBLE
+        assert classify_set(Complement(g), F) == SetClass.MEMBER
 
     def test_free_filters_kill_finite_sets(self):
         for F in all_filters():
