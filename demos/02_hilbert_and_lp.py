@@ -44,7 +44,8 @@ for target in (2.0, 3.0, 1.5, 2.5):
     T = TailOp(len(b) - 1, tuple(b), space)
     rep = op_norm(T)
     brute = op_norm_bruteforce(T, budget=400, seed=1)
+    upper = riesz_thorin_upper(T.b_floats(), 1.5)
     print(
         f"target {target}: b_next = {nxt:.12f}, norm = {rep.value:.9f}, "
-        f"brute >= {brute.value:.9f}, interpolation <= {riesz_thorin_upper(T, 1.5):.6f}"
+        f"brute >= {brute.value:.9f}, interpolation <= {upper:.6f}"
     )

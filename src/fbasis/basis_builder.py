@@ -176,7 +176,7 @@ def build_basis(
             coeffs = [float(v) for v in coeffs]
         coeffs.append(b if p == 1 else float(b))
         W = mass / nxt
-        rep = _stage_norm(W, p, lambda: TailOp(n, tuple(coeffs), space))
+        rep = _stage_norm(W, p, coeffs)
         _certify_stage_norm(rep, t, t_square, n)
         reports.append(rep)
         c = _root(W, p)  # U = ||v_n||_p / b_{n+1}

@@ -266,7 +266,7 @@ def _cmd_build_basis(cfg: RunConfig):
     except basis_builder.NotAdmissible as exc:
         doc = {
             "command": cfg.command,
-            "inputs": _build_inputs(cfg, space, filt, n_max),
+            "inputs": _build_inputs(space, filt, n_max, seq, a_squared),
             "outcome": "not-admissible",
         }
         doc.update(_admiss_doc(exc.verdict))
@@ -275,7 +275,7 @@ def _cmd_build_basis(cfg: RunConfig):
     defects = basis_builder.defect_report(system)
     doc = {
         "command": cfg.command,
-        "inputs": _build_inputs(cfg, space, filt, n_max),
+        "inputs": _build_inputs(space, filt, n_max, seq, a_squared),
         "outcome": "built",
         "admissibility": _admiss_doc(system.admissibility),
         "coefficients": [
@@ -308,12 +308,12 @@ def _cmd_build_basis(cfg: RunConfig):
     return EXIT_OK, doc
 
 
-def _build_inputs(cfg: RunConfig, space, filt, n_max) -> dict:
+def _build_inputs(space, filt, n_max, seq, a_squared) -> dict:
     doc = {"space": space.to_text(), "filter": filt.to_text(), "n_max": n_max}
-    if cfg.get("seq"):
-        doc["seq"] = parse_scalar_seq(cfg.get("seq")).to_text()
-    if cfg.get("a_squared"):
-        doc["a_squared"] = parse_scalar_seq(cfg.get("a_squared")).to_text()
+    if seq is not None:
+        doc["seq"] = seq.to_text()
+    if a_squared is not None:
+        doc["a_squared"] = a_squared.to_text()
     return doc
 
 

@@ -24,6 +24,7 @@ from typing import Optional, Union as TUnion
 from .natset import (
     Complement,
     GeometricIndex,
+    Intersection,
     NATURALS,
     Residue,
     SetExpr,
@@ -191,19 +192,13 @@ def _classify_trace(A: SetExpr, F: Trace) -> SetClass:
         return SetClass.MEMBER
     restricted = A
     for I in index_sets:
-        restricted = canonicalize(_intersect(restricted, I))
+        restricted = canonicalize(Intersection((restricted, I)))
     inner = classify_set(restricted, base)
     if inner == SetClass.NEGLIGIBLE:
         return SetClass.NEGLIGIBLE
     if inner == SetClass.INCONCLUSIVE or widened_cls == SetClass.INCONCLUSIVE:
         return SetClass.INCONCLUSIVE
     return SetClass.STATIONARY
-
-
-def _intersect(a: SetExpr, b: SetExpr) -> SetExpr:
-    from .natset import Intersection
-
-    return Intersection((a, b))
 
 
 def not_negligible(A: SetExpr, F: FilterSpec) -> Optional[bool]:
@@ -266,7 +261,7 @@ def exceptional_set(x: SignedSeq, target, epsilon, horizon: int = 10 ** 6) -> Op
         on_support = _scalar_exceptional(x.amplitude, t, eps, horizon)
         if on_support is None:
             return None
-        inside = _intersect(x.support, on_support)
+        inside = Intersection((x.support, on_support))
         if off_support_bad:
             return canonicalize(Union((Complement(x.support), inside)))
         return canonicalize(inside)

@@ -10,8 +10,8 @@ and the target norm a needs b_{n+1} = ||v_n||_p / (a**q - 1)**(1/q); at
 p = 1 these are max(1, U), 1 + U and S / a.  Evaluated on rationals they
 stay exact for p = 1, and on the squares for p = 2.  A stage norm that
 leaves the rationals carries a certified lower bound, ||T x|| / ||x|| of
-the extremal vector evaluated through ``apply``, and the Riesz-Thorin
-upper bound.
+the extremal vector evaluated with ``apply``'s float arithmetic on the
+coefficient array, and the Riesz-Thorin upper bound.
 """
 
 from __future__ import annotations
@@ -19,23 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._lazy_numpy import np
-from .sequences import DomainError, exact_root
+from .sequences import DomainError, _as_number, exact_root
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
 
 
 class DimensionMismatch(ValueError):
     pass
-
-
-def _number(v):
-    """Rationals as Fractions, everything else as floats (tested first: it is cheap)."""
-    if isinstance(v, (float, Fraction)):
-        return v
-    return Fraction(v) if isinstance(v, int) else float(v)
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,7 @@ class SpaceKind:
     dim: int
 
     def __post_init__(self):
-        p = _number(self.p)
+        p = _as_number(self.p)
         object.__setattr__(self, "p", p)
         if p < 1:
             raise DomainError("the exponent must satisfy p >= 1")
@@ -99,7 +92,7 @@ class TailOp:
             raise DimensionMismatch(
                 f"stage {self.stage} needs {self.stage + 1} coefficients, got {len(self.b)}"
             )
-        b = tuple(_number(v) for v in self.b)
+        b = tuple(_as_number(v) for v in self.b)
         object.__setattr__(self, "b", b)
         if any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
@@ -168,17 +161,20 @@ def lp_norm(v, p: float) -> float:
     return float((v ** p).sum() ** (1.0 / p))
 
 
-def norm_ratio(T: TailOp, x) -> float:
-    """||T x||_p / ||x||_p, evaluated through ``apply``."""
-    p = T.space.p_float
+def norm_ratio(bf: np.ndarray, x, p: float) -> float:
+    """||T x||_p / ||x||_p for the stage op with coefficients bf = (b_1, ...,
+    b_{n+1}) and x of n + 1 coordinates, in ``apply``'s float arithmetic."""
+    x = np.asarray(x, dtype=float)
+    y = x - (x[-1] / bf[-1]) * bf
+    y[-1] = 0.0
     nx = lp_norm(x, p)
-    return lp_norm(apply(T, list(x)), p) / nx if nx > 0 else 0.0
+    return lp_norm(y, p) / nx if nx > 0 else 0.0
 
 
-def riesz_thorin_upper(T: TailOp, p: float) -> float:
-    """||T||_1**(1/p) ||T||_inf**(1 - 1/p): interpolating the column and row maxima."""
-    bf = T.b_floats()
-    n = T.stage
+def riesz_thorin_upper(bf: np.ndarray, p: float) -> float:
+    """||T||_1**(1/p) ||T||_inf**(1 - 1/p) for the stage op with coefficients
+    bf = (b_1, ..., b_{n+1}): interpolating the column and row maxima."""
+    n = len(bf) - 1
     m1 = max(1.0, float(bf[:n].sum()) / float(bf[n]))
     minf = 1.0 + float(bf[:n].max()) / float(bf[n]) if n else 1.0
     return m1 ** (1.0 / p) * minf ** (1.0 - 1.0 / p)
@@ -189,14 +185,13 @@ def _log1p_exp(z: float) -> float:
     return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
-def norming_input(T: TailOp) -> np.ndarray:
-    """A unit vector with ||T x||_p = ||T||_p, Hoelder's equality case: a basis
+def norming_input(bf: np.ndarray, p: float) -> np.ndarray:
+    """A unit vector with ||T x||_p = ||T||_p for the stage op with
+    coefficients bf = (b_1, ..., b_{n+1}), Hoelder's equality case: a basis
     column at p = 1, else x = (u / (U (1 + V)**(1/p)), -(V / (1 + V))**(1/p))
     with u = (b_1, ..., b_n) / b_{n+1} and V = U**q, evaluated in logs so
     that V may leave the float range (p close to 1)."""
-    p = T.space.p_float
-    n = T.stage
-    bf = T.b_floats()
+    n = len(bf) - 1
     x = np.zeros(n + 1)
     if p == 1:
         x[n if bf[:n].sum() >= bf[n] else 0] = 1.0
@@ -258,12 +253,12 @@ def _closed_form_report(power, k, method: str) -> NormReport:
                       exact_square=power if rational and k == 2 else None)
 
 
-def _stage_norm(W, p, stage_op: Callable[[], TailOp]) -> NormReport:
+def _stage_norm(W, p, b: Sequence) -> NormReport:
     """The stage norm from W = U**p.  A rational result certifies itself; a
-    float one is bracketed by the extremal ratio on ``stage_op()`` and the
-    Riesz-Thorin bound.  Past p = 1 and 2 the norm (1 + U**q)**(1/q) is
-    taken as max(1, U) (1 + m**q)**(1/q) with m = min(U, 1/U), finite for
-    every q."""
+    float one is bracketed by the extremal ratio on the coefficients
+    b = (b_1, ..., b_{n+1}), converted to floats once, and the Riesz-Thorin
+    bound.  Past p = 1 and 2 the norm (1 + U**q)**(1/q) is taken as
+    max(1, U) (1 + m**q)**(1/q) with m = min(U, 1/U), finite for every q."""
     if p == 1:
         rep = _closed_form_report(max(W, type(W)(1)), 1, _METHODS[1])
     elif p == 2:
@@ -276,23 +271,23 @@ def _stage_norm(W, p, stage_op: Callable[[], TailOp]) -> NormReport:
         rep = NormReport(value, "ClosedForm", value, value)
     if rep.exact is not None or rep.exact_square is not None:
         return rep
-    T = stage_op()
-    lower = norm_ratio(T, norming_input(T))
+    bf, p = np.array(b, dtype=float), float(p)
+    lower = norm_ratio(bf, norming_input(bf, p), p)
     value = max(rep.value, lower)
-    return NormReport(value, rep.method, lower, max(riesz_thorin_upper(T, float(p)), value))
+    return NormReport(value, rep.method, lower, max(riesz_thorin_upper(bf, p), value))
 
 
 def op_norm(T: TailOp) -> NormReport:
     """Norm of the tail operator in its space."""
-    return _stage_norm(_mass_ratio(T), T.space.p, lambda: T)
+    return _stage_norm(_mass_ratio(T), T.space.p, T.b)
 
 
 def solve_b_next(b: Sequence, a_target, space: SpaceKind):
     """The coefficient b_{n+1} giving the stage-n operator norm a_target;
     exact for rational input at p = 1, and at p = 2 when the root is rational."""
     p = space.p
-    mass = sum(_number(v) ** p for v in b)
-    return _root(mass / _prescribed_ratio(_number(a_target), p), p)
+    mass = sum(_as_number(v) ** p for v in b)
+    return _root(mass / _prescribed_ratio(_as_number(a_target), p), p)
 
 
 def solve_next_square(b_squared: Sequence[Fraction], a_target_squared: Fraction) -> Fraction:

@@ -534,19 +534,15 @@ def _desc_complement(d: _Desc) -> _Desc:
     return _Desc(_ep_complement(d.ep), d.minus, d.plus).normalized()
 
 
-def _is_empty_desc(d: _Desc) -> bool:
-    return d.ep.is_empty and not d.plus
-
-
 def _is_cofull_desc(d: _Desc) -> bool:
     # the full line minus sparse tokens; intersecting with it is exact
     return d.ep.is_full and not d.plus
 
 
 def _desc_union_under(a: _Desc, b: _Desc) -> _Desc:
-    if _is_empty_desc(b):
+    if b.certainly_empty:
         return a
-    if _is_empty_desc(a):
+    if a.certainly_empty:
         return b
     # a plus token from a side without removals lies in the union entirely
     free = (a.plus if not a.minus else frozenset()) | (b.plus if not b.minus else frozenset())
@@ -556,15 +552,15 @@ def _desc_union_under(a: _Desc, b: _Desc) -> _Desc:
 
 
 def _desc_union_over(a: _Desc, b: _Desc) -> _Desc:
-    if _is_empty_desc(b):
+    if b.certainly_empty:
         return a
-    if _is_empty_desc(a):
+    if a.certainly_empty:
         return b
     return _Desc(_ep_union(a.ep, b.ep), a.plus | b.plus, a.minus & b.minus).normalized()
 
 
 def _desc_intersect_exactish(a: _Desc, b: _Desc) -> Optional[_Desc]:
-    if _is_empty_desc(a) or _is_empty_desc(b):
+    if a.certainly_empty or b.certainly_empty:
         return _DESC_EMPTY
     if _is_cofull_desc(b):
         return _Desc(a.ep, a.plus, a.minus | b.minus).normalized()

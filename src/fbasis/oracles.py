@@ -17,9 +17,10 @@ def op_norm_bruteforce(T: TailOp, budget: int = 200, seed: int = 0) -> NormRepor
         value = max(Fraction(1), sum(T.b[:-1]) / T.b[-1])
         return NormReport(float(value), "BruteForce", float(value), float(value), exact=value)
     dim = T.stage + 1
+    bf, p = T.b_floats(), T.space.p_float
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.eye(dim), rng.standard_normal((max(0, budget), dim))])
-    ratios = [norm_ratio(T, x) for x in starts]
+    ratios = [norm_ratio(bf, x, p) for x in starts]
     best, x = max(ratios), starts[int(np.argmax(ratios))]
     for step in (0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6):
         improved = True
@@ -29,7 +30,7 @@ def op_norm_bruteforce(T: TailOp, budget: int = 200, seed: int = 0) -> NormRepor
                 for sgn in (1.0, -1.0):
                     trial = x.copy()
                     trial[i] += sgn * step * max(1.0, abs(trial[i]))
-                    r = norm_ratio(T, trial)
+                    r = norm_ratio(bf, trial, p)
                     if r > best:
                         best, x, improved = r, trial, True
-    return NormReport(best, "BruteForce", best, max(riesz_thorin_upper(T, T.space.p_float), best))
+    return NormReport(best, "BruteForce", best, max(riesz_thorin_upper(bf, p), best))

@@ -245,7 +245,7 @@ def extract_norming_functionals(
         n = T.stage
         dim = n + 1
         rep = op_norm(T)
-        y = np.array(apply(T, list(norming_input(T))), dtype=float)
+        y = np.array(apply(T, list(norming_input(T.b_floats(), p))), dtype=float)
         ystar = _dual_norming(y, p)
         # coefficients of T* ystar: column dot products
         M = T.dense_matrix(dim)[:dim, :dim]

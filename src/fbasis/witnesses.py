@@ -197,6 +197,11 @@ class GreedyBlockSet(_ScannedSet):
             pv = st["pvals"].upto(hi)[lo - 1 : hi]
             with np.errstate(over="ignore", invalid="ignore"):  # +inf passes any bar
                 prod = pv * sv
+            nan = np.isnan(prod)  # +inf times 0.0 says nothing: the scan ends before it
+            if nan.any():
+                cut = int(nan.argmax())
+                st["known"] = upto = hi = lo + cut - 1
+                prod, sv = prod[:cut], sv[:cut]
             pos = 0
             width = hi - lo + 1
             while pos < width:

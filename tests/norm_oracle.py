@@ -1,10 +1,13 @@
-"""An independent numeric oracle for the tail-operator norm.
+"""Independent numeric oracles for the tail-operator norm.
 
-This is the general-p optimizer the package used before the Hoelder
-closed form replaced it: an outer golden-section search over the mass
-tau placed on coordinate n+1 and an inner Lagrange-stationarity solve by
-monotone scalar root-finding.  It shares no code with the closed form,
-so agreement between the two is evidence for both.
+``golden_section_norm`` is the general-p optimizer the package used
+before the Hoelder closed form replaced it: an outer golden-section
+search over the mass tau placed on coordinate n+1 and an inner
+Lagrange-stationarity solve by monotone scalar root-finding.  It shares
+no code with the closed form, so agreement between the two is evidence
+for both.  ``apply_norm_ratio`` is the ratio ||T x|| / ||x|| evaluated
+through ``apply``, as the package did before it took the coefficient
+array directly.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from fbasis import TailOp, apply
+from fbasis.lp_operators import lp_norm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_OUTER = 200
@@ -108,7 +112,11 @@ def _evaluate_candidate(T: TailOp, tau: float, u: np.ndarray, p: float) -> float
         x[n] = -1.0
     else:
         x = np.concatenate([tau * u / _solve_stationarity(u, tau, p, s), [-tau]])
-    y = np.array(apply(T, list(x)), dtype=float)
-    nx = float((np.abs(x) ** p).sum() ** (1.0 / p))
-    ny = float((np.abs(y) ** p).sum() ** (1.0 / p))
-    return ny / nx if nx > 0 else 0.0
+    return apply_norm_ratio(T, x)
+
+
+def apply_norm_ratio(T: TailOp, x) -> float:
+    """||T x||_p / ||x||_p, evaluated through ``apply``."""
+    p = T.space.p_float
+    nx = lp_norm(x, p)
+    return lp_norm(apply(T, list(x)), p) / nx if nx > 0 else 0.0

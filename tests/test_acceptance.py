@@ -102,7 +102,7 @@ def test_criterion_3_lp_norm_prescription():
         assert abs(rep.value - target) <= 1e-6
         brute = op_norm_bruteforce(T, budget=300, seed=trial)
         assert rep.value - brute.value <= 1e-6
-        assert brute.value <= riesz_thorin_upper(T, 1.5) + 1e-12
+        assert brute.value <= riesz_thorin_upper(T.b_floats(), 1.5) + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(3, f"10 seeded p=1.5 prescriptions within 1e-6, oracle-confirmed, in {elapsed:.2f}s")

@@ -33,6 +33,7 @@ from fbasis import (
 from fbasis import basis_builder, sequences
 from fbasis.cli import load_config, run_command
 from fbasis.lp_operators import TailOp
+from fbasis.parsing import parse_filter, parse_scalar_seq
 from fbasis.sequences import DomainError
 
 import biorth_oracle
@@ -408,3 +409,24 @@ def test_each_table_classifies_each_set_once(monkeypatch, argv, vectors):
         assert max(counts.values(), default=1) == 1, counts
     called = {name for counts in tables for name, _ in counts}
     assert "classify_set" in called and ("eval_vector" in called) == vectors
+
+
+@pytest.mark.parametrize("seq,space,filt", [
+    ("const(2)", lp(Fraction(3, 2), 64), "frechet"),
+    ("pow(2,1/4)", l1(64), "summable(pow(1,-1))"),
+])
+def test_float_stages_build_no_tail_operator(monkeypatch, seq, space, filt):
+    """A float stage is certified on the builder's own coefficient list: no
+    stage operator is built, and so none re-checks its coefficients."""
+    built = []
+    check = TailOp.__post_init__
+
+    def counted(self):
+        built.append(self.stage)
+        check(self)
+
+    monkeypatch.setattr(TailOp, "__post_init__", counted)
+    system = build_basis(parse_scalar_seq(seq), space, parse_filter(filt), n_max=64)
+    floats = [r for r in system.norm_reports if r.exact is None and r.exact_square is None]
+    assert len(floats) >= 62
+    assert built == []

@@ -20,10 +20,16 @@ from fbasis import (
     solve_b_next,
     solve_next_square,
 )
-from fbasis.lp_operators import _root, remainder_dense_matrix, riesz_thorin_upper
+from fbasis.lp_operators import (
+    _root,
+    norm_ratio,
+    norming_input,
+    remainder_dense_matrix,
+    riesz_thorin_upper,
+)
 from fbasis.sequences import exact_root
 
-from norm_oracle import golden_section_norm
+from norm_oracle import apply_norm_ratio, golden_section_norm
 
 
 def svd_norm(T, dim=None):
@@ -113,6 +119,21 @@ class TestNorms:
         closed_two = op_norm(TailOp(2, b, l2(8)))
         assert at_two == pytest.approx(closed_two.value, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.sampled_from((1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 1 + 1e-12)),
+           st.integers(0, 2 ** 32))
+    def test_norm_ratio_keeps_the_bits_of_apply(self, n, p, seed):
+        """On the coefficient array, the ratio is ``apply``'s to the last bit,
+        for random vectors and for the norming input the certificate uses."""
+        rng = random.Random(seed)
+        b = tuple(math.exp(rng.uniform(-20.0, 20.0)) for _ in range(n + 1))
+        T = TailOp(n, b, lp(p, n + 1))
+        bf = T.b_floats()
+        x = np.array([rng.uniform(0.0, 10.0) for _ in range(n + 1)])
+        assert norm_ratio(bf, x, p) == apply_norm_ratio(T, x)
+        x = norming_input(bf, p)
+        assert norm_ratio(bf, x, p) == apply_norm_ratio(T, x)
+
     def test_riesz_thorin_dominates_truth(self):
         rng = random.Random(9)
         for _ in range(10):
@@ -120,7 +141,7 @@ class TestNorms:
             b = tuple(0.3 + rng.random() for _ in range(n + 1))
             for p in (1.2, 1.5, 2.5):
                 T = TailOp(n, b, lp(p, 10))
-                assert op_norm(T).value <= riesz_thorin_upper(T, p) + 1e-9
+                assert op_norm(T).value <= riesz_thorin_upper(T.b_floats(), p) + 1e-9
 
     def test_monotone_in_last_coefficient(self):
         b = (1.0, 0.5)
@@ -158,7 +179,7 @@ class TestSolve:
             assert r.value == pytest.approx(target, abs=1e-6)
             rb = op_norm_bruteforce(T, budget=300, seed=trial)
             assert r.value - rb.value <= 1e-6
-            assert rb.value <= riesz_thorin_upper(T, 1.5) + 1e-9
+            assert rb.value <= riesz_thorin_upper(T.b_floats(), 1.5) + 1e-9
 
 
 @st.composite

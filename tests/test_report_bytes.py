@@ -45,7 +45,8 @@ README = [
 ]
 
 # exact l1 and l2 at n_max 44 and 240, with and without an explicit head;
-# float stages in lp(5/4) and lp(4); irrational pow(c,1/4) targets in l1 and l2
+# float stages in lp(5/4), lp(4) and, at n_max 300, lp(3/2); irrational
+# pow(c,1/4) targets in l1 (also at n_max 300) and l2
 CONSTRUCT = [
     (["build-basis", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
       "--n-max", "44"],
@@ -71,6 +72,12 @@ CONSTRUCT = [
     (["build-basis", "--seq", "pow(3,1/4)", "--space", "l2",
       "--filter", "summable(pow(1,-1))", "--n-max", "9"],
      0, "bd743cc0de6a84b54f0ab96088b2c2bb4b62f4ab4f2dc2b0d1cf59e11a56678f"),
+    (["build-basis", "--seq", "const(2)", "--space", "lp(3/2)", "--filter", "frechet",
+      "--n-max", "300"],
+     0, "808422ac242b0c5411494702bf37ab11250bcd1e236761290ee7a5fe5c705d43"),
+    (["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
+      "--filter", "summable(pow(1,-1))", "--n-max", "300"],
+     0, "7ccfca19baf6055d5390bc8425f68a967aaaf7c23ef332711ec5177dfba7e19a"),
 ]
 
 # a target whose inverse sum converges: no basis, and the refutation instead

@@ -22,6 +22,7 @@ from fbasis import (
 )
 from fbasis import admissibility
 from fbasis.natset import HorizonExceeded
+from fbasis.parsing import parse_scalar_seq
 from fbasis.sequences import eval_vector, seq_pow, tail_form
 from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet, _ChunkedValues
 
@@ -133,6 +134,22 @@ def test_huge_coefficients_with_falling_values_match_the_scan():
     and falls below 2**7 for good within a thousand: six blocks."""
     g = _assert_matches_oracle(PowerLog(10 ** 309, 2, -380), HARMONIC, Fraction(1), 20_000)
     assert len(g.materialized_blocks()) == 6
+
+
+def test_scan_ends_before_a_product_of_saturated_values():
+    """Past index 1000, a(n) s(n) = sqrt(n) but a(n) = 10**400 n saturates to
+    +inf and s(n) = 10**-400 n**-1/2 to 0.0: their float product is nan and
+    says nothing about the bar, so membership is known up to 1000 only."""
+    big, small = "1" + "0" * 400, "0." + "0" * 399 + "1"
+    a = parse_scalar_seq(f"piece{{range(1,1000) => pow(1,2); range(1001,) => pow({big},1)}}")
+    s = parse_scalar_seq(
+        f"piece{{range(1,1000) => pow(1,-1); range(1001,) => pow({small},-1/2)}}")
+    g = GreedyBlockSet(a, s, 1)
+    assert [blk[-1] for blk in g.materialized_blocks()] == [7, 20, 56, 154, 420]
+    assert g.known_up_to() == 1000
+    assert member(1000, g) is True
+    assert member(1001, g) is None and member(5000, g) is None
+    assert weight_sum(g, Constant(1)).kind == "inconclusive"
 
 
 def test_thresh_stops_where_its_thresholds_leave_the_float_range():
