@@ -56,7 +56,7 @@ from .sequences import (
     seq_pow,
     tail_form,
 )
-from .series import sum_inverse_p_verdict, weight_sum
+from .series import partial_sum, sum_inverse_p_verdict, weight_sum
 from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
 
 
@@ -106,6 +106,8 @@ def _refute(a: ScalarSeq, F: FilterSpec, p: Fraction, witness: SetExpr,
     if isinstance(F, Summable):
         mass = weight_sum(witness, F.weights)
         stationary = mass.kind == "diverges" or not_negligible(witness, F) is True
+        if mass.kind == "inconclusive":
+            mass = partial_sum(witness, F.weights)  # the certificate prints it
     else:
         mass = classify_set(witness, F)
         stationary = mass in (SetClass.MEMBER, SetClass.STATIONARY) or (

@@ -38,7 +38,7 @@ from .parsing import (
 )
 from .reports import IoError, emit_report
 from .sequences import DomainError
-from .series import weight_sum
+from .series import partial_sum, weight_sum
 from .filters import SetClass
 from .witnesses import CriterionHolds
 
@@ -179,6 +179,12 @@ def _sum_verdict_doc(v: SumVerdict) -> dict:
         doc["partial_sum"] = v.partial
         doc["horizon"] = v.horizon
     return doc
+
+
+def _sum_certificate(s, w) -> dict:
+    """The verdict for the sum of w over s, with the partial sum if undecided."""
+    v = weight_sum(s, w)
+    return _sum_verdict_doc(partial_sum(s, w) if v.kind == "inconclusive" else v)
 
 
 def _admiss_doc(v: admissibility.AdmissVerdict) -> dict:
@@ -341,8 +347,8 @@ def _cmd_witness(cfg: RunConfig):
     doc["block_sums"] = witness.block_sums()
     doc["prefix_inverse_sum"] = witness.prefix_inverse_sum()
     doc["certificates"] = {
-        "filter_mass": _sum_verdict_doc(weight_sum(witness, weights)),
-        "inverse_p_sum": _sum_verdict_doc(weight_sum(witness, admissibility.seq_pow(seq, -p))),
+        "filter_mass": _sum_certificate(witness, weights),
+        "inverse_p_sum": _sum_certificate(witness, admissibility.seq_pow(seq, -p)),
     }
     return EXIT_REFUTED, doc
 

@@ -638,9 +638,12 @@ class DensityVerdict:
 
 @dataclass(frozen=True)
 class SumVerdict:
+    """Verdict for a weighted sum.  Only ``series.partial_sum`` fills
+    ``partial``/``horizon``, for a report that prints an undecided sum."""
+
     kind: str  # "diverges" | "converges" | "inconclusive"
     bound: object = None  # Fraction or float upper bound when converging
-    partial: Optional[float] = None
+    partial: Optional[float] = None  # sum over the members up to the horizon
     horizon: Optional[int] = None
 
     @staticmethod
@@ -652,8 +655,8 @@ class SumVerdict:
         return SumVerdict("converges", bound=bound)
 
     @staticmethod
-    def inconclusive(partial: float, horizon: int) -> "SumVerdict":
-        return SumVerdict("inconclusive", partial=partial, horizon=horizon)
+    def inconclusive() -> "SumVerdict":
+        return SumVerdict("inconclusive")
 
 
 # ---------------------------------------------------------------------------

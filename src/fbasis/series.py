@@ -13,8 +13,8 @@ Sets are reduced through their under/over descriptions.  A set whose
 under-approximation still contains a residue class keeps the positive
 density that makes the divergence rule apply; a set that is covered by
 sparse tokens is summed token by token with certified tail bounds.
-Everything else is an honest inconclusive carrying the partial sum at
-the horizon.
+Everything else is an honest inconclusive; where a report prints one,
+it prints the partial sum at the horizon from ``partial_sum``.
 
 Convergence verdicts always carry a certified upper bound: exact
 rational where the terms are exact and the tail telescopes to a
@@ -269,7 +269,7 @@ def sparse_token_sum(token, form: TailForm) -> SumVerdict:
     # a threshold set (thresh) has no growth ratio to sum a tail with: its
     # elements can be consecutive integers for as long as a(n)**p outruns
     # 2**k * k**2
-    return SumVerdict.inconclusive(0.0, 0)
+    return SumVerdict.inconclusive()
 
 
 def _exact_geometric_sum(token, form: TailForm) -> Optional[Fraction]:
@@ -310,7 +310,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
         v = _sparse_converging_bound(elems, _unit_family(form))
         if v.kind == "converges":
             return SumVerdict.converges(_with_coefficient(form, v.bound, math.inf))
-        return SumVerdict.inconclusive(math.inf, v.horizon)
+        return v
     alpha = -float(form.beta)
     g = -float(form.gamma)
     # a positive shift dilutes the growth ratio; past e >= 4*offset the loss
@@ -323,7 +323,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
     for e in elems.elements():
         count += 1
         if count > 4000 or e > _FLOAT_STEP_MAX / r:
-            return SumVerdict.inconclusive(total, count)
+            return SumVerdict.inconclusive()
         settled = e > form.start and e >= 4 * max(1, abs(elems.offset)) and count >= 8
         if alpha > 0 and settled and (g >= 0 or math.log(e + 1) > -g / alpha):
             # weights decrease beyond e; elements grow at least by factor r
@@ -365,7 +365,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
             return SumVerdict.diverges()
         if all(v.kind == "converges" for v in verdicts):
             return SumVerdict.converges(_add_bounds([v.bound for v in verdicts]))
-        return _numeric_fallback(s, w, horizon)
+        return SumVerdict.inconclusive()
 
     hook = getattr(s, "certified_weight_sum", None)
     form = tail_form(w)
@@ -374,12 +374,12 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
         if v is not None:
             return v
     if form is None:
-        return _numeric_fallback(s, w, horizon)
+        return SumVerdict.inconclusive()
 
     try:
         lo, hi = s.desc_pair()
     except HorizonExceeded:
-        return _numeric_fallback(s, w, horizon)
+        return SumVerdict.inconclusive()
     slack = s.slack_bound()
     alpha, g = -form.beta, -form.gamma
 
@@ -397,7 +397,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
         removable = [sparse_token_sum(t, form) for t in lo.minus]
         if all(v.kind == "converges" for v in removable):
             return SumVerdict.diverges()
-        return _numeric_fallback(s, w, horizon)
+        return SumVerdict.inconclusive()
 
     if hi.ep.is_empty:
         # certified divergence from below
@@ -409,7 +409,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
             head = _prefix_sum_bound(s, form, slack, horizon)
             return SumVerdict.converges(_add_bounds([head] + [v.bound for v in token_verdicts]))
 
-    return _numeric_fallback(s, w, horizon)
+    return SumVerdict.inconclusive()
 
 
 def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int, horizon: int):
@@ -437,26 +437,21 @@ def _add_bounds(bounds):
         return _exact_bound(sum((Fraction(b) for b in bounds), Fraction(0)))
 
 
-def _numeric_fallback(s: SetExpr, w, horizon: int) -> SumVerdict:
-    cap = horizon
+def partial_sum(s: SetExpr, w, upto: int = DEFAULT_HORIZON) -> SumVerdict:
+    """The inconclusive verdict with the float sum of w over the members of s
+    up to ``upto``, or up to where every atom of s is known if that is less:
+    what a report prints for a sum ``weight_sum`` leaves undecided."""
     try:
-        mask = s.mask(cap)
+        mask = s.mask(upto)
     except HorizonExceeded:
         # sum up to where every atom is known, seen through its shifts
-        cap = max(0, min([cap] + [a.known_up_to() + shift for a, shift in natset.iter_atoms(s)
-                                  if hasattr(a, "known_up_to")]))
-        mask = s.mask(cap)
-    vals = eval_vector(w, cap)
+        upto = max(0, min([upto] + [a.known_up_to() + shift for a, shift in natset.iter_atoms(s)
+                                    if hasattr(a, "known_up_to")]))
+        mask = s.mask(upto)
+    vals = eval_vector(w, upto)
     with np.errstate(over="ignore"):  # a partial sum past the range is +inf
         partial = float(vals[mask].sum())
-    return SumVerdict.inconclusive(partial, cap)
-
-
-def partial_sum(s: SetExpr, w, upto: int) -> float:
-    """Numeric partial sum over the members of s up to the given index."""
-    mask = s.mask(upto)
-    vals = eval_vector(w, upto)
-    return float(vals[mask].sum())
+    return SumVerdict("inconclusive", partial=partial, horizon=upto)
 
 
 # ---------------------------------------------------------------------------

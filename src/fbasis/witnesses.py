@@ -214,19 +214,27 @@ class GreedyBlockSet(_ScannedSet):
                 cand = np.nonzero(prod[pos:] > bar)[0]
                 if cand.size == 0:
                     break
+                # The open block's sum c stays below 1: a term t <= 1 joins it,
+                # 1 < t <= 2 - c joins and closes it, a larger t is skipped and
+                # leaves c alone.  So c is the running sum of the small terms
+                # only, left to right from the block's first index as in one
+                # window, and the first small term that lifts it to 1 closes
+                # the block unless a large term that fits comes first.
                 terms = sv[pos:][cand]
-                if float(terms.max()) > 1.0:
-                    pos = self._advance_scalar(lo, sv, pv, pos, width, bar)
-                    continue
-                # the block's running sum, left to right from its first
-                # index, so a block ends where it would in one window
-                csum = np.cumsum(np.concatenate(([st["current_sum"]], terms)))[1:]
-                k = int(np.searchsorted(csum, 1.0))
-                if k >= len(csum):
-                    st["current"].append(lo + pos + cand)
+                small = terms <= 1.0
+                csum = np.cumsum(np.concatenate(([st["current_sum"]],
+                                                 np.where(small, terms, 0.0))))
+                k = int(np.searchsorted(csum[1:], 1.0))
+                fits = np.flatnonzero(~small[:k] & (csum[:k] + terms[:k] <= 2.0))
+                if fits.size:
+                    k = int(fits[0])
+                elif k == len(terms):
+                    st["current"].append(lo + pos + cand[small])
                     st["current_sum"] = float(csum[-1])
                     break
-                st["current"].append(lo + pos + cand[: k + 1])
+                picked = small[: k + 1]
+                picked[k] = True  # the closing term, small or not
+                st["current"].append(lo + pos + cand[: k + 1][picked])
                 self._close_block()
                 pos = pos + int(cand[k]) + 1
             st["scan"] = hi
@@ -237,23 +245,6 @@ class GreedyBlockSet(_ScannedSet):
         st["current"] = []
         st["current_sum"] = 0.0
         st["m"] += 1
-
-    def _advance_scalar(self, lo: int, sv, pv, pos: int, width: int, bar: float) -> int:
-        """Plain scan for stretches containing weights above one."""
-        st = self._state
-        picked = []  # joins the open block as one array
-        for i in range(pos, width):
-            s_n = float(sv[i])
-            if float(pv[i]) * s_n > bar and st["current_sum"] + s_n <= 2.0:
-                picked.append(lo + i)
-                st["current_sum"] += s_n
-                if st["current_sum"] >= 1.0:
-                    st["current"].append(np.array(picked))
-                    self._close_block()
-                    return i + 1
-        if picked:
-            st["current"].append(np.array(picked))
-        return width
 
     def _scan_for(self, count: int) -> int:
         """Scan in growing windows until ``count`` blocks are complete, the

@@ -12,6 +12,10 @@ through ``prefix``, ``piece``, ``greedy``, ``thresh``, ``shift``,
 
 runs OPS command lines per seed in this process, each under a 5 s alarm,
 and prints the count of each exit code, every exit 70 and every timeout.
+It also prints the total time, the p50/p90/p99 latency, the ten slowest
+ops, and one sha256 over every (argv, exit, report) triple: two checkouts
+that print the same digest for the same OPS and SEEDs printed the same
+bytes for every op.
 """
 
 from __future__ import annotations
@@ -103,9 +107,12 @@ def shown(line: list[str]) -> str:
 def _run(ops: int, seeds) -> int:
     import collections
     import contextlib
+    import hashlib
     import io
+    import json
     import random
     import signal
+    import statistics
     import sys
     import time
     from pathlib import Path
@@ -121,27 +128,41 @@ def _run(ops: int, seeds) -> int:
 
     signal.signal(signal.SIGALRM, alarm)
     codes = collections.Counter()
+    digest = hashlib.sha256()
+    timed = []  # (seconds, argv)
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(ops):
             line = argv(rng.choice)
             err = io.StringIO()
+            payload = b""
             start = time.perf_counter()
             signal.alarm(5)
             try:
                 with contextlib.redirect_stderr(err):
-                    code, _ = run_command(load_config(line))
+                    code, payload = run_command(load_config(line))
             except Timeout:
                 code = "timeout"
             finally:
                 signal.alarm(0)
+            elapsed = time.perf_counter() - start
+            timed.append((elapsed, line))
+            digest.update(json.dumps([line, code, hashlib.sha256(payload).hexdigest()]).encode())
             if code in EXIT_CODES and err.getvalue():
                 code = "stderr"
             codes[code] += 1
             if code not in EXIT_CODES:
                 last = err.getvalue().strip().splitlines()[-1:] or [""]
-                print(f"{code} {time.perf_counter() - start:.2f}s {shown(line)} {last[0]}")
+                print(f"{code} {elapsed:.2f}s {shown(line)} {last[0]}")
     print(dict(codes))
+    times = [t for t, _ in timed]
+    cuts = statistics.quantiles(times, n=100, method="inclusive")
+    print(f"total {sum(times):.1f} s over {len(times)} ops; p50 {1e3 * cuts[49]:.2f} ms, "
+          f"p90 {1e3 * cuts[89]:.1f} ms, p99 {1e3 * cuts[98]:.0f} ms; "
+          f"{sum(t > 0.1 for t in times)} over 100 ms, {sum(t > 1.0 for t in times)} over 1 s")
+    for t, line in sorted(timed, key=lambda x: -x[0])[:10]:
+        print(f"{t:.2f}s {shown(line)}")
+    print(f"sha256 {digest.hexdigest()}")
     return 0 if set(codes) <= set(EXIT_CODES) else 1
 
 

@@ -115,8 +115,11 @@ RANGE_SUM = (["classify-set", "--set", "range(3,40)", "--filter", "summable(pow(
 
 
 # greedy witnesses: a refutation whose blocks run past index 65536, the
-# scan to the horizon that ``witness`` prints, and a set that cannot
-# complete the two blocks a certificate needs
+# scan to the horizon that ``witness`` prints, a set that cannot complete
+# the two blocks a certificate needs, and two scans through weights above
+# one: piecewise ones whose blocks run to the horizon, and a prefix whose
+# filter mass is an inconclusive partial sum
+_HUGE = "1" + "0" * 400
 GREEDY = [
     (["check-admissible", "--seq", "pow(3/2,1)", "--filter", "summable(pow(1,-2/3))",
       "--p", "1"],
@@ -128,6 +131,13 @@ GREEDY = [
      1, "8131a4f3747938225e0fc19eb4898fec5c121f5caf232593c51d4ee07dfdd9be"),
     (["classify-set", "--set", "greedy(pow(1,3/8); pow(1,-2/3); 2)", "--filter", "frechet"],
      65, "78d73ed4a5f51f45634688ccf569f7dfa0c11ac1b2d45d9a2a09e7e7323fa347"),
+    (["witness", "--seq", f"const({_HUGE})", "--weights",
+      "piece{residue(2,0) => pow(1,-5/4); residue(2,1) => piece{residue(2,0) => const(100); "
+      "residue(2,1) => powlog(1/2,2,2)}}", "--p", "3/2"],
+     1, "c745c25f345f6bd6ed3ba2f99cfd3269a4f925c872d5bad0232d9ecea5a57222"),
+    (["witness", "--seq", "prefix[2,2]:piece{residue(2,0) => const(1); residue(2,1) => pow(2,3)}",
+      "--weights", "powlog(2,-1/2,2)", "--p", "2"],
+     1, "cdfa70b35d8fa55928dfb987d9f786375da178d414ef3599af7a1eb4cf8a6b2f"),
 ]
 
 

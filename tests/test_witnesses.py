@@ -21,9 +21,10 @@ from fbasis import (
     weight_sum,
 )
 from fbasis import admissibility
-from fbasis.natset import HorizonExceeded
+from fbasis.natset import HorizonExceeded, SumVerdict
 from fbasis.parsing import parse_scalar_seq
 from fbasis.sequences import eval_vector, seq_pow, tail_form
+from fbasis.series import partial_sum
 from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet, _ChunkedValues
 
 from greedy_oracle import greedy_scan
@@ -46,7 +47,14 @@ def targets(draw):
 def weights(draw):
     alpha = Fraction(draw(st.integers(1, 4)), 4)
     tail = PowerLog(draw(st.sampled_from((1, Fraction(1, 2), 2))), -alpha)
-    # a head above one sends the scan through its per-index path
+    if draw(st.booleans()):
+        # one residue class mod q takes a constant up to 3, so that terms
+        # above one, which a block may pick or skip, run through the tail
+        q = draw(st.integers(2, 4))
+        r = draw(st.integers(0, q - 1))
+        v = Constant(draw(st.builds(Fraction, st.integers(1, 12), st.just(4))))
+        tail = Piecewise(tuple((Residue(q, i), v if i == r else tail) for i in range(q)))
+    # a head above one as well
     head = draw(st.lists(st.builds(Fraction, st.integers(1, 6), st.just(2)), max_size=4))
     return ExplicitPrefix(tuple(head), tail) if head else tail
 
@@ -115,8 +123,8 @@ def test_membership_questions_match_the_per_index_scan():
     assert [n for n in range(1, horizon + 1) if member(n, g)] == members
     assert member(horizon + 1, g) is None
     assert classify_set(g, Frechet()) == SetClass.INCONCLUSIVE
-    count = weight_sum(g, Constant(1))
-    assert (count.kind, count.partial) == ("inconclusive", len(members))
+    assert weight_sum(g, Constant(1)) == SumVerdict.inconclusive()
+    assert partial_sum(g, Constant(1)).partial == len(members)
 
 
 def test_coefficients_past_the_float_range_saturate():
@@ -167,7 +175,8 @@ def test_thresh_stops_where_its_thresholds_leave_the_float_range():
     assert len(want) == 1004 and 2.0 ** 1005 * 1005 ** 2 == math.inf
     assert (np.flatnonzero(t.mask(known)) + 1).tolist() == want
     assert member(known, t) is True and member(known + 1, t) is None
-    v = weight_sum(t, HARMONIC)
+    assert weight_sum(t, HARMONIC).kind == "inconclusive"
+    v = partial_sum(t, HARMONIC)
     assert (v.kind, v.horizon) == ("inconclusive", known)
     assert v.partial == pytest.approx(math.fsum(1 / n for n in want), rel=1e-12)
 
@@ -232,18 +241,23 @@ def test_construction_scans_for_two_blocks_only():
     assert len(blocks) == 7 and g._state["scan"] > 65_536
 
 
-def test_weights_above_one_take_the_per_index_path(monkeypatch):
-    calls = []
-    inner = GreedyBlockSet._advance_scalar
-
-    def counted(self, *args):
-        calls.append(args)
-        return inner(self, *args)
-
-    monkeypatch.setattr(GreedyBlockSet, "_advance_scalar", counted)
+def test_weights_above_one_match_the_per_index_scan():
     s = ExplicitPrefix((Fraction(3), Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)), HARMONIC)
     g = _assert_matches_oracle(PowerLog(1, 2), s, Fraction(1), 20_000)
-    assert calls and len(g.materialized_blocks()) == 8
+    assert len(g.materialized_blocks()) == 8
+
+
+def test_dyadic_ties_in_the_block_sum():
+    """Exact sums decide: 1/2 + 3/2 == 2 joins and closes block 1, 1/4 + 3/4
+    reaches exactly 1 and closes block 2, 3/2 > 2 - 3/4 is skipped before
+    1/4 closes block 3, and 2 alone closes block 4 before 5/2 is skipped."""
+    head = tuple(Fraction(v) for v in ("1/2", "3/2", "1/4", "3/4", "3/4", "3/2", "1/4",
+                                       "2", "5/2"))
+    s = ExplicitPrefix(head, HARMONIC)
+    g = _assert_matches_oracle(Constant(2 ** 40), s, Fraction(1), 20_000)
+    assert g.materialized_blocks()[:4] == ((1, 2), (3, 4), (5, 7), (8,))
+    assert g.block_sums()[:4] == [2.0, 1.0, 1.0, 2.0]
+    assert g.materialized_blocks()[4][0] == 10
 
 
 def test_adaptive_count_below_eight():
