@@ -12,14 +12,22 @@ exit codes encode verdict kinds so shell pipelines can branch:
     65 parse error in one of the mini-languages or in a config file
     70 internal error (EX_SOFTWARE): a bug, never a verdict
 
+An option is written ``--name value`` or ``--name=value``; ``--band`` is
+the one option that takes no value, and a repeated option keeps its last
+value.  ``-h`` or ``--help`` in the place of the subcommand or of an
+option prints this text and the table of subcommands and options, and
+exits 0.  Also exit 64: an option with no value, a token that is no
+option (a positional, ``--``), an option before the subcommand, and a
+value that starts with ``-`` and is not a plain negative number
+(``--p -1/2``; ``--p=-1/2`` is read).
+
 Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass
@@ -60,23 +68,6 @@ class RunConfig:
         return default if v is None else v
 
 
-@functools.cache
-def _argument_parser() -> argparse.ArgumentParser:
-    """Built on first use and shared, since ``parse_args`` keeps no state."""
-    top = argparse.ArgumentParser(prog="fbasis", description=__doc__, allow_abbrev=False)
-    sub = top.add_subparsers(dest="command")
-    for name, (_, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        for option in _COMMON + options:
-            if option == "band":
-                p.add_argument("--band", action="store_true")
-            elif option == "format":
-                p.add_argument("--format", choices=("json", "csv"))
-            else:
-                p.add_argument("--" + option)
-    return top
-
-
 def _read_config_file(path: str, command: str) -> dict:
     # the subcommand's options, less --config: a config file names no other
     readable = {o.replace("-", "_") for o in _COMMON + _SUBCOMMANDS[command][1]} - {"config"}
@@ -107,23 +98,61 @@ def _read_config_file(path: str, command: str) -> dict:
     return out
 
 
+_HELP = ("-h", "--help")
+# a token that starts with "-" is a value only if it is "-" or a plain
+# negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _exit_with_help():
+    rows = [f"  {name:<17} --{' --'.join(options)}" for name, (_, options) in _SUBCOMMANDS.items()]
+    sys.stdout.write("\n".join([
+        "usage: fbasis COMMAND [--OPTION VALUE | --OPTION=VALUE | --band]...",
+        "", __doc__.strip(), "",
+        "Commands and the options each reads, besides --" + " --".join(_COMMON) + ":",
+        *rows,
+    ]) + "\n")
+    raise SystemExit(0)
+
+
 def load_config(argv: list[str]) -> RunConfig:
-    try:
-        ns = _argument_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse uses its own codes
-        if exc.code == 0:
-            raise
-        raise _Usage("bad arguments") from None
-    if ns.command is None:
+    """The subcommand and its options: the config file's, then argv's in
+    table order (the last of a repeated option), then the defaults."""
+    command, *rest = argv or [None]
+    if command in _HELP:
+        _exit_with_help()
+    if command not in _SUBCOMMANDS:
         raise _Usage("a subcommand is required: " + ", ".join(_SUBCOMMANDS))
-    options = _read_config_file(ns.config, ns.command) if ns.config else {}
-    for key, value in vars(ns).items():
-        if key not in ("command", "config") and value not in (None, False):
-            options[key] = value
+    table = _COMMON + _SUBCOMMANDS[command][1]
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            _exit_with_help()
+        name, eq, value = token.partition("=")
+        option = name[2:]
+        if not name.startswith("--") or option not in table:
+            raise _Usage(f"{command} does not read {token!r}")
+        if option == "band":
+            if eq:
+                raise _Usage("--band takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and value != "-"
+                                 and not _NEGATIVE_NUMBER.match(value)):
+                raise _Usage(f"--{option} needs a value")
+        if option == "format" and value not in ("json", "csv"):
+            raise _Usage(f"--format is json or csv, not {value!r}")
+        given[option] = value
+    options = _read_config_file(given["config"], command) if given.get("config") else {}
+    for option in table:
+        if option in given and option != "config":
+            options[option.replace("-", "_")] = given[option]
     options.setdefault("horizon", os.environ.get("FBASIS_HORIZON") or str(DEFAULT_HORIZON))
     options.setdefault("n_max", "32")
     options.setdefault("format", "json")
-    return RunConfig(ns.command, options)
+    return RunConfig(command, options)
 
 
 class _Usage(Exception):

@@ -45,7 +45,9 @@ class DomainError(ValueError):
 
 
 def _as_number(x) -> Number:
-    if isinstance(x, (Fraction, int)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     return float(x)
 
@@ -55,10 +57,17 @@ def exact_root(value: Fraction, k: int) -> Optional[Fraction]:
     if k == 1:
         return value
     num = _int_root(value.numerator, k)
-    den = _int_root(value.denominator, k)
-    if num is None or den is None:
+    if num is None:
         return None
-    return Fraction(num, den)
+    den = _int_root(value.denominator, k)
+    return None if den is None else Fraction(num, den)
+
+
+# The squares modulo 64, 63, 65 and 11 as bit masks, as in GMP's
+# mpz_perfect_square_p: a number that is no square modulo one of them is no
+# square, which rejects all but about 1 in 120 non-squares without an isqrt.
+_SQUARE_MASKS = tuple((m, sum(1 << r for r in {i * i % m for i in range(m)}))
+                      for m in (64, 63, 65, 11))
 
 
 def _int_root(v: int, k: int) -> Optional[int]:
@@ -67,6 +76,9 @@ def _int_root(v: int, k: int) -> Optional[int]:
     if v < 2:
         return v if v >= 0 else None
     if k == 2:
+        residue = v % (64 * 63 * 65 * 11)
+        if not all(mask >> residue % m & 1 for m, mask in _SQUARE_MASKS):
+            return None
         r = math.isqrt(v)
     else:
         r = 1 << -(-v.bit_length() // k)  # above the root

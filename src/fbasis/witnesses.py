@@ -202,8 +202,9 @@ class GreedyBlockSet(_ScannedSet):
                 cut = int(nan.argmax())
                 st["known"] = upto = hi = lo + cut - 1
                 prod, sv = prod[:cut], sv[:cut]
-            pos = 0
+            pos = 0  # one past the index that closed the last block
             width = hi - lo + 1
+            cand = None  # the offsets from pos on whose product passes the bar
             while pos < width:
                 if st["m"] >= sys.float_info.max_exp:
                     # a value of +inf does not say whether a(n)**p s(n) passes
@@ -211,33 +212,49 @@ class GreedyBlockSet(_ScannedSet):
                     st["known"] = upto = hi = lo + pos - 1
                     break
                 bar = 2.0 ** st["m"]
-                cand = np.nonzero(prod[pos:] > bar)[0]
-                if cand.size == 0:
+                # the bar only rises inside a window: each block's candidates
+                # are among the last block's
+                cand = np.flatnonzero(prod > bar) if cand is None else cand[prod[cand] > bar]
+                k = self._fill_block(cand, sv, lo)
+                if k is None:
                     break
-                # The open block's sum c stays below 1: a term t <= 1 joins it,
-                # 1 < t <= 2 - c joins and closes it, a larger t is skipped and
-                # leaves c alone.  So c is the running sum of the small terms
-                # only, left to right from the block's first index as in one
-                # window, and the first small term that lifts it to 1 closes
-                # the block unless a large term that fits comes first.
-                terms = sv[pos:][cand]
-                small = terms <= 1.0
-                csum = np.cumsum(np.concatenate(([st["current_sum"]],
-                                                 np.where(small, terms, 0.0))))
-                k = int(np.searchsorted(csum[1:], 1.0))
-                fits = np.flatnonzero(~small[:k] & (csum[:k] + terms[:k] <= 2.0))
-                if fits.size:
-                    k = int(fits[0])
-                elif k == len(terms):
-                    st["current"].append(lo + pos + cand[small])
-                    st["current_sum"] = float(csum[-1])
-                    break
-                picked = small[: k + 1]
-                picked[k] = True  # the closing term, small or not
-                st["current"].append(lo + pos + cand[: k + 1][picked])
-                self._close_block()
-                pos = pos + int(cand[k]) + 1
+                pos = int(cand[k]) + 1
+                cand = cand[k + 1 :]
             st["scan"] = hi
+
+    def _fill_block(self, cand, sv, lo: int) -> Optional[int]:
+        """Add the candidates at window offsets ``cand`` to the open block,
+        in pieces of doubling length, up to the one that closes it: its
+        position in ``cand``, or None when none does.
+
+        The open block's sum c stays below 1: a term t <= 1 joins it, 1 < t
+        <= 2 - c joins and closes it, a larger t is skipped and leaves c
+        alone.  So c is the running sum of the small terms only, left to
+        right from the block's first index, carried from piece to piece as
+        from window to window, and the first small term that lifts it to 1
+        closes the block unless a large term that fits comes first."""
+        st = self._state
+        start, reach = 0, 256
+        while start < cand.size:
+            piece = cand[start : start + reach]
+            terms = sv[piece]
+            small = terms <= 1.0
+            csum = np.cumsum(np.concatenate(([st["current_sum"]], np.where(small, terms, 0.0))))
+            k = int(np.searchsorted(csum[1:], 1.0))
+            fits = np.flatnonzero(~small[:k] & (csum[:k] + terms[:k] <= 2.0))
+            if fits.size:
+                k = int(fits[0])
+            elif k == len(terms):
+                st["current"].append(lo + piece[small])
+                st["current_sum"] = float(csum[-1])
+                start, reach = start + reach, 2 * reach
+                continue
+            picked = small[: k + 1]
+            picked[k] = True  # the closing term, small or not
+            st["current"].append(lo + piece[: k + 1][picked])
+            self._close_block()
+            return start + k
+        return None
 
     def _close_block(self) -> None:
         st = self._state

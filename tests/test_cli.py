@@ -473,7 +473,151 @@ def test_shared_parser_keeps_no_state(tmp_path):
     path.write_text("band = true\n", encoding="ascii")
     assert load_config(argv + ["--config", str(path)]).get("band") is True
     assert load_config(argv).get("band") is None
-    assert cli._argument_parser() is cli._argument_parser()
+
+
+# ---------------------------------------------------------------------------
+# the argv scan reads every command line as argparse did (tests/argparse_oracle)
+
+import itertools  # noqa: E402
+import random  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import argparse_oracle  # noqa: E402
+import fuzz_grammar  # noqa: E402
+import op_digests  # noqa: E402
+
+_W = ["witness", "--seq", "pow(1,2)", "--weights", "pow(1,-1)"]
+_EDGE = [
+    ["witness", "--seq=pow(1,2)", "--weights=pow(1,-1)", "--p=1"],
+    _W + ["--p", "1", "--seq="],
+    _W + ["--p", "-1"],
+    _W + ["--p", "-.5"],
+    _W + ["--p", "-1/2"],
+    _W + ["--p", "-"],
+    ["witness", "--seq", "-x", "--p", "1"],
+    ["witness", "--seq", "-1e5", "--p", "1"],
+    _W + ["--p"],
+    _W + ["--p", "1", "--weights", "pow(1,-2)"],
+    ["witness", "--p", "1", "--output", "r.json", "--weights", "pow(1,-1)", "--format", "csv",
+     "--seq", "pow(1,2)"],
+    _W + ["--p", "1", "extra"],
+    ["witness", "--", "--seq", "pow(1,2)"],
+    _W + ["--p", "1", "--"],
+    _W + ["--p", "--", "1"],
+    _readme("check-admissible") + ["--band"],
+    _readme("check-admissible") + ["--band=1"],
+    _readme("check-admissible") + ["--band", "x"],
+    _readme("check-admissible") + ["--band", "--band"],
+    _W + ["--format", "xml"],
+    _W + ["--format=csv"],
+    _W + ["--format", "csv", "--format", "json"],
+    ["witness", "---seq", "pow(1,2)"],
+    ["witness", "-s", "pow(1,2)"],
+    ["--seq", "pow(1,2)", "witness"],
+    ["--format", "csv", "witness"],
+    [],
+    ["nope", "--seq", "pow(1,2)"],
+    ["witness"],
+    ["witness", "--config="],
+    ["witness", "--config", "no/such/file.cfg"],
+    _readme("build-basis") + ["--a-squared", "const(2)", "--dim", "20"],
+    _readme("demo-convergence") + ["--horizon", "1000", "--output", ""],
+]
+
+
+def _scanned(argv):
+    try:
+        cfg = load_config(argv)
+    except cli._Usage:
+        return "usage"
+    return cfg.command, list(cfg.options.items())
+
+
+def _comparable(argv) -> bool:
+    """Not an argv that argparse reads in one of the ways the scan does not
+    keep: a help token (argparse also takes "-hh" for one), a token that
+    starts with "-" and holds a space, which argparse takes for a value,
+    and "--name=--", whose value argparse drops."""
+    return not any(t == "--help" or t.startswith("-h") or (t.startswith("-") and " " in t)
+                   or t.partition("=")[2] == "--" for t in argv)
+
+
+def _argvs():
+    yield from _EDGE
+    yield from (_readme(command) for command in README_ARGV)
+    for workload in op_digests.WORKLOADS:
+        for seed in (7, 11):
+            for block in itertools.islice(op_digests.blocks(workload, seed), 8):
+                yield from (list(op.argv) for op in block)
+    rng = random.Random(3)
+    for _ in range(600):
+        yield fuzz_grammar.argv(rng.choice)
+
+
+def test_scan_reads_argv_as_argparse_did():
+    argvs = [argv for argv in _argvs() if _comparable(argv)]
+    assert len(argvs) > 1000
+    for argv in argvs:
+        assert _scanned(argv) == argparse_oracle.parse(argv), argv
+
+
+@st.composite
+def _mutated(draw):
+    argv = list(draw(st.sampled_from(_EDGE + [_readme(c) for c in README_ARGV])))
+    for _ in range(draw(st.integers(1, 3))):
+        if not argv:
+            break
+        i = draw(st.integers(0, len(argv) - 1))
+        j = draw(st.integers(0, len(argv) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap", "join", "negate")))
+        if kind == "drop":
+            del argv[i]
+        elif kind == "duplicate":
+            argv.insert(i, argv[i])
+        elif kind == "swap":
+            argv[i], argv[j] = argv[j], argv[i]
+        elif kind == "join" and i + 1 < len(argv):
+            argv[i:i + 2] = [argv[i] + "=" + argv[i + 1]]
+        elif kind == "negate":
+            argv[i] = "-" + argv[i]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_mutated())
+def test_scan_reads_mutated_argv_as_argparse_did(argv):
+    if _comparable(argv):
+        assert _scanned(argv) == argparse_oracle.parse(argv)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help", "witness"],
+                                  _readme("witness") + ["-h"], ["witness", "--help", "--bogus"]])
+def test_help_prints_the_table_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_config(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: fbasis") and cli.__doc__.strip() in out
+    for command, (_, row) in cli._SUBCOMMANDS.items():
+        assert command in out and all(f"--{o}" in out for o in cli._COMMON + row)
+
+
+def test_help_token_in_a_value_place_is_a_missing_value():
+    assert cli.main(["witness", "--seq", "-h"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["- 1", "-x y"])
+def test_dash_value_with_a_space_is_a_usage_error(value):
+    # argparse took such a token for a value; the scan takes it for an option
+    assert cli.main(_W + ["--p", value]) == EXIT_USAGE
+    assert load_config(_W + [f"--p={value}"]).get("p") == value
+
+
+def test_double_dash_after_equals_is_the_value():
+    # argparse dropped it and left the list [], which exited 70
+    assert load_config(["classify-set", "--set=--", "--filter", "frechet"]).get("set") == "--"
+    assert run(["classify-set", "--set=--", "--filter", "frechet"])[0] == EXIT_PARSE
 
 
 # ---------------------------------------------------------------------------

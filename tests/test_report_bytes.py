@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fbasis
-from fbasis.cli import load_config, run_command
+from fbasis.cli import _COMMON, _SUBCOMMANDS, load_config, run_command
 
 README = [
     (["check-admissible", "--seq", "pow(1,0.5)", "--filter", "statistical", "--p", "2"],
@@ -154,6 +154,19 @@ def _readme_pin(command):
     return next(pin for pin in README if pin[0][0] == command)
 
 
+def _fresh_process(argv):
+    """`python -X importtime -m fbasis.cli ARGV` and the modules whose code
+    ran, as -X importtime names them: never argparse."""
+    env = dict(os.environ)
+    src = str(Path(fbasis.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "fbasis.cli", *argv],
+                         env=env, capture_output=True, timeout=120)
+    ran = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.decode().splitlines()}
+    assert "argparse" not in ran
+    return out, ran
+
+
 @pytest.mark.parametrize("argv,code,digest,symbolic", [
     (*_readme_pin("classify-set"), True),
     (*_readme_pin("dominates"), True),
@@ -167,16 +180,20 @@ def _readme_pin(command):
 def test_fresh_process_keeps_the_pinned_bytes(argv, code, digest, symbolic):
     """`python -m fbasis.cli` as its own process: the same bytes as in
     process, and a symbolic query never runs numpy (in this process numpy
-    is loaded already).  -X importtime names every module whose code ran."""
-    env = dict(os.environ)
-    src = str(Path(fbasis.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "fbasis.cli", *argv],
-                         env=env, capture_output=True, timeout=120)
+    is loaded already)."""
+    out, ran = _fresh_process(argv)
     assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == (code, digest)
-    ran = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.decode().splitlines()}
     ran_numpy = sorted(m for m in ran if m == "numpy" or m.startswith("numpy."))
     if symbolic:
         assert ran_numpy == []
     else:
         assert ran_numpy  # loaded on first use
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["witness", "--help"]])
+def test_fresh_process_prints_help(argv):
+    out, _ = _fresh_process(argv)
+    assert out.returncode == 0
+    text = out.stdout.decode()
+    for command, (_, row) in _SUBCOMMANDS.items():
+        assert command in text and all(f"--{o}" in text for o in _COMMON + row)

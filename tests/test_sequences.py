@@ -28,6 +28,7 @@ from fbasis import (
 )
 from fbasis.natset import member
 from fbasis.sequences import (
+    _int_root,
     _monotone_start,
     eval_vector,
     is_bounded,
@@ -57,6 +58,8 @@ class TestEval:
         for k in (2, 3, 5):
             assert exact_root(Fraction(big ** k, 7 ** k), k) == Fraction(big, 7)
             assert exact_root(Fraction(big ** k + 1), k) is None
+        # a numerator with no root answers None whatever the denominator
+        assert exact_root(Fraction(big ** 2 + 1, 4), 2) is None
 
     def test_prefix_tail(self):
         s = ExplicitPrefix((5, 7), Constant(1))
@@ -316,3 +319,16 @@ def test_threshold_head_matches_per_index_scan(case):
     assume(got is not None)  # no crossing below 2**60, so no set to compare
     want = [n for n in range(1, scan_to + 1) if float(seq.value_at(n)) >= t]
     assert (np.flatnonzero(got.mask(scan_to)) + 1).tolist() == want
+
+
+_ROOTS = st.integers(0, 10 ** 300)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(st.one_of(_ROOTS.map(lambda r: r * r),
+                 st.builds(lambda r, d: max(r * r + d, 0), _ROOTS, st.sampled_from((-1, 1))),
+                 st.integers(0, 10 ** 600)))
+def test_square_root_filter_rejects_no_square(v):
+    """The residue masks in front of isqrt turn away only non-squares."""
+    r = math.isqrt(v)
+    assert _int_root(v, 2) == (r if r * r == v else None)
