@@ -27,7 +27,6 @@ from .natset import (
     enumerate_prefix,
     member,
     natural_density,
-    set_equal,
 )
 from .sequences import (
     Constant,
@@ -82,7 +81,6 @@ from .lp_operators import (
     op_norm,
     remainder_norm,
     solve_b_next,
-    solve_next_square,
 )
 from .oracles import op_norm_bruteforce
 from .basis_builder import (
@@ -100,7 +98,6 @@ from .separation import (
     NotSeparable,
     SeparatorSpec,
     cluster_witness,
-    extract_norming_functionals,
     lemma1_profile,
     lift_functionals_to_operators,
     plank_separator,

@@ -26,13 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .admissibility import AdmissVerdict, check_admissible
-from .filters import (
-    FilterSpec,
-    LimitVerdict,
-    SetClass,
-    classify_set,
-    not_negligible,
-)
+from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_table
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
@@ -320,20 +314,18 @@ _TRUNCATION_CAVEAT = (
 
 
 def _defect_bound_seqs(sys: BasisSystem):
-    """(c_exact, c_lower, c_upper) as symbolic sequences where available;
-    a lower bound only where it holds at every index."""
+    """(c_lower, c_upper, T): symbolic sequences with c_lower(n) <= c_n on
+    the set T and c_n <= c_upper(n) at every n; c_lower is None where no
+    lower bound is derived."""
     a = sys.target
     if sys.space.is_l1:
-        return a, a, a
-    # c_n = (a_n**q - 1)**(1/q) < a_n for the dual exponent q
-    upper = a
+        return a, a, NATURALS
+    # c_n = (a_n**q - 1)**(1/q) < a_n for the dual exponent q, and
+    # c_n >= a_n/2 wherever a_n**q >= 1/(1 - 2**-q)
     p = sys.space.p_float
     q = p / (p - 1.0)
-    # c >= a/2 once a**q >= 1/(1 - 2**-q), so a/2 is a lower bound only
-    # if a(n) reaches that threshold at every n, not just on a probed head
-    threshold = (1.0 / (1.0 - 2.0 ** (-q))) ** (1.0 / q)
-    lower = seq_scale(a, Fraction(1, 2)) if threshold_ge(a, threshold) == NATURALS else None
-    return None, lower, upper
+    T = threshold_ge(a, (1.0 / (1.0 - 2.0 ** (-q))) ** (1.0 / q))
+    return (None if T is None else seq_scale(a, Fraction(1, 2))), a, T
 
 
 def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
@@ -366,9 +358,9 @@ def convergence_demo(
     ``under`` override, for side-by-side comparisons).  The over-set
     (``over_set``) is a certified superset of the exceptional set, the
     under-set (``under_set``) a certified subset.  The upper bound c_n <= a_n
-    holds at every n; the lower bound c_n >= a_n / 2 is used only where
-    a(n) >= t for every n, t being the level from which it holds (see
-    ``_defect_bound_seqs``); otherwise no under-set is given."""
+    holds at every n; the lower bound c_n >= a_n / 2 holds where a(n) >= t,
+    t being the level from which it holds (see ``_defect_bound_seqs``), so
+    the under-sets are taken inside that set."""
     stage_defects = [
         float(abs(float(x.coordinate(n + 1))) * float(c))
         for n, c in enumerate(sys.defect_coeffs, start=1)
@@ -388,15 +380,13 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     over-set, the support of x (shifted to n) intersected with
     {n : kappa amp(n) c_upper(n) >= e}, is a superset: a negligible over-set
     makes the level negligible.  Its under-set, the same with
-    {n : amp(n) c_lower(n) / kappa >= e}, is a subset: an under-set that is
-    not negligible makes the level stationary-or-member.  The over-sets of
-    all levels come from one head scan of their sequence; the under-sets
-    from one more, made only when some level is left open; each distinct
-    set is classified once per table."""
+    {n : amp(n) c_lower(n) / kappa >= e} and inside the set where c_lower
+    bounds c, is a subset: an under-set that is not negligible makes the
+    level stationary-or-member.  The over-sets of all levels come from one
+    head scan of their sequence, the under-sets from one more, and
+    ``epsilon_table`` classifies them."""
     filt = under if under is not None else sys.filter
     if eps_schedule is None:
-        from .filters import DEFAULT_EPS_SCHEDULE
-
         eps_schedule = DEFAULT_EPS_SCHEDULE
     if isinstance(x, BasisVector):
         entries = tuple(
@@ -409,53 +399,26 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
-    c_exact, c_lower, c_upper = bounds()
-    prod_hi = seq_mul(amp, c_upper) if c_upper is not None else None
+    c_lower, c_upper, lower_on = bounds()
+    prod_hi = seq_mul(amp, c_upper)
     prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
 
-    # levels share sets, so each is restricted to the support and classified once
-    restrict = functools.cache(lambda s: canonicalize(Intersection((support, s))))
-    classify = functools.cache(lambda s: classify_set(s, filt))
-    wide = functools.cache(lambda s: not_negligible(s, filt))
-    over_txt = [None] * len(levels)
-    under_txt = [None] * len(levels)
-    cls = ["inconclusive"] * len(levels)
+    def bound_sets(prod, scale, *where):
+        """The threshold sets of prod * scale at the asked levels, each
+        intersected with the sets ``where``."""
+        restrict = functools.cache(lambda s: canonicalize(Intersection((*where, s))))
+        return lambda ls: [None if s is None else restrict(s)
+                           for s in threshold_levels(seq_scale(prod, scale), ls, horizon)]
+
+    over_sets = under_sets = limsup = None
     if kappa is not None and prod_hi is not None:
+        over_sets = bound_sets(prod_hi, kappa, support)
         lim = limit_value(prod_hi)
         if lim is not None and math.isfinite(lim):
-            # the defect bound settles strictly below these levels, so the
-            # exceptional set is finite wherever its boundary lies
-            cls = ["negligible" if lim * kappa < e else c for e, c in zip(levels, cls)]
-        open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
-        overs = threshold_levels(seq_scale(prod_hi, kappa),
-                                 [levels[i] for i in open_levels], horizon) if open_levels else []
-        for i, over in zip(open_levels, overs):
-            if over is None:
-                continue
-            over_set = restrict(over)
-            over_txt[i] = over_set.to_text()
-            if classify(over_set) == SetClass.NEGLIGIBLE:
-                cls[i] = "negligible"
-    first_refutation = None
-    open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
-    if open_levels and kappa is not None and prod_lo is not None:
-        unders = threshold_levels(seq_scale(prod_lo, 1.0 / kappa),
-                                  [levels[i] for i in open_levels], horizon)
-        for i, under_seq in zip(open_levels, unders):
-            if under_seq is None:
-                continue
-            under_set = restrict(under_seq)
-            under_txt[i] = under_set.to_text()
-            if wide(under_set) is True:
-                cls[i] = "stationary-or-member"
-                if first_refutation is None:
-                    first_refutation = (levels[i], under_set)
-    entries = tuple(EpsilonEntry(*row) for row in zip(levels, over_txt, under_txt, cls))
-    unknowns = cls.count("inconclusive")
-    if first_refutation is not None:
-        verdict = LimitVerdict.does_not_converge(first_refutation[0], first_refutation[1])
-    elif unknowns:
-        verdict = LimitVerdict.inconclusive(f"{unknowns} epsilon levels undecided")
-    else:
-        verdict = LimitVerdict.converges_to(0)
-    return entries, verdict
+            # the defect bound settles below every level above lim * kappa
+            limsup = lim * kappa
+    if kappa is not None and prod_lo is not None:
+        under_sets = bound_sets(prod_lo, 1.0 / kappa, support, lower_on)
+    overs, unders, cls, verdict = epsilon_table(filt, levels, over_sets, under_sets, limsup)
+    texts = [[None if s is None else s.to_text() for s in sets] for sets in (overs, unders)]
+    return tuple(EpsilonEntry(*row) for row in zip(levels, *texts, cls)), verdict

@@ -16,6 +16,7 @@ inconclusive discipline, with refutations carrying explicit witnesses.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +38,9 @@ from .natset import (
 from .sequences import (
     ScalarSeq,
     SpikeSeq,
-    threshold_ge,
+    limit_value,
+    threshold_levels,
 )
-from .series import sum_inverse_p_verdict  # noqa: F401  (re-exported for callers)
 from .series import weight_sum
 
 
@@ -201,14 +202,16 @@ def _classify_trace(A: SetExpr, F: Trace) -> SetClass:
     return SetClass.STATIONARY
 
 
-def not_negligible(A: SetExpr, F: FilterSpec) -> Optional[bool]:
-    """Whether A is stationary in the wide sense (meets every member).
+def not_negligible(A: SetExpr, F: FilterSpec, cls: Optional[SetClass] = None) -> Optional[bool]:
+    """Whether A is stationary in the wide sense (meets every member);
+    ``cls`` is A's class, when the caller has it already.
 
     For summable filters this is exactly divergence of the weighted sum
     over A, which is decidable in cases where the three-way
     classification is not.
     """
-    cls = classify_set(A, F)
+    if cls is None:
+        cls = classify_set(A, F)
     if cls in (SetClass.MEMBER, SetClass.STATIONARY):
         return True
     if cls == SetClass.NEGLIGIBLE:
@@ -252,51 +255,49 @@ DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2 ** k) for k in range(0, 21))
 SignedSeq = TUnion[ScalarSeq, SpikeSeq]
 
 
-def exceptional_set(x: SignedSeq, target, epsilon, horizon: int = 10 ** 6) -> Optional[SetExpr]:
-    """{n : |x(n) - target| >= epsilon} as a SetExpr, when derivable."""
-    t = float(target)
-    eps = float(epsilon)
-    if isinstance(x, SpikeSeq):
-        off_support_bad = abs(0.0 - t) >= eps
-        on_support = _scalar_exceptional(x.amplitude, t, eps, horizon)
-        if on_support is None:
-            return None
-        inside = Intersection((x.support, on_support))
-        if off_support_bad:
-            return canonicalize(Union((Complement(x.support), inside)))
-        return canonicalize(inside)
-    return _scalar_exceptional(x, t, eps, horizon)
+def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, target=0):
+    """The epsilon table of a filter limit, and its verdict.
 
-
-def _scalar_exceptional(x: ScalarSeq, t: float, eps: float, horizon: int) -> Optional[SetExpr]:
-    high = threshold_ge(x, t + eps, horizon)
-    if high is None:
-        return None
-    if t - eps < 0:
-        # positive sequences never dip to t - eps
-        return canonicalize(high)
-    low_strict = threshold_ge(x, math.nextafter(t - eps, math.inf), horizon)
-    if low_strict is None:
-        return None
-    return canonicalize(Union((high, Complement(low_strict))))
-
-
-def exceptional_certainly_finite(x: SignedSeq, target, epsilon) -> bool:
-    """Whether {n : |x(n) - target| >= epsilon} is finite on limit grounds.
-
-    A sequence whose certified limit lies strictly inside the epsilon
-    band leaves it only finitely often; no crossing location is needed.
+    Level e asks whether the exceptional set at e is F-negligible.  A level
+    above ``limsup``, a certified bound on the limit superior of the
+    distance to the target, has a finite exceptional set and is settled.
+    ``over_sets(ls)`` returns, for a list of levels, a certified superset of
+    each one's exceptional set (or None); a negligible one makes its level
+    negligible.  ``under_sets(ls)``, asked only for the levels left open,
+    returns certified subsets; one that is not negligible in the wide sense
+    makes its level stationary-or-member, and the first such level refutes
+    convergence with it as the witness.  A provider that is None derives no
+    sets.  Each distinct set is classified once.  Returns (over-sets,
+    under-sets, classes, verdict), the first three one entry per level.
     """
-    from .sequences import limit_value
-
-    t = float(target)
-    eps = float(epsilon)
-    if isinstance(x, SpikeSeq):
-        if abs(t) >= eps:
-            return False  # off-support indices are all exceptional
-        x = x.amplitude
-    lim = limit_value(x)
-    return lim is not None and math.isfinite(lim) and abs(lim - t) < eps
+    classify = functools.cache(lambda s: classify_set(s, F))
+    wide = functools.cache(lambda s: not_negligible(s, F, classify(s)))
+    overs: list = [None] * len(levels)
+    unders: list = [None] * len(levels)
+    cls = ["negligible" if limsup is not None and limsup < e else "inconclusive" for e in levels]
+    open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
+    if open_levels and over_sets is not None:
+        for i, s in zip(open_levels, over_sets([levels[i] for i in open_levels])):
+            overs[i] = s
+            if s is not None and classify(s) == SetClass.NEGLIGIBLE:
+                cls[i] = "negligible"
+    refuted = None
+    open_levels = [i for i, c in enumerate(cls) if c != "negligible"]
+    if open_levels and under_sets is not None:
+        for i, s in zip(open_levels, under_sets([levels[i] for i in open_levels])):
+            unders[i] = s
+            if s is not None and wide(s) is True:
+                cls[i] = "stationary-or-member"
+                if refuted is None:
+                    refuted = i
+    unknowns = cls.count("inconclusive")
+    if refuted is not None:
+        verdict = LimitVerdict.does_not_converge(levels[refuted], unders[refuted])
+    elif unknowns:
+        verdict = LimitVerdict.inconclusive(f"{unknowns} epsilon levels undecided")
+    else:
+        verdict = LimitVerdict.converges_to(target)
+    return overs, unders, cls, verdict
 
 
 def f_limit_scalar(
@@ -306,31 +307,43 @@ def f_limit_scalar(
     eps_schedule=DEFAULT_EPS_SCHEDULE,
     horizon: int = 10 ** 6,
 ) -> LimitVerdict:
-    """Filter limit verdict via exceptional-set classification.
+    """Filter limit verdict through the epsilon table of x.
 
-    Convergence needs every scheduled exceptional set to classify as
-    negligible; a stationary or member exceptional set at some epsilon
-    refutes convergence with that witness.
+    The exceptional set {n : |x(n) - t| >= e} is {x >= t + e} joined with
+    the complement of {x > t - e}; the thresholds of all levels come from
+    one scan on each side.  On a spike these are taken on its support, and
+    every index off it is exceptional once |t| >= e.  The set is exact, so
+    it is both the over- and the under-set of its level.  A certified limit
+    of the amplitude within e of t (and, on a spike, |t| < e) settles
+    level e.
     """
-    any_unknown = False
-    for eps in eps_schedule:
-        E = exceptional_set(x, target, eps, horizon)
-        if E is None:
-            if not exceptional_certainly_finite(x, target, eps):
-                any_unknown = True
-            continue
-        cls = classify_set(E, F)
-        if cls in (SetClass.MEMBER, SetClass.STATIONARY):
-            return LimitVerdict.does_not_converge(float(eps), E)
-        if cls == SetClass.INCONCLUSIVE:
-            wide = not_negligible(E, F)
-            if wide is True:
-                return LimitVerdict.does_not_converge(float(eps), E)
-            if wide is None:
-                any_unknown = True
-    if any_unknown:
-        return LimitVerdict.inconclusive("some exceptional sets were undecidable")
-    return LimitVerdict.converges_to(target)
+    t = float(target)
+    amp, support = (x.amplitude, x.support) if isinstance(x, SpikeSeq) else (x, None)
+    lim = limit_value(amp)
+    limsup = None
+    if lim is not None and math.isfinite(lim):
+        limsup = abs(lim - t) if support is None else max(abs(lim - t), abs(t))
+    sets: dict = {}
+
+    def exceptional(levels):
+        highs = threshold_levels(amp, [t + e for e in levels], horizon)
+        dips = [e for e in levels if t - e >= 0]  # x > 0 > t - e at the others
+        lows = threshold_levels(amp, [math.nextafter(t - e, math.inf) for e in dips],
+                                horizon) if dips else []
+        lows = dict(zip(dips, lows))
+        for e, high in zip(levels, highs):
+            low = lows.get(e, NATURALS)
+            E = None if high is None or low is None else Union((high, Complement(low)))
+            if E is not None and support is not None:
+                E = Intersection((support, E))
+                if abs(t) >= e:  # x is 0 off its support
+                    E = Union((Complement(support), E))
+            sets[e] = None if E is None else canonicalize(E)
+        return [sets[e] for e in levels]
+
+    levels = [float(e) for e in eps_schedule]
+    return epsilon_table(F, levels, exceptional, lambda ls: [sets[e] for e in ls],
+                         limsup, target)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -290,14 +290,6 @@ def solve_b_next(b: Sequence, a_target, space: SpaceKind):
     return _root(mass / _prescribed_ratio(_as_number(a_target), p), p)
 
 
-def solve_next_square(b_squared: Sequence[Fraction], a_target_squared: Fraction) -> Fraction:
-    """Exact next square for the Hilbert-space recurrence."""
-    a2 = Fraction(a_target_squared)
-    if a2 <= 1:
-        raise DomainError("the squared target must exceed 1")
-    return sum((Fraction(v) for v in b_squared), Fraction(0)) / (a2 - 1)
-
-
 def remainder_norm(T: TailOp, dim: Optional[int] = None) -> NormReport:
     """Norm of Id - T on the truncation (needs dim > stage + 1): it sends x
     to x_{n+1} (b_1, ..., b_n, b_{n+1}) / b_{n+1} plus the coordinates past
@@ -307,8 +299,3 @@ def remainder_norm(T: TailOp, dim: Optional[int] = None) -> NormReport:
         raise DimensionMismatch("remainder needs the truncation to extend past stage + 1")
     p = T.space.p
     return _closed_form_report(1 + _mass_ratio(T), p, _METHODS.get(p, "ClosedForm"))
-
-
-def remainder_dense_matrix(T: TailOp, dim: Optional[int] = None) -> np.ndarray:
-    dim = dim or T.space.dim
-    return np.eye(dim) - T.dense_matrix(dim)

@@ -682,10 +682,6 @@ def enumerate_prefix(s: SetExpr, horizon: int) -> list[int]:
     return [int(i) + 1 for i in np.nonzero(m)[0]]
 
 
-def count_prefix(s: SetExpr, horizon: int) -> int:
-    return int(s.mask(horizon).sum())
-
-
 def natural_density(s: SetExpr) -> DensityVerdict:
     """Density verdict from the eventually-periodic calculus.
 
@@ -812,23 +808,3 @@ def canonicalize(s: SetExpr) -> SetExpr:
             return Residue(base.modulus, (base.residue + s.offset) % base.modulus)
         return Shifted(base, s.offset)
     return s
-
-
-def set_equal(a: SetExpr, b: SetExpr, check_horizon: int = 10 ** 4) -> bool:
-    """Semantic equality: identical canonical form, or identical membership
-    up to the check horizon together with identical descriptions."""
-    ca, cb = canonicalize(a), canonicalize(b)
-    if ca == cb:
-        return True
-    try:
-        if not np.array_equal(ca.mask(check_horizon), cb.mask(check_horizon)):
-            return False
-        return all(_same_desc(x, y) for x, y in zip(ca.desc_pair(), cb.desc_pair()))
-    except HorizonExceeded:
-        return False
-
-
-def _same_desc(a: _Desc, b: _Desc) -> bool:
-    """Equal descriptions, residues compared over a common modulus."""
-    m = _ep_lcm(a.ep, b.ep)
-    return (a.ep.lift(m), a.plus, a.minus) == (b.ep.lift(m), b.plus, b.minus)

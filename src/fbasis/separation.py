@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ._lazy_numpy import np
 from .natset import NATURALS
-from .lp_operators import TailOp, apply, lp_norm, norming_input, op_norm
+from .lp_operators import op_norm  # noqa: F401  (perfbench's tracer test calls separation.op_norm)
 from .sequences import (
     DomainError,
     ScalarSeq,
@@ -215,69 +215,3 @@ def lift_functionals_to_operators(
     if anchor < 1:
         raise DomainError("anchor index starts at 1")
     return [RankOneOp(n, float(eval_at(a, n)), anchor) for n in range(1, count + 1)]
-
-
-@dataclass(frozen=True)
-class ExtractedFunctional:
-    stage: int
-    coefficients: tuple  # x*(e_j) for j below the truncation
-    norm: float
-    operator_norm: float
-    factor_bound: float  # sup over samples of |x*(x)| / ||T x||
-
-
-def extract_norming_functionals(
-    stages: Sequence[TailOp],
-    samples: int = 100,
-    seed: int = 0,
-) -> list[ExtractedFunctional]:
-    """Reverse direction: from each tail operator, a functional with the
-    same norm, satisfying |x*(x)| <= 2 ||T x|| on sampled vectors.
-
-    The functional is T* applied to a norming (or near-norming) dual
-    vector of the operator's best output direction, rescaled to have
-    norm exactly ||T||.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for T in stages:
-        p = T.space.p_float
-        n = T.stage
-        dim = n + 1
-        rep = op_norm(T)
-        y = np.array(apply(T, list(norming_input(T.b_floats(), p))), dtype=float)
-        ystar = _dual_norming(y, p)
-        # coefficients of T* ystar: column dot products
-        M = T.dense_matrix(dim)[:dim, :dim]
-        coeffs = ystar @ M
-        q = p / (p - 1.0) if p > 1 else math.inf
-        nrm = lp_norm(coeffs, q)
-        if nrm <= 0:
-            raise ArithmeticError("extracted functional vanished")
-        coeffs = coeffs * (rep.value / nrm)
-        factor = 0.0
-        for _ in range(samples):
-            x = rng.standard_normal(dim)
-            denom = lp_norm(apply(T, list(x)), p)
-            if denom <= 1e-12:
-                continue
-            factor = max(factor, abs(float(coeffs @ x)) / denom)
-        out.append(
-            ExtractedFunctional(
-                stage=n,
-                coefficients=tuple(float(c) for c in coeffs),
-                norm=rep.value,
-                operator_norm=rep.value,
-                factor_bound=factor,
-            )
-        )
-    return out
-
-
-def _dual_norming(y: np.ndarray, p: float) -> np.ndarray:
-    """A dual unit vector y* with y*(y) = ||y||_p."""
-    y = np.asarray(y, dtype=float)
-    if p == 1:
-        return np.sign(y)
-    # y = T x for a norming x, so ||y||_p = ||T|| >= 1
-    return np.sign(y) * (np.abs(y) / lp_norm(y, p)) ** (p - 1.0)

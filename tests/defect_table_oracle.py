@@ -8,7 +8,9 @@ ran before its level-independent work moved out of the loop: per level it
 re-evaluates the limit, re-scales the bound sequences, builds the over-
 and under-set from their own head scans and classifies each set afresh.
 Both are kept as they were, so that the production routines can be
-compared with them entry for entry.
+compared with them entry for entry; the one change since is that an
+under-set is taken inside the set where the lower bound sequence holds
+(the third item ``bounds()`` returns), as in production.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
-    c_exact, c_lower, c_upper = bounds()
+    c_lower, c_upper, lower_on = bounds()
     prod_hi = seq_mul(amp, c_upper) if c_upper is not None else None
     prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
 
@@ -151,7 +153,7 @@ def classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
         if cls != "negligible" and kappa is not None and prod_lo is not None:
             under = threshold_ge(seq_scale(prod_lo, 1.0 / kappa), e, horizon)
             if under is not None:
-                under_set = canonicalize(Intersection((support, under)))
+                under_set = canonicalize(Intersection((support, lower_on, under)))
                 under_txt = under_set.to_text()
                 if not_negligible(under_set, filt) is True:
                     cls = "stationary-or-member"

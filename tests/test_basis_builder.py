@@ -2,6 +2,7 @@ import collections
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from fbasis import (
     Frechet,
     GeometricIndex,
     NotAdmissible,
+    Piecewise,
     PowerLog,
     PowerTail,
     Residue,
@@ -30,10 +32,10 @@ from fbasis import (
     remainder_norm,
     verify_biorthogonality,
 )
-from fbasis import basis_builder, sequences
+from fbasis import basis_builder, filters, sequences
 from fbasis.cli import load_config, run_command
 from fbasis.lp_operators import TailOp
-from fbasis.parsing import parse_filter, parse_scalar_seq
+from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
 
 import biorth_oracle
@@ -343,17 +345,29 @@ class TestDefectTable:
         """a/2 bounds the l2 defect c = (a**2 - 1)**(1/2) from below only where
         a >= (4/3)**(1/2).  a = 4 n**(1/10) / ln(n+1) stays above that for
         n <= 64 but falls to 1.087 at n = 22027, where c = 0.427 < 1/2: no
-        level may claim the odd indices as a subset of the exceptional set."""
+        under-set may hold an index of that dip.  Past it a -> infinity, so
+        the odd indices, where x_{n+1} = 1, are a stationary under-set."""
         a = PowerLog(4, Fraction(1, 10), Fraction(-1))
         at = float(a.value_at(22027))
         assert min(float(a.value_at(n)) for n in range(1, 65)) > (4 / 3) ** 0.5
         assert (at ** 2 - 1) ** 0.5 < 0.5
         sys = build_basis(a, l2(64), Statistical(), n_max=8)
-        assert basis_builder._defect_bound_seqs(sys)[1] is None
         rep = convergence_demo(sys, Spike(Residue(2, 0), Constant(1)))
-        assert {e.under_set for e in rep.entries} == {None}
-        assert {e.classification for e in rep.entries} == {"inconclusive"}
-        assert rep.verdict.kind == "inconclusive"
+        assert (rep.verdict.kind, rep.verdict.epsilon) == ("does-not-converge", 1.0)
+        horizon = 1_100_000
+        n = np.arange(1, horizon + 1)
+        a_n = 4 * n ** 0.1 / np.log(n + 1)
+        dip = a_n < (4 / 3) ** 0.5
+        assert dip[22026] and not dip[-1]
+        unders = [(e.epsilon, parse_set_expr(e.under_set)) for e in rep.entries
+                  if e.under_set is not None]
+        assert unders
+        for level, s in unders:
+            members = s.mask(horizon)
+            assert not (members & dip).any()
+            head = np.flatnonzero(members[:2000]) + 1
+            c = (a_n[head - 1] ** 2 - 1) ** 0.5
+            assert ((head + 1) % 2 == 0).all() and (c >= level).all()
 
 
 README_DEMO = ["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
@@ -363,15 +377,29 @@ BUILD_L1 = ["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
             "--filter", "summable(pow(1,-1))", "--n-max", "12"]
 
 
+def _run_cli(argv):
+    return lambda: run_command(load_config(argv))[0] == 0
+
+
+def _run_limit():
+    """1 on the evens and 1/n on the odds, against the target 1: every
+    level scans above 1 + e and below 1 - e."""
+    x = Piecewise(((Residue(2, 0), Constant(1)), (Residue(2, 1), HARMONIC)))
+    return filters.f_limit_scalar(x, Frechet(), 1).kind == "does-not-converge"
+
+
 # the README demo scans heads shorter than a vector; the build's spike scans
 # one to e**8
-@pytest.mark.parametrize("argv,vectors", [(README_DEMO, False), (BUILD_L1, True)],
-                         ids=["demo", "build"])
-def test_each_table_classifies_each_set_once(monkeypatch, argv, vectors):
+@pytest.mark.parametrize("run,vectors", [(_run_cli(README_DEMO), False),
+                                         (_run_cli(BUILD_L1), True), (_run_limit, False)],
+                         ids=["demo", "build", "limit"])
+def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     """Within one epsilon table, ``classify_set`` and ``not_negligible`` see
-    each distinct set once, and ``eval_vector`` evaluates each threshold
-    sequence once."""
+    each distinct set once, ``eval_vector`` evaluates each threshold
+    sequence once, and at most two threshold scans are made (the filter
+    limit, with levels on both sides of its target, makes both)."""
     tables = []  # per table: a Counter of (function, argument)
+    scans = []  # per table: the number of threshold scans
     in_levels = []
 
     def counting(module, name, only_in_levels=False):
@@ -384,9 +412,11 @@ def test_each_table_classifies_each_set_once(monkeypatch, argv, vectors):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    levels, table = sequences.threshold_levels, basis_builder._classify_defects
+    levels, table = sequences.threshold_levels, filters.epsilon_table
 
     def traced_levels(*args, **kwargs):
+        if tables and not in_levels:
+            scans[-1] += 1
         in_levels.append(1)
         try:
             return levels(*args, **kwargs)
@@ -395,20 +425,22 @@ def test_each_table_classifies_each_set_once(monkeypatch, argv, vectors):
 
     def traced_table(*args, **kwargs):
         tables.append(collections.Counter())
+        scans.append(0)
         return table(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "threshold_levels", traced_levels)
-    monkeypatch.setattr(basis_builder, "threshold_levels", traced_levels)
-    monkeypatch.setattr(basis_builder, "_classify_defects", traced_table)
-    counting(basis_builder, "classify_set")
-    counting(basis_builder, "not_negligible")
+    for module in (sequences, filters, basis_builder):
+        monkeypatch.setattr(module, "threshold_levels", traced_levels)
+    for module in (filters, basis_builder):
+        monkeypatch.setattr(module, "epsilon_table", traced_table)
+    counting(filters, "classify_set")
+    counting(filters, "not_negligible")
     counting(sequences, "eval_vector", only_in_levels=True)
-    code, _ = run_command(load_config(argv))
-    assert code == 0 and tables
+    assert run() and tables
     for counts in tables:
         assert max(counts.values(), default=1) == 1, counts
     called = {name for counts in tables for name, _ in counts}
     assert "classify_set" in called and ("eval_vector" in called) == vectors
+    assert max(scans) <= 2 and (run is not _run_limit or scans == [2])
 
 
 @pytest.mark.parametrize("seq,space,filt", [

@@ -12,7 +12,6 @@ from fbasis import (
     parse_scalar_seq,
     parse_set_expr,
     parse_test_vector,
-    set_equal,
     weight_sum,
 )
 from fbasis.cli import (
@@ -24,6 +23,8 @@ from fbasis.cli import (
     load_config,
     run_command,
 )
+
+from checkers import set_equal
 
 
 def run(argv):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -29,11 +30,14 @@ from fbasis import (
     f_limit_scalar,
     trace_filter,
 )
-from fbasis import parse_set_expr
+from fbasis import filters, parse_set_expr
 from fbasis.cli import load_config, run_command
 from fbasis.filters import FilterConstructionError, not_negligible, witness_library
+from fbasis.sequences import limit_value
 
-from conftest import random_set_expr
+import limit_oracle
+from checkers import set_equal
+from conftest import random_power_seq, random_set_expr
 
 HARMONIC = PowerLog(1, Fraction(-1))
 GEOM2 = GeometricIndex(Fraction(2))
@@ -134,8 +138,6 @@ class TestLimits:
         v = f_limit_scalar(x, Statistical(), 0)
         assert v.kind == "does-not-converge"
         assert v.epsilon == pytest.approx(1.0)
-        from fbasis import set_equal
-
         assert set_equal(v.witness, Residue(2, 0))
 
     def test_nonzero_target(self):
@@ -164,7 +166,7 @@ class TestLimits:
         # no crossing can be located
         x = SpikeSeq(GEOM2, PowerLog(1, Fraction(-1), Fraction(30)))
         v = f_limit_scalar(x, Frechet(), 1)
-        assert (v.kind, v.reason) == ("inconclusive", "some exceptional sets were undecidable")
+        assert (v.kind, v.reason) == ("inconclusive", "21 epsilon levels undecided")
 
     def test_limit_through_the_wide_sense(self):
         # 1 on the evens: off the target 0 on an infinite set
@@ -174,6 +176,43 @@ class TestLimits:
         # 1 at index 1, and past 100 unknown
         v = f_limit_scalar(SpikeSeq(Sampled(frozenset({1}), 100), Constant(1)), Frechet(), 0)
         assert v.kind == "inconclusive"
+
+    def test_matches_the_per_level_oracle(self):
+        """(kind, epsilon, witness) equal those of the per-level loop on a
+        seeded corpus of power sequences and spikes over the witness library.
+        Under a summable filter, a sequence with a finite limit is left out:
+        there the oracle sums each level's set to 10**6 terms, seconds a case,
+        where the epsilon table settles the level on the limit."""
+        def key(v):
+            return v.kind, v.epsilon, None if v.witness is None else v.witness.to_text()
+
+        rng = random.Random(1)
+        corpus_filters = [Frechet(), Statistical(), Summable(HARMONIC),
+                          Summable(PowerLog(1, Fraction(-1, 2))),
+                          trace_filter(Frechet(), Residue(2, 0)),
+                          trace_filter(Statistical(), Residue(3, 1))]
+        kinds = collections.Counter()
+        for _ in range(200):
+            a = random_power_seq(rng)
+            x = SpikeSeq(rng.choice(witness_library()), a) if rng.random() < 0.5 else a
+            F, t = rng.choice(corpus_filters), rng.choice([0, Fraction(1, 2), 1, 2])
+            if isinstance(F, Summable) and limit_value(a) != math.inf:
+                continue
+            got = key(f_limit_scalar(x, F, t))
+            assert got == key(limit_oracle.f_limit_scalar(x, F, t)), (x, F, t)
+            kinds[got[0]] += 1
+        assert set(kinds) == {"converges", "does-not-converge", "inconclusive"}
+
+    def test_a_certified_limit_settles_every_level(self, monkeypatch):
+        """2 n**(-3/2) ln(n+1) -> 0 settles all levels on its limit, so no
+        threshold set is built, and none is summed under the harmonic filter."""
+        def no_scan(*args):
+            raise AssertionError("a settled level asked for a threshold set")
+
+        monkeypatch.setattr(filters, "threshold_levels", no_scan)
+        x = PowerLog(2, Fraction(-3, 2), Fraction(1))
+        assert f_limit_scalar(x, Summable(HARMONIC), 0).kind == "converges"
+        assert f_limit_scalar(SpikeSeq(GEOM2, x), Summable(HARMONIC), 0).kind == "converges"
 
     def test_stationary_set_semantics(self):
         # convergence under the filter passes to traces on stationary sets
@@ -228,8 +267,6 @@ class TestDominates:
     def test_frechet_does_not_dominate_statistical(self):
         v = dominates(Frechet(), Statistical())
         assert v.kind == "refuted"
-        from fbasis import set_equal
-
         assert set_equal(v.witness, Complement(GEOM2))
 
     def test_reflexive_and_transitive(self):

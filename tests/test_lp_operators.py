@@ -18,17 +18,16 @@ from fbasis import (
     op_norm_bruteforce,
     remainder_norm,
     solve_b_next,
-    solve_next_square,
 )
 from fbasis.lp_operators import (
     _root,
     norm_ratio,
     norming_input,
-    remainder_dense_matrix,
     riesz_thorin_upper,
 )
 from fbasis.sequences import exact_root
 
+from checkers import remainder_dense_matrix, solve_next_square
 from norm_oracle import apply_norm_ratio, golden_section_norm
 
 

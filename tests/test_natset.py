@@ -30,12 +30,11 @@ from fbasis import (
     classify_set,
     natural_density,
     parse_set_expr,
-    set_equal,
     weight_sum,
 )
-from fbasis.natset import count_prefix
 from fbasis.series import partial_sum
 
+from checkers import count_prefix, set_equal
 from conftest import random_set_expr
 
 

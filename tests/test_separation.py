@@ -13,13 +13,9 @@ from fbasis import (
     NotSeparable,
     PowerLog,
     PowerTail,
-    TailOp,
     cluster_witness,
-    extract_norming_functionals,
-    l1,
     lemma1_profile,
     lift_functionals_to_operators,
-    lp,
     plank_separator,
     sum_inverse_p_verdict,
 )
@@ -121,21 +117,3 @@ class TestLifts:
     def test_forward_norms_exact(self):
         ops = lift_functionals_to_operators(Constant(2), 1, 5)
         assert [o.norm for o in ops] == [2.0] * 5
-
-    def test_reverse_extraction_l1(self):
-        T = TailOp(2, (Fraction(1), Fraction(1, 2), Fraction(3, 4)), l1(8))
-        (f,) = extract_norming_functionals([T], samples=100)
-        assert f.norm == pytest.approx(2.0)
-        # the sup-norm of the coefficient vector matches the operator norm
-        assert max(abs(c) for c in f.coefficients) == pytest.approx(2.0)
-        assert f.factor_bound <= 2.0 + 1e-9
-
-    def test_reverse_factor_bound_seeded(self):
-        rng = random.Random(55)
-        stages = []
-        for _ in range(4):
-            n = rng.randrange(1, 4)
-            b = tuple(0.3 + rng.random() for _ in range(n + 1))
-            stages.append(TailOp(n, b, lp(1.5, 8)))
-        for f in extract_norming_functionals(stages, samples=100, seed=3):
-            assert f.factor_bound <= 2.0 + 1e-9
