@@ -130,11 +130,11 @@ def cluster_witness(
     lo = 1
     while lo <= horizon:
         hi = min(horizon, lo + chunk - 1)
-        avals = eval_vector(a, hi)[lo - 1 : hi]
+        avals = eval_vector(a, hi, lo - 1)
         worst = np.zeros(hi - lo + 1)
         per_vec = []
         for x in xs:
-            vals = np.abs(coordinate_vector(x, hi)[lo - 1 : hi]) * avals
+            vals = coordinate_vector(x, hi, lo - 1) * avals
             per_vec.append(vals)
             worst = np.maximum(worst, vals)
         idx = np.nonzero(worst < 1.0)[0]

@@ -307,23 +307,29 @@ def eval_at(a: ScalarSeq, n: int) -> Number:
     return a.value_at(n)
 
 
-def eval_vector(a, horizon: int) -> np.ndarray:
-    """Float values at 1..horizon, vectorized for the symbolic family."""
-    f = vector_form(a)
-    if f is not None:
-        return f.vector(horizon)
-    if isinstance(a, ExplicitPrefix):  # over a tail without a vector form
-        out = eval_vector(a.tail, horizon)
-        k = min(len(a.values), horizon)
-        out[:k] = [to_float(v) for v in a.values[:k]]
-        return out
+def eval_vector(a: ScalarSeq, horizon: int, start: int = 0) -> np.ndarray:
+    """Float values at start+1..horizon: ``eval_at_indices`` on a window."""
+    return eval_at_indices(a, np.arange(start + 1, horizon + 1))
+
+
+def eval_at_indices(a: ScalarSeq, n: np.ndarray) -> np.ndarray:
+    """Float values at the ascending indices n >= 1, an integer array.  Each
+    piece is evaluated only at its own members, and each entry depends on
+    its index alone, so any window or subset of indices gets the bytes that
+    one evaluation from 1 gives there."""
     if isinstance(a, Piecewise):
-        out = np.zeros(horizon)
-        for s, seq in a.pieces:
-            m = s.mask(horizon)
-            out[m] = eval_vector(seq, horizon)[m]
+        out = np.zeros(n.size)
+        if n.size:
+            for s, seq in a.pieces:
+                own = s.mask(int(n[-1]))[n - 1]
+                out[own] = eval_at_indices(seq, n[own])
         return out
-    return np.array([to_float(a.value_at(int(k))) for k in range(1, horizon + 1)])
+    if isinstance(a, ExplicitPrefix):
+        out = eval_at_indices(a.tail, n)
+        k = int(np.searchsorted(n, len(a.values), side="right"))
+        out[:k] = [to_float(a.values[i - 1]) for i in n[:k].tolist()]
+        return out
+    return tail_form(a).values(n)
 
 
 # ---------------------------------------------------------------------------
@@ -360,29 +366,33 @@ class TailForm:
                 return v
         return power_log_at(self.c, self.beta, self.gamma, n)
 
-    def vector(self, horizon: int, start: int = 0) -> np.ndarray:
-        """Float values at start+1..horizon, the head entries applied.  Each
-        entry depends on its index alone, so pieces evaluated with different
-        starts join bit for bit into one evaluation from 1."""
-        n = np.arange(start + 1, horizon + 1, dtype=float)
+    def vector(self, horizon: int) -> np.ndarray:
+        """Float values at 1..horizon, the head entries applied."""
+        return self.values(np.arange(1, horizon + 1))
+
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """Float values at the ascending indices n, an integer array, the
+        head entries applied."""
+        x = n.astype(float)
         c = to_float(self.c)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = n ** float(self.beta)
+            out = x ** float(self.beta)
             out *= c
             if self.gamma != 0:
                 # in place: allocating fresh arrays this long costs more than the log
-                n += 1
-                np.log(n, out=n)
-                n **= float(self.gamma)
-                out *= n
+                x += 1
+                np.log(x, out=x)
+                x **= float(self.gamma)
+                out *= x
             # a factor past the float range leaves inf or nan; such an entry
             # is taken from its logarithm, +inf only if the value is past too
             bad = np.flatnonzero(~np.isfinite(out))
             if bad.size:
-                out[bad] = np.exp(self.family_logs(bad + (start + 1.0)))
+                out[bad] = np.exp(self.family_logs(n[bad].astype(float)))
         for i, v in self.head:
-            if start < i <= horizon:
-                out[i - 1 - start] = to_float(v)
+            j = int(np.searchsorted(n, i))
+            if j < n.size and n[j] == i:
+                out[j] = to_float(v)
         return out
 
     def family_logs(self, n: np.ndarray) -> np.ndarray:
@@ -413,16 +423,6 @@ def tail_form(a: ScalarSeq) -> Optional[TailForm]:
         if len(a.pieces) == 1:
             return tail_form(a.pieces[0][1])
         return None
-    return None
-
-
-def vector_form(a) -> Optional[TailForm]:
-    """The tail form through whose ``vector`` ``eval_vector`` evaluates a,
-    or None when it takes another path."""
-    if isinstance(a, (Constant, PowerLog)) or (
-        isinstance(a, ExplicitPrefix) and vector_form(a.tail) is not None
-    ):
-        return tail_form(a)
     return None
 
 

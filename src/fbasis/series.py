@@ -35,7 +35,6 @@ from fractions import Fraction
 from typing import Optional
 
 from ._lazy_numpy import np
-from . import natset
 from .natset import (
     DEFAULT_HORIZON,
     GeometricIndex,
@@ -51,7 +50,7 @@ from .sequences import (
     Piecewise,
     ScalarSeq,
     TailForm,
-    eval_vector,
+    eval_at_indices,
     exact_pow,
     ln,
     seq_pow,
@@ -439,18 +438,14 @@ def _add_bounds(bounds):
 
 def partial_sum(s: SetExpr, w, upto: int = DEFAULT_HORIZON) -> SumVerdict:
     """The inconclusive verdict with the float sum of w over the members of s
-    up to ``upto``, or up to where every atom of s is known if that is less:
-    what a report prints for a sum ``weight_sum`` leaves undecided."""
-    try:
-        mask = s.mask(upto)
-    except HorizonExceeded:
-        # sum up to where every atom is known, seen through its shifts
-        upto = max(0, min([upto] + [a.known_up_to() + shift for a, shift in natset.iter_atoms(s)
-                                    if hasattr(a, "known_up_to")]))
-        mask = s.mask(upto)
-    vals = eval_vector(w, upto)
+    up to ``upto``, or up to where a scanned set's membership is known if
+    that is less: what a report prints for a sum ``weight_sum`` leaves
+    undecided."""
+    if hasattr(s, "known_up_to"):
+        upto = min(upto, s.known_up_to())
+    vals = eval_at_indices(w, np.flatnonzero(s.mask(upto)) + 1)
     with np.errstate(over="ignore"):  # a partial sum past the range is +inf
-        partial = float(vals[mask].sum())
+        partial = float(vals.sum())
     return SumVerdict("inconclusive", partial=partial, horizon=upto)
 
 

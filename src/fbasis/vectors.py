@@ -14,7 +14,7 @@ from typing import Union as TUnion
 from ._lazy_numpy import np
 from .natset import NATURALS, SetExpr, member
 from .reports import rational_text
-from .sequences import DomainError, PowerLog, ScalarSeq, eval_vector, seq_pow
+from .sequences import DomainError, PowerLog, ScalarSeq, eval_at_indices, seq_pow
 from .series import weight_sum
 
 
@@ -104,13 +104,14 @@ class Spike:
 TestVector = TUnion[BasisVector, PowerTail, Spike]
 
 
-def coordinate_vector(v: TestVector, horizon: int):
-    """|coordinates| of the test vector at 1..horizon, as a float array."""
+def coordinate_vector(v: TestVector, horizon: int, start: int = 0):
+    """|coordinates| of the test vector at start+1..horizon, as a float
+    array; the amplitude is evaluated only on the support."""
+    out = np.zeros(horizon - start)
     if isinstance(v, BasisVector):
-        out = np.zeros(horizon)
-        if v.index <= horizon:
-            out[v.index - 1] = 1.0
+        if start < v.index <= horizon:
+            out[v.index - 1 - start] = 1.0
         return out
-    amps = np.abs(eval_vector(v.amplitude(), horizon))
-    mask = v.support().mask(horizon)
-    return np.where(mask, amps, 0.0)
+    on = v.support().mask(horizon)[start:]
+    out[on] = np.abs(eval_at_indices(v.amplitude(), np.flatnonzero(on) + start + 1))
+    return out

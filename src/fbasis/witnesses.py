@@ -42,14 +42,13 @@ from .sequences import (
     ScalarSeq,
     TailForm,
     _monotone_start,
-    eval_vector,
+    eval_at_indices,
     is_bounded,
     power_log_ln,
     seq_mul,
     seq_pow,
     tail_form,
     to_float,
-    vector_form,
 )
 
 _DEFAULT_BLOCKS = 8
@@ -70,35 +69,6 @@ def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
                                            for i, v in ((0, f.c),) + f.head])
 
     return a is not None and b is not None and key(a) == key(b)
-
-
-class _ChunkedValues:
-    """Float values of a sequence at 1..size, grown on demand.  A sequence
-    with a vector form is extended by the missing indices only, into a
-    buffer that at least doubles.  Any other is evaluated again from 1, at
-    a size that at least doubles (capped by the horizon).  Both are linear
-    in the final size; the first holds less and evaluates nothing twice."""
-
-    def __init__(self, seq, horizon: int = _MATERIALIZE_CAP):
-        self.seq = seq
-        self.horizon = horizon
-        self.form = vector_form(seq)
-        self.buf = np.empty(0)
-        self.size = 0
-
-    def upto(self, limit: int) -> np.ndarray:
-        if limit > self.size:
-            if self.form is None:
-                self.size = max(limit, min(2 * self.size, self.horizon))
-                self.buf = eval_vector(self.seq, self.size)
-            else:
-                if limit > len(self.buf):
-                    grown = np.empty(max(limit, 2 * len(self.buf)))
-                    grown[: self.size] = self.buf[: self.size]
-                    self.buf = grown
-                self.buf[self.size : limit] = self.form.vector(limit, self.size)
-                self.size = limit
-        return self.buf[: self.size]
 
 
 class _ScannedSet(SetExpr):
@@ -160,8 +130,7 @@ class GreedyBlockSet(_ScannedSet):
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
                 "known": self.horizon,  # membership is decided up to here
-                "svals": _ChunkedValues(self.weights, self.horizon),
-                "pvals": _ChunkedValues(target_p, self.horizon),
+                "target_p": target_p,
                 "count": self.blocks,  # blocks to materialize; None until asked
                 "criterion": self.criterion,
             },
@@ -193,8 +162,9 @@ class GreedyBlockSet(_ScannedSet):
         while st["scan"] < upto:
             lo = st["scan"] + 1
             hi = min(upto, lo + 4 * _CHUNK - 1)
-            sv = st["svals"].upto(hi)[lo - 1 : hi]
-            pv = st["pvals"].upto(hi)[lo - 1 : hi]
+            window = np.arange(lo, hi + 1)
+            sv = eval_at_indices(self.weights, window)
+            pv = eval_at_indices(st["target_p"], window)
             with np.errstate(over="ignore", invalid="ignore"):  # +inf passes any bar
                 prod = pv * sv
             nan = np.isnan(prod)  # +inf times 0.0 says nothing: the scan ends before it
@@ -301,20 +271,19 @@ class GreedyBlockSet(_ScannedSet):
         self._scan_until_blocks(st["count"])
         return tuple(st["blocks"][: st["count"]])
 
-    def _block_values(self, key: str) -> list[np.ndarray]:
-        """The cached values of ``key`` on each materialized block."""
-        blocks = self.materialized_blocks()
-        vals = self._state[key].upto(blocks[-1][-1])
-        return [vals[np.array(blk) - 1] for blk in blocks]
+    def _member_values(self, seq: ScalarSeq) -> np.ndarray:
+        """The values of ``seq`` at the members of the materialized blocks."""
+        return eval_at_indices(seq, np.concatenate(self.materialized_blocks()))
 
     # Sums run left to right with the builtin sum, as the block scan adds;
     # numpy's pairwise sum would change the last bits.
     def block_sums(self) -> list[float]:
-        return [sum(v.tolist()) for v in self._block_values("svals")]
+        ends = np.cumsum([len(blk) for blk in self.materialized_blocks()])
+        return [sum(v.tolist()) for v in np.split(self._member_values(self.weights), ends[:-1])]
 
     def prefix_inverse_sum(self) -> float:
         """Sum of a**(-p) over the materialized prefix of the set."""
-        return sum((1.0 / np.concatenate(self._block_values("pvals"))).tolist())
+        return sum((1.0 / self._member_values(self._state["target_p"])).tolist())
 
     # set protocol -------------------------------------------------------------
 
@@ -384,33 +353,36 @@ class SparseThresholdSet(_ScannedSet):
                 "scan": 0,
                 "k": 1,
                 "known": self.horizon,  # membership is decided up to here
-                "pvals": _ChunkedValues(seq_pow(self.target, self.exponent), self.horizon),
+                "target_p": seq_pow(self.target, self.exponent),
             },
         )
 
     def _advance(self, upto: int) -> None:
         st = self._state
         upto = min(upto, st["known"])
-        pv = st["pvals"].upto(upto)
         while st["scan"] < upto:
-            # the next element is the first index past the scan that reaches
-            # the current threshold; one window at a time, so that each
-            # element costs at most one window of comparisons
-            k, lo = st["k"], st["scan"]
-            if k + (k * k).bit_length() > sys.float_info.max_exp:
-                # a float value of +inf does not say whether a(n)**p reaches
-                # a threshold past the float range: the scan ends here
-                st["known"] = upto = lo
-                break
-            bar = math.ldexp(k * k, k)  # 2**k * k**2, exactly
+            # one window at a time, each evaluated once: the next element is
+            # the first index past the last one that reaches the current
+            # threshold
+            lo = st["scan"]
             hi = min(upto, lo + _CHUNK)
-            hit = np.flatnonzero(pv[lo:hi] >= bar)
-            if hit.size:
-                st["scan"] = lo + int(hit[0]) + 1
-                st["elements"].append(st["scan"])
+            pv = eval_at_indices(st["target_p"], np.arange(lo + 1, hi + 1))
+            pos = 0  # indices lo+1..lo+pos are decided
+            while True:
+                k = st["k"]
+                if k + (k * k).bit_length() > sys.float_info.max_exp:
+                    # a float value of +inf does not say whether a(n)**p
+                    # reaches a threshold past the float range: the scan
+                    # ends here
+                    st["known"] = upto = hi = lo + pos
+                    break
+                hit = np.flatnonzero(pv[pos:] >= math.ldexp(k * k, k))  # 2**k * k**2, exactly
+                if not hit.size:
+                    break
+                pos += int(hit[0]) + 1
+                st["elements"].append(lo + pos)
                 st["k"] += 1
-            else:
-                st["scan"] = hi
+            st["scan"] = hi
 
     def _members(self, limit: int) -> list[int]:
         self._advance(limit)

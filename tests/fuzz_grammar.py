@@ -12,10 +12,11 @@ through ``prefix``, ``piece``, ``greedy``, ``thresh``, ``shift``,
 
 runs OPS command lines per seed in this process, each under a 5 s alarm,
 and prints the count of each exit code, every exit 70 and every timeout.
-It also prints the total time, the p50/p90/p99 latency, the ten slowest
-ops, and one sha256 over every (argv, exit, report) triple: two checkouts
-that print the same digest for the same OPS and SEEDs printed the same
-bytes for every op.
+It also prints the total time, the p50/p90/p99 latency, the process's
+peak RSS (``ru_maxrss``, in KiB on Linux), the ten slowest ops, and one
+sha256 over every (argv, exit, report) triple: two checkouts that print
+the same digest for the same OPS and SEEDs printed the same bytes for
+every op.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def _run(ops: int, seeds) -> int:
     import io
     import json
     import random
+    import resource
     import signal
     import statistics
     import sys
@@ -159,7 +161,8 @@ def _run(ops: int, seeds) -> int:
     cuts = statistics.quantiles(times, n=100, method="inclusive")
     print(f"total {sum(times):.1f} s over {len(times)} ops; p50 {1e3 * cuts[49]:.2f} ms, "
           f"p90 {1e3 * cuts[89]:.1f} ms, p99 {1e3 * cuts[98]:.0f} ms; "
-          f"{sum(t > 0.1 for t in times)} over 100 ms, {sum(t > 1.0 for t in times)} over 1 s")
+          f"{sum(t > 0.1 for t in times)} over 100 ms, {sum(t > 1.0 for t in times)} over 1 s; "
+          f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     for t, line in sorted(timed, key=lambda x: -x[0])[:10]:
         print(f"{t:.2f}s {shown(line)}")
     print(f"sha256 {digest.hexdigest()}")

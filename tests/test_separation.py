@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,18 @@ class TestClusterWitness:
         )
         assert isinstance(w, ClusterNotFound)
         assert w.running_min == pytest.approx(1.1)
+
+    def test_a_miss_to_the_horizon_evaluates_each_chunk_once(self):
+        """|a_m x_m| = 2 at every m, so the search reads all 10**6 indices in
+        chunks; each chunk is evaluated on its own indices, not from 1."""
+        tracemalloc.start()
+        try:
+            w = cluster_witness(PowerLog(2, Fraction(2)), 2, [PowerTail(Fraction(2))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(w, ClusterNotFound) and w.horizon == 10 ** 6
+        assert peak < 8 * 2 ** 20
 
 
 class TestProfile:

@@ -30,6 +30,7 @@ from fbasis.natset import member
 from fbasis.sequences import (
     _int_root,
     _monotone_start,
+    eval_at_indices,
     eval_vector,
     is_bounded,
     is_eventually_nondecreasing,
@@ -332,3 +333,43 @@ def test_square_root_filter_rejects_no_square(v):
     """The residue masks in front of isqrt turn away only non-squares."""
     r = math.isqrt(v)
     assert _int_root(v, 2) == (r if r * r == v else None)
+
+
+# Coefficients out to 10**+-400 send values past the float range both ways.
+_COEFFICIENTS = st.sampled_from((Fraction(1, 3), Fraction(5, 2), Fraction(10 ** 400),
+                                 Fraction(1, 10 ** 400)))
+
+
+@st.composite
+def nested_sequences(draw, depth=2):
+    """Power-log and constant leaves under prefixes and piecewise splits
+    mod 2 or 3, nested up to ``depth`` deep."""
+    kind = draw(st.sampled_from(("pow", "const") + (("prefix", "piece") if depth else ())))
+    if kind == "pow":
+        return PowerLog(draw(_COEFFICIENTS), Fraction(draw(st.integers(-8, 8)), 4),
+                        Fraction(draw(st.integers(-4, 4)), 2))
+    if kind == "const":
+        return Constant(draw(_COEFFICIENTS))
+    if kind == "prefix":
+        head = draw(st.lists(_COEFFICIENTS, min_size=1, max_size=5))
+        return ExplicitPrefix(tuple(head), draw(nested_sequences(depth - 1)))
+    q = draw(st.integers(2, 3))
+    return Piecewise(tuple((Residue(q, r), draw(nested_sequences(depth - 1))) for r in range(q)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=nested_sequences(), top=st.integers(1, 3000),
+       cuts=st.lists(st.integers(0, 3000), max_size=4),
+       subset=st.sets(st.integers(1, 3000), max_size=40))
+@example(a=Piecewise(((Residue(2, 0), PowerLog(Fraction(10 ** 400), 60, -400)),
+                      (Residue(2, 1), ExplicitPrefix((Fraction(1, 10 ** 400),), Constant(2))))),
+         top=3000, cuts=[1, 1024], subset={1, 2, 3, 2999})
+def test_windows_and_subsets_get_the_bytes_of_one_evaluation(a, top, cuts, subset):
+    """Each entry depends on its index alone: windows that join, and any
+    ascending subset of indices, read what one evaluation from 1 gives."""
+    whole = eval_vector(a, top)
+    cuts = sorted({0, top} | {c for c in cuts if c < top})
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert eval_vector(a, hi, lo).tobytes() == whole[lo:hi].tobytes()
+    n = np.array(sorted(i for i in subset if i <= top), dtype=np.int64)
+    assert eval_at_indices(a, n).tobytes() == whole[n - 1].tobytes()

@@ -224,10 +224,11 @@ def test_piecewise_weights_sum_piece_by_piece():
     assert v.kind == "converges"
     n = np.arange(1, _TOP + 1, dtype=float)
     assert float(v.bound) >= math.fsum(np.where(n % 2 == 0, n ** -2, 3 * n ** -1.5).tolist())
-    # a divergent piece over a set known only up to 100 leaves the sum open
+    # a divergent piece over a set known only up to 100 leaves the sum open;
+    # its partial sum is asked for up to there
     w = parse_scalar_seq("piece{residue(2,0) => pow(1,-1); residue(2,1) => pow(1,-2)}")
     s = parse_set_expr("sampled{1,2,3;100}")
     assert weight_sum(s, w) == SumVerdict.inconclusive()
-    v = partial_sum(s, w)
+    v = partial_sum(s, w, 100)
     assert (v.kind, v.horizon) == ("inconclusive", 100)
     assert v.partial == pytest.approx(1 + 1 / 2 + 1 / 9, rel=1e-15)

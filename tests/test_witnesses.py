@@ -1,12 +1,12 @@
-"""The greedy block scan and its value cache against per-index oracles."""
+"""The greedy block scan against per-index oracles."""
 
-import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fbasis import (
     Constant,
@@ -21,11 +21,12 @@ from fbasis import (
     weight_sum,
 )
 from fbasis import admissibility
+from fbasis.cli import load_config, run_command
 from fbasis.natset import HorizonExceeded, SumVerdict
 from fbasis.parsing import parse_scalar_seq
 from fbasis.sequences import eval_vector, seq_pow, tail_form
 from fbasis.series import partial_sum
-from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet, _ChunkedValues
+from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet
 
 from greedy_oracle import greedy_scan
 
@@ -285,26 +286,18 @@ def test_scan_goes_on_while_an_index_can_join(a, p):
     _assert_matches_oracle(a, HARMONIC, p, 20_000)
 
 
-@st.composite
-def sequences(draw):
-    kind = draw(st.integers(0, 3))
-    tail = PowerLog(draw(fractions), Fraction(draw(st.integers(-8, 8)), 4),
-                    Fraction(draw(st.integers(-4, 4)), 2))
-    if kind == 0:
-        return tail
-    if kind == 1:
-        return Constant(draw(fractions))
-    if kind == 2:
-        return ExplicitPrefix(tuple(draw(st.lists(fractions, min_size=1, max_size=5))), tail)
-    return Piecewise(((Residue(2, 0), tail), (Residue(2, 1), Constant(draw(fractions)))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seq=sequences(), steps=st.lists(st.integers(1, 70_000), min_size=1, max_size=6))
-@example(seq=PowerLog(Fraction(3, 2), Fraction(1, 4), Fraction(-2)), steps=[1, 4095, 12_288])
-def test_chunked_values_grow_bit_identical(seq, steps):
-    vals = _ChunkedValues(seq)
-    for limit in itertools.accumulate(steps):
-        got = vals.upto(limit)
-        assert len(got) >= limit
-        assert got.tobytes() == eval_vector(seq, len(got)).tobytes()
+def test_a_piecewise_witness_evaluates_each_piece_on_its_own_members():
+    """Nested piecewise weights: each scan window is evaluated once, each
+    piece only at its own members, and the partial sum only at the set's."""
+    big = "1" + "0" * 400
+    weights = (f"piece{{residue(2,0) => pow(1/100,5/4); residue(2,1) => piece{{"
+               f"residue(2,0) => powlog({big},60,-400); residue(2,1) => powlog(1/100,-1,-1/2)}}}}")
+    config = load_config(["witness", "--seq", "pow(2,1/2)", "--weights", weights, "--p", "1"])
+    tracemalloc.start()
+    try:
+        code, _ = run_command(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 16 * 2 ** 20
