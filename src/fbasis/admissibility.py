@@ -22,10 +22,10 @@ bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .natset import (
     NATURALS,
     GeometricIndex,
@@ -64,7 +64,7 @@ class NotDivergent(ValueError):
     """The inverse sum converges, so no summable filter is associated."""
 
 
-@dataclass(frozen=True)
+@record
 class RefutationCertificate:
     """Machine-checked evidence attached to a refutation witness."""
 
@@ -72,7 +72,7 @@ class RefutationCertificate:
     inverse_p_sum: SumVerdict
 
 
-@dataclass(frozen=True)
+@record
 class AdmissVerdict:
     kind: str  # "proved" | "refuted" | "inconclusive"
     criterion: str = ""
@@ -269,7 +269,7 @@ def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> GreedyBlockSet:
 # derived reports
 
 
-@dataclass(frozen=True)
+@record
 class BandReport:
     """Sufficient verdict at p and necessary verdicts on a grid below p."""
 
@@ -299,7 +299,7 @@ def associated_summable_filter(a: ScalarSeq) -> Summable:
     return Summable(seq_pow(a, -1))
 
 
-@dataclass(frozen=True)
+@record
 class SlowVerdict:
     kind: str  # "slow-by-rule" | "not-slow" | "inconclusive"
     witness: Optional[ScalarSeq] = None

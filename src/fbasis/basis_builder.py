@@ -21,10 +21,10 @@ import functools
 import math
 import random
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ._record import field, record
 from .admissibility import AdmissVerdict, check_admissible
 from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_table
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
@@ -64,7 +64,7 @@ class NotAdmissible(ValueError):
         self.verdict = verdict
 
 
-@dataclass
+@record
 class BasisSystem:
     space: SpaceKind
     target: ScalarSeq
@@ -148,15 +148,16 @@ def build_basis(
         )
 
     p = space.p
-    if space.is_l2 and a_squared is None:
+    on_l1, on_l2 = p == 1, space.is_l2  # tested once, not per stage
+    if on_l2 and a_squared is None:
         a_squared = seq_pow(a, 2)
-    squares = [Fraction(1)] if space.is_l2 else None
-    coeffs: list = [Fraction(1) if p == 1 else 1.0]
+    squares = [Fraction(1)] if on_l2 else None
+    coeffs: list = [Fraction(1) if on_l1 else 1.0]
     mass = Fraction(1)
     reports: list = []
     defects: list = []
     for n, t in enumerate(targets, start=1):
-        t_square = eval_at(a_squared, n) if space.is_l2 else None
+        t_square = eval_at(a_squared, n) if on_l2 else None
         nxt = mass / _prescribed_ratio(t, p, t_square)  # b_{n+1}**p
         if isinstance(nxt, float) and not 0.0 < nxt < math.inf:  # mass or ratio past the range
             raise DomainError(f"coefficient at stage {n} lies beyond the float range")
@@ -168,13 +169,13 @@ def build_basis(
         b = _root(nxt, p)
         if isinstance(coeffs[-1], Fraction) and not isinstance(b, Fraction):
             coeffs = [float(v) for v in coeffs]
-        coeffs.append(b if p == 1 else float(b))
+        coeffs.append(b if on_l1 else float(b))
         W = mass / nxt
         rep = _stage_norm(W, p, coeffs)
         _certify_stage_norm(rep, t, t_square, n)
         reports.append(rep)
         c = _root(W, p)  # U = ||v_n||_p / b_{n+1}
-        defects.append(c if p == 1 else float(c))
+        defects.append(c if on_l1 else float(c))
         mass += nxt
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
@@ -200,7 +201,7 @@ def _certify_stage_norm(rep: NormReport, target, target_square, n: int) -> None:
 # verification reports
 
 
-@dataclass(frozen=True)
+@record
 class BiorthReport:
     size: int
     max_error: float
@@ -240,7 +241,7 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)
 
 
-@dataclass(frozen=True)
+@record
 class DefectReport:
     values: list
     deviations: list  # |c_n - a_n| per stage
@@ -290,7 +291,7 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
 # convergence demonstrations
 
 
-@dataclass(frozen=True)
+@record
 class EpsilonEntry:
     epsilon: float
     over_set: Optional[str]  # certified superset of the exceptional set
@@ -298,7 +299,7 @@ class EpsilonEntry:
     classification: str
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceReport:
     vector: str
     stage_defects: list

@@ -30,11 +30,11 @@ import os
 import re
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import admissibility, basis_builder, filters, lp_operators, separation
+from ._record import record
 from .natset import DEFAULT_HORIZON, HorizonExceeded, SumVerdict
 from .parsing import (
     ParseError,
@@ -58,7 +58,7 @@ EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
 
-@dataclass
+@record
 class RunConfig:
     command: str
     options: dict

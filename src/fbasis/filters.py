@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union as TUnion
 
+from ._record import record
 from .natset import (
     Complement,
     GeometricIndex,
@@ -68,19 +68,19 @@ class FilterSpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class Frechet(FilterSpec):
     def to_text(self):
         return "frechet"
 
 
-@dataclass(frozen=True)
+@record
 class Statistical(FilterSpec):
     def to_text(self):
         return "statistical"
 
 
-@dataclass(frozen=True)
+@record
 class Summable(FilterSpec):
     """Members are the sets whose complements have finite weighted sum."""
 
@@ -97,7 +97,7 @@ class Summable(FilterSpec):
         return f"summable({self.weights.to_text()})"
 
 
-@dataclass(frozen=True)
+@record
 class Trace(FilterSpec):
     """The filter generated by intersections of base members with one
     base-stationary set."""
@@ -229,7 +229,7 @@ def not_negligible(A: SetExpr, F: FilterSpec, cls: Optional[SetClass] = None) ->
 # filter limits of scalar sequences
 
 
-@dataclass(frozen=True)
+@record
 class LimitVerdict:
     kind: str  # "converges" | "does-not-converge" | "inconclusive"
     value: object = None
@@ -350,7 +350,7 @@ def f_limit_scalar(
 # domination
 
 
-@dataclass(frozen=True)
+@record
 class DominationVerdict:
     kind: str  # "proved" | "refuted" | "inconclusive"
     rule: str = ""

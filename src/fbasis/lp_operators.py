@@ -17,11 +17,11 @@ coefficient array, and the Riesz-Thorin upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._lazy_numpy import np
+from ._record import record
 from .sequences import DomainError, _as_number, exact_root
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
@@ -31,7 +31,7 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SpaceKind:
     """An l_p space with an explicit truncation dimension."""
 
@@ -78,7 +78,7 @@ def lp(p, dim: int = 64) -> SpaceKind:
     return SpaceKind(p, dim)
 
 
-@dataclass(frozen=True)
+@record
 class TailOp:
     """Stage-n tail operator, determined by the coefficients b_1..b_{n+1}."""
 
@@ -133,12 +133,16 @@ def apply(T: TailOp, x: Sequence) -> list:
     b = T.b
     if all(isinstance(v, (int, Fraction)) for v in x) and all(isinstance(v, Fraction) for v in b):
         q = x[n] / b[n]  # a Fraction: b[n] is one
-        return [x[i] - q * b[i] for i in range(n)] + [Fraction(0)] * (len(x) - n)
+        qn, qd = q.numerator, q.denominator
+        # x_i - q b_i over the denominator of x_i q b_i, reduced once
+        return [Fraction(v.numerator * qd * c.denominator - qn * c.numerator * v.denominator,
+                         v.denominator * qd * c.denominator)
+                for v, c in zip(x[:n], b)] + [Fraction(0)] * (len(x) - n)
     q = float(x[n]) / float(b[n])
     return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 
 
-@dataclass(frozen=True)
+@record
 class NormReport:
     value: float
     method: str  # ColumnMax | ClosedFormL2 | ClosedForm | BruteForce

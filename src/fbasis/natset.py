@@ -17,11 +17,11 @@ atoms degrade to honest bounds instead of wrong answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from ._lazy_numpy import np
+from ._record import record
 from .reports import rational_text
 
 DEFAULT_HORIZON = 10 ** 6
@@ -77,7 +77,7 @@ def _check_sorted(values: tuple, label: str) -> None:
         raise SetConstructionError(f"{label} entries must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@record
 class Finite(SetExpr):
     indices: tuple[int, ...] = ()
 
@@ -105,7 +105,7 @@ class Finite(SetExpr):
         return "finite{%s}" % ",".join(str(i) for i in self.indices)
 
 
-@dataclass(frozen=True)
+@record
 class CoFinite(SetExpr):
     excluded: tuple[int, ...] = ()
 
@@ -133,7 +133,7 @@ class CoFinite(SetExpr):
         return "cofinite{%s}" % ",".join(str(i) for i in self.excluded)
 
 
-@dataclass(frozen=True)
+@record
 class Residue(SetExpr):
     modulus: int
     residue: int
@@ -164,7 +164,7 @@ class Residue(SetExpr):
         return f"residue({self.modulus},{self.residue})"
 
 
-@dataclass(frozen=True)
+@record
 class Range(SetExpr):
     lo: int
     hi: Optional[int] = None  # inclusive; None means unbounded above
@@ -198,7 +198,7 @@ class Range(SetExpr):
         return f"range({self.lo},{'' if self.hi is None else self.hi})"
 
 
-@dataclass(frozen=True)
+@record
 class GeometricIndex(SetExpr):
     """The sparse set {floor(base**m) : m >= 1} for a rational base >= 2."""
 
@@ -253,7 +253,7 @@ class GeometricIndex(SetExpr):
         return f"geom({rational_text(self.base)})"
 
 
-@dataclass(frozen=True)
+@record
 class Sampled(SetExpr):
     """Explicit membership known only up to ``horizon``."""
 
@@ -294,7 +294,7 @@ class Sampled(SetExpr):
         return "sampled{%s;%d}" % (body, self.horizon)
 
 
-@dataclass(frozen=True)
+@record
 class Shifted(SetExpr):
     """{n >= 1 : n - offset in base}."""
 
@@ -330,7 +330,7 @@ class Shifted(SetExpr):
         return f"shift({self.base.to_text()},{self.offset})"
 
 
-@dataclass(frozen=True)
+@record
 class Union(SetExpr):
     parts: tuple[SetExpr, ...]
 
@@ -369,7 +369,7 @@ class Union(SetExpr):
         )
 
 
-@dataclass(frozen=True)
+@record
 class Intersection(SetExpr):
     parts: tuple[SetExpr, ...]
 
@@ -410,7 +410,7 @@ class Intersection(SetExpr):
         return " & ".join(out)
 
 
-@dataclass(frozen=True)
+@record
 class Complement(SetExpr):
     inner: SetExpr
 
@@ -443,7 +443,7 @@ EMPTY = Finite(())
 # eventually periodic sets and the under/over description lattice
 
 
-@dataclass(frozen=True)
+@record
 class _EP:
     """An eventually periodic set: the residues mod ``modulus`` it occupies."""
 
@@ -498,7 +498,7 @@ def _ep_shift(a: _EP, offset: int) -> _EP:
     return _EP(a.modulus, frozenset((r + offset) % a.modulus for r in a.residues))
 
 
-@dataclass(frozen=True)
+@record
 class _Desc:
     """(ep union sparse ``plus`` tokens) minus sparse ``minus`` tokens, mod finite."""
 
@@ -600,7 +600,7 @@ def _shift_desc(d: _Desc, offset: int) -> _Desc:
 # verdict types
 
 
-@dataclass(frozen=True)
+@record
 class DensityVerdict:
     kind: str  # "exact" | "zero" | "bounds" | "inconclusive"
     value: Optional[Fraction] = None
@@ -633,7 +633,7 @@ class DensityVerdict:
         return self.kind in ("exact", "zero")
 
 
-@dataclass(frozen=True)
+@record
 class SumVerdict:
     """Verdict for a weighted sum.  Only ``series.partial_sum`` fills
     ``partial``/``horizon``, for a report that prints an undecided sum."""

@@ -16,11 +16,11 @@ convergence of sum a_n**(-p):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from ._lazy_numpy import np
+from ._record import record
 from .natset import NATURALS
 from .lp_operators import op_norm  # noqa: F401  (perfbench's tracer test calls separation.op_norm)
 from .sequences import (
@@ -40,7 +40,7 @@ class NotSeparable(ValueError):
     """The inverse-power sum diverges, so acceptability holds instead."""
 
 
-@dataclass(frozen=True)
+@record
 class SeparatorSpec:
     dual_kind: str  # "linf-diagonal" | "l2-diagonal"
     margin: float
@@ -93,13 +93,13 @@ def _product_is_constant(a: ScalarSeq, v: ScalarSeq, constant: float) -> bool:
     return all(abs(float(v) - constant) <= 1e-12 * constant for _, v in f.head)
 
 
-@dataclass(frozen=True)
+@record
 class ClusterWitness:
     index: int
     maxima: tuple  # |a_m (x_k)_m| at the witness index, per test vector
 
 
-@dataclass(frozen=True)
+@record
 class ClusterNotFound:
     horizon: int
     running_min: float
@@ -153,7 +153,7 @@ def cluster_witness(
 # the averaging profile
 
 
-@dataclass(frozen=True)
+@record
 class ProfileRow:
     n: int
     average: float  # A(n): weighted average of sum_k |a_m (x_k)_m|
@@ -199,7 +199,7 @@ def lemma1_profile(
 # functionals as rank-one operators and back
 
 
-@dataclass(frozen=True)
+@record
 class RankOneOp:
     index: int
     norm: float

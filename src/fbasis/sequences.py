@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union as TUnion
 
 from ._lazy_numpy import np
+from ._record import record
 from .natset import (
     Complement,
     Finite,
@@ -183,7 +183,7 @@ class ScalarSeq:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class Constant(ScalarSeq):
     c: Number
 
@@ -199,7 +199,7 @@ class Constant(ScalarSeq):
         return f"const({_num_text(self.c)})"
 
 
-@dataclass(frozen=True)
+@record
 class PowerLog(ScalarSeq):
     """c * n**beta * ln(n+1)**gamma."""
 
@@ -223,7 +223,7 @@ class PowerLog(ScalarSeq):
         return f"powlog({_num_text(self.c)},{rational_text(self.beta)},{rational_text(self.gamma)})"
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitPrefix(ScalarSeq):
     values: tuple[Number, ...]
     tail: ScalarSeq
@@ -244,7 +244,7 @@ class ExplicitPrefix(ScalarSeq):
         return f"prefix[{body}]:{self.tail.to_text()}"
 
 
-@dataclass(frozen=True)
+@record
 class Piecewise(ScalarSeq):
     pieces: tuple[tuple[SetExpr, ScalarSeq], ...]
 
@@ -336,7 +336,7 @@ def eval_at_indices(a: ScalarSeq, n: np.ndarray) -> np.ndarray:
 # signed sequences for limit questions
 
 
-@dataclass(frozen=True)
+@record
 class SpikeSeq:
     """amplitude(n) on the support set, zero elsewhere."""
 
@@ -352,7 +352,7 @@ class SpikeSeq:
 # the finitely many earlier values listed explicitly.
 
 
-@dataclass(frozen=True)
+@record
 class TailForm:
     c: Number
     beta: Fraction

@@ -7,18 +7,18 @@ sparse spike supported on a structured set with symbolic amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union as TUnion
 
 from ._lazy_numpy import np
+from ._record import record
 from .natset import NATURALS, SetExpr, member
 from .reports import rational_text
 from .sequences import DomainError, PowerLog, ScalarSeq, eval_at_indices, seq_pow
 from .series import weight_sum
 
 
-@dataclass(frozen=True)
+@record
 class BasisVector:
     index: int
 
@@ -32,7 +32,7 @@ class BasisVector:
         return f"e({self.index})"
 
 
-@dataclass(frozen=True)
+@record
 class PowerTail:
     """Coordinates scale * n**(-beta)."""
 
@@ -69,7 +69,7 @@ class PowerTail:
         return f"powtail({rational_text(self.beta)},{rational_text(self.scale)})"
 
 
-@dataclass(frozen=True)
+@record
 class Spike:
     """amplitude(n) on the support set, zero elsewhere."""
 

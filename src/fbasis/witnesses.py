@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from ._lazy_numpy import np
+from ._record import field, record
 from .natset import (
     HorizonExceeded,
     SetExpr,
@@ -95,7 +95,7 @@ class _ScannedSet(SetExpr):
         return m
 
 
-@dataclass(frozen=True)
+@record
 class GreedyBlockSet(_ScannedSet):
     """The greedy block set D of ``target``, ``weights`` and ``exponent``.
 
@@ -335,7 +335,21 @@ class GreedyBlockSet(_ScannedSet):
         return None
 
 
-@dataclass(frozen=True)
+def _first_reaching(values: np.ndarray, start: int, bar: float, reach: int) -> Optional[int]:
+    """The first offset from ``start`` on where ``values`` reaches ``bar``, or
+    None.  Searched in pieces of doubling length from ``reach`` on, as
+    ``_fill_block`` walks its candidates: a hit g places past ``start``
+    costs O(g + reach) comparisons, so elements each searched from the last
+    gap on cost a few comparisons per index of the window."""
+    while start < values.size:
+        hit = np.flatnonzero(values[start : start + reach] >= bar)
+        if hit.size:
+            return start + int(hit[0])
+        start, reach = start + reach, 2 * reach
+    return None
+
+
+@record
 class SparseThresholdSet(_ScannedSet):
     target: ScalarSeq
     exponent: Fraction
@@ -367,7 +381,7 @@ class SparseThresholdSet(_ScannedSet):
             lo = st["scan"]
             hi = min(upto, lo + _CHUNK)
             pv = eval_at_indices(st["target_p"], np.arange(lo + 1, hi + 1))
-            pos = 0  # indices lo+1..lo+pos are decided
+            pos = gap = 0  # indices lo+1..lo+pos are decided; gap: the last step between elements
             while True:
                 k = st["k"]
                 if k + (k * k).bit_length() > sys.float_info.max_exp:
@@ -376,10 +390,10 @@ class SparseThresholdSet(_ScannedSet):
                     # ends here
                     st["known"] = upto = hi = lo + pos
                     break
-                hit = np.flatnonzero(pv[pos:] >= math.ldexp(k * k, k))  # 2**k * k**2, exactly
-                if not hit.size:
+                at = _first_reaching(pv, pos, math.ldexp(k * k, k), max(gap, 1))  # 2**k * k**2
+                if at is None:
                     break
-                pos += int(hit[0]) + 1
+                gap, pos = at + 1 - pos, at + 1
                 st["elements"].append(lo + pos)
                 st["k"] += 1
             st["scan"] = hi

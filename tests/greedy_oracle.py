@@ -1,14 +1,18 @@
-"""A per-index oracle for the greedy block scan of ``witnesses.GreedyBlockSet``.
+"""Per-index oracles for the scans of ``witnesses.GreedyBlockSet`` and
+``witnesses.SparseThresholdSet``.
 
 This is the plain loop the vectorized scan must agree with: indices are
 examined one at a time in increasing order, and block m takes index n when
 a(n)**p * s(n) > 2**m and the block's sum stays at most 2 with s(n) added.
 The sum runs left to right from the block's first index, and the block is
-complete once it reaches 1.  Values come from one ``eval_vector`` call per
-sequence, the evaluation the scan is specified against.
+complete once it reaches 1.  The threshold set takes n as its k-th element
+when a(n)**p reaches 2**k * k**2.  Values come from one ``eval_vector``
+call per sequence, the evaluation the scans are specified against.
 """
 
 from __future__ import annotations
+
+import math
 
 from fbasis.sequences import eval_vector, seq_pow
 
@@ -33,3 +37,19 @@ def greedy_scan(target, weights, p, count: int, horizon: int):
                 blocks.append(tuple(current))
                 current, total, m = [], 0.0, m + 1
     return blocks, current
+
+
+def threshold_scan(target, p, horizon: int) -> list[int]:
+    """The elements of the threshold set below ``horizon``, up to the first
+    threshold 2**k * k**2 that has no float."""
+    a = eval_vector(seq_pow(target, p), horizon)
+    out: list[int] = []
+    for n in range(1, horizon + 1):
+        k = len(out) + 1
+        try:
+            bar = math.ldexp(k * k, k)
+        except OverflowError:
+            break
+        if float(a[n - 1]) >= bar:
+            out.append(n)
+    return out

@@ -156,14 +156,16 @@ def _readme_pin(command):
 
 def _fresh_process(argv):
     """`python -X importtime -m fbasis.cli ARGV` and the modules whose code
-    ran, as -X importtime names them: never argparse."""
+    ran, as -X importtime names them: never argparse or dataclasses, and
+    inspect only under numpy (its `_core.overrides` imports it)."""
     env = dict(os.environ)
     src = str(Path(fbasis.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-X", "importtime", "-m", "fbasis.cli", *argv],
                          env=env, capture_output=True, timeout=120)
     ran = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.decode().splitlines()}
-    assert "argparse" not in ran
+    assert not ran & {"argparse", "dataclasses"}
+    assert "inspect" not in ran or any(m.startswith("numpy.") for m in ran)
     return out, ran
 
 

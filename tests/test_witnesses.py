@@ -20,7 +20,7 @@ from fbasis import (
     member,
     weight_sum,
 )
-from fbasis import admissibility
+from fbasis import admissibility, witnesses
 from fbasis.cli import load_config, run_command
 from fbasis.natset import HorizonExceeded, SumVerdict
 from fbasis.parsing import parse_scalar_seq
@@ -28,7 +28,7 @@ from fbasis.sequences import eval_vector, seq_pow, tail_form
 from fbasis.series import partial_sum
 from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet
 
-from greedy_oracle import greedy_scan
+from greedy_oracle import greedy_scan, threshold_scan
 
 HARMONIC = PowerLog(1, Fraction(-1))
 
@@ -192,6 +192,50 @@ def test_thresh_membership_matches_a_direct_scan():
             k += 1
     assert [n for n in range(1, 201) if member(n, t)] == want
     assert member(201, t) is None
+
+
+@pytest.mark.parametrize("target,p,horizon", [
+    (PowerLog(1, 60), 1, 10 ** 6),  # 1,004 elements below 137,181, many per window
+    (PowerLog(1, 2), 2, 5000),
+    (PowerLog(3, Fraction(1, 2), 2), 3, 300_000),
+    (ExplicitPrefix((5, 1, 40), PowerLog(1, 3)), 1, 100_000),
+    (Piecewise(((Residue(2, 0), PowerLog(1, 8)), (Residue(2, 1), PowerLog(2, 6)))), 2, 200_000),
+], ids=["pow60", "pow2", "powlog", "prefix", "piecewise"])
+def test_thresh_elements_match_the_per_index_scan(target, p, horizon):
+    want = threshold_scan(target, p, horizon)
+    t = SparseThresholdSet(target, p, horizon=horizon)
+    known = t.known_up_to()
+    assert known == (horizon if known == horizon else want[-1])
+    assert (np.flatnonzero(t.mask(known)) + 1).tolist() == [n for n in want if n <= known]
+    # asked in steps, the windows end elsewhere: the same elements
+    stepped = SparseThresholdSet(target, p, horizon=horizon)
+    for limit in (7, 1000, 70_001, known):
+        member(min(limit, known), stepped)
+    assert stepped.known_up_to() == known
+    assert (np.flatnonzero(stepped.mask(known)) + 1).tolist() == [n for n in want if n <= known]
+
+
+class _Counted(np.ndarray):
+    """An array that counts the values its ``>=`` compares."""
+
+    compared = 0
+
+    def __ge__(self, other):
+        _Counted.compared += self.size
+        return np.greater_equal(np.asarray(self), other)
+
+
+def test_thresh_compares_each_scanned_index_a_few_times(monkeypatch):
+    """The threshold scan searches each element from the last one on in
+    pieces of doubling length: the values it compares add up to a small
+    multiple of the indices it scans, however many elements a window holds."""
+    evaluate = witnesses.eval_at_indices
+    monkeypatch.setattr(witnesses, "eval_at_indices",
+                        lambda a, n: evaluate(a, n).view(_Counted))
+    monkeypatch.setattr(_Counted, "compared", 0)
+    known = SparseThresholdSet(PowerLog(1, 60), 1).known_up_to()
+    assert known == 137_181
+    assert 0 < _Counted.compared <= 4 * known
 
 
 def test_readme_witness_stops_after_its_blocks():
