@@ -718,13 +718,19 @@ def iter_atoms(s: SetExpr, offset: int = 0) -> Iterator[tuple[SetExpr, int]]:
 
 
 def is_certainly_finite(s: SetExpr) -> bool:
-    _, hi = s.desc_pair()
-    return hi.certainly_empty
+    """False when not certain, a description past the period cap included."""
+    try:
+        return s.desc_pair()[1].certainly_empty
+    except HorizonExceeded:
+        return False
 
 
 def is_certainly_infinite(s: SetExpr) -> bool:
-    lo, _ = s.desc_pair()
-    return lo.certainly_infinite
+    """False when not certain, a description past the period cap included."""
+    try:
+        return s.desc_pair()[0].certainly_infinite
+    except HorizonExceeded:
+        return False
 
 
 # ---------------------------------------------------------------------------

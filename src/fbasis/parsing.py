@@ -16,7 +16,10 @@ Grammar (ASCII, whitespace-insensitive):
     VECTOR := e(K) | powtail(BETA[,SCALE]) | spike(SET; SEQ)
 
 Numbers are integers, ratios N/D, or decimal literals; all are read as
-exact rationals.  Errors carry the byte offset and the expected tokens.
+exact rationals.  Each language is one table from a form's word to its
+constructor and the steps that read the rest of the form, and ``_form``
+reads every form of every language.  Errors carry the byte offset and
+the expected tokens.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .natset import (
     Complement,
     Finite,
     GeometricIndex,
+    HorizonExceeded,
     Intersection,
     Range,
     Residue,
@@ -47,6 +51,7 @@ from .sequences import (
     SeqConstructionError,
 )
 from .vectors import BasisVector, PowerTail, Spike, TestVector
+from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
 
 
 class ParseError(ValueError):
@@ -140,35 +145,73 @@ class _Cursor:
             raise ParseError("expected an integer", self.pos, ("integer",))
         return int(v)
 
-    def int_list(self, closer: str) -> tuple[int, ...]:
-        out = []
-        self.skip_ws()
-        if self.peek() == closer:
-            return tuple(out)
-        out.append(self.integer())
-        while self.take(","):
-            out.append(self.integer())
-        return tuple(out)
-
     def done(self) -> bool:
         self.skip_ws()
         return self.pos >= len(self.text)
 
 
-# ---------------------------------------------------------------------------
-# sets
-
-_SET_ATOMS = ("finite", "cofinite", "residue", "range", "geom", "sampled", "shift",
-              "greedy", "thresh")
-
-
-def parse_set_expr(text: str) -> SetExpr:
+def _parse(text: str, reader):
     cur = _Cursor(text)
-    out = _set_union(cur)
+    out = reader(cur)
     if not cur.done():
         raise ParseError("trailing input", cur.pos, ("end of input",))
     return out
 
+
+def parse_set_expr(text: str) -> SetExpr:
+    return _parse(text, _set_union)
+
+
+def parse_scalar_seq(text: str) -> ScalarSeq:
+    return _parse(text, _seq)
+
+
+def parse_filter(text: str) -> FilterSpec:
+    return _parse(text, _filter)
+
+
+def parse_test_vector(text: str) -> TestVector:
+    return _parse(text, _vector)
+
+
+def parse_test_vectors(text: str) -> list[TestVector]:
+    """Test vectors separated by ``;``, empty entries skipped.  A ``;``
+    inside ``spike(SET; SEQ)`` belongs to its vector."""
+    cur = _Cursor(text)
+    out = []
+    while not cur.done():
+        if cur.take(";"):
+            continue
+        out.append(_vector(cur))
+        if not cur.done():
+            cur.expect(";")
+    return out
+
+
+def _form(cur: _Cursor, table: dict, what: str, errors):
+    """One form of a language: its word, then the steps its table entry
+    lists after the constructor.  A string step is a token to expect; any
+    other step reads one argument of the constructor.  A construction
+    error in ``errors`` is a parse error at the word."""
+    at = cur.pos
+    word = cur.word()
+    if word not in table:
+        raise ParseError(f"unknown {what} {word!r}", at, tuple(table))
+    make, *steps = table[word]
+    args = []
+    for step in steps:
+        if isinstance(step, str):
+            cur.expect(step)
+        else:
+            args.append(step(cur))
+    try:
+        return make(*args)
+    except errors as exc:
+        raise ParseError(str(exc), at) from None
+
+
+# ---------------------------------------------------------------------------
+# the languages
 
 def _set_union(cur: _Cursor) -> SetExpr:
     parts = [_set_inter(cur)]
@@ -191,254 +234,99 @@ def _set_unary(cur: _Cursor) -> SetExpr:
         inner = cur.nested(_set_union)
         cur.expect(")")
         return inner
-    return _set_atom(cur)
-
-
-def _set_atom(cur: _Cursor) -> SetExpr:
-    at = cur.pos
-    word = cur.word()
-    try:
-        if word == "finite":
-            cur.expect("{")
-            vals = cur.int_list("}")
-            cur.expect("}")
-            return Finite(vals)
-        if word == "cofinite":
-            cur.expect("{")
-            vals = cur.int_list("}")
-            cur.expect("}")
-            return CoFinite(vals)
-        if word == "residue":
-            cur.expect("(")
-            q = cur.integer()
-            cur.expect(",")
-            r = cur.integer()
-            cur.expect(")")
-            return Residue(q, r)
-        if word == "range":
-            cur.expect("(")
-            lo = cur.integer()
-            cur.expect(",")
-            cur.skip_ws()
-            if cur.take(")"):
-                return Range(lo, None)
-            hi = cur.integer()
-            cur.expect(")")
-            return Range(lo, hi)
-        if word == "geom":
-            cur.expect("(")
-            b = cur.number()
-            cur.expect(")")
-            return GeometricIndex(b)
-        if word == "sampled":
-            cur.expect("{")
-            vals = cur.int_list(";")
-            cur.expect(";")
-            horizon = cur.integer()
-            cur.expect("}")
-            return Sampled(frozenset(vals), horizon)
-        if word == "shift":
-            cur.expect("(")
-            base = cur.nested(_set_union)
-            cur.expect(",")
-            off = cur.integer()
-            cur.expect(")")
-            return Shifted(base, off)
-        if word == "greedy":
-            from .natset import HorizonExceeded
-            from .witnesses import GreedyBlockSet
-
-            cur.expect("(")
-            target = cur.nested(_seq)
-            cur.expect(";")
-            weights = cur.nested(_seq)
-            cur.expect(";")
-            p = cur.number()
-            cur.expect(")")
-            try:
-                return GreedyBlockSet(target, weights, p)
-            except HorizonExceeded as exc:
-                raise ParseError(str(exc), at) from None
-        if word == "thresh":
-            from .witnesses import CriterionHolds, SparseThresholdSet
-
-            cur.expect("(")
-            target = cur.nested(_seq)
-            cur.expect(";")
-            p = cur.number()
-            cur.expect(")")
-            try:
-                return SparseThresholdSet(target, p)
-            except CriterionHolds as exc:
-                raise ParseError(str(exc), at) from None
-    except SetConstructionError as exc:
-        raise ParseError(str(exc), at) from None
-    raise ParseError(f"unknown set atom {word!r}", at, _SET_ATOMS)
-
-
-# ---------------------------------------------------------------------------
-# sequences
-
-_SEQ_ATOMS = ("pow", "powlog", "const", "prefix", "piece")
-
-
-def parse_scalar_seq(text: str) -> ScalarSeq:
-    cur = _Cursor(text)
-    out = _seq(cur)
-    if not cur.done():
-        raise ParseError("trailing input", cur.pos, ("end of input",))
-    return out
+    return _form(cur, _SETS, "set atom", (SetConstructionError, HorizonExceeded, CriterionHolds))
 
 
 def _seq(cur: _Cursor) -> ScalarSeq:
-    at = cur.pos
-    word = cur.word()
-    try:
-        if word == "pow":
-            cur.expect("(")
-            c = cur.number()
-            cur.expect(",")
-            beta = cur.number()
-            cur.expect(")")
-            return PowerLog(c, beta)
-        if word == "powlog":
-            cur.expect("(")
-            c = cur.number()
-            cur.expect(",")
-            beta = cur.number()
-            cur.expect(",")
-            gamma = cur.number()
-            cur.expect(")")
-            return PowerLog(c, beta, gamma)
-        if word == "const":
-            cur.expect("(")
-            c = cur.number()
-            cur.expect(")")
-            return Constant(c)
-        if word == "prefix":
-            cur.expect("[")
-            vals = []
-            cur.skip_ws()
-            if cur.peek() != "]":
-                vals.append(cur.number())
-                while cur.take(","):
-                    vals.append(cur.number())
-            cur.expect("]")
-            cur.expect(":")
-            tail = cur.nested(_seq)
-            return ExplicitPrefix(tuple(vals), tail)
-        if word == "piece":
-            cur.expect("{")
-            pieces = []
-            while True:
-                s = cur.nested(_set_union)
-                cur.expect("=>")
-                q = cur.nested(_seq)
-                pieces.append((s, q))
-                if not cur.take(";"):
-                    break
-            cur.expect("}")
-            return Piecewise(tuple(pieces))
-    except SeqConstructionError as exc:
-        raise ParseError(str(exc), at) from None
-    raise ParseError(f"unknown sequence form {word!r}", at, _SEQ_ATOMS)
-
-
-# ---------------------------------------------------------------------------
-# filters
-
-_FILTER_ATOMS = ("frechet", "statistical", "summable", "trace")
-
-
-def parse_filter(text: str) -> FilterSpec:
-    cur = _Cursor(text)
-    out = _filter(cur)
-    if not cur.done():
-        raise ParseError("trailing input", cur.pos, ("end of input",))
-    return out
+    return _form(cur, _SEQS, "sequence form", SeqConstructionError)
 
 
 def _filter(cur: _Cursor) -> FilterSpec:
-    at = cur.pos
-    word = cur.word()
-    if word == "frechet":
-        return Frechet()
-    if word == "statistical":
-        return Statistical()
-    if word == "summable":
-        cur.expect("(")
-        weights = cur.nested(_seq)
-        cur.expect(")")
-        try:
-            return Summable(weights)
-        except ValueError as exc:
-            raise ParseError(str(exc), at) from None
-    if word == "trace":
-        cur.expect("(")
-        base = cur.nested(_filter)
-        cur.expect(";")
-        index_set = cur.nested(_set_union)
-        cur.expect(")")
-        try:
-            return Trace(base, index_set)
-        except ValueError as exc:
-            raise ParseError(str(exc), at) from None
-    raise ParseError(f"unknown filter {word!r}", at, _FILTER_ATOMS)
-
-
-# ---------------------------------------------------------------------------
-# test vectors
-
-_VECTOR_ATOMS = ("e", "powtail", "spike")
-
-
-def parse_test_vector(text: str) -> TestVector:
-    cur = _Cursor(text)
-    out = _vector(cur)
-    if not cur.done():
-        raise ParseError("trailing input", cur.pos, ("end of input",))
-    return out
-
-
-def parse_test_vectors(text: str) -> list[TestVector]:
-    """Test vectors separated by ``;``, empty entries skipped.  A ``;``
-    inside ``spike(SET; SEQ)`` belongs to its vector."""
-    cur = _Cursor(text)
-    out = []
-    while not cur.done():
-        if cur.take(";"):
-            continue
-        out.append(_vector(cur))
-        if not cur.done():
-            cur.expect(";")
-    return out
+    return _form(cur, _FILTERS, "filter", ValueError)
 
 
 def _vector(cur: _Cursor) -> TestVector:
-    at = cur.pos
-    word = cur.word()
-    out = None
-    if word == "e":
-        cur.expect("(")
-        k = cur.integer()
-        cur.expect(")")
-        out = BasisVector(k)
-    elif word == "powtail":
-        cur.expect("(")
-        beta = cur.number()
-        if cur.take(","):
-            scale = cur.number()
-            out = PowerTail(beta, scale)
-        else:
-            out = PowerTail(beta)
-        cur.expect(")")
-    elif word == "spike":
-        cur.expect("(")
-        support = _set_union(cur)
-        cur.expect(";")
-        amp = _seq(cur)
-        cur.expect(")")
-        out = Spike(support, amp)
-    if out is None:
-        raise ParseError(f"unknown vector form {word!r}", at, _VECTOR_ATOMS)
-    return out
+    return _form(cur, _VECTORS, "vector form", ValueError)
+
+
+# readers: each reads one constructor argument
+
+_int = _Cursor.integer
+_num = _Cursor.number
+
+
+def _list(read, closer: str):
+    """Items read by ``read``, separated by ``,``, up to ``closer`` (left
+    for the next step), as a tuple; none when ``closer`` comes first."""
+    def reader(cur: _Cursor) -> tuple:
+        if cur.peek() == closer:
+            return ()
+        out = [read(cur)]
+        while cur.take(","):
+            out.append(read(cur))
+        return tuple(out)
+    return reader
+
+
+def _nest(parse):
+    return lambda cur: cur.nested(parse)
+
+
+def _range_hi(cur: _Cursor):
+    """``range``'s upper bound and its ``)``; None for ``range(LO,)``."""
+    if cur.take(")"):
+        return None
+    hi = cur.integer()
+    cur.expect(")")
+    return hi
+
+
+def _pieces(cur: _Cursor) -> tuple:
+    """``piece``'s ``SET => SEQ`` pairs, separated by ``;``."""
+    pairs = []
+    while not pairs or cur.take(";"):
+        s = cur.nested(_set_union)
+        cur.expect("=>")
+        pairs.append((s, cur.nested(_seq)))
+    return tuple(pairs)
+
+
+def _scale(cur: _Cursor) -> Fraction:
+    """``powtail``'s optional ``,SCALE``; 1 without it."""
+    return cur.number() if cur.take(",") else Fraction(1)
+
+
+_SETS = {
+    "finite": (Finite, "{", _list(_int, "}"), "}"),
+    "cofinite": (CoFinite, "{", _list(_int, "}"), "}"),
+    "residue": (Residue, "(", _int, ",", _int, ")"),
+    "range": (Range, "(", _int, ",", _range_hi),
+    "geom": (GeometricIndex, "(", _num, ")"),
+    "sampled": (lambda members, horizon: Sampled(frozenset(members), horizon),
+                "{", _list(_int, ";"), ";", _int, "}"),
+    "shift": (Shifted, "(", _nest(_set_union), ",", _int, ")"),
+    "greedy": (GreedyBlockSet, "(", _nest(_seq), ";", _nest(_seq), ";", _num, ")"),
+    "thresh": (SparseThresholdSet, "(", _nest(_seq), ";", _num, ")"),
+}
+
+_SEQS = {
+    "pow": (PowerLog, "(", _num, ",", _num, ")"),
+    "powlog": (PowerLog, "(", _num, ",", _num, ",", _num, ")"),
+    "const": (Constant, "(", _num, ")"),
+    "prefix": (ExplicitPrefix, "[", _list(_num, "]"), "]", ":", _nest(_seq)),
+    "piece": (Piecewise, "{", _pieces, "}"),
+}
+
+_FILTERS = {
+    "frechet": (Frechet,),
+    "statistical": (Statistical,),
+    "summable": (Summable, "(", _nest(_seq), ")"),
+    "trace": (Trace, "(", _nest(_filter), ";", _nest(_set_union), ")"),
+}
+
+# spike's set and sequence are read at the vector's own depth
+_VECTORS = {
+    "e": (BasisVector, "(", _int, ")"),
+    "powtail": (PowerTail, "(", _num, _scale, ")"),
+    "spike": (Spike, "(", _set_union, ";", _seq, ")"),
+}

@@ -22,6 +22,10 @@ from .series import weight_sum
 class BasisVector:
     index: int
 
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError("a basis vector index must be >= 1")
+
     def coordinate(self, n: int):
         return Fraction(1) if n == self.index else Fraction(0)
 

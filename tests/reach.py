@@ -12,7 +12,7 @@ script imports ``fbasis`` and runs, in process:
   through ``fbasis.cli.main``, each cut after 5 s;
 * one ``check-admissible --band`` op, one op read from a ``--config``
   file, and ``--help``;
-* the five scripts in ``demos/``.
+* the five scripts in ``demos/`` and the Python blocks of ``README.md``.
 
 It then prints each function defined in ``src/fbasis`` that none of these
 entered, as ``module.qualname (file:line)``, marking an abstract hook (a
@@ -54,6 +54,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 from fbasis.cli import load_config, main, run_command  # noqa: E402
 
 import fuzz_grammar  # noqa: E402
+import test_readme  # noqa: E402
 import test_report_bytes as pins  # noqa: E402
 from workloads import WORKLOADS, blocks  # noqa: E402
 
@@ -109,6 +110,9 @@ def run_everything() -> None:
     for demo in sorted((ROOT / "demos").glob("*.py")):
         with _quiet():
             runpy.run_path(str(demo), run_name="__main__")
+    for block in test_readme.python_blocks():
+        with _quiet():
+            exec(compile(block, "README.md", "exec"), {})
 
 
 def _marks(tree: ast.Module, lines: list[str]) -> dict:

@@ -922,3 +922,32 @@ def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv, detail):
     assert doc["error"] == "usage"
     assert doc["detail"] == detail
     assert capsys.readouterr().err == ""
+
+
+_BIG_PERIOD = "residue(1009,0) & residue(1013,0)"  # lcm 1022117, past the period cap
+
+
+@pytest.mark.parametrize("argv,want,detail", [
+    (["classify-set", "--set", _BIG_PERIOD, "--filter", "frechet"], EXIT_INCONCLUSIVE, None),
+    (["check-admissible", "--seq", "pow(1,1)", "--filter",
+      "trace(frechet;residue(1009,0)&residue(1013,0))", "--p", "1"], EXIT_PARSE,
+     "at byte 0: could not verify the index set is stationary"),
+    (["check-admissible", "--seq", "piece{residue(1009,0) => const(2); !residue(1009,0) & "
+      "residue(1013,0) => const(2); !residue(1009,0) & !residue(1013,0) => const(3)}",
+      "--filter", "frechet", "--p", "1"], EXIT_PARSE,
+     "at byte 0: piece sets not provably disjoint"),
+    (["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", "powtail(-1)", "--grid", "10"],
+     EXIT_PARSE, "at byte 0: a power tail needs a positive decay exponent"),
+    (["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
+      "--vector", "e(0)"], EXIT_PARSE, "at byte 0: a basis vector index must be >= 1"),
+], ids=["period-classify", "period-trace", "period-piece", "powtail-negative", "e-0"])
+def test_inputs_that_cannot_be_analysed_or_built_are_not_internal_errors(
+        capsys, argv, want, detail):
+    code, out = run(argv)
+    assert code == want
+    doc = get_json(out)
+    if detail is None:
+        assert doc["class"] == "inconclusive"
+    else:
+        assert doc["error"] == "parse" and doc["detail"] == detail
+    assert capsys.readouterr().err == ""

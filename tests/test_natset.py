@@ -31,6 +31,7 @@ from fbasis import (
     parse_set_expr,
     weight_sum,
 )
+from fbasis.natset import is_certainly_finite, is_certainly_infinite
 from fbasis.series import partial_sum
 
 from checkers import count_prefix, set_equal
@@ -363,3 +364,12 @@ def test_density_complement_hypothesis(data):
         assert dc.is_exact
         assert d.value + dc.value == 1
         assert 0 <= d.value <= 1
+
+
+def test_descriptions_past_the_period_cap_are_not_certain():
+    # lcm(1009, 1013) = 1022117 passes the period cap: "not certain", no exception
+    both = Intersection((Residue(1009, 0), Residue(1013, 0)))
+    for s in (both, Complement(both)):
+        assert is_certainly_finite(s) is False
+        assert is_certainly_infinite(s) is False
+    assert classify_set(both, Frechet()) == SetClass.INCONCLUSIVE

@@ -1,0 +1,74 @@
+"""The README's grammar and its Python examples are checked against the
+code: the words of each mini-language are those of the parser's tables and
+of the ``parsing`` docstring, and each Python block prints what its
+comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from fbasis import parsing
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+# a form's word: lower case, at the start of the form, before its bracket
+_WORD = re.compile(r"(?:^|\s)([a-z]+)(?=[({\[]|\s|$)")
+
+TABLES = {"sets": parsing._SETS, "sequences": parsing._SEQS,
+          "filters": parsing._FILTERS, "vectors": parsing._VECTORS}
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+
+
+def _words(body: str) -> list[str]:
+    return list(dict.fromkeys(_WORD.findall(body)))
+
+
+def readme_words() -> dict:
+    """Language -> its words, from the block under "Mini-languages"; a line
+    that starts with spaces continues the language above it."""
+    block = re.search(r"### Mini-languages\n\n```\n(.*?)```", README, re.S).group(1)
+    bodies = {}
+    for line in block.splitlines():
+        if not line.startswith(" "):
+            language, _, line = line.partition(":")
+        bodies[language] = bodies.get(language, "") + " " + line
+    return {language: _words(body) for language, body in bodies.items()}
+
+
+def docstring_words() -> dict:
+    """Language -> its words, from the grammar in ``parsing``'s docstring."""
+    rules = {}
+    for line in parsing.__doc__.splitlines():
+        head, sep, body = line.partition(":=")
+        if sep:
+            name = head.strip()
+        elif line.strip().startswith("|"):
+            body = line
+        else:
+            continue
+        rules[name] = rules.get(name, "") + " " + body.replace("|", " ")
+    names = {"sets": "ATOM", "sequences": "SEQ", "filters": "FILTER", "vectors": "VECTOR"}
+    return {language: _words(rules[name]) for language, name in names.items()}
+
+
+def test_one_written_grammar():
+    readme, docstring = readme_words(), docstring_words()
+    for language, table in TABLES.items():
+        assert readme[language] == list(table) == docstring[language], language
+    assert readme["combined"] == []
+
+
+def test_python_blocks_print_what_their_comments_say():
+    blocks = python_blocks()
+    assert blocks
+    for block in blocks:
+        want = [line.partition("# ")[2] for line in block.splitlines()
+                if line.startswith("print(")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue().splitlines() == want
