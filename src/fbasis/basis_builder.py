@@ -115,10 +115,13 @@ def build_basis(
     The loop carries the mass S = b_1**p + ... + b_n**p and prescribes
     b_{n+1}**p = S / W with W = (a_n**q - 1)**(p - 1) (W = a_n at p = 1).
     It stays in rationals while the targets do: the coefficients for
-    p = 1, the squares for p = 2; from the first stage that leaves them
-    it continues in floats.  ``a_squared`` optionally supplies exact
-    squared targets for the Hilbert-space path (so irrational targets like
-    sqrt(2) stay exact on squares).
+    p = 1, the squares for p = 2.  There W is the prescribed ratio itself,
+    and S = b_n**p (W' + 1), W' the last stage's, so b_{n+1}**p = S / W is
+    b_n**p times a small ratio, reduced by gcds with its small terms alone.
+    From the first stage that leaves the rationals it continues in floats.
+    ``a_squared`` optionally supplies exact squared targets for the
+    Hilbert-space path (so irrational targets like sqrt(2) stay exact on
+    squares).
     """
     if n_max < 2:
         raise DomainError("need at least two coefficients")
@@ -147,20 +150,27 @@ def build_basis(
             "produced system is not certified (" + verdict.reason + ")"
         )
 
-    p = space.p
-    on_l1, on_l2 = p == 1, space.is_l2  # tested once, not per stage
+    on_l1, on_l2 = space.p == 1, space.is_l2  # tested once, not per stage
+    p = 1 if on_l1 else 2 if on_l2 else space.p  # an int compares faster than a Fraction
     if on_l2 and a_squared is None:
         a_squared = seq_pow(a, 2)
     squares = [Fraction(1)] if on_l2 else None
     coeffs: list = [Fraction(1) if on_l1 else 1.0]
-    mass = Fraction(1)
+    mass, grow = Fraction(1), (1, 1)  # S = mass grow[0] / grow[1] while stages are exact
     reports: list = []
     defects: list = []
     for n, t in enumerate(targets, start=1):
         t_square = eval_at(a_squared, n) if on_l2 else None
-        nxt = mass / _prescribed_ratio(t, p, t_square)  # b_{n+1}**p
-        if isinstance(nxt, float) and not 0.0 < nxt < math.inf:  # mass or ratio past the range
-            raise DomainError(f"coefficient at stage {n} lies beyond the float range")
+        W = _prescribed_ratio(t, p, t_square)
+        if isinstance(mass, Fraction) and isinstance(W, Fraction):  # S / (S / W) is W itself
+            mass = nxt = mass * Fraction(grow[0] * W.denominator, grow[1] * W.numerator)
+            grow = (W.numerator + W.denominator, W.denominator)  # S + S / W = nxt (W + 1)
+        else:
+            mass, grow = mass * Fraction(*grow), (1, 1)  # S in full
+            nxt = mass / W  # b_{n+1}**p
+            if not 0.0 < nxt < math.inf:  # mass or ratio past the range
+                raise DomainError(f"coefficient at stage {n} lies beyond the float range")
+            W, mass = mass / nxt, mass + nxt
         if squares is not None and not isinstance(nxt, Fraction):
             squares = None
             warnings.append("squared targets left the rationals; continuing in floats")
@@ -170,13 +180,11 @@ def build_basis(
         if isinstance(coeffs[-1], Fraction) and not isinstance(b, Fraction):
             coeffs = [float(v) for v in coeffs]
         coeffs.append(b if on_l1 else float(b))
-        W = mass / nxt
         rep = _stage_norm(W, p, coeffs)
         _certify_stage_norm(rep, t, t_square, n)
         reports.append(rep)
         c = _root(W, p)  # U = ||v_n||_p / b_{n+1}
         defects.append(c if on_l1 else float(c))
-        mass += nxt
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
                        defect_coeffs=defects, admissibility=verdict, targets=targets,
@@ -214,30 +222,31 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     for one seeded random rational x at the stages 1, 2, 4, ... and n_max - 1.
 
     v_k has b_i at every i <= k, so coordinate i <= n of the sum telescopes,
-    b_i (v*_i(x) + ... + v*_n(x)) = x_i - b_i x_{n+1} / b_{n+1}; past n it
-    is 0.  With x_i = s_i / t_i, b_i = P_i / Q_i and x_{n+1} / b_{n+1} = A / B,
-    coordinate g of T_n x misses it by miss / (g.den t_i Q_i B), where the
-    integer miss = g.den (s_i Q_i B - P_i t_i A) - g.num t_i Q_i B: only a
-    nonzero miss makes a Fraction.  Float coefficients convert to Fractions
-    exactly, so a reported error is the exact distance, never rounding."""
+    b_i (v*_i(x) + ... + v*_n(x)) = x_i - q b_i, q = x_{n+1} / b_{n+1}; past
+    n it is 0.  As the integer pair (e, d) = (x_i.num q.den b_i.den - q.num
+    b_i.num x_i.den, x_i.den q.den b_i.den), q reduced, or (0, 1), it is what
+    ``apply`` hands over, so a sound stage is one comparison of lists; another
+    pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
+    Fractions exactly, so a reported error is exact, never rounding."""
     k = sys.n_max - 1
-    b = [Fraction(v) for v in sys.coefficients]
+    b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
     rng = random.Random(0)
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
-    sQ = [u.numerator * v.denominator for u, v in zip(x, b)]
-    Pt = [v.numerator * u.denominator for u, v in zip(x, b)]
-    tQ = [u.denominator * v.denominator for u, v in zip(x, b)]
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
         got = apply(TailOp(n, tuple(b[: n + 1]), sys.space), x)
-        A, B = sQ[n], Pt[n]
-        for i, g in enumerate(got[:n]):
-            miss = g.denominator * (sQ[i] * B - Pt[i] * A) - g.numerator * tQ[i] * B
-            if miss:
-                worst = max(worst, Fraction(abs(miss), g.denominator * tQ[i] * B))
-        if any(got[n : len(x)]):
-            worst = max([worst] + [abs(v) for v in got[n : len(x)]])
+        q = x[n] / b[n]
+        qn, qd = q.numerator, q.denominator
+        want = [(u.numerator * qd * c.denominator - qn * c.numerator * u.denominator,
+                 u.denominator * qd * c.denominator) for u, c in zip(x[:n], b)]
+        want += [(0, 1)] * (len(x) - n)
+        pairs = getattr(got, "pairs", None) or [(g.numerator, g.denominator) for g in got]
+        if pairs != want:
+            for (u, v), (e, d) in zip(pairs, want):
+                miss = u * d - e * v
+                if miss:
+                    worst = max(worst, Fraction(abs(miss), v * d))
     return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)
 
 

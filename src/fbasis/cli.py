@@ -313,18 +313,10 @@ def _cmd_build_basis(cfg: RunConfig):
         "inputs": _build_inputs(space, filt, n_max, seq, a_squared),
         "outcome": "built",
         "admissibility": _admiss_doc(system.admissibility),
-        "coefficients": [
-            c if isinstance(c, Fraction) else float(c) for c in system.coefficients
-        ],
-        "coefficients_squared": (
-            [Fraction(c) for c in system.coefficients_squared]
-            if system.coefficients_squared is not None
-            else None
-        ),
+        "coefficients": system.coefficients,  # Fractions or floats, as built
+        "coefficients_squared": system.coefficients_squared,
         "stage_norms": [_norm_report_doc(r) for r in system.norm_reports],
-        "defect_coefficients": [
-            c if isinstance(c, Fraction) else float(c) for c in system.defect_coeffs
-        ],
+        "defect_coefficients": system.defect_coeffs,
         "biorthogonality": {
             "size": biorth.size,
             "max_error": biorth.max_error,
@@ -457,11 +449,7 @@ def _cmd_demo_convergence(cfg: RunConfig):
         "caveat": report.caveat,
         "warnings": list(system.warnings),
     }
-    kind = report.verdict.kind
-    code = EXIT_OK if kind == "converges" else (
-        EXIT_INCONCLUSIVE if kind == "inconclusive" else EXIT_OK
-    )
-    return code, doc
+    return EXIT_INCONCLUSIVE if report.verdict.kind == "inconclusive" else EXIT_OK, doc
 
 
 def _cmd_dominates(cfg: RunConfig):

@@ -17,6 +17,7 @@ coefficient array, and the Riesz-Thorin upper bound.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -125,8 +126,38 @@ class TailOp:
         return M
 
 
-def apply(T: TailOp, x: Sequence) -> list:
-    """Apply the tail operator; exact in rationals for rational input."""
+class ExactImage(SequenceABC):
+    """T x for rational x and b: the unreduced integer pairs of its
+    coordinates, x_i - q b_i at i <= n and (0, 1) past n.  Read as a sequence
+    it is the list of Fractions, built once; a write drops ``pairs``."""
+
+    def __init__(self, pairs: list):
+        self.pairs, self._items = pairs, None
+
+    def _list(self) -> list:
+        if self._items is None:
+            self._items = [Fraction(u, v) for u, v in self.pairs]
+        return self._items
+
+    def __len__(self) -> int:  # pragma: no cover - list protocol, which no command reads
+        return len(self._list())
+
+    def __getitem__(self, i):  # pragma: no cover - list protocol, which no command reads
+        return self._list()[i]
+
+    def __setitem__(self, i, value):  # pragma: no cover - list protocol, which no command reads
+        self._list()[i] = value
+        self.pairs = None
+
+    def __eq__(self, other):  # pragma: no cover - list protocol, which no command reads
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+def apply(T: TailOp, x: Sequence):
+    """Apply the tail operator: an ``ExactImage`` for rational x and b, else floats."""
     n = T.stage
     if len(x) < n + 1:
         raise DimensionMismatch(f"need at least {n + 1} coordinates, got {len(x)}")
@@ -134,10 +165,9 @@ def apply(T: TailOp, x: Sequence) -> list:
     if all(isinstance(v, (int, Fraction)) for v in x) and all(isinstance(v, Fraction) for v in b):
         q = x[n] / b[n]  # a Fraction: b[n] is one
         qn, qd = q.numerator, q.denominator
-        # x_i - q b_i over the denominator of x_i q b_i, reduced once
-        return [Fraction(v.numerator * qd * c.denominator - qn * c.numerator * v.denominator,
-                         v.denominator * qd * c.denominator)
-                for v, c in zip(x[:n], b)] + [Fraction(0)] * (len(x) - n)
+        return ExactImage([(v.numerator * qd * c.denominator - qn * c.numerator * v.denominator,
+                            v.denominator * qd * c.denominator)
+                           for v, c in zip(x[:n], b)] + [(0, 1)] * (len(x) - n))
     q = float(x[n]) / float(b[n])
     return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 

@@ -69,6 +69,15 @@ class ParseError(ValueError):
 _MAX_DEPTH = 100
 
 
+def _literal(text: str) -> Fraction:
+    """Fraction(text); a literal [+-]digits[.digits] is read as Python ints."""
+    sign = text[:1] if text[:1] in ("+", "-") else ""
+    whole, _, frac = text[len(sign):].partition(".")
+    if text.isascii() and (whole + frac).isdigit() and "." not in frac:
+        return Fraction(int(sign + whole + frac), 10 ** len(frac))
+    return Fraction(text)
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
@@ -133,9 +142,9 @@ class _Cursor:
                 self.pos += 1
             if self.pos == den_start:
                 raise ParseError("expected a denominator", den_start, ("digits",))
-            return Fraction(head) / Fraction(self.text[den_start : self.pos])
+            return _literal(head) / _literal(self.text[den_start : self.pos])
         try:
-            return Fraction(head)
+            return _literal(head)
         except ValueError as exc:
             raise ParseError(str(exc), start, ("number",)) from None
 

@@ -149,6 +149,9 @@ def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
     """c * n**beta * ln(n+1)**gamma: exact when gamma = 0, c is rational and
     n**beta is; binary64 otherwise."""
     if gamma == 0 and isinstance(c, Fraction):
+        if beta.denominator == 1:  # c n**k or c / n**-k, with no root to take
+            k = beta.numerator
+            return c * n ** k if k >= 0 else c / n ** -k
         p = exact_pow(Fraction(n), beta)
         if p is not None:
             return c * p

@@ -39,6 +39,7 @@ from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
 
 import biorth_oracle
+import build_oracle
 import defect_table_oracle
 from conftest import random_target_seq
 
@@ -234,6 +235,50 @@ def built_systems(draw):
         a = ExplicitPrefix(head, Constant(c)) if head else Constant(c)
         return build_basis(a, space, Frechet(), n_max=n_max)
     return build_basis(PowerLog(c, Fraction(1, 4)), space, Summable(HARMONIC), n_max=n_max)
+
+
+@st.composite
+def oracle_builds(draw):
+    """(args, kwargs) of a build: l1 from a target, l2 from its squares or
+    from the target itself, with constant, prefixed and integer-power
+    targets, and a prefix whose power tail leaves the rationals."""
+    c = Fraction(draw(st.integers(3, 12)), 2)
+    shape = draw(st.sampled_from(["const", "prefix", "pow", "leaves"]))
+    if shape == "const":
+        a, filt = Constant(c), draw(st.sampled_from([Frechet(), Statistical()]))
+    elif shape == "prefix":
+        head = tuple(Fraction(draw(st.integers(3, 12)), 2) for _ in range(draw(st.integers(1, 3))))
+        a, filt = ExplicitPrefix(head, Constant(c)), Frechet()
+    elif shape == "pow":
+        a, filt = PowerLog(c, draw(st.integers(0, 2))), Summable(HARMONIC)
+    else:
+        a, filt = parse_scalar_seq("prefix[5/2,3]:pow(2,1/4)"), Summable(HARMONIC)
+    n_max = draw(st.integers(2, 90))
+    space = draw(st.sampled_from(["l1", "l2-squared", "l2"]))
+    if space == "l1":
+        return (a, l1(n_max), filt, n_max), {}
+    if space == "l2":
+        return (a, l2(n_max), filt, n_max), {}
+    return (None, l2(n_max), filt, n_max), {"a_squared": a}
+
+
+def _built(build, args, kwargs):
+    try:
+        return build(*args, **kwargs)
+    except (NotAdmissible, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_builds())
+def test_builds_equal_those_of_the_old_stage_loop(build):
+    """The coefficients, squares, norm reports, defects, targets and warnings
+    equal those of the old stage loop in ``build_oracle``, in value and in
+    type: the reprs agree, so a Fraction is never a float of the same value."""
+    got = _built(build_basis, *build)
+    want = _built(build_oracle.build_basis, *build)
+    assert repr(got) == repr(want)
+    assert got == want
 
 
 def _without_defect(T, x):  # drops the q * b_i term

@@ -5,10 +5,12 @@ comments say."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 from fbasis import parsing
+from fbasis.cli import EXIT_INCONCLUSIVE, load_config, run_command
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -72,3 +74,16 @@ def test_python_blocks_print_what_their_comments_say():
         with contextlib.redirect_stdout(out):
             exec(compile(block, "README.md", "exec"), {})
         assert out.getvalue().splitlines() == want
+
+
+def test_an_inconclusive_demo_exits_2_as_documented():
+    """README's "Command line" names exit 2 for a ``demo-convergence`` whose
+    verdict is inconclusive, and such a demo exits 2."""
+    argv = ["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
+            "--vector", "spike(residue(1009,0)&residue(1013,0);const(1))"]
+    code, payload = run_command(load_config(argv))
+    assert json.loads(payload)["verdict"]["kind"] == "inconclusive"
+    assert code == EXIT_INCONCLUSIVE == 2
+    section = " ".join(README.partition("## Command line")[2].partition("```")[0].split())
+    assert ("`demo-convergence` exits `0` when its verdict (in the report) is `converges` "
+            "or `does-not-converge`, and `2` when it is `inconclusive`.") in section

@@ -32,8 +32,10 @@ from fbasis.sequences import (
     _monotone_start,
     eval_at_indices,
     eval_vector,
+    exact_pow,
     is_bounded,
     is_eventually_nondecreasing,
+    power_log_at,
     seq_mul,
     seq_scale,
     tail_form,
@@ -373,3 +375,14 @@ def test_windows_and_subsets_get_the_bytes_of_one_evaluation(a, top, cuts, subse
         assert eval_vector(a, hi, lo).tobytes() == whole[lo:hi].tobytes()
     n = np.array(sorted(i for i in subset if i <= top), dtype=np.int64)
     assert eval_at_indices(a, n).tobytes() == whole[n - 1].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+       k=st.integers(-3, 3), n=st.integers(1, 10 ** 4))
+def test_integer_powers_are_the_exact_pow_values(c, k, n):
+    """With an integer exponent and no log factor the value is c n**k, taken
+    without a root; it is the Fraction that ``exact_pow`` gives."""
+    got = power_log_at(c, Fraction(k), Fraction(0), n)
+    assert type(got) is Fraction
+    assert got == c * exact_pow(Fraction(n), Fraction(k))
