@@ -29,6 +29,7 @@ from .admissibility import AdmissVerdict, check_admissible
 from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_table
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
+    _METHODS,
     DimensionMismatch,
     NormReport,
     SpaceKind,
@@ -118,7 +119,9 @@ def build_basis(
     p = 1, the squares for p = 2.  There W is the prescribed ratio itself,
     and S = b_n**p (W' + 1), W' the last stage's, so b_{n+1}**p = S / W is
     b_n**p times a small ratio, reduced by gcds with its small terms alone.
-    From the first stage that leaves the rationals it continues in floats.
+    An exact stage's norm and defect are made once per distinct W, and its
+    certificate compares the stored b_{n+1}**p with b_n**p.  From the first
+    stage that leaves the rationals it continues in floats.
     ``a_squared`` optionally supplies exact squared targets for the
     Hilbert-space path (so irrational targets like sqrt(2) stay exact on
     squares).
@@ -157,15 +160,18 @@ def build_basis(
     squares = [Fraction(1)] if on_l2 else None
     coeffs: list = [Fraction(1) if on_l1 else 1.0]
     mass, grow = Fraction(1), (1, 1)  # S = mass grow[0] / grow[1] while stages are exact
+    last_ratio, by_ratio = (0, 1), {}  # W_{n-1} as (num, den), W_0 + 1 = 1; W -> (rep, c)
     reports: list = []
     defects: list = []
     for n, t in enumerate(targets, start=1):
         t_square = eval_at(a_squared, n) if on_l2 else None
         W = _prescribed_ratio(t, p, t_square)
         if isinstance(mass, Fraction) and isinstance(W, Fraction):  # S / (S / W) is W itself
-            mass = nxt = mass * Fraction(grow[0] * W.denominator, grow[1] * W.numerator)
-            grow = (W.numerator + W.denominator, W.denominator)  # S + S / W = nxt (W + 1)
+            w, v = ratio = W.numerator, W.denominator
+            mass = nxt = mass * Fraction(grow[0] * v, grow[1] * w)
+            grow = (w + v, v)  # S + S / W = nxt (W + 1)
         else:
+            ratio = None
             mass, grow = mass * Fraction(*grow), (1, 1)  # S in full
             nxt = mass / W  # b_{n+1}**p
             if not 0.0 < nxt < math.inf:  # mass or ratio past the range
@@ -180,29 +186,44 @@ def build_basis(
         if isinstance(coeffs[-1], Fraction) and not isinstance(b, Fraction):
             coeffs = [float(v) for v in coeffs]
         coeffs.append(b if on_l1 else float(b))
-        rep = _stage_norm(W, p, coeffs)
-        _certify_stage_norm(rep, t, t_square, n)
+        if ratio is not None:
+            _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
+            last_ratio = ratio
+            rep, c = by_ratio.get(ratio) or by_ratio.setdefault(ratio, _exact_stage(t, W, p))
+        else:
+            rep = _stage_norm(W, p, coeffs)
+            if abs(rep.lower - float(t)) > 1e-9 * float(t):  # the float norm's certificate
+                raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
+                                      f"{rep.lower}) misses the target {t}")
+            c = _root(W, p) if on_l1 else float(_root(W, p))  # U = ||v_n||_p / b_{n+1}
         reports.append(rep)
-        c = _root(W, p)  # U = ||v_n||_p / b_{n+1}
-        defects.append(c if on_l1 else float(c))
+        defects.append(c)
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
                        defect_coeffs=defects, admissibility=verdict, targets=targets,
                        warnings=warnings)
 
 
-def _certify_stage_norm(rep: NormReport, target, target_square, n: int) -> None:
-    """An exact norm must equal the target (its square at p = 2); a float
-    norm's certified lower bound must lie within 1e-9 of it."""
-    if rep.exact is not None:
-        missed = rep.exact != target
-    elif rep.exact_square is not None:
-        missed = rep.exact_square != target_square
-    else:
-        missed = abs(rep.lower - float(target)) > 1e-9 * float(target)
-    if missed:
-        raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
-                              f"{rep.lower}) misses the target {target}")
+def _exact_stage(t, W: Fraction, p: int):
+    """The norm report and the defect U = W**(1/p) of an exact stage, from its
+    target alone: the norm is t = W at p = 1, the root of 1 + W = t**2 at p = 2."""
+    if p == 1:
+        value = float(W)
+        return NormReport(value, _METHODS[1], value, value, exact=W), W
+    square = 1 + W
+    value = float(t if isinstance(t, Fraction) and t * t == square else _root(square, 2))
+    return (NormReport(value, _METHODS[2], value, value, exact_square=square),
+            float(_root(W, 2)))
+
+
+def _certify_stage_mass(powers: list, ratio: tuple, last_ratio: tuple, n: int) -> None:
+    """The stored b_{n+1}**p W_n = S_n = b_n**p (W_{n-1} + 1), with the ratios
+    W = w / v: the mass they give, as integer cross-products with no gcd."""
+    (w, v), (w0, v0), nxt, last = ratio, last_ratio, powers[-1], powers[-2]
+    if nxt.numerator * last.denominator * (w * v0) != last.numerator * nxt.denominator * (
+            (w0 + v0) * v):
+        raise ArithmeticError(f"stage {n}: b_{n + 1}**p = {nxt} misses the mass that the "
+                              f"prescribed ratios {w0}/{v0} and {w}/{v} give")
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +248,22 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     b_i.num x_i.den, x_i.den q.den b_i.den), q reduced, or (0, 1), it is what
     ``apply`` hands over, so a sound stage is one comparison of lists; another
     pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
-    Fractions exactly, so a reported error is exact, never rounding."""
+    Fractions exactly, so a reported error is exact, never rounding.  The
+    checked stages are heads of one operator; x and b are read as integers once."""
     k = sys.n_max - 1
     b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
-    rng = random.Random(0)
-    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
+    whole = TailOp(k, tuple(b), sys.space)
+    below = random.Random(0)._randbelow  # randrange(-9, 10), randrange(1, 10) without their checks
+    x = [Fraction(below(19) - 9, below(9) + 1) for _ in b]
+    xs = [(u.numerator, u.denominator) for u in x]
+    bs = [(c.numerator, c.denominator) for c in b]
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
-        got = apply(TailOp(n, tuple(b[: n + 1]), sys.space), x)
+        got = apply(whole.head(n), x)
         q = x[n] / b[n]
         qn, qd = q.numerator, q.denominator
-        want = [(u.numerator * qd * c.denominator - qn * c.numerator * u.denominator,
-                 u.denominator * qd * c.denominator) for u, c in zip(x[:n], b)]
+        want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
         want += [(0, 1)] * (len(x) - n)
         pairs = getattr(got, "pairs", None) or [(g.numerator, g.denominator) for g in got]
         if pairs != want:

@@ -105,6 +105,14 @@ class TailOp:
         if self.space.dim < self.stage + 1:
             raise DimensionMismatch("truncation dimension below stage + 1")
 
+    def head(self, n: int) -> "TailOp":
+        """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: sliced
+        from this one, with no second check of its coefficients."""
+        T, sq = object.__new__(TailOp), self.b_squared
+        T.__dict__.update(stage=n, b=self.b[: n + 1], space=self.space,
+                          b_squared=None if sq is None else sq[: n + 1])
+        return T
+
     def b_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.b], dtype=float)
 

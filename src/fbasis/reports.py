@@ -8,6 +8,7 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -70,9 +71,11 @@ def _text(value, pad: str) -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))
-        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        # one scalar type: one join, with no dispatch per element (witness
-        # blocks run to 10**5 indices, stage tables to n_max rationals)
+        kind = kinds.pop() if len(kinds) == 1 else None
+        # one type: one join, with no dispatch per element (witness blocks run to
+        # 10**5 indices, stage tables to n_max rows, which share their key texts)
+        text = (functools.partial(_dict_text, pad=inner, templates={}) if kind is dict
+                else _SCALAR_TEXT.get(kind))
         texts = map(text, value) if text else (_text(v, inner) for v in value)
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     for base in (Fraction, int, float, str):
@@ -80,6 +83,21 @@ def _text(value, pad: str) -> str:
         if isinstance(value, base):
             return _SCALAR_TEXT[base](value)
     raise TypeError(f"cannot encode {type(value).__name__} in a report")
+
+
+def _dict_text(row: dict, pad: str, templates: dict) -> str:
+    """The JSON text of a row of a list at pad, with the key texts of its order of
+    keys from ``templates``, and its first value formatted once where it repeats."""
+    if not row:
+        return "{}"
+    inner, keys = pad + "  ", tuple(row)
+    if keys not in templates:
+        templates[keys] = [(",\n" if i else "\n") + inner + _escape(str(k)) + ": "
+                           for i, k in enumerate(keys)]
+    first = next(iter(row.values()))
+    lead = _text(first, inner)
+    return ("{" + "".join([h + (lead if v is first else _text(v, inner))
+                           for h, v in zip(templates[keys], row.values())]) + "\n" + pad + "}")
 
 
 def to_json_bytes(doc) -> bytes:

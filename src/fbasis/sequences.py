@@ -275,6 +275,8 @@ def validate_partition(sets: tuple[SetExpr, ...]) -> None:
     """Reject piece sets that are not provably disjoint and covering."""
     if not sets:
         raise SeqConstructionError("piecewise needs at least one piece")
+    if len(sets) == 2 and (sets[1] == Complement(sets[0]) or sets[0] == Complement(sets[1])):
+        return  # X and !X: disjoint and covering, whatever X is
     slack = max(s.slack_bound() for s in sets)
     if slack > _PARTITION_CHECK_CAP:
         raise SeqConstructionError("piece sets too irregular to verify")

@@ -321,9 +321,17 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
     count = 0
     for e in elems.elements():
         count += 1
-        if count > 4000 or e > _FLOAT_STEP_MAX / r:
-            return SumVerdict.inconclusive()
         settled = e > form.start and e >= 4 * max(1, abs(elems.offset)) and count >= 8
+        if count > 4000 or e > _FLOAT_STEP_MAX / r:
+            bound, h = math.inf, alpha / 2.0
+            if alpha > 0 and g < 0 and settled:  # ln(e+1) never passed -g/alpha
+                # with d = h / k, k = -g: ln y <= y**d / (d exp(1)) and x + 1 <= 2 x, so
+                # the term at x is at most c (d exp(1))**-k 2**h x**-h, and the elements
+                # from e on grow by r: a geometric series in their index, taken in logs
+                bound = _add_bounds([total, _exp_upper(
+                    ln(form.c) + g * (1.0 + math.log(-h / g)) + h * (math.log(2.0) - math.log(e))
+                    - math.log(-math.expm1(-h * math.log(r))))])
+            return SumVerdict.inconclusive() if bound == math.inf else SumVerdict.converges(bound)
         if alpha > 0 and settled and (g >= 0 or math.log(e + 1) > -g / alpha):
             # weights decrease beyond e; elements grow at least by factor r
             limit = r ** (-alpha)  # rho decreases to this as e grows

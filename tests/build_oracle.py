@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from fbasis.admissibility import check_admissible
-from fbasis.basis_builder import BasisSystem, NotAdmissible, _certify_stage_norm
+from fbasis.basis_builder import BasisSystem, NotAdmissible
 from fbasis.filters import FilterSpec
 from fbasis.lp_operators import (
     DimensionMismatch,
@@ -24,6 +24,7 @@ from fbasis.lp_operators import (
     _stage_norm,
 )
 from fbasis.sequences import DomainError, ScalarSeq, eval_at, seq_pow, to_float
+from norm_oracle import certify_stage_norm as _certify_stage_norm
 
 
 def build_basis(

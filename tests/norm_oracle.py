@@ -7,7 +7,10 @@ Lagrange-stationarity solve by monotone scalar root-finding.  It shares
 no code with the closed form, so agreement between the two is evidence
 for both.  ``apply_norm_ratio`` is the ratio ||T x|| / ||x|| evaluated
 through ``apply``, as the package did before it took the coefficient
-array directly.
+array directly.  ``certify_stage_norm`` is the stage certificate the
+builder ran before an exact stage was checked on its stored powers: it
+compares an exact norm (its square at p = 2) with the target, and a float
+norm's lower bound with it.
 """
 
 from __future__ import annotations
@@ -120,3 +123,17 @@ def apply_norm_ratio(T: TailOp, x) -> float:
     p = T.space.p_float
     nx = lp_norm(x, p)
     return lp_norm(apply(T, list(x)), p) / nx if nx > 0 else 0.0
+
+
+def certify_stage_norm(rep, target, target_square, n: int) -> None:
+    """An exact norm must equal the target (its square at p = 2); a float
+    norm's certified lower bound must lie within 1e-9 of it."""
+    if rep.exact is not None:
+        missed = rep.exact != target
+    elif rep.exact_square is not None:
+        missed = rep.exact_square != target_square
+    else:
+        missed = abs(rep.lower - float(target)) > 1e-9 * float(target)
+    if missed:
+        raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
+                              f"{rep.lower}) misses the target {target}")

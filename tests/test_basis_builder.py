@@ -507,3 +507,82 @@ def test_float_stages_build_no_tail_operator(monkeypatch, seq, space, filt):
     floats = [r for r in system.norm_reports if r.exact is None and r.exact_square is None]
     assert len(floats) >= 62
     assert built == []
+
+
+@pytest.mark.parametrize("a,a_squared,per_target", [
+    (Constant(Fraction(5, 2)), None, 1),
+    (ExplicitPrefix((3, Fraction(7, 2), 3, Fraction(9, 4)), Constant(2)), None, 1),
+    (None, Constant(2), 2),
+    (None, ExplicitPrefix((3, 5, 3), Constant(Fraction(7, 2))), 2),
+], ids=["const", "prefix", "squares-const", "squares-prefix"])
+def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared, per_target):
+    """An exact l2 stage tries the root of its b_{n+1}**2 alone: the norm and
+    the defect depend on the target only, so each distinct target tries the
+    root of W = a**2 - 1 once, and the root of a**2 once more where a itself
+    is no rational (the squares of 2 and 7/2 here)."""
+    from fbasis import lp_operators
+
+    calls = []
+    exact_root = lp_operators.exact_root
+
+    def counted(x, k):
+        calls.append(x)
+        return exact_root(x, k)
+
+    monkeypatch.setattr(lp_operators, "exact_root", counted)
+    sys = build_basis(a, l2(60), Frechet(), n_max=60, a_squared=a_squared)
+    assert all(r.exact_square is not None for r in sys.norm_reports)
+    stages, targets = sys.n_max - 1, len(set(sys.targets))
+    assert len(calls) <= stages + per_target * targets
+
+
+def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
+    """One stage operator is built and checked per call; the checked stages
+    are its heads."""
+    sys = build_basis(Constant(Fraction(3, 2)), l1(100), Frechet(), n_max=100)
+    built = []
+    check = TailOp.__post_init__
+
+    def counted(self):
+        built.append(self.stage)
+        check(self)
+
+    monkeypatch.setattr(TailOp, "__post_init__", counted)
+    rep = verify_biorthogonality(sys)
+    assert rep.ok and built == [99]
+
+
+@pytest.mark.parametrize("space", ["l1", "l2"])
+def test_the_exact_stage_certificate_rejects_a_broken_mass_update(space):
+    """b_{n+1}**p W_n = b_n**p (W_{n-1} + 1) holds at every stage of a build
+    and fails for the power a mass update to S (W_{n-1} + 2) would store."""
+    a = ExplicitPrefix((3, Fraction(7, 2)), Constant(Fraction(5, 2)))
+    if space == "l1":
+        sys = build_basis(a, l1(20), Frechet(), n_max=20)
+        powers, ratios = sys.coefficients, list(sys.targets)
+    else:
+        sys = build_basis(None, l2(20), Frechet(), n_max=20, a_squared=a)
+        powers = sys.coefficients_squared
+        ratios = [a.value_at(n) - 1 for n in range(1, 20)]
+    pairs = [(0, 1)] + [(W.numerator, W.denominator) for W in ratios]
+    for n in range(1, 20):
+        basis_builder._certify_stage_mass(powers[: n + 1], pairs[n], pairs[n - 1], n)
+        (w0, v0), (w, v) = pairs[n - 1], pairs[n]
+        broken = powers[n - 1] * Fraction(w0 + 2 * v0, v0) / Fraction(w, v)
+        with pytest.raises(ArithmeticError, match=f"stage {n}:"):
+            basis_builder._certify_stage_mass(powers[:n] + [broken], pairs[n], pairs[n - 1], n)
+
+
+def test_a_perturbed_stored_coefficient_fails_the_build(monkeypatch):
+    """A stored l1 coefficient off by 10**-12 at stage 5 is an internal error
+    (exit 70), not a built system."""
+    root, calls = basis_builder._root, []
+
+    def perturbed(x, k):
+        calls.append(x)
+        return root(x, k) + (Fraction(1, 10 ** 12) if len(calls) == 5 else 0)
+
+    monkeypatch.setattr(basis_builder, "_root", perturbed)
+    code, payload = run_command(load_config(["build-basis", "--seq", "const(5/2)", "--space",
+                                             "l1", "--filter", "frechet", "--n-max", "12"]))
+    assert code == 70 and b"ArithmeticError: stage 5:" in payload

@@ -81,6 +81,17 @@ class TestExitCodes:
         code, out = run(["separate", "--seq", "const(2)", "--dual", "linf"])
         assert code == EXIT_REFUTED
 
+    @pytest.mark.parametrize("first,second", [("X", "!(X)"), ("!(X)", "X")])
+    def test_a_set_and_its_complement_are_pieces_of_any_period(self, first, second):
+        # X has period 1009 * 1013, past the periodic analysis of the partition
+        # check; X and !X partition the naturals whatever X is
+        x = "residue(1009,0)&residue(1013,0)"
+        pieces = f"{first}=>pow(1,-1);{second}=>pow(1,-1)".replace("X", x)
+        code, out = run(["witness", "--seq", "pow(1,2)", "--weights", "piece{%s}" % pieces,
+                         "--p", "1"])
+        assert code == EXIT_REFUTED
+        assert get_json(out)["outcome"] == "witness"
+
     @pytest.mark.parametrize("argv", [
         ["build-basis"],
         ["demo-convergence", "--vector", "e(1)"],
@@ -820,6 +831,16 @@ def _geom_negligible(doc):
     assert v.bound >= 10 ** 400 * Fraction(24142135623730950489, 10 ** 19)
 
 
+def _geom_log_power_negligible(doc):
+    # sum_m 2**(-m/1000) ln(2**m + 1)**3 >= ln(2)**3 sum_m m**3 rho**m, rho =
+    # 2**(-1/1000), which is ln(2)**3 rho (1 + 4 rho + rho**2) / (1 - rho)**4
+    assert doc["class"] == "negligible"
+    v = weight_sum(GeometricIndex(2), PowerLog(1, Fraction(-1, 1000), Fraction(3)))
+    rho = 2.0 ** (-1 / 1000)
+    assert v.kind == "converges"
+    assert v.bound >= math.log(2) ** 3 * rho * (1 + 4 * rho + rho ** 2) / (1 - rho) ** 4
+
+
 def _negligible_index_set(doc):
     # finite{4,19} carries finite mass under any summable filter
     assert doc["error"] == "parse"
@@ -870,10 +891,10 @@ def _separate_powlog_upper() -> Fraction:
       "--p", "1"],
      EXIT_REFUTED, _bound_covers("certificate", "inverse_p_sum", "bound",
                                  upper=Fraction(10001, 10000) * math.factorial(400))),
-    # the settle test needs elements past e**3000: the scan ends where they
-    # leave the float range
+    # the settle test needs elements past e**3000: where they leave the float
+    # range the tail is bounded on the element index instead
     (["classify-set", "--set", "geom(2)", "--filter", "summable(powlog(1,-1/1000,3))"],
-     EXIT_INCONCLUSIVE, _inconclusive_class),
+     EXIT_OK, _geom_log_power_negligible),
     # a coefficient with no float, inside a power-log value
     (["dominates", "--filter", "trace(frechet; geom(2)|geom(2))", "--filter2",
       f"trace(summable(powlog({_HUGE},5/4,-5/4)); finite{{4,19}})"],

@@ -35,6 +35,16 @@ def svd_norm(T, dim=None):
     return float(np.linalg.svd(T.dense_matrix(dim), compute_uv=False)[0])
 
 
+def test_heads_are_the_checked_stage_operators():
+    b = tuple(Fraction(k + 2, k + 1) for k in range(9))
+    squares = tuple(v * v for v in b)
+    for space, sq in ((l1(12), None), (l2(12), squares)):
+        T = TailOp(8, b, space, b_squared=sq)
+        for n in range(1, 9):
+            assert T.head(n) == TailOp(n, b[: n + 1], space,
+                                       b_squared=None if sq is None else sq[: n + 1])
+
+
 class TestApply:
     def test_defect_vanishes_on_plain_vectors(self):
         T = TailOp(1, (Fraction(1), Fraction(1)), l1(8))

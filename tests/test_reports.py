@@ -1,11 +1,17 @@
-"""JSON string escaping in ``reports`` against the loop it replaced."""
+"""JSON string escaping in ``reports`` against the loop it replaced, and
+whole documents against the encoder before its row templates."""
 
 import json
+import math
+from fractions import Fraction
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
 from fbasis.reports import _escape, to_json_bytes
 
+import report_oracle
 from escape_oracle import escape_by_loop
 
 # the four characters the loop escaped differently from json.dumps
@@ -46,3 +52,73 @@ def test_documents_render_as_indented_json(doc):
 def test_escape_is_json_dumps(s):
     # the quoted fast path for printable ASCII must give json.dumps's bytes
     assert _escape(s) == json.dumps(s)
+
+
+_KEYS = ("value", "method", "lower", "upper", "exact", "exact_square", "é", "ключ",
+         'q"uote', "back\\slash", "tab\tkey", "")
+_scalars = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+            | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+            | st.fractions() | st.text(max_size=6))
+
+
+@st.composite
+def _rows(draw, values):
+    """A list of dicts over a few key orders, so that rows share their keys
+    or differ in them; some rows are stage rows, whose bounds are the very
+    float object of their value, as an attained norm's are."""
+    orders = draw(st.lists(st.lists(st.sampled_from(_KEYS) | st.text(max_size=3), unique=True,
+                                    max_size=5), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            v = draw(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0]))
+            rows.append({"value": v, "method": "ClosedFormL2", "lower": v, "upper": v,
+                         "exact_square": draw(st.fractions())})
+        else:
+            rows.append({k: draw(values) for k in draw(st.sampled_from(orders))})
+    return rows
+
+
+_nested = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner,
+                                     max_size=4)
+                   | _rows(inner)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_nested)
+def test_documents_render_as_before_the_row_templates(doc):
+    """Nested documents, with lists of rows that share and differ in their
+    keys, give the bytes of the old encoder in ``report_oracle``."""
+    assert to_json_bytes(doc) == (report_oracle._text(doc, "") + "\n").encode("ascii")
+
+
+def test_a_repeated_value_object_is_formatted_once_per_row(monkeypatch):
+    """A row whose bounds are its value formats that float once; a list of
+    such rows escapes each key once."""
+    from fbasis import reports
+
+    calls = []
+    for name, wrapped in (("_float_text", reports._float_text), ("_escape", reports._escape)):
+        def counted(x, name=name, wrapped=wrapped):
+            calls.append(name)
+            return wrapped(x)
+        monkeypatch.setattr(reports, name, counted)
+    monkeypatch.setitem(reports._SCALAR_TEXT, float, reports._float_text)
+    monkeypatch.setitem(reports._SCALAR_TEXT, str, reports._escape)
+    rows = []
+    for i in range(10):
+        v = 1.0 + i / 3
+        rows.append({"value": v, "method": "ColumnMax", "lower": v, "upper": v,
+                     "exact": Fraction(i + 4, 3)})
+    got = reports.to_json_bytes({"stage_norms": rows})
+    assert got == (report_oracle._text({"stage_norms": rows}, "") + "\n").encode("ascii")
+    assert calls.count("_float_text") == 10
+    # 1 document key, 5 row keys once, and each row's method string
+    assert calls.count("_escape") == 1 + 5 + 10

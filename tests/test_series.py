@@ -232,3 +232,19 @@ def test_piecewise_weights_sum_piece_by_piece():
     v = partial_sum(s, w, 100)
     assert (v.kind, v.horizon) == ("inconclusive", 100)
     assert v.partial == pytest.approx(1 + 1 / 2 + 1 / 9, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 100), Fraction(7)])
+def test_geometric_set_with_a_log_power_in_the_numerator_converges(c):
+    """sum over e = 2**m of c e**(-1/1000) ln(e+1)**3 converges, but
+    ln(e+1) > 3000 never holds while e has a float.  The bound must cover
+    the sum, which is at least L = c ln(2)**3 sum_m m**3 rho**m, rho =
+    2**(-1/1000), as ln(2**m + 1) > m ln 2: L = c ln(2)**3 rho (1 + 4 rho +
+    rho**2) / (1 - rho)**4, about 8.7e12 c."""
+    from fbasis import GeometricIndex
+
+    got = weight_sum(GeometricIndex(Fraction(2)), PowerLog(c, Fraction(-1, 1000), Fraction(3)))
+    rho = 2.0 ** (-1 / 1000)
+    lower = float(c) * math.log(2) ** 3 * rho * (1 + 4 * rho + rho ** 2) / (1 - rho) ** 4
+    assert got.kind == "converges"
+    assert lower <= got.bound < 10 * lower
