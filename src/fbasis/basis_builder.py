@@ -29,9 +29,7 @@ from .admissibility import AdmissVerdict, check_admissible
 from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_table
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
-    _METHODS,
     DimensionMismatch,
-    NormReport,
     SpaceKind,
     TailOp,
     _prescribed_ratio,
@@ -160,7 +158,8 @@ def build_basis(
     squares = [Fraction(1)] if on_l2 else None
     coeffs: list = [Fraction(1) if on_l1 else 1.0]
     mass, grow = Fraction(1), (1, 1)  # S = mass grow[0] / grow[1] while stages are exact
-    last_ratio, by_ratio = (0, 1), {}  # W_{n-1} as (num, den), W_0 + 1 = 1; W -> (rep, c)
+    # W_{n-1} as (num, den), W_0 + 1 = 1; (rep, U) per exact W, and under None at a float stage
+    last_ratio, by_ratio = (0, 1), {}
     reports: list = []
     defects: list = []
     for n, t in enumerate(targets, start=1):
@@ -189,31 +188,20 @@ def build_basis(
         if ratio is not None:
             _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
             last_ratio = ratio
-            rep, c = by_ratio.get(ratio) or by_ratio.setdefault(ratio, _exact_stage(t, W, p))
-        else:
+        if ratio is None or ratio not in by_ratio:  # a float stage, or a new exact W
             rep = _stage_norm(W, p, coeffs)
-            if abs(rep.lower - float(t)) > 1e-9 * float(t):  # the float norm's certificate
+            if ratio is None and abs(rep.lower - float(t)) > 1e-9 * float(t):
                 raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
                                       f"{rep.lower}) misses the target {t}")
-            c = _root(W, p) if on_l1 else float(_root(W, p))  # U = ||v_n||_p / b_{n+1}
+            # U = ||v_n||_p / b_{n+1}
+            by_ratio[ratio] = rep, _root(W, p) if on_l1 else float(_root(W, p))
+        rep, c = by_ratio[ratio]
         reports.append(rep)
         defects.append(c)
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
                        defect_coeffs=defects, admissibility=verdict, targets=targets,
                        warnings=warnings)
-
-
-def _exact_stage(t, W: Fraction, p: int):
-    """The norm report and the defect U = W**(1/p) of an exact stage, from its
-    target alone: the norm is t = W at p = 1, the root of 1 + W = t**2 at p = 2."""
-    if p == 1:
-        value = float(W)
-        return NormReport(value, _METHODS[1], value, value, exact=W), W
-    square = 1 + W
-    value = float(t if isinstance(t, Fraction) and t * t == square else _root(square, 2))
-    return (NormReport(value, _METHODS[2], value, value, exact_square=square),
-            float(_root(W, 2)))
 
 
 def _certify_stage_mass(powers: list, ratio: tuple, last_ratio: tuple, n: int) -> None:
@@ -253,8 +241,8 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     k = sys.n_max - 1
     b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
     whole = TailOp(k, tuple(b), sys.space)
-    below = random.Random(0)._randbelow  # randrange(-9, 10), randrange(1, 10) without their checks
-    x = [Fraction(below(19) - 9, below(9) + 1) for _ in b]
+    rng = random.Random(0)
+    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
     xs = [(u.numerator, u.denominator) for u in x]
     bs = [(c.numerator, c.denominator) for c in b]
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})

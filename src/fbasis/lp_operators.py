@@ -106,10 +106,10 @@ class TailOp:
             raise DimensionMismatch("truncation dimension below stage + 1")
 
     def head(self, n: int) -> "TailOp":
-        """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: sliced
-        from this one, with no second check of its coefficients."""
+        """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: this one's
+        fields, the coefficients sliced, with no second check of them."""
         T, sq = object.__new__(TailOp), self.b_squared
-        T.__dict__.update(stage=n, b=self.b[: n + 1], space=self.space,
+        T.__dict__.update(self.__dict__, stage=n, b=self.b[: n + 1],
                           b_squared=None if sq is None else sq[: n + 1])
         return T
 

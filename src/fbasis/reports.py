@@ -60,13 +60,9 @@ def _text(value, pad: str) -> str:
     text = _SCALAR_TEXT.get(type(value))
     if text is not None:
         return text(value)
-    inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + ",".join("\n" + inner + _escape(str(k)) + ": " + _text(v, inner)
-                               for k, v in value.items())
-                + "\n" + pad + "}")
+        return _dict_text(value, pad, {})
+    inner = pad + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -86,18 +82,19 @@ def _text(value, pad: str) -> str:
 
 
 def _dict_text(row: dict, pad: str, templates: dict) -> str:
-    """The JSON text of a row of a list at pad, with the key texts of its order of
-    keys from ``templates``, and its first value formatted once where it repeats."""
+    """The JSON text of a dict at pad, with the key texts of its order of keys
+    from ``templates`` (one per list of rows), and its first value formatted
+    once where it repeats."""
     if not row:
         return "{}"
     inner, keys = pad + "  ", tuple(row)
-    if keys not in templates:
-        templates[keys] = [(",\n" if i else "\n") + inner + _escape(str(k)) + ": "
-                           for i, k in enumerate(keys)]
+    heads = templates.get(keys)
+    if heads is None:
+        heads = templates[keys] = ["\n" + inner + _escape(str(k)) + ": " for k in keys]
     first = next(iter(row.values()))
     lead = _text(first, inner)
-    return ("{" + "".join([h + (lead if v is first else _text(v, inner))
-                           for h, v in zip(templates[keys], row.values())]) + "\n" + pad + "}")
+    return ("{" + ",".join([h + (lead if v is first else _text(v, inner))
+                            for h, v in zip(heads, row.values())]) + "\n" + pad + "}")
 
 
 def to_json_bytes(doc) -> bytes:

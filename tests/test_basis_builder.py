@@ -509,17 +509,16 @@ def test_float_stages_build_no_tail_operator(monkeypatch, seq, space, filt):
     assert built == []
 
 
-@pytest.mark.parametrize("a,a_squared,per_target", [
-    (Constant(Fraction(5, 2)), None, 1),
-    (ExplicitPrefix((3, Fraction(7, 2), 3, Fraction(9, 4)), Constant(2)), None, 1),
-    (None, Constant(2), 2),
-    (None, ExplicitPrefix((3, 5, 3), Constant(Fraction(7, 2))), 2),
+@pytest.mark.parametrize("a,a_squared", [
+    (Constant(Fraction(5, 2)), None),
+    (ExplicitPrefix((3, Fraction(7, 2), 3, Fraction(9, 4)), Constant(2)), None),
+    (None, Constant(2)),
+    (None, ExplicitPrefix((3, 5, 3), Constant(Fraction(7, 2)))),
 ], ids=["const", "prefix", "squares-const", "squares-prefix"])
-def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared, per_target):
+def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared):
     """An exact l2 stage tries the root of its b_{n+1}**2 alone: the norm and
     the defect depend on the target only, so each distinct target tries the
-    root of W = a**2 - 1 once, and the root of a**2 once more where a itself
-    is no rational (the squares of 2 and 7/2 here)."""
+    roots of a**2 and of W = a**2 - 1 once."""
     from fbasis import lp_operators
 
     calls = []
@@ -533,7 +532,7 @@ def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared, per_target)
     sys = build_basis(a, l2(60), Frechet(), n_max=60, a_squared=a_squared)
     assert all(r.exact_square is not None for r in sys.norm_reports)
     stages, targets = sys.n_max - 1, len(set(sys.targets))
-    assert len(calls) <= stages + per_target * targets
+    assert len(calls) <= stages + 2 * targets
 
 
 def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
@@ -576,11 +575,13 @@ def test_the_exact_stage_certificate_rejects_a_broken_mass_update(space):
 def test_a_perturbed_stored_coefficient_fails_the_build(monkeypatch):
     """A stored l1 coefficient off by 10**-12 at stage 5 is an internal error
     (exit 70), not a built system."""
-    root, calls = basis_builder._root, []
+    root, coefficients = basis_builder._root, []
 
     def perturbed(x, k):
-        calls.append(x)
-        return root(x, k) + (Fraction(1, 10 ** 12) if len(calls) == 5 else 0)
+        if x == Fraction(5, 2):  # the defect U of W = 5/2, not a coefficient
+            return root(x, k)
+        coefficients.append(x)
+        return root(x, k) + (Fraction(1, 10 ** 12) if len(coefficients) == 5 else 0)
 
     monkeypatch.setattr(basis_builder, "_root", perturbed)
     code, payload = run_command(load_config(["build-basis", "--seq", "const(5/2)", "--space",

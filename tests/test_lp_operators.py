@@ -36,13 +36,16 @@ def svd_norm(T, dim=None):
 
 
 def test_heads_are_the_checked_stage_operators():
+    """Every attribute of a head, not only the compared fields, is that of the
+    operator built and checked from the sliced coefficients."""
     b = tuple(Fraction(k + 2, k + 1) for k in range(9))
     squares = tuple(v * v for v in b)
     for space, sq in ((l1(12), None), (l2(12), squares)):
         T = TailOp(8, b, space, b_squared=sq)
         for n in range(1, 9):
-            assert T.head(n) == TailOp(n, b[: n + 1], space,
-                                       b_squared=None if sq is None else sq[: n + 1])
+            head = T.head(n)
+            built = TailOp(n, b[: n + 1], space, b_squared=None if sq is None else sq[: n + 1])
+            assert head == built and vars(head) == vars(built)
 
 
 class TestApply:
