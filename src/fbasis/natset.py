@@ -69,6 +69,34 @@ class SetExpr:
     def to_text(self) -> str:
         raise NotImplementedError
 
+    def certified_weight_sum(self, w) -> "Optional[SumVerdict]":
+        """A verdict on the sum of w over the set that the set certifies itself."""
+        return None
+
+
+class _KnownUpTo(SetExpr):
+    """Membership known up to ``_known()`` (read after a scan, which may stop
+    short of ``horizon``) from ``_members(limit)``, the ascending integer array
+    of the members up to ``limit``.  Past it ``member_at`` answers None and
+    ``mask`` raises."""
+
+    __slots__ = ()
+
+    def _known(self) -> int:
+        return self.horizon
+
+    def member_at(self, n):
+        members = self._members(n) if n <= self._known() else None  # no scan past it
+        return None if n > self._known() else n in members[-1:]
+
+    def mask(self, horizon):
+        members = self._members(horizon)
+        if horizon > (known := self._known()):
+            raise HorizonExceeded(f"membership only known up to {known}, asked for {horizon}")
+        m = np.zeros(horizon + 1, dtype=bool)
+        m[members] = True  # index n is member n: no shifted copy of the members
+        return m[1:]
+
 
 def _check_sorted(values: tuple, label: str) -> None:
     if any(v < 1 for v in values):
@@ -254,7 +282,7 @@ class GeometricIndex(SetExpr):
 
 
 @record
-class Sampled(SetExpr):
+class Sampled(_KnownUpTo):
     """Explicit membership known only up to ``horizon``."""
 
     members: frozenset[int]
@@ -267,21 +295,9 @@ class Sampled(SetExpr):
         if any(i < 1 or i > self.horizon for i in self.members):
             raise SetConstructionError("sampled members must lie in [1, horizon]")
 
-    def member_at(self, n):
-        if n > self.horizon:
-            return None
-        return n in self.members
-
-    def mask(self, horizon):
-        if horizon > self.horizon:
-            raise HorizonExceeded(
-                f"sampled set only known up to {self.horizon}, asked for {horizon}"
-            )
-        m = np.zeros(horizon, dtype=bool)
-        for i in self.members:
-            if i <= horizon:
-                m[i - 1] = True
-        return m
+    def _members(self, limit):
+        members = np.array(sorted(self.members), dtype=int)
+        return members[: np.searchsorted(members, limit, side="right")]
 
     def desc_pair(self):
         return _DESC_EMPTY, _DESC_FULL

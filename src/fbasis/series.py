@@ -247,13 +247,11 @@ def _base_token(token):
     return token
 
 
-def sparse_token_sum(token, form: TailForm) -> SumVerdict:
-    """Verdict for the weighted sum over one sparse token."""
-    hook = getattr(token, "certified_weight_sum", None)
-    if hook is not None:
-        v = hook(form)
-        if v is not None:
-            return v
+def sparse_token_sum(token: SetExpr, w: ScalarSeq, form: TailForm) -> SumVerdict:
+    """Verdict for the sum of w, of tail form ``form``, over one sparse token."""
+    v = token.certified_weight_sum(w)
+    if v is not None:
+        return v
     alpha, g = -form.beta, -form.gamma
     if isinstance(_base_token(token), GeometricIndex):
         if geometric_rule_converges(alpha, g):
@@ -359,11 +357,9 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
 
 def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumVerdict:
     """Verdict for sum_{n in s} w(n) with a certified bound on convergence."""
-    seq_hook = getattr(s, "certified_weight_sum_seq", None)
-    if seq_hook is not None:
-        v = seq_hook(w)
-        if v is not None:
-            return v
+    v = s.certified_weight_sum(w)
+    if v is not None:
+        return v
     if isinstance(w, Piecewise):
         verdicts = []
         for piece_set, piece_seq in w.pieces:
@@ -374,12 +370,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
             return SumVerdict.converges(_add_bounds([v.bound for v in verdicts]))
         return SumVerdict.inconclusive()
 
-    hook = getattr(s, "certified_weight_sum", None)
     form = tail_form(w)
-    if hook is not None and form is not None:
-        v = hook(form)
-        if v is not None:
-            return v
     if form is None:
         return SumVerdict.inconclusive()
 
@@ -401,7 +392,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
         # positive density survives sparse removals
         if alpha < 1:
             return SumVerdict.diverges()
-        removable = [sparse_token_sum(t, form) for t in lo.minus]
+        removable = [sparse_token_sum(t, w, form) for t in lo.minus]
         if all(v.kind == "converges" for v in removable):
             return SumVerdict.diverges()
         return SumVerdict.inconclusive()
@@ -409,9 +400,9 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
     if hi.ep.is_empty:
         # certified divergence from below
         for t in lo.plus:
-            if sparse_token_sum(t, form).kind == "diverges":
+            if sparse_token_sum(t, w, form).kind == "diverges":
                 return SumVerdict.diverges()
-        token_verdicts = [sparse_token_sum(t, form) for t in hi.plus]
+        token_verdicts = [sparse_token_sum(t, w, form) for t in hi.plus]
         if all(v.kind == "converges" for v in token_verdicts):
             head = _prefix_sum_bound(s, form, slack, horizon)
             return SumVerdict.converges(_add_bounds([head] + [v.bound for v in token_verdicts]))

@@ -30,8 +30,8 @@ from ._lazy_numpy import np
 from ._record import field, record
 from .natset import (
     HorizonExceeded,
-    SetExpr,
     SumVerdict,
+    _KnownUpTo,
     _Desc,
     _DESC_EMPTY,
     _DESC_FULL,
@@ -39,6 +39,7 @@ from .natset import (
 )
 from .reports import rational_text
 from .sequences import (
+    Piecewise,
     ScalarSeq,
     TailForm,
     _monotone_start,
@@ -61,56 +62,53 @@ class CriterionHolds(Exception):
     """The boundedness criterion is satisfied, so no witness exists."""
 
 
-def _forms_match(a: Optional[TailForm], b: Optional[TailForm]) -> bool:
-    """Equal forms, each number taken as its float, or past the float range
-    as itself."""
-    def key(f):
-        return (f.beta, f.gamma, f.start, [(i, x if 0.0 < (x := to_float(v)) < math.inf else v)
-                                           for i, v in ((0, f.c),) + f.head])
-
-    return a is not None and b is not None and key(a) == key(b)
+def _form_key(f: Optional[TailForm]):
+    """The tail form f, each number taken as its float, or past the float
+    range as itself; None for None."""
+    return f and (f.beta, f.gamma, f.start, [(i, x if 0.0 < (x := to_float(v)) < math.inf else v)
+                                             for i, v in ((0, f.c),) + f.head])
 
 
-class _ScannedSet(SetExpr):
-    """A set that ``_members(limit)`` scans up to ``_state["known"]``: the
-    horizon, or the last index before a threshold left the float range."""
+def _certified(w, defining) -> Optional[SumVerdict]:
+    """The verdict of the first (sequence, verdict) pair whose sequence w
+    matches: structurally, or else, unless w is piecewise, by tail form.
+    None with no match; a match returns its verdict, None included."""
+    for seq, verdict in defining:
+        if w == seq:
+            return verdict()
+    key = None if isinstance(w, Piecewise) else _form_key(tail_form(w))
+    for seq, verdict in defining:
+        if key is not None and key == _form_key(tail_form(seq)):
+            return verdict()
+    return None
+
+
+class _ScannedSet(_KnownUpTo):
+    """Scanned by ``_advance`` up to ``_state["known"]``: the horizon, or the
+    last index before a threshold left the float range."""
 
     def known_up_to(self) -> int:
         self._advance(self.horizon)
         return self._state["known"]
 
-    def member_at(self, n):
-        if n > self._state["known"]:
-            return None
-        members = self._members(n)
-        return n in members if n <= self._state["known"] else None
-
-    def mask(self, horizon):
-        members = self._members(min(horizon, self.horizon))
-        known = self._state["known"]
-        if known < min(horizon, self.horizon):
-            raise HorizonExceeded(f"membership only known up to {known}, asked for {horizon}")
-        m = np.zeros(horizon, dtype=bool)
-        m[np.array(members, dtype=int) - 1] = True
-        return m
+    def _known(self) -> int:
+        return self._state["known"]
 
 
 @record
 class GreedyBlockSet(_ScannedSet):
     """The greedy block set D of ``target``, ``weights`` and ``exponent``.
 
-    Construction scans until the blocks it needs are complete and raises
-    ``HorizonExceeded`` when they cannot complete below the horizon: a
-    fixed ``blocks`` count, or else the two a certificate needs.  With
-    ``blocks=None`` the count that ``materialized_blocks`` reports (up to
-    eight) is found on its first call; the structural certificates and
-    membership questions never need it, and scan only as far as they ask.
+    Construction scans until the two blocks a certificate needs are complete
+    and raises ``HorizonExceeded`` when they cannot complete below the
+    horizon.  The count that ``materialized_blocks`` reports (up to eight)
+    is found on its first call; the structural certificates and membership
+    questions never need it, and scan only as far as they ask.
     """
 
     target: ScalarSeq  # the sequence a
     weights: ScalarSeq  # the filter weights s
     exponent: Fraction  # p
-    blocks: Optional[int] = None  # None: as many as fit below the horizon
     horizon: int = _MATERIALIZE_CAP
     # summable_criterion's status, when the caller holds it; None: asked on first use
     criterion: Optional[str] = field(default=None, compare=False, repr=False)
@@ -124,34 +122,20 @@ class GreedyBlockSet(_ScannedSet):
             "_state",
             {
                 "product": tail_form(product) if product is not None else None,
-                "blocks": [],  # completed blocks, tuples of indices
+                "blocks": [],  # completed blocks, index arrays
                 "current": [],  # index arrays of the block being filled
                 "current_sum": 0.0,
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
                 "known": self.horizon,  # membership is decided up to here
                 "target_p": target_p,
-                "count": self.blocks,  # blocks to materialize; None until asked
+                "count": None,  # blocks to materialize; None until asked
                 "criterion": self.criterion,
             },
         )
-        # fail fast if the blocks a certificate needs cannot complete
-        if self.blocks is not None:
-            self._scan_until_blocks(self.blocks)
-        else:
-            done = self._scan_for(_CERTIFICATE_BLOCKS)
-            if done < _CERTIFICATE_BLOCKS:
-                raise HorizonExceeded(
-                    f"only {done} greedy blocks complete below the horizon"
-                )
-
-    def _adaptive_count(self) -> int:
-        """As many blocks as actually complete below the horizon, capped at
-        the default: at least the two the constructor found.  Only the first
-        ``materialized_blocks`` call asks for it.  The scan stops at the last
-        block counted; later indices are scanned only when a membership
-        question reaches them."""
-        return min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
+        done = self._scan_for(_CERTIFICATE_BLOCKS)  # fail fast
+        if done < _CERTIFICATE_BLOCKS:
+            raise HorizonExceeded(f"only {done} greedy blocks complete below the horizon")
 
     # scanning ---------------------------------------------------------------
 
@@ -228,7 +212,7 @@ class GreedyBlockSet(_ScannedSet):
 
     def _close_block(self) -> None:
         st = self._state
-        st["blocks"].append(tuple(np.concatenate(st["current"]).tolist()))
+        st["blocks"].append(np.concatenate(st["current"]))
         st["current"] = []
         st["current_sum"] = 0.0
         st["m"] += 1
@@ -257,28 +241,29 @@ class GreedyBlockSet(_ScannedSet):
         top = max(power_log_ln(f.c, f.beta, f.gamma, n) for n in (lo, self.horizon))
         return top < st["m"] * math.log(2) - 1e-9
 
-    def _scan_until_blocks(self, count: int) -> None:
-        done = self._scan_for(count)
-        if done < count:
-            raise HorizonExceeded(f"greedy block {done + 1} incomplete at the horizon")
-
     # certificates ------------------------------------------------------------
 
-    def materialized_blocks(self) -> tuple[tuple[int, ...], ...]:
+    def _blocks(self) -> list:
+        """The index arrays of the blocks ``materialized_blocks`` reports: as
+        many as complete below the horizon, up to eight, counted on the first
+        call.  The scan stops at the last block counted; later indices are
+        scanned only when a membership question reaches them."""
         st = self._state
         if st["count"] is None:
-            st["count"] = self._adaptive_count()
-        self._scan_until_blocks(st["count"])
-        return tuple(st["blocks"][: st["count"]])
+            st["count"] = min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
+        return st["blocks"][: st["count"]]
+
+    def materialized_blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(blk.tolist()) for blk in self._blocks())
 
     def _member_values(self, seq: ScalarSeq) -> np.ndarray:
         """The values of ``seq`` at the members of the materialized blocks."""
-        return eval_at_indices(seq, np.concatenate(self.materialized_blocks()))
+        return eval_at_indices(seq, np.concatenate(self._blocks()))
 
     # Sums run left to right with the builtin sum, as the block scan adds;
     # numpy's pairwise sum would change the last bits.
     def block_sums(self) -> list[float]:
-        ends = np.cumsum([len(blk) for blk in self.materialized_blocks()])
+        ends = np.cumsum([blk.size for blk in self._blocks()])
         return [sum(v.tolist()) for v in np.split(self._member_values(self.weights), ends[:-1])]
 
     def prefix_inverse_sum(self) -> float:
@@ -287,13 +272,11 @@ class GreedyBlockSet(_ScannedSet):
 
     # set protocol -------------------------------------------------------------
 
-    def _members(self, limit: int) -> list[int]:
+    def _members(self, limit: int) -> np.ndarray:
         self._advance(limit)
         st = self._state
-        out = [n for blk in st["blocks"] for n in blk if n <= limit]
-        for part in st["current"]:
-            out.extend(part[part <= limit].tolist())
-        return out
+        members = np.concatenate(st["blocks"] + st["current"] + [np.zeros(0, dtype=int)])
+        return members[: np.searchsorted(members, limit, side="right")]
 
     def desc_pair(self):
         return _DESC_EMPTY, _DESC_FULL
@@ -317,22 +300,12 @@ class GreedyBlockSet(_ScannedSet):
             st["criterion"], _ = summable_criterion(self.target, self.weights, self.exponent)
         return SumVerdict.diverges() if st["criterion"] == "unbounded" else None
 
-    def certified_weight_sum_seq(self, w) -> Optional[SumVerdict]:
-        """Structural match against the defining sequences (covers the
-        piecewise case the reduced form cannot express)."""
-        if w == self.weights:
-            return self._weights_diverge()
-        if w == seq_pow(self.target, -self.exponent):
-            return SumVerdict.converges(Fraction(2))
-        return None
-
-    def certified_weight_sum(self, form: TailForm) -> Optional[SumVerdict]:
-        if _forms_match(form, tail_form(self.weights)):
-            return self._weights_diverge()
-        inv = tail_form(seq_pow(self.target, -self.exponent))
-        if _forms_match(form, inv):
-            return SumVerdict.converges(Fraction(2))
-        return None
+    def certified_weight_sum(self, w) -> Optional[SumVerdict]:
+        # the s-sum diverges where every block completes; the blocks keep
+        # the sum of a**(-p) below the sum of 2**(-m) * 2
+        return _certified(w, ((self.weights, self._weights_diverge),
+                              (seq_pow(self.target, -self.exponent),
+                               lambda: SumVerdict.converges(Fraction(2)))))
 
 
 def _first_reaching(values: np.ndarray, start: int, bar: float, reach: int) -> Optional[int]:
@@ -398,9 +371,10 @@ class SparseThresholdSet(_ScannedSet):
                 st["k"] += 1
             st["scan"] = hi
 
-    def _members(self, limit: int) -> list[int]:
+    def _members(self, limit: int) -> np.ndarray:
         self._advance(limit)
-        return [n for n in self._state["elements"] if n <= limit]
+        elements = np.array(self._state["elements"], dtype=int)
+        return elements[: np.searchsorted(elements, limit, side="right")]
 
     def desc_pair(self):
         d = _Desc(_EP_EMPTY, frozenset({self}), frozenset())
@@ -412,14 +386,7 @@ class SparseThresholdSet(_ScannedSet):
     def to_text(self):
         return f"thresh({self.target.to_text()}; {rational_text(self.exponent)})"
 
-    def certified_weight_sum_seq(self, w) -> Optional[SumVerdict]:
-        if w == seq_pow(self.target, -self.exponent):
-            return SumVerdict.converges(Fraction(1))
-        return None
-
-    def certified_weight_sum(self, form: TailForm) -> Optional[SumVerdict]:
-        inv = tail_form(seq_pow(self.target, -self.exponent))
-        if _forms_match(form, inv):
-            # a(n_k)**p >= 2**k * k**2, so the inverse sum stays below 1
-            return SumVerdict.converges(Fraction(1))
-        return None
+    def certified_weight_sum(self, w) -> Optional[SumVerdict]:
+        # a(n_k)**p >= 2**k * k**2, so the inverse sum stays below 1
+        return _certified(w, ((seq_pow(self.target, -self.exponent),
+                               lambda: SumVerdict.converges(Fraction(1))),))
