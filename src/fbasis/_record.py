@@ -33,11 +33,11 @@ class field:
         self.repr = repr
 
 
-def _frozen_setattr(self, name, value):
+def _frozen_setattr(self, name, value):  # pragma: no cover - guards frozen records
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-def _frozen_delattr(self, name):
+def _frozen_delattr(self, name):  # pragma: no cover - guards frozen records
     raise AttributeError(f"cannot delete field {name!r}")
 
 

@@ -41,6 +41,7 @@ from .sequences import (
     DomainError,
     PowerLog,
     ScalarSeq,
+    SeqConstructionError,
     eval_at,
     limit_value,
     seq_mul,
@@ -351,18 +352,27 @@ def _defect_bound_seqs(sys: BasisSystem):
 
 
 def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
-    """Bound on max(amp(n+1)/amp(n), amp(n)/amp(n+1)) over all n."""
+    """Bound on max(amp(n+1)/amp(n), amp(n)/amp(n+1)) over all n; None where
+    it has no float."""
     f = tail_form(amp)
     if f is None:
         return None
-    base = 2.0 ** abs(float(f.beta)) * (math.log(3.0) / math.log(2.0)) ** abs(float(f.gamma))
+    try:
+        worst = 2.0 ** abs(float(f.beta)) * (math.log(3.0) / math.log(2.0)) ** abs(float(f.gamma))
+    except OverflowError:
+        return None
     # explicit head values can break the family ratio; cover them by probing
     probe = max([1] + [i + 1 for i, _ in f.head])
-    worst = base
     for n in range(1, probe + 2):
-        r = float(eval_at(amp, n + 1)) / float(eval_at(amp, n))
+        hi, lo = eval_at(amp, n + 1), eval_at(amp, n)
+        try:
+            r = float(hi) / float(lo)
+        except (OverflowError, ZeroDivisionError):  # values past the float range
+            r = to_float(hi / lo) if isinstance(hi, Fraction) and isinstance(lo, Fraction) else 0.0
+        if not 0.0 < r < math.inf:  # nan included
+            return None
         worst = max(worst, r, 1.0 / r)
-    return worst
+    return worst if worst < math.inf else None
 
 
 def convergence_demo(
@@ -383,10 +393,9 @@ def convergence_demo(
     holds at every n; the lower bound c_n >= a_n / 2 holds where a(n) >= t,
     t being the level from which it holds (see ``_defect_bound_seqs``), so
     the under-sets are taken inside that set."""
-    stage_defects = [
-        float(abs(float(x.coordinate(n + 1))) * float(c))
-        for n, c in enumerate(sys.defect_coeffs, start=1)
-    ]
+    # |x_{n+1}| c_n in binary64, saturated to +inf or 0.0 past the float range
+    stage_defects = [to_float(abs(x_n), 1, 0, c) if (x_n := x.coordinate(n + 1)) else 0.0
+                     for n, c in enumerate(sys.defect_coeffs, start=1)]
     entries, verdict = _classify_defects(sys, x, lambda: _defect_bound_seqs(sys),
                                          eps_schedule, horizon, under)
     return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
@@ -427,10 +436,15 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
 
     def bound_sets(prod, scale, *where):
         """The threshold sets of prod * scale at the asked levels, each
-        intersected with the sets ``where``."""
+        intersected with the sets ``where``; None where prod * scale has a
+        coefficient or value past the float range, which no family holds."""
+        try:
+            scaled = seq_scale(prod, scale)
+        except SeqConstructionError:
+            return None
         restrict = functools.cache(lambda s: canonicalize(Intersection((*where, s))))
         return lambda ls: [None if s is None else restrict(s)
-                           for s in threshold_levels(seq_scale(prod, scale), ls, horizon)]
+                           for s in threshold_levels(scaled, ls, horizon)]
 
     over_sets = under_sets = limsup = None
     if kappa is not None and prod_hi is not None:

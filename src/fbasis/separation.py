@@ -181,14 +181,17 @@ def lemma1_profile(
     rows = []
     grid = sorted(set(int(n) for n in grid))
     top = grid[-1]
-    inv = 1.0 / eval_vector(a, top)
     coords = np.zeros(top)
-    for x in xs:
-        coords += np.abs(coordinate_vector(x, top))
-    inv_cum = np.cumsum(inv)
-    coord_cum = np.cumsum(coords)
+    with np.errstate(divide="ignore", over="ignore"):  # values past the float range are +inf
+        inv = 1.0 / eval_vector(a, top)
+        for x in xs:
+            coords += np.abs(coordinate_vector(x, top))
+        inv_cum = np.cumsum(inv)
+        coord_cum = np.cumsum(coords)
     for n in grid:
         s_n = float(inv_cum[n - 1])
+        if s_n == 0.0:
+            raise DomainError(f"the partial sum of a**-1 up to n={n} underflows to 0.0")
         avg = float(coord_cum[n - 1]) / s_n
         bound = sum(norms) / s_n
         rows.append(ProfileRow(n=n, average=avg, bound=bound))

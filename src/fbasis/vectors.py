@@ -3,18 +3,21 @@
 Three families, each with exact coordinate evaluation and a certified
 bound on its norm: a single basis vector, a power-law tail, and a
 sparse spike supported on a structured set with symbolic amplitudes.
+A coordinate past the known horizon of its support is a ``DomainError``,
+as a norm with no certified bound is.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union as TUnion
 
 from ._lazy_numpy import np
 from ._record import record
-from .natset import NATURALS, SetExpr, member
+from .natset import NATURALS, HorizonExceeded, SetExpr, member
 from .reports import rational_text
-from .sequences import DomainError, PowerLog, ScalarSeq, eval_at_indices, seq_pow
+from .sequences import DomainError, PowerLog, ScalarSeq, eval_at, eval_at_indices, seq_pow
 from .series import weight_sum
 
 
@@ -50,8 +53,6 @@ class PowerTail:
             raise ValueError("a power tail needs a positive decay exponent")
 
     def coordinate(self, n: int):
-        from .sequences import eval_at
-
         return eval_at(self.amplitude(), n)
 
     def support(self) -> SetExpr:
@@ -61,11 +62,7 @@ class PowerTail:
         return PowerLog(self.scale, -self.beta)
 
     def norm_upper(self, p):
-        v = weight_sum(NATURALS, seq_pow(self.amplitude(), Fraction(p)))
-        if v.kind != "converges":
-            raise DomainError(f"the tail is not in the space at p={p}")
-        b = float(v.bound)
-        return b ** (1.0 / float(p))
+        return _norm_upper(self, p, "the tail is not in the space")
 
     def to_text(self) -> str:
         if self.scale == 1:
@@ -83,9 +80,7 @@ class Spike:
     def coordinate(self, n: int):
         v = member(n, self.support_set)
         if v is None:
-            raise ValueError(f"support membership undecidable at n={n}")
-        from .sequences import eval_at
-
+            raise DomainError(f"support membership undecidable at n={n}")
         return eval_at(self.amp, n) if v else Fraction(0)
 
     def support(self) -> SetExpr:
@@ -95,17 +90,25 @@ class Spike:
         return self.amp
 
     def norm_upper(self, p):
-        v = weight_sum(self.support_set, seq_pow(self.amp, Fraction(p)))
-        if v.kind != "converges":
-            raise DomainError(f"the spike has no certified norm at p={p}")
-        b = float(v.bound)
-        return b ** (1.0 / float(p))
+        return _norm_upper(self, p, "the spike has no certified norm")
 
     def to_text(self) -> str:
         return f"spike({self.support_set.to_text()}; {self.amp.to_text()})"
 
 
 TestVector = TUnion[BasisVector, PowerTail, Spike]
+
+
+def _norm_upper(x: TestVector, p, reason: str) -> float:
+    """The p-th root of the certified bound on the sum of |x_n|**p over the
+    support; +inf for a bound past the float range."""
+    v = weight_sum(x.support(), seq_pow(x.amplitude(), Fraction(p)))
+    if v.kind != "converges":
+        raise DomainError(f"{reason} at p={p}")
+    try:
+        return float(v.bound) ** (1.0 / float(p))
+    except OverflowError:
+        return math.inf
 
 
 def coordinate_vector(v: TestVector, horizon: int, start: int = 0):
@@ -116,6 +119,9 @@ def coordinate_vector(v: TestVector, horizon: int, start: int = 0):
         if start < v.index <= horizon:
             out[v.index - 1 - start] = 1.0
         return out
-    on = v.support().mask(horizon)[start:]
-    out[on] = np.abs(eval_at_indices(v.amplitude(), np.flatnonzero(on) + start + 1))
+    try:
+        on = v.support().mask(horizon)[start:]
+        out[on] = np.abs(eval_at_indices(v.amplitude(), np.flatnonzero(on) + start + 1))
+    except HorizonExceeded as exc:
+        raise DomainError(f"the coordinates of {v.to_text()} are unknown: {exc}") from None
     return out

@@ -1,18 +1,23 @@
 """Random command lines over the documented mini-languages, for fuzzing.
 
 ``argv(pick)`` draws one ``check-admissible``, ``classify-set``,
-``witness``, ``separate`` or ``dominates`` command line.  ``pick(options)``
-returns one of the options: ``random.Random(seed).choice`` for a plain
-run, or a hypothesis ``sampled_from`` draw.  Coefficients reach 10**400
-and 10**-400, exponents +-400, and sets, sequences and filters nest
-through ``prefix``, ``piece``, ``greedy``, ``thresh``, ``shift``,
-``summable`` and ``trace``.
+``witness``, ``separate`` or ``dominates`` command line, and
+``vector_argv(pick)`` one ``profile-lemma1`` or ``demo-convergence``
+command line, whose vectors are ``e(k)``, ``powtail(...)`` and
+``spike(SET; SEQ)`` over the grammar's sets.  ``pick(options)`` returns one
+of the options: ``random.Random(seed).choice`` for a plain run, or a
+hypothesis ``sampled_from`` draw.  Coefficients reach 10**400 and
+10**-400, exponents +-400, and sets, sequences and filters nest through
+``prefix``, ``piece``, ``greedy``, ``thresh``, ``shift``, ``summable`` and
+``trace``.
 
     python tests/fuzz_grammar.py OPS SEED...
+    python tests/fuzz_grammar.py --vectors OPS SEED...
 
-runs OPS command lines per seed in this process, each under a 5 s alarm,
-and prints the count of each exit code, every exit 70 and every timeout.
-It also prints the total time, the p50/p90/p99 latency, the process's
+runs OPS command lines per seed in this process, drawn by ``argv`` (by
+``vector_argv`` with ``--vectors``), each under a 5 s alarm, and prints
+the count of each exit code, every exit 70 and every timeout.  It also
+prints the total time, the p50/p90/p99 latency, the process's
 peak RSS (``ru_maxrss``, in KiB on Linux), the ten slowest ops, and one
 sha256 over every (argv, exit, report) triple: two checkouts that print
 the same digest for the same OPS and SEEDs printed the same bytes for
@@ -21,11 +26,14 @@ every op.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 _HUGE = "1" + "0" * 400
 _TINY = "0." + "0" * 399 + "1"
 COEFFICIENTS = ("1", "2", "1/2", "100", "1/100", _HUGE, _TINY)
 EXPONENTS = ("0", "1", "-1", "1/2", "-1/2", "2", "-2", "3/4", "-3/4", "5/4", "-5/4",
              "1/3", "-1/3", "1/1000", "-1/1000", "3", "-3", "60", "400", "-400")
+DECAYS = tuple(e for e in EXPONENTS if Fraction(e) > 0)
 PREFIX_VALUES = ("1/2", "5", "2", "3/4", _HUGE, _TINY)
 P_VALUES = ("1", "3/2", "2")
 EXIT_CODES = (0, 1, 2, 64, 65)  # every verdict and input error; 70 is a bug
@@ -100,12 +108,32 @@ def argv(pick) -> list[str]:
     return [command, "--filter", filt(pick), "--filter2", filt(pick)]
 
 
+def vector(pick) -> str:
+    kind = pick(("e", "powtail", "spike"))
+    if kind == "e":
+        return f"e({pick((1, 2, 5, 17))})"
+    if kind == "powtail":
+        return pick((f"powtail({pick(DECAYS)})", f"powtail({pick(DECAYS)},{pick(COEFFICIENTS)})"))
+    return f"spike({natset(pick)}; {seq(pick)})"
+
+
+def vector_argv(pick) -> list[str]:
+    """A vector command line; its grids reach the greedy and threshold
+    horizons (10**6 and past), and ``--n-max`` stays at most 30."""
+    if pick(("profile-lemma1", "demo-convergence")) == "profile-lemma1":
+        vectors = "; ".join(vector(pick) for _ in range(pick((1, 2))))
+        grid = pick(("10,100", "10,1000", "10,20,200000", "10,200000", "10,2000000"))
+        return ["profile-lemma1", "--seq", seq(pick), "--vectors", vectors, "--grid", grid]
+    return ["demo-convergence", "--seq", seq(pick), "--space", pick(("l1", "l2", "lp(3/2)")),
+            "--filter", filt(pick), "--n-max", str(pick((2, 5, 12, 30))), "--vector", vector(pick)]
+
+
 def shown(line: list[str]) -> str:
     """The command line with 10**+-400 abbreviated."""
     return " ".join(repr(a) for a in line).replace(_HUGE, "1e400").replace(_TINY, "1e-400")
 
 
-def _run(ops: int, seeds) -> int:
+def _run(ops: int, seeds, draw=argv) -> int:
     import collections
     import contextlib
     import hashlib
@@ -135,7 +163,7 @@ def _run(ops: int, seeds) -> int:
     for seed in seeds:
         rng = random.Random(seed)
         for _ in range(ops):
-            line = argv(rng.choice)
+            line = draw(rng.choice)
             err = io.StringIO()
             payload = b""
             start = time.perf_counter()
@@ -172,4 +200,7 @@ def _run(ops: int, seeds) -> int:
 if __name__ == "__main__":
     import sys
 
-    raise SystemExit(_run(int(sys.argv[1]), [int(s) for s in sys.argv[2:]]))
+    args = sys.argv[1:]
+    draw = vector_argv if args[:1] == ["--vectors"] else argv
+    args = args[1:] if draw is vector_argv else args
+    raise SystemExit(_run(int(args[0]), [int(s) for s in args[1:]], draw))

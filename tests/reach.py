@@ -9,18 +9,21 @@ script imports ``fbasis`` and runs, in process:
 * the first 8 blocks of each benchmark workload (``perfbench/workloads.py``)
   at seeds 7 and 11;
 * 600 ops of ``tests/fuzz_grammar.py`` (200 at each of seeds 1, 2, 3)
-  through ``fbasis.cli.main``, each cut after 5 s;
-* one ``check-admissible --band`` op, one op read from a ``--config``
-  file, and ``--help``;
+  and 200 of its vector ops (``vector_argv``, seed 1) through
+  ``fbasis.cli.main``, each cut after 5 s;
+* one ``check-admissible --band`` op, two ``classify-set`` ops (density
+  bounds over a sampled part, a sum over a shifted geometric set), one op
+  read from a ``--config`` file, and ``--help``;
 * the five scripts in ``demos/`` and the Python blocks of ``README.md``.
 
 It then prints each function defined in ``src/fbasis`` that none of these
 entered, as ``module.qualname (file:line)``, marking an abstract hook (a
 body that only raises ``NotImplementedError``), a method of the same name
-as such a hook (a protocol method) and a function marked
-``# pragma: no cover``.  An unmarked function on that list is reached from
-the tests alone, or from inputs these paths do not draw.  Takes a few
-minutes; it is not part of the test suite.
+as such a hook (a protocol method) and a function whose ``def`` line says
+``# pragma: no cover - REASON``, with its reason.  An unmarked function on
+that list is reached from the tests alone, or from inputs these paths do
+not draw; the script exits 1 while one remains.  Takes under a minute; it
+is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -100,8 +103,13 @@ def run_everything() -> None:
         rng = random.Random(seed)
         for _ in range(200):
             _cli(fuzz_grammar.argv(rng.choice), seconds=5)
+    rng = random.Random(1)
+    for _ in range(200):
+        _cli(fuzz_grammar.vector_argv(rng.choice), seconds=5)
     _cli(["check-admissible", "--seq", "pow(1,1/2)", "--filter", "statistical",
           "--p", "3/2", "--band"])
+    _cli(["classify-set", "--set", "residue(2,0)|sampled{1,4,9;20}", "--filter", "statistical"])
+    _cli(["classify-set", "--set", "shift(geom(2),1)", "--filter", "summable(pow(1,-1/2))"])
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "query.cfg"
         cfg.write_text("set = residue(2,0)\nfilter = statistical\n", encoding="ascii")
@@ -129,7 +137,8 @@ def _marks(tree: ast.Module, lines: list[str]) -> dict:
                 and "NotImplementedError" in ast.unparse(body[0])):
             marks[first, node.name] = "abstract"
         elif "pragma: no cover" in lines[node.lineno - 1]:
-            marks[first, node.name] = "no cover"
+            reason = lines[node.lineno - 1].split("pragma: no cover", 1)[1].strip(" -")
+            marks[first, node.name] = f"no cover: {reason}" if reason else "no cover"
     return marks
 
 
@@ -171,3 +180,4 @@ if __name__ == "__main__":
         print(where + (f"  [{mark}]" if mark else ""))
     plain = sum(1 for _, mark in missed if not mark)
     print(f"{len(missed)} functions never entered, {plain} of them unmarked")
+    raise SystemExit(1 if plain else 0)

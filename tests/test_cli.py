@@ -972,3 +972,107 @@ def test_inputs_that_cannot_be_analysed_or_built_are_not_internal_errors(
     else:
         assert doc["error"] == "parse" and doc["detail"] == detail
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors", "spike(sampled{1,3;10}; pow(1,-2))",
+      "--grid", "10,20"], "the coordinates of spike(sampled{1,3;10}; pow(1,-2)) are unknown: "
+     "membership only known up to 10, asked for 20"),
+    (["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors",
+      "spike(thresh(pow(1,60); 1); pow(1,-60))", "--grid", "10,200000"],
+     "the coordinates of spike(thresh(pow(1,60); 1); pow(1,-60)) are unknown: "
+     "membership only known up to 137181, asked for 200000"),
+    (["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
+      "--n-max", "12", "--vector", "spike(sampled{1,3;10}; const(1))"],
+     "support membership undecidable at n=11"),
+    (["profile-lemma1", "--seq", "pow(1,1/2)", "--vectors",
+      "spike(greedy(pow(1,2); pow(1,-1); 1); pow(1,-2))", "--grid", "10,2000000"],
+     "the coordinates of spike(greedy(pow(1,2); pow(1,-1); 1); pow(1,-2)) are unknown: "
+     "membership only known up to 1000000, asked for 2000000"),
+], ids=["sampled-profile", "thresh-profile", "sampled-demo", "greedy-profile"])
+def test_coordinates_past_a_known_horizon_are_usage_errors(capsys, argv, detail):
+    """A vector coordinate whose support membership is unknown, past a
+    sampled, threshold or greedy horizon, is a usage error, never an
+    internal error and never a non-member."""
+    code, out = run(argv)
+    assert code == EXIT_USAGE
+    doc = get_json(out)
+    assert doc["error"] == "usage" and doc["detail"] == detail
+    assert capsys.readouterr().err == ""
+
+
+def _demo(vector, seq="const(2)", space="l2", filt="frechet", n_max="5"):
+    return ["demo-convergence", "--seq", seq, "--space", space, "--filter", filt,
+            "--n-max", n_max, "--vector", vector]
+
+
+def test_profile_of_a_spike_past_the_float_range_saturates(capsys):
+    """10**400 n has no float: the norm bound and the profile saturate."""
+    code, out = run(["profile-lemma1", "--seq", "pow(1,1)", "--vectors",
+                     f"spike(finite{{3,7}}; pow({_HUGE},1))", "--grid", "10,200000"])
+    assert code == EXIT_OK
+    assert get_json(out)["rows"] == [[10, "inf", "inf"], [200000, "inf", "inf"]]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("vector", [f"spike(finite{{3,7}}; pow({_HUGE},1))",
+                                    f"powtail(2,{_HUGE})"], ids=["spike", "powtail"])
+def test_a_norm_bound_past_the_float_range_is_inf(vector):
+    assert parse_test_vector(vector).norm_upper(1) == math.inf
+
+
+def test_stage_defects_past_the_float_range_saturate(capsys):
+    """x_2 = x_5 = 10**400: those defects are +inf, the others 0."""
+    code, out = run(_demo(f"spike(residue(3,2); const({_HUGE}))"))
+    assert code == EXIT_OK
+    doc = get_json(out)
+    assert doc["stage_defects"] == ["inf", 0, 0, "inf"]
+    assert doc["verdict"] == {"kind": "does-not-converge", "epsilon": 1,
+                              "witness": "residue(3,1)"}
+    assert capsys.readouterr().err == ""
+
+
+def test_shift_ratio_of_amplitudes_past_the_float_range(capsys):
+    """10**-400 n**-400 is 0.0 in floats at every n; the ratios of its
+    neighbours are exact, (n/(n+1))**400, so the levels are still decided."""
+    code, out = run(_demo(f"spike(geom(2); pow({_TINY_400},-400))", filt="statistical",
+                          n_max="30"))
+    assert code == EXIT_OK
+    doc = get_json(out)
+    assert doc["stage_defects"] == [0] * 29
+    assert doc["verdict"] == {"kind": "converges", "value": 0}
+    assert capsys.readouterr().err == ""
+
+
+def test_a_shift_ratio_past_the_float_range_leaves_the_levels_open(capsys):
+    """2**2000 bounds the ratios of n**2000 and has no float: no over- or
+    under-sets, while x_2 = 2**2000 and x_4 = 4**2000 saturate."""
+    code, out = run(_demo("spike(geom(2); pow(1,2000))", space="l1"))
+    assert code == EXIT_INCONCLUSIVE
+    doc = get_json(out)
+    assert doc["stage_defects"] == ["inf", 0, "inf", 0]
+    assert doc["verdict"] == {"kind": "inconclusive", "reason": "21 epsilon levels undecided"}
+    assert capsys.readouterr().err == ""
+
+
+def test_a_scaled_defect_bound_past_the_float_range_leaves_its_levels_open(capsys):
+    """The prefix value 10**-400 of the target times the shift ratio has no
+    float, so the defect bound has no threshold sets: every level is open."""
+    seq = (f"piece{{residue(2,0) => pow(1/2,60); "
+           f"residue(2,1) => prefix[2,{_TINY_400},2]:powlog({_HUGE},-1,-1/2)}}")
+    code, out = run(_demo("powtail(1,1/2)", seq=seq, space="l1", filt="statistical", n_max="2"))
+    assert code == EXIT_INCONCLUSIVE
+    doc = get_json(out)
+    assert doc["verdict"] == {"kind": "inconclusive", "reason": "21 epsilon levels undecided"}
+    assert {e["over_set"] for e in doc["epsilon_table"]} == {None}
+    assert capsys.readouterr().err == ""
+
+
+def test_profile_over_an_inverse_sum_that_underflows_is_a_usage_error(capsys):
+    """a = 10**400: each a**-1 is 0.0 in floats, so A(n) and B(n) would
+    divide by a partial sum of 0.0."""
+    code, out = run(["profile-lemma1", "--seq", f"const({_HUGE})", "--vectors", "e(2)",
+                     "--grid", "10,200000"])
+    assert code == EXIT_USAGE
+    assert get_json(out)["detail"] == "the partial sum of a**-1 up to n=10 underflows to 0.0"
+    assert capsys.readouterr().err == ""

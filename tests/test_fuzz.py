@@ -1,6 +1,6 @@
-"""Random command lines over the documented grammar (``fuzz_grammar``)
-answer with an exit code of the contract, a JSON report and nothing on
-stderr: exit 70 is a bug, whatever the input."""
+"""Random command lines over the documented grammar (``fuzz_grammar``),
+the vector commands' included, answer with an exit code of the contract,
+a JSON report and nothing on stderr: exit 70 is a bug, whatever the input."""
 
 import contextlib
 import io
@@ -15,13 +15,23 @@ import fuzz_grammar
 
 
 @st.composite
-def command_lines(draw):
-    return fuzz_grammar.argv(lambda options: draw(st.sampled_from(options)))
+def command_lines(draw, lines=fuzz_grammar.argv):
+    return lines(lambda options: draw(st.sampled_from(options)))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(command_lines())
 def test_commands_answer_within_their_contract(argv):
+    _assert_within_contract(argv)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(command_lines(fuzz_grammar.vector_argv))
+def test_vector_commands_answer_within_their_contract(argv):
+    _assert_within_contract(argv)
+
+
+def _assert_within_contract(argv):
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")

@@ -365,7 +365,8 @@ def test_weight_sums_match_the_two_old_hooks(data, a, s, p, greedy, horizon):
     """``certified_weight_sum(w)`` answers every sum over a witness set as the
     old structural and tail-form hooks, asked in their old order, did."""
     try:
-        t = GreedyBlockSet(a, s, p, horizon=horizon) if greedy else SparseThresholdSet(a, p, horizon)
+        t = (GreedyBlockSet(a, s, p, horizon=horizon) if greedy
+             else SparseThresholdSet(a, p, horizon))
     except HorizonExceeded:
         return
     defining = (s, seq_pow(a, -p)) if greedy else (seq_pow(a, -p),)
