@@ -296,8 +296,9 @@ class Sampled(_KnownUpTo):
             raise SetConstructionError("sampled members must lie in [1, horizon]")
 
     def _members(self, limit):
-        members = np.array(sorted(self.members), dtype=int)
-        return members[: np.searchsorted(members, limit, side="right")]
+        if "_sorted" not in self.__dict__:  # sorted once per set, on first use
+            object.__setattr__(self, "_sorted", np.array(sorted(self.members), dtype=int))
+        return self._sorted[: np.searchsorted(self._sorted, limit, side="right")]
 
     def desc_pair(self):
         return _DESC_EMPTY, _DESC_FULL

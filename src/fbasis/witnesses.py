@@ -256,18 +256,19 @@ class GreedyBlockSet(_ScannedSet):
     def materialized_blocks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(blk.tolist()) for blk in self._blocks())
 
+    def _member_values(self, seq: ScalarSeq) -> np.ndarray:
+        """The values of ``seq`` at the members of the materialized blocks."""
+        return eval_at_indices(seq, np.concatenate(self._blocks()))
+
     # Sums run left to right with the builtin sum, as the block scan adds;
     # numpy's pairwise sum would change the last bits.
     def block_sums(self) -> list[float]:
-        blocks = self._blocks()
-        ends = np.cumsum([blk.size for blk in blocks])
-        values = eval_at_indices(self.weights, np.concatenate(blocks))
-        return [sum(v.tolist()) for v in np.split(values, ends[:-1])]
+        ends = np.cumsum([blk.size for blk in self._blocks()])
+        return [sum(v.tolist()) for v in np.split(self._member_values(self.weights), ends[:-1])]
 
     def prefix_inverse_sum(self) -> float:
         """Sum of a**(-p) over the materialized prefix of the set."""
-        members = np.concatenate(self._blocks())
-        return sum((1.0 / eval_at_indices(self._state["target_p"], members)).tolist())
+        return sum((1.0 / self._member_values(self._state["target_p"])).tolist())
 
     # set protocol -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ runs OPS command lines per seed in this process, drawn by ``argv`` (by
 ``vector_argv`` with ``--vectors``), each under a 5 s alarm, and prints
 the count of each exit code, every exit 70 and every timeout.  It also
 prints the total time, the p50/p90/p99 latency, the process's
-peak RSS (``ru_maxrss``, in KiB on Linux), the ten slowest ops, and one
+peak RSS (``ru_maxrss``, in MB), the ten slowest ops, and one
 sha256 over every (argv, exit, report) triple: two checkouts that print
 the same digest for the same OPS and SEEDs printed the same bytes for
 every op.
