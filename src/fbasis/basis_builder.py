@@ -30,6 +30,7 @@ from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_tab
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
+    ExactImage,
     SpaceKind,
     TailOp,
     _prescribed_ratio,
@@ -238,7 +239,8 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     ``apply`` hands over, so a sound stage is one comparison of lists; another
     pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
     Fractions exactly, so a reported error is exact, never rounding.  The
-    checked stages are heads of one operator; x and b are read as integers once."""
+    checked stages are heads of one operator, which types b once, and x is
+    handed over as its integer pairs, read and typed once."""
     k = sys.n_max - 1
     b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
     whole = TailOp(k, tuple(b), sys.space)
@@ -246,10 +248,11 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
     xs = [(u.numerator, u.denominator) for u in x]
     bs = [(c.numerator, c.denominator) for c in b]
+    x_pairs = ExactImage(xs)
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
-        got = apply(whole.head(n), x)
+        got = apply(whole.head(n), x_pairs)
         q = x[n] / b[n]
         qn, qd = q.numerator, q.denominator
         want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
@@ -298,7 +301,7 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
         test_family = default_test_family(sys.space)
     bounds = functools.cache(lambda: _defect_bound_seqs(sys))
     vanishing = tuple(
-        (x.to_text(), _classify_defects(sys, x, bounds)[1].kind) for x in test_family
+        (x.to_text(), _classify_defects(sys, x, bounds)[-1].kind) for x in test_family
     )
     return DefectReport(
         values=values,
@@ -337,18 +340,18 @@ _TRUNCATION_CAVEAT = (
 
 
 def _defect_bound_seqs(sys: BasisSystem):
-    """(c_lower, c_upper, T): symbolic sequences with c_lower(n) <= c_n on
-    the set T and c_n <= c_upper(n) at every n; c_lower is None where no
-    lower bound is derived."""
+    """(c_lower, T): a symbolic sequence with c_lower(n) <= c_n on the set T,
+    or None where no lower bound is derived.  The upper bound is the target
+    a itself: c_n <= a_n at every n."""
     a = sys.target
     if sys.space.is_l1:
-        return a, a, NATURALS
+        return a, NATURALS
     # c_n = (a_n**q - 1)**(1/q) < a_n for the dual exponent q, and
     # c_n >= a_n/2 wherever a_n**q >= 1/(1 - 2**-q)
     p = sys.space.p_float
     q = p / (p - 1.0)
     T = threshold_ge(a, (1.0 / (1.0 - 2.0 ** (-q))) ** (1.0 / q))
-    return (None if T is None else seq_scale(a, Fraction(1, 2))), a, T
+    return (None if T is None else seq_scale(a, Fraction(1, 2))), T
 
 
 def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
@@ -396,43 +399,42 @@ def convergence_demo(
     # |x_{n+1}| c_n in binary64, saturated to +inf or 0.0 past the float range
     stage_defects = [to_float(abs(x_n), 1, 0, c) if (x_n := x.coordinate(n + 1)) else 0.0
                      for n, c in enumerate(sys.defect_coeffs, start=1)]
-    entries, verdict = _classify_defects(sys, x, lambda: _defect_bound_seqs(sys),
-                                         eps_schedule, horizon, under)
+    levels, overs, unders, cls, verdict = _classify_defects(
+        sys, x, lambda: _defect_bound_seqs(sys), eps_schedule, horizon, under)
+    texts = [[None if s is None else s.to_text() for s in sets] for sets in (overs, unders)]
+    entries = tuple(EpsilonEntry(*row) for row in zip(levels, *texts, cls))
     return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
 
 
 def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
                       horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
-    """The epsilon table and the limit verdict of ``convergence_demo``.
+    """The levels, over-sets, under-sets and classes of the epsilon table of
+    ``convergence_demo``, one entry per level, and its limit verdict.
     ``bounds()`` returns the system's ``_defect_bound_seqs``, so a caller
     classifying several vectors computes them once.
 
     Level e asks about the exceptional set {n : |x_{n+1}| c_n >= e}.  Its
     over-set, the support of x (shifted to n) intersected with
-    {n : kappa amp(n) c_upper(n) >= e}, is a superset: a negligible over-set
+    {n : kappa amp(n) a(n) >= e}, is a superset: a negligible over-set
     makes the level negligible.  Its under-set, the same with
     {n : amp(n) c_lower(n) / kappa >= e} and inside the set where c_lower
     bounds c, is a subset: an under-set that is not negligible makes the
     level stationary-or-member.  The over-sets of all levels come from one
-    head scan of their sequence, the under-sets from one more, and
-    ``epsilon_table`` classifies them."""
+    head scan of their sequence, and ``epsilon_table`` classifies them.
+    Only if it asks for the under-sets of levels left open are ``bounds()``,
+    the product amp c_lower and its one head scan made."""
     filt = under if under is not None else sys.filter
     if eps_schedule is None:
         eps_schedule = DEFAULT_EPS_SCHEDULE
     if isinstance(x, BasisVector):
-        entries = tuple(
-            EpsilonEntry(float(e), Finite(()).to_text(), Finite(()).to_text(), "negligible")
-            for e in eps_schedule[:1]
-        )
-        return entries, LimitVerdict.converges_to(0)
+        levels = [float(e) for e in eps_schedule[:1]]
+        return levels, [Finite(())], [Finite(())], ["negligible"], LimitVerdict.converges_to(0)
 
     levels = [float(e) for e in eps_schedule]
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
-    c_lower, c_upper, lower_on = bounds()
-    prod_hi = seq_mul(amp, c_upper)
-    prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
+    prod_hi = seq_mul(amp, sys.target)
 
     def bound_sets(prod, scale, *where):
         """The threshold sets of prod * scale at the asked levels, each
@@ -453,8 +455,10 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
         if lim is not None and math.isfinite(lim):
             # the defect bound settles below every level above lim * kappa
             limsup = lim * kappa
-    if kappa is not None and prod_lo is not None:
-        under_sets = bound_sets(prod_lo, 1.0 / kappa, support, lower_on)
-    overs, unders, cls, verdict = epsilon_table(filt, levels, over_sets, under_sets, limsup)
-    texts = [[None if s is None else s.to_text() for s in sets] for sets in (overs, unders)]
-    return tuple(EpsilonEntry(*row) for row in zip(levels, *texts, cls)), verdict
+    if kappa is not None:
+        def under_sets(ls):
+            c_lower, lower_on = bounds()
+            prod_lo = None if c_lower is None else seq_mul(amp, c_lower)
+            sets = None if prod_lo is None else bound_sets(prod_lo, 1.0 / kappa, support, lower_on)
+            return [None] * len(ls) if sets is None else sets(ls)
+    return levels, *epsilon_table(filt, levels, over_sets, under_sets, limsup)

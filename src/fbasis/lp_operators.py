@@ -95,6 +95,7 @@ class TailOp:
             )
         b = tuple(_as_number(v) for v in self.b)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rational", all(isinstance(v, Fraction) for v in b))
         if any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
         if self.b_squared is not None:
@@ -107,9 +108,10 @@ class TailOp:
 
     def head(self, n: int) -> "TailOp":
         """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: this one's
-        fields, the coefficients sliced, with no second check of them."""
-        T, sq = object.__new__(TailOp), self.b_squared
-        T.__dict__.update(self.__dict__, stage=n, b=self.b[: n + 1],
+        fields, the coefficients sliced, with no second check or typing of them."""
+        T, sq, b = object.__new__(TailOp), self.b_squared, self.b[: n + 1]
+        rational = self.rational or all(isinstance(v, Fraction) for v in b)
+        T.__dict__.update(self.__dict__, stage=n, b=b, rational=rational,
                           b_squared=None if sq is None else sq[: n + 1])
         return T
 
@@ -135,9 +137,10 @@ class TailOp:
 
 
 class ExactImage(SequenceABC):
-    """T x for rational x and b: the unreduced integer pairs of its
-    coordinates, x_i - q b_i at i <= n and (0, 1) past n.  Read as a sequence
-    it is the list of Fractions, built once; a write drops ``pairs``."""
+    """A rational vector as integer pairs: T x for rational x and b (x_i - q b_i
+    unreduced at i <= n, (0, 1) past n), and an x that ``apply`` reads with no
+    check.  Read as a sequence it is the list of Fractions, built once; a
+    write drops ``pairs``."""
 
     def __init__(self, pairs: list):
         self.pairs, self._items = pairs, None
@@ -147,8 +150,8 @@ class ExactImage(SequenceABC):
             self._items = [Fraction(u, v) for u, v in self.pairs]
         return self._items
 
-    def __len__(self) -> int:  # pragma: no cover - list protocol, which no command reads
-        return len(self._list())
+    def __len__(self) -> int:
+        return len(self._items if self.pairs is None else self.pairs)
 
     def __getitem__(self, i):  # pragma: no cover - list protocol, which no command reads
         return self._list()[i]
@@ -165,17 +168,20 @@ class ExactImage(SequenceABC):
 
 
 def apply(T: TailOp, x: Sequence):
-    """Apply the tail operator: an ``ExactImage`` for rational x and b, else floats."""
+    """Apply the tail operator: an ``ExactImage`` for rational x and b, else
+    floats.  b is typed once per operator (``T.rational``, which its head
+    views share), and an ``ExactImage`` x is rational by its type."""
     n = T.stage
     if len(x) < n + 1:
         raise DimensionMismatch(f"need at least {n + 1} coordinates, got {len(x)}")
     b = T.b
-    if all(isinstance(v, (int, Fraction)) for v in x) and all(isinstance(v, Fraction) for v in b):
-        q = x[n] / b[n]  # a Fraction: b[n] is one
+    xs = getattr(x, "pairs", None) or ([(v.numerator, v.denominator) for v in x] if all(
+        isinstance(v, (int, Fraction)) for v in x) else None)
+    if T.rational and xs is not None:
+        q = Fraction(*xs[n]) / b[n]
         qn, qd = q.numerator, q.denominator
-        return ExactImage([(v.numerator * qd * c.denominator - qn * c.numerator * v.denominator,
-                            v.denominator * qd * c.denominator)
-                           for v, c in zip(x[:n], b)] + [(0, 1)] * (len(x) - n))
+        return ExactImage([(u * qd * c.denominator - qn * c.numerator * v, v * qd * c.denominator)
+                           for (u, v), c in zip(xs[:n], b)] + [(0, 1)] * (len(x) - n))
     q = float(x[n]) / float(b[n])
     return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, starmap
 from typing import Optional, Union as TUnion
 
 from ._lazy_numpy import np
@@ -631,10 +632,10 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
     """The sets {n : a(n) >= t} for each threshold t in ts, each a SetExpr
     or None if undecidable.
 
-    The head up to the provable monotonicity point is scanned explicitly,
-    once for all thresholds; past it a single crossing is located per
-    threshold, so each result is a finite list, a final segment, or a
-    union of the two.
+    The head up to the provable monotonicity point is evaluated once for
+    all thresholds and searched run by run (``_head_hits``); past it a
+    single crossing is located per threshold, so each result is a finite
+    list, a final segment, or a union of the two.
     """
     ts = [float(t) for t in ts]
     if isinstance(a, Piecewise):
@@ -655,17 +656,15 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
     # the crossing search is logarithmic, so it may run far past the
     # enumeration horizon
     search_to = max(horizon, 2 ** 60)
-    head = None  # the head values, scanned at the first positive threshold
+    positive = [t for t in ts if not t <= 0]  # nan included: it hits nothing
+    heads = iter(_head_hits(a, scan_to, positive) if positive else ())
+    val0 = to_float(a.value_at(scan_to)) if positive else None
     out: list[Optional[SetExpr]] = []
     for t in ts:
         if t <= 0:
             out.append(NATURALS)
             continue
-        if head is None:
-            head = ([to_float(a.value_at(n)) for n in range(1, scan_to + 1)]
-                    if scan_to < _VECTOR_SCAN_MIN else eval_vector(a, scan_to))
-            val0 = to_float(a.value_at(scan_to))
-        hits = _head_hits(a, head, t)
+        hits = next(heads)
         if direction == 0:
             out.append(_assemble(hits, Range(scan_to + 1, None) if val0 >= t else None))
         elif direction > 0:
@@ -684,17 +683,47 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
     return out
 
 
-def _head_hits(a: ScalarSeq, head, t: float):
-    """The ascending indices n in the head with a(n) >= t: a list from a
-    list of value_at's own values, an array from a vector."""
-    if isinstance(head, list):
-        return [n for n, v in enumerate(head, start=1) if v >= t]
-    # the vector may differ from value_at in the last bits, so an entry
-    # within rounding of t is decided by value_at
-    hit = head >= t
-    for i in np.nonzero(np.abs(head - t) <= 1e-9 * t)[0].tolist():
-        hit[i] = to_float(a.value_at(i + 1)) >= t
-    return np.flatnonzero(hit) + 1
+def _head_hits(a: ScalarSeq, scan_to: int, ts) -> list:
+    """Per positive threshold t in ts, the n <= scan_to with a(n) >= t as
+    ascending half-open intervals (lo, hi).  A head of fewer than
+    ``_VECTOR_SCAN_MIN`` entries is value_at's; a longer one is one vector,
+    split at the signs of its steps into maximal monotone runs (a power-log
+    family has three at most, an explicit head value adds two at most).  In a
+    run the entries within 1e-9 t of t, where the vector may differ from
+    value_at, form one window, as fl(x - t) is monotone in x: one search per
+    run finds each level's window twice as wide, and value_at decides them."""
+    if scan_to < _VECTOR_SCAN_MIN:
+        head = [to_float(a.value_at(n)) for n in range(1, scan_to + 1)]
+        return [[(n, n + 1) for n, v in enumerate(head, start=1) if v >= t] for t in ts]
+    head = eval_vector(a, scan_to)
+    d = np.diff(head)  # inf - inf is nan there: a flat step
+    nz = np.flatnonzero((d > 0) | (d < 0))
+    rise = d[nz] > 0
+    starts, last = [0], -2
+    for k in (np.flatnonzero(rise[1:] != rise[:-1]) + 1).tolist():
+        if k > last + 1:  # a turn ends its run, unless it is the run's first step
+            starts.append(int(nz[k]) + 1)
+            last = k
+    lo, hi = np.array([(t - 2e-9 * t, t + 2e-9 * t) if t < math.inf else (-math.inf, math.inf)
+                       for t in ts]).T
+    out: list = [[] for _ in ts]
+    for s, e in zip(starts, starts[1:] + [scan_to]):
+        up = bool(head[e - 1] >= head[s])
+        keys = head[s:e] if up else -head[s:e]
+        w0 = np.searchsorted(keys, lo if up else -hi, "left").tolist()
+        w1 = np.searchsorted(keys, hi if up else -lo, "right").tolist()
+        for hits, t, i, j in zip(out, ts, w0, w1):
+            if not up and i:
+                hits.append((s + 1, s + i + 1))
+            if j > i:
+                w = head[s + i:s + j]
+                hit = w >= t
+                for k in np.flatnonzero(np.abs(w - t) <= 1e-9 * t).tolist():
+                    hit[k] = to_float(a.value_at(s + i + k + 1)) >= t
+                hits.extend((n, n + 1) for n in (np.flatnonzero(hit) + s + i + 1).tolist())
+            if up and j < e - s:
+                hits.append((s + j + 1, e + 1))
+    return out
 
 
 def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool) -> Optional[int]:
@@ -728,20 +757,17 @@ def _first_crossing(a: ScalarSeq, t: float, lo: int, horizon: int, upward: bool)
 
 
 def _assemble(hits, tail: Optional[Range]) -> SetExpr:
-    """The ascending hits joined with the tail range.  The hits are a list
-    (a short head scan, which leaves numpy unloaded) or an array."""
+    """The hits, ascending half-open index intervals (lo, hi), joined with
+    the tail range: the intervals that run up to the range's start are
+    absorbed into it, and only the others are listed."""
     k = len(hits)
     if tail is not None:
-        # absorb the trailing run of hits that abuts the range start: the
-        # hits after the last one off the run lo - len(hits), ..., lo - 1
-        if isinstance(hits, list):
-            while k and hits[k - 1] == tail.lo - len(hits) + k - 1:
-                k -= 1
-        else:
-            off_run = np.flatnonzero(hits != np.arange(tail.lo - len(hits), tail.lo))
-            k = int(off_run[-1]) + 1 if off_run.size else 0
-        tail = Range(tail.lo - (len(hits) - k), tail.hi)
-    listed = Finite(tuple(hits[:k] if isinstance(hits, list) else hits[:k].tolist()))
+        lo = tail.lo
+        while k and hits[k - 1][1] == lo:
+            k -= 1
+            lo = hits[k][0]
+        tail = Range(lo, tail.hi)
+    listed = Finite(tuple(chain.from_iterable(starmap(range, hits[:k]))))
     if tail is None:
         return listed
     if not k:

@@ -128,6 +128,7 @@ class GreedyBlockSet(_ScannedSet):
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
                 "known": self.horizon,  # membership is decided up to here
+                "members": (None, None),  # (scan, the members up to it), rebuilt as it moves
                 "target_p": target_p,
                 "count": None,  # blocks to materialize; None until asked
                 "criterion": self.criterion,
@@ -275,7 +276,10 @@ class GreedyBlockSet(_ScannedSet):
     def _members(self, limit: int) -> np.ndarray:
         self._advance(limit)
         st = self._state
-        members = np.concatenate(st["blocks"] + st["current"] + [np.zeros(0, dtype=int)])
+        if st["members"][0] != st["scan"]:
+            st["members"] = st["scan"], np.concatenate(
+                st["blocks"] + st["current"] + [np.zeros(0, dtype=int)])
+        members = st["members"][1]
         return members[: np.searchsorted(members, limit, side="right")]
 
     def desc_pair(self):

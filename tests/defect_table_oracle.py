@@ -1,16 +1,22 @@
 """Per-level oracles for the defect epsilon table.
 
 ``threshold_ge`` is the body ``sequences.threshold_ge`` had before the
-threshold sets of all levels came from one head scan
-(``sequences.threshold_levels``): it scans the head again for every
-threshold.  ``classify_defects`` is the loop ``basis_builder._classify_defects``
-ran before its level-independent work moved out of the loop: per level it
-re-evaluates the limit, re-scales the bound sequences, builds the over-
-and under-set from their own head scans and classifies each set afresh.
-Both are kept as they were, so that the production routines can be
-compared with them entry for entry; the one change since is that an
-under-set is taken inside the set where the lower bound sequence holds
-(the third item ``bounds()`` returns), as in production.
+threshold sets of all levels came from one head evaluation: it scans the
+head again for every threshold, index by index, and lists its hits with the
+``_assemble`` of that time, kept here.  Production now splits the head into
+its monotone runs and finds every level's hits with one search per run
+(``sequences._head_hits``), re-deciding by ``value_at`` only the entries
+within rounding of a level.  ``classify_defects`` is the loop
+``basis_builder._classify_defects`` ran before its level-independent work
+moved out of the loop: per level it re-evaluates the limit, re-scales the
+bound sequences, builds the over- and under-set from their own head scans
+and classifies each set afresh, and it builds the lower bound product for
+every vector, where production builds it only for a table with levels
+that the upper bound leaves open.  Both are kept as they were, so that the
+production routines can be compared with them entry for entry; the changes
+since are that an under-set is taken inside the set where the lower bound
+sequence holds, as in production, and that ``bounds()`` returns that lower
+side alone, (c_lower, T), the upper bound being the target itself.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from fbasis.sequences import (
     _VECTOR_SCAN_MIN,
     Piecewise,
     ScalarSeq,
-    _assemble,
     _eventual_direction,
     _first_crossing,
     _monotone_start,
@@ -102,6 +107,32 @@ def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
     return _assemble(hits, None)
 
 
+def _assemble(hits, tail: Optional[Range]) -> SetExpr:
+    """The ascending hits joined with the tail range.  The hits are a list
+    (a short head scan) or an array."""
+    k = len(hits)
+    if tail is not None:
+        # absorb the trailing run of hits that abuts the range start: the
+        # hits after the last one off the run lo - len(hits), ..., lo - 1
+        if isinstance(hits, list):
+            while k and hits[k - 1] == tail.lo - len(hits) + k - 1:
+                k -= 1
+        else:
+            off_run = np.flatnonzero(hits != np.arange(tail.lo - len(hits), tail.lo))
+            k = int(off_run[-1]) + 1 if off_run.size else 0
+        tail = Range(tail.lo - (len(hits) - k), tail.hi)
+    listed = Finite(tuple(hits[:k] if isinstance(hits, list) else hits[:k].tolist()))
+    if tail is None:
+        return listed
+    if not k:
+        if tail.lo == 1 and tail.hi is None:
+            from fbasis.natset import NATURALS
+
+            return NATURALS
+        return tail
+    return Union((listed, tail))
+
+
 def classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
                      horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
     """The epsilon table and the limit verdict of ``convergence_demo``.
@@ -122,8 +153,8 @@ def classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
-    c_lower, c_upper, lower_on = bounds()
-    prod_hi = seq_mul(amp, c_upper) if c_upper is not None else None
+    c_lower, lower_on = bounds()
+    prod_hi = seq_mul(amp, sys.target)
     prod_lo = seq_mul(amp, c_lower) if c_lower is not None else None
 
     entries = []

@@ -1,4 +1,5 @@
 import collections
+import json
 import random
 from fractions import Fraction
 
@@ -380,9 +381,9 @@ class TestDefectTable:
             bounds = lambda: basis_builder._defect_bound_seqs(sys)  # noqa: E731
             for x in vectors:
                 for under in [u for u in (None, Frechet()) if u != F]:
-                    got = basis_builder._classify_defects(sys, x, bounds, under=under)
-                    assert got == defect_table_oracle.classify_defects(sys, x, bounds,
-                                                                      under=under)
+                    rep = convergence_demo(sys, x, under=under)
+                    assert (rep.entries, rep.verdict) == defect_table_oracle.classify_defects(
+                        sys, x, bounds, under=under)
                     compared += 1
         assert compared
 
@@ -413,6 +414,34 @@ class TestDefectTable:
             head = np.flatnonzero(members[:2000]) + 1
             c = (a_n[head - 1] ** 2 - 1) ** 0.5
             assert ((head + 1) % 2 == 0).all() and (c >= level).all()
+
+
+def test_settled_levels_build_no_lower_bound(monkeypatch):
+    """In lp(4) the upper bound a = 5 settles every level for both vectors
+    of the test family that are not basis vectors, so ``defect_report``
+    neither multiplies by the lower bound sequence nor scans for the set
+    where it holds."""
+    factors, scans = [], []
+    mul, ge = basis_builder.seq_mul, basis_builder.threshold_ge
+    monkeypatch.setattr(basis_builder, "seq_mul", lambda a, b: factors.append(b) or mul(a, b))
+    monkeypatch.setattr(basis_builder, "threshold_ge",
+                        lambda *a, **k: scans.append(a) or ge(*a, **k))
+    code, payload = run_command(load_config(["build-basis", "--seq", "const(5)", "--space",
+                                             "lp(4)", "--filter", "frechet"]))
+    vanishing = json.loads(payload)["defect_check"]["vanishing"]
+    assert code == 0 and [v["verdict"] for v in vanishing] == ["converges"] * 3
+    assert factors == [Constant(5)] * 2 and scans == []
+
+
+def test_open_levels_match_the_per_level_oracle():
+    """Where the upper bound leaves levels open, their under-sets are built
+    and the table still equals the per-level oracle's, entry for entry."""
+    sys = build_basis(PowerLog(4, Fraction(1, 10), Fraction(-1)), l2(64), Statistical(), n_max=8)
+    x = Spike(Residue(2, 0), Constant(1))
+    rep = convergence_demo(sys, x)
+    assert sum(e.under_set is not None for e in rep.entries) > 1
+    assert (rep.entries, rep.verdict) == defect_table_oracle.classify_defects(
+        sys, x, lambda: basis_builder._defect_bound_seqs(sys))
 
 
 README_DEMO = ["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",

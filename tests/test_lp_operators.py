@@ -37,10 +37,12 @@ def svd_norm(T, dim=None):
 
 def test_heads_are_the_checked_stage_operators():
     """Every attribute of a head, not only the compared fields, is that of the
-    operator built and checked from the sliced coefficients."""
-    b = tuple(Fraction(k + 2, k + 1) for k in range(9))
-    squares = tuple(v * v for v in b)
-    for space, sq in ((l1(12), None), (l2(12), squares)):
+    operator built and checked from the sliced coefficients: a float last
+    coefficient leaves the heads before it rational."""
+    rational = tuple(Fraction(k + 2, k + 1) for k in range(9))
+    squares = tuple(v * v for v in rational)
+    for space, sq, b in ((l1(12), None, rational), (l2(12), squares, rational),
+                         (l1(12), None, rational[:-1] + (2.5,))):
         T = TailOp(8, b, space, b_squared=sq)
         for n in range(1, 9):
             head = T.head(n)

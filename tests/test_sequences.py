@@ -324,6 +324,52 @@ def test_threshold_head_matches_per_index_scan(case):
     assert (np.flatnonzero(got.mask(scan_to)) + 1).tolist() == want
 
 
+@st.composite
+def _run_case(draw):
+    """A sequence whose evaluated head (of 16 entries or more) has one to
+    five monotone runs: a power-log family that turns inside it, a
+    ``prefix[...]`` head over a monotone family with one or two values moved,
+    or a one-ulp case.  The levels fall on head values, value_at's and the
+    vector's, one ulp either side of them, and between two of them."""
+    kind = draw(st.sampled_from(("turn", "prefix", "ulp")))
+    beta = Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), 8)
+    c = draw(st.sampled_from((1, Fraction(3, 2), Fraction(1, 3))))
+    if kind == "ulp":
+        seq = draw(st.sampled_from((_DIP, _BUMP)))
+    elif kind == "turn":  # the turn lies near e**k for the drawn k, inside the head
+        seq = PowerLog(c, beta, -beta * draw(st.integers(3, 9)))
+    else:
+        tail = PowerLog(c, beta)
+        values = [Fraction(float(tail.value_at(n))) for n in range(1, draw(st.integers(16, 40)))]
+        for _ in range(draw(st.integers(1, 2))):
+            values[draw(st.integers(0, len(values) - 1))] = draw(
+                st.builds(Fraction, st.integers(1, 9), st.integers(1, 3)))
+        seq = ExplicitPrefix(tuple(values), tail)
+    f = tail_form(seq)
+    scan_to = max(_monotone_start(f), f.start, max([1] + [i for i, _ in f.head]))
+    vector = eval_vector(seq, scan_to)
+    levels = []
+    for _ in range(3):
+        n = draw(st.integers(1, scan_to))
+        for v in (float(seq.value_at(n)), float(vector[n - 1])):
+            levels += [v, math.nextafter(v, math.inf), math.nextafter(v, 0)]
+        m = draw(st.integers(1, scan_to))
+        levels.append((float(vector[n - 1]) + float(vector[m - 1])) / 2)
+    return seq, levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_run_case())
+@example(case=(_DIP, [float(_DIP.value_at(37))]))
+@example(case=(_BUMP, [math.nextafter(float(_BUMP.value_at(1105)), math.inf)]))
+def test_run_search_matches_the_per_index_scan(case):
+    """Every level's set from the head's monotone runs is the one that the
+    per-index scan of the head gives."""
+    seq, levels = case
+    assert threshold_levels(seq, levels) == [defect_table_oracle.threshold_ge(seq, t)
+                                             for t in levels]
+
+
 _ROOTS = st.integers(0, 10 ** 300)
 
 

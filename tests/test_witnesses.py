@@ -429,3 +429,22 @@ def test_a_greedy_mask_holds_its_members_in_one_integer_array():
     count = int(m.sum())
     assert count == 99_998
     assert peak < 100_001 + 12 * count
+
+
+def test_greedy_membership_reads_one_member_array(monkeypatch):
+    """200 membership questions on the README greedy set, scanned to its
+    horizon first, build its member array at most once between them, and
+    answer as the per-index scan does."""
+    g = GreedyBlockSet(PowerLog(1, 2), HARMONIC, 1)
+    assert g.known_up_to() == 10 ** 6
+    joins = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *a, **k: joins.append(1) or concatenate(*a, **k))
+    indices = list(range(1, 101)) + list(range(400, 40_001, 400))
+    got = [member(n, g) for n in indices]
+    monkeypatch.undo()
+    assert len(indices) == 200 and len(joins) <= 1
+    blocks, current = greedy_scan(PowerLog(1, 2), HARMONIC, 1, 40_000, 40_000)
+    members = {n for block in blocks for n in block} | set(current)
+    assert got == [n in members for n in indices]
+    assert True in got and False in got
