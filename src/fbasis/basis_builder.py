@@ -18,6 +18,7 @@ infinite-tail content.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections.abc import Sequence as SequenceABC
@@ -227,10 +228,35 @@ class BiorthReport:
     ok: bool
 
 
+def _probe_draws():
+    """The probe's coordinates as reduced integer pairs, each x_i =
+    randrange(-9, 10) / randrange(1, 10), drawn in turn from one Random(0)."""
+    rng = random.Random(0)
+    while True:
+        u, v = rng.randrange(-9, 10), rng.randrange(1, 10)
+        g = math.gcd(u, v)
+        yield u // g, v // g
+
+
+# the probe drawn so far, shared by every check in the process, and its source:
+# its first m pairs are the same whatever length was asked for first
+_PROBE: list = []
+_PROBE_SOURCE = _probe_draws()
+
+
+def _probe(size: int) -> list:
+    """The first ``size`` coordinates of the probe, drawn on first need."""
+    if len(_PROBE) < size:
+        _PROBE.extend(itertools.islice(_PROBE_SOURCE, size - len(_PROBE)))
+    return _PROBE[:size]
+
+
 def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     """Check sum_{k<=n} v*_k(x) v_k == T_n x, with the coordinate functionals
     v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated through ``apply``,
     for one seeded random rational x at the stages 1, 2, 4, ... and n_max - 1.
+    x is the shared probe: its coordinates are drawn once per process from
+    one Random(0), and a shorter check reads a prefix of a longer one's x.
 
     v_k has b_i at every i <= k, so coordinate i <= n of the sum telescopes,
     b_i (v*_i(x) + ... + v*_n(x)) = x_i - q b_i, q = x_{n+1} / b_{n+1}; past
@@ -240,23 +266,21 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
     Fractions exactly, so a reported error is exact, never rounding.  The
     checked stages are heads of one operator, which types b once, and x is
-    handed over as its integer pairs, read and typed once."""
+    handed over as its integer pairs, with no Fraction per coordinate."""
     k = sys.n_max - 1
     b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
     whole = TailOp(k, tuple(b), sys.space)
-    rng = random.Random(0)
-    x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in b]
-    xs = [(u.numerator, u.denominator) for u in x]
+    xs = _probe(len(b))
     bs = [(c.numerator, c.denominator) for c in b]
     x_pairs = ExactImage(xs)
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
         got = apply(whole.head(n), x_pairs)
-        q = x[n] / b[n]
+        q = Fraction(*xs[n]) / b[n]
         qn, qd = q.numerator, q.denominator
         want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
-        want += [(0, 1)] * (len(x) - n)
+        want += [(0, 1)] * (len(xs) - n)
         pairs = getattr(got, "pairs", None) or [(g.numerator, g.denominator) for g in got]
         if pairs != want:
             for (u, v), (e, d) in zip(pairs, want):

@@ -308,6 +308,8 @@ def _cmd_build_basis(cfg: RunConfig):
         return EXIT_REFUTED, doc
     biorth = basis_builder.verify_biorthogonality(system)
     defects = basis_builder.defect_report(system)
+    # exact stages share one report per distinct ratio, and so one row
+    rows = {id(r): _norm_report_doc(r) for r in system.norm_reports}
     doc = {
         "command": cfg.command,
         "inputs": _build_inputs(space, filt, n_max, seq, a_squared),
@@ -315,7 +317,7 @@ def _cmd_build_basis(cfg: RunConfig):
         "admissibility": _admiss_doc(system.admissibility),
         "coefficients": system.coefficients,  # Fractions or floats, as built
         "coefficients_squared": system.coefficients_squared,
-        "stage_norms": [_norm_report_doc(r) for r in system.norm_reports],
+        "stage_norms": [rows[id(r)] for r in system.norm_reports],
         "defect_coefficients": system.defect_coeffs,
         "biorthogonality": {
             "size": biorth.size,

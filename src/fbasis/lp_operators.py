@@ -95,8 +95,11 @@ class TailOp:
             )
         b = tuple(_as_number(v) for v in self.b)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rational", all(isinstance(v, Fraction) for v in b))
-        if any(v <= 0 for v in b):
+        # a Fraction's sign is its numerator's: ints compare faster than Fractions
+        nums = [v.numerator for v in b if isinstance(v, Fraction)]
+        rational = len(nums) == len(b)
+        object.__setattr__(self, "rational", rational)
+        if (min(nums, default=1) <= 0) if rational else any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
         if self.b_squared is not None:
             sq = tuple(Fraction(v) for v in self.b_squared)

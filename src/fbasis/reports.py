@@ -70,9 +70,15 @@ def _text(value, pad: str) -> str:
         kind = kinds.pop() if len(kinds) == 1 else None
         # one type: one join, with no dispatch per element (witness blocks run to
         # 10**5 indices, stage tables to n_max rows, which share their key texts)
-        text = (functools.partial(_dict_text, pad=inner, templates={}) if kind is dict
-                else _SCALAR_TEXT.get(kind))
-        texts = map(text, value) if text else (_text(v, inner) for v in value)
+        if kind is dict:
+            # a row object listed k times is formatted once, by its identity
+            rows = {id(row): row for row in value}
+            row_texts = dict(zip(rows, map(functools.partial(_dict_text, pad=inner, templates={}),
+                                           rows.values())))
+            texts = map(row_texts.__getitem__, map(id, value))
+        else:
+            text = _SCALAR_TEXT.get(kind)
+            texts = map(text, value) if text else (_text(v, inner) for v in value)
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     for base in (Fraction, int, float, str):
         # a subclass (a numpy float) takes its base's text

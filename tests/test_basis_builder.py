@@ -580,6 +580,28 @@ def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
     assert rep.ok and built == [99]
 
 
+@pytest.mark.parametrize("corrupted", [None, _without_defect, _shifted_coefficient],
+                         ids=["sound", "without-defect", "shifted"])
+@pytest.mark.parametrize("sizes", [(242, 5, 100), (100, 5, 242)], ids=["long-first", "short-first"])
+def test_the_shared_probe_does_not_depend_on_the_order_of_checks(sizes, corrupted, monkeypatch):
+    """Checks of several lengths in one process, from an undrawn probe, give
+    the reports of the oracle, which draws its own x from a fresh Random(0);
+    a corrupted ``apply`` makes the reported error depend on x."""
+    monkeypatch.setattr(basis_builder, "_PROBE", [])
+    monkeypatch.setattr(basis_builder, "_PROBE_SOURCE", basis_builder._probe_draws())
+    if corrupted is not None:
+        monkeypatch.setattr(basis_builder, "apply", corrupted)
+    for n_max in sizes:
+        sys = build_basis(Constant(Fraction(3, 2)), l1(n_max), Frechet(), n_max=n_max)
+        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted or apply)
+        assert verify_biorthogonality(sys) == want
+    # drawn on need, up to the longest check, and never again
+    assert len(basis_builder._PROBE) == max(sizes)
+    rng = random.Random(0)
+    fresh = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)) for _ in range(max(sizes))]
+    assert basis_builder._probe(max(sizes)) == [(u.numerator, u.denominator) for u in fresh]
+
+
 @pytest.mark.parametrize("space", ["l1", "l2"])
 def test_the_exact_stage_certificate_rejects_a_broken_mass_update(space):
     """b_{n+1}**p W_n = b_n**p (W_{n-1} + 1) holds at every stage of a build

@@ -23,6 +23,7 @@ from fbasis.cli import (
     load_config,
     run_command,
 )
+from fbasis.reports import emit_report
 
 from checkers import set_equal
 
@@ -172,6 +173,20 @@ class TestReports:
         assert doc["coefficients"] == ["1", "1/2", "3/4", "9/8"]
         assert doc["stage_norms"][0]["exact"] == "2"
         assert doc["defect_check"]["exact_match_l1"] is True
+
+    @pytest.mark.parametrize("seq,space,distinct", [
+        ("const(3/2)", "l1", 1), ("prefix[3,5/2]:const(2)", "l1", 3), ("const(2)", "lp(3/2)", 40)])
+    def test_a_build_makes_one_stage_row_per_distinct_report(self, seq, space, distinct):
+        from fbasis.cli import _cmd_build_basis
+
+        cfg = load_config(["build-basis", "--seq", seq, "--space", space, "--filter", "frechet",
+                           "--n-max", "41"])
+        code, doc = _cmd_build_basis(cfg)
+        assert code == EXIT_OK and len(doc["stage_norms"]) == 40
+        assert len({id(row) for row in doc["stage_norms"]}) == distinct
+        # the rows print as they would, each one its own object
+        copies = dict(doc, stage_norms=[dict(row) for row in doc["stage_norms"]])
+        assert run_command(cfg)[1] == emit_report(copies)
 
     def test_classify(self):
         code, out = run(["classify-set", "--set", "residue(2,0)", "--filter", "statistical"])

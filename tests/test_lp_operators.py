@@ -50,6 +50,19 @@ def test_heads_are_the_checked_stage_operators():
             assert head == built and vars(head) == vars(built)
 
 
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-3, 7), -0.5, 0, -2, 0.0],
+                         ids=["zero-fraction", "negative-fraction", "negative-float", "zero-int",
+                              "negative-int", "zero-float"])
+@pytest.mark.parametrize("where", [0, 2])
+def test_a_non_positive_coefficient_is_refused(bad, where):
+    """Rational entries are checked on their numerators, floats by comparison;
+    either way a zero or negative entry raises, among rationals or floats."""
+    for rest in ((Fraction(1), Fraction(1, 2), Fraction(3, 4)), (1.0, 0.5, 0.75)):
+        b = rest[:where] + (bad,) + rest[where + 1:]
+        with pytest.raises(DomainError, match="positive"):
+            TailOp(2, b, l1(8))
+
+
 class TestApply:
     def test_defect_vanishes_on_plain_vectors(self):
         T = TailOp(1, (Fraction(1), Fraction(1)), l1(8))

@@ -67,7 +67,8 @@ _scalars = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30)
 def _rows(draw, values):
     """A list of dicts over a few key orders, so that rows share their keys
     or differ in them; some rows are stage rows, whose bounds are the very
-    float object of their value, as an attained norm's are."""
+    float object of their value, as an attained norm's are.  Some rows are
+    listed again, as the same object or as an equal but distinct copy."""
     orders = draw(st.lists(st.lists(st.sampled_from(_KEYS) | st.text(max_size=3), unique=True,
                                     max_size=5), min_size=1, max_size=3))
     rows = []
@@ -78,6 +79,9 @@ def _rows(draw, values):
                          "exact_square": draw(st.fractions())})
         else:
             rows.append({k: draw(values) for k in draw(st.sampled_from(orders))})
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))), row if draw(st.booleans()) else dict(row))
     return rows
 
 
@@ -122,3 +126,27 @@ def test_a_repeated_value_object_is_formatted_once_per_row(monkeypatch):
     assert calls.count("_float_text") == 10
     # 1 document key, 5 row keys once, and each row's method string
     assert calls.count("_escape") == 1 + 5 + 10
+
+
+def test_a_row_listed_many_times_is_formatted_once(monkeypatch):
+    """A stage row that 50 stages share formats its float once, and an equal
+    row that is another object is formatted on its own."""
+    from fbasis import reports
+
+    calls, float_text = [], reports._float_text
+
+    def counted(x):
+        calls.append(x)
+        return float_text(x)
+
+    monkeypatch.setitem(reports._SCALAR_TEXT, float, counted)
+    v = 1.5
+    row = {"value": v, "method": "ColumnMax", "lower": v, "upper": v, "exact": Fraction(3, 2)}
+    doc = {"stage_norms": [row] * 50}
+    got = reports.to_json_bytes(doc)
+    assert got == (report_oracle._text(doc, "") + "\n").encode("ascii")
+    assert len(calls) == 1
+    doc["stage_norms"].append(dict(row))
+    calls.clear()
+    assert reports.to_json_bytes(doc) == (report_oracle._text(doc, "") + "\n").encode("ascii")
+    assert len(calls) == 2
