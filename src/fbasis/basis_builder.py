@@ -41,6 +41,7 @@ from .lp_operators import (
 )
 from .sequences import (
     DomainError,
+    _coprime,
     PowerLog,
     ScalarSeq,
     SeqConstructionError,
@@ -116,13 +117,14 @@ def build_basis(
 
     The loop carries the mass S = b_1**p + ... + b_n**p and prescribes
     b_{n+1}**p = S / W with W = (a_n**q - 1)**(p - 1) (W = a_n at p = 1).
-    It stays in rationals while the targets do: the coefficients for
-    p = 1, the squares for p = 2.  There W is the prescribed ratio itself,
-    and S = b_n**p (W' + 1), W' the last stage's, so b_{n+1}**p = S / W is
-    b_n**p times a small ratio, reduced by gcds with its small terms alone.
-    An exact stage's norm and defect are made once per distinct W, and its
-    certificate compares the stored b_{n+1}**p with b_n**p.  From the first
-    stage that leaves the rationals it continues in floats.
+    The exact phase lasts while W is rational: the coefficients for p = 1,
+    the squares for p = 2.  There S = b_n**p (W' + 1), W' the last stage's,
+    so b_{n+1}**p = S / W is b_n**p times a small ratio.  The phase carries
+    b_n**p and W' + 1 as integer pairs, reduces the product by gcds with the
+    small terms alone and stores it as a Fraction in lowest terms.  An exact
+    stage's norm and defect are made once per distinct W, and its
+    certificate compares the stored b_{n+1}**p with b_n**p.  The float
+    phase, in floats, starts at the first stage whose W is a float.
     ``a_squared`` optionally supplies exact squared targets for the
     Hilbert-space path (so irrational targets like sqrt(2) stay exact on
     squares).
@@ -160,47 +162,58 @@ def build_basis(
         a_squared = seq_pow(a, 2)
     squares = [Fraction(1)] if on_l2 else None
     coeffs: list = [Fraction(1) if on_l1 else 1.0]
-    mass, grow = Fraction(1), (1, 1)  # S = mass grow[0] / grow[1] while stages are exact
-    # W_{n-1} as (num, den), W_0 + 1 = 1; (rep, U) per exact W, and under None at a float stage
-    last_ratio, by_ratio = (0, 1), {}
     reports: list = []
     defects: list = []
-    for n, t in enumerate(targets, start=1):
-        t_square = eval_at(a_squared, n) if on_l2 else None
-        W = _prescribed_ratio(t, p, t_square)
-        if isinstance(mass, Fraction) and isinstance(W, Fraction):  # S / (S / W) is W itself
-            w, v = ratio = W.numerator, W.denominator
-            mass = nxt = mass * Fraction(grow[0] * v, grow[1] * w)
-            grow = (w + v, v)  # S + S / W = nxt (W + 1)
-        else:
-            ratio = None
-            mass, grow = mass * Fraction(*grow), (1, 1)  # S in full
+    stages = enumerate(targets, start=1)
+    # b_n**p = num / den, W_{n-1} + 1 = gn / gd (W_0 + 1 = 1); (rep, U) per exact W
+    num = den = gn = gd = 1
+    last_ratio, by_ratio, float_from = (0, 1), {}, None
+    for n, t in stages:
+        a_p = t if on_l1 else eval_at(a_squared, n) if on_l2 else None  # a_n**p
+        if not isinstance(a_p, Fraction):
+            float_from = n, t
+            break
+        # W = w / v = a_n**p - (p - 1), in lowest terms as a_n**p is
+        w, v = ratio = a_p.numerator - on_l2 * a_p.denominator, a_p.denominator
+        # b_{n+1}**p = S / W = b_n**p (gn v) / (gd w), reduced as in Fraction._mul
+        g = math.gcd(sn := gn * v, sd := gd * w)
+        sn, sd = sn // g, sd // g
+        g1, g2 = math.gcd(num, sd), math.gcd(sn, den)
+        num, den = (num // g1) * (sn // g2), (den // g2) * (sd // g1)
+        gn, gd = w + v, v  # S + S / W = b_{n+1}**p (W + 1)
+        nxt = _coprime(num, den)  # b_{n+1}**p
+        if on_l2:
+            squares.append(nxt)
+        b = _root(nxt, p)
+        coeffs.append(b if on_l1 else float(b))
+        _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
+        last_ratio = ratio
+        if ratio not in by_ratio:
+            W = _coprime(w, v)
+            by_ratio[ratio] = _stage_norm(W, p, coeffs), _root(W, p) if on_l1 else float(
+                _root(W, p))
+        rep, c = by_ratio[ratio]
+        reports.append(rep)
+        defects.append(c)
+    if float_from is not None:  # the float phase, from the first stage whose W is a float
+        mass = Fraction(num * gn, den * gd)  # S, a float from this stage on
+        coeffs = [float(v) for v in coeffs]
+        if on_l2:
+            squares = None
+            warnings.append("squared targets left the rationals; continuing in floats")
+        for n, t in itertools.chain([float_from], stages):
+            W = _prescribed_ratio(t, p, eval_at(a_squared, n) if on_l2 else None)
             nxt = mass / W  # b_{n+1}**p
             if not 0.0 < nxt < math.inf:  # mass or ratio past the range
                 raise DomainError(f"coefficient at stage {n} lies beyond the float range")
             W, mass = mass / nxt, mass + nxt
-        if squares is not None and not isinstance(nxt, Fraction):
-            squares = None
-            warnings.append("squared targets left the rationals; continuing in floats")
-        if squares is not None:
-            squares.append(nxt)
-        b = _root(nxt, p)
-        if isinstance(coeffs[-1], Fraction) and not isinstance(b, Fraction):
-            coeffs = [float(v) for v in coeffs]
-        coeffs.append(b if on_l1 else float(b))
-        if ratio is not None:
-            _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
-            last_ratio = ratio
-        if ratio is None or ratio not in by_ratio:  # a float stage, or a new exact W
+            coeffs.append(float(_root(nxt, p)))
             rep = _stage_norm(W, p, coeffs)
-            if ratio is None and abs(rep.lower - float(t)) > 1e-9 * float(t):
+            if abs(rep.lower - float(t)) > 1e-9 * float(t):
                 raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
                                       f"{rep.lower}) misses the target {t}")
-            # U = ||v_n||_p / b_{n+1}
-            by_ratio[ratio] = rep, _root(W, p) if on_l1 else float(_root(W, p))
-        rep, c = by_ratio[ratio]
-        reports.append(rep)
-        defects.append(c)
+            reports.append(rep)
+            defects.append(float(_root(W, p)))  # U = ||v_n||_p / b_{n+1}
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
                        defect_coeffs=defects, admissibility=verdict, targets=targets,
@@ -265,19 +278,19 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     ``apply`` hands over, so a sound stage is one comparison of lists; another
     pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
     Fractions exactly, so a reported error is exact, never rounding.  The
-    checked stages are heads of one operator, which types b once, and x is
-    handed over as its integer pairs, with no Fraction per coordinate."""
+    checked stages are heads of one operator, which keeps the integer pairs
+    of b, and x is handed over as its integer pairs: no Fraction per
+    coordinate of either."""
     k = sys.n_max - 1
-    b = [v if isinstance(v, Fraction) else Fraction(v) for v in sys.coefficients]
-    whole = TailOp(k, tuple(b), sys.space)
-    xs = _probe(len(b))
-    bs = [(c.numerator, c.denominator) for c in b]
+    whole = TailOp(k, tuple(v if isinstance(v, Fraction) else _coprime(*v.as_integer_ratio())
+                            for v in sys.coefficients), sys.space)
+    xs, bs = _probe(k + 1), whole.pairs
     x_pairs = ExactImage(xs)
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
         got = apply(whole.head(n), x_pairs)
-        q = Fraction(*xs[n]) / b[n]
+        q = Fraction(*xs[n]) / whole.b[n]
         qn, qd = q.numerator, q.denominator
         want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
         want += [(0, 1)] * (len(xs) - n)

@@ -8,10 +8,13 @@ U = ||v_n||_p / b_{n+1} and q the dual exponent (Minkowski, then Hoelder
 with equality): ||T|| = (1 + U**q)**(1/q), ||Id - T|| = (1 + U**p)**(1/p),
 and the target norm a needs b_{n+1} = ||v_n||_p / (a**q - 1)**(1/q); at
 p = 1 these are max(1, U), 1 + U and S / a.  Evaluated on rationals they
-stay exact for p = 1, and on the squares for p = 2.  A stage norm that
-leaves the rationals carries a certified lower bound, ||T x|| / ||x|| of
-the extremal vector evaluated with ``apply``'s float arithmetic on the
-coefficient array, and the Riesz-Thorin upper bound.
+stay exact for p = 1, and on the squares for p = 2: the exact phase of
+``basis_builder.build_basis`` runs on integer pairs, and a rational
+``TailOp`` keeps its coefficients' pairs, which ``apply`` reads.  In the
+float phase, from the first stage whose W is a float, a stage norm
+carries a certified lower bound, ||T x|| / ||x|| of the extremal vector
+evaluated with ``apply``'s float arithmetic on the coefficient array, and
+the Riesz-Thorin upper bound.
 """
 
 from __future__ import annotations
@@ -94,12 +97,9 @@ class TailOp:
                 f"stage {self.stage} needs {self.stage + 1} coefficients, got {len(self.b)}"
             )
         b = tuple(_as_number(v) for v in self.b)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(b=b, pairs=(pairs := _pairs(b)))
         # a Fraction's sign is its numerator's: ints compare faster than Fractions
-        nums = [v.numerator for v in b if isinstance(v, Fraction)]
-        rational = len(nums) == len(b)
-        object.__setattr__(self, "rational", rational)
-        if (min(nums, default=1) <= 0) if rational else any(v <= 0 for v in b):
+        if (min(pairs, default=(1,))[0] <= 0) if pairs is not None else any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
         if self.b_squared is not None:
             sq = tuple(Fraction(v) for v in self.b_squared)
@@ -113,8 +113,8 @@ class TailOp:
         """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: this one's
         fields, the coefficients sliced, with no second check or typing of them."""
         T, sq, b = object.__new__(TailOp), self.b_squared, self.b[: n + 1]
-        rational = self.rational or all(isinstance(v, Fraction) for v in b)
-        T.__dict__.update(self.__dict__, stage=n, b=b, rational=rational,
+        pairs = _pairs(b) if self.pairs is None else self.pairs[: n + 1]
+        T.__dict__.update(self.__dict__, stage=n, b=b, pairs=pairs,
                           b_squared=None if sq is None else sq[: n + 1])
         return T
 
@@ -137,6 +137,12 @@ class TailOp:
         M[range(n), range(n)] = 1.0
         M[:n, n] = -bf[:n] / bf[n]
         return M
+
+
+def _pairs(b: tuple) -> Optional[tuple]:
+    """The integer pairs of b's entries if all are Fractions, else None."""
+    pairs = tuple([(v.numerator, v.denominator) for v in b if isinstance(v, Fraction)])
+    return pairs if len(pairs) == len(b) else None
 
 
 class ExactImage(SequenceABC):
@@ -172,19 +178,21 @@ class ExactImage(SequenceABC):
 
 def apply(T: TailOp, x: Sequence):
     """Apply the tail operator: an ``ExactImage`` for rational x and b, else
-    floats.  b is typed once per operator (``T.rational``, which its head
-    views share), and an ``ExactImage`` x is rational by its type."""
+    floats.  b is typed once per operator, as its integer pairs (``T.pairs``,
+    which its head views slice), and an ``ExactImage`` x is rational by its
+    type, so the exact image is integer arithmetic with no Fraction."""
     n = T.stage
     if len(x) < n + 1:
         raise DimensionMismatch(f"need at least {n + 1} coordinates, got {len(x)}")
-    b = T.b
+    b, bs = T.b, T.pairs
     xs = getattr(x, "pairs", None) or ([(v.numerator, v.denominator) for v in x] if all(
         isinstance(v, (int, Fraction)) for v in x) else None)
-    if T.rational and xs is not None:
-        q = Fraction(*xs[n]) / b[n]
-        qn, qd = q.numerator, q.denominator
-        return ExactImage([(u * qd * c.denominator - qn * c.numerator * v, v * qd * c.denominator)
-                           for (u, v), c in zip(xs[:n], b)] + [(0, 1)] * (len(x) - n))
+    if bs is not None and xs is not None:
+        (u, v), (cn, cd) = xs[n], bs[n]
+        g = math.gcd(qn := u * cd, qd := v * cn)  # q = x_{n+1} / b_{n+1}, v and cn > 0
+        qn, qd = qn // g, qd // g
+        return ExactImage([(u * qd * cd - qn * cn * v, v * qd * cd)
+                           for (u, v), (cn, cd) in zip(xs[:n], bs)] + [(0, 1)] * (len(x) - n))
     q = float(x[n]) / float(b[n])
     return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 

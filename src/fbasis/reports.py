@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 
@@ -70,15 +71,14 @@ def _text(value, pad: str) -> str:
         kind = kinds.pop() if len(kinds) == 1 else None
         # one type: one join, with no dispatch per element (witness blocks run to
         # 10**5 indices, stage tables to n_max rows, which share their key texts)
-        if kind is dict:
-            # a row object listed k times is formatted once, by its identity
-            rows = {id(row): row for row in value}
-            row_texts = dict(zip(rows, map(functools.partial(_dict_text, pad=inner, templates={}),
-                                           rows.values())))
-            texts = map(row_texts.__getitem__, map(id, value))
-        else:
-            text = _SCALAR_TEXT.get(kind)
-            texts = map(text, value) if text else (_text(v, inner) for v in value)
+        text = (functools.partial(_dict_text, pad=inner, templates={}) if kind is dict
+                else _SCALAR_TEXT.get(kind) or functools.partial(_text, pad=inner))
+        texts = map(text, value)
+        if kind in (dict, Fraction, float) and any(map(operator.is_, value, value[1:])):
+            # a list with an object next to itself (stage rows, or the defects the
+            # stages of one ratio share) formats each object once, by its identity
+            memo = {k: text(v) for k, v in dict(zip(map(id, value), value)).items()}
+            texts = map(memo.__getitem__, map(id, value))
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     for base in (Fraction, int, float, str):
         # a subclass (a numpy float) takes its base's text

@@ -91,6 +91,14 @@ def _int_root(v: int, k: int) -> Optional[int]:
     return r if r ** k == v else None
 
 
+def _coprime(num: int, den: int) -> Fraction:
+    """The Fraction num / den, set through its two slots with no gcd.  The
+    caller guarantees what Fraction keeps: num and den coprime, den > 0."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = num, den
+    return out
+
+
 def exact_pow(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
     """base**exponent as an exact rational when that is possible."""
     base = Fraction(base)
@@ -150,12 +158,12 @@ def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
     """c * n**beta * ln(n+1)**gamma: exact when gamma = 0, c is rational and
     n**beta is; binary64 otherwise."""
     if gamma == 0 and isinstance(c, Fraction):
-        if beta.denominator == 1:  # c n**k or c / n**-k, with no root to take
-            k = beta.numerator
-            return c * n ** k if k >= 0 else c / n ** -k
-        p = exact_pow(Fraction(n), beta)
-        if p is not None:
-            return c * p
+        # n**beta = r**k with r = n**(1/d): an int n's root is an integer one
+        k, d = beta.numerator, beta.denominator
+        r = n if d == 1 else _int_root(n, d) if isinstance(n, int) and n >= 1 else exact_root(
+            Fraction(n), d)
+        if r is not None:
+            return c * r ** k if k >= 0 else c / r ** -k
     return to_float(c, beta, gamma, n)
 
 

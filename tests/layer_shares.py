@@ -40,6 +40,8 @@ LAYERS = (
     ("filters", "epsilon_table"),
     ("sequences", "threshold_levels"),
     ("lp_operators", "_stage_norm"),
+    ("lp_operators", "apply"),
+    ("admissibility", "check_admissible"),
 )
 
 

@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from fbasis import (
     verify_biorthogonality,
 )
 from fbasis import basis_builder, filters, sequences
+from fbasis.basis_builder import BasisSystem
 from fbasis.cli import load_config, run_command
 from fbasis.lp_operators import TailOp
 from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
@@ -242,7 +244,8 @@ def built_systems(draw):
 def oracle_builds(draw):
     """(args, kwargs) of a build: l1 from a target, l2 from its squares or
     from the target itself, with constant, prefixed and integer-power
-    targets, and a prefix whose power tail leaves the rationals."""
+    targets, and prefixes whose power tail leaves the rationals at stage 3
+    and at every later index that is no fourth power, or no square."""
     c = Fraction(draw(st.integers(3, 12)), 2)
     shape = draw(st.sampled_from(["const", "prefix", "pow", "leaves"]))
     if shape == "const":
@@ -253,7 +256,9 @@ def oracle_builds(draw):
     elif shape == "pow":
         a, filt = PowerLog(c, draw(st.integers(0, 2))), Summable(HARMONIC)
     else:
-        a, filt = parse_scalar_seq("prefix[5/2,3]:pow(2,1/4)"), Summable(HARMONIC)
+        a = parse_scalar_seq(draw(st.sampled_from(["prefix[5/2,3]:pow(2,1/4)",
+                                                   "prefix[3/2,2]:pow(2,1/2)"])))
+        filt = Summable(HARMONIC)
     n_max = draw(st.integers(2, 90))
     space = draw(st.sampled_from(["l1", "l2-squared", "l2"]))
     if space == "l1":
@@ -270,16 +275,36 @@ def _built(build, args, kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _stored_fractions(system: BasisSystem):
+    """Every Fraction a built system stores: in its coefficients, squares,
+    defects and targets, and the exact values of its norm reports."""
+    for name in ("coefficients", "coefficients_squared", "defect_coeffs", "targets"):
+        yield from (v for v in getattr(system, name) or () if isinstance(v, Fraction))
+    for rep in system.norm_reports:
+        yield from (v for v in (rep.exact, rep.exact_square) if v is not None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(oracle_builds())
 def test_builds_equal_those_of_the_old_stage_loop(build):
     """The coefficients, squares, norm reports, defects, targets and warnings
-    equal those of the old stage loop in ``build_oracle``, in value and in
-    type: the reprs agree, so a Fraction is never a float of the same value."""
+    equal those of the old stage loop in ``build_oracle``, field by field, in
+    value and in type: the reprs agree, so a Fraction is never a float of the
+    same value.  Every stored Fraction is in lowest terms, which an equal
+    value alone would not show of the exact phase's integer pairs."""
     got = _built(build_basis, *build)
     want = _built(build_oracle.build_basis, *build)
-    assert repr(got) == repr(want)
-    assert got == want
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in BasisSystem.__annotations__:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert repr(mine) == repr(theirs), name
+        assert mine == theirs, name
+        if isinstance(theirs, list):
+            assert list(map(type, mine)) == list(map(type, theirs)), name
+    for v in _stored_fractions(got):
+        assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
 
 def _without_defect(T, x):  # drops the q * b_i term

@@ -150,3 +150,35 @@ def test_a_row_listed_many_times_is_formatted_once(monkeypatch):
     calls.clear()
     assert reports.to_json_bytes(doc) == (report_oracle._text(doc, "") + "\n").encode("ascii")
     assert len(calls) == 2
+
+
+def test_a_number_listed_many_times_is_formatted_once(monkeypatch):
+    """A Fraction or float object that a list holds 50 times, as a defect
+    shared by the stages of one ratio is, is formatted once; the bytes are
+    those of the same list with every element a distinct copy, which is
+    formatted element by element."""
+    from fbasis import reports
+
+    calls = []
+
+    def counted(text):
+        def inner(x):
+            calls.append(x)
+            return text(x)
+        return inner
+
+    monkeypatch.setattr(reports, "rational_text", counted(reports.rational_text))
+    monkeypatch.setitem(reports._SCALAR_TEXT, float, counted(reports._float_text))
+    for x, copy in ((Fraction(-7, 3), lambda x: Fraction(x.numerator, x.denominator)),
+                    (2.5, lambda x: float(repr(x))), (-0.0, lambda x: float(repr(x))),
+                    (math.nan, lambda x: float(repr(x)))):
+        doc = {"values": [x] * 50 + [copy(x)]}
+        copies = {"values": [copy(x) for _ in range(51)]}
+        assert len({id(v) for v in copies["values"]}) == 51
+        calls.clear()
+        got = reports.to_json_bytes(doc)
+        assert len(calls) == 2
+        calls.clear()
+        assert got == reports.to_json_bytes(copies)
+        assert len(calls) == 51
+        assert got == (report_oracle._text(doc, "") + "\n").encode("ascii")

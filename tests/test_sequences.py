@@ -28,6 +28,7 @@ from fbasis import (
 )
 from fbasis.natset import member
 from fbasis.sequences import (
+    _coprime,
     _int_root,
     _monotone_start,
     eval_at_indices,
@@ -40,6 +41,7 @@ from fbasis.sequences import (
     seq_scale,
     tail_form,
     threshold_levels,
+    to_float,
 )
 
 import defect_table_oracle
@@ -432,3 +434,39 @@ def test_integer_powers_are_the_exact_pow_values(c, k, n):
     got = power_log_at(c, Fraction(k), Fraction(0), n)
     assert type(got) is Fraction
     assert got == c * exact_pow(Fraction(n), Fraction(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+       beta=st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 6)),
+       n=st.integers(1, 10 ** 6)
+       | st.builds(pow, st.integers(1, 30), st.integers(1, 6)).filter(lambda n: n <= 10 ** 6))
+def test_fractional_powers_of_an_int_are_the_exact_pow_values(c, beta, n):
+    """An int n takes its integer root directly; the value and its type are
+    those of the path through ``exact_pow`` on Fraction(n), and where that
+    has no root both are the binary64 value.  Perfect powers are drawn on
+    purpose, so that exact roots occur."""
+    want = exact_pow(Fraction(n), beta)
+    want = to_float(c, beta, 0, n) if want is None else c * want
+    got = power_log_at(c, beta, Fraction(0), n)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_coprime_is_the_fraction_of_its_pair():
+    """On the running interpreter, the Fraction set through its slots is
+    Fraction(n, d): equal, with the same hash, text, arithmetic and order."""
+    rng = random.Random(5)
+    for _ in range(300):
+        d = rng.randrange(1, 10 ** rng.randrange(1, 40))
+        n = rng.randrange(-10 ** 40, 10 ** 40)
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        got, want = _coprime(n, d), Fraction(n, d)
+        other = Fraction(rng.randrange(-99, 100), rng.randrange(1, 100))
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (n, d)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got + other == want + other and got * other == want * other
+        assert (got < other, got > other, got <= want, got >= want) == (
+            want < other, want > other, True, True)
+        assert float(got) == float(want) and {got: 1} == {want: 1}
