@@ -31,13 +31,12 @@ from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_tab
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
-    ExactImage,
     SpaceKind,
     TailOp,
     _prescribed_ratio,
     _root,
     _stage_norm,
-    apply,
+    image_pairs,
 )
 from .sequences import (
     DomainError,
@@ -266,37 +265,36 @@ def _probe(size: int) -> list:
 
 def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     """Check sum_{k<=n} v*_k(x) v_k == T_n x, with the coordinate functionals
-    v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated through ``apply``,
-    for one seeded random rational x at the stages 1, 2, 4, ... and n_max - 1.
-    x is the shared probe: its coordinates are drawn once per process from
-    one Random(0), and a shorter check reads a prefix of a longer one's x.
+    v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated by
+    ``image_pairs``, for one seeded random rational x at the stages 1, 2, 4,
+    ... and n_max - 1.  x is the shared probe: its coordinates are drawn once
+    per process from one Random(0), and a shorter check reads a prefix of a
+    longer one's x.
 
     v_k has b_i at every i <= k, so coordinate i <= n of the sum telescopes,
     b_i (v*_i(x) + ... + v*_n(x)) = x_i - q b_i, q = x_{n+1} / b_{n+1}; past
     n it is 0.  As the integer pair (e, d) = (x_i.num q.den b_i.den - q.num
     b_i.num x_i.den, x_i.den q.den b_i.den), q reduced, or (0, 1), it is what
-    ``apply`` hands over, so a sound stage is one comparison of lists; another
-    pair (u, v) misses by u d - e v over v d.  Float coefficients convert to
-    Fractions exactly, so a reported error is exact, never rounding.  The
-    checked stages are heads of one operator, which keeps the integer pairs
-    of b, and x is handed over as its integer pairs: no Fraction per
+    a sound kernel returns, so a sound stage is one comparison of lists;
+    another pair (u, v) misses by u d - e v over v d.  b and x are read as
+    integer pairs, b's from ``as_integer_ratio``, exact for a float too, so
+    a reported error is exact, never rounding, and no Fraction is made per
     coordinate of either."""
     k = sys.n_max - 1
-    whole = TailOp(k, tuple(v if isinstance(v, Fraction) else _coprime(*v.as_integer_ratio())
-                            for v in sys.coefficients), sys.space)
-    xs, bs = _probe(k + 1), whole.pairs
-    x_pairs = ExactImage(xs)
+    bs = [v.as_integer_ratio() for v in sys.coefficients]
+    if any(u <= 0 for u, _ in bs):
+        raise DomainError("coefficients must be positive")
+    xs = _probe(k + 1)
     stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
     for n in stages:
-        got = apply(whole.head(n), x_pairs)
-        q = Fraction(*xs[n]) / whole.b[n]
+        got = image_pairs(bs, xs, n)
+        q = Fraction(*xs[n]) / _coprime(*bs[n])  # as_integer_ratio's pairs are coprime
         qn, qd = q.numerator, q.denominator
         want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
         want += [(0, 1)] * (len(xs) - n)
-        pairs = getattr(got, "pairs", None) or [(g.numerator, g.denominator) for g in got]
-        if pairs != want:
-            for (u, v), (e, d) in zip(pairs, want):
+        if got != want:
+            for (u, v), (e, d) in zip(got, want):
                 miss = u * d - e * v
                 if miss:
                     worst = max(worst, Fraction(abs(miss), v * d))
@@ -401,8 +399,10 @@ def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
         worst = 2.0 ** abs(float(f.beta)) * (math.log(3.0) / math.log(2.0)) ** abs(float(f.gamma))
     except OverflowError:
         return None
+    if not f.head:  # (n+1)/n <= 2 and ln(n+2)/ln(n+1) <= ln 3/ln 2 at every n >= 1
+        return worst if worst < math.inf else None
     # explicit head values can break the family ratio; cover them by probing
-    probe = max([1] + [i + 1 for i, _ in f.head])
+    probe = max(i + 1 for i, _ in f.head)
     for n in range(1, probe + 2):
         hi, lo = eval_at(amp, n + 1), eval_at(amp, n)
         try:

@@ -9,18 +9,18 @@ with equality): ||T|| = (1 + U**q)**(1/q), ||Id - T|| = (1 + U**p)**(1/p),
 and the target norm a needs b_{n+1} = ||v_n||_p / (a**q - 1)**(1/q); at
 p = 1 these are max(1, U), 1 + U and S / a.  Evaluated on rationals they
 stay exact for p = 1, and on the squares for p = 2: the exact phase of
-``basis_builder.build_basis`` runs on integer pairs, and a rational
-``TailOp`` keeps its coefficients' pairs, which ``apply`` reads.  In the
-float phase, from the first stage whose W is a float, a stage norm
-carries a certified lower bound, ||T x|| / ||x|| of the extremal vector
-evaluated with ``apply``'s float arithmetic on the coefficient array, and
-the Riesz-Thorin upper bound.
+``basis_builder.build_basis`` runs on integer pairs, and so does
+``image_pairs``, the image of a rational x under a rational stage, which
+``apply`` and the biorthogonality check call.  In the float phase, from
+the first stage whose W is a float, a stage norm carries a certified lower
+bound, ||T x|| / ||x|| of the extremal vector evaluated with ``apply``'s
+float arithmetic on the coefficient array, and the Riesz-Thorin upper
+bound.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -97,9 +97,8 @@ class TailOp:
                 f"stage {self.stage} needs {self.stage + 1} coefficients, got {len(self.b)}"
             )
         b = tuple(_as_number(v) for v in self.b)
-        self.__dict__.update(b=b, pairs=(pairs := _pairs(b)))
-        # a Fraction's sign is its numerator's: ints compare faster than Fractions
-        if (min(pairs, default=(1,))[0] <= 0) if pairs is not None else any(v <= 0 for v in b):
+        object.__setattr__(self, "b", b)
+        if any(v <= 0 for v in b):
             raise DomainError("coefficients must be positive")
         if self.b_squared is not None:
             sq = tuple(Fraction(v) for v in self.b_squared)
@@ -108,15 +107,6 @@ class TailOp:
             object.__setattr__(self, "b_squared", sq)
         if self.space.dim < self.stage + 1:
             raise DimensionMismatch("truncation dimension below stage + 1")
-
-    def head(self, n: int) -> "TailOp":
-        """The stage-n operator, 1 <= n <= stage, on b_1 .. b_{n+1}: this one's
-        fields, the coefficients sliced, with no second check or typing of them."""
-        T, sq, b = object.__new__(TailOp), self.b_squared, self.b[: n + 1]
-        pairs = _pairs(b) if self.pairs is None else self.pairs[: n + 1]
-        T.__dict__.update(self.__dict__, stage=n, b=b, pairs=pairs,
-                          b_squared=None if sq is None else sq[: n + 1])
-        return T
 
     def b_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.b], dtype=float)
@@ -139,60 +129,29 @@ class TailOp:
         return M
 
 
-def _pairs(b: tuple) -> Optional[tuple]:
-    """The integer pairs of b's entries if all are Fractions, else None."""
-    pairs = tuple([(v.numerator, v.denominator) for v in b if isinstance(v, Fraction)])
-    return pairs if len(pairs) == len(b) else None
+def image_pairs(bs: Sequence, xs: Sequence, n: int) -> list:
+    """T_n x for rational b and x given as their integer pairs (num, den),
+    den > 0, with bs holding at least b_1 .. b_{n+1}: x_i - q b_i at i <= n
+    as the unreduced pair (x_i.num q.den b_i.den - q.num b_i.num x_i.den,
+    x_i.den q.den b_i.den), q = x_{n+1} / b_{n+1} reduced, and (0, 1) past
+    n, one pair per coordinate of x."""
+    (u, v), (cn, cd) = xs[n], bs[n]
+    g = math.gcd(qn := u * cd, qd := v * cn)  # v, cn > 0 for b positive
+    qn, qd = qn // g, qd // g
+    return [(u * qd * cd - qn * cn * v, v * qd * cd)
+            for (u, v), (cn, cd) in zip(xs[:n], bs)] + [(0, 1)] * (len(xs) - n)
 
 
-class ExactImage(SequenceABC):
-    """A rational vector as integer pairs: T x for rational x and b (x_i - q b_i
-    unreduced at i <= n, (0, 1) past n), and an x that ``apply`` reads with no
-    check.  Read as a sequence it is the list of Fractions, built once; a
-    write drops ``pairs``."""
-
-    def __init__(self, pairs: list):
-        self.pairs, self._items = pairs, None
-
-    def _list(self) -> list:
-        if self._items is None:
-            self._items = [Fraction(u, v) for u, v in self.pairs]
-        return self._items
-
-    def __len__(self) -> int:
-        return len(self._items if self.pairs is None else self.pairs)
-
-    def __getitem__(self, i):  # pragma: no cover - list protocol, which no command reads
-        return self._list()[i]
-
-    def __setitem__(self, i, value):  # pragma: no cover - list protocol, which no command reads
-        self._list()[i] = value
-        self.pairs = None
-
-    def __eq__(self, other):  # pragma: no cover - list protocol, which no command reads
-        return self._list() == other
-
-    def __repr__(self) -> str:
-        return repr(self._list())
-
-
-def apply(T: TailOp, x: Sequence):
-    """Apply the tail operator: an ``ExactImage`` for rational x and b, else
-    floats.  b is typed once per operator, as its integer pairs (``T.pairs``,
-    which its head views slice), and an ``ExactImage`` x is rational by its
-    type, so the exact image is integer arithmetic with no Fraction."""
-    n = T.stage
+def apply(T: TailOp, x: Sequence) -> list:
+    """Apply the tail operator: Fractions through ``image_pairs`` for rational
+    x and b, else floats."""
+    n, b = T.stage, T.b
     if len(x) < n + 1:
         raise DimensionMismatch(f"need at least {n + 1} coordinates, got {len(x)}")
-    b, bs = T.b, T.pairs
-    xs = getattr(x, "pairs", None) or ([(v.numerator, v.denominator) for v in x] if all(
-        isinstance(v, (int, Fraction)) for v in x) else None)
-    if bs is not None and xs is not None:
-        (u, v), (cn, cd) = xs[n], bs[n]
-        g = math.gcd(qn := u * cd, qd := v * cn)  # q = x_{n+1} / b_{n+1}, v and cn > 0
-        qn, qd = qn // g, qd // g
-        return ExactImage([(u * qd * cd - qn * cn * v, v * qd * cd)
-                           for (u, v), (cn, cd) in zip(xs[:n], bs)] + [(0, 1)] * (len(x) - n))
+    if all(isinstance(v, Fraction) for v in b) and all(isinstance(v, (int, Fraction)) for v in x):
+        pairs = image_pairs([v.as_integer_ratio() for v in b],
+                            [v.as_integer_ratio() for v in x], n)
+        return [Fraction(u, v) for u, v in pairs]
     q = float(x[n]) / float(b[n])
     return [float(x[i]) - q * float(b[i]) for i in range(n)] + [0.0] * (len(x) - n)
 

@@ -5,7 +5,8 @@ values: at every checked stage it evaluates each coordinate functional
 v*_k(x) = x_k / b_k - x_{k+1} / b_{k+1} afresh, and it takes |u - v| over
 every coordinate, matching or not.  The stages and the random rational x
 are the ones the production check uses, so both must return the same
-report, on a sound ``apply`` and on a corrupted one.
+report, on the sound kernel ``image_pairs`` and on a corrupted one, which
+this loop reads through ``apply_op``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,20 @@ from fbasis import TailOp, apply
 from fbasis.basis_builder import BiorthReport
 
 
-def verify_biorthogonality(sys, apply_op=apply) -> BiorthReport:
+def apply_op(kernel):
+    """``apply`` on rational b and x with ``kernel`` in place of
+    ``image_pairs``: the kernel's pairs, read back as Fractions."""
+    def op(T, x):
+        pairs = kernel([v.as_integer_ratio() for v in T.b], [v.as_integer_ratio() for v in x],
+                       T.stage)
+        return [Fraction(u, v) for u, v in pairs]
+    return op
+
+
+def verify_biorthogonality(sys, kernel=None) -> BiorthReport:
+    """The check's report, with T_n x from ``apply``, or from ``kernel``
+    through ``apply_op`` where one is given."""
+    op = apply if kernel is None else apply_op(kernel)
     k = sys.n_max - 1
     b = [Fraction(v) for v in sys.coefficients]
     rng = random.Random(0)
@@ -30,6 +44,6 @@ def verify_biorthogonality(sys, apply_op=apply) -> BiorthReport:
         for i in range(n, 0, -1):
             tail += x[i - 1] / b[i - 1] - x[i] / b[i]
             partial[i - 1] = b[i - 1] * tail
-        got = apply_op(TailOp(n, tuple(b[: n + 1]), sys.space), x)
+        got = op(TailOp(n, tuple(b[: n + 1]), sys.space), x)
         worst = max([worst] + [abs(u - v) for u, v in zip(partial, got)])
     return BiorthReport(size=k, max_error=float(worst), ok=worst == 0)

@@ -37,7 +37,7 @@ from fbasis import (
 from fbasis import basis_builder, filters, sequences
 from fbasis.basis_builder import BasisSystem
 from fbasis.cli import load_config, run_command
-from fbasis.lp_operators import TailOp
+from fbasis.lp_operators import TailOp, image_pairs
 from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
 
@@ -158,11 +158,10 @@ class TestBiorthogonality:
     def test_corrupted_tail_operator_is_caught(self, monkeypatch):
         sys = build_basis(Constant(2), l1(64), summable_half(), n_max=8)
 
-        def without_defect(T, x):  # drops the q * b_i term
-            n = T.stage
-            return [Fraction(v) for v in x[:n]] + [Fraction(0)] * (len(x) - n)
+        def without_defect(bs, xs, n):  # drops the q * b_i term
+            return list(xs[:n]) + [(0, 1)] * (len(xs) - n)
 
-        monkeypatch.setattr(basis_builder, "apply", without_defect)
+        monkeypatch.setattr(basis_builder, "image_pairs", without_defect)
         rep = verify_biorthogonality(sys)
         assert rep.ok is False
         assert rep.max_error > 0
@@ -307,20 +306,22 @@ def test_builds_equal_those_of_the_old_stage_loop(build):
         assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
 
-def _without_defect(T, x):  # drops the q * b_i term
-    n = T.stage
-    return [Fraction(v) for v in x[:n]] + [Fraction(0)] * (len(x) - n)
+# mutants of the kernel ``image_pairs(bs, xs, n)``, on the integer pairs of b and x
 
 
-def _shifted_coefficient(T, x):  # pairs coordinate i with b_{i+1}
-    n = T.stage
-    q = Fraction(x[n]) / T.b[n]
-    return [x[i] - q * T.b[i + 1] for i in range(n)] + [Fraction(0)] * (len(x) - n)
+def _without_defect(bs, xs, n):  # drops the q * b_i term
+    return list(xs[:n]) + [(0, 1)] * (len(xs) - n)
 
 
-def _leaks_past_stage(T, x):  # a nonzero coordinate n + 1, which T sends to 0
-    out = apply(T, x)
-    out[T.stage] = Fraction(1)
+def _shifted_coefficient(bs, xs, n):  # pairs coordinate i with b_{i+1}
+    q = Fraction(*xs[n]) / Fraction(*bs[n])
+    out = [Fraction(*xs[i]) - q * Fraction(*bs[i + 1]) for i in range(n)]
+    return [(v.numerator, v.denominator) for v in out] + [(0, 1)] * (len(xs) - n)
+
+
+def _leaks_past_stage(bs, xs, n):  # a nonzero coordinate n + 1, which T sends to 0
+    out = image_pairs(bs, xs, n)
+    out[n] = (1, 1)
     return out
 
 
@@ -337,9 +338,9 @@ class TestBiorthogonalityOracle:
     @settings(max_examples=15, deadline=None)
     @given(sys=built_systems())
     def test_corrupted_apply_gives_the_oracle_error(self, corrupted, sys):
-        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted)
+        want = biorth_oracle.verify_biorthogonality(sys, kernel=corrupted)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(basis_builder, "apply", corrupted)
+            mp.setattr(basis_builder, "image_pairs", corrupted)
             rep = verify_biorthogonality(sys)
         assert rep == want
         assert rep.ok is False and rep.max_error > 0
@@ -361,10 +362,10 @@ class TestBiorthogonalityOracle:
     @pytest.mark.parametrize("case", sorted(LARGE))
     def test_large_systems_match_the_oracle(self, case, corrupted):
         sys = self.LARGE[case]()
-        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted or apply)
+        want = biorth_oracle.verify_biorthogonality(sys, kernel=corrupted)
         with pytest.MonkeyPatch.context() as mp:
             if corrupted is not None:
-                mp.setattr(basis_builder, "apply", corrupted)
+                mp.setattr(basis_builder, "image_pairs", corrupted)
             rep = verify_biorthogonality(sys)
         assert rep == want
         assert rep.ok is (corrupted is None)
@@ -563,6 +564,26 @@ def test_float_stages_build_no_tail_operator(monkeypatch, seq, space, filt):
     assert built == []
 
 
+@pytest.mark.parametrize("amp,probes,ratio", [
+    (PowerLog(1, Fraction(-3, 2)), 0, 2.0 ** 1.5),
+    (ExplicitPrefix((Fraction(1, 10),), PowerLog(1, Fraction(-3, 2))), 6, 10 * 2.0 ** -1.5),
+], ids=["head-less", "with-head"])
+def test_a_head_less_amplitude_is_not_probed(monkeypatch, amp, probes, ratio):
+    """The family bound 2**|beta| (ln 3 / ln 2)**|gamma| covers every ratio of
+    neighbours of a head-less amplitude, so only a form with explicit head
+    values evaluates it, at n = 1 .. head + 2."""
+    calls = []
+    eval_at = basis_builder.eval_at
+
+    def counted(a, n):
+        calls.append(n)
+        return eval_at(a, n)
+
+    monkeypatch.setattr(basis_builder, "eval_at", counted)
+    assert basis_builder._shift_ratio(amp) == pytest.approx(ratio)
+    assert len(calls) == probes
+
+
 @pytest.mark.parametrize("a,a_squared", [
     (Constant(Fraction(5, 2)), None),
     (ExplicitPrefix((3, Fraction(7, 2), 3, Fraction(9, 4)), Constant(2)), None),
@@ -590,9 +611,9 @@ def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared):
 
 
 def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
-    """One stage operator is built and checked per call; the checked stages
-    are its heads."""
-    sys = build_basis(Constant(Fraction(3, 2)), l1(100), Frechet(), n_max=100)
+    """The check builds no stage operator: it reads the integer pairs of the
+    coefficients once, and refuses a zeroed coefficient as ``TailOp`` does,
+    among Fractions and among floats."""
     built = []
     check = TailOp.__post_init__
 
@@ -601,8 +622,15 @@ def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
         check(self)
 
     monkeypatch.setattr(TailOp, "__post_init__", counted)
-    rep = verify_biorthogonality(sys)
-    assert rep.ok and built == [99]
+    for space in (l1(100), lp(Fraction(3, 2), 100)):
+        sys = build_basis(Constant(Fraction(3, 2)), space, Frechet(), n_max=100)
+        rep = verify_biorthogonality(sys)
+        assert rep.ok and built == []
+        fields = {name: getattr(sys, name) for name in BasisSystem.__annotations__}
+        fields["coefficients"] = [*sys.coefficients[:40], 0 * sys.coefficients[40],
+                                  *sys.coefficients[41:]]
+        with pytest.raises(DomainError, match="positive"):
+            verify_biorthogonality(BasisSystem(**fields))
 
 
 @pytest.mark.parametrize("corrupted", [None, _without_defect, _shifted_coefficient],
@@ -611,14 +639,14 @@ def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):
 def test_the_shared_probe_does_not_depend_on_the_order_of_checks(sizes, corrupted, monkeypatch):
     """Checks of several lengths in one process, from an undrawn probe, give
     the reports of the oracle, which draws its own x from a fresh Random(0);
-    a corrupted ``apply`` makes the reported error depend on x."""
+    a corrupted kernel makes the reported error depend on x."""
     monkeypatch.setattr(basis_builder, "_PROBE", [])
     monkeypatch.setattr(basis_builder, "_PROBE_SOURCE", basis_builder._probe_draws())
     if corrupted is not None:
-        monkeypatch.setattr(basis_builder, "apply", corrupted)
+        monkeypatch.setattr(basis_builder, "image_pairs", corrupted)
     for n_max in sizes:
         sys = build_basis(Constant(Fraction(3, 2)), l1(n_max), Frechet(), n_max=n_max)
-        want = biorth_oracle.verify_biorthogonality(sys, apply_op=corrupted or apply)
+        want = biorth_oracle.verify_biorthogonality(sys, kernel=corrupted)
         assert verify_biorthogonality(sys) == want
     # drawn on need, up to the longest check, and never again
     assert len(basis_builder._PROBE) == max(sizes)

@@ -21,6 +21,7 @@ from fbasis import (
 )
 from fbasis.lp_operators import (
     _root,
+    image_pairs,
     norm_ratio,
     norming_input,
     riesz_thorin_upper,
@@ -35,19 +36,32 @@ def svd_norm(T, dim=None):
     return float(np.linalg.svd(T.dense_matrix(dim), compute_uv=False)[0])
 
 
-def test_heads_are_the_checked_stage_operators():
-    """Every attribute of a head, not only the compared fields, is that of the
-    operator built and checked from the sliced coefficients: a float last
-    coefficient leaves the heads before it rational."""
-    rational = tuple(Fraction(k + 2, k + 1) for k in range(9))
-    squares = tuple(v * v for v in rational)
-    for space, sq, b in ((l1(12), None, rational), (l2(12), squares, rational),
-                         (l1(12), None, rational[:-1] + (2.5,))):
-        T = TailOp(8, b, space, b_squared=sq)
-        for n in range(1, 9):
-            head = T.head(n)
-            built = TailOp(n, b[: n + 1], space, b_squared=None if sq is None else sq[: n + 1])
-            assert head == built and vars(head) == vars(built)
+_RATIONALS = st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.lists(_RATIONALS, min_size=3, max_size=10), float_last=st.booleans(),
+       x=st.lists(st.one_of(st.integers(-9, 9), _RATIONALS.map(lambda v: -v), _RATIONALS),
+                  min_size=12, max_size=12))
+def test_apply_on_a_rational_stage_is_the_kernel(b, float_last, x):
+    """``apply(TailOp(n, b[:n+1], space), x)`` is the Fractions of the kernel's
+    pairs at every stage of rational coefficients.  A float last coefficient
+    leaves the stages before it rational; the stage that reads it takes the
+    float branch, which matches the kernel on the float's exact ratio to
+    rounding."""
+    b = tuple(b[:-1]) + (float(b[-1]) if float_last else b[-1],)
+    x = x[: len(b) + 1]
+    for n in range(1, len(b)):
+        got = apply(TailOp(n, b[: n + 1], l1(16)), x)
+        pairs = image_pairs([v.as_integer_ratio() for v in b],
+                            [v.as_integer_ratio() for v in x], n)
+        want = [Fraction(u, v) for u, v in pairs]
+        if float_last and n == len(b) - 1:
+            scale = max(abs(v) for v in x) * (1 + max(b) / min(b))
+            assert all(type(v) is float for v in got)
+            assert got == pytest.approx([float(v) for v in want], abs=1e-12 * float(scale))
+        else:
+            assert got == want and all(type(v) is Fraction for v in got)
 
 
 @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-3, 7), -0.5, 0, -2, 0.0],
