@@ -33,6 +33,8 @@ from .lp_operators import (
     DimensionMismatch,
     SpaceKind,
     TailOp,
+    _METHODS,
+    _closed_form_report,
     _prescribed_ratio,
     _root,
     _stage_norm,
@@ -121,7 +123,8 @@ def build_basis(
     so b_{n+1}**p = S / W is b_n**p times a small ratio.  The phase carries
     b_n**p and W' + 1 as integer pairs, reduces the product by gcds with the
     small terms alone and stores it as a Fraction in lowest terms.  An exact
-    stage's norm and defect are made once per distinct W, and its
+    stage's norm is taken from a_n**p, its p-th power, and its defect is a_n
+    itself at p = 1 and the root of W at p = 2, once per distinct W; its
     certificate compares the stored b_{n+1}**p with b_n**p.  The float
     phase, in floats, starts at the first stage whose W is a float.
     ``a_squared`` optionally supplies exact squared targets for the
@@ -187,10 +190,9 @@ def build_basis(
         coeffs.append(b if on_l1 else float(b))
         _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
         last_ratio = ratio
-        if ratio not in by_ratio:
-            W = _coprime(w, v)
-            by_ratio[ratio] = _stage_norm(W, p, coeffs), _root(W, p) if on_l1 else float(
-                _root(W, p))
+        if ratio not in by_ratio:  # the stage norm's p-th power is a_n**p itself
+            by_ratio[ratio] = _closed_form_report(a_p, p, _METHODS[p]), a_p if on_l1 else float(
+                _root(_coprime(w, v), 2))
         rep, c = by_ratio[ratio]
         reports.append(rep)
         defects.append(c)
@@ -326,11 +328,14 @@ def default_test_family(space: SpaceKind):
 def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
     """The defect coefficients with their unit-band check and the
     filter-vanishing verdicts of the defect functionals on a test family."""
-    values = [float(c) for c in sys.defect_coeffs]
-    devs = [abs(v - float(t)) for v, t in zip(values, sys.targets)]
+    # one float per distinct object: exact stages share their defects and targets
+    distinct = {id(c): c for c in itertools.chain(sys.defect_coeffs, sys.targets)}
+    floats = {k: float(c) for k, c in distinct.items()}
+    values = [floats[id(c)] for c in sys.defect_coeffs]
+    devs = [abs(v - floats[id(t)]) for v, t in zip(values, sys.targets)]
     exact_l1: Optional[bool] = None
     if sys.space.is_l1:
-        exact_l1 = all(isinstance(c, Fraction) and c == t
+        exact_l1 = all(isinstance(c, Fraction) and (c is t or c == t)
                        for c, t in zip(sys.defect_coeffs, sys.targets))
     if test_family is None:
         test_family = default_test_family(sys.space)
@@ -443,6 +448,9 @@ def convergence_demo(
     return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
 
 
+_DEFAULT_LEVELS = tuple(float(e) for e in DEFAULT_EPS_SCHEDULE)  # converted once
+
+
 def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
                       horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
     """The levels, over-sets, under-sets and classes of the epsilon table of
@@ -461,13 +469,10 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     Only if it asks for the under-sets of levels left open are ``bounds()``,
     the product amp c_lower and its one head scan made."""
     filt = under if under is not None else sys.filter
-    if eps_schedule is None:
-        eps_schedule = DEFAULT_EPS_SCHEDULE
+    levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
     if isinstance(x, BasisVector):
-        levels = [float(e) for e in eps_schedule[:1]]
-        return levels, [Finite(())], [Finite(())], ["negligible"], LimitVerdict.converges_to(0)
+        return levels[:1], [Finite(())], [Finite(())], ["negligible"], LimitVerdict.converges_to(0)
 
-    levels = [float(e) for e in eps_schedule]
     support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)

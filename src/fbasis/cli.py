@@ -307,9 +307,15 @@ def _cmd_build_basis(cfg: RunConfig):
         doc.update(_admiss_doc(exc.verdict))
         return EXIT_REFUTED, doc
     biorth = basis_builder.verify_biorthogonality(system)
+    if not biorth.ok:  # a sound build cannot fail its certificate: an internal error
+        raise ArithmeticError(f"the biorthogonality certificate fails: max error "
+                              f"{biorth.max_error!r} over {biorth.size} stages")
     defects = basis_builder.defect_report(system)
     # exact stages share one report per distinct ratio, and so one row
-    rows = {id(r): _norm_report_doc(r) for r in system.norm_reports}
+    rows: dict = {}
+    for r in system.norm_reports:
+        if id(r) not in rows:
+            rows[id(r)] = _norm_report_doc(r)
     doc = {
         "command": cfg.command,
         "inputs": _build_inputs(space, filt, n_max, seq, a_squared),

@@ -9,9 +9,10 @@ with equality): ||T|| = (1 + U**q)**(1/q), ||Id - T|| = (1 + U**p)**(1/p),
 and the target norm a needs b_{n+1} = ||v_n||_p / (a**q - 1)**(1/q); at
 p = 1 these are max(1, U), 1 + U and S / a.  Evaluated on rationals they
 stay exact for p = 1, and on the squares for p = 2: the exact phase of
-``basis_builder.build_basis`` runs on integer pairs, and so does
-``image_pairs``, the image of a rational x under a rational stage, which
-``apply`` and the biorthogonality check call.  In the float phase, from
+``basis_builder.build_basis`` runs on integer pairs and takes a stage's
+norm from a_n**p, its p-th power; ``image_pairs``, the image of a rational
+x under a rational stage, which ``apply`` and the biorthogonality check
+call, runs on integer pairs too.  In the float phase, from
 the first stage whose W is a float, a stage norm carries a certified lower
 bound, ||T x|| / ||x|| of the extremal vector evaluated with ``apply``'s
 float arithmetic on the coefficient array, and the Riesz-Thorin upper

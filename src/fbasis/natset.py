@@ -16,6 +16,7 @@ atoms degrade to honest bounds instead of wrong answers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -250,17 +251,15 @@ class GeometricIndex(SetExpr):
         return (self.base.numerator ** m) // (self.base.denominator ** m)
 
     def member_at(self, n):
-        if n < self.element(1):
-            return False
-        # elements are strictly increasing, so only a local window matters
-        m = max(1, int(math.log(n, float(self.base))) - 1)
-        for k in range(m, m + 4):
-            e = self.element(k)
-            if e == n:
-                return True
-            if e > n:
-                return False
-        return False
+        if n > 2 ** 64:  # past the cached elements: a local window, as they strictly increase
+            m = max(1, int(math.log(n, float(self.base))) - 1)
+            return n in [self.element(k) for k in range(m, m + 4)]
+        if "_cached" not in self.__dict__:  # the elements up to the largest index asked
+            object.__setattr__(self, "_cached", [self.element(1)])
+        cached = self._cached
+        while cached[-1] < n:
+            cached.append(self.element(len(cached) + 1))
+        return cached[bisect.bisect_left(cached, n)] == n
 
     def mask(self, horizon):
         m = np.zeros(horizon, dtype=bool)

@@ -78,8 +78,9 @@ def _int_root(v: int, k: int) -> Optional[int]:
         return v if v >= 0 else None
     if k == 2:
         residue = v % (64 * 63 * 65 * 11)
-        if not all(mask >> residue % m & 1 for m, mask in _SQUARE_MASKS):
-            return None
+        for m, mask in _SQUARE_MASKS:
+            if not mask >> residue % m & 1:
+                return None
         r = math.isqrt(v)
     else:
         r = 1 << -(-v.bit_length() // k)  # above the root
@@ -160,6 +161,9 @@ def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
     if gamma == 0 and isinstance(c, Fraction):
         # n**beta = r**k with r = n**(1/d): an int n's root is an integer one
         k, d = beta.numerator, beta.denominator
+        if d == 1 and k >= 0 and isinstance(n, int):  # c * m, m = n**k, reduced by gcd(m, c.den)
+            g = math.gcd(m := n ** k, c.denominator)
+            return _coprime(c.numerator * (m // g), c.denominator // g)
         r = n if d == 1 else _int_root(n, d) if isinstance(n, int) and n >= 1 else exact_root(
             Fraction(n), d)
         if r is not None:

@@ -37,7 +37,7 @@ from fbasis import (
 from fbasis import basis_builder, filters, sequences
 from fbasis.basis_builder import BasisSystem
 from fbasis.cli import load_config, run_command
-from fbasis.lp_operators import TailOp, image_pairs
+from fbasis.lp_operators import TailOp, _root, _stage_norm, image_pairs
 from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
 
@@ -306,6 +306,46 @@ def test_builds_equal_those_of_the_old_stage_loop(build):
         assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
 
+@st.composite
+def exact_targets(draw):
+    """(a, space, filter, n_max): const, prefix[...]:const, pow(c,1) and
+    pow(c,2) targets in l1 and l2, whose every stage is exact."""
+    c = Fraction(draw(st.integers(3, 12)), 2)
+    shape = draw(st.sampled_from(["const", "prefix", "pow1", "pow2"]))
+    filt = Frechet()
+    if shape == "const":
+        a = Constant(c)
+    elif shape == "prefix":
+        a = ExplicitPrefix(tuple(Fraction(draw(st.integers(3, 12)), 2)
+                                 for _ in range(draw(st.integers(1, 4)))), Constant(c))
+    else:
+        a, filt = PowerLog(c, 1 if shape == "pow1" else 2), Summable(HARMONIC)
+    n_max = draw(st.integers(2, 60))
+    return a, draw(st.sampled_from([l1, l2]))(n_max), filt, n_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_targets())
+def test_exact_stage_reports_are_the_stage_norms_of_their_ratios(build):
+    """Each exact stage's norm report and defect, taken from a_n**p, are the
+    generic ``_stage_norm(W, p, b_1 .. b_{n+1})`` and the root of W, in text
+    and in type, with W = a_n at p = 1 and a_n**2 - 1 at p = 2 evaluated in
+    Fractions."""
+    a, space, filt, n_max = build
+    got = _built(build_basis, build, {})
+    if isinstance(got, str):
+        return
+    p = 1 if space.is_l1 else 2
+    for n in range(1, n_max):
+        W = Fraction(a.value_at(n)) ** p - (p - 1)
+        rep, c = _stage_norm(W, p, got.coefficients[: n + 1]), _root(W, p)
+        c = c if p == 1 else float(c)
+        got_rep, got_c = got.norm_reports[n - 1], got.defect_coeffs[n - 1]
+        assert (repr(got_rep), type(got_rep.exact), type(got_rep.exact_square)) == (
+            repr(rep), type(rep.exact), type(rep.exact_square)), n
+        assert (repr(got_c), type(got_c)) == (repr(c), type(c)), n
+
+
 # mutants of the kernel ``image_pairs(bs, xs, n)``, on the integer pairs of b and x
 
 
@@ -323,6 +363,18 @@ def _leaks_past_stage(bs, xs, n):  # a nonzero coordinate n + 1, which T sends t
     out = image_pairs(bs, xs, n)
     out[n] = (1, 1)
     return out
+
+
+@pytest.mark.parametrize("corrupted", [_without_defect, _leaks_past_stage],
+                         ids=["without-defect", "leaks"])
+@pytest.mark.parametrize("space", ["l1", "l2", "lp(3/2)"])
+def test_a_failed_biorthogonality_certificate_exits_70(monkeypatch, space, corrupted):
+    """A build whose own biorthogonality certificate fails is an internal
+    error (exit 70 and the error document), never a constructed system."""
+    monkeypatch.setattr(basis_builder, "image_pairs", corrupted)
+    code, payload = run_command(load_config(["build-basis", "--seq", "const(2)", "--space",
+                                             space, "--filter", "frechet", "--n-max", "8"]))
+    assert code == 70 and json.loads(payload)["error"] == "internal"
 
 
 class TestBiorthogonalityOracle:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,41 @@ from conftest import random_set_expr
 
 GEOM2 = GeometricIndex(Fraction(2))
 HARMONIC = PowerLog(1, Fraction(-1))
+
+
+def _window_member(g: GeometricIndex, n: int) -> bool:
+    """Membership in {floor(base**m) : m >= 1} from a window of four elements
+    around log_base(n): the elements strictly increase, so no other can be n."""
+    if n < g.element(1):
+        return False
+    m = max(1, int(math.log(n, float(g.base))) - 1)
+    for k in range(m, m + 4):
+        e = g.element(k)
+        if e == n:
+            return True
+        if e > n:
+            return False
+    return False
+
+
+_GEOM_BASES = [Fraction(2), Fraction(3), Fraction(5, 2), Fraction(7, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(_GEOM_BASES), data=st.data())
+def test_geometric_membership_is_the_window_routine(base, data):
+    """The cached elements answer as the window routine does, queried in
+    random order on one set, so the cache grows and is read below its end;
+    the elements and their neighbours are drawn on purpose, and the indices
+    past 2**64 take the window and grow no cache."""
+    g = GeometricIndex(base)
+    near = [g.element(k) + d for k in range(1, 12) for d in (-1, 0, 1)]
+    past = [g.element(k) + d for k in range(1, 200) if g.element(k) > 2 ** 64
+            for d in (-1, 0, 1)][:3]
+    queries = data.draw(st.lists(st.integers(1, 10 ** 6) | st.sampled_from(near), max_size=40))
+    queries = data.draw(st.permutations(queries + past))
+    assert [g.member_at(n) for n in queries] == [_window_member(g, n) for n in queries]
+    assert len(g.__dict__.get("_cached", ())) <= 65  # no element past the first above 2**64
 
 
 class TestMembership:

@@ -436,6 +436,30 @@ def test_integer_powers_are_the_exact_pow_values(c, k, n):
     assert got == c * exact_pow(Fraction(n), Fraction(k))
 
 
+@st.composite
+def _int_power_args(draw):
+    """(c, k, n) with n <= 10**6 and c's denominator sharing factors with n
+    (a divisor of n, of n**2 or of neither, times a small cofactor)."""
+    n = draw(st.integers(1, 10 ** 6))
+    k = draw(st.integers(0, 4))
+    shared = draw(st.sampled_from([1, math.gcd(n, draw(st.integers(1, 10 ** 6))), n, n * n]))
+    den = shared * draw(st.integers(1, 60))
+    num = draw(st.integers(-10 ** 6, 10 ** 6))
+    return Fraction(num, den), k, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_power_args())
+def test_the_integer_power_path_is_the_fraction_product(args):
+    """At gamma = 0, beta = k >= 0 and an int n, the value is the Fraction
+    c * Fraction(n)**k in value, text and type, in lowest terms though it is
+    reduced by gcd(n**k, c.den) alone."""
+    c, k, n = args
+    got, want = power_log_at(c, Fraction(k), Fraction(0), n), c * Fraction(n) ** k
+    assert type(got) is Fraction and repr(got) == repr(want) and got == want
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(c=st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
        beta=st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 6)),
