@@ -369,23 +369,26 @@ class DominationVerdict:
         return DominationVerdict("inconclusive")
 
 
-def witness_library() -> list[SetExpr]:
+# built once, so that each set keeps its description across queries
+_WITNESS_LIBRARY: tuple[SetExpr, ...] = (
+    Complement(GeometricIndex(Fraction(2))),
+    Complement(GeometricIndex(Fraction(3))),
+    Residue(2, 0),
+    Residue(2, 1),
+    Residue(3, 0),
+    Residue(3, 1),
+    Residue(4, 0),
+    GeometricIndex(Fraction(2)),
+    GeometricIndex(Fraction(3)),
+    Complement(Residue(2, 0)),
+    Complement(Residue(3, 0)),
+    Union((Residue(4, 0), GeometricIndex(Fraction(2)))),
+)
+
+
+def witness_library() -> tuple[SetExpr, ...]:
     """Deterministic library of structured refutation candidates."""
-    lib: list[SetExpr] = [
-        Complement(GeometricIndex(Fraction(2))),
-        Complement(GeometricIndex(Fraction(3))),
-        Residue(2, 0),
-        Residue(2, 1),
-        Residue(3, 0),
-        Residue(3, 1),
-        Residue(4, 0),
-        GeometricIndex(Fraction(2)),
-        GeometricIndex(Fraction(3)),
-        Complement(Residue(2, 0)),
-        Complement(Residue(3, 0)),
-        Union((Residue(4, 0), GeometricIndex(Fraction(2)))),
-    ]
-    return lib
+    return _WITNESS_LIBRARY
 
 
 def dominates(F1: FilterSpec, F2: FilterSpec) -> DominationVerdict:

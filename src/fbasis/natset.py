@@ -8,8 +8,9 @@ explicit horizon, and queries past it are answered as inconclusive
 rather than guessed.
 
 Decision procedures (density, membership, prefix enumeration) work on a
-sound abstract description of each set: an eventually periodic part
-(residues modulo a common period) together with sparse zero-density
+sound abstract description of each set, built once per set and kept: an
+eventually periodic part (an integer bitmask of the residues modulo a
+common period, at most ``_MAX_PERIOD``) together with sparse zero-density
 tokens, tracked as an under/over-approximation pair so that unknown
 atoms degrade to honest bounds instead of wrong answers.
 """
@@ -49,9 +50,6 @@ class SetExpr:
 
     __slots__ = ()
 
-    # Subclasses added outside this module (witness sets) override the
-    # hooks below; the core atoms are dispatched explicitly.
-
     def member_at(self, n: int) -> Optional[bool]:
         raise NotImplementedError
 
@@ -60,7 +58,13 @@ class SetExpr:
         raise NotImplementedError
 
     def desc_pair(self) -> "tuple[_Desc, _Desc]":
-        """Sound (under, over) approximations, valid modulo finite sets."""
+        """Sound (under, over) approximations, valid modulo finite sets: built
+        by ``_describe`` once per set, which reads fields only, and kept."""
+        if "_desc" not in self.__dict__:
+            object.__setattr__(self, "_desc", self._describe())
+        return self._desc
+
+    def _describe(self) -> "tuple[_Desc, _Desc]":
         raise NotImplementedError
 
     def slack_bound(self) -> int:
@@ -124,7 +128,7 @@ class Finite(SetExpr):
                 m[i - 1] = True
         return m
 
-    def desc_pair(self):
+    def _describe(self):
         return _DESC_EMPTY, _DESC_EMPTY
 
     def slack_bound(self):
@@ -152,7 +156,7 @@ class CoFinite(SetExpr):
                 m[i - 1] = False
         return m
 
-    def desc_pair(self):
+    def _describe(self):
         return _DESC_FULL, _DESC_FULL
 
     def slack_bound(self):
@@ -182,8 +186,8 @@ class Residue(SetExpr):
         m[start - 1 :: self.modulus] = True
         return m
 
-    def desc_pair(self):
-        d = _Desc(_EP(self.modulus, frozenset({self.residue})), frozenset(), frozenset())
+    def _describe(self):
+        d = _Desc(_EP(self.modulus, 1 << self.residue), frozenset(), frozenset())
         return d, d
 
     def slack_bound(self):
@@ -216,7 +220,7 @@ class Range(SetExpr):
             m[self.lo - 1 : top] = True
         return m
 
-    def desc_pair(self):
+    def _describe(self):
         d = _DESC_EMPTY if self.hi is not None else _DESC_FULL
         return d, d
 
@@ -269,7 +273,7 @@ class GeometricIndex(SetExpr):
             m[e - 1] = True
         return m
 
-    def desc_pair(self):
+    def _describe(self):
         d = _Desc(_EP_EMPTY, frozenset({self}), frozenset())
         return d, d
 
@@ -299,7 +303,7 @@ class Sampled(_KnownUpTo):
             object.__setattr__(self, "_sorted", np.array(sorted(self.members), dtype=int))
         return self._sorted[: np.searchsorted(self._sorted, limit, side="right")]
 
-    def desc_pair(self):
+    def _describe(self):
         return _DESC_EMPTY, _DESC_FULL
 
     def slack_bound(self):
@@ -335,7 +339,7 @@ class Shifted(SetExpr):
             m[:] = inner[-self.offset : -self.offset + horizon]
         return m
 
-    def desc_pair(self):
+    def _describe(self):
         lo, hi = self.base.desc_pair()
         return _shift_desc(lo, self.offset), _shift_desc(hi, self.offset)
 
@@ -366,15 +370,8 @@ class Union(SetExpr):
             m |= p.mask(horizon)
         return m
 
-    def desc_pair(self):
-        lo = hi = None
-        for p in self.parts:
-            plo, phi = p.desc_pair()
-            lo = plo if lo is None else _desc_union_under(lo, plo)
-            hi = phi if hi is None else _desc_union_over(hi, phi)
-        if lo is None:
-            return _DESC_EMPTY, _DESC_EMPTY
-        return lo, hi
+    def _describe(self):
+        return _fold_descs(self.parts, _desc_union_under, _desc_union_over, _DESC_EMPTY)
 
     def slack_bound(self):
         return max((p.slack_bound() for p in self.parts), default=0)
@@ -405,15 +402,8 @@ class Intersection(SetExpr):
             m &= p.mask(horizon)
         return m
 
-    def desc_pair(self):
-        lo = hi = None
-        for p in self.parts:
-            plo, phi = p.desc_pair()
-            lo = plo if lo is None else _desc_intersect_under(lo, plo)
-            hi = phi if hi is None else _desc_intersect_over(hi, phi)
-        if lo is None:
-            return _DESC_FULL, _DESC_FULL
-        return lo, hi
+    def _describe(self):
+        return _fold_descs(self.parts, _desc_intersect_under, _desc_intersect_over, _DESC_FULL)
 
     def slack_bound(self):
         return max((p.slack_bound() for p in self.parts), default=0)
@@ -437,7 +427,7 @@ class Complement(SetExpr):
     def mask(self, horizon):
         return ~self.inner.mask(horizon)
 
-    def desc_pair(self):
+    def _describe(self):
         lo, hi = self.inner.desc_pair()
         return _desc_complement(hi), _desc_complement(lo)
 
@@ -461,32 +451,36 @@ EMPTY = Finite(())
 
 @record
 class _EP:
-    """An eventually periodic set: the residues mod ``modulus`` it occupies."""
+    """An eventually periodic set: bit r of ``bits`` is set when it holds r mod ``modulus``."""
 
     modulus: int
-    residues: frozenset[int]
+    bits: int
+
+    @property
+    def residues(self) -> frozenset[int]:  # pragma: no cover - the tests' frozenset oracle
+        return frozenset(i for i, c in enumerate(reversed(bin(self.bits))) if c == "1")
 
     def lift(self, modulus: int) -> "_EP":
-        if modulus == self.modulus:
-            return self
-        k = modulus // self.modulus
-        res = frozenset(r + j * self.modulus for r in self.residues for j in range(k))
-        return _EP(modulus, res)
+        # doubling copies of the period, then one shift adds the missing ones
+        bits, span = self.bits, self.modulus
+        while 2 * span <= modulus:
+            bits, span = bits | bits << span, 2 * span
+        return _EP(modulus, bits | bits << (modulus - span) if span < modulus else bits)
 
     def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.modulus)
+        return Fraction(self.bits.bit_count(), self.modulus)
 
     @property
     def is_empty(self) -> bool:
-        return not self.residues
+        return not self.bits
 
     @property
     def is_full(self) -> bool:
-        return len(self.residues) == self.modulus
+        return self.bits == (1 << self.modulus) - 1
 
 
-_EP_EMPTY = _EP(1, frozenset())
-_EP_FULL = _EP(1, frozenset({0}))
+_EP_EMPTY = _EP(1, 0)
+_EP_FULL = _EP(1, 1)
 
 
 def _ep_lcm(a: _EP, b: _EP) -> int:
@@ -496,22 +490,19 @@ def _ep_lcm(a: _EP, b: _EP) -> int:
     return m
 
 
-def _ep_union(a: _EP, b: _EP) -> _EP:
+def _ep_join(a: _EP, b: _EP, op) -> _EP:
+    """``op`` (``int.__or__`` or ``int.__and__``) of the bits over a common period."""
     m = _ep_lcm(a, b)
-    return _EP(m, a.lift(m).residues | b.lift(m).residues)
-
-
-def _ep_intersect(a: _EP, b: _EP) -> _EP:
-    m = _ep_lcm(a, b)
-    return _EP(m, a.lift(m).residues & b.lift(m).residues)
+    return _EP(m, op(a.lift(m).bits, b.lift(m).bits))
 
 
 def _ep_complement(a: _EP) -> _EP:
-    return _EP(a.modulus, frozenset(range(a.modulus)) - a.residues)
+    return _EP(a.modulus, a.bits ^ ((1 << a.modulus) - 1))
 
 
 def _ep_shift(a: _EP, offset: int) -> _EP:
-    return _EP(a.modulus, frozenset((r + offset) % a.modulus for r in a.residues))
+    m, k = a.modulus, offset % a.modulus  # a rotation: residue r moves to (r + k) mod m
+    return _EP(m, (a.bits << k | a.bits >> (m - k)) & ((1 << m) - 1))
 
 
 @record
@@ -560,7 +551,7 @@ def _desc_union_under(a: _Desc, b: _Desc) -> _Desc:
     # a plus token from a side without removals lies in the union entirely
     free = (a.plus if not a.minus else frozenset()) | (b.plus if not b.minus else frozenset())
     return _Desc(
-        _ep_union(a.ep, b.ep), a.plus | b.plus, (a.minus | b.minus) - free
+        _ep_join(a.ep, b.ep, int.__or__), a.plus | b.plus, (a.minus | b.minus) - free
     ).normalized()
 
 
@@ -569,7 +560,7 @@ def _desc_union_over(a: _Desc, b: _Desc) -> _Desc:
         return a
     if a.certainly_empty:
         return b
-    return _Desc(_ep_union(a.ep, b.ep), a.plus | b.plus, a.minus & b.minus).normalized()
+    return _Desc(_ep_join(a.ep, b.ep, int.__or__), a.plus | b.plus, a.minus & b.minus).normalized()
 
 
 def _desc_intersect_exactish(a: _Desc, b: _Desc) -> Optional[_Desc]:
@@ -586,14 +577,23 @@ def _desc_intersect_under(a: _Desc, b: _Desc) -> _Desc:
     exact = _desc_intersect_exactish(a, b)
     if exact is not None:
         return exact
-    return _Desc(_ep_intersect(a.ep, b.ep), a.plus & b.plus, a.minus | b.minus).normalized()
+    return _Desc(_ep_join(a.ep, b.ep, int.__and__), a.plus & b.plus, a.minus | b.minus).normalized()
 
 
 def _desc_intersect_over(a: _Desc, b: _Desc) -> _Desc:
     exact = _desc_intersect_exactish(a, b)
     if exact is not None:
         return exact
-    return _Desc(_ep_intersect(a.ep, b.ep), a.plus | b.plus, a.minus | b.minus).normalized()
+    return _Desc(_ep_join(a.ep, b.ep, int.__and__), a.plus | b.plus, a.minus | b.minus).normalized()
+
+
+def _fold_descs(parts, under, over, empty) -> "tuple[_Desc, _Desc]":
+    """The parts' (under, over) pairs folded from the left by the two rules."""
+    lo = hi = None
+    for p in parts:
+        plo, phi = p.desc_pair()
+        lo, hi = (plo, phi) if lo is None else (under(lo, plo), over(hi, phi))
+    return (empty, empty) if lo is None else (lo, hi)
 
 
 def _shift_token(tok, offset: int):

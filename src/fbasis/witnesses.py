@@ -282,7 +282,7 @@ class GreedyBlockSet(_ScannedSet):
         members = st["members"][1]
         return members[: np.searchsorted(members, limit, side="right")]
 
-    def desc_pair(self):
+    def _describe(self):
         return _DESC_EMPTY, _DESC_FULL
 
     def slack_bound(self):
@@ -380,7 +380,7 @@ class SparseThresholdSet(_ScannedSet):
         elements = np.array(self._state["elements"], dtype=int)
         return elements[: np.searchsorted(elements, limit, side="right")]
 
-    def desc_pair(self):
+    def _describe(self):
         d = _Desc(_EP_EMPTY, frozenset({self}), frozenset())
         return d, d
 

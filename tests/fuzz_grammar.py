@@ -4,24 +4,28 @@
 ``witness``, ``separate`` or ``dominates`` command line, and
 ``vector_argv(pick)`` one ``profile-lemma1`` or ``demo-convergence``
 command line, whose vectors are ``e(k)``, ``powtail(...)`` and
-``spike(SET; SEQ)`` over the grammar's sets.  ``pick(options)`` returns one
-of the options: ``random.Random(seed).choice`` for a plain run, or a
-hypothesis ``sampled_from`` draw.  Coefficients reach 10**400 and
-10**-400, exponents +-400, and sets, sequences and filters nest through
-``prefix``, ``piece``, ``greedy``, ``thresh``, ``shift``, ``summable`` and
-``trace``.
+``spike(SET; SEQ)`` over the grammar's sets, and ``period_argv(pick)`` one
+``classify-set``, ``check-admissible`` or ``dominates`` command line whose
+sets and ``trace(...; SET)`` index sets are residues with moduli up to
+10**6, under complements, shifts, unions and intersections.
+``pick(options)`` returns one of the options: ``random.Random(seed).choice``
+for a plain run, or a hypothesis ``sampled_from`` draw.  Coefficients
+reach 10**400 and 10**-400, exponents +-400, and sets, sequences and
+filters nest through ``prefix``, ``piece``, ``greedy``, ``thresh``,
+``shift``, ``summable`` and ``trace``.
 
     python tests/fuzz_grammar.py OPS SEED...
     python tests/fuzz_grammar.py --vectors OPS SEED...
+    python tests/fuzz_grammar.py --periods OPS SEED...
 
 runs OPS command lines per seed in this process, drawn by ``argv`` (by
-``vector_argv`` with ``--vectors``), each under a 5 s alarm, and prints
-the count of each exit code, every exit 70 and every timeout.  It also
-prints the total time, the p50/p90/p99 latency, the process's
-peak RSS (``ru_maxrss``, in MB), the ten slowest ops, and one
-sha256 over every (argv, exit, report) triple: two checkouts that print
-the same digest for the same OPS and SEEDs printed the same bytes for
-every op.
+``vector_argv`` with ``--vectors``, by ``period_argv`` with ``--periods``),
+each under a 5 s alarm, and prints the count of each exit code, every
+exit 70 and every timeout.  It also prints the total time, the p50/p90/p99
+latency, the process's peak RSS (``ru_maxrss``, in MB), the ten slowest
+ops, and one sha256 over every (argv, exit, report) triple: two checkouts
+that print the same digest for the same OPS and SEEDs printed the same
+bytes for every op.
 """
 
 from __future__ import annotations
@@ -128,6 +132,46 @@ def vector_argv(pick) -> list[str]:
             "--filter", filt(pick), "--n-max", str(pick((2, 5, 12, 30))), "--vector", vector(pick)]
 
 
+# up to the period cap of the set analysis (10**6), primes and powers of 2 among them
+MODULI = (2, 3, 5, 12, 997, 999, 1000, 1024, 9973, 65536, 99991, 500000, 999983, 999999, 10 ** 6)
+
+
+def period_set(pick, depth: int = 2) -> str:
+    """A set over residues with large moduli.  Where two moduli have an lcm
+    past the period cap (10**6), the set's questions are undecided, which
+    must never show as an internal error."""
+    kinds = ("residue",) + (("not", "shift", "or", "and", "geom", "finite") if depth else ())
+    kind = pick(kinds)
+    if kind == "residue":
+        q = pick(MODULI)
+        return f"residue({q},{pick(range(q))})"
+    if kind == "geom":
+        return f"geom({pick(('2', '3'))})"
+    if kind == "finite":
+        return f"finite{{{pick(range(1, 10))},{pick(range(10, 20))}}}"
+    if kind == "not":
+        return f"!{period_set(pick, depth - 1)}"
+    if kind == "shift":
+        return f"shift({period_set(pick, depth - 1)},{pick((-7, 1, 12, 999999))})"
+    op = "|" if kind == "or" else "&"
+    return f"({period_set(pick, depth - 1)}{op}{period_set(pick, depth - 1)})"
+
+
+def period_filter(pick) -> str:
+    base = pick(("frechet", "statistical", "summable(pow(1,-1))", "summable(pow(1,-1/2))"))
+    return pick((base, f"trace({base}; {period_set(pick, 1)})"))
+
+
+def period_argv(pick) -> list[str]:
+    command = pick(("classify-set", "check-admissible", "dominates"))
+    if command == "classify-set":
+        return [command, "--set", period_set(pick), "--filter", period_filter(pick)]
+    if command == "check-admissible":
+        return [command, "--seq", seq(pick, 1), "--filter", period_filter(pick),
+                "--p", pick(P_VALUES)]
+    return [command, "--filter", period_filter(pick), "--filter2", period_filter(pick)]
+
+
 def shown(line: list[str]) -> str:
     """The command line with 10**+-400 abbreviated."""
     return " ".join(repr(a) for a in line).replace(_HUGE, "1e400").replace(_TINY, "1e-400")
@@ -201,6 +245,6 @@ if __name__ == "__main__":
     import sys
 
     args = sys.argv[1:]
-    draw = vector_argv if args[:1] == ["--vectors"] else argv
-    args = args[1:] if draw is vector_argv else args
+    draw = {"--vectors": vector_argv, "--periods": period_argv}.get(args[0], argv)
+    args = args[1:] if draw is not argv else args
     raise SystemExit(_run(int(args[0]), [int(s) for s in args[1:]], draw))

@@ -1,6 +1,7 @@
 """Random command lines over the documented grammar (``fuzz_grammar``),
-the vector commands' included, answer with an exit code of the contract,
-a JSON report and nothing on stderr: exit 70 is a bug, whatever the input."""
+the vector commands' and the large-period draws included, answer with an
+exit code of the contract, a JSON report and nothing on stderr: exit 70 is
+a bug, whatever the input."""
 
 import contextlib
 import io
@@ -28,6 +29,13 @@ def test_commands_answer_within_their_contract(argv):
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(command_lines(fuzz_grammar.vector_argv))
 def test_vector_commands_answer_within_their_contract(argv):
+    _assert_within_contract(argv)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(command_lines(fuzz_grammar.period_argv))
+def test_period_commands_answer_within_their_contract(argv):
+    # moduli up to the period cap, in sets and in trace index sets
     _assert_within_contract(argv)
 
 

@@ -32,9 +32,18 @@ from fbasis import (
     parse_set_expr,
     weight_sum,
 )
-from fbasis.natset import is_certainly_finite, is_certainly_infinite
+from fbasis import natset
+from fbasis.natset import (
+    _EP,
+    _ep_complement,
+    _ep_join,
+    _ep_shift,
+    is_certainly_finite,
+    is_certainly_infinite,
+)
 from fbasis.series import partial_sum
 
+import ep_oracle
 from checkers import count_prefix, set_equal
 from conftest import random_set_expr
 
@@ -409,3 +418,55 @@ def test_descriptions_past_the_period_cap_are_not_certain():
         assert is_certainly_finite(s) is False
         assert is_certainly_infinite(s) is False
     assert classify_set(both, Frechet()) == SetClass.INCONCLUSIVE
+
+
+@st.composite
+def _periodic(draw, modulus=None):
+    """An ``_EP`` mod up to 1000: a few residues or all but a few, so that
+    the empty and the full set come up too."""
+    m = modulus or draw(st.integers(1, 1000))
+    bits = sum(1 << r for r in draw(st.sets(st.integers(0, m - 1), max_size=12)))
+    return _EP(m, bits ^ ((1 << m) - 1) if draw(st.booleans()) else bits)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(a=_periodic(), factor=st.integers(1, 40), shared=st.integers(1, 1000),
+       spread=st.integers(1, 20), offset=st.integers(-10 ** 6, 10 ** 6), data=st.data())
+def test_bitmask_operations_are_the_frozenset_oracle(a, factor, shared, spread, offset, data):
+    # b's modulus shares a divisor with a's, so the lcm stays at most 20 * 1000
+    b = data.draw(_periodic(math.gcd(a.modulus, shared) * spread))
+    oa, ob = ep_oracle.of(a), ep_oracle.of(b)
+    results = {
+        "lift": (a.lift(a.modulus * factor), ep_oracle.lift(oa, a.modulus * factor)),
+        "union": (_ep_join(a, b, int.__or__), ep_oracle.union(oa, ob)),
+        "intersection": (_ep_join(a, b, int.__and__), ep_oracle.intersect(oa, ob)),
+        "complement": (_ep_complement(a), ep_oracle.complement(oa)),
+        "shift": (_ep_shift(a, offset), ep_oracle.shift(oa, offset)),
+    }
+    for name, (ep, want) in results.items():
+        assert 0 <= ep.bits < 1 << ep.modulus, name  # no bit past the period
+        assert ep_oracle.of(ep) == want, name
+    assert a.density() == ep_oracle.density(oa)
+    assert (a.is_empty, a.is_full) == (ep_oracle.is_empty(oa), ep_oracle.is_full(oa))
+
+
+def test_each_set_is_described_once(monkeypatch):
+    # the Frechet class asks four questions of the set and its complement;
+    # each of the five nodes builds its description once, and each of the
+    # two complements complements its two halves once
+    described, complemented = [], []
+    for cls in {c for c in vars(natset).values() if isinstance(c, type) and "_describe" in vars(c)}:
+        def counted(self, _describe=cls._describe):
+            described.append(self)  # kept alive, so no id is reused
+            return _describe(self)
+        monkeypatch.setattr(cls, "_describe", counted)
+
+    def complement(ep, _complement=natset._ep_complement):
+        complemented.append(ep)
+        return _complement(ep)
+
+    monkeypatch.setattr(natset, "_ep_complement", complement)
+    A = parse_set_expr("!(residue(1000,0)|residue(999,1))")
+    assert classify_set(A, Frechet()) == SetClass.STATIONARY
+    assert len(described) == len({id(node) for node in described}) == 5
+    assert len(complemented) == 4

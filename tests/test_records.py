@@ -126,9 +126,8 @@ BUILDERS = {
     Union: lambda r: _a((random_set_expr(r, 1), random_set_expr(r, 0))),
     Intersection: lambda r: _a((random_set_expr(r, 1), random_set_expr(r, 0))),
     Complement: lambda r: _a(random_set_expr(r, 1)),
-    _EP: lambda r: _a(4, frozenset(_ints(r, 2))),
-    _Desc: lambda r: _a(_EP(2, frozenset({r.randrange(2)})), frozenset(_ints(r, 2)),
-                        frozenset()),
+    _EP: lambda r: _a(4, r.randrange(16)),
+    _Desc: lambda r: _a(_EP(2, 1 << r.randrange(2)), frozenset(_ints(r, 2)), frozenset()),
     DensityVerdict: lambda r: _a(r.choice(["exact", "bounds"]), _frac(r),
                                  horizon=r.choice([None, 100])),
     SumVerdict: lambda r: _a(r.choice(["converges", "diverges"]), _frac(r), partial=r.random()),
