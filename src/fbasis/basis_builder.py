@@ -23,11 +23,13 @@ import math
 import random
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
+from sys import get_int_max_str_digits
 from typing import Optional
 
 from ._record import field, record
 from .admissibility import AdmissVerdict, check_admissible
-from .filters import DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, epsilon_table
+from .filters import (DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, SetClass, classify_set,
+                      epsilon_table)
 from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
@@ -113,6 +115,7 @@ def build_basis(
     F: FilterSpec,
     n_max: int = 32,
     a_squared: Optional[ScalarSeq] = None,
+    printable: bool = False,
 ) -> BasisSystem:
     """Run the recurrence and certify every stage invariant.
 
@@ -129,7 +132,11 @@ def build_basis(
     phase, in floats, starts at the first stage whose W is a float.
     ``a_squared`` optionally supplies exact squared targets for the
     Hilbert-space path (so irrational targets like sqrt(2) stay exact on
-    squares).
+    squares).  A coefficient past the float range, in either phase, is a
+    ``DomainError``.  With ``printable`` (the caller renders the stored
+    powers in decimal), so is an exact power with more bits than a number
+    of ``sys.get_int_max_str_digits()`` digits can hold, found as it is
+    made; a limit of 0 sets none.
     """
     if n_max < 2:
         raise DomainError("need at least two coefficients")
@@ -170,6 +177,9 @@ def build_basis(
     # b_n**p = num / den, W_{n-1} + 1 = gn / gd (W_0 + 1 = 1); (rep, U) per exact W
     num = den = gn = gd = 1
     last_ratio, by_ratio, float_from = (0, 1), {}, None
+    limit = get_int_max_str_digits() if printable else 0  # 0: no limit
+    # below the cap, bit_length() <= limit * 3.321928 < limit * log2(10): at most limit digits
+    cap = 1 << limit * 3321928 // 10 ** 6 if limit else 0
     for n, t in stages:
         a_p = t if on_l1 else eval_at(a_squared, n) if on_l2 else None  # a_n**p
         if not isinstance(a_p, Fraction):
@@ -183,11 +193,18 @@ def build_basis(
         g1, g2 = math.gcd(num, sd), math.gcd(sn, den)
         num, den = (num // g1) * (sn // g2), (den // g2) * (sd // g1)
         gn, gd = w + v, v  # S + S / W = b_{n+1}**p (W + 1)
+        if cap and (num >= cap or den >= cap):
+            raise DomainError(f"coefficient at stage {n} passes the limit of {limit} digits "
+                              "for integer string conversion")
         nxt = _coprime(num, den)  # b_{n+1}**p
         if on_l2:
             squares.append(nxt)
-        b = _root(nxt, p)
-        coeffs.append(b if on_l1 else float(b))
+        try:
+            b = _root(nxt, p)
+            coeffs.append(b if on_l1 else float(b))
+        except OverflowError:  # at p = 2, b past the float range while its square is exact
+            msg = f"coefficient at stage {n} lies beyond the float range"
+            raise DomainError(msg) from None
         _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
         last_ratio = ratio
         if ratio not in by_ratio:  # the stage norm's p-th power is a_n**p itself
@@ -327,7 +344,11 @@ def default_test_family(space: SpaceKind):
 
 def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
     """The defect coefficients with their unit-band check and the
-    filter-vanishing verdicts of the defect functionals on a test family."""
+    filter-vanishing verdicts of the defect functionals on a test family.
+
+    Only each verdict's kind is kept, so ``_classify_defects`` may settle
+    it without the epsilon table: a vector whose shifted support is
+    negligible, at a level the limsup bound leaves open, converges."""
     # one float per distinct object: exact stages share their defects and targets
     distinct = {id(c): c for c in itertools.chain(sys.defect_coeffs, sys.targets)}
     floats = {k: float(c) for k, c in distinct.items()}
@@ -341,7 +362,8 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
         test_family = default_test_family(sys.space)
     bounds = functools.cache(lambda: _defect_bound_seqs(sys))
     vanishing = tuple(
-        (x.to_text(), _classify_defects(sys, x, bounds)[-1].kind) for x in test_family
+        (x.to_text(), _classify_defects(sys, x, bounds, verdict_only=True)[-1].kind)
+        for x in test_family
     )
     return DefectReport(
         values=values,
@@ -452,7 +474,8 @@ _DEFAULT_LEVELS = tuple(float(e) for e in DEFAULT_EPS_SCHEDULE)  # converted onc
 
 
 def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
-                      horizon: int = 10 ** 6, under: Optional[FilterSpec] = None):
+                      horizon: int = 10 ** 6, under: Optional[FilterSpec] = None,
+                      verdict_only: bool = False):
     """The levels, over-sets, under-sets and classes of the epsilon table of
     ``convergence_demo``, one entry per level, and its limit verdict.
     ``bounds()`` returns the system's ``_defect_bound_seqs``, so a caller
@@ -467,7 +490,13 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     level stationary-or-member.  The over-sets of all levels come from one
     head scan of their sequence, and ``epsilon_table`` classifies them.
     Only if it asks for the under-sets of levels left open are ``bounds()``,
-    the product amp c_lower and its one head scan made."""
+    the product amp c_lower and its one head scan made.
+
+    With ``verdict_only``, once the limsup bound leaves a level open, the
+    shifted support S itself is classified first.  The stage defect is 0 off
+    S, so every exceptional set lies in S; if S is negligible, so is every
+    level, and the verdict ``converges`` comes with no table: the sets and
+    classes are then None."""
     filt = under if under is not None else sys.filter
     levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
     if isinstance(x, BasisVector):
@@ -497,6 +526,9 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
         if lim is not None and math.isfinite(lim):
             # the defect bound settles below every level above lim * kappa
             limsup = lim * kappa
+        if verdict_only and (limsup is None or limsup >= min(levels)) and (
+                classify_set(support, filt) == SetClass.NEGLIGIBLE):
+            return levels, None, None, None, LimitVerdict.converges_to(0)
     if kappa is not None:
         def under_sets(ls):
             c_lower, lower_on = bounds()

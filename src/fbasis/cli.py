@@ -297,7 +297,8 @@ def _cmd_build_basis(cfg: RunConfig):
     seq = parse_scalar_seq(seq_text) if seq_text else None
     a_squared = parse_scalar_seq(sq_text) if sq_text else None
     try:
-        system = basis_builder.build_basis(seq, space, filt, n_max, a_squared=a_squared)
+        system = basis_builder.build_basis(seq, space, filt, n_max, a_squared=a_squared,
+                                             printable=True)
     except basis_builder.NotAdmissible as exc:
         doc = {
             "command": cfg.command,

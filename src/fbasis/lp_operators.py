@@ -252,7 +252,8 @@ def _mass_ratio(T: TailOp):
 def _prescribed_ratio(a, p, a_square=None):
     """The W = S / b_{n+1}**p whose stage norm is a, (a**q - 1)**(p - 1): a
     itself at p = 1, a**2 - 1 at p = 2 (from the exact square when given),
-    else a**p * (1 - a**-q)**(p - 1), which stays finite as q grows."""
+    else a**p * (1 - a**-q)**(p - 1), which stays finite as q grows; +inf
+    where a**p passes the float range, as a * a does at p = 2."""
     if not a > 1:
         raise DomainError("the target norm must exceed 1")
     if p == 1:
@@ -260,7 +261,10 @@ def _prescribed_ratio(a, p, a_square=None):
     if p == 2:
         return (a * a if a_square is None else a_square) - 1
     p, a = float(p), float(a)
-    return a ** p * (-math.expm1(-math.log(a) * p / (p - 1))) ** (p - 1)
+    try:
+        return a ** p * (-math.expm1(-math.log(a) * p / (p - 1))) ** (p - 1)
+    except OverflowError:
+        return math.inf
 
 
 def _closed_form_report(power, k, method: str) -> NormReport:

@@ -18,6 +18,7 @@ atoms degrade to honest bounds instead of wrong answers.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -543,7 +544,7 @@ def _is_cofull_desc(d: _Desc) -> bool:
     return d.ep.is_full and not d.plus
 
 
-def _desc_union_under(a: _Desc, b: _Desc) -> _Desc:
+def _desc_union_under(a: _Desc, b: _Desc, join) -> _Desc:
     if b.certainly_empty:
         return a
     if a.certainly_empty:
@@ -551,16 +552,16 @@ def _desc_union_under(a: _Desc, b: _Desc) -> _Desc:
     # a plus token from a side without removals lies in the union entirely
     free = (a.plus if not a.minus else frozenset()) | (b.plus if not b.minus else frozenset())
     return _Desc(
-        _ep_join(a.ep, b.ep, int.__or__), a.plus | b.plus, (a.minus | b.minus) - free
+        join(a.ep, b.ep, int.__or__), a.plus | b.plus, (a.minus | b.minus) - free
     ).normalized()
 
 
-def _desc_union_over(a: _Desc, b: _Desc) -> _Desc:
+def _desc_union_over(a: _Desc, b: _Desc, join) -> _Desc:
     if b.certainly_empty:
         return a
     if a.certainly_empty:
         return b
-    return _Desc(_ep_join(a.ep, b.ep, int.__or__), a.plus | b.plus, a.minus & b.minus).normalized()
+    return _Desc(join(a.ep, b.ep, int.__or__), a.plus | b.plus, a.minus & b.minus).normalized()
 
 
 def _desc_intersect_exactish(a: _Desc, b: _Desc) -> Optional[_Desc]:
@@ -573,26 +574,33 @@ def _desc_intersect_exactish(a: _Desc, b: _Desc) -> Optional[_Desc]:
     return None
 
 
-def _desc_intersect_under(a: _Desc, b: _Desc) -> _Desc:
+def _desc_intersect_under(a: _Desc, b: _Desc, join) -> _Desc:
     exact = _desc_intersect_exactish(a, b)
     if exact is not None:
         return exact
-    return _Desc(_ep_join(a.ep, b.ep, int.__and__), a.plus & b.plus, a.minus | b.minus).normalized()
+    return _Desc(join(a.ep, b.ep, int.__and__), a.plus & b.plus, a.minus | b.minus).normalized()
 
 
-def _desc_intersect_over(a: _Desc, b: _Desc) -> _Desc:
+def _desc_intersect_over(a: _Desc, b: _Desc, join) -> _Desc:
     exact = _desc_intersect_exactish(a, b)
     if exact is not None:
         return exact
-    return _Desc(_ep_join(a.ep, b.ep, int.__and__), a.plus | b.plus, a.minus | b.minus).normalized()
+    return _Desc(join(a.ep, b.ep, int.__and__), a.plus | b.plus, a.minus | b.minus).normalized()
 
 
 def _fold_descs(parts, under, over, empty) -> "tuple[_Desc, _Desc]":
-    """The parts' (under, over) pairs folded from the left by the two rules."""
+    """The parts' (under, over) pairs folded from the left by the two rules,
+    each given the period join to use.  Where both sides hold the same two
+    descriptions, as for two residue atoms, they share one ``_ep_join``
+    through a cache."""
     lo = hi = None
     for p in parts:
         plo, phi = p.desc_pair()
-        lo, hi = (plo, phi) if lo is None else (under(lo, plo), over(hi, phi))
+        if lo is None:
+            lo, hi = plo, phi
+        else:
+            join = functools.cache(_ep_join) if lo is hi and plo is phi else _ep_join
+            lo, hi = under(lo, plo, join), over(hi, phi, join)
     return (empty, empty) if lo is None else (lo, hi)
 
 

@@ -8,6 +8,11 @@ command line, whose vectors are ``e(k)``, ``powtail(...)`` and
 ``classify-set``, ``check-admissible`` or ``dominates`` command line whose
 sets and ``trace(...; SET)`` index sets are residues with moduli up to
 10**6, under complements, shifts, unions and intersections.
+``build_argv(pick)`` draws one ``build-basis`` or ``demo-convergence``
+command line in ``l1``, ``l2``, ``lp(3/2)`` or ``lp(4)``, its target given
+by ``--seq`` or ``--a-squared``, with ``--n-max`` log-uniform in
+[2, 10**4], where exact builds meet the float range and the interpreter's
+digit limit.
 ``pick(options)`` returns one of the options: ``random.Random(seed).choice``
 for a plain run, or a hypothesis ``sampled_from`` draw.  Coefficients
 reach 10**400 and 10**-400, exponents +-400, and sets, sequences and
@@ -17,9 +22,11 @@ filters nest through ``prefix``, ``piece``, ``greedy``, ``thresh``,
     python tests/fuzz_grammar.py OPS SEED...
     python tests/fuzz_grammar.py --vectors OPS SEED...
     python tests/fuzz_grammar.py --periods OPS SEED...
+    python tests/fuzz_grammar.py --builds OPS SEED...
 
 runs OPS command lines per seed in this process, drawn by ``argv`` (by
-``vector_argv`` with ``--vectors``, by ``period_argv`` with ``--periods``),
+``vector_argv`` with ``--vectors``, by ``period_argv`` with ``--periods``,
+by ``build_argv`` with ``--builds``),
 each under a 5 s alarm, and prints the count of each exit code, every
 exit 70 and every timeout.  It also prints the total time, the p50/p90/p99
 latency, the process's peak RSS (``ru_maxrss``, in MB), the ten slowest
@@ -172,6 +179,17 @@ def period_argv(pick) -> list[str]:
     return [command, "--filter", period_filter(pick), "--filter2", period_filter(pick)]
 
 
+SPACES = ("l1", "l2", "lp(3/2)", "lp(4)")
+
+
+def build_argv(pick) -> list[str]:
+    command = pick(("build-basis", "demo-convergence"))
+    n_max = round(2 * 5000 ** (pick(range(1001)) / 1000))  # 2 .. 10**4, log-uniform
+    line = [command, pick(("--seq", "--a-squared")), seq(pick), "--space", pick(SPACES),
+            "--filter", filt(pick), "--n-max", str(n_max)]
+    return line + ["--vector", vector(pick)] if command == "demo-convergence" else line
+
+
 def shown(line: list[str]) -> str:
     """The command line with 10**+-400 abbreviated."""
     return " ".join(repr(a) for a in line).replace(_HUGE, "1e400").replace(_TINY, "1e-400")
@@ -194,7 +212,7 @@ def _run(ops: int, seeds, draw=argv) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from fbasis.cli import load_config, run_command
 
-    class Timeout(Exception):
+    class Timeout(BaseException):  # not an Exception: run_command would report it as exit 70
         pass
 
     def alarm(signum, frame):
@@ -245,6 +263,7 @@ if __name__ == "__main__":
     import sys
 
     args = sys.argv[1:]
-    draw = {"--vectors": vector_argv, "--periods": period_argv}.get(args[0], argv)
+    draw = {"--vectors": vector_argv, "--periods": period_argv,
+            "--builds": build_argv}.get(args[0], argv)
     args = args[1:] if draw is not argv else args
     raise SystemExit(_run(int(args[0]), [int(s) for s in args[1:]], draw))

@@ -38,6 +38,7 @@ from fbasis import basis_builder, filters, sequences
 from fbasis.basis_builder import BasisSystem
 from fbasis.cli import load_config, run_command
 from fbasis.lp_operators import TailOp, _root, _stage_norm, image_pairs
+from fbasis.natset import canonicalize
 from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
 
@@ -522,6 +523,17 @@ def test_open_levels_match_the_per_level_oracle():
         sys, x, lambda: basis_builder._defect_bound_seqs(sys))
 
 
+def test_a_negligible_support_settles_what_the_table_leaves_open():
+    """100 n**(1/1000) / ln(n+1)**2 falls below the levels only past the scan
+    horizon, so the table leaves them open.  The spike's shifted support,
+    geom(2), has density 0, so its defects vanish statistically all the
+    same, and ``defect_report``, which asks the support first, says so."""
+    sys = build_basis(PowerLog(100, Fraction(1, 1000)), l1(64), Statistical(), n_max=6)
+    spike = basis_builder.default_test_family(sys.space)[-1]
+    assert dict(defect_report(sys).vanishing)[spike.to_text()] == "converges"
+    assert convergence_demo(sys, spike).verdict.kind == "inconclusive"
+
+
 README_DEMO = ["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
                "--filter", "summable(pow(1,-1))", "--n-max", "10",
                "--vector", "spike(shift(geom(2),1); powlog(1,0,-2))", "--under", "frechet"]
@@ -533,6 +545,19 @@ def _run_cli(argv):
     return lambda: run_command(load_config(argv))[0] == 0
 
 
+_run_build = _run_cli(BUILD_L1)
+
+
+def _run_open_support():
+    """Two spikes on the evens: their shifted support, the odds, is not
+    statistically negligible, so each table scans the over- and the
+    under-bound and refutes convergence."""
+    sys = build_basis(PowerLog(2, Fraction(1, 4)), l1(64), Statistical(), n_max=12)
+    family = [Spike(Residue(2, 0), Constant(1)), Spike(Residue(2, 0), PowerLog(1, 0, -2))]
+    rep = defect_report(sys, test_family=family)
+    return [kind for _, kind in rep.vanishing] == ["does-not-converge"] * 2
+
+
 def _run_limit():
     """1 on the evens and 1/n on the odds, against the target 1: every
     level scans above 1 + e and below 1 - e."""
@@ -540,16 +565,20 @@ def _run_limit():
     return filters.f_limit_scalar(x, Frechet(), 1).kind == "does-not-converge"
 
 
-# the README demo scans heads shorter than a vector; the build's spike scans
-# one to e**8
-@pytest.mark.parametrize("run,vectors", [(_run_cli(README_DEMO), False),
-                                         (_run_cli(BUILD_L1), True), (_run_limit, False)],
-                         ids=["demo", "build", "limit"])
+# the README demo scans heads shorter than a vector; the second open spike
+# scans one to e**8
+@pytest.mark.parametrize("run,vectors", [(_run_cli(README_DEMO), False), (_run_build, False),
+                                         (_run_limit, False), (_run_open_support, True)],
+                         ids=["demo", "build", "limit", "open-support"])
 def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     """Within one epsilon table, ``classify_set`` and ``not_negligible`` see
     each distinct set once, ``eval_vector`` evaluates each threshold
     sequence once, and at most two threshold scans are made (the filter
-    limit, with levels on both sides of its target, makes both)."""
+    limit, with levels on both sides of its target, makes both, and so does
+    a spike whose support is not negligible).  The build's spike has a
+    negligible shifted support S: it makes no table and no scan, and S is
+    classified once, after the power tail's table, which its limsup settles
+    with no scan."""
     tables = []  # per table: a Counter of (function, argument)
     scans = []  # per table: the number of threshold scans
     in_levels = []
@@ -587,12 +616,23 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     counting(filters, "classify_set")
     counting(filters, "not_negligible")
     counting(sequences, "eval_vector", only_in_levels=True)
+    supports = collections.Counter()  # the sets ``_classify_defects`` classifies itself
+    classify = basis_builder.classify_set
+    monkeypatch.setattr(basis_builder, "classify_set",
+                        lambda s, F: supports.update([s]) or classify(s, F))
     assert run() and tables
     for counts in tables:
         assert max(counts.values(), default=1) == 1, counts
     called = {name for counts in tables for name, _ in counts}
-    assert "classify_set" in called and ("eval_vector" in called) == vectors
+    assert ("eval_vector" in called) == vectors
     assert max(scans) <= 2 and (run is not _run_limit or scans == [2])
+    assert run is not _run_open_support or scans == [2, 2]
+    if run is _run_build:
+        spike = basis_builder.default_test_family(l1(64))[-1]
+        support = canonicalize(Shifted(spike.support(), -1))
+        assert scans == [0] and not called and supports == {support: 1}
+    else:
+        assert "classify_set" in called
 
 
 @pytest.mark.parametrize("seq,space,filt", [

@@ -950,13 +950,49 @@ _TARGET_1 = "target norm at stage 1 lies beyond the float range"
       "--n-max", "2230"], "coefficient at stage 2215 lies beyond the float range"),
     (["build-basis", "--seq", "const(2)", "--space", "lp(4)", "--filter", "frechet",
       "--n-max", "4000"], "coefficient at stage 2833 lies beyond the float range"),
-], ids=["argv0", "argv1", "mass-lp-3/2", "mass-lp-4"])
+    # the exact l2 phase: the square b**2 stays exact, the coefficient b leaves the range
+    (["build-basis", "--seq", "const(2)", "--space", "l2", "--filter", "frechet",
+      "--n-max", "4941"], "coefficient at stage 4940 lies beyond the float range"),
+    (["build-basis", "--a-squared", "const(2)", "--space", "l2", "--filter", "frechet",
+      "--n-max", "2050"], "coefficient at stage 2049 lies beyond the float range"),
+    # a = 1e200 is a float, W = a**4 (1 - a**(-4/3))**3 is not: b_2**4 = 1 / W underflows
+    (["build-basis", "--seq", f"const(1{'0' * 200})", "--space", "lp(4)", "--filter",
+      "frechet", "--n-max", "4"], "coefficient at stage 1 lies beyond the float range"),
+], ids=["argv0", "argv1", "mass-lp-3/2", "mass-lp-4", "exact-l2", "exact-l2-squares",
+        "ratio-lp-4"])
 def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv, detail):
     code, out = run(argv)
     assert code == EXIT_USAGE
     doc = get_json(out)
     assert doc["error"] == "usage"
     assert doc["detail"] == detail
+    assert capsys.readouterr().err == ""
+
+
+def test_exact_builds_stop_at_the_digit_limit(capsys):
+    """An exact build whose stored power has more digits than ``str`` may
+    make stops as that power is made, with a usage error that names the
+    stage and the limit, not with the renderer's ValueError (exit 70).
+    Builds up to that stage render, and the demo, which renders no
+    coefficient, runs past it."""
+    import sys
+
+    argv = ["build-basis", "--seq", "const(2)", "--space", "l1", "--filter", "frechet"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(argv + ["--n-max", "1400"])
+        assert code == EXIT_USAGE
+        detail = get_json(out)["detail"]
+        # stage n stores b_{n+1} = 3**(n-1) / 2**n; 3**1341 has 640 digits, 3**1342 641
+        assert detail == ("coefficient at stage 1343 passes the limit of 640 digits "
+                          "for integer string conversion")
+        code, out = run(argv + ["--n-max", "1343"])
+        assert code == EXIT_OK and get_json(out)["coefficients"][-1] == f"{3 ** 1341}/{2 ** 1342}"
+        demo = ["demo-convergence"] + argv[1:] + ["--n-max", "1400", "--vector", "e(1)"]
+        assert run(demo)[0] == EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert capsys.readouterr().err == ""
 
 

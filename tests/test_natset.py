@@ -33,6 +33,7 @@ from fbasis import (
     weight_sum,
 )
 from fbasis import natset
+from fbasis.cli import load_config, run_command
 from fbasis.natset import (
     _EP,
     _ep_complement,
@@ -470,3 +471,16 @@ def test_each_set_is_described_once(monkeypatch):
     assert classify_set(A, Frechet()) == SetClass.STATIONARY
     assert len(described) == len({id(node) for node in described}) == 5
     assert len(complemented) == 4
+
+
+def test_an_exact_fold_joins_each_pair_of_periods_once(monkeypatch):
+    # two residue atoms carry one description as both their under and their
+    # over side, so the under and the over rule share one join: the two
+    # lifts to the lcm 999000, where each rule made its own two before
+    lifted = []
+    lift = _EP.lift
+    monkeypatch.setattr(_EP, "lift", lambda self, m: lifted.append(m) or lift(self, m))
+    code, payload = run_command(load_config(
+        ["classify-set", "--set", "residue(1000,0)&residue(999,0)", "--filter", "statistical"]))
+    assert code == 0 and b'"class": "stationary"' in payload
+    assert lifted == [999000, 999000]
