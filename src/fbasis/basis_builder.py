@@ -496,7 +496,8 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     shifted support S itself is classified first.  The stage defect is 0 off
     S, so every exceptional set lies in S; if S is negligible, so is every
     level, and the verdict ``converges`` comes with no table: the sets and
-    classes are then None."""
+    classes are then None.  Otherwise the table starts from S's class and
+    does not classify S again."""
     filt = under if under is not None else sys.filter
     levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
     if isinstance(x, BasisVector):
@@ -520,19 +521,21 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
                            for s in threshold_levels(scaled, ls, horizon)]
 
     over_sets = under_sets = limsup = None
+    known = {}  # the support's class, once asked
     if kappa is not None and prod_hi is not None:
         over_sets = bound_sets(prod_hi, kappa, support)
         lim = limit_value(prod_hi)
         if lim is not None and math.isfinite(lim):
             # the defect bound settles below every level above lim * kappa
             limsup = lim * kappa
-        if verdict_only and (limsup is None or limsup >= min(levels)) and (
-                classify_set(support, filt) == SetClass.NEGLIGIBLE):
-            return levels, None, None, None, LimitVerdict.converges_to(0)
+        if verdict_only and (limsup is None or limsup >= min(levels)):
+            known[support] = classify_set(support, filt)
+            if known[support] == SetClass.NEGLIGIBLE:
+                return levels, None, None, None, LimitVerdict.converges_to(0)
     if kappa is not None:
         def under_sets(ls):
             c_lower, lower_on = bounds()
             prod_lo = None if c_lower is None else seq_mul(amp, c_lower)
             sets = None if prod_lo is None else bound_sets(prod_lo, 1.0 / kappa, support, lower_on)
             return [None] * len(ls) if sets is None else sets(ls)
-    return levels, *epsilon_table(filt, levels, over_sets, under_sets, limsup)
+    return levels, *epsilon_table(filt, levels, over_sets, under_sets, limsup, classes=known)

@@ -29,13 +29,13 @@ from __future__ import annotations
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 from typing import Optional
 
-from . import admissibility, basis_builder, filters, lp_operators, separation
+from . import filters
+from ._lazy_numpy import _lazy
 from ._record import record
-from .natset import DEFAULT_HORIZON, HorizonExceeded, SumVerdict
+from .natset import DEFAULT_HORIZON, CriterionHolds, HorizonExceeded, SumVerdict
 from .parsing import (
     ParseError,
     parse_filter,
@@ -48,7 +48,12 @@ from .reports import IoError, emit_report
 from .sequences import DomainError
 from .series import partial_sum, weight_sum
 from .filters import SetClass
-from .witnesses import CriterionHolds
+
+# the engines, each compiled when a subcommand first calls it
+admissibility = _lazy(__package__ + ".admissibility")
+basis_builder = _lazy(__package__ + ".basis_builder")
+lp_operators = _lazy(__package__ + ".lp_operators")
+separation = _lazy(__package__ + ".separation")
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -530,6 +535,8 @@ def run_command(cfg: RunConfig) -> tuple[int, bytes]:
     except (_Usage, DomainError, IoError) as exc:
         return EXIT_USAGE, _error_report(cfg, "usage", str(exc))
     except Exception as exc:  # a bug must not exit 1, the code for refuted
+        import traceback
+
         traceback.print_exc()
         return EXIT_SOFTWARE, _error_report(cfg, "internal", f"{type(exc).__name__}: {exc}")
 

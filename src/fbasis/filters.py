@@ -255,7 +255,8 @@ DEFAULT_EPS_SCHEDULE = tuple(Fraction(1, 2 ** k) for k in range(0, 21))
 SignedSeq = TUnion[ScalarSeq, SpikeSeq]
 
 
-def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, target=0):
+def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, target=0,
+                  classes=None):
     """The epsilon table of a filter limit, and its verdict.
 
     Level e asks whether the exceptional set at e is F-negligible.  A level
@@ -267,10 +268,13 @@ def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, tar
     returns certified subsets; one that is not negligible in the wide sense
     makes its level stationary-or-member, and the first such level refutes
     convergence with it as the witness.  A provider that is None derives no
-    sets.  Each distinct set is classified once.  Returns (over-sets,
-    under-sets, classes, verdict), the first three one entry per level.
+    sets.  Each distinct set is classified once, and not at all if it is a
+    key of ``classes``, the classes the caller holds already.  Returns
+    (over-sets, under-sets, classes, verdict), the first three one entry per
+    level.
     """
-    classify = functools.cache(lambda s: classify_set(s, F))
+    known = classes or {}
+    classify = functools.cache(lambda s: known[s] if s in known else classify_set(s, F))
     wide = functools.cache(lambda s: not_negligible(s, F, classify(s)))
     overs: list = [None] * len(levels)
     unders: list = [None] * len(levels)

@@ -38,6 +38,10 @@ class HorizonExceeded(Exception):
     """A query needed information past an explicit horizon."""
 
 
+class CriterionHolds(Exception):
+    """The boundedness criterion is satisfied, so no witness exists."""
+
+
 class SetConstructionError(ValueError):
     """An atom violated its structural invariants."""
 

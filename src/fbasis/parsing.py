@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._lazy_numpy import _lazy
 from .natset import (
     CoFinite,
     Complement,
+    CriterionHolds,
     Finite,
     GeometricIndex,
     HorizonExceeded,
@@ -50,8 +52,10 @@ from .sequences import (
     ScalarSeq,
     SeqConstructionError,
 )
-from .vectors import BasisVector, PowerTail, Spike, TestVector
-from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
+
+# only the greedy, thresh and vector forms build their objects
+vectors = _lazy(__package__ + ".vectors")
+witnesses = _lazy(__package__ + ".witnesses")
 
 
 class ParseError(ValueError):
@@ -179,11 +183,11 @@ def parse_filter(text: str) -> FilterSpec:
     return _parse(text, _filter)
 
 
-def parse_test_vector(text: str) -> TestVector:
+def parse_test_vector(text: str) -> vectors.TestVector:
     return _parse(text, _vector)
 
 
-def parse_test_vectors(text: str) -> list[TestVector]:
+def parse_test_vectors(text: str) -> list[vectors.TestVector]:
     """Test vectors separated by ``;``, empty entries skipped.  A ``;``
     inside ``spike(SET; SEQ)`` belongs to its vector."""
     cur = _Cursor(text)
@@ -254,7 +258,7 @@ def _filter(cur: _Cursor) -> FilterSpec:
     return _form(cur, _FILTERS, "filter", ValueError)
 
 
-def _vector(cur: _Cursor) -> TestVector:
+def _vector(cur: _Cursor) -> vectors.TestVector:
     return _form(cur, _VECTORS, "vector form", ValueError)
 
 
@@ -314,8 +318,10 @@ _SETS = {
     "sampled": (lambda members, horizon: Sampled(frozenset(members), horizon),
                 "{", _list(_int, ";"), ";", _int, "}"),
     "shift": (Shifted, "(", _nest(_set_union), ",", _int, ")"),
-    "greedy": (GreedyBlockSet, "(", _nest(_seq), ";", _nest(_seq), ";", _num, ")"),
-    "thresh": (SparseThresholdSet, "(", _nest(_seq), ";", _num, ")"),
+    "greedy": (lambda *args: witnesses.GreedyBlockSet(*args),
+               "(", _nest(_seq), ";", _nest(_seq), ";", _num, ")"),
+    "thresh": (lambda *args: witnesses.SparseThresholdSet(*args),
+               "(", _nest(_seq), ";", _num, ")"),
 }
 
 _SEQS = {
@@ -335,7 +341,7 @@ _FILTERS = {
 
 # spike's set and sequence are read at the vector's own depth
 _VECTORS = {
-    "e": (BasisVector, "(", _int, ")"),
-    "powtail": (PowerTail, "(", _num, _scale, ")"),
-    "spike": (Spike, "(", _set_union, ";", _seq, ")"),
+    "e": (lambda *args: vectors.BasisVector(*args), "(", _int, ")"),
+    "powtail": (lambda *args: vectors.PowerTail(*args), "(", _num, _scale, ")"),
+    "spike": (lambda *args: vectors.Spike(*args), "(", _set_union, ";", _seq, ")"),
 }

@@ -9,7 +9,6 @@ runs produce identical bytes.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -38,6 +37,8 @@ def _escape(s: str) -> str:
     Printable ASCII with no quote or backslash needs none."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return '"' + s + '"'
+    import json
+
     return json.dumps(s)
 
 

@@ -29,6 +29,7 @@ from typing import Optional
 from ._lazy_numpy import np
 from ._record import field, record
 from .natset import (
+    CriterionHolds,  # in natset, so that a parse can catch it without loading this module
     HorizonExceeded,
     SumVerdict,
     _KnownUpTo,
@@ -56,10 +57,6 @@ _DEFAULT_BLOCKS = 8
 _CERTIFICATE_BLOCKS = 2  # fewer is too thin a certificate
 _MATERIALIZE_CAP = 10 ** 6
 _CHUNK = 1 << 16
-
-
-class CriterionHolds(Exception):
-    """The boundedness criterion is satisfied, so no witness exists."""
 
 
 def _form_key(f: Optional[TailForm]):

@@ -1,6 +1,8 @@
-"""Start-up time of ``import fbasis.cli`` in fresh interpreters.
+"""Start-up time of ``import fbasis.cli`` in fresh interpreters, and of
+the README's commands against a second checkout.
 
     python tests/startup.py [N]
+    python tests/startup.py --against BASE [N]
 
 Imports ``fbasis.cli`` from a temporary copy of this checkout's
 ``src/fbasis`` in N (default 10) fresh interpreters per mode and prints the
@@ -12,22 +14,36 @@ median and minimum wall time of the import, in two modes:
   wrote into the copy.
 
 It then prints each ``fbasis`` module's self time under ``-X importtime``
-(cached, median over the N runs), largest first.  The checkout's own
-``__pycache__`` is neither read nor written.  No timing is asserted; it is
-not part of the test suite.
+(cached, median over the N runs), largest first.
+
+With ``--against BASE``, a checkout directory, it instead runs each
+``fbasis ...`` example of README.md's shell blocks as its own process,
+``python -m fbasis.cli ARGV``, from temporary copies of both checkouts'
+``src/fbasis``, N times per side and mode (no cache, then cached); the
+two sides alternate within each run, the side that goes first alternating
+from run to run.  It prints, per example and mode, the median wall time of
+each side and the ratio BASE / CHANGE (above 1: this checkout is faster),
+and names any example whose exit code or stdout differs between the sides.
+
+The checkouts' own ``__pycache__`` is neither read nor written.  No timing
+is asserted; it is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import shlex
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 TIMER = ("import time; t0 = time.perf_counter(); import fbasis.cli; "
          "print(repr(time.perf_counter() - t0))")
 
@@ -62,13 +78,64 @@ def _print_times(mode: str, env: dict, n: int) -> None:
           f"min {min(ms):6.1f} ms over {n} fresh interpreters")
 
 
+def _copy(src: Path, into: Path) -> Path:
+    """``src/fbasis`` copied into ``into``, without its bytecode cache."""
+    shutil.copytree(src / "fbasis", into / "fbasis", ignore=shutil.ignore_patterns("__pycache__"))
+    return into
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """(label, argv) of each ``fbasis ...`` line of README.md's shell blocks;
+    a subcommand that appears more than once is labelled with its --space."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["fbasis"]:
+                examples.append(argv[1:])
+    commands = [argv[0] for argv in examples]
+    labels = [argv[0] if commands.count(argv[0]) == 1
+              else f"{argv[0]} {argv[argv.index('--space') + 1]}" for argv in examples]
+    return list(zip(labels, examples))
+
+
+def _timed(env: dict, argv: list[str]) -> tuple[float, tuple[int, bytes]]:
+    """Wall seconds of ``python -m fbasis.cli ARGV``, and its exit code and stdout."""
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "fbasis.cli", *argv], env=env,
+                         capture_output=True, timeout=120)
+    return time.perf_counter() - start, (out.returncode, out.stdout)
+
+
+def against(base: Path, n: int) -> int:
+    print(f"README examples, one process each, median ms over {n} interleaved runs per side")
+    print(f"  {'example':<18} {'mode':<9} {'base':>7} {'change':>7} {'ratio':>6}")
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = [_copy(base / "src", Path(tmp, "base")), _copy(SRC, Path(tmp, "change"))]
+        for mode, write in (("no cache", False), ("cached", True)):
+            envs = [_env(src, write) for src in srcs]
+            for label, argv in readme_examples():
+                outputs = [_timed(env, argv)[1] for env in envs]  # writes the cache, if cached
+                if outputs[0] != outputs[1]:
+                    print(f"  {label}: exit code or stdout differs between the sides")
+                times = ([], [])
+                for run in range(n):
+                    for side in ((0, 1) if run % 2 == 0 else (1, 0)):
+                        times[side].append(1000 * _timed(envs[side], argv)[0])
+                medians = [statistics.median(t) for t in times]
+                print(f"  {label:<18} {mode:<9} {medians[0]:7.1f} {medians[1]:7.1f} "
+                      f"{medians[0] / medians[1]:6.3f}")
+    return 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--against"]:
+        return against(Path(argv[1]).resolve(), int(argv[2]) if len(argv) > 2 else 10)
     n = int(argv[0]) if argv else 10
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp)
-        shutil.copytree(SRC / "fbasis", src / "fbasis",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        src = _copy(SRC, Path(tmp))
         _print_times("no cache", _env(src, write=False), n)
         warm = _env(src, write=True)
         _run(warm, "-c", "import fbasis.cli")  # writes the cache

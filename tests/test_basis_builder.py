@@ -578,7 +578,8 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     a spike whose support is not negligible).  The build's spike has a
     negligible shifted support S: it makes no table and no scan, and S is
     classified once, after the power tail's table, which its limsup settles
-    with no scan."""
+    with no scan.  An open support S is classified once per vector too: its
+    table starts from S's class."""
     tables = []  # per table: a Counter of (function, argument)
     scans = []  # per table: the number of threshold scans
     in_levels = []
@@ -631,6 +632,11 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
         spike = basis_builder.default_test_family(l1(64))[-1]
         support = canonicalize(Shifted(spike.support(), -1))
         assert scans == [0] and not called and supports == {support: 1}
+    elif run is _run_open_support:
+        support = canonicalize(Shifted(Residue(2, 0), -1))
+        assert supports == {support: 2}
+        assert [counts["classify_set", support] for counts in tables] == [0, 0]
+        assert "classify_set" in called
     else:
         assert "classify_set" in called
 

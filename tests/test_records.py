@@ -9,14 +9,15 @@ refusing assignment and deletion.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-import fbasis.cli  # noqa: F401  (loads every module that defines a record)
+import fbasis
 from fbasis import _record
 from fbasis.admissibility import (
     AdmissVerdict,
@@ -189,9 +190,12 @@ BUILDERS = {
 
 
 def _record_classes():
-    return {cls for name, mod in list(sys.modules.items()) if name.startswith("fbasis")
-            for cls in vars(mod).values()
-            if isinstance(cls, type) and cls.__module__ == name
+    """The record classes of every module of the package, each imported here:
+    `fbasis` and `fbasis.cli` load most of them only on first use."""
+    modules = [importlib.import_module(f"fbasis.{m.name}")
+               for m in pkgutil.iter_modules(fbasis.__path__)]
+    return {cls for mod in modules for cls in vars(mod).values()
+            if isinstance(cls, type) and cls.__module__ == mod.__name__
             and cls.__setattr__ is _record._frozen_setattr}
 
 

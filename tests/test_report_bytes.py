@@ -8,6 +8,7 @@ the hash here and says why.
 """
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -199,3 +200,60 @@ def test_fresh_process_prints_help(argv):
     text = out.stdout.decode()
     for command, (_, row) in _SUBCOMMANDS.items():
         assert command in text and all(f"--{o}" in text for o in _COMMON + row)
+
+
+# the modules that only some subcommands run; `import fbasis.cli` binds them lazily
+ENGINES = ("admissibility", "basis_builder", "lp_operators", "separation", "oracles",
+           "witnesses", "vectors")
+_BUILD = {"admissibility", "basis_builder", "lp_operators", "vectors", "witnesses"}
+_SEPARATE = {"lp_operators", "separation", "vectors"}
+# which engines each README example runs, keyed by its subcommand
+ENGINES_RUN = {
+    "check-admissible": {"admissibility", "witnesses"},
+    "build-basis": _BUILD,
+    "witness": {"admissibility", "witnesses"},
+    "separate": _SEPARATE,
+    "classify-set": set(),
+    "demo-convergence": _BUILD,
+    "dominates": set(),
+    "profile-lemma1": _SEPARATE,
+}
+# a lazy module is not a plain module until its code runs, and reading any
+# of its attributes runs it; -X importtime does not list it
+_REPORT_ENGINES = f"""
+import sys, types
+import fbasis.cli
+code = fbasis.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+ran = [m for m in {ENGINES!r} if type(sys.modules.get("fbasis." + m)) is types.ModuleType]
+print(" ".join(ran), file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def _engines_run(argv):
+    env = dict(os.environ)
+    src = str(Path(fbasis.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _REPORT_ENGINES, *argv],
+                         env=env, capture_output=True, timeout=120)
+    return out, set(out.stderr.decode().splitlines()[-1].split())
+
+
+def test_importing_the_cli_runs_no_engine():
+    out, ran = _engines_run([])
+    assert out.returncode == 0 and ran == set()
+
+
+@pytest.mark.parametrize("argv,code,digest", README, ids=[argv[0] for argv, _, _ in README])
+def test_each_subcommand_runs_only_its_engines(argv, code, digest):
+    out, ran = _engines_run(argv)
+    assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == (code, digest)
+    assert ran == ENGINES_RUN[argv[0]]
+
+
+def test_the_package_exports_each_name_from_its_module():
+    for name, module in fbasis._EXPORTS.items():
+        assert getattr(fbasis, name) is getattr(importlib.import_module("fbasis." + module), name)
+    assert set(fbasis.__all__) == set(fbasis._EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fbasis.no_such_name
