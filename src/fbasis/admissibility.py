@@ -25,9 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from ._lazy_numpy import _lazy
 from ._record import record
 from .natset import (
     NATURALS,
+    CriterionHolds,
     GeometricIndex,
     HorizonExceeded,
     SetExpr,
@@ -57,7 +59,9 @@ from .sequences import (
     tail_form,
 )
 from .series import partial_sum, sum_inverse_p_verdict, weight_sum
-from .witnesses import CriterionHolds, GreedyBlockSet, SparseThresholdSet
+
+# the witness sets are built only by refutations that need one
+witnesses = _lazy(__package__ + ".witnesses")
 
 
 class NotDivergent(ValueError):
@@ -156,7 +160,7 @@ def _frechet_case(a: ScalarSeq, p: Fraction, bounded) -> AdmissVerdict:
     if on_geom.kind == "converges":
         return _refute(a, Frechet(), p, geom, on_geom)
     try:
-        witness = SparseThresholdSet(a, p)
+        witness = witnesses.SparseThresholdSet(a, p)
     except CriterionHolds:
         return AdmissVerdict.inconclusive("unbounded but no sparse witness")
     return _refute(a, Frechet(), p, witness)
@@ -171,7 +175,7 @@ def _summable_case(a: ScalarSeq, F: Summable, p: Fraction) -> AdmissVerdict:
         )
     if status == "unbounded":
         try:
-            witness = GreedyBlockSet(a, s, p, criterion=status)
+            witness = witnesses.GreedyBlockSet(a, s, p, criterion=status)
         except HorizonExceeded as exc:
             return AdmissVerdict.inconclusive(f"witness construction failed: {exc}")
         return _refute(a, F, p, witness)
@@ -238,10 +242,11 @@ def _trace_case(a: ScalarSeq, F: Trace, p: Fraction) -> AdmissVerdict:
 
 
 def _library_sweep(a: ScalarSeq, F: FilterSpec, p: Fraction) -> AdmissVerdict:
+    inverse = seq_pow(a, -p)  # one a**-p for every library set
     for W in witness_library():
         if not_negligible(W, F) is not True:
             continue
-        on_w = sum_inverse_p_verdict(a, p, W)
+        on_w = weight_sum(W, inverse)
         if on_w.kind == "converges":
             return _refute(a, F, p, W, on_w)
     return AdmissVerdict.inconclusive("no criterion applied and no library witness found")
@@ -251,7 +256,7 @@ def _library_sweep(a: ScalarSeq, F: FilterSpec, p: Fraction) -> AdmissVerdict:
 # greedy witness
 
 
-def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> GreedyBlockSet:
+def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> witnesses.GreedyBlockSet:
     """The greedy block set refuting (F^s, p)-admissibility.
 
     Raises CriterionHolds when a**p * s is in fact bounded outside a set
@@ -262,7 +267,7 @@ def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> GreedyBlockSet:
     status, _ = summable_criterion(a, s, p)
     if status == "bounded":
         raise CriterionHolds("a**p * s is bounded outside a set of finite s-mass")
-    return GreedyBlockSet(a, s, p, criterion=status)
+    return witnesses.GreedyBlockSet(a, s, p, criterion=status)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fractions import Fraction
 from sys import get_int_max_str_digits
 from typing import Optional
 
+from ._lazy_numpy import np
 from ._record import field, record
 from .admissibility import AdmissVerdict, check_admissible
 from .filters import (DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, SetClass, classify_set,
@@ -39,6 +40,7 @@ from .lp_operators import (
     _closed_form_report,
     _prescribed_ratio,
     _root,
+    _stage_bounds,
     _stage_norm,
     image_pairs,
 )
@@ -129,7 +131,17 @@ def build_basis(
     stage's norm is taken from a_n**p, its p-th power, and its defect is a_n
     itself at p = 1 and the root of W at p = 2, once per distinct W; its
     certificate compares the stored b_{n+1}**p with b_n**p.  The float
-    phase, in floats, starts at the first stage whose W is a float.
+    phase, in floats, starts at the first stage whose W is a float, and
+    keeps the coefficients in one float array.  Each of its stages costs
+    O(1): the report (``_stage_bounds``) has the Hoelder closed form of W
+    as its value, that value rounded down as its lower bound, and the larger
+    of it and the Riesz-Thorin bound, from the running sum and maximum of
+    b_1 .. b_n, rounded up as its upper bound, with ``series._round_up``'s
+    margin and gamma_{n-1} for the running sums.  At the first float stage
+    and at the probe stages 1, 2, 4, ..., n_max - 1 of
+    ``verify_biorthogonality``, the report is instead ``_stage_norm``'s,
+    whose lower bound is the ratio of the norming vector on a view of the
+    array.  Every stage's lower bound must lie within 1e-9 of the target.
     ``a_squared`` optionally supplies exact squared targets for the
     Hilbert-space path (so irrational targets like sqrt(2) stay exact on
     squares).  A coefficient past the float range, in either phase, is a
@@ -214,24 +226,34 @@ def build_basis(
         reports.append(rep)
         defects.append(c)
     if float_from is not None:  # the float phase, from the first stage whose W is a float
+        first = float_from[0]
         mass = Fraction(num * gn, den * gd)  # S, a float from this stage on
-        coeffs = [float(v) for v in coeffs]
+        head = [float(v) for v in coeffs]
+        bf = np.empty(n_max)  # b_1 .. b_{n_max}, filled stage by stage
+        bf[:first] = head
+        total, top = sum(head), max(head)  # b_1 + ... + b_n and max(b_1, ..., b_n)
+        probes = {first, *_probe_stages(n_max - 1)}
         if on_l2:
             squares = None
             warnings.append("squared targets left the rationals; continuing in floats")
+        p = float(p)
         for n, t in itertools.chain([float_from], stages):
-            W = _prescribed_ratio(t, p, eval_at(a_squared, n) if on_l2 else None)
+            tf = float(t)
+            W = _prescribed_ratio(tf, p, eval_at(a_squared, n) if on_l2 else None)
             nxt = mass / W  # b_{n+1}**p
             if not 0.0 < nxt < math.inf:  # mass or ratio past the range
                 raise DomainError(f"coefficient at stage {n} lies beyond the float range")
             W, mass = mass / nxt, mass + nxt
-            coeffs.append(float(_root(nxt, p)))
-            rep = _stage_norm(W, p, coeffs)
-            if abs(rep.lower - float(t)) > 1e-9 * float(t):
+            b = bf[n] = float(_root(nxt, p))
+            rep = (_stage_norm(W, p, bf[:n + 1]) if n in probes
+                   else _stage_bounds(W, p, total, top, b, n))
+            if abs(rep.lower - tf) > 1e-9 * tf:
                 raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
                                       f"{rep.lower}) misses the target {t}")
             reports.append(rep)
             defects.append(float(_root(W, p)))  # U = ||v_n||_p / b_{n+1}
+            total, top = total + b, max(top, b)
+        coeffs = bf.tolist()
     return BasisSystem(space=space, target=admiss_seq, filter=F, coefficients=coeffs,
                        coefficients_squared=squares, norm_reports=reports,
                        defect_coeffs=defects, admissibility=verdict, targets=targets,
@@ -282,6 +304,13 @@ def _probe(size: int) -> list:
     return _PROBE[:size]
 
 
+def _probe_stages(k: int) -> list:
+    """The stages 1, 2, 4, ... below k, and k: where a system of k stages
+    has its biorthogonality checked, and its float stage norms checked on
+    their norming vectors."""
+    return sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
+
+
 def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     """Check sum_{k<=n} v*_k(x) v_k == T_n x, with the coordinate functionals
     v*_k = e*_k / b_k - e*_{k+1} / b_{k+1} and T_n evaluated by
@@ -304,9 +333,8 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     if any(u <= 0 for u, _ in bs):
         raise DomainError("coefficients must be positive")
     xs = _probe(k + 1)
-    stages = sorted({2 ** j for j in range(k.bit_length()) if 2 ** j < k} | {k})
     worst = Fraction(0)
-    for n in stages:
+    for n in _probe_stages(k):
         got = image_pairs(bs, xs, n)
         q = Fraction(*xs[n]) / _coprime(*bs[n])  # as_integer_ratio's pairs are coprime
         qn, qd = q.numerator, q.denominator

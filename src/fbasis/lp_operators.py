@@ -13,10 +13,12 @@ stay exact for p = 1, and on the squares for p = 2: the exact phase of
 norm from a_n**p, its p-th power; ``image_pairs``, the image of a rational
 x under a rational stage, which ``apply`` and the biorthogonality check
 call, runs on integer pairs too.  In the float phase, from
-the first stage whose W is a float, a stage norm carries a certified lower
-bound, ||T x|| / ||x|| of the extremal vector evaluated with ``apply``'s
-float arithmetic on the coefficient array, and the Riesz-Thorin upper
-bound.
+the first stage whose W is a float, a stage norm is bracketed in O(1)
+(``_stage_bounds``): the closed form rounded down, and the larger of it and
+the Riesz-Thorin bound from running sums rounded up.  At the probe stages
+``_stage_norm`` brackets it instead by ||T x|| / ||x|| of the extremal
+vector, evaluated with ``apply``'s float arithmetic on the coefficient
+array, and the Riesz-Thorin bound.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Optional, Sequence
 from ._lazy_numpy import np
 from ._record import record
 from .sequences import DomainError, _as_number, exact_root
+from .series import _round_down, _round_up
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
 
@@ -194,9 +197,15 @@ def riesz_thorin_upper(bf: np.ndarray, p: float) -> float:
     """||T||_1**(1/p) ||T||_inf**(1 - 1/p) for the stage op with coefficients
     bf = (b_1, ..., b_{n+1}): interpolating the column and row maxima."""
     n = len(bf) - 1
-    m1 = max(1.0, float(bf[:n].sum()) / float(bf[n]))
-    minf = 1.0 + float(bf[:n].max()) / float(bf[n]) if n else 1.0
-    return m1 ** (1.0 / p) * minf ** (1.0 - 1.0 / p)
+    top = float(bf[:n].max()) if n else 0.0
+    return riesz_thorin_bound(float(bf[:n].sum()), top, float(bf[n]), p)
+
+
+def riesz_thorin_bound(total: float, top: float, last: float, p: float) -> float:
+    """``riesz_thorin_upper`` from total = b_1 + ... + b_n, top = max(b_1,
+    ..., b_n) and last = b_{n+1}: the column maximum max(1, total / last)
+    and the row maximum 1 + top / last."""
+    return max(1.0, total / last) ** (1.0 / p) * (1.0 + top / last) ** (1.0 - 1.0 / p)
 
 
 def _log1p_exp(z: float) -> float:
@@ -276,28 +285,50 @@ def _closed_form_report(power, k, method: str) -> NormReport:
                       exact_square=power if rational and k == 2 else None)
 
 
-def _stage_norm(W, p, b: Sequence) -> NormReport:
-    """The stage norm from W = U**p.  A rational result certifies itself; a
-    float one is bracketed by the extremal ratio on the coefficients
-    b = (b_1, ..., b_{n+1}), converted to floats once, and the Riesz-Thorin
-    bound.  Past p = 1 and 2 the norm (1 + U**q)**(1/q) is taken as
-    max(1, U) (1 + m**q)**(1/q) with m = min(U, 1/U), finite for every q."""
+def _holder_value(W: float, p) -> float:
+    """The stage norm (1 + U**q)**(1/q) from a float W = U**p: max(1, W) at
+    p = 1, sqrt(1 + W) at p = 2, and past them max(1, U) (1 + m**q)**(1/q)
+    with m = min(U, 1/U), finite for every q."""
     if p == 1:
-        rep = _closed_form_report(max(W, type(W)(1)), 1, _METHODS[1])
-    elif p == 2:
-        rep = _closed_form_report(1 + W, 2, _METHODS[2])
-    else:
-        q = float(p) / (float(p) - 1.0)
-        U = float(W) ** (1.0 / float(p))
-        m = min(U, 1.0 / U)
-        value = max(1.0, U) * math.exp(math.log1p(m ** q) / q)
-        rep = NormReport(value, "ClosedForm", value, value)
-    if rep.exact is not None or rep.exact_square is not None:
-        return rep
-    bf, p = np.array(b, dtype=float), float(p)
+        return max(W, 1.0)
+    if p == 2:
+        return math.sqrt(1.0 + W)
+    q = float(p) / (float(p) - 1.0)
+    U = W ** (1.0 / float(p))
+    m = min(U, 1.0 / U)
+    return max(1.0, U) * math.exp(math.log1p(m ** q) / q)
+
+
+def _stage_norm(W, p, b: Sequence) -> NormReport:
+    """The stage norm from W = U**p.  A rational W at p = 1 or 2 gives an
+    exact norm (its square at p = 2), which certifies itself.  Otherwise
+    the norm is ``_holder_value``, bracketed by the ratio ||T x|| / ||x|| of
+    the norming vector x, evaluated on the coefficients b = (b_1, ...,
+    b_{n+1}) as one float array (a float array itself is not copied), and
+    by the Riesz-Thorin bound; the value is raised to that ratio where the
+    ratio lies above it."""
+    if isinstance(W, Fraction) and p in _METHODS:
+        return _closed_form_report(max(W, Fraction(1)) if p == 1 else 1 + W, p, _METHODS[p])
+    method, p = _METHODS.get(p, "ClosedForm"), float(p)
+    bf = np.asarray(b, dtype=float)
     lower = norm_ratio(bf, norming_input(bf, p), p)
-    value = max(rep.value, lower)
-    return NormReport(value, rep.method, lower, max(riesz_thorin_upper(bf, p), value))
+    value = max(_holder_value(float(W), p), lower)
+    return NormReport(value, method, lower, max(riesz_thorin_upper(bf, p), value))
+
+
+def _stage_bounds(W: float, p: float, total: float, top: float, last: float,
+                  n: int) -> NormReport:
+    """The stage-n norm in O(1), from W = S / b_{n+1}**p and the running
+    total = b_1 + ... + b_n and top = max(b_1, ..., b_n), last = b_{n+1},
+    all floats: ``value`` is ``_holder_value``, ``lower`` it rounded down,
+    and ``upper`` the larger of it and ``riesz_thorin_bound`` rounded up.
+    The norm moves by at most W's relative error (its log-derivative in W
+    is at most 1/p), and S and total are running sums of n terms, so the
+    rounding is ``series._round_up``'s with gamma_{n-1}."""
+    value = _holder_value(W, p)
+    upper = max(value, riesz_thorin_bound(total, top, last, p))
+    return NormReport(value, _METHODS.get(p, "ClosedForm"), _round_down(value, n),
+                      _round_up(upper, n))
 
 
 def op_norm(T: TailOp) -> NormReport:

@@ -64,11 +64,29 @@ _PREFIX_CAP = 4096
 _EXACT_BITS = 13_000
 
 
-def _round_up(x: float) -> float:
-    """An upper bound for a value computed as x in binary64.  The sums are
-    correctly rounded (fsum), so only the few-ulp error of each pow/log term
-    needs covering, and the relative margin 2**-40 covers it widely."""
-    return math.nextafter(x * (1.0 + 2.0 ** -40), math.inf)
+def _margin(terms: int) -> float:
+    """The relative margin of ``_round_up`` and ``_round_down``: 2**-40 for
+    the few-ulp error of each pow/log term, plus gamma_{terms - 1} =
+    k u / (1 - k u), k = terms - 1 and u = 2**-53, for a running sum of
+    ``terms`` positive floats: |fl(x_1 + ... + x_m) - (x_1 + ... + x_m)|
+    <= gamma_{m - 1} (x_1 + ... + x_m) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2).  One term, or a correctly
+    rounded sum (fsum), adds 0."""
+    k = (terms - 1) * 2.0 ** -53
+    return 2.0 ** -40 + k / (1.0 - k)
+
+
+def _round_up(x: float, terms: int = 1) -> float:
+    """An upper bound for a value computed as x in binary64, through at most
+    a running sum of ``terms`` positive floats: the relative margin
+    ``_margin(terms)``, then one ulp."""
+    return math.nextafter(x * (1.0 + _margin(terms)), math.inf)
+
+
+def _round_down(x: float, terms: int = 1) -> float:
+    """A lower bound for a positive value computed as x, the twin of
+    ``_round_up``."""
+    return math.nextafter(x * (1.0 - _margin(terms)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,32 @@ class TestTraceAdmissibility:
         assert v.kind == "refuted"
         assert v.witness == GeometricIndex(Fraction(2))
 
+    def test_library_sweep_makes_the_inverse_power_once(self, monkeypatch):
+        """One a**-p for the whole witness-library sweep, not one per
+        library set the filter cannot ignore, and the same verdict as the
+        per-set sums."""
+        from fbasis import admissibility, series
+        from fbasis.filters import witness_library
+        from fbasis.parsing import parse_filter, parse_scalar_seq
+
+        a, p = parse_scalar_seq("pow(2,1/3)"), Fraction(3, 2)
+        F = parse_filter("trace(frechet; residue(5,1))")
+        swept = [W for W in witness_library() if not_negligible(W, F) is True]
+        assert len(swept) > 1
+        real, powers = admissibility.seq_pow, []
+
+        def counted(seq, e):
+            powers.append(e)
+            return real(seq, e)
+
+        for module in (admissibility, series):
+            monkeypatch.setattr(module, "seq_pow", counted)
+        verdict = admissibility._library_sweep(a, F, p)
+        assert powers.count(-p) == 1
+        monkeypatch.undo()
+        per_set = [sum_inverse_p_verdict(a, p, W) for W in swept]
+        assert (verdict.kind == "refuted") == any(v.kind == "converges" for v in per_set)
+
 
 class TestSlowGeometricSums:
     # the weights n**(-1/8) shrink by 2**(-1/8) ~ 0.917 per element of

@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fbasis import (
     BasisVector,
@@ -284,27 +285,102 @@ def _stored_fractions(system: BasisSystem):
         yield from (v for v in (rep.exact, rep.exact_square) if v is not None)
 
 
+def _checked_stages(system: BasisSystem) -> set:
+    """The stages whose norm report ``build_basis`` takes from ``_stage_norm``:
+    the exact stages, the first float stage and the probe stages 1, 2, 4,
+    ..., n_max - 1."""
+    floats = [n for n, rep in enumerate(system.norm_reports, start=1)
+              if rep.exact is None and rep.exact_square is None]
+    exact = set(range(1, system.n_max)) - set(floats)
+    return exact | set(floats[:1]) | set(basis_builder._probe_stages(system.n_max - 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(oracle_builds())
 def test_builds_equal_those_of_the_old_stage_loop(build):
-    """The coefficients, squares, norm reports, defects, targets and warnings
-    equal those of the old stage loop in ``build_oracle``, field by field, in
-    value and in type: the reprs agree, so a Fraction is never a float of the
-    same value.  Every stored Fraction is in lowest terms, which an equal
-    value alone would not show of the exact phase's integer pairs."""
+    """The coefficients, squares, defects, targets and warnings equal those
+    of the old stage loop in ``build_oracle``, field by field, in value and
+    in type: the reprs agree, so a Fraction is never a float of the same
+    value.  So do the norm reports of the exact stages, of the first float
+    stage and of the probe stages; on every other float stage the report's
+    [lower, upper] holds the old one's.  Every stored Fraction is in lowest
+    terms, which an equal value alone would not show of the exact phase's
+    integer pairs."""
     got = _built(build_basis, *build)
     want = _built(build_oracle.build_basis, *build)
     if isinstance(want, str):
         assert got == want
         return
     for name in BasisSystem.__annotations__:
+        if name == "norm_reports":
+            continue
         mine, theirs = getattr(got, name), getattr(want, name)
         assert repr(mine) == repr(theirs), name
         assert mine == theirs, name
         if isinstance(theirs, list):
             assert list(map(type, mine)) == list(map(type, theirs)), name
+    assert len(got.norm_reports) == len(want.norm_reports)
+    checked = _checked_stages(want)
+    for n, (mine, theirs) in enumerate(zip(got.norm_reports, want.norm_reports), start=1):
+        if n in checked:
+            assert repr(mine) == repr(theirs), n
+        else:
+            assert (mine.method, mine.exact, mine.exact_square) == (theirs.method, None, None), n
+            assert mine.lower <= theirs.lower and theirs.upper <= mine.upper, n
     for v in _stored_fractions(got):
         assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+@st.composite
+def float_builds(draw):
+    """(a, space, filter, n_max) with float stages: const targets in lp(p)
+    past p = 1 and 2, and pow(c,1/4) targets, irrational from stage 2 on,
+    in every space, at n_max up to 2000."""
+    p = draw(st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2),
+                              Fraction(3), Fraction(4)]))
+    c = Fraction(draw(st.integers(5, 24)), 2)
+    if p in (1, 2) or draw(st.booleans()):
+        a, filt = PowerLog(c, Fraction(1, 4)), Summable(HARMONIC)
+    else:
+        a, filt = Constant(c), Frechet()
+    n_max = draw(st.integers(2, 2000))
+    return a, lp(p, n_max), filt, n_max
+
+
+def _exact_stage_norms(b: list, p: Fraction):
+    """The norm of each stage operator on the stored floats b, taken exactly
+    as rationals, from S = b_1**p + ... + b_n**p by Hoelder's formula:
+    max(1, S / b_{n+1}) at p = 1, else (1 + U**q)**(1/q) with U = S**(1/p) /
+    b_{n+1}.  mpmath works at 60 digits, so its rounding is far below the
+    bounds' margins of about 1e-12."""
+    with mpmath.workdps(60):
+        pm = mpmath.mpf(p.numerator) / p.denominator
+        q = pm / (pm - 1) if p != 1 else None
+        b = [mpmath.mpf(v.numerator) / v.denominator for v in map(Fraction, b)]  # exactly
+        mass = mpmath.mpf(0)
+        for n in range(1, len(b)):
+            mass += b[n - 1] ** pm
+            last = b[n]
+            if q is None:
+                yield n, max(mpmath.mpf(1), mass / last)
+            else:
+                yield n, (1 + (mass ** (1 / pm) / last) ** q) ** (1 / q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_builds())
+@example(build=(Constant(Fraction(5, 2)), lp(Fraction(3, 2), 2000), Frechet(), 2000))
+@example(build=(PowerLog(Fraction(5, 2), Fraction(1, 4)), l1(2000), Summable(HARMONIC), 2000))
+def test_float_stage_bounds_bracket_the_exact_norm(build):
+    """Every float stage whose report is the O(1) one brackets the exact norm
+    of its stage operator on the stored coefficients: lower <= norm <= upper."""
+    a, space, filt, n_max = build
+    system = build_basis(a, space, filt, n_max=n_max)
+    checked = _checked_stages(system)
+    for n, norm in _exact_stage_norms(system.coefficients, space.p):
+        if n not in checked:
+            rep = system.norm_reports[n - 1]
+            assert mpmath.mpf(rep.lower) <= norm <= mpmath.mpf(rep.upper), (n, rep, norm)
 
 
 @st.composite
