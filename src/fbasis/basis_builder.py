@@ -41,8 +41,9 @@ from .lp_operators import (
     _prescribed_ratio,
     _root,
     _stage_bounds,
-    _stage_norm,
     image_pairs,
+    norm_ratio,
+    norming_input,
 )
 from .sequences import (
     DomainError,
@@ -137,11 +138,12 @@ def build_basis(
     as its value, that value rounded down as its lower bound, and the larger
     of it and the Riesz-Thorin bound, from the running sum and maximum of
     b_1 .. b_n, rounded up as its upper bound, with ``series._round_up``'s
-    margin and gamma_{n-1} for the running sums.  At the first float stage
-    and at the probe stages 1, 2, 4, ..., n_max - 1 of
-    ``verify_biorthogonality``, the report is instead ``_stage_norm``'s,
-    whose lower bound is the ratio of the norming vector on a view of the
-    array.  Every stage's lower bound must lie within 1e-9 of the target.
+    margin and gamma_{n-1} for the running sums.  Every stage's lower bound
+    must lie within 1e-9 of the target.  At the first float stage and at
+    the probe stages 1, 2, 4, ..., n_max - 1 of ``verify_biorthogonality``,
+    the ratio ||T x|| / ||x|| of the norming vector x, evaluated on a view
+    of the array, checks the report independently: it must lie in [lower,
+    upper] and within 1e-9 of the target.
     ``a_squared`` optionally supplies exact squared targets for the
     Hilbert-space path (so irrational targets like sqrt(2) stay exact on
     squares).  A coefficient past the float range, in either phase, is a
@@ -245,11 +247,17 @@ def build_basis(
                 raise DomainError(f"coefficient at stage {n} lies beyond the float range")
             W, mass = mass / nxt, mass + nxt
             b = bf[n] = float(_root(nxt, p))
-            rep = (_stage_norm(W, p, bf[:n + 1]) if n in probes
-                   else _stage_bounds(W, p, total, top, b, n))
+            rep = _stage_bounds(W, p, total, top, b, n)
             if abs(rep.lower - tf) > 1e-9 * tf:
                 raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
                                       f"{rep.lower}) misses the target {t}")
+            if n in probes:  # the independent check, on the norming vector
+                view = bf[:n + 1]
+                ratio = norm_ratio(view, norming_input(view, p), p)
+                if not (rep.lower <= ratio <= rep.upper and abs(ratio - tf) <= 1e-9 * tf):
+                    raise ArithmeticError(f"stage {n}: the norming vector's ratio {ratio} lies "
+                                          f"outside [{rep.lower}, {rep.upper}] or misses the "
+                                          f"target {t}")
             reports.append(rep)
             defects.append(float(_root(W, p)))  # U = ||v_n||_p / b_{n+1}
             total, top = total + b, max(top, b)

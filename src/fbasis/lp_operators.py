@@ -16,9 +16,10 @@ call, runs on integer pairs too.  In the float phase, from
 the first stage whose W is a float, a stage norm is bracketed in O(1)
 (``_stage_bounds``): the closed form rounded down, and the larger of it and
 the Riesz-Thorin bound from running sums rounded up.  At the probe stages
-``_stage_norm`` brackets it instead by ||T x|| / ||x|| of the extremal
-vector, evaluated with ``apply``'s float arithmetic on the coefficient
-array, and the Riesz-Thorin bound.
+the ratio ||T x|| / ||x|| of the extremal vector, evaluated with
+``apply``'s float arithmetic on the coefficient array, checks that
+bracket; ``_stage_norm``, the norm of one operator (``op_norm``), is
+bracketed by that ratio and the Riesz-Thorin bound.
 """
 
 from __future__ import annotations
@@ -300,13 +301,15 @@ def _holder_value(W: float, p) -> float:
 
 
 def _stage_norm(W, p, b: Sequence) -> NormReport:
-    """The stage norm from W = U**p.  A rational W at p = 1 or 2 gives an
-    exact norm (its square at p = 2), which certifies itself.  Otherwise
-    the norm is ``_holder_value``, bracketed by the ratio ||T x|| / ||x|| of
-    the norming vector x, evaluated on the coefficients b = (b_1, ...,
-    b_{n+1}) as one float array (a float array itself is not copied), and
-    by the Riesz-Thorin bound; the value is raised to that ratio where the
-    ratio lies above it."""
+    """The stage norm from W = U**p, for one operator (``op_norm``); the
+    float phase of ``build_basis`` takes ``_stage_bounds`` instead.  A
+    rational W at p = 1 or 2 gives an exact norm (its square at p = 2),
+    which certifies itself.  Otherwise the norm is ``_holder_value``,
+    bracketed by the ratio ||T x|| / ||x|| of the norming vector x,
+    evaluated on the coefficients b = (b_1, ..., b_{n+1}) as one float
+    array (a float array itself is not copied), and by the Riesz-Thorin
+    bound; the value is raised to that ratio where the ratio lies above
+    it."""
     if isinstance(W, Fraction) and p in _METHODS:
         return _closed_form_report(max(W, Fraction(1)) if p == 1 else 1 + W, p, _METHODS[p])
     method, p = _METHODS.get(p, "ClosedForm"), float(p)

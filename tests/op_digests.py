@@ -16,16 +16,16 @@ into that checkout's ``tests/`` and run it there for PARENT.json.
     python tests/op_digests.py OUT.json --bounds BASE
 
 imports the checkout BASE into the same process (``ab_ops.load_checkout``)
-and runs every op on both sides instead.  An op whose exit and sha256
-differ must have the same exit, and both JSON reports must be equal but
-for float entries of ``stage_norms`` (those with no exact value) that
-moved outward: ``lower`` went down, ``upper`` went up, the method stayed,
-and the new ``value`` lies inside the old interval and the new one (or,
-where the old value had been raised to its lower bound, at most 4 ulps
-below it).  It prints, per subcommand and space, how many ops differ,
-names every op whose reports differ otherwise, and exits 1 if there is
-one.  ``--pinned``, in either form, adds the ops whose bytes
-``tests/test_report_bytes.py`` pins.
+and runs on both sides every benchmark op and every op whose bytes
+``tests/test_report_bytes.py`` pins; OUT.json holds the digests of both
+kinds.  An op whose exit and sha256 differ must have the same exit, and
+both JSON reports must be equal but for float entries of ``stage_norms``
+(those with no exact value) that moved outward: ``lower`` went down,
+``upper`` went up, the method stayed, and the new ``value`` lies inside
+the old interval and the new one (or, where the old value had been raised
+to its lower bound, at most 4 ulps below it).  It prints, per subcommand
+and space, how many ops differ, names every op whose reports differ
+otherwise, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -42,27 +42,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import ab_ops  # noqa: E402
 import fbasis.cli  # noqa: E402
 from workloads import WORKLOADS, blocks  # noqa: E402
 
 
-def benchmark_ops(n_blocks: int, seeds, pinned: bool = False) -> list:
+def benchmark_ops(n_blocks: int, seeds) -> list:
     """The distinct argv lists of the first ``n_blocks`` blocks of every
-    workload at each seed, in order, then with ``pinned`` those of
-    ``tests/test_report_bytes.py``."""
-    ops = [tuple(op.argv) for workload, seed in itertools.product(WORKLOADS, seeds)
-           for block in itertools.islice(blocks(workload, seed), n_blocks) for op in block]
-    if pinned:
-        import test_report_bytes
-
-        ops += [tuple(argv) for argv, _, _ in test_report_bytes.PINNED]
+    workload at each seed, in order."""
+    ops = (tuple(op.argv) for workload, seed in itertools.product(WORKLOADS, seeds)
+           for block in itertools.islice(blocks(workload, seed), n_blocks) for op in block)
     return [list(argv) for argv in dict.fromkeys(ops)]
 
 
-def digests(n_blocks: int, seeds, pinned: bool = False) -> dict:
+def digests(n_blocks: int, seeds) -> dict:
     out = {}
-    for argv in benchmark_ops(n_blocks, seeds, pinned):
+    for argv in benchmark_ops(n_blocks, seeds):
         code, payload = fbasis.cli.run_command(fbasis.cli.load_config(argv))
         out[json.dumps(argv)] = [code, hashlib.sha256(payload).hexdigest()]
     return out
@@ -96,14 +90,19 @@ def outward_only(old: dict, new: dict) -> bool:
         a == b or _moved_outward(a, b) for a, b in zip(*norms))
 
 
-def bounds(base: Path, n_blocks: int, seeds, pinned: bool = False) -> tuple[dict, int]:
-    """(digests, violations) of this checkout against BASE, each op run on
-    both sides; prints each op whose reports differ otherwise than by
-    float stage bounds moved outward, and a count per subcommand and
-    space."""
+def bounds(base: Path, n_blocks: int, seeds) -> tuple[dict, int]:
+    """(digests, violations) of this checkout against BASE, each benchmark
+    and pinned op run on both sides; prints each op whose reports differ
+    otherwise than by float stage bounds moved outward, and a count per
+    subcommand and space."""
+    import ab_ops  # sets sys.dont_write_bytecode, so only this mode loads it
+    import test_report_bytes
+
     base_cli = ab_ops.load_checkout(base.resolve(), "fbasis_base")
+    ops = benchmark_ops(n_blocks, seeds)
+    ops += [argv for argv, _, _ in test_report_bytes.PINNED if argv not in ops]
     out, kinds, violations = {}, collections.Counter(), 0
-    for argv in benchmark_ops(n_blocks, seeds, pinned):
+    for argv in ops:
         (code, payload), (base_code, base_payload) = (
             cli.run_command(cli.load_config(argv)) for cli in (fbasis.cli, base_cli))
         out[json.dumps(argv)] = [code, hashlib.sha256(payload).hexdigest()]
@@ -133,14 +132,13 @@ def main(argv=None) -> int:
     ap.add_argument("out", type=Path)
     ap.add_argument("--against", type=Path)
     ap.add_argument("--bounds", type=Path, metavar="BASE")
-    ap.add_argument("--pinned", action="store_true")
     ap.add_argument("--blocks", type=int, default=8)
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     args = ap.parse_args(argv)
     if args.bounds is not None:
-        got, violations = bounds(args.bounds, args.blocks, args.seeds, args.pinned)
+        got, violations = bounds(args.bounds, args.blocks, args.seeds)
     else:
-        got, violations = digests(args.blocks, args.seeds, args.pinned), 0
+        got, violations = digests(args.blocks, args.seeds), 0
     args.out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     print(f"{len(got)} ops -> {args.out}")
     if violations:

@@ -63,22 +63,22 @@ CONSTRUCT = [
      0, "8cd39af1ac9b014674f0ca1b184f61c3c33b371c1f18b6153f92769def5c189c"),
     (["build-basis", "--seq", "prefix[2]:const(3)", "--space", "lp(5/4)",
       "--filter", "frechet", "--n-max", "15"],
-     0, "071d76dfc5761afc1711ea1dedcb37c3e9842dd1d06c770311cde45428fdf97d"),
+     0, "4fdd49c52775fd4619393f2c6dd1b22fe1650ebc34dd25699534ed9c07c392de"),
     (["build-basis", "--seq", "const(5/2)", "--space", "lp(4)", "--filter", "statistical",
       "--n-max", "11"],
-     0, "c4660a4d28515c978f347497453ad63b54ef0e646c02c2aa5f586a63216c1e37"),
+     0, "025a2963e30a28773bff3538fafdf0fdf0b3a8dac19608bc4f3ece2dc0c94670"),
     (["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
       "--filter", "summable(pow(1,-1))", "--n-max", "12"],
-     0, "41881d1611a9f57b332471fe1adfffc15966ad0dbf0eac99d954889e879056ad"),
+     0, "f4f1623dc427f566ffa3a26da79c7df329d13f473ef825a727f52450f306c735"),
     (["build-basis", "--seq", "pow(3,1/4)", "--space", "l2",
       "--filter", "summable(pow(1,-1))", "--n-max", "9"],
-     0, "b6415ba38aedff3c3a0f71a7cbc3377bc09b07d6a65e46144879890cb380c35a"),
+     0, "e35b737f526aac2762f6c221c43c891c5374128650654558971c935642163c0f"),
     (["build-basis", "--seq", "const(2)", "--space", "lp(3/2)", "--filter", "frechet",
       "--n-max", "300"],
-     0, "e97a77d016edc60d8a2c60d5cbe66940cd17365f521757732e40e7fa2c010573"),
+     0, "99e0f5b3b53314b916b37cc5505e2be4f6064cb3c48c638ae172ea6df68e5b71"),
     (["build-basis", "--seq", "pow(2,1/4)", "--space", "l1",
       "--filter", "summable(pow(1,-1))", "--n-max", "300"],
-     0, "4e1265eecbb772fa8175aa5bdf69d2583e9eebebb67662321e694b340bfe8173"),
+     0, "b34f7aadc4500b4aa3ca4c3022b99be50dab773d8751fba3d4c9b147b7c966e2"),
 ]
 
 # a target whose inverse sum converges: no basis, and the refutation instead
