@@ -17,7 +17,6 @@ infinite-tail content.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -40,6 +39,7 @@ from .lp_operators import (
     _closed_form_report,
     _prescribed_ratio,
     _root,
+    _scaled_sqrt,
     _stage_bounds,
     image_pairs,
     norm_ratio,
@@ -188,9 +188,11 @@ def build_basis(
     reports: list = []
     defects: list = []
     stages = enumerate(targets, start=1)
-    # b_n**p = num / den, W_{n-1} + 1 = gn / gd (W_0 + 1 = 1); (rep, U) per exact W
+    # b_n**p = num / den, W_{n-1} + 1 = gn / gd (W_0 + 1 = 1); per exact W, (rep, U)
+    # and whether the roots of a_n**p and W are rational
     num = den = gn = gd = 1
     last_ratio, by_ratio, float_from = (0, 1), {}, None
+    rational_b = rational_last = True  # b_n and a_{n-1} rational (b_1 = a_0 = 1)
     limit = get_int_max_str_digits() if printable else 0  # 0: no limit
     # below the cap, bit_length() <= limit * 3.321928 < limit * log2(10): at most limit digits
     cap = 1 << limit * 3321928 // 10 ** 6 if limit else 0
@@ -211,20 +213,28 @@ def build_basis(
             raise DomainError(f"coefficient at stage {n} passes the limit of {limit} digits "
                               "for integer string conversion")
         nxt = _coprime(num, den)  # b_{n+1}**p
+        if ratio not in by_ratio:  # the stage norm's p-th power is a_n**p itself
+            if on_l1:
+                by_ratio[ratio] = _closed_form_report(a_p, 1, _METHODS[1]), a_p, True, True
+            else:  # the roots of a_n**2 and W, each tried once, and which are rational
+                root_a, root_w = _root(a_p, 2), _root(_coprime(w, v), 2)
+                by_ratio[ratio] = (_closed_form_report(a_p, 2, _METHODS[2], root_a),
+                                   float(root_w), isinstance(root_a, Fraction),
+                                   isinstance(root_w, Fraction))
+        rep, c, rational_a, rational_w = by_ratio[ratio]
         if on_l2:
             squares.append(nxt)
         try:
-            b = _root(nxt, p)
+            # at p = 2, b_{n+1} = b_n a_{n-1} / sqrt(W_n) is irrational where
+            # exactly one factor is, and has no exact root to try
+            one_irrational = on_l2 and rational_b + rational_last + rational_w == 2
+            b = _scaled_sqrt(nxt) if one_irrational else _root(nxt, p)
             coeffs.append(b if on_l1 else float(b))
         except OverflowError:  # at p = 2, b past the float range while its square is exact
             msg = f"coefficient at stage {n} lies beyond the float range"
             raise DomainError(msg) from None
         _certify_stage_mass(coeffs if on_l1 else squares, ratio, last_ratio, n)
-        last_ratio = ratio
-        if ratio not in by_ratio:  # the stage norm's p-th power is a_n**p itself
-            by_ratio[ratio] = _closed_form_report(a_p, p, _METHODS[p]), a_p if on_l1 else float(
-                _root(_coprime(w, v), 2))
-        rep, c = by_ratio[ratio]
+        last_ratio, rational_b, rational_last = ratio, isinstance(b, Fraction), rational_a
         reports.append(rep)
         defects.append(c)
     if float_from is not None:  # the float phase, from the first stage whose W is a float
@@ -331,7 +341,8 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
     b_i (v*_i(x) + ... + v*_n(x)) = x_i - q b_i, q = x_{n+1} / b_{n+1}; past
     n it is 0.  As the integer pair (e, d) = (x_i.num q.den b_i.den - q.num
     b_i.num x_i.den, x_i.den q.den b_i.den), q reduced, or (0, 1), it is what
-    a sound kernel returns, so a sound stage is one comparison of lists;
+    a sound kernel returns, so a sound stage is one comparison of lists
+    (q.den b_i.den is formed once per coordinate, for both entries);
     another pair (u, v) misses by u d - e v over v d.  b and x are read as
     integer pairs, b's from ``as_integer_ratio``, exact for a float too, so
     a reported error is exact, never rounding, and no Fraction is made per
@@ -346,7 +357,8 @@ def verify_biorthogonality(sys: BasisSystem) -> BiorthReport:
         got = image_pairs(bs, xs, n)
         q = Fraction(*xs[n]) / _coprime(*bs[n])  # as_integer_ratio's pairs are coprime
         qn, qd = q.numerator, q.denominator
-        want = [(u * qd * cd - qn * cn * v, v * qd * cd) for (u, v), (cn, cd) in zip(xs[:n], bs)]
+        want = [(u * (m := qd * cd) - qn * cn * v, v * m)
+                for (u, v), (cn, cd) in zip(xs[:n], bs)]
         want += [(0, 1)] * (len(xs) - n)
         if got != want:
             for (u, v), (e, d) in zip(got, want):
@@ -383,8 +395,9 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
     filter-vanishing verdicts of the defect functionals on a test family.
 
     Only each verdict's kind is kept, so ``_classify_defects`` may settle
-    it without the epsilon table: a vector whose shifted support is
-    negligible, at a level the limsup bound leaves open, converges."""
+    it without the epsilon table: a vector whose limsup bound lies below
+    every level converges, and so does one whose shifted support is
+    negligible."""
     # one float per distinct object: exact stages share their defects and targets
     distinct = {id(c): c for c in itertools.chain(sys.defect_coeffs, sys.targets)}
     floats = {k: float(c) for k, c in distinct.items()}
@@ -396,7 +409,13 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
                        for c, t in zip(sys.defect_coeffs, sys.targets))
     if test_family is None:
         test_family = default_test_family(sys.space)
-    bounds = functools.cache(lambda: _defect_bound_seqs(sys))
+    held = {}  # _defect_bound_seqs(sys), made on the first ask
+
+    def bounds():
+        if not held:
+            held[None] = _defect_bound_seqs(sys)
+        return held[None]
+
     vanishing = tuple(
         (x.to_text(), _classify_defects(sys, x, bounds, verdict_only=True)[-1].kind)
         for x in test_family
@@ -528,21 +547,31 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     Only if it asks for the under-sets of levels left open are ``bounds()``,
     the product amp c_lower and its one head scan made.
 
-    With ``verdict_only``, once the limsup bound leaves a level open, the
-    shifted support S itself is classified first.  The stage defect is 0 off
-    S, so every exceptional set lies in S; if S is negligible, so is every
-    level, and the verdict ``converges`` comes with no table: the sets and
-    classes are then None.  Otherwise the table starts from S's class and
-    does not classify S again."""
+    With ``verdict_only``, the cheapest certificate comes first.  A limsup
+    bound below the smallest level settles every level, and the verdict
+    ``converges`` comes before any set is made.  Once it leaves a level
+    open, the shifted support S itself is classified.  The stage defect is 0
+    off S, so every exceptional set lies in S; if S is negligible, so is
+    every level, and ``converges`` comes with no table.  In both cases the
+    sets and classes are None.  Otherwise the table starts from S's class
+    and does not classify S again."""
     filt = under if under is not None else sys.filter
     levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
     if isinstance(x, BasisVector):
         return levels[:1], [Finite(())], [Finite(())], ["negligible"], LimitVerdict.converges_to(0)
 
-    support = canonicalize(Shifted(x.support(), -1))
     amp = x.amplitude()
     kappa = _shift_ratio(amp)
     prod_hi = seq_mul(amp, sys.target)
+    limsup = None
+    if kappa is not None and prod_hi is not None:
+        lim = limit_value(prod_hi)
+        if lim is not None and math.isfinite(lim):
+            # the defect bound settles below every level above lim * kappa
+            limsup = lim * kappa
+    if verdict_only and limsup is not None and limsup < min(levels):
+        return levels, None, None, None, LimitVerdict.converges_to(0)
+    support = canonicalize(Shifted(x.support(), -1))
 
     def bound_sets(prod, scale, *where):
         """The threshold sets of prod * scale at the asked levels, each
@@ -552,19 +581,21 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
             scaled = seq_scale(prod, scale)
         except SeqConstructionError:
             return None
-        restrict = functools.cache(lambda s: canonicalize(Intersection((*where, s))))
+        restricted = {}  # each threshold set intersected once
+
+        def restrict(s):
+            if s not in restricted:
+                restricted[s] = canonicalize(Intersection((*where, s)))
+            return restricted[s]
+
         return lambda ls: [None if s is None else restrict(s)
                            for s in threshold_levels(scaled, ls, horizon)]
 
-    over_sets = under_sets = limsup = None
+    over_sets = under_sets = None
     known = {}  # the support's class, once asked
     if kappa is not None and prod_hi is not None:
         over_sets = bound_sets(prod_hi, kappa, support)
-        lim = limit_value(prod_hi)
-        if lim is not None and math.isfinite(lim):
-            # the defect bound settles below every level above lim * kappa
-            limsup = lim * kappa
-        if verdict_only and (limsup is None or limsup >= min(levels)):
+        if verdict_only:  # the limsup bound leaves a level open
             known[support] = classify_set(support, filt)
             if known[support] == SetClass.NEGLIGIBLE:
                 return levels, None, None, None, LimitVerdict.converges_to(0)

@@ -16,7 +16,6 @@ inconclusive discipline, with refutations carrying explicit witnesses.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from fractions import Fraction
 from typing import Optional, Union as TUnion
@@ -273,9 +272,19 @@ def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, tar
     (over-sets, under-sets, classes, verdict), the first three one entry per
     level.
     """
-    known = classes or {}
-    classify = functools.cache(lambda s: known[s] if s in known else classify_set(s, F))
-    wide = functools.cache(lambda s: not_negligible(s, F, classify(s)))
+    known = dict(classes or ())  # each set's class, the caller's or made on first ask
+    wide_of = {}
+
+    def classify(s):
+        if s not in known:
+            known[s] = classify_set(s, F)
+        return known[s]
+
+    def wide(s):
+        if s not in wide_of:
+            wide_of[s] = not_negligible(s, F, classify(s))
+        return wide_of[s]
+
     overs: list = [None] * len(levels)
     unders: list = [None] * len(levels)
     cls = ["negligible" if limsup is not None and limsup < e else "inconclusive" for e in levels]

@@ -139,11 +139,12 @@ def image_pairs(bs: Sequence, xs: Sequence, n: int) -> list:
     den > 0, with bs holding at least b_1 .. b_{n+1}: x_i - q b_i at i <= n
     as the unreduced pair (x_i.num q.den b_i.den - q.num b_i.num x_i.den,
     x_i.den q.den b_i.den), q = x_{n+1} / b_{n+1} reduced, and (0, 1) past
-    n, one pair per coordinate of x."""
+    n, one pair per coordinate of x.  Both entries of a pair share their
+    large product q.den b_i.den, which is formed once."""
     (u, v), (cn, cd) = xs[n], bs[n]
     g = math.gcd(qn := u * cd, qd := v * cn)  # v, cn > 0 for b positive
     qn, qd = qn // g, qd // g
-    return [(u * qd * cd - qn * cn * v, v * qd * cd)
+    return [(u * (m := qd * cd) - qn * cn * v, v * m)
             for (u, v), (cn, cd) in zip(xs[:n], bs)] + [(0, 1)] * (len(xs) - n)
 
 
@@ -234,23 +235,27 @@ def norming_input(bf: np.ndarray, p: float) -> np.ndarray:
 
 
 def _root(x, k):
-    """x**(1/k): exact for k = 1 and for rational squares at k = 2.  A
-    rational square root is taken after scaling by a power of four, so it
-    neither overflows nor differs from math.sqrt where that one is finite;
-    it is an integer shift, and int / int rounds as float(Fraction) does."""
+    """x**(1/k): exact for k = 1 and for rational squares at k = 2, else
+    a float (``_scaled_sqrt`` for a rational at k = 2)."""
     if k == 1:
         return x
     if k == 2:
         if not isinstance(x, Fraction):
             return math.sqrt(x)
         root = exact_root(x, 2)
-        if root is not None:
-            return root
-        num, den = x.numerator, x.denominator
-        j = (num.bit_length() - den.bit_length()) // 2
-        scaled = num / (den << 2 * j) if j >= 0 else (num << -2 * j) / den
-        return math.ldexp(math.sqrt(scaled), j)
+        return _scaled_sqrt(x) if root is None else root
     return float(x) ** (1.0 / float(k))
+
+
+def _scaled_sqrt(x: Fraction) -> float:
+    """The float square root of a positive rational, taken after scaling by
+    a power of four, so it neither overflows nor differs from math.sqrt
+    where that one is finite; it is an integer shift, and int / int rounds
+    as float(Fraction) does."""
+    num, den = x.numerator, x.denominator
+    j = (num.bit_length() - den.bit_length()) // 2
+    scaled = num / (den << 2 * j) if j >= 0 else (num << -2 * j) / den
+    return math.ldexp(math.sqrt(scaled), j)
 
 
 def _mass_ratio(T: TailOp):
@@ -277,10 +282,11 @@ def _prescribed_ratio(a, p, a_square=None):
         return math.inf
 
 
-def _closed_form_report(power, k, method: str) -> NormReport:
-    """An attained norm whose k-th power is ``power``; rational powers are
-    reported exactly (the value at k = 1, the square at k = 2)."""
-    value = float(_root(power, k))
+def _closed_form_report(power, k, method: str, root=None) -> NormReport:
+    """An attained norm whose k-th power is ``power``, with ``root`` its
+    ``_root`` when the caller has it; rational powers are reported exactly
+    (the value at k = 1, the square at k = 2)."""
+    value = float(_root(power, k) if root is None else root)
     rational = isinstance(power, Fraction)
     return NormReport(value, method, value, value, exact=power if rational and k == 1 else None,
                       exact_square=power if rational and k == 2 else None)

@@ -9,7 +9,6 @@ runs produce identical bytes.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from fractions import Fraction
 
@@ -25,10 +24,9 @@ def rational_text(x: Fraction) -> str:
 
 
 def _float_text(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        # JSON has no literals for these; keep them as strings
+    out = "%.17g" % x
+    if out[-1] in "fn":  # inf, -inf or nan: JSON has no literals for these
         return f'"{x!r}"'
-    out = format(float(x), ".17g")
     return out
 
 

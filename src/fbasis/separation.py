@@ -188,14 +188,45 @@ def lemma1_profile(
             coords += np.abs(coordinate_vector(x, top))
         inv_cum = np.cumsum(inv)
         coord_cum = np.cumsum(coords)
+    logs = None
     for n in grid:
         s_n = float(inv_cum[n - 1])
         if s_n == 0.0:
             raise DomainError(f"the partial sum of a**-1 up to n={n} underflows to 0.0")
         avg = float(coord_cum[n - 1]) / s_n
         bound = sum(norms) / s_n
+        if math.isnan(avg) or math.isnan(bound):  # +inf over +inf: the ratios in logs
+            logs = logs or _log_sums(a, xs, grid)
+            (ln_s, ln_coord), ln_norms = logs[0][n], logs[1]
+            avg = _exp(ln_coord - ln_s) if math.isnan(avg) else avg
+            bound = _exp(ln_norms - ln_s) if math.isnan(bound) else bound
         rows.append(ProfileRow(n=n, average=avg, bound=bound))
     return rows
+
+
+def _log_sums(a: ScalarSeq, xs: Sequence[TestVector], grid: list):
+    """ln of the partial sums of a**-1 and of sum_k |(x_k)_m| up to each n
+    of the grid, a pair by n, and ln of sum_k ||x_k||_1's bound: finite
+    where the float sums saturate to +inf."""
+    from .sequences import eval_at_indices
+    from .vectors import coordinate_vector, ln_norm_upper
+
+    top, at = grid[-1], [n - 1 for n in grid]
+    ln_inv = np.logaddexp.accumulate(-eval_at_indices(a, np.arange(1, top + 1), logs=True))
+    ln_coords = np.full(top, -math.inf)
+    for x in xs:
+        np.logaddexp(ln_coords, coordinate_vector(x, top, logs=True), out=ln_coords)
+    ln_coords = np.logaddexp.accumulate(ln_coords)
+    ln_norms = float(np.logaddexp.reduce([ln_norm_upper(x, 1) for x in xs]))
+    return dict(zip(grid, zip(ln_inv[at].tolist(), ln_coords[at].tolist()))), ln_norms
+
+
+def _exp(x: float) -> float:
+    """e**x, +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -330,23 +330,26 @@ def eval_vector(a: ScalarSeq, horizon: int, start: int = 0) -> np.ndarray:
     return eval_at_indices(a, np.arange(start + 1, horizon + 1))
 
 
-def eval_at_indices(a: ScalarSeq, n: np.ndarray) -> np.ndarray:
-    """Float values at the ascending indices n >= 1, an integer array.  Each
-    piece is evaluated only at its own members, and each entry depends on
-    its index alone, so any window or subset of indices gets the bytes that
-    one evaluation from 1 gives there."""
+def eval_at_indices(a: ScalarSeq, n: np.ndarray, logs: bool = False) -> np.ndarray:
+    """Float values at the ascending indices n >= 1, an integer array, or
+    with ``logs`` their ln, finite where a value lies past the float range.
+    Each piece is evaluated only at its own members, and each entry depends
+    on its index alone, so any window or subset of indices gets the bytes
+    that one evaluation from 1 gives there."""
     if isinstance(a, Piecewise):
         out = np.zeros(n.size)
         if n.size:
             for s, seq in a.pieces:
                 own = s.mask(int(n[-1]))[n - 1]
-                out[own] = eval_at_indices(seq, n[own])
+                out[own] = eval_at_indices(seq, n[own], logs)
         return out
     if isinstance(a, ExplicitPrefix):
-        out = eval_at_indices(a.tail, n)
+        out = eval_at_indices(a.tail, n, logs)
         k = int(np.searchsorted(n, len(a.values), side="right"))
-        out[:k] = [to_float(a.values[i - 1]) for i in n[:k].tolist()]
+        out[:k] = [(ln if logs else to_float)(a.values[i - 1]) for i in n[:k].tolist()]
         return out
+    if logs:  # a constant or power-log form, which has no head
+        return tail_form(a).family_logs(n.astype(float))
     return tail_form(a).values(n)
 
 

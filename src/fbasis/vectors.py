@@ -17,7 +17,8 @@ from ._lazy_numpy import np
 from ._record import record
 from .natset import NATURALS, HorizonExceeded, SetExpr, member
 from .reports import rational_text
-from .sequences import DomainError, PowerLog, ScalarSeq, eval_at, eval_at_indices, seq_pow
+from .sequences import (DomainError, PowerLog, ScalarSeq, eval_at, eval_at_indices, ln,
+                        seq_pow)
 from .series import weight_sum
 
 
@@ -99,29 +100,45 @@ class Spike:
 TestVector = TUnion[BasisVector, PowerTail, Spike]
 
 
-def _norm_upper(x: TestVector, p, reason: str) -> float:
-    """The p-th root of the certified bound on the sum of |x_n|**p over the
-    support; +inf for a bound past the float range."""
+def _norm_bound(x: TestVector, p, reason: str):
+    """The certified bound on the sum of |x_n|**p over the support."""
     v = weight_sum(x.support(), seq_pow(x.amplitude(), Fraction(p)))
     if v.kind != "converges":
         raise DomainError(f"{reason} at p={p}")
+    return v.bound
+
+
+def _norm_upper(x: TestVector, p, reason: str) -> float:
+    """The p-th root of ``_norm_bound``; +inf for a bound past the float
+    range."""
     try:
-        return float(v.bound) ** (1.0 / float(p))
+        return float(_norm_bound(x, p, reason)) ** (1.0 / float(p))
     except OverflowError:
         return math.inf
 
 
-def coordinate_vector(v: TestVector, horizon: int, start: int = 0):
+def ln_norm_upper(x: TestVector, p) -> float:
+    """ln of ``x.norm_upper(p)``, finite where the bound lies past the float
+    range."""
+    if isinstance(x, BasisVector):
+        return 0.0
+    return ln(_norm_bound(x, p, "the vector has no certified norm")) / float(p)
+
+
+def coordinate_vector(v: TestVector, horizon: int, start: int = 0, logs: bool = False):
     """|coordinates| of the test vector at start+1..horizon, as a float
-    array; the amplitude is evaluated only on the support."""
-    out = np.zeros(horizon - start)
+    array, or with ``logs`` their ln (-inf off the support), finite where a
+    coordinate lies past the float range; the amplitude is evaluated only on
+    the support."""
+    out = np.full(horizon - start, -math.inf) if logs else np.zeros(horizon - start)
     if isinstance(v, BasisVector):
         if start < v.index <= horizon:
-            out[v.index - 1 - start] = 1.0
+            out[v.index - 1 - start] = 0.0 if logs else 1.0
         return out
     try:
         on = v.support().mask(horizon)[start:]
-        out[on] = np.abs(eval_at_indices(v.amplitude(), np.flatnonzero(on) + start + 1))
+        vals = eval_at_indices(v.amplitude(), np.flatnonzero(on) + start + 1, logs)
+        out[on] = vals if logs else np.abs(vals)
     except HorizonExceeded as exc:
         raise DomainError(f"the coordinates of {v.to_text()} are unknown: {exc}") from None
     return out

@@ -31,6 +31,7 @@ is asserted; it is not part of the test suite.
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import shlex
@@ -130,10 +131,14 @@ def against(base: Path, n: int) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--against"]:
-        return against(Path(argv[1]).resolve(), int(argv[2]) if len(argv) > 2 else 10)
-    n = int(argv[0]) if argv else 10
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", type=Path, metavar="BASE",
+                    help="time README.md's examples against the checkout BASE")
+    ap.add_argument("n", type=int, nargs="?", default=10, help="runs per mode (default 10)")
+    args = ap.parse_args(argv)
+    if args.against is not None:
+        return against(args.against.resolve(), args.n)
+    n = args.n
     with tempfile.TemporaryDirectory() as tmp:
         src = _copy(SRC, Path(tmp))
         _print_times("no cache", _env(src, write=False), n)

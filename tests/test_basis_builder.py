@@ -607,6 +607,43 @@ def test_a_negligible_support_settles_what_the_table_leaves_open():
     assert convergence_demo(sys, spike).verdict.kind == "inconclusive"
 
 
+def _count_table_steps(monkeypatch):
+    """Counts, by name, of the steps ``_classify_defects`` takes past its
+    limsup bound: the epsilon tables, the threshold scans, the scaled bound
+    sequences and the canonicalized sets."""
+    counts = collections.Counter()
+    for name in ("epsilon_table", "threshold_levels", "seq_scale", "canonicalize"):
+        inner = getattr(basis_builder, name)
+        monkeypatch.setattr(basis_builder, name, lambda *a, _n=name, _f=inner, **k:
+                            counts.update([_n]) or _f(*a, **k))
+    return counts
+
+
+def test_a_limsup_settled_vector_builds_no_table(monkeypatch):
+    """2 n**(1/4) n**-2 tends to 0, so the power tail's limsup bound lies
+    below every level: its verdict comes with no epsilon table, no threshold
+    scan, no scaled bound sequence and no canonicalized support."""
+    sys = build_basis(PowerLog(2, Fraction(1, 4)), l1(64), Summable(HARMONIC), n_max=12)
+    counts = _count_table_steps(monkeypatch)
+    rep = defect_report(sys, test_family=[PowerTail(Fraction(2))])
+    assert rep.vanishing == (("powtail(2)", "converges"),)
+    assert counts == {}
+
+
+def test_a_limsup_between_the_levels_still_runs_the_table(monkeypatch):
+    """On the odds, 5 * 1/100 sits between the levels 1/16 and 1/32: the
+    limsup bound settles the levels above it, the table decides the others,
+    and the defects do not vanish, as ``convergence_demo`` finds too."""
+    sys = build_basis(Constant(5), l1(64), Frechet(), n_max=8)
+    x = Spike(Residue(2, 0), Constant(Fraction(1, 100)))
+    counts = _count_table_steps(monkeypatch)
+    rep = defect_report(sys, test_family=[x])
+    assert rep.vanishing == ((x.to_text(), "does-not-converge"),)
+    assert counts["epsilon_table"] == 1 and counts["threshold_levels"] >= 1
+    demo = convergence_demo(sys, x)
+    assert demo.verdict.kind == "does-not-converge" and demo.verdict.epsilon == 1 / 32
+
+
 README_DEMO = ["demo-convergence", "--seq", "prefix[2]:pow(1,1)", "--space", "l1",
                "--filter", "summable(pow(1,-1))", "--n-max", "10",
                "--vector", "spike(shift(geom(2),1); powlog(1,0,-2))", "--under", "frechet"]
@@ -648,13 +685,14 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     each distinct set once, ``eval_vector`` evaluates each threshold
     sequence once, and at most two threshold scans are made (the filter
     limit, with levels on both sides of its target, makes both, and so does
-    a spike whose support is not negligible).  The build's spike has a
-    negligible shifted support S: it makes no table and no scan, and S is
-    classified once, after the power tail's table, which its limsup settles
-    with no scan.  An open support S is classified once per vector too: its
-    table starts from S's class."""
+    a spike whose support is not negligible).  The build makes no table and
+    no scan at all: the power tail's limsup bound settles every level, and
+    the spike's shifted support S is negligible, classified once.  An open
+    support S is classified once per vector too: its table starts from S's
+    class."""
     tables = []  # per table: a Counter of (function, argument)
     scans = []  # per table: the number of threshold scans
+    all_scans = []  # every threshold scan, in a table or not
     in_levels = []
 
     def counting(module, name, only_in_levels=False):
@@ -670,6 +708,8 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     levels, table = sequences.threshold_levels, filters.epsilon_table
 
     def traced_levels(*args, **kwargs):
+        if not in_levels:
+            all_scans.append(args[0])
         if tables and not in_levels:
             scans[-1] += 1
         in_levels.append(1)
@@ -694,18 +734,20 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
     classify = basis_builder.classify_set
     monkeypatch.setattr(basis_builder, "classify_set",
                         lambda s, F: supports.update([s]) or classify(s, F))
-    assert run() and tables
+    assert run()
+    if run is _run_build:
+        spike = basis_builder.default_test_family(l1(64))[-1]
+        support = canonicalize(Shifted(spike.support(), -1))
+        assert tables == [] and all_scans == [] and supports == {support: 1}
+        return
+    assert tables
     for counts in tables:
         assert max(counts.values(), default=1) == 1, counts
     called = {name for counts in tables for name, _ in counts}
     assert ("eval_vector" in called) == vectors
     assert max(scans) <= 2 and (run is not _run_limit or scans == [2])
     assert run is not _run_open_support or scans == [2, 2]
-    if run is _run_build:
-        spike = basis_builder.default_test_family(l1(64))[-1]
-        support = canonicalize(Shifted(spike.support(), -1))
-        assert scans == [0] and not called and supports == {support: 1}
-    elif run is _run_open_support:
+    if run is _run_open_support:
         support = canonicalize(Shifted(Residue(2, 0), -1))
         assert supports == {support: 2}
         assert [counts["classify_set", support] for counts in tables] == [0, 0]
@@ -779,6 +821,43 @@ def test_an_exact_l2_stage_tries_one_root(monkeypatch, a, a_squared):
     assert all(r.exact_square is not None for r in sys.norm_reports)
     stages, targets = sys.n_max - 1, len(set(sys.targets))
     assert len(calls) <= stages + 2 * targets
+
+
+@pytest.mark.parametrize("a_squared,tried", [
+    (Constant(Fraction(10, 9)), [9, 900, 90000, 9000000]),
+    (ExplicitPrefix((2, 4, Fraction(10, 9), Fraction(25, 16), Fraction(5, 4)),
+                    Constant(Fraction(10, 9))), None),
+], ids=["const", "prefix"])
+def test_an_l2_root_is_tried_only_where_it_can_be_rational(monkeypatch, a_squared, tried):
+    """b_{n+1} = b_n a_{n-1} / sqrt(W_n) is irrational where exactly one
+    factor is, so its square's root is not tried there.  At a**2 = 10/9,
+    sqrt(W) = 1/3 and a is irrational: b_2 = 3, b_3 = sqrt(90), and b_4 =
+    30 is rational again, from two irrational factors.  The coefficients
+    and their squares are those of the old stage loop, in type and value."""
+    from fbasis import lp_operators
+
+    calls = []
+    exact_root = lp_operators.exact_root
+
+    def counted(x, k):
+        calls.append(x)
+        return exact_root(x, k)
+
+    monkeypatch.setattr(lp_operators, "exact_root", counted)
+    got = build_basis(None, l2(8), Frechet(), n_max=8, a_squared=a_squared)
+    monkeypatch.undo()
+    want = build_oracle.build_basis(None, l2(8), Frechet(), n_max=8, a_squared=a_squared)
+    for name in ("coefficients", "coefficients_squared"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert repr(mine) == repr(theirs) and list(map(type, mine)) == list(map(type, theirs))
+    squares = set(got.coefficients_squared[1:])
+    targets = {a_squared.value_at(n) for n in range(1, 8)}
+    tried_squares = [x for x in calls if x in squares and x not in targets]
+    rational = [x for x in got.coefficients_squared[1:] if exact_root(x, 2) is not None]
+    assert set(tried_squares) >= set(rational)
+    if tried is not None:
+        assert got.coefficients[1:4] == [3.0, math.sqrt(90), 30.0]
+        assert tried_squares == tried == rational
 
 
 def test_the_biorthogonality_check_validates_the_coefficients_once(monkeypatch):

@@ -1127,3 +1127,30 @@ def test_profile_over_an_inverse_sum_that_underflows_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
     assert get_json(out)["detail"] == "the partial sum of a**-1 up to n=10 underflows to 0.0"
     assert capsys.readouterr().err == ""
+
+
+def test_a_saturated_profile_prints_no_nan():
+    """Where the sums of a**-1, of the coordinates and of the norm bound all
+    saturate to +inf in floats, A(n) is their ratio taken in logs, and B(n),
+    whose certified norm bound is +inf itself, is "inf": no row is "nan"."""
+    support = "finite{8,13}|geom(3)"
+    code, out = run(["profile-lemma1", "--seq", f"pow({_TINY_400},-1/2)", "--vectors",
+                     f"spike(({support}); powlog({_HUGE},-3/4,-1/3))", "--grid", "10,100"])
+    assert code == EXIT_OK and b"nan" not in out
+    members = np.flatnonzero(parse_set_expr(support).mask(100)) + 1
+    for n, average, bound in get_json(out)["rows"]:
+        m = members[members <= n]  # 10**400 cancels from the ratio
+        want = np.sum(m ** -0.75 * np.log(m + 1) ** (-1 / 3)) / np.sum(np.arange(1, n + 1) ** 0.5)
+        assert average == pytest.approx(float(want), rel=1e-9) and bound == "inf"
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["ten"], 2), (["--against"], 2)])
+def test_the_startup_script_reads_its_options_first(argv, code, capsys):
+    """``tests/startup.py`` prints its usage on --help and refuses a malformed
+    run count with a message, before it starts any interpreter."""
+    import startup
+
+    with pytest.raises(SystemExit) as exc:
+        startup.main(argv)
+    assert exc.value.code == code
+    assert "usage: " in capsys.readouterr()[code != 0]

@@ -121,6 +121,17 @@ class TestProfile:
             assert r.average <= r.bound + 1e-12
         assert rows[-1].bound < rows[0].bound
 
+    def test_sums_past_the_float_range_take_their_ratio_in_logs(self):
+        """Both partial sums are +inf in floats, 10**400 times their values at
+        a = 10**-400; A and B are their ratios all the same."""
+        big = Fraction(10) ** 400
+        rows = lemma1_profile(Constant(1 / big), [PowerTail(Fraction(2), big)], [10, 100])
+        for r in rows:
+            m = np.arange(1, r.n + 1)
+            assert r.average == pytest.approx(float(np.sum(m ** -2.0)) / r.n, rel=1e-9)
+            assert r.bound == pytest.approx(math.pi ** 2 / 6 / r.n, rel=1e-3)
+            assert r.average <= r.bound
+
     def test_requires_divergence(self):
         with pytest.raises(DomainError):
             lemma1_profile(PowerLog(1, Fraction(2)), [BasisVector(1)], [10])
