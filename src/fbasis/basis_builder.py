@@ -30,7 +30,7 @@ from ._record import field, record
 from .admissibility import AdmissVerdict, check_admissible
 from .filters import (DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, SetClass, classify_set,
                       epsilon_table)
-from .natset import NATURALS, Finite, Intersection, Shifted, canonicalize
+from .natset import NATURALS, Finite, GeometricIndex, Intersection, Shifted, canonicalize
 from .lp_operators import (
     DimensionMismatch,
     SpaceKind,
@@ -52,7 +52,7 @@ from .sequences import (
     ScalarSeq,
     SeqConstructionError,
     eval_at,
-    limit_value,
+    product_limit,
     seq_mul,
     seq_pow,
     seq_scale,
@@ -377,17 +377,17 @@ class DefectReport:
     vanishing: tuple = ()  # (vector text, limit verdict kind) on the test family
 
 
+# e(1) and the spike of every default test family, built once, so what the
+# defect verdicts derive from them (``_kept``) is made once per process
+_BASIS_VECTOR = BasisVector(1)
+_SPIKE = Spike(Shifted(GeometricIndex(Fraction(2)), 1), PowerLog(1, Fraction(0), Fraction(-2)))
+
+
 def default_test_family(space: SpaceKind):
     """Finitely supported, a power tail inside the space, a sparse spike."""
     p = space.p if isinstance(space.p, Fraction) else Fraction(space.p).limit_denominator(10 ** 6)
-    beta = Fraction(1) / p + 1
-    from .natset import GeometricIndex
-
-    return (
-        BasisVector(1),
-        PowerTail(beta),
-        Spike(Shifted(GeometricIndex(Fraction(2)), 1), PowerLog(1, Fraction(0), Fraction(-2))),
-    )
+    # 1/p + 1 = (den + num)/num, in lowest terms as p is
+    return _BASIS_VECTOR, PowerTail(_coprime(p.denominator + p.numerator, p.numerator)), _SPIKE
 
 
 def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
@@ -417,7 +417,7 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
         return held[None]
 
     vanishing = tuple(
-        (x.to_text(), _classify_defects(sys, x, bounds, verdict_only=True)[-1].kind)
+        (_kept(x, _text), _classify_defects(sys, x, bounds, verdict_only=True)[-1].kind)
         for x in test_family
     )
     return DefectReport(
@@ -471,10 +471,10 @@ def _defect_bound_seqs(sys: BasisSystem):
     return (None if T is None else seq_scale(a, Fraction(1, 2))), T
 
 
-def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
+def _shift_ratio(amp: ScalarSeq, f=None) -> Optional[float]:
     """Bound on max(amp(n+1)/amp(n), amp(n)/amp(n+1)) over all n; None where
-    it has no float."""
-    f = tail_form(amp)
+    it has no float.  ``f`` is amp's tail form where the caller holds it."""
+    f = tail_form(amp) if f is None else f
     if f is None:
         return None
     try:
@@ -495,6 +495,32 @@ def _shift_ratio(amp: ScalarSeq) -> Optional[float]:
             return None
         worst = max(worst, r, 1.0 / r)
     return worst if worst < math.inf else None
+
+
+def _kept(x: TestVector, make):
+    """``make(x)``, made on the first ask and kept on the vector, in its
+    ``__dict__``, as a set keeps its description: what the defect verdicts
+    derive from a vector alone is made once per vector."""
+    name = make.__name__
+    if name not in x.__dict__:
+        object.__setattr__(x, name, make(x))
+    return x.__dict__[name]
+
+
+def _text(x: TestVector) -> str:
+    return x.to_text()
+
+
+def _amplitude(x: TestVector):
+    """(amp, its tail form, kappa = ``_shift_ratio(amp)``)."""
+    amp = x.amplitude()
+    form = tail_form(amp)
+    return amp, form, _shift_ratio(amp, form)
+
+
+def _shifted_support(x: TestVector):
+    """The support of x shifted to the stage index n, canonicalized."""
+    return canonicalize(Shifted(x.support(), -1))
 
 
 def convergence_demo(
@@ -526,6 +552,8 @@ def convergence_demo(
 
 
 _DEFAULT_LEVELS = tuple(float(e) for e in DEFAULT_EPS_SCHEDULE)  # converted once
+_CONVERGES = LimitVerdict.converges_to(0)
+_NO_SET = Finite(())
 
 
 def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
@@ -545,7 +573,12 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     level stationary-or-member.  The over-sets of all levels come from one
     head scan of their sequence, and ``epsilon_table`` classifies them.
     Only if it asks for the under-sets of levels left open are ``bounds()``,
-    the product amp c_lower and its one head scan made.
+    the product amp c_lower and its one head scan made.  The limsup bound
+    kappa lim(amp a) is read off the tail forms of amp and a
+    (``product_limit``); the product amp a itself is built when the table
+    asks for the over-sets, or where that limit is None, as only a
+    piecewise product can then exist.  What is derived from x alone is
+    kept on x (``_kept``).
 
     With ``verdict_only``, the cheapest certificate comes first.  A limsup
     bound below the smallest level settles every level, and the verdict
@@ -558,20 +591,20 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     filt = under if under is not None else sys.filter
     levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
     if isinstance(x, BasisVector):
-        return levels[:1], [Finite(())], [Finite(())], ["negligible"], LimitVerdict.converges_to(0)
+        return levels[:1], [_NO_SET], [_NO_SET], ["negligible"], _CONVERGES
 
-    amp = x.amplitude()
-    kappa = _shift_ratio(amp)
-    prod_hi = seq_mul(amp, sys.target)
-    limsup = None
-    if kappa is not None and prod_hi is not None:
-        lim = limit_value(prod_hi)
-        if lim is not None and math.isfinite(lim):
+    amp, form, kappa = _kept(x, _amplitude)
+    lim = limsup = prod_hi = None
+    if kappa is not None:
+        lim = product_limit(form, tail_form(sys.target))  # limit_value(seq_mul(amp, a))
+        if lim is None:  # a product exists only as a piecewise one, if at all
+            prod_hi = seq_mul(amp, sys.target)
+        elif math.isfinite(lim):
             # the defect bound settles below every level above lim * kappa
             limsup = lim * kappa
     if verdict_only and limsup is not None and limsup < min(levels):
-        return levels, None, None, None, LimitVerdict.converges_to(0)
-    support = canonicalize(Shifted(x.support(), -1))
+        return levels, None, None, None, _CONVERGES
+    support = _kept(x, _shifted_support)
 
     def bound_sets(prod, scale, *where):
         """The threshold sets of prod * scale at the asked levels, each
@@ -593,12 +626,16 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
 
     over_sets = under_sets = None
     known = {}  # the support's class, once asked
-    if kappa is not None and prod_hi is not None:
-        over_sets = bound_sets(prod_hi, kappa, support)
+    if kappa is not None and (lim is not None or prod_hi is not None):
+        def over_sets(ls):
+            prod = seq_mul(amp, sys.target) if prod_hi is None else prod_hi
+            sets = bound_sets(prod, kappa, support)
+            return [None] * len(ls) if sets is None else sets(ls)
+
         if verdict_only:  # the limsup bound leaves a level open
             known[support] = classify_set(support, filt)
             if known[support] == SetClass.NEGLIGIBLE:
-                return levels, None, None, None, LimitVerdict.converges_to(0)
+                return levels, None, None, None, _CONVERGES
     if kappa is not None:
         def under_sets(ls):
             c_lower, lower_on = bounds()

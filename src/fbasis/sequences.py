@@ -589,13 +589,44 @@ def limit_value(a) -> Optional[float]:
     for flat families, None when undecided.
     """
     f = tail_form(a)
-    if f is None:
+    return None if f is None else _family_limit(f.c, _sum_sign(f.beta, 0) or _sum_sign(f.gamma, 0))
+
+
+def product_limit(fa: Optional[TailForm], fb: Optional[TailForm]) -> Optional[float]:
+    """``limit_value(seq_mul(a, b))`` for sequences a and b of tail forms fa
+    and fb, with no product built: the exponents add and the coefficients
+    multiply.  None where either form is None, and, as ``seq_mul`` then
+    builds no product or one with no tail form, where the coefficients'
+    product or that of the two values at an index up to the larger head
+    index lies outside (0, +inf)."""
+    if fa is None or fb is None:
         return None
-    if f.beta > 0 or (f.beta == 0 and f.gamma > 0):
-        return math.inf
-    if f.beta < 0 or (f.beta == 0 and f.gamma < 0):
-        return 0.0
-    return to_float(f.c)
+    c = _mul(fa.c, fb.c)
+    if _past_range(c):
+        return None
+    if fa.head or fb.head:
+        for i in range(1, max(i for i, _ in chain(fa.head, fb.head)) + 1):
+            if _past_range(_mul(fa.value_at(i), fb.value_at(i))):
+                return None
+    return _family_limit(c, _sum_sign(fa.beta, fb.beta) or _sum_sign(fa.gamma, fb.gamma))
+
+
+def _past_range(x: Number) -> bool:
+    """Whether x, a product of two positive numbers, lies outside (0, +inf):
+    only a float can, one that fell past the float range."""
+    return isinstance(x, float) and not 0.0 < x < math.inf
+
+
+def _sum_sign(x: Fraction, y: Fraction) -> int:
+    """The sign of x + y, in integers, with no Fraction made."""
+    s = x.numerator * y.denominator + y.numerator * x.denominator
+    return (s > 0) - (s < 0)
+
+
+def _family_limit(c: Number, sign: int) -> float:
+    """The limit of c * n**beta * ln(n+1)**gamma, whose growth has the sign
+    of beta, or of gamma at beta = 0."""
+    return math.inf if sign > 0 else 0.0 if sign < 0 else to_float(c)
 
 
 def compare_pointwise(a: ScalarSeq, b: ScalarSeq) -> Optional[bool]:

@@ -259,11 +259,21 @@ def _run(ops: int, seeds, draw=argv) -> int:
     return 0 if set(codes) <= set(EXIT_CODES) else 1
 
 
-if __name__ == "__main__":
-    import sys
+def main(args=None) -> int:
+    import argparse
 
-    args = sys.argv[1:]
-    draw = {"--vectors": vector_argv, "--periods": period_argv,
-            "--builds": build_argv}.get(args[0], argv)
-    args = args[1:] if draw is not argv else args
-    raise SystemExit(_run(int(args[0]), [int(s) for s in args[1:]], draw))
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    kinds = ap.add_mutually_exclusive_group()
+    for flag, draw in (("--vectors", vector_argv), ("--periods", period_argv),
+                       ("--builds", build_argv)):
+        kinds.add_argument(flag, dest="draw", action="store_const", const=draw,
+                           help=f"draw the command lines by {draw.__name__}")
+    ap.add_argument("ops", type=int, metavar="OPS", help="command lines per seed")
+    ap.add_argument("seeds", type=int, nargs="+", metavar="SEED")
+    ap.set_defaults(draw=argv)
+    args = ap.parse_args(args)
+    return _run(args.ops, args.seeds, args.draw)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -43,10 +43,12 @@ LAYERS = (
     ("basis_builder", "build_basis"),
     ("basis_builder", "verify_biorthogonality"),
     ("basis_builder", "defect_report"),
+    ("basis_builder", "_classify_defects"),
     ("basis_builder", "convergence_demo"),
     ("reports", "emit_report"),
     ("filters", "epsilon_table"),
     ("sequences", "threshold_levels"),
+    ("sequences", "seq_mul"),
     ("lp_operators", "_stage_norm"),
     ("lp_operators", "_closed_form_report"),
     ("lp_operators", "image_pairs"),

@@ -12,8 +12,10 @@ script imports ``fbasis`` and runs, in process:
   and 200 of its vector ops (``vector_argv``, seed 1) through
   ``fbasis.cli.main``, each cut after 5 s;
 * one ``check-admissible --band`` op, two ``classify-set`` ops (density
-  bounds over a sampled part, a sum over a shifted geometric set), one op
-  read from a ``--config`` file, and ``--help``;
+  bounds over a sampled part, a sum over a shifted geometric set), one
+  ``build-basis`` op whose spike verdict asks for the under-sets (a
+  two-piece target has no limsup bound, and the spike's support is not
+  Frechet-negligible), one op read from a ``--config`` file, and ``--help``;
 * the five scripts in ``demos/`` and the Python blocks of ``README.md``.
 
 It then prints each function defined in ``src/fbasis`` that none of these
@@ -110,6 +112,8 @@ def run_everything() -> None:
           "--p", "3/2", "--band"])
     _cli(["classify-set", "--set", "residue(2,0)|sampled{1,4,9;20}", "--filter", "statistical"])
     _cli(["classify-set", "--set", "shift(geom(2),1)", "--filter", "summable(pow(1,-1/2))"])
+    _cli(["build-basis", "--seq", "piece{residue(2,0)=>const(2);residue(2,1)=>const(3)}",
+          "--space", "l1", "--filter", "frechet", "--n-max", "8"])
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "query.cfg"
         cfg.write_text("set = residue(2,0)\nfilter = statistical\n", encoding="ascii")

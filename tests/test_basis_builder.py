@@ -571,8 +571,9 @@ class TestDefectTable:
 def test_settled_levels_build_no_lower_bound(monkeypatch):
     """In lp(4) the upper bound a = 5 settles every level for both vectors
     of the test family that are not basis vectors, so ``defect_report``
-    neither multiplies by the lower bound sequence nor scans for the set
-    where it holds."""
+    multiplies no sequence, neither by the target (the limsup bound comes
+    from the tail forms) nor by the lower bound sequence, and does not scan
+    for the set where the lower bound holds."""
     factors, scans = [], []
     mul, ge = basis_builder.seq_mul, basis_builder.threshold_ge
     monkeypatch.setattr(basis_builder, "seq_mul", lambda a, b: factors.append(b) or mul(a, b))
@@ -582,7 +583,7 @@ def test_settled_levels_build_no_lower_bound(monkeypatch):
                                              "lp(4)", "--filter", "frechet"]))
     vanishing = json.loads(payload)["defect_check"]["vanishing"]
     assert code == 0 and [v["verdict"] for v in vanishing] == ["converges"] * 3
-    assert factors == [Constant(5)] * 2 and scans == []
+    assert factors == [] and scans == []
 
 
 def test_open_levels_match_the_per_level_oracle():
@@ -754,6 +755,21 @@ def test_each_table_classifies_each_set_once(monkeypatch, run, vectors):
         assert "classify_set" in called
     else:
         assert "classify_set" in called
+
+
+def test_a_default_family_build_multiplies_no_sequence(monkeypatch):
+    """In BUILD_L1 the power tail's limsup bound, read off the tail forms of
+    its amplitude and the target, settles every level, and the spike's
+    shifted support is negligible: no verdict builds the product amp a.  The
+    spike is built once per process and keeps its canonical shifted support,
+    so a second build canonicalizes no set."""
+    products, canonical = [], []
+    mul, canon = basis_builder.seq_mul, basis_builder.canonicalize
+    monkeypatch.setattr(basis_builder, "seq_mul", lambda a, b: products.append(b) or mul(a, b))
+    assert _run_build()
+    monkeypatch.setattr(basis_builder, "canonicalize", lambda s: canonical.append(s) or canon(s))
+    assert _run_build()
+    assert products == [] and canonical == []
 
 
 @pytest.mark.parametrize("seq,space,filt", [

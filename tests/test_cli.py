@@ -1106,6 +1106,19 @@ def test_a_shift_ratio_past_the_float_range_leaves_the_levels_open(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_head_product_past_the_float_range_leaves_the_limsup_open(capsys):
+    """a = prefix[sqrt 5]:const(10**200) against 10**-400 n**(-1/3): their
+    tail product tends to 0, but the head product sqrt(5) 10**-400 has no
+    float, so the product has no listed head and no limit.  The limsup
+    bound, read off the two tail forms, settles no level either."""
+    code, out = run(["demo-convergence", "--a-squared", f"prefix[5]:const({_HUGE})",
+                     "--space", "l1", "--filter", "frechet", "--n-max", "3",
+                     "--vector", f"powtail(1/3,{_TINY_400})"])
+    assert code == EXIT_INCONCLUSIVE
+    assert get_json(out)["verdict"]["kind"] == "inconclusive"
+    assert capsys.readouterr().err == ""
+
+
 def test_a_scaled_defect_bound_past_the_float_range_leaves_its_levels_open(capsys):
     """The prefix value 10**-400 of the target times the shift ratio has no
     float, so the defect bound has no threshold sets: every level is open."""
@@ -1152,5 +1165,16 @@ def test_the_startup_script_reads_its_options_first(argv, code, capsys):
 
     with pytest.raises(SystemExit) as exc:
         startup.main(argv)
+    assert exc.value.code == code
+    assert "usage: " in capsys.readouterr()[code != 0]
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["ten", "1"], 2), (["5", "x"], 2),
+                                       (["--builds", "5"], 2), (["--builds", "--vectors", "5", "1"], 2)])
+def test_the_fuzz_script_reads_its_options_first(argv, code, capsys):
+    """``tests/fuzz_grammar.py`` prints its usage on --help and refuses a
+    malformed OPS or SEED with a message, before it runs any command line."""
+    with pytest.raises(SystemExit) as exc:
+        fuzz_grammar.main(argv)
     assert exc.value.code == code
     assert "usage: " in capsys.readouterr()[code != 0]

@@ -36,7 +36,9 @@ from fbasis.sequences import (
     exact_pow,
     is_bounded,
     is_eventually_nondecreasing,
+    limit_value,
     power_log_at,
+    product_limit,
     seq_mul,
     seq_scale,
     tail_form,
@@ -405,6 +407,38 @@ def nested_sequences(draw, depth=2):
         return ExplicitPrefix(tuple(head), draw(nested_sequences(depth - 1)))
     q = draw(st.integers(2, 3))
     return Piecewise(tuple((Residue(q, r), draw(nested_sequences(depth - 1))) for r in range(q)))
+
+
+# rationals out to 10**+-400 and floats whose products leave the float range
+_FACTOR_VALUES = _COEFFICIENTS | st.sampled_from((math.sqrt(5), 1e-300, 1e300))
+
+
+@st.composite
+def product_factors(draw, depth=2):
+    """Constant and power-log leaves, prefixes over them, and piecewise
+    sequences of one piece (the naturals) or two (the residues mod 2)."""
+    kind = draw(st.sampled_from(("pow", "const") + (("prefix", "piece") if depth else ())))
+    if kind == "pow":
+        return PowerLog(draw(_FACTOR_VALUES), Fraction(draw(st.integers(-8, 8)), 4),
+                        Fraction(draw(st.integers(-2, 2)), 2))
+    if kind == "const":
+        return Constant(draw(_FACTOR_VALUES))
+    if kind == "prefix":
+        head = draw(st.lists(_FACTOR_VALUES, min_size=1, max_size=4))
+        return ExplicitPrefix(tuple(head), draw(product_factors(depth - 1)))
+    sets = draw(st.sampled_from(((NATURALS,), (Residue(2, 0), Residue(2, 1)))))
+    return Piecewise(tuple((s, draw(product_factors(depth - 1))) for s in sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=product_factors(), b=product_factors())
+@example(a=ExplicitPrefix((math.sqrt(5),), Constant(Fraction(10 ** 200))),
+         b=PowerLog(Fraction(1, 10 ** 400), Fraction(-1, 3)))
+def test_the_limit_from_tail_forms_is_the_limit_of_the_product(a, b):
+    """``product_limit`` of the two tail forms is ``limit_value`` of the
+    built product, None exactly where that is: in the example the tails'
+    product tends to 0, but the head product sqrt(5) 10**-400 underflows."""
+    assert product_limit(tail_form(a), tail_form(b)) == limit_value(seq_mul(a, b))
 
 
 @settings(max_examples=80, deadline=None)
