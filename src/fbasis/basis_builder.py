@@ -409,15 +409,8 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
                        for c, t in zip(sys.defect_coeffs, sys.targets))
     if test_family is None:
         test_family = default_test_family(sys.space)
-    held = {}  # _defect_bound_seqs(sys), made on the first ask
-
-    def bounds():
-        if not held:
-            held[None] = _defect_bound_seqs(sys)
-        return held[None]
-
     vanishing = tuple(
-        (_kept(x, _text), _classify_defects(sys, x, bounds, verdict_only=True)[-1].kind)
+        (_kept(x, _text), _classify_defects(sys, x, verdict_only=True)[-1].kind)
         for x in test_family
     )
     return DefectReport(
@@ -497,10 +490,10 @@ def _shift_ratio(amp: ScalarSeq, f=None) -> Optional[float]:
     return worst if worst < math.inf else None
 
 
-def _kept(x: TestVector, make):
-    """``make(x)``, made on the first ask and kept on the vector, in its
-    ``__dict__``, as a set keeps its description: what the defect verdicts
-    derive from a vector alone is made once per vector."""
+def _kept(x, make):
+    """``make(x)``, made on the first ask and kept on x, a vector or a
+    system, in its ``__dict__``, as a set keeps its description: what the
+    defect verdicts derive from one object alone is made once per object."""
     name = make.__name__
     if name not in x.__dict__:
         object.__setattr__(x, name, make(x))
@@ -526,26 +519,25 @@ def _shifted_support(x: TestVector):
 def convergence_demo(
     sys: BasisSystem,
     x: TestVector,
-    eps_schedule=None,
     horizon: int = 10 ** 6,
     under: Optional[FilterSpec] = None,
 ) -> ConvergenceReport:
     """Classify the defect terms of the rebuilt partial sums at x.
 
-    The stage-n defect norm is |x_{n+1}| * c_n.  For each scheduled
-    epsilon the exceptional set is bracketed between derived under- and
-    over-approximations and classified under the system's filter (or the
-    ``under`` override, for side-by-side comparisons).  The over-set
-    (``over_set``) is a certified superset of the exceptional set, the
-    under-set (``under_set``) a certified subset.  The upper bound c_n <= a_n
-    holds at every n; the lower bound c_n >= a_n / 2 holds where a(n) >= t,
-    t being the level from which it holds (see ``_defect_bound_seqs``), so
-    the under-sets are taken inside that set."""
+    The stage-n defect norm is |x_{n+1}| * c_n.  For each epsilon of
+    ``DEFAULT_EPS_SCHEDULE`` the exceptional set is bracketed between
+    derived under- and over-approximations and classified under the
+    system's filter (or the ``under`` override, for side-by-side
+    comparisons).  The over-set (``over_set``) is a certified superset of
+    the exceptional set, the under-set (``under_set``) a certified subset.
+    The upper bound c_n <= a_n holds at every n; the lower bound c_n >=
+    a_n / 2 holds where a(n) >= t, t being the level from which it holds
+    (see ``_defect_bound_seqs``), so the under-sets are taken inside that
+    set."""
     # |x_{n+1}| c_n in binary64, saturated to +inf or 0.0 past the float range
     stage_defects = [to_float(abs(x_n), 1, 0, c) if (x_n := x.coordinate(n + 1)) else 0.0
                      for n, c in enumerate(sys.defect_coeffs, start=1)]
-    levels, overs, unders, cls, verdict = _classify_defects(
-        sys, x, lambda: _defect_bound_seqs(sys), eps_schedule, horizon, under)
+    levels, overs, unders, cls, verdict = _classify_defects(sys, x, horizon, under)
     texts = [[None if s is None else s.to_text() for s in sets] for sets in (overs, unders)]
     entries = tuple(EpsilonEntry(*row) for row in zip(levels, *texts, cls))
     return ConvergenceReport(x.to_text(), stage_defects, entries, verdict, _TRUNCATION_CAVEAT)
@@ -556,13 +548,10 @@ _CONVERGES = LimitVerdict.converges_to(0)
 _NO_SET = Finite(())
 
 
-def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None,
-                      horizon: int = 10 ** 6, under: Optional[FilterSpec] = None,
-                      verdict_only: bool = False):
+def _classify_defects(sys: BasisSystem, x: TestVector, horizon: int = 10 ** 6,
+                      under: Optional[FilterSpec] = None, verdict_only: bool = False):
     """The levels, over-sets, under-sets and classes of the epsilon table of
     ``convergence_demo``, one entry per level, and its limit verdict.
-    ``bounds()`` returns the system's ``_defect_bound_seqs``, so a caller
-    classifying several vectors computes them once.
 
     Level e asks about the exceptional set {n : |x_{n+1}| c_n >= e}.  Its
     over-set, the support of x (shifted to n) intersected with
@@ -572,13 +561,13 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     bounds c, is a subset: an under-set that is not negligible makes the
     level stationary-or-member.  The over-sets of all levels come from one
     head scan of their sequence, and ``epsilon_table`` classifies them.
-    Only if it asks for the under-sets of levels left open are ``bounds()``,
-    the product amp c_lower and its one head scan made.  The limsup bound
-    kappa lim(amp a) is read off the tail forms of amp and a
-    (``product_limit``); the product amp a itself is built when the table
-    asks for the over-sets, or where that limit is None, as only a
-    piecewise product can then exist.  What is derived from x alone is
-    kept on x (``_kept``).
+    Only if it asks for the under-sets of levels left open are the system's
+    ``_defect_bound_seqs``, the product amp c_lower and its one head scan
+    made.  The limsup bound kappa lim(amp a) is read off the tail forms of
+    amp and a (``product_limit``); the product amp a itself is built when
+    the table asks for the over-sets, or where that limit is None, as only
+    a piecewise product can then exist.  What is derived from x alone is
+    kept on x, and the defect bounds on the system (``_kept``).
 
     With ``verdict_only``, the cheapest certificate comes first.  A limsup
     bound below the smallest level settles every level, and the verdict
@@ -589,7 +578,7 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
     sets and classes are None.  Otherwise the table starts from S's class
     and does not classify S again."""
     filt = under if under is not None else sys.filter
-    levels = _DEFAULT_LEVELS if eps_schedule is None else [float(e) for e in eps_schedule]
+    levels = _DEFAULT_LEVELS
     if isinstance(x, BasisVector):
         return levels[:1], [_NO_SET], [_NO_SET], ["negligible"], _CONVERGES
 
@@ -638,7 +627,7 @@ def _classify_defects(sys: BasisSystem, x: TestVector, bounds, eps_schedule=None
                 return levels, None, None, None, _CONVERGES
     if kappa is not None:
         def under_sets(ls):
-            c_lower, lower_on = bounds()
+            c_lower, lower_on = _kept(sys, _defect_bound_seqs)
             prod_lo = None if c_lower is None else seq_mul(amp, c_lower)
             sets = None if prod_lo is None else bound_sets(prod_lo, 1.0 / kappa, support, lower_on)
             return [None] * len(ls) if sets is None else sets(ls)

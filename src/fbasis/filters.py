@@ -313,14 +313,9 @@ def epsilon_table(F: FilterSpec, levels, over_sets, under_sets, limsup=None, tar
     return overs, unders, cls, verdict
 
 
-def f_limit_scalar(
-    x: SignedSeq,
-    F: FilterSpec,
-    target,
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
-    horizon: int = 10 ** 6,
-) -> LimitVerdict:
-    """Filter limit verdict through the epsilon table of x.
+def f_limit_scalar(x: SignedSeq, F: FilterSpec, target) -> LimitVerdict:
+    """Filter limit verdict through the epsilon table of x, at the levels of
+    ``DEFAULT_EPS_SCHEDULE``.
 
     The exceptional set {n : |x(n) - t| >= e} is {x >= t + e} joined with
     the complement of {x > t - e}; the thresholds of all levels come from
@@ -339,10 +334,10 @@ def f_limit_scalar(
     sets: dict = {}
 
     def exceptional(levels):
-        highs = threshold_levels(amp, [t + e for e in levels], horizon)
+        highs = threshold_levels(amp, [t + e for e in levels])
         dips = [e for e in levels if t - e >= 0]  # x > 0 > t - e at the others
-        lows = threshold_levels(amp, [math.nextafter(t - e, math.inf) for e in dips],
-                                horizon) if dips else []
+        lows = threshold_levels(amp, [math.nextafter(t - e, math.inf)
+                                      for e in dips]) if dips else []
         lows = dict(zip(dips, lows))
         for e, high in zip(levels, highs):
             low = lows.get(e, NATURALS)
@@ -354,7 +349,7 @@ def f_limit_scalar(
             sets[e] = None if E is None else canonicalize(E)
         return [sets[e] for e in levels]
 
-    levels = [float(e) for e in eps_schedule]
+    levels = [float(e) for e in DEFAULT_EPS_SCHEDULE]
     return epsilon_table(F, levels, exceptional, lambda ls: [sets[e] for e in ls],
                          limsup, target)[3]
 

@@ -55,6 +55,8 @@ def plank_separator(a: ScalarSeq, dual_kind: str, margin) -> SeparatorSpec:
     margin = float(margin)
     if margin <= 0:
         raise DomainError("the margin must be positive")
+    if not math.isfinite(margin):
+        raise DomainError("the margin must be finite")
     if dual_kind not in ("linf-diagonal", "l2-diagonal"):
         raise DomainError(f"unknown dual kind {dual_kind!r}")
     p = 1 if dual_kind == "linf-diagonal" else 2
@@ -180,6 +182,8 @@ def lemma1_profile(
     norms = [float(x.norm_upper(1)) for x in xs]
     rows = []
     grid = sorted(set(int(n) for n in grid))
+    if not grid or grid[0] < 1:
+        raise DomainError("the grid points must be at least 1")
     top = grid[-1]
     coords = np.zeros(top)
     with np.errstate(divide="ignore", over="ignore"):  # values past the float range are +inf

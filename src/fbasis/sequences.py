@@ -76,6 +76,8 @@ def _int_root(v: int, k: int) -> Optional[int]:
     any size of v works (Newton's iteration from above, isqrt at k = 2)."""
     if v < 2:
         return v if v >= 0 else None
+    if k >= v.bit_length():  # 1 < v < 2**k: no integer root
+        return None
     if k == 2:
         residue = v % (64 * 63 * 65 * 11)
         for m, mask in _SQUARE_MASKS:

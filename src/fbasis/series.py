@@ -373,7 +373,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
 # the main verdict
 
 
-def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumVerdict:
+def weight_sum(s: SetExpr, w: ScalarSeq) -> SumVerdict:
     """Verdict for sum_{n in s} w(n) with a certified bound on convergence."""
     v = s.certified_weight_sum(w)
     if v is not None:
@@ -381,7 +381,7 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
     if isinstance(w, Piecewise):
         verdicts = []
         for piece_set, piece_seq in w.pieces:
-            verdicts.append(weight_sum(Intersection((s, piece_set)), piece_seq, horizon))
+            verdicts.append(weight_sum(Intersection((s, piece_set)), piece_seq))
         if any(v.kind == "diverges" for v in verdicts):
             return SumVerdict.diverges()
         if all(v.kind == "converges" for v in verdicts):
@@ -422,17 +422,17 @@ def weight_sum(s: SetExpr, w: ScalarSeq, horizon: int = DEFAULT_HORIZON) -> SumV
                 return SumVerdict.diverges()
         token_verdicts = [sparse_token_sum(t, w, form) for t in hi.plus]
         if all(v.kind == "converges" for v in token_verdicts):
-            head = _prefix_sum_bound(s, form, slack, horizon)
+            head = _prefix_sum_bound(s, form, slack)
             return SumVerdict.converges(_add_bounds([head] + [v.bound for v in token_verdicts]))
 
     return SumVerdict.inconclusive()
 
 
-def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int, horizon: int):
+def _prefix_sum_bound(s: SetExpr, form: TailForm, slack: int):
     """Bound for the finite slack part below the description's validity."""
     if slack <= 0:
         return Fraction(0)
-    if slack <= min(horizon, 10 ** 5):
+    if slack <= 10 ** 5:
         try:
             return _add_bounds([form.value_at(n) for n in enumerate_prefix(s, slack)])
         except HorizonExceeded:
@@ -470,10 +470,9 @@ def partial_sum(s: SetExpr, w, upto: int = DEFAULT_HORIZON) -> SumVerdict:
 # sums of inverse powers
 
 
-def sum_inverse_p_verdict(a: ScalarSeq, p, I: SetExpr = NATURALS,
-                          horizon: int = DEFAULT_HORIZON) -> SumVerdict:
+def sum_inverse_p_verdict(a: ScalarSeq, p, I: SetExpr = NATURALS) -> SumVerdict:
     """Verdict for sum_{n in I} a(n)**(-p)."""
     p = Fraction(p)
     if p < 1:
         raise ValueError("the exponent must satisfy p >= 1")
-    return weight_sum(I, seq_pow(a, -p), horizon)
+    return weight_sum(I, seq_pow(a, -p))

@@ -21,10 +21,9 @@ from fbasis.lp_operators import (
     SpaceKind,
     _prescribed_ratio,
     _root,
-    _stage_norm,
 )
 from fbasis.sequences import DomainError, ScalarSeq, eval_at, seq_pow, to_float
-from norm_oracle import certify_stage_norm as _certify_stage_norm
+from norm_oracle import _stage_norm, certify_stage_norm as _certify_stage_norm
 
 
 def build_basis(

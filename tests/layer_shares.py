@@ -49,7 +49,7 @@ LAYERS = (
     ("filters", "epsilon_table"),
     ("sequences", "threshold_levels"),
     ("sequences", "seq_mul"),
-    ("lp_operators", "_stage_norm"),
+    ("lp_operators", "_stage_bounds"),
     ("lp_operators", "_closed_form_report"),
     ("lp_operators", "image_pairs"),
     ("admissibility", "check_admissible"),

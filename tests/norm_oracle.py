@@ -10,17 +10,31 @@ through ``apply``, as the package did before it took the coefficient
 array directly.  ``certify_stage_norm`` is the stage certificate the
 builder ran before an exact stage was checked on its stored powers: it
 compares an exact norm (its square at p = 2) with the target, and a float
-norm's lower bound with it.
+norm's lower bound with it.  ``_stage_norm`` is the stage norm that
+``op_norm`` and the builder's stages took before both reported through
+the builder's own formulas: its float bracket comes from the norming
+vector's ratio and the Riesz-Thorin bound of the whole coefficient array.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from fbasis import TailOp, apply
-from fbasis.lp_operators import lp_norm
+from fbasis.lp_operators import (
+    _METHODS,
+    NormReport,
+    _closed_form_report,
+    _holder_value,
+    lp_norm,
+    norm_ratio,
+    norming_input,
+    riesz_thorin_upper,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_OUTER = 200
@@ -137,3 +151,20 @@ def certify_stage_norm(rep, target, target_square, n: int) -> None:
     if missed:
         raise ArithmeticError(f"stage {n}: certified norm {rep.value} (lower bound "
                               f"{rep.lower}) misses the target {target}")
+
+
+def _stage_norm(W, p, b: Sequence) -> NormReport:
+    """The stage norm from W = U**p.  A rational W at p = 1 or 2 gives an
+    exact norm (its square at p = 2), which certifies itself.  Otherwise
+    the norm is ``_holder_value``, bracketed by the ratio ||T x|| / ||x||
+    of the norming vector x, evaluated on the coefficients b = (b_1, ...,
+    b_{n+1}) as one float array (a float array itself is not copied), and
+    by the Riesz-Thorin bound; the value is raised to that ratio where the
+    ratio lies above it."""
+    if isinstance(W, Fraction) and p in _METHODS:
+        return _closed_form_report(max(W, Fraction(1)) if p == 1 else 1 + W, p, _METHODS[p])
+    method, p = _METHODS.get(p, "ClosedForm"), float(p)
+    bf = np.asarray(b, dtype=float)
+    lower = norm_ratio(bf, norming_input(bf, p), p)
+    value = max(_holder_value(float(W), p), lower)
+    return NormReport(value, method, lower, max(riesz_thorin_upper(bf, p), value))

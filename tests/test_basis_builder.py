@@ -37,7 +37,7 @@ from fbasis import (
 from fbasis import basis_builder, filters, sequences
 from fbasis.basis_builder import BasisSystem
 from fbasis.cli import load_config, run_command
-from fbasis.lp_operators import TailOp, _root, _stage_norm, image_pairs
+from fbasis.lp_operators import TailOp, _root, image_pairs
 from fbasis.natset import canonicalize
 from fbasis.parsing import parse_filter, parse_scalar_seq, parse_set_expr
 from fbasis.sequences import DomainError
@@ -46,6 +46,7 @@ import biorth_oracle
 import build_oracle
 import defect_table_oracle
 from conftest import random_target_seq
+from norm_oracle import _stage_norm
 
 HARMONIC = PowerLog(1, Fraction(-1))
 

@@ -1178,3 +1178,45 @@ def test_the_fuzz_script_reads_its_options_first(argv, code, capsys):
         fuzz_grammar.main(argv)
     assert exc.value.code == code
     assert "usage: " in capsys.readouterr()[code != 0]
+
+
+@pytest.mark.parametrize("margin,detail", [("nan", "the margin must be finite"),
+                                           ("inf", "the margin must be finite"),
+                                           ("1e309", "the margin must be finite"),
+                                           ("0", "the margin must be positive"),
+                                           ("-1", "the margin must be positive")])
+def test_a_margin_outside_the_positive_floats_is_a_usage_error(margin, detail):
+    """``separate`` refuses a margin that is not a positive float, nan and
+    +inf (1e309 reads as +inf) included, with exit 64."""
+    code, out = run(["separate", "--seq", "pow(1,2)", "--margin", margin])
+    assert (code, get_json(out)["detail"]) == (EXIT_USAGE, detail)
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", "10,0,100"])
+def test_a_grid_point_below_1_is_a_usage_error(grid):
+    """``profile-lemma1`` averages over the indices 1 .. n: a grid point
+    below 1 exits 64."""
+    code, out = run(["profile-lemma1", "--seq", "pow(1,1)", "--vectors", "e(1)", "--grid", grid])
+    assert (code, get_json(out)["detail"]) == (EXIT_USAGE, "the grid points must be at least 1")
+
+
+def test_an_exponent_near_1_builds_at_once():
+    """At p = 1 + 10**-21 the admissibility check asks for the 10**21-th root
+    of 2, which is not an integer: it is refused at once, not after a Newton
+    step that forms 2**(10**21 - 1).  The build runs in a child process with
+    a timeout, as no signal interrupts a power of that size."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fbasis
+
+    env = dict(os.environ)
+    src = str(Path(fbasis.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["build-basis", "--seq", "const(2)", "--space", "lp(1.000000000000000000001)",
+            "--filter", "frechet", "--n-max", "4"]
+    out = subprocess.run([sys.executable, "-m", "fbasis.cli", *argv],
+                         env=env, capture_output=True, timeout=20)
+    assert out.returncode == EXIT_OK and get_json(out.stdout)["outcome"] == "built"

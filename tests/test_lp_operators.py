@@ -7,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fbasis import (
+    Constant,
     DimensionMismatch,
     DomainError,
+    NormReport,
+    Statistical,
     TailOp,
     apply,
+    build_basis,
     l1,
     l2,
     lp,
@@ -20,6 +24,7 @@ from fbasis import (
     solve_b_next,
 )
 from fbasis.lp_operators import (
+    _mass_ratio,
     _root,
     image_pairs,
     norm_ratio,
@@ -29,7 +34,7 @@ from fbasis.lp_operators import (
 from fbasis.sequences import exact_root
 
 from checkers import remainder_dense_matrix, solve_next_square
-from norm_oracle import apply_norm_ratio, golden_section_norm
+from norm_oracle import _stage_norm, apply_norm_ratio, golden_section_norm
 
 
 def svd_norm(T, dim=None):
@@ -183,6 +188,26 @@ class TestNorms:
             for p in (1.2, 1.5, 2.5):
                 T = TailOp(n, b, lp(p, 10))
                 assert op_norm(T).value <= riesz_thorin_upper(T.b_floats(), p) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from((1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 1 + 1e-12)),
+           st.integers(0, 2 ** 32))
+    def test_float_reports_bracket_the_norming_ratio(self, n, p, seed):
+        """On float coefficients the O(1) bracket of ``op_norm`` holds the
+        norming vector's ratio and the value of the general ``_stage_norm``."""
+        rng = random.Random(seed)
+        b = tuple(math.exp(rng.uniform(-20.0, 20.0)) for _ in range(n + 1))
+        T = TailOp(n, b, lp(p, n + 1))
+        rep, old = op_norm(T), _stage_norm(_mass_ratio(T), p, b)
+        assert rep.method == old.method
+        assert rep.lower <= old.lower <= old.value <= rep.upper
+        assert rep.value == pytest.approx(old.value, rel=1e-12)
+
+    @pytest.mark.parametrize("b,space", [((Fraction(1),), l1(4)), ((2.0,), l1(4)),
+                                         ((Fraction(1),), l2(4)), ((2.0,), l2(4))])
+    def test_a_stage_zero_operator_reports_norm_one(self, b, space):
+        rep = op_norm(TailOp(0, b, space))
+        assert rep.lower <= rep.value == 1.0 <= rep.upper
 
     def test_monotone_in_last_coefficient(self):
         b = (1.0, 0.5)
@@ -348,3 +373,33 @@ def test_shift_scaled_root_matches_fraction_scaling(x):
                                Fraction(2 ** 53 + 1, 2 ** 53 - 1), Fraction(1, 2)])
 def test_shift_scaled_root_fixed_cases(x):
     assert _root(x, 2).hex() == _root_by_fraction_scaling(x).hex()
+
+
+def test_op_norm_reports_a_float_stage_as_the_build_does():
+    """Each float stage of a build and ``op_norm`` on that stage's operator
+    report through one formula: the same method, values equal up to the
+    rounding of the running sums, each inside the other's bracket."""
+    sys = build_basis(Constant(2), lp(1.5, 40), Statistical(), 40)
+    for n, got in enumerate(sys.norm_reports, start=1):
+        rep = op_norm(sys.stage(n))
+        assert rep.method == got.method == "ClosedForm"
+        assert rep.value == pytest.approx(got.value, rel=1e-12)
+        assert rep.lower <= got.value <= rep.upper and got.lower <= rep.value <= got.upper
+
+
+def test_a_norm_report_holds_its_value_between_its_bounds_exactly():
+    """One ulp outside either bound, or a nan, is refused: no slack."""
+    up = math.nextafter(1.0, 2.0)
+    assert NormReport(1.0, "ClosedForm", 1.0, 1.0).value == 1.0
+    for value, lower, upper in ((1.0, up, up), (up, 1.0, 1.0), (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="outside its bounds"):
+            NormReport(value, "ClosedForm", lower, upper)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_a_non_finite_float_exponent_is_refused(p):
+    """A float p must be finite; a rational one always is, even past the
+    float range."""
+    with pytest.raises(DomainError, match="the exponent must be finite"):
+        lp(p)
+    assert lp(Fraction(10 ** 400)).p == 10 ** 400

@@ -387,6 +387,16 @@ def test_square_root_filter_rejects_no_square(v):
     assert _int_root(v, 2) == (r if r * r == v else None)
 
 
+@pytest.mark.parametrize("v", [2, 3, 255, 256, 3 ** 40, 10 ** 400])
+def test_a_root_of_order_from_the_bit_length_on_is_none(v):
+    """From k = v.bit_length() on, 1 < v < 2**k leaves v no integer k-th
+    root; one order below, a power of 2 keeps its root 2."""
+    for k in (v.bit_length(), v.bit_length() + 1, 10 ** 6):
+        assert _int_root(v, k) is None
+    k = max(v.bit_length() - 1, 2)
+    assert _int_root(2 ** k, k) == 2 and _int_root(2 ** k + 1, k) is None
+
+
 # Coefficients out to 10**+-400 send values past the float range both ways.
 _COEFFICIENTS = st.sampled_from((Fraction(1, 3), Fraction(5, 2), Fraction(10 ** 400),
                                  Fraction(1, 10 ** 400)))
