@@ -197,10 +197,7 @@ def summable_criterion(a: ScalarSeq, s: ScalarSeq, p) -> tuple[str, str]:
     if pieces is None:
         return "unknown", "no piecewise decomposition for a**p * s"
     for piece_set, form in pieces:
-        grows = form.beta > 0 or (form.beta == 0 and form.gamma > 0)
-        if not grows:
-            continue
-        if is_certainly_finite(piece_set):
+        if form.growth <= 0 or is_certainly_finite(piece_set):
             continue
         mass = weight_sum(piece_set, s)
         if mass.kind == "diverges":
@@ -219,8 +216,7 @@ def _statistical_case(a: ScalarSeq, p: Fraction, bounded) -> AdmissVerdict:
     f = tail_form(a)
     if f is None:
         return AdmissVerdict.inconclusive("no tail form for the statistical criterion")
-    cutoff = Fraction(1, 1) / p
-    if f.beta < cutoff or (f.beta == cutoff and f.gamma <= 0):
+    if (f.beta, f.gamma) <= (1 / p, 0):
         return AdmissVerdict.proved("non-decreasing with a(n)/n**(1/p) bounded")
     # here beta == 1/p with a positive log factor: the global sum already
     # classified as divergent, and a genuine witness needs doubly

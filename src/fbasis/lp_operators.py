@@ -300,7 +300,7 @@ def _holder_value(W: float, p) -> float:
         return math.sqrt(1.0 + W)
     q = float(p) / (float(p) - 1.0)
     U = W ** (1.0 / float(p))
-    m = min(U, 1.0 / U)
+    m = min(U, 1.0 / U) if U else 0.0  # U = 0 at stage 0: the norm is 1
     return max(1.0, U) * math.exp(math.log1p(m ** q) / q)
 
 

@@ -383,6 +383,15 @@ class TailForm:
     start: int
     head: tuple[tuple[int, Number], ...] = ()
 
+    @property
+    def growth(self) -> int:
+        """The sign of (beta, gamma) against (0, 0) in lexicographic order: +1,
+        -1 or 0 as the family tends to +inf, to 0 or is constant.  On Hardy's
+        scale (G. H. Hardy, Orders of Infinity, 1910) the families are ordered
+        by growth as their pairs (beta, gamma) are in this order."""
+        lead = self.beta.numerator or self.gamma.numerator  # the first nonzero of the pair
+        return (lead > 0) - (lead < 0)
+
     def value_at(self, n: int) -> Number:
         for i, v in self.head:
             if i == n:
@@ -470,6 +479,8 @@ def pieces_with_forms(a: ScalarSeq) -> Optional[list[tuple[SetExpr, TailForm]]]:
 def seq_pow(a: ScalarSeq, e: Fraction) -> ScalarSeq:
     """Pointwise power a**e, staying in the symbolic family."""
     e = Fraction(e)
+    if abs(e.numerator) >= e.denominator << 1024:  # |e| >= 2**1024, past the largest float
+        raise DomainError("the exponent lies beyond the float range")
     if isinstance(a, Constant):
         return Constant(power(a.c, e))
     if isinstance(a, PowerLog):
@@ -523,9 +534,7 @@ def seq_mul(a: ScalarSeq, b: ScalarSeq) -> Optional[ScalarSeq]:
 
 
 def _family_of(f: TailForm) -> ScalarSeq:
-    if f.beta == 0 and f.gamma == 0:
-        return Constant(f.c)
-    return PowerLog(f.c, f.beta, f.gamma)
+    return PowerLog(f.c, f.beta, f.gamma) if f.growth else Constant(f.c)
 
 
 def _mul(x: Number, y: Number) -> Number:
@@ -541,14 +550,6 @@ def _mul(x: Number, y: Number) -> Number:
 
 def is_bounded(a) -> Optional[bool]:
     """Symbolic boundedness; None when the family cannot decide."""
-    if isinstance(a, Constant):
-        return True
-    if isinstance(a, PowerLog):
-        if a.beta < 0:
-            return True
-        if a.beta == 0:
-            return a.gamma <= 0
-        return False
     if isinstance(a, ExplicitPrefix):
         return is_bounded(a.tail)
     if isinstance(a, Piecewise):
@@ -567,21 +568,15 @@ def is_bounded(a) -> Optional[bool]:
         if all(v is True for v in verdicts):
             return True
         return None
-    return None
+    f = tail_form(a)
+    return None if f is None else f.growth <= 0
 
 
 def is_eventually_nondecreasing(a) -> Optional[bool]:
-    if isinstance(a, Constant):
-        return True
-    if isinstance(a, PowerLog):
-        if a.beta > 0:
-            return True
-        if a.beta == 0:
-            return a.gamma >= 0
-        return False
     if isinstance(a, ExplicitPrefix):
         return is_eventually_nondecreasing(a.tail)
-    return None
+    f = None if isinstance(a, Piecewise) else tail_form(a)
+    return None if f is None else f.growth >= 0
 
 
 def limit_value(a) -> Optional[float]:
@@ -591,7 +586,7 @@ def limit_value(a) -> Optional[float]:
     for flat families, None when undecided.
     """
     f = tail_form(a)
-    return None if f is None else _family_limit(f.c, _sum_sign(f.beta, 0) or _sum_sign(f.gamma, 0))
+    return None if f is None else _family_limit(f.c, f.growth)
 
 
 def product_limit(fa: Optional[TailForm], fb: Optional[TailForm]) -> Optional[float]:
@@ -627,7 +622,7 @@ def _sum_sign(x: Fraction, y: Fraction) -> int:
 
 def _family_limit(c: Number, sign: int) -> float:
     """The limit of c * n**beta * ln(n+1)**gamma, whose growth has the sign
-    of beta, or of gamma at beta = 0."""
+    ``sign`` (``TailForm.growth``)."""
     return math.inf if sign > 0 else 0.0 if sign < 0 else to_float(c)
 
 
@@ -636,11 +631,7 @@ def compare_pointwise(a: ScalarSeq, b: ScalarSeq) -> Optional[bool]:
     fa, fb = tail_form(a), tail_form(b)
     if fa is None or fb is None:
         return None
-    if fa.beta != fb.beta:
-        return fa.beta < fb.beta
-    if fa.gamma != fb.gamma:
-        return fa.gamma < fb.gamma
-    return True
+    return (fa.beta, fa.gamma) <= (fb.beta, fb.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +642,10 @@ def _monotone_start(f: TailForm) -> Optional[int]:
     """An index from which the family part is provably monotone."""
     if f.beta == 0 or f.gamma == 0 or (f.beta > 0) == (f.gamma > 0):
         return f.start
-    ratio = abs(float(f.gamma) / float(f.beta))  # the turn lies at e**ratio
+    ratio = abs(f.gamma / f.beta)  # the turn lies at e**ratio
     if ratio > 12 * math.log(10):
         return None
     return max(f.start, int(math.ceil(math.exp(ratio))) + 1)
-
-
-def _eventual_direction(f: TailForm) -> int:
-    """-1 decreasing, 0 constant, +1 increasing (beyond _monotone_start)."""
-    if f.beta != 0:
-        return 1 if f.beta > 0 else -1
-    if f.gamma != 0:
-        return 1 if f.gamma > 0 else -1
-    return 0
 
 
 # Head scans shorter than this take value_at per index: the vector path's
@@ -700,7 +682,7 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
     if n0 is None or n0 > horizon:
         return [NATURALS if t <= 0 else None for t in ts]
     scan_to = min(max(n0, f.start, max([1] + [i for i, _ in f.head])), horizon)
-    direction = _eventual_direction(f)
+    direction = f.growth  # beyond _monotone_start
     # the crossing search is logarithmic, so it may run far past the
     # enumeration horizon
     search_to = max(horizon, 2 ** 60)

@@ -2,12 +2,15 @@
 
 Decides sum_{n in S} w(n) for weights in the power-log family
 w(n) = c * n**(-alpha) * ln(n+1)**(-g) and sets built from the natset
-atoms.  The rule table:
+atoms.  The families are ordered by growth as their exponent pairs
+(alpha, g) are in lexicographic order (``TailForm.growth``), so the rule
+table is two comparisons of exact rationals:
 
 * over the naturals or any residue class the sum diverges iff
-  alpha < 1, or alpha = 1 and g <= 1;
-* over a geometric index set it converges iff alpha > 0, or
-  alpha = 0 and g > 1.
+  (alpha, g) <= (1, 1);
+* over a geometric index set it converges iff (alpha, g) > (0, 1).
+
+Floats only evaluate bounds; they never decide whether a sum converges.
 
 Sets are reduced through their under/over descriptions.  A set whose
 under-approximation still contains a residue class keeps the positive
@@ -146,12 +149,21 @@ def _with_coefficient(form: TailForm, unit_bound, upto: int):
 
 def full_rule_diverges(alpha: Fraction, g: Fraction) -> bool:
     """Divergence over the naturals (equivalently any residue class)."""
-    return alpha < 1 or (alpha == 1 and g <= 1)
+    return (alpha, g) <= (1, 1)
 
 
 def geometric_rule_converges(alpha: Fraction, g: Fraction) -> bool:
     """Convergence over a geometric index set."""
-    return alpha > 0 or (alpha == 0 and g > 1)
+    return (alpha, g) > (0, 1)
+
+
+def _excess(e: Fraction, xf: float) -> float:
+    """x - 1 in binary64 for x = -e > 1, a weight's alpha = -beta or
+    g = -gamma, whose float is xf: xf - 1.0, unless rounding made that 0 or
+    larger than x - 1, which would shrink an integral bound's 1 / (x - 1);
+    then x - 1 rounded to nearest, by one integer division."""
+    exact = (-e.numerator - e.denominator) / e.denominator
+    return min(xf - 1.0, exact) or exact
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +174,11 @@ def full_tail_upper(form: TailForm, start: int):
     """Certified upper bound for sum_{n >= start} of the family part: a
     float, or past the float range an exact rational (or +inf).
 
-    Requires the full-sum convergence condition (alpha > 1, or alpha = 1
-    with g > 1).  Uses the integral test; a log factor in the numerator
-    is absorbed via ln y <= y**d / (e*d).
+    Requires the full-sum convergence condition (alpha, g) > (1, 1), as
+    ``full_rule_diverges`` decides it.  Uses the integral test; a log
+    factor in the numerator is absorbed via ln y <= y**d / (e*d).  Where
+    1 / (alpha - 1) or 1 / (g - 1) has no float, the integral is bounded
+    in logs.
     """
     c = to_float(form.c)
     if c == math.inf:
@@ -172,27 +186,39 @@ def full_tail_upper(form: TailForm, start: int):
     a = -float(form.beta)
     g = -float(form.gamma)
     n0 = max(start, form.start, 2)
-    if a > 1:
-        if g >= 0:
-            lead = c * math.log(n0 + 1) ** (-g) if g else c
-            return _round_up(lead * (n0 ** (1.0 - a) / (a - 1.0) + n0 ** (-a)))
-        k = -g
-        d = (a - 1.0) / (2.0 * k)
-        a2 = (a + 1.0) / 2.0
-        rest = n0 ** (1.0 - a2) / (a2 - 1.0) + n0 ** (-a2)
-        try:
-            cc = c * (2.0 ** d / (math.e * d)) ** k
-        except OverflowError:
-            # the factor has no float: the same bound, taken in logs, with
-            # rest = n0**-a2 (n0 / (a2 - 1) + 1)
-            return _exp_upper(ln(form.c) + k * (d * math.log(2.0) - 1.0 - math.log(d))
-                              - a2 * math.log(n0) + math.log(n0 / (a2 - 1.0) + 1.0))
-        return _round_up(cc * rest)
-    if a == 1 and g > 1:
+    if form.beta == -1:
         # terms <= c * x**-1 * ln(x)**-g for x >= 2; the first term carries c
         last = float(form.value_at(n0))
-        return _round_up(c * (math.log(n0) ** (1.0 - g) / (g - 1.0)) + last)
-    raise ValueError("tail bound requested for a divergent family")
+        g1 = _excess(form.gamma, g)
+        if g1 < sys.float_info.min:
+            return _add_bounds([_exp_upper(ln(form.c) - ln(-form.gamma - 1)
+                                           + float(form.gamma + 1) * math.log(math.log(n0))), last])
+        return _round_up(c * (math.log(n0) ** (1.0 - g) / g1) + last)
+    a1 = _excess(form.beta, a)
+    if a1 < sys.float_info.min:
+        # the bounds below in logs, the integral's exponent b = alpha - d k taken
+        # exact: n0**-b (n0 / (b - 1) + 1) <= (1 + 1/n0) / (b - 1), and the
+        # factor's term k d ln 2 < alpha - 1 lies within _exp_upper's margin
+        k = max(form.gamma, 0)
+        b1 = (-form.beta - 1) / (2 if k else 1)  # b - 1, and d = b1 / k
+        return _exp_upper(ln(form.c) + math.log1p(1.0 / n0) - ln(b1)
+                          - (float(k) * (1.0 + ln(b1 / k)) if k else 0.0))
+    if g >= 0:
+        lead = c * math.log(n0 + 1) ** (-g) if g else c
+        return _round_up(lead * (n0 ** (1.0 - a) / a1 + n0 ** (-a)))
+    k = -g
+    d = a1 / (2.0 * k)
+    a2 = (a + 1.0) / 2.0
+    half = min(a2 - 1.0, a1 / 2.0) or a1 / 2.0  # a2 - 1, as _excess takes a - 1
+    rest = n0 ** (1.0 - a2) / half + n0 ** (-a2)
+    try:
+        cc = c * (2.0 ** d / (math.e * d)) ** k
+    except OverflowError:
+        # the factor has no float: the same bound, taken in logs, with
+        # rest = n0**-a2 (n0 / (a2 - 1) + 1)
+        return _exp_upper(ln(form.c) + k * (d * math.log(2.0) - 1.0 - math.log(d))
+                          - a2 * math.log(n0) + math.log(n0 / half + 1.0))
+    return _round_up(cc * rest)
 
 
 def weight_prefix_upper(form: TailForm, upto: int):
@@ -213,13 +239,13 @@ def weight_prefix_upper(form: TailForm, upto: int):
         head = _exp_upper(_log_prefix_sum(form, min(upto, _PREFIX_CAP)))
     if upto <= _PREFIX_CAP:
         return head
-    a = -float(form.beta)
-    g = -float(form.gamma)
     # explicit head entries past the cap are not family values
     extra = [float(v) for i, v in form.head if _PREFIX_CAP < i <= upto]
-    if a > 1 or (a == 1 and g > 1):
+    if not full_rule_diverges(-form.beta, -form.gamma):
         return _add_bounds([head, full_tail_upper(form, _PREFIX_CAP + 1)] + extra)
     # divergent family: w(n) <= lead * n**-a on [lo, upto], then integrate
+    a = -float(form.beta)
+    g = -float(form.gamma)
     c = float(form.c)
     lo = _PREFIX_CAP
     if g >= 0:
@@ -227,7 +253,9 @@ def weight_prefix_upper(form: TailForm, upto: int):
     else:
         lead = c * math.log(upto + 1) ** (-g)
     if a < 1:
-        tail = lead * (lo ** (-a) + (upto ** (1.0 - a) - lo ** (1.0 - a)) / (1.0 - a))
+        # (upto**(1-a) - lo**(1-a)) / (1 - a) through expm1: near a = 1 the powers cancel
+        tail = lead * (lo ** (-a) + lo ** (1.0 - a) * math.expm1((1.0 - a) * math.log(upto / lo))
+                       / (1.0 - a))
     else:
         tail = lead * (lo ** (-a) + math.log(upto / lo))
     return _add_bounds([head, tail] + extra)
@@ -270,15 +298,14 @@ def sparse_token_sum(token: SetExpr, w: ScalarSeq, form: TailForm) -> SumVerdict
     v = token.certified_weight_sum(w)
     if v is not None:
         return v
-    alpha, g = -form.beta, -form.gamma
     if isinstance(_base_token(token), GeometricIndex):
-        if geometric_rule_converges(alpha, g):
+        if geometric_rule_converges(-form.beta, -form.gamma):
             exact = _exact_geometric_sum(token, form)
             if exact is not None:
                 return SumVerdict.converges(exact)
             return _sparse_converging_bound(_token_elements(token), form)
         return SumVerdict.diverges()
-    if alpha < 0 or (alpha == 0 and g <= 0):
+    if form.growth >= 0:
         # terms eventually bounded away from zero along an infinite set
         return SumVerdict.diverges()
     # a threshold set (thresh) has no growth ratio to sum a tail with: its
@@ -340,7 +367,8 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
         settled = e > form.start and e >= 4 * max(1, abs(elems.offset)) and count >= 8
         if count > 4000 or e > _FLOAT_STEP_MAX / r:
             bound, h = math.inf, alpha / 2.0
-            if alpha > 0 and g < 0 and settled:  # ln(e+1) never passed -g/alpha
+            # ln(e+1) never passed -g/alpha; an h below the normal floats misstates ln h
+            if h >= sys.float_info.min and g < 0 and settled:
                 # with d = h / k, k = -g: ln y <= y**d / (d exp(1)) and x + 1 <= 2 x, so
                 # the term at x is at most c (d exp(1))**-k 2**h x**-h, and the elements
                 # from e on grow by r: a geometric series in their index, taken in logs
@@ -362,9 +390,14 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
                 return SumVerdict.converges(_round_up(total + tail_first / (1.0 - rho)))
         if alpha == 0 and g > 1 and count >= 16:
             # elements grow at least like r**m, so ln n_m >= (m-1) ln r
-            m = count - 1
-            lead = float(form.c) * math.log(r) ** (-g)
-            tail = lead * (m ** (1.0 - g) / (g - 1.0) + m ** (-g))
+            m, g1 = count - 1, _excess(form.gamma, g)
+            try:
+                lead = float(form.c) * math.log(r) ** (-g)
+            except OverflowError:  # ln(r)**-g has no float: the tail in logs
+                return SumVerdict.converges(_add_bounds([total, _exp_upper(
+                    ln(form.c) - g * math.log(math.log(r)) + (1.0 - g) * math.log(m)
+                    + math.log(1.0 / g1 + 1.0 / m))]))
+            tail = lead * (m ** (1.0 - g) / g1 + m ** (-g))
             return SumVerdict.converges(_round_up(total + tail))
         total += to_float(form.value_at(e))
 

@@ -33,7 +33,6 @@ from fbasis.sequences import (
     _VECTOR_SCAN_MIN,
     Piecewise,
     ScalarSeq,
-    _eventual_direction,
     _first_crossing,
     _monotone_start,
     eval_vector,
@@ -81,7 +80,7 @@ def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
         for i in np.nonzero(np.abs(v - t) <= 1e-9 * t)[0].tolist():
             hit[i] = float(a.value_at(i + 1)) >= t
         hits = np.flatnonzero(hit) + 1
-    direction = _eventual_direction(f)
+    direction = f.growth
     val0 = float(a.value_at(scan_to))
     # the crossing search is logarithmic, so it may run far past the
     # enumeration horizon

@@ -13,6 +13,11 @@ command line in ``l1``, ``l2``, ``lp(3/2)`` or ``lp(4)``, its target given
 by ``--seq`` or ``--a-squared``, with ``--n-max`` log-uniform in
 [2, 10**4], where exact builds meet the float range and the interpreter's
 digit limit.
+``exponent_argv(pick)`` draws one ``check-admissible``, ``witness``,
+``separate`` or ``classify-set`` command line whose exponents alpha and g
+(in ``pow`` and ``powlog``) and p lie at 10**-k from 0 and 1 for k up to
+400, each decimal written out, where a float rounds them to 0, 1 or a
+neighbour of 1, or underflows; p also reaches 1000 and 10**400.
 ``pick(options)`` returns one of the options: ``random.Random(seed).choice``
 for a plain run, or a hypothesis ``sampled_from`` draw.  Coefficients
 reach 10**400 and 10**-400, exponents +-400, and sets, sequences and
@@ -23,10 +28,12 @@ filters nest through ``prefix``, ``piece``, ``greedy``, ``thresh``,
     python tests/fuzz_grammar.py --vectors OPS SEED...
     python tests/fuzz_grammar.py --periods OPS SEED...
     python tests/fuzz_grammar.py --builds OPS SEED...
+    python tests/fuzz_grammar.py --exponents OPS SEED...
 
 runs OPS command lines per seed in this process, drawn by ``argv`` (by
 ``vector_argv`` with ``--vectors``, by ``period_argv`` with ``--periods``,
-by ``build_argv`` with ``--builds``),
+by ``build_argv`` with ``--builds``, by ``exponent_argv`` with
+``--exponents``),
 each under a 5 s alarm, and prints the count of each exit code, every
 exit 70 and every timeout.  It also prints the total time, the p50/p90/p99
 latency, the process's peak RSS (``ru_maxrss``, in MB), the ten slowest
@@ -190,6 +197,64 @@ def build_argv(pick) -> list[str]:
     return line + ["--vector", vector(pick)] if command == "demo-convergence" else line
 
 
+# k in 10**-k: around the float rounding of 1 + 10**-k (k = 15..17) and the
+# end of the normal and the subnormal floats (k = 307, 308, 323, 324)
+NEAR_DIGITS = (1, 2, 8, 15, 16, 17, 20, 100, 307, 308, 320, 323, 324, 400)
+
+
+def near(pick, base: int) -> str:
+    """base + 10**-k or base - 10**-k, written out, for base 0 or 1."""
+    k = pick(NEAR_DIGITS)
+    if base == 0:
+        return pick(("", "-")) + "0." + "0" * (k - 1) + "1"
+    return pick(("1." + "0" * (k - 1) + "1", "0." + "9" * k))
+
+
+def boundary_exponent(pick) -> str:
+    kind = pick(("plain", "near 0", "near 1", "near -1"))
+    if kind == "plain":
+        return pick(("0", "1", "-1", "2"))
+    if kind == "near 0":
+        return near(pick, 0)
+    return ("-" if kind == "near -1" else "") + near(pick, 1)
+
+
+def boundary_p(pick) -> str:
+    """p >= 1: at 1 + 10**-k, small, 1000 or 10**400, none between 1000 and the
+    largest float, where exact powers of the coefficients grow without end."""
+    if pick(("plain", "near 1")) == "plain":
+        return pick(("1", "3/2", "2", "1000", _HUGE))
+    return "1." + "0" * (pick(NEAR_DIGITS) - 1) + "1"
+
+
+def boundary_seq(pick, negate: bool = False) -> str:
+    """pow or powlog with boundary exponents, negated for weights."""
+    def exponent():
+        text = boundary_exponent(pick)
+        if not negate or text == "0":
+            return text
+        return text[1:] if text.startswith("-") else "-" + text
+
+    c = pick(("1", "2", "1/2"))
+    if pick(("pow", "powlog")) == "pow":
+        return f"pow({c},{exponent()})"
+    return f"powlog({c},{exponent()},{exponent()})"
+
+
+def exponent_argv(pick) -> list[str]:
+    command = pick(("check-admissible", "witness", "separate", "classify-set"))
+    seq_, weights = boundary_seq(pick), boundary_seq(pick, negate=True)
+    if command == "check-admissible":
+        filt_ = pick(("frechet", "statistical", f"summable({weights})"))
+        return [command, "--seq", seq_, "--filter", filt_, "--p", boundary_p(pick)]
+    if command == "witness":
+        return [command, "--seq", seq_, "--weights", weights, "--p", boundary_p(pick)]
+    if command == "separate":
+        return [command, "--seq", seq_, "--dual", pick(("linf", "l2")), "--margin", "0.1"]
+    sets = ("residue(2,0)", "geom(2)", "shift(geom(3),1)", "cofinite{1}", "!geom(2)")
+    return [command, "--set", pick(sets), "--filter", f"summable({weights})"]
+
+
 def shown(line: list[str]) -> str:
     """The command line with 10**+-400 abbreviated."""
     return " ".join(repr(a) for a in line).replace(_HUGE, "1e400").replace(_TINY, "1e-400")
@@ -265,7 +330,7 @@ def main(args=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     kinds = ap.add_mutually_exclusive_group()
     for flag, draw in (("--vectors", vector_argv), ("--periods", period_argv),
-                       ("--builds", build_argv)):
+                       ("--builds", build_argv), ("--exponents", exponent_argv)):
         kinds.add_argument(flag, dest="draw", action="store_const", const=draw,
                            help=f"draw the command lines by {draw.__name__}")
     ap.add_argument("ops", type=int, metavar="OPS", help="command lines per seed")

@@ -958,14 +958,90 @@ _TARGET_1 = "target norm at stage 1 lies beyond the float range"
     # a = 1e200 is a float, W = a**4 (1 - a**(-4/3))**3 is not: b_2**4 = 1 / W underflows
     (["build-basis", "--seq", f"const(1{'0' * 200})", "--space", "lp(4)", "--filter",
       "frechet", "--n-max", "4"], "coefficient at stage 1 lies beyond the float range"),
+    # an exponent p past the float range, refused where it meets the sequences
+    (["check-admissible", "--seq", "pow(1,1)", "--filter", "frechet", "--p", "1e400"],
+     "the exponent lies beyond the float range"),
+    (["witness", "--seq", "pow(1,1)", "--weights", "pow(1,-1)", "--p", "1e400"],
+     "the exponent lies beyond the float range"),
+    (["build-basis", "--seq", "const(2)", "--space", "lp(1e400)", "--filter", "frechet",
+      "--n-max", "4"], "the exponent lies beyond the float range"),
 ], ids=["argv0", "argv1", "mass-lp-3/2", "mass-lp-4", "exact-l2", "exact-l2-squares",
-        "ratio-lp-4"])
+        "ratio-lp-4", "p-admissible", "p-witness", "p-space"])
 def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv, detail):
     code, out = run(argv)
     assert code == EXIT_USAGE
     doc = get_json(out)
     assert doc["error"] == "usage"
     assert doc["detail"] == detail
+    assert capsys.readouterr().err == ""
+
+
+# 1 + 10**-20, whose float is 1.0; 1 + 1.5 10**-16, whose float 1 + 2**-52
+# overstates the excess over 1 by half; 1 + 10**-400, whose excess has no float
+_NEAR_ONE = ("1.00000000000000000001", "1.00000000000000015", "1." + "0" * 399 + "1")
+
+
+def _refuted_over_the_line(alpha: str):
+    def check(doc):
+        assert doc["verdict"] == "refuted" and doc["witness"] == "cofinite{}"
+        _bound_covers("certificate", "inverse_p_sum", "bound",
+                      upper=1 / (Fraction(alpha) - 1))(doc)
+    return check
+
+
+def _not_divergent(doc):
+    assert doc["error"] == "parse"
+    assert doc["detail"].endswith("summable filters need weights with a divergent total sum")
+
+
+def _key_is(key, value):
+    def check(doc):
+        assert doc[key] == value
+    return check
+
+
+_SUBNORMAL = "0." + "0" * 322 + "1"  # 10**-323, a subnormal float
+
+
+@pytest.mark.parametrize("argv,want,check", [
+    # sum_m ln(2**m + 1)**-1000 over geom(2): ln(1.5)**-1000 has no float
+    (["check-admissible", "--seq", "powlog(1,0,1)", "--filter", "frechet", "--p", "1000"],
+     EXIT_REFUTED, _key_is("witness", "geom(2)")),
+    # n**(10**-400) ln(n+1)**-(1 - 10**-20) turns near e**(10**400), past any scan
+    (["witness", "--seq", f"powlog(1,{_TINY_400},-0.{'9' * 20})",
+      "--weights", "pow(2,0)", "--p", "1.000000000000001"],
+     EXIT_INCONCLUSIVE, _key_is("outcome", "horizon-exceeded")),
+    # ln(n+1) / n**(10**-323) over geom(2) converges, with a subnormal decay
+    # rate that the float bound cannot use
+    (["classify-set", "--set", "!geom(2)", "--filter", f"summable(powlog(2,-{_SUBNORMAL},1))"],
+     EXIT_INCONCLUSIVE, _key_is("class", "inconclusive")),
+    # sum_n n**-alpha ln(n+1) at alpha = 1 + 10**-20, whose float is 1.0
+    (["check-admissible", "--seq", f"powlog(1,{_NEAR_ONE[0]},-1)", "--filter", "frechet",
+      "--p", "1"], EXIT_REFUTED, _refuted_over_the_line(_NEAR_ONE[0])),
+], ids=["log-power-1000", "monotone-turn", "subnormal-decay", "log-numerator"])
+def test_boundary_exponents_answer_within_the_contract(capsys, argv, want, check):
+    code, out = run(argv)
+    assert code == want
+    check(get_json(out))
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,want,check", [
+    # sum_n n**-alpha and sum_n n**-1 ln(n+1)**-alpha are at least 1 / (alpha - 1),
+    # the integral; the separator's norm bound is (1 + margin) times the sum
+    *[(["separate", "--seq", seq, "--dual", "linf", "--margin", "0.1"], EXIT_OK,
+       _bound_covers("norm_bound", upper=Fraction(11, 10) / (Fraction(alpha) - 1)))
+      for alpha in _NEAR_ONE for seq in (f"pow(1,{alpha})", f"powlog(1,1,{alpha})")],
+    *[(["check-admissible", "--seq", f"pow(1,{alpha})", "--filter", "frechet", "--p", "1"],
+       EXIT_REFUTED, _refuted_over_the_line(alpha)) for alpha in _NEAR_ONE],
+    (["classify-set", "--set", "residue(2,0)", "--filter",
+      f"summable(pow(1,-{_NEAR_ONE[0]}))"], EXIT_PARSE, _not_divergent),
+], ids=[*(f"separate-{kind}-{k}" for k in (20, 16, 400) for kind in ("pow", "powlog")),
+        *(f"admissible-{k}" for k in (20, 16, 400)), "summable-weights"])
+def test_exponents_just_past_one_are_decided_on_their_exact_value(capsys, argv, want, check):
+    code, out = run(argv)
+    assert code == want
+    check(get_json(out))
     assert capsys.readouterr().err == ""
 
 

@@ -1,7 +1,7 @@
 """Random command lines over the documented grammar (``fuzz_grammar``),
-the vector commands' and the large-period draws included, answer with an
-exit code of the contract, a JSON report and nothing on stderr: exit 70 is
-a bug, whatever the input."""
+the vector commands', the large-period and the boundary-exponent draws
+included, answer with an exit code of the contract, a JSON report and
+nothing on stderr: exit 70 is a bug, whatever the input."""
 
 import contextlib
 import io
@@ -36,6 +36,13 @@ def test_vector_commands_answer_within_their_contract(argv):
 @given(command_lines(fuzz_grammar.period_argv))
 def test_period_commands_answer_within_their_contract(argv):
     # moduli up to the period cap, in sets and in trace index sets
+    _assert_within_contract(argv)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(command_lines(fuzz_grammar.exponent_argv))
+def test_boundary_exponent_commands_answer_within_their_contract(argv):
+    # alpha, g and p at 10**-k from 0 and 1, past the float's resolution and range
     _assert_within_contract(argv)
 
 

@@ -204,7 +204,9 @@ class TestNorms:
         assert rep.value == pytest.approx(old.value, rel=1e-12)
 
     @pytest.mark.parametrize("b,space", [((Fraction(1),), l1(4)), ((2.0,), l1(4)),
-                                         ((Fraction(1),), l2(4)), ((2.0,), l2(4))])
+                                         ((Fraction(1),), l2(4)), ((2.0,), l2(4)),
+                                         ((1.0,), lp(Fraction(3, 2), 4)), ((1.0,), lp(3, 4)),
+                                         ((Fraction(1),), lp(4, 4))])
     def test_a_stage_zero_operator_reports_norm_one(self, b, space):
         rep = op_norm(TailOp(0, b, space))
         assert rep.lower <= rep.value == 1.0 <= rep.upper

@@ -28,9 +28,11 @@ from fbasis import (
 )
 from fbasis.natset import member
 from fbasis.sequences import (
+    TailForm,
     _coprime,
     _int_root,
     _monotone_start,
+    compare_pointwise,
     eval_at_indices,
     eval_vector,
     exact_pow,
@@ -45,6 +47,7 @@ from fbasis.sequences import (
     threshold_levels,
     to_float,
 )
+from fbasis.series import full_rule_diverges, geometric_rule_converges
 
 import defect_table_oracle
 from conftest import random_power_seq
@@ -538,3 +541,46 @@ def test_coprime_is_the_fraction_of_its_pair():
         assert (got < other, got > other, got <= want, got >= want) == (
             want < other, want > other, True, True)
         assert float(got) == float(want) and {got: 1} == {want: 1}
+
+
+def _lex_sign(pair) -> int:
+    """The sign of an exponent pair against (0, 0) in lexicographic order,
+    the oracle of ``TailForm.growth``."""
+    for x in pair:
+        if x != 0:
+            return 1 if x > 0 else -1
+    return 0
+
+
+def _lex_le(p, q) -> bool:
+    return p[0] < q[0] or (p[0] == q[0] and p[1] <= q[1])
+
+
+# 0, +-1, values within 10**-k of 0 and of +-1 for k up to 400 (past the
+# float range, where 1 + 10**-k has the float 1.0), and plain rationals
+_ORDER_EXPONENTS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
+    st.builds(lambda base, side, k: base + side * Fraction(1, 10 ** k),
+              st.sampled_from((0, 1, -1)), st.sampled_from((1, -1)), st.integers(1, 400)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(beta=_ORDER_EXPONENTS, gamma=_ORDER_EXPONENTS, beta2=_ORDER_EXPONENTS,
+       gamma2=_ORDER_EXPONENTS, c=st.sampled_from((Fraction(1), Fraction(7, 2), 0.25)))
+def test_power_log_rules_are_the_lexicographic_order(beta, gamma, beta2, gamma2, c):
+    """Growth, boundedness, monotonicity, limit, comparison and both sum
+    rules of c n**beta ln(n+1)**gamma follow the lexicographic order of
+    (beta, gamma), decided on the exact exponents however close they lie
+    to 0 or 1.  The rule functions take alpha = -beta and g = -gamma."""
+    a, b = PowerLog(c, beta, gamma), PowerLog(1, beta2, gamma2)
+    sign = _lex_sign((beta, gamma))
+    assert tail_form(a).growth == TailForm(c, beta, gamma, 1).growth == sign
+    for seq in (a, ExplicitPrefix((5,), a)):
+        assert is_bounded(seq) is (sign <= 0)
+        assert is_eventually_nondecreasing(seq) is (sign >= 0)
+        assert limit_value(seq) == (math.inf if sign > 0 else 0.0 if sign < 0 else float(c))
+    assert is_eventually_nondecreasing(Piecewise(((NATURALS, a),))) is None
+    assert compare_pointwise(a, b) is _lex_le((beta, gamma), (beta2, gamma2))
+    assert full_rule_diverges(-beta, -gamma) is _lex_le((-beta, -gamma), (1, 1))
+    assert geometric_rule_converges(-beta, -gamma) is not _lex_le((-beta, -gamma), (0, 1))

@@ -258,3 +258,27 @@ def test_geometric_set_with_a_log_power_in_the_numerator_converges(c):
     lower = float(c) * math.log(2) ** 3 * rho * (1 + 4 * rho + rho ** 2) / (1 - rho) ** 4
     assert got.kind == "converges"
     assert lower <= got.bound < 10 * lower
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 400))
+def test_sums_just_past_the_harmonic_series_are_bounded_soundly(k):
+    """sum_n n**-alpha at alpha = 1 + 10**-k converges, with a bound of at
+    least the integral 1 / (alpha - 1), also where alpha's float rounds up
+    or to 1.0, and where 10**-k has no float."""
+    alpha = 1 + Fraction(1, 10 ** k)
+    v = weight_sum(NATURALS, PowerLog(1, -alpha))
+    assert v.kind == "converges"
+    assert Fraction(v.bound) >= 1 / (alpha - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.integers(1, 999), k=st.integers(3, 20), upto=st.integers(4097, 10 ** 5))
+def test_prefix_bound_just_below_the_harmonic_series_covers_it(j, k, upto):
+    """sum_{n <= upto} n**-alpha at alpha = 1 - j 10**-k is at least the
+    harmonic number H_upto; past the float-summed head the bound integrates
+    x**-alpha, whose two powers of nearly 1 must not cancel."""
+    alpha = 1 - Fraction(j, 10 ** k)
+    harmonic = math.fsum(1.0 / n for n in range(1, upto + 1))
+    assert weight_prefix_upper(TailForm(Fraction(1), -alpha, Fraction(0), 1), upto) >= (
+        harmonic * (1 - 2.0 ** -50))
