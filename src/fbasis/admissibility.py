@@ -51,6 +51,7 @@ from .sequences import (
     DomainError,
     PowerLog,
     ScalarSeq,
+    _as_fraction,
     is_bounded,
     is_eventually_nondecreasing,
     pieces_with_forms,
@@ -126,7 +127,7 @@ def _refute(a: ScalarSeq, F: FilterSpec, p: Fraction, witness: SetExpr,
 
 def check_admissible(a: ScalarSeq, F: FilterSpec, p) -> AdmissVerdict:
     """Admissibility verdict for the sequence a at exponent p >= 1."""
-    p = Fraction(p)
+    p = _as_fraction(p)
     if p < 1:
         raise DomainError("the exponent must satisfy p >= 1")
 
@@ -189,7 +190,7 @@ def summable_criterion(a: ScalarSeq, s: ScalarSeq, p) -> tuple[str, str]:
     inputs are handled piece by piece: an unbounded piece is harmless
     when its own s-mass is finite.
     """
-    p = Fraction(p)
+    p = _as_fraction(p)
     prod = seq_mul(seq_pow(a, p), s)
     if prod is None:
         return "unknown", "the product a**p * s left the symbolic family"
@@ -259,7 +260,7 @@ def nonadmissibility_witness(a: ScalarSeq, s: ScalarSeq, p) -> witnesses.GreedyB
     of finite s-mass, and HorizonExceeded when blocks cannot be
     completed below the horizon.
     """
-    p = Fraction(p)
+    p = _as_fraction(p)
     status, _ = summable_criterion(a, s, p)
     if status == "bounded":
         raise CriterionHolds("a**p * s is bounded outside a set of finite s-mass")
@@ -284,7 +285,7 @@ class BandReport:
 
 
 def admissibility_band(a: ScalarSeq, F: FilterSpec, p) -> BandReport:
-    p = Fraction(p)
+    p = _as_fraction(p)
     if not 1 < p < 2:
         raise DomainError("the band is defined for exponents strictly between 1 and 2")
     sufficient = check_admissible(a, F, p)

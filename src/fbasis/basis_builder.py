@@ -51,6 +51,7 @@ from .sequences import (
     PowerLog,
     ScalarSeq,
     SeqConstructionError,
+    _as_float,
     eval_at,
     product_limit,
     seq_mul,
@@ -219,7 +220,7 @@ def build_basis(
             else:  # the roots of a_n**2 and W, each tried once, and which are rational
                 root_a, root_w = _root(a_p, 2), _root(_coprime(w, v), 2)
                 by_ratio[ratio] = (_closed_form_report(a_p, 2, _METHODS[2], root_a),
-                                   float(root_w), isinstance(root_a, Fraction),
+                                   _as_float(root_w), isinstance(root_a, Fraction),
                                    isinstance(root_w, Fraction))
         rep, c, rational_a, rational_w = by_ratio[ratio]
         if on_l2:
@@ -229,7 +230,7 @@ def build_basis(
             # exactly one factor is, and has no exact root to try
             one_irrational = on_l2 and rational_b + rational_last + rational_w == 2
             b = _scaled_sqrt(nxt) if one_irrational else _root(nxt, p)
-            coeffs.append(b if on_l1 else float(b))
+            coeffs.append(b if on_l1 else _as_float(b))
         except OverflowError:  # at p = 2, b past the float range while its square is exact
             msg = f"coefficient at stage {n} lies beyond the float range"
             raise DomainError(msg) from None
@@ -240,7 +241,7 @@ def build_basis(
     if float_from is not None:  # the float phase, from the first stage whose W is a float
         first = float_from[0]
         mass = Fraction(num * gn, den * gd)  # S, a float from this stage on
-        head = [float(v) for v in coeffs]
+        head = [_as_float(v) for v in coeffs]
         bf = np.empty(n_max)  # b_1 .. b_{n_max}, filled stage by stage
         bf[:first] = head
         total, top = sum(head), max(head)  # b_1 + ... + b_n and max(b_1, ..., b_n)
@@ -250,7 +251,7 @@ def build_basis(
             warnings.append("squared targets left the rationals; continuing in floats")
         p = float(p)
         for n, t in itertools.chain([float_from], stages):
-            tf = float(t)
+            tf = _as_float(t)
             W = _prescribed_ratio(tf, p, eval_at(a_squared, n) if on_l2 else None)
             nxt = mass / W  # b_{n+1}**p
             if not 0.0 < nxt < math.inf:  # mass or ratio past the range
@@ -400,7 +401,7 @@ def defect_report(sys: BasisSystem, test_family=None) -> DefectReport:
     negligible."""
     # one float per distinct object: exact stages share their defects and targets
     distinct = {id(c): c for c in itertools.chain(sys.defect_coeffs, sys.targets)}
-    floats = {k: float(c) for k, c in distinct.items()}
+    floats = {k: _as_float(c) for k, c in distinct.items()}
     values = [floats[id(c)] for c in sys.defect_coeffs]
     devs = [abs(v - floats[id(t)]) for v, t in zip(values, sys.targets)]
     exact_l1: Optional[bool] = None
@@ -471,7 +472,8 @@ def _shift_ratio(amp: ScalarSeq, f=None) -> Optional[float]:
     if f is None:
         return None
     try:
-        worst = 2.0 ** abs(float(f.beta)) * (math.log(3.0) / math.log(2.0)) ** abs(float(f.gamma))
+        worst = (2.0 ** abs(_as_float(f.beta))
+                 * (math.log(3.0) / math.log(2.0)) ** abs(_as_float(f.gamma)))
     except OverflowError:
         return None
     if not f.head:  # (n+1)/n <= 2 and ln(n+2)/ln(n+1) <= ln 3/ln 2 at every n >= 1
@@ -481,7 +483,7 @@ def _shift_ratio(amp: ScalarSeq, f=None) -> Optional[float]:
     for n in range(1, probe + 2):
         hi, lo = eval_at(amp, n + 1), eval_at(amp, n)
         try:
-            r = float(hi) / float(lo)
+            r = _as_float(hi) / _as_float(lo)
         except (OverflowError, ZeroDivisionError):  # values past the float range
             r = to_float(hi / lo) if isinstance(hi, Fraction) and isinstance(lo, Fraction) else 0.0
         if not 0.0 < r < math.inf:  # nan included

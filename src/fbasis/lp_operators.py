@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from ._lazy_numpy import np
 from ._record import record
-from .sequences import DomainError, _as_number, exact_root
+from .sequences import DomainError, _as_float, _as_number, exact_root
 from .series import _round_down, _round_up
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
@@ -284,7 +284,7 @@ def _closed_form_report(power, k, method: str, root=None) -> NormReport:
     """An attained norm whose k-th power is ``power``, with ``root`` its
     ``_root`` when the caller has it; rational powers are reported exactly
     (the value at k = 1, the square at k = 2)."""
-    value = float(_root(power, k) if root is None else root)
+    value = _as_float(_root(power, k) if root is None else root)
     rational = isinstance(power, Fraction)
     return NormReport(value, method, value, value, exact=power if rational and k == 1 else None,
                       exact_square=power if rational and k == 2 else None)

@@ -34,6 +34,13 @@ DEFAULT_HORIZON = 10 ** 6
 _MAX_PERIOD = 10 ** 6
 
 
+def _as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction, else Fraction(x): a value the caller
+    already holds exactly is passed on, not copied.  A subclass converts.
+    It lives here, below ``sequences``, so that sets can use it too."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class HorizonExceeded(Exception):
     """A query needed information past an explicit horizon."""
 
@@ -243,7 +250,7 @@ class GeometricIndex(SetExpr):
     base: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "base", Fraction(self.base))
+        object.__setattr__(self, "base", _as_fraction(self.base))
         if self.base < 2:
             raise SetConstructionError("geometric base must be >= 2")
 
@@ -638,7 +645,7 @@ class DensityVerdict:
 
     @staticmethod
     def exact(value: Fraction) -> "DensityVerdict":
-        value = Fraction(value)
+        value = _as_fraction(value)
         if not 0 <= value <= 1:
             raise ValueError("density outside [0, 1]")
         if value == 0:

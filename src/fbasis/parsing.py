@@ -24,6 +24,7 @@ the expected tokens.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ._lazy_numpy import _lazy
@@ -73,13 +74,22 @@ class ParseError(ValueError):
 _MAX_DEPTH = 100
 
 
-def _literal(text: str) -> Fraction:
-    """Fraction(text); a literal [+-]digits[.digits] is read as Python ints."""
+def _ratio(text: str) -> tuple[int, int]:
+    """Fraction(text) as a pair of ints (numerator, denominator > 0), not
+    necessarily coprime; a literal [+-]digits[.digits] is read as Python
+    ints, and any other text raises as Fraction(text) does."""
     sign = text[:1] if text[:1] in ("+", "-") else ""
     whole, _, frac = text[len(sign):].partition(".")
     if text.isascii() and (whole + frac).isdigit() and "." not in frac:
-        return Fraction(int(sign + whole + frac), 10 ** len(frac))
-    return Fraction(text)
+        return int(sign + whole + frac), 10 ** len(frac)
+    x = Fraction(text)
+    return x.numerator, x.denominator
+
+
+# what skip_ws and word pass over: \s matches exactly the characters for
+# which str.isspace holds, \w exactly those where isalnum() or "_" does
+_SPACE = re.compile(r"\s*")
+_WORD = re.compile(r"\w*")
 
 
 class _Cursor:
@@ -99,8 +109,7 @@ class _Cursor:
         return out
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         self.skip_ws()
@@ -120,10 +129,7 @@ class _Cursor:
     def word(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
+        self.pos = _WORD.match(self.text, start).end()
         return self.text[start : self.pos]
 
     def number(self) -> Fraction:
@@ -140,17 +146,26 @@ class _Cursor:
         if digits == 0:
             raise ParseError("expected a number", start, ("number",))
         head = self.text[start : self.pos]
+        den_start = None
         if self.take("/"):
             den_start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
             if self.pos == den_start:
                 raise ParseError("expected a denominator", den_start, ("digits",))
-            return _literal(head) / _literal(self.text[den_start : self.pos])
         try:
-            return _literal(head)
+            num, den = _ratio(head)
         except ValueError as exc:
             raise ParseError(str(exc), start, ("number",)) from None
+        if den_start is None:
+            return Fraction(num, den)
+        try:
+            k = _ratio(self.text[den_start : self.pos])[0]  # digits alone: an integer
+        except ValueError as exc:
+            raise ParseError(str(exc), den_start, ("digits",)) from None
+        if not k:
+            raise ParseError("zero denominator", den_start, ("a nonzero denominator",))
+        return Fraction(num, den * k)
 
     def integer(self) -> int:
         v = self.number()

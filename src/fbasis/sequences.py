@@ -29,12 +29,14 @@ from .natset import (
     Range,
     SetExpr,
     Union,
+    _as_fraction,
     is_certainly_finite,
     member,
 )
 from .reports import rational_text
 
 Number = TUnion[Fraction, float]
+_ZERO = Fraction(0)
 
 
 class SeqConstructionError(ValueError):
@@ -53,6 +55,14 @@ def _as_number(x) -> Number:
     return float(x)
 
 
+def _as_float(x) -> float:
+    """float(x), bit for bit.  For a Fraction it is one integer division of
+    its two slots, the division float(Fraction) makes, without that call's
+    Python frame and property reads; so it raises OverflowError exactly
+    where float(x) does."""
+    return x._numerator / x._denominator if type(x) is Fraction else float(x)
+
+
 def exact_root(value: Fraction, k: int) -> Optional[Fraction]:
     """The exact k-th root of a positive rational, or None."""
     if k == 1:
@@ -61,7 +71,7 @@ def exact_root(value: Fraction, k: int) -> Optional[Fraction]:
     if num is None:
         return None
     den = _int_root(value.denominator, k)
-    return None if den is None else Fraction(num, den)
+    return None if den is None else _coprime(num, den)  # roots of a coprime pair are coprime
 
 
 # The squares modulo 64, 63, 65 and 11 as bit masks, as in GMP's
@@ -104,17 +114,11 @@ def _coprime(num: int, den: int) -> Fraction:
 
 def exact_pow(base: Fraction, exponent: Fraction) -> Optional[Fraction]:
     """base**exponent as an exact rational when that is possible."""
-    base = Fraction(base)
-    exponent = Fraction(exponent)
+    exponent = _as_fraction(exponent)
     if exponent == 0:
         return Fraction(1)
-    neg = exponent < 0
-    exponent = abs(exponent)
-    root = exact_root(base, exponent.denominator)
-    if root is None:
-        return None
-    out = root ** exponent.numerator
-    return 1 / out if neg else out
+    root = exact_root(_as_fraction(base), exponent.denominator)
+    return None if root is None else root ** exponent.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +132,29 @@ def ln(x: Number) -> float:
     range; -inf or +inf for a float that saturated to 0.0 or +inf."""
     if isinstance(x, float) and not 0.0 < x < math.inf:
         return -math.inf if x == 0.0 else math.inf
-    x = Fraction(x)
+    x = _as_fraction(x)
     return math.log(x.numerator) - math.log(x.denominator)
 
 
 def power_log_ln(c: Number, beta: Fraction, gamma: Fraction, n: Number) -> float:
     """ln of c * n**beta * ln(n+1)**gamma for any positive coefficient, the
     scalar twin of ``TailForm.family_logs``; any positive n at gamma = 0."""
-    out = float(beta) * ln(n) + ln(c)
+    out = _as_float(beta) * ln(n) + ln(c)
     if gamma != 0:
-        out += float(gamma) * math.log(math.log(n + 1))
+        out += _as_float(gamma) * math.log(math.log(n + 1))
     return out
 
 
 def to_float(c: Number, beta=0, gamma=0, n: Number = 1) -> float:
     """c * n**beta * ln(n+1)**gamma in binary64, by default c itself: the
-    direct float product where it is finite and nonzero, else e to its log,
-    so +inf or 0.0 only where the value lies past the float range."""
+    direct float product of ``_as_float``'s conversions where it is finite and
+    nonzero, else e to its log, so +inf or 0.0 only where the value lies past
+    the float range."""
     try:
-        out = float(c) * float(n) ** float(beta)
+        out = _as_float(c) * _as_float(n) ** _as_float(beta)
         if gamma != 0:
-            out *= math.log(n + 1) ** float(gamma)
-    except OverflowError:  # float() of a rational, or a power, past the range
+            out *= math.log(n + 1) ** _as_float(gamma)
+    except OverflowError:  # the float of a rational, or a power, past the range
         out = math.inf
     if 0.0 < out < math.inf:
         return out
@@ -167,7 +172,7 @@ def power_log_at(c: Number, beta: Fraction, gamma: Fraction, n: int) -> Number:
             g = math.gcd(m := n ** k, c.denominator)
             return _coprime(c.numerator * (m // g), c.denominator // g)
         r = n if d == 1 else _int_root(n, d) if isinstance(n, int) and n >= 1 else exact_root(
-            Fraction(n), d)
+            _as_fraction(n), d)
         if r is not None:
             return c * r ** k if k >= 0 else c / r ** -k
     return to_float(c, beta, gamma, n)
@@ -223,12 +228,12 @@ class PowerLog(ScalarSeq):
 
     c: Number
     beta: Fraction
-    gamma: Fraction = Fraction(0)
+    gamma: Fraction = _ZERO
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_number(self.c))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+        object.__setattr__(self, "beta", _as_fraction(self.beta))
+        object.__setattr__(self, "gamma", _as_fraction(self.gamma))
         if self.c <= 0:
             raise SeqConstructionError("leading coefficient must be positive")
 
@@ -313,7 +318,7 @@ def validate_partition(sets: tuple[SetExpr, ...]) -> None:
 def _num_text(x: Number) -> str:
     # floats print as their exact binary value so the text re-parses to
     # the same number
-    return rational_text(Fraction(x))
+    return rational_text(_as_fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +413,13 @@ class TailForm:
         x = n.astype(float)
         c = to_float(self.c)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = x ** float(self.beta)
+            out = x ** _as_float(self.beta)
             out *= c
             if self.gamma != 0:
                 # in place: allocating fresh arrays this long costs more than the log
                 x += 1
                 np.log(x, out=x)
-                x **= float(self.gamma)
+                x **= _as_float(self.gamma)
                 out *= x
             # a factor past the float range leaves inf or nan; such an entry
             # is taken from its logarithm, +inf only if the value is past too
@@ -430,17 +435,17 @@ class TailForm:
     def family_logs(self, n: np.ndarray) -> np.ndarray:
         """ln of the family values c * n**beta * ln(n+1)**gamma at the float
         indices n, head entries not applied; finite for any coefficient."""
-        logs = float(self.beta) * np.log(n)
+        logs = _as_float(self.beta) * np.log(n)
         logs += ln(self.c)
         if self.gamma != 0:
-            logs += float(self.gamma) * np.log(np.log(n + 1))
+            logs += _as_float(self.gamma) * np.log(np.log(n + 1))
         return logs
 
 
 def tail_form(a: ScalarSeq) -> Optional[TailForm]:
     """Canonical single-piece form, or None (e.g. for genuine piecewise)."""
     if isinstance(a, Constant):
-        return TailForm(a.c, Fraction(0), Fraction(0), 1)
+        return TailForm(a.c, _ZERO, _ZERO, 1)
     if isinstance(a, PowerLog):
         return TailForm(a.c, a.beta, a.gamma, 1)
     if isinstance(a, ExplicitPrefix):
@@ -478,7 +483,7 @@ def pieces_with_forms(a: ScalarSeq) -> Optional[list[tuple[SetExpr, TailForm]]]:
 
 def seq_pow(a: ScalarSeq, e: Fraction) -> ScalarSeq:
     """Pointwise power a**e, staying in the symbolic family."""
-    e = Fraction(e)
+    e = _as_fraction(e)
     if abs(e.numerator) >= e.denominator << 1024:  # |e| >= 2**1024, past the largest float
         raise DomainError("the exponent lies beyond the float range")
     if isinstance(a, Constant):

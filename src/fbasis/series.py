@@ -53,6 +53,8 @@ from .sequences import (
     Piecewise,
     ScalarSeq,
     TailForm,
+    _as_float,
+    _as_fraction,
     eval_at_indices,
     exact_pow,
     ln,
@@ -128,7 +130,7 @@ def _log_prefix_sum(form: TailForm, upto: int) -> float:
         if i <= upto:
             logs[i - 1] = ln(v)
     top = float(logs.max())
-    return top + math.log(math.fsum(np.exp(logs - top).tolist()))
+    return top + math.log(math.fsum(memoryview(np.exp(logs - top))))
 
 
 def _unit_family(form: TailForm) -> TailForm:
@@ -147,14 +149,18 @@ def _with_coefficient(form: TailForm, unit_bound, upto: int):
     return _exact_bound(Fraction(form.c) * Fraction(unit_bound) + heads)
 
 
-def full_rule_diverges(alpha: Fraction, g: Fraction) -> bool:
-    """Divergence over the naturals (equivalently any residue class)."""
-    return (alpha, g) <= (1, 1)
+def full_rule_diverges(beta: Fraction, gamma: Fraction) -> bool:
+    """Divergence over the naturals (equivalently any residue class) of the
+    weight of tail form exponents (beta, gamma): (beta, gamma) >= (-1, -1),
+    the same order as (alpha, g) <= (1, 1)."""
+    return (beta, gamma) >= (-1, -1)
 
 
-def geometric_rule_converges(alpha: Fraction, g: Fraction) -> bool:
-    """Convergence over a geometric index set."""
-    return (alpha, g) > (0, 1)
+def geometric_rule_converges(beta: Fraction, gamma: Fraction) -> bool:
+    """Convergence over a geometric index set of the weight of tail form
+    exponents (beta, gamma): (beta, gamma) < (0, -1), the same order as
+    (alpha, g) > (0, 1)."""
+    return (beta, gamma) < (0, -1)
 
 
 def _excess(e: Fraction, xf: float) -> float:
@@ -183,16 +189,17 @@ def full_tail_upper(form: TailForm, start: int):
     c = to_float(form.c)
     if c == math.inf:
         return _with_coefficient(form, full_tail_upper(_unit_family(form), start), 0)
-    a = -float(form.beta)
-    g = -float(form.gamma)
+    a = -_as_float(form.beta)
+    g = -_as_float(form.gamma)
     n0 = max(start, form.start, 2)
     if form.beta == -1:
         # terms <= c * x**-1 * ln(x)**-g for x >= 2; the first term carries c
-        last = float(form.value_at(n0))
+        last = _as_float(form.value_at(n0))
         g1 = _excess(form.gamma, g)
         if g1 < sys.float_info.min:
-            return _add_bounds([_exp_upper(ln(form.c) - ln(-form.gamma - 1)
-                                           + float(form.gamma + 1) * math.log(math.log(n0))), last])
+            return _add_bounds([_exp_upper(
+                ln(form.c) - ln(-form.gamma - 1) + _as_float(form.gamma + 1) * math.log(math.log(n0))),
+                last])
         return _round_up(c * (math.log(n0) ** (1.0 - g) / g1) + last)
     a1 = _excess(form.beta, a)
     if a1 < sys.float_info.min:
@@ -231,7 +238,7 @@ def weight_prefix_upper(form: TailForm, upto: int):
     if to_float(form.c) == math.inf:
         return _with_coefficient(form, weight_prefix_upper(_unit_family(form), upto), upto)
     try:
-        head = _round_up(math.fsum(form.vector(min(upto, _PREFIX_CAP)).tolist()))
+        head = _round_up(math.fsum(memoryview(form.vector(min(upto, _PREFIX_CAP)))))
     except OverflowError:
         head = math.inf
     if head == math.inf:
@@ -240,24 +247,39 @@ def weight_prefix_upper(form: TailForm, upto: int):
     if upto <= _PREFIX_CAP:
         return head
     # explicit head entries past the cap are not family values
-    extra = [float(v) for i, v in form.head if _PREFIX_CAP < i <= upto]
-    if not full_rule_diverges(-form.beta, -form.gamma):
+    extra = [_as_float(v) for i, v in form.head if _PREFIX_CAP < i <= upto]
+    if not full_rule_diverges(form.beta, form.gamma):
         return _add_bounds([head, full_tail_upper(form, _PREFIX_CAP + 1)] + extra)
-    # divergent family: w(n) <= lead * n**-a on [lo, upto], then integrate
-    a = -float(form.beta)
-    g = -float(form.gamma)
-    c = float(form.c)
+    # divergent family: w(n) <= lead * n**-a on (lo, upto], and the sum of a
+    # monotone n**-a there is at most its integral over [lo, upto] plus its
+    # largest value, at lo where it falls and at upto where it grows
+    a = -_as_float(form.beta)
+    g = -_as_float(form.gamma)
     lo = _PREFIX_CAP
-    if g >= 0:
-        lead = c * math.log(lo + 1) ** (-g) if g else c
-    else:
-        lead = c * math.log(upto + 1) ** (-g)
-    if a < 1:
-        # (upto**(1-a) - lo**(1-a)) / (1 - a) through expm1: near a = 1 the powers cancel
-        tail = lead * (lo ** (-a) + lo ** (1.0 - a) * math.expm1((1.0 - a) * math.log(upto / lo))
-                       / (1.0 - a))
-    else:
-        tail = lead * (lo ** (-a) + math.log(upto / lo))
+    y = lo + 1 if g >= 0 else upto + 1  # ln(n+1)**-g <= ln(y)**-g on (lo, upto]
+    edge = lo if a >= 0 else upto
+    try:
+        c = _as_float(form.c)
+        lead = c * math.log(y) ** (-g) if g else c
+        if a < 1:
+            # (upto**(1-a) - lo**(1-a)) / (1 - a) through expm1: near a = 1 the powers cancel
+            tail = lead * (edge ** (-a) + lo ** (1.0 - a)
+                           * math.expm1((1.0 - a) * math.log(upto / lo)) / (1.0 - a))
+        else:
+            tail = lead * (lo ** (-a) + math.log(upto / lo))
+    except OverflowError:
+        tail = math.inf
+    if not tail < math.inf:
+        # a factor or the product past the float range: the same bound in logs,
+        # with ln expm1(x) = x + ln(-expm1(-x)) and ln(e**t1 + e**t2) taken stably
+        if a < 1:
+            x = (1.0 - a) * math.log(upto / lo)
+            t1 = -a * math.log(edge)
+            t2 = (1.0 - a) * math.log(lo) + x + math.log(-math.expm1(-x)) - math.log(1.0 - a)
+            bracket = max(t1, t2) + math.log1p(math.exp(-abs(t1 - t2)))
+        else:
+            bracket = math.log(lo ** (-a) + math.log(upto / lo))
+        tail = _exp_upper(ln(form.c) - (g * math.log(math.log(y)) if g else 0.0) + bracket)
     return _add_bounds([head, tail] + extra)
 
 
@@ -282,7 +304,7 @@ def _token_elements(token) -> _GeomElements:
                     yield e + off
 
         return _GeomElements(gen, inner.ratio_lower, off)
-    b = float(token.base)
+    b = _as_float(token.base)
     # floor(b**(m+1)) / floor(b**m) >= b - 1/2 for elements >= 2
     return _GeomElements(token.elements, max(1.5, b - 0.5))
 
@@ -299,7 +321,7 @@ def sparse_token_sum(token: SetExpr, w: ScalarSeq, form: TailForm) -> SumVerdict
     if v is not None:
         return v
     if isinstance(_base_token(token), GeometricIndex):
-        if geometric_rule_converges(-form.beta, -form.gamma):
+        if geometric_rule_converges(form.beta, form.gamma):
             exact = _exact_geometric_sum(token, form)
             if exact is not None:
                 return SumVerdict.converges(exact)
@@ -353,8 +375,8 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
         if v.kind == "converges":
             return SumVerdict.converges(_with_coefficient(form, v.bound, math.inf))
         return v
-    alpha = -float(form.beta)
-    g = -float(form.gamma)
+    alpha = -_as_float(form.beta)
+    g = -_as_float(form.gamma)
     # a positive shift dilutes the growth ratio; past e >= 4*offset the loss
     # is at most a quarter of (r - 1)
     r = elems.ratio_lower
@@ -392,7 +414,7 @@ def _sparse_converging_bound(elems: _GeomElements, form: TailForm) -> SumVerdict
             # elements grow at least like r**m, so ln n_m >= (m-1) ln r
             m, g1 = count - 1, _excess(form.gamma, g)
             try:
-                lead = float(form.c) * math.log(r) ** (-g)
+                lead = _as_float(form.c) * math.log(r) ** (-g)
             except OverflowError:  # ln(r)**-g has no float: the tail in logs
                 return SumVerdict.converges(_add_bounds([total, _exp_upper(
                     ln(form.c) - g * math.log(math.log(r)) + (1.0 - g) * math.log(m)
@@ -430,18 +452,17 @@ def weight_sum(s: SetExpr, w: ScalarSeq) -> SumVerdict:
     except HorizonExceeded:
         return SumVerdict.inconclusive()
     slack = s.slack_bound()
-    alpha, g = -form.beta, -form.gamma
 
-    if not full_rule_diverges(alpha, g):
+    if not full_rule_diverges(form.beta, form.gamma):
         # any subset inherits the full bound
         bound = weight_prefix_upper(form, _PREFIX_CAP)
         tail = full_tail_upper(form, _PREFIX_CAP + 1)
-        extra = [float(v) for i, v in form.head if i > _PREFIX_CAP]
+        extra = [_as_float(v) for i, v in form.head if i > _PREFIX_CAP]
         return SumVerdict.converges(_add_bounds([bound, tail] + extra))
 
     if not lo.ep.is_empty:
         # positive density survives sparse removals
-        if alpha < 1:
+        if form.beta > -1:  # alpha < 1
             return SumVerdict.diverges()
         removable = [sparse_token_sum(t, w, form) for t in lo.minus]
         if all(v.kind == "converges" for v in removable):
@@ -479,7 +500,7 @@ def _add_bounds(bounds):
     if all(isinstance(b, Fraction) for b in bounds):
         return sum(bounds, Fraction(0))
     try:
-        return _round_up(math.fsum(float(b) for b in bounds))
+        return _round_up(math.fsum(_as_float(b) for b in bounds))
     except OverflowError:
         if math.inf in bounds:
             return math.inf
@@ -505,7 +526,7 @@ def partial_sum(s: SetExpr, w, upto: int = DEFAULT_HORIZON) -> SumVerdict:
 
 def sum_inverse_p_verdict(a: ScalarSeq, p, I: SetExpr = NATURALS) -> SumVerdict:
     """Verdict for sum_{n in I} a(n)**(-p)."""
-    p = Fraction(p)
+    p = _as_fraction(p)
     if p < 1:
         raise ValueError("the exponent must satisfy p >= 1")
     return weight_sum(I, seq_pow(a, -p))

@@ -17,9 +17,11 @@ from ._lazy_numpy import np
 from ._record import record
 from .natset import NATURALS, HorizonExceeded, SetExpr, member
 from .reports import rational_text
-from .sequences import (DomainError, PowerLog, ScalarSeq, eval_at, eval_at_indices, ln,
-                        seq_pow)
+from .sequences import (DomainError, PowerLog, ScalarSeq, _as_fraction, eval_at,
+                        eval_at_indices, ln, seq_pow)
 from .series import weight_sum
+
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: coordinates are asked for one by one
 
 
 @record
@@ -31,7 +33,7 @@ class BasisVector:
             raise ValueError("a basis vector index must be >= 1")
 
     def coordinate(self, n: int):
-        return Fraction(1) if n == self.index else Fraction(0)
+        return _ONE if n == self.index else _ZERO
 
     def norm_upper(self, p) -> Fraction:
         return Fraction(1)
@@ -48,8 +50,8 @@ class PowerTail:
     scale: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "beta", _as_fraction(self.beta))
+        object.__setattr__(self, "scale", _as_fraction(self.scale))
         if self.beta <= 0:
             raise ValueError("a power tail needs a positive decay exponent")
 
@@ -82,7 +84,7 @@ class Spike:
         v = member(n, self.support_set)
         if v is None:
             raise DomainError(f"support membership undecidable at n={n}")
-        return eval_at(self.amp, n) if v else Fraction(0)
+        return eval_at(self.amp, n) if v else _ZERO
 
     def support(self) -> SetExpr:
         return self.support_set
@@ -102,7 +104,7 @@ TestVector = TUnion[BasisVector, PowerTail, Spike]
 
 def _norm_bound(x: TestVector, p, reason: str):
     """The certified bound on the sum of |x_n|**p over the support."""
-    v = weight_sum(x.support(), seq_pow(x.amplitude(), Fraction(p)))
+    v = weight_sum(x.support(), seq_pow(x.amplitude(), _as_fraction(p)))
     if v.kind != "converges":
         raise DomainError(f"{reason} at p={p}")
     return v.bound

@@ -262,11 +262,11 @@ class GreedyBlockSet(_ScannedSet):
     # numpy's pairwise sum would change the last bits.
     def block_sums(self) -> list[float]:
         ends = np.cumsum([blk.size for blk in self._blocks()])
-        return [sum(v.tolist()) for v in np.split(self._member_values(self.weights), ends[:-1])]
+        return [sum(memoryview(v)) for v in np.split(self._member_values(self.weights), ends[:-1])]
 
     def prefix_inverse_sum(self) -> float:
         """Sum of a**(-p) over the materialized prefix of the set."""
-        return sum((1.0 / self._member_values(self._state["target_p"])).tolist())
+        return sum(memoryview(1.0 / self._member_values(self._state["target_p"])))
 
     # set protocol -------------------------------------------------------------
 

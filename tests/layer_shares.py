@@ -55,6 +55,9 @@ LAYERS = (
     ("admissibility", "check_admissible"),
     ("admissibility", "_library_sweep"),
     ("filters", "classify_set"),
+    ("series", "weight_prefix_upper"),
+    ("sequences", "to_float"),
+    ("parsing", "_parse"),
 )
 
 

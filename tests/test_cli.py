@@ -1088,7 +1088,18 @@ _BIG_PERIOD = "residue(1009,0) & residue(1013,0)"  # lcm 1022117, past the perio
      EXIT_PARSE, "at byte 0: a power tail needs a positive decay exponent"),
     (["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter", "frechet",
       "--vector", "e(0)"], EXIT_PARSE, "at byte 0: a basis vector index must be >= 1"),
-], ids=["period-classify", "period-trace", "period-piece", "powtail-negative", "e-0"])
+    (["check-admissible", "--seq", "pow(1,3/0)", "--filter", "frechet", "--p", "1"], EXIT_PARSE,
+     "at byte 8: zero denominator (expected a nonzero denominator)"),
+    (["classify-set", "--set", "geom(4/0)", "--filter", "frechet"], EXIT_PARSE,
+     "at byte 7: zero denominator (expected a nonzero denominator)"),
+    (["classify-set", "--set", "residue(2,0)", "--filter", "summable(pow(1,-1/0))"], EXIT_PARSE,
+     "at byte 18: zero denominator (expected a nonzero denominator)"),
+    (["check-admissible", "--seq", "prefix[2,1/0]:const(2)", "--filter", "frechet", "--p", "1"],
+     EXIT_PARSE, "at byte 11: zero denominator (expected a nonzero denominator)"),
+    (["classify-set", "--set", "geom(1.2.3/2)", "--filter", "frechet"], EXIT_PARSE,
+     "at byte 5: Invalid literal for Fraction: '1.2.3' (expected number)"),
+], ids=["period-classify", "period-trace", "period-piece", "powtail-negative", "e-0",
+        "zero-den-seq", "zero-den-set", "zero-den-filter", "zero-den-prefix", "bad-numerator"])
 def test_inputs_that_cannot_be_analysed_or_built_are_not_internal_errors(
         capsys, argv, want, detail):
     code, out = run(argv)

@@ -2,9 +2,12 @@
 replaced (``parse_oracle``) did: an equal object, or an error of the same
 type with the same message, offset and expected tokens.
 
-The one intended difference is in the vector language: a vector whose
+Two differences are intended.  In the vector language, a vector whose
 construction fails (``powtail(-1)``, ``e(0)``) is a parse error, where the
-old parser let the constructor's ``ValueError`` out."""
+old parser let the constructor's ``ValueError`` out.  In every language, a
+ratio N/D with no value (a zero D, as in ``3/0``, or an N that Fraction
+cannot read, as in ``1.2.3/2``) is a parse error, where the old parser let
+the ``ZeroDivisionError`` or ``ValueError`` of its division out."""
 
 import random
 
@@ -68,6 +71,12 @@ def check_same(language: str, text: str) -> None:
     old = _read(parse_oracle, language, text)
     if old[0] == "error" and old[1][0] == "ValueError" and old[1][1] in _VECTOR_ERRORS:
         assert new[0] == "error" and new[1][0] == "ParseError", (text, new)
+    elif old[0] == "error" and old[1][0] == "ZeroDivisionError":
+        assert new[0] == "error" and new[1][0] == "ParseError", (text, new)
+        assert "zero denominator" in new[1][1], (text, new)
+    elif old[0] == "error" and old[1][0] == "ValueError":  # Fraction(text) of a ratio's N
+        assert new[0] == "error" and new[1][0] == "ParseError", (text, new)
+        assert new[1][1].endswith(f": {old[1][1]} (expected number)"), (text, new)
     else:
         assert new == old, text
 

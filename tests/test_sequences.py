@@ -32,6 +32,8 @@ from fbasis.sequences import (
     _coprime,
     _int_root,
     _monotone_start,
+    _as_float,
+    _as_fraction,
     compare_pointwise,
     eval_at_indices,
     eval_vector,
@@ -572,7 +574,8 @@ def test_power_log_rules_are_the_lexicographic_order(beta, gamma, beta2, gamma2,
     """Growth, boundedness, monotonicity, limit, comparison and both sum
     rules of c n**beta ln(n+1)**gamma follow the lexicographic order of
     (beta, gamma), decided on the exact exponents however close they lie
-    to 0 or 1.  The rule functions take alpha = -beta and g = -gamma."""
+    to 0 or 1.  The rule functions take (beta, gamma); the oracle states
+    the sum rules on alpha = -beta and g = -gamma."""
     a, b = PowerLog(c, beta, gamma), PowerLog(1, beta2, gamma2)
     sign = _lex_sign((beta, gamma))
     assert tail_form(a).growth == TailForm(c, beta, gamma, 1).growth == sign
@@ -582,5 +585,48 @@ def test_power_log_rules_are_the_lexicographic_order(beta, gamma, beta2, gamma2,
         assert limit_value(seq) == (math.inf if sign > 0 else 0.0 if sign < 0 else float(c))
     assert is_eventually_nondecreasing(Piecewise(((NATURALS, a),))) is None
     assert compare_pointwise(a, b) is _lex_le((beta, gamma), (beta2, gamma2))
-    assert full_rule_diverges(-beta, -gamma) is _lex_le((-beta, -gamma), (1, 1))
-    assert geometric_rule_converges(-beta, -gamma) is not _lex_le((-beta, -gamma), (0, 1))
+    assert full_rule_diverges(beta, gamma) is _lex_le((-beta, -gamma), (1, 1))
+    assert geometric_rule_converges(beta, gamma) is not _lex_le((-beta, -gamma), (0, 1))
+
+
+_BIG = 10 ** 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-_BIG, _BIG), den=st.integers(1, _BIG))
+@example(num=1, den=10 ** 400)  # below the subnormals: 0.0
+@example(num=-1, den=10 ** 400)  # -0.0
+@example(num=2 ** 1024 - 2 ** 970, den=1)  # the largest float, exactly
+@example(num=2 ** 1024, den=1)  # past it
+def test_as_float_is_float_bit_for_bit(num, den):
+    """``_as_float`` of a Fraction is float() of it, sign of zero included,
+    and raises OverflowError exactly where float() does."""
+    x = Fraction(num, den)
+    try:
+        want = float(x)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _as_float(x)
+        return
+    assert _as_float(x).hex() == want.hex()
+
+
+class _Q(Fraction):
+    pass
+
+
+def test_as_fraction_passes_a_fraction_through():
+    x = Fraction(7, 3)
+    assert _as_fraction(x) is x
+    for other, want in ((_Q(7, 3), x), (3, Fraction(3)), (0.25, Fraction(1, 4)), ("7/3", x)):
+        out = _as_fraction(other)
+        assert type(out) is Fraction and out == want
+    assert type(_as_float(_Q(7, 3))) is float and _as_float(_Q(7, 3)) == float(x)
+
+
+def test_power_log_keeps_the_fractions_it_is_given():
+    c, beta, gamma = Fraction(7, 2), Fraction(-3, 2), Fraction(1, 3)
+    a = PowerLog(c, beta, gamma)
+    assert a.c is c and a.beta is beta and a.gamma is gamma
+    b = PowerLog(2, 1)  # ints still become Fractions
+    assert type(b.beta) is Fraction and type(b.gamma) is Fraction and b.gamma == 0

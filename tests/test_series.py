@@ -19,6 +19,7 @@ from fbasis import (
     parse_set_expr,
     weight_sum,
 )
+from fbasis.cli import load_config, run_command
 from fbasis.sequences import TailForm, eval_vector, tail_form
 from fbasis.series import _exp_upper, partial_sum, weight_prefix_upper
 
@@ -282,3 +283,50 @@ def test_prefix_bound_just_below_the_harmonic_series_covers_it(j, k, upto):
     harmonic = math.fsum(1.0 / n for n in range(1, upto + 1))
     assert weight_prefix_upper(TailForm(Fraction(1), -alpha, Fraction(0), 1), upto) >= (
         harmonic * (1 - 2.0 ** -50))
+
+
+@pytest.mark.parametrize("k,upto", [
+    (1, 200_000),  # the integral from lo alone fell 5e-6 short of the sum
+    (2, 50_000),
+    (100, 100_001),  # lo**k and the product past the float range: taken in logs
+], ids=["n", "n-squared", "n-to-100"])
+def test_growing_prefix_bound_past_the_cap_covers_the_exact_sum(k, upto):
+    """sum_{n <= upto} n**k past the float-summed head: a growing weight is
+    largest at upto, not at the cap, and the bound covers the exact sum to
+    within the relative width (k + 1) / upto of that end term."""
+    want = sum(n ** k for n in range(1, upto + 1))
+    got = Fraction(weight_prefix_upper(TailForm(Fraction(1), Fraction(k), Fraction(0), 1), upto))
+    assert want <= got <= want * (1 + Fraction(k + 1, upto))
+
+
+def test_a_finite_set_with_weights_past_the_float_range_is_negligible():
+    """range(1,200000) under summable(pow(1,300)): a finite set, so a
+    negligible one, whose prefix bound passes the float range."""
+    cfg = load_config(["classify-set", "--set", "range(1,200000)",
+                       "--filter", "summable(pow(1,300))"])
+    code, out = run_command(cfg)
+    assert code == 0 and b'"class": "negligible"' in out
+    v = weight_sum(parse_set_expr("range(1,200000)"), parse_scalar_seq("pow(1,300)"))
+    assert v.kind == "converges" and isinstance(v.bound, Fraction)
+    # n**300 is convex: the sum exceeds the integral from 0 plus half its last term
+    assert v.bound >= Fraction(200_000 ** 301, 301) + Fraction(200_000 ** 300, 2)
+
+
+_FLOATS = st.floats(min_value=0.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_FLOATS, max_size=40))
+def test_buffer_sums_are_the_list_sums(values):
+    """The sums taken through an array's buffer, as ``weight_prefix_upper``,
+    ``_log_prefix_sum`` and ``GreedyBlockSet`` take them, are bit for bit
+    the sums of its ``tolist()``, empty arrays included."""
+    a = np.array(values, dtype=float)
+    assert repr(sum(memoryview(a))) == repr(sum(a.tolist()))
+    try:
+        want = math.fsum(a.tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            math.fsum(memoryview(a))
+        return
+    assert repr(math.fsum(memoryview(a))) == repr(want)
