@@ -49,7 +49,7 @@ print("sqrt(n) under its own summable filter:",
 # the greedy block witness for a refuted summable criterion
 witness = nonadmissibility_witness(PowerLog(1, Fraction(2)), harmonic, 1)
 print("\ngreedy witness:", witness.to_text())
-print("blocks:", [list(b) for b in witness.materialized_blocks()[:3]], "...")
+print("blocks:", [b.tolist() for b in witness.materialized_blocks()[:3]], "...")
 print("block sums:", [round(s, 4) for s in witness.block_sums()])
 print("inverse sum over the witness prefix:", round(witness.prefix_inverse_sum(), 4))
 print("witness filter mass:", weight_sum(witness, harmonic).kind)

@@ -62,6 +62,7 @@ from .sequences import (
     threshold_levels,
     to_float,
 )
+from .series import running_sum
 from .vectors import BasisVector, PowerTail, Spike, TestVector
 
 
@@ -244,7 +245,7 @@ def build_basis(
         head = [_as_float(v) for v in coeffs]
         bf = np.empty(n_max)  # b_1 .. b_{n_max}, filled stage by stage
         bf[:first] = head
-        total, top = sum(head), max(head)  # b_1 + ... + b_n and max(b_1, ..., b_n)
+        total, top = running_sum(head), max(head)  # b_1 + ... + b_n and max(b_1, ..., b_n)
         probes = {first, *_probe_stages(n_max - 1)}
         if on_l2:
             squares = None

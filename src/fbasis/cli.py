@@ -172,12 +172,27 @@ def _require(cfg: RunConfig, key: str) -> str:
 
 
 def _numeric(text, kind, option: str):
-    """``kind(text)`` for kind int, float or Fraction; a malformed value is a
+    """``kind(text)`` for kind int, Fraction or ``_real``; a malformed value is a
     usage error, not a traceback."""
     try:
         return kind(text)
     except (ValueError, ZeroDivisionError):
         raise _Usage(f"--{option}: malformed number {text!r}") from None
+
+
+def _real(text: str) -> float:
+    """A decimal as float reads it (nan and inf too), else a ratio p/q, read
+    as --p is, as its correctly rounded float, which for a decimal is the
+    same: float(Fraction("0.1")) is 0.1.  Past the float range +-inf, as
+    float("1e309") is."""
+    try:
+        return float(text)
+    except ValueError:
+        x = Fraction(text)
+    try:
+        return float(x)
+    except OverflowError:
+        return float("inf") if x > 0 else float("-inf")
 
 
 def _parse_space(text: str, dim: int) -> lp_operators.SpaceKind:
@@ -378,7 +393,7 @@ def _cmd_witness(cfg: RunConfig):
         return EXIT_INCONCLUSIVE, doc
     doc["outcome"] = "witness"
     doc["witness"] = witness.to_text()
-    doc["blocks"] = [list(b) for b in witness.materialized_blocks()]
+    doc["blocks"] = list(witness.materialized_blocks())
     doc["block_sums"] = witness.block_sums()
     doc["prefix_inverse_sum"] = witness.prefix_inverse_sum()
     doc["certificates"] = {
@@ -392,7 +407,7 @@ def _cmd_separate(cfg: RunConfig):
     seq = parse_scalar_seq(_require(cfg, "seq"))
     dual = cfg.get("dual", "linf")
     dual_kind = {"linf": "linf-diagonal", "l2": "l2-diagonal"}.get(dual, dual)
-    margin = _numeric(cfg.get("margin", "0.1"), float, "margin")
+    margin = _numeric(cfg.get("margin", "0.1"), _real, "margin")
     doc = {
         "command": cfg.command,
         "inputs": {"seq": seq.to_text(), "dual": dual_kind, "margin": margin},

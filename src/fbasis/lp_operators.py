@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from ._lazy_numpy import np
 from ._record import record
 from .sequences import DomainError, _as_float, _as_number, exact_root
-from .series import _round_down, _round_up
+from .series import _round_down, _round_up, running_sum
 
 _METHODS = {1: "ColumnMax", 2: "ClosedFormL2"}  # "ClosedForm" for every other p
 
@@ -259,7 +259,7 @@ def _scaled_sqrt(x: Fraction) -> float:
 def _mass_ratio(T: TailOp):
     """W = U**p = S / b_{n+1}**p."""
     powers = T.powers()
-    return sum(powers[:-1]) / powers[-1]
+    return running_sum(powers[:-1]) / powers[-1]
 
 
 def _prescribed_ratio(a, p, a_square=None):

@@ -12,6 +12,8 @@ import functools
 import operator
 from fractions import Fraction
 
+from ._lazy_numpy import np
+
 
 class IoError(OSError):
     pass
@@ -79,11 +81,38 @@ def _text(value, pad: str) -> str:
             memo = {k: text(v) for k, v in dict(zip(map(id, value), value)).items()}
             texts = map(memo.__getitem__, map(id, value))
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    if getattr(value, "ndim", 0) == 1 and value.dtype.kind == "i":
+        return _index_array_text(value, pad)
     for base in (Fraction, int, float, str):
         # a subclass (a numpy float) takes its base's text
         if isinstance(value, base):
             return _SCALAR_TEXT[base](value)
     raise TypeError(f"cannot encode {type(value).__name__} in a report")
+
+
+def _index_array_text(v, pad: str) -> str:
+    """The text of a 1-D integer array, as of the list of its ints: from 64
+    ascending non-negative ints on (witness blocks), one byte matrix of
+    separator and digit rows per run of equal digit count, cut by searching
+    the powers of 10, its digits peeled off by division by 10."""
+    if v.size < 64 or v[0] < 0 or not (v[1:] >= v[:-1]).all():
+        return _text(v.tolist(), pad)
+    sep = np.frombuffer((",\n" + pad + "  ").encode("ascii"), dtype=np.uint8)
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)  # an int64 has at most 19 digits
+    cuts = [0, *np.searchsorted(v, powers).tolist(), v.size]
+    runs = []
+    for digits, (i, j) in enumerate(zip(cuts, cuts[1:]), 1):
+        if i < j:
+            rows = np.repeat(np.append(sep, np.zeros(digits, np.uint8))[None], j - i, axis=0)
+            x = v[i:j].astype(np.int32 if digits < 10 else np.int64)  # narrow divides faster
+            for col in range(sep.size + digits - 1, sep.size - 1, -1):  # from the last digit
+                q = x // 10
+                rows[:, col] = x - q * 10 + 48
+                x = q
+            if not runs:
+                rows[0, 0] = ord("[")  # the list opens where the first separator would be
+            runs.append(rows.tobytes())
+    return b"".join(runs).decode("ascii") + "\n" + pad + "]"
 
 
 def _dict_text(row: dict, pad: str, templates: dict) -> str:

@@ -32,7 +32,7 @@ from .sequences import (
     seq_scale,
     tail_form,
 )
-from .series import sum_inverse_p_verdict
+from .series import running_sum, sum_inverse_p_verdict
 from .vectors import TestVector
 
 
@@ -198,7 +198,7 @@ def lemma1_profile(
         if s_n == 0.0:
             raise DomainError(f"the partial sum of a**-1 up to n={n} underflows to 0.0")
         avg = float(coord_cum[n - 1]) / s_n
-        bound = sum(norms) / s_n
+        bound = running_sum(norms) / s_n
         if math.isnan(avg) or math.isnan(bound):  # +inf over +inf: the ratios in logs
             logs = logs or _log_sums(a, xs, grid)
             (ln_s, ln_coord), ln_norms = logs[0][n], logs[1]

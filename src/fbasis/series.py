@@ -32,7 +32,9 @@ alpha = -beta and g = -gamma above.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -79,6 +81,13 @@ def _margin(terms: int) -> float:
     rounded sum (fsum), adds 0."""
     k = (terms - 1) * 2.0 ** -53
     return 2.0 ** -40 + k / (1.0 - k)
+
+
+def running_sum(xs):
+    """The sum of xs added one at a time from 0, left to right: the running
+    sum whose error ``_margin`` bounds, with the same bits on every Python
+    (the builtin sum compensates float additions from 3.12 on)."""
+    return functools.reduce(operator.add, xs, 0)
 
 
 def _round_up(x: float, terms: int = 1) -> float:
@@ -248,11 +257,9 @@ def weight_prefix_upper(form: TailForm, upto: int):
         return head
     # explicit head entries past the cap are not family values
     extra = [_as_float(v) for i, v in form.head if _PREFIX_CAP < i <= upto]
-    if not full_rule_diverges(form.beta, form.gamma):
-        return _add_bounds([head, full_tail_upper(form, _PREFIX_CAP + 1)] + extra)
-    # divergent family: w(n) <= lead * n**-a on (lo, upto], and the sum of a
-    # monotone n**-a there is at most its integral over [lo, upto] plus its
-    # largest value, at lo where it falls and at upto where it grows
+    # w(n) <= lead * n**-a on (lo, upto], and the sum of a monotone n**-a there
+    # is at most its integral over [lo, upto] plus its largest value, at lo
+    # where it falls and at upto where it grows
     a = -_as_float(form.beta)
     g = -_as_float(form.gamma)
     lo = _PREFIX_CAP
@@ -261,7 +268,7 @@ def weight_prefix_upper(form: TailForm, upto: int):
     try:
         c = _as_float(form.c)
         lead = c * math.log(y) ** (-g) if g else c
-        if a < 1:
+        if a != 1:
             # (upto**(1-a) - lo**(1-a)) / (1 - a) through expm1: near a = 1 the powers cancel
             tail = lead * (edge ** (-a) + lo ** (1.0 - a)
                            * math.expm1((1.0 - a) * math.log(upto / lo)) / (1.0 - a))
@@ -269,6 +276,10 @@ def weight_prefix_upper(form: TailForm, upto: int):
             tail = lead * (lo ** (-a) + math.log(upto / lo))
     except OverflowError:
         tail = math.inf
+    if not full_rule_diverges(form.beta, form.gamma):
+        # a convergent family: the whole tail bounds the finite one too, and
+        # is the smaller one once upto is far enough out
+        return _add_bounds([head, min(tail, full_tail_upper(form, _PREFIX_CAP + 1))] + extra)
     if not tail < math.inf:
         # a factor or the product past the float range: the same bound in logs,
         # with ln expm1(x) = x + ln(-expm1(-x)) and ln(e**t1 + e**t2) taken stably
@@ -454,11 +465,13 @@ def weight_sum(s: SetExpr, w: ScalarSeq) -> SumVerdict:
     slack = s.slack_bound()
 
     if not full_rule_diverges(form.beta, form.gamma):
-        # any subset inherits the full bound
+        # any subset inherits the full bound; a scanned set may bound its own
         bound = weight_prefix_upper(form, _PREFIX_CAP)
         tail = full_tail_upper(form, _PREFIX_CAP + 1)
         extra = [_as_float(v) for i, v in form.head if i > _PREFIX_CAP]
-        return SumVerdict.converges(_add_bounds([bound, tail] + extra))
+        bound = _add_bounds([bound, tail] + extra)
+        members = getattr(s, "members_sum_upper", None)
+        return SumVerdict.converges(bound if members is None else min(bound, members(w, form)))
 
     if not lo.ep.is_empty:
         # positive density survives sparse removals

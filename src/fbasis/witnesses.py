@@ -39,6 +39,7 @@ from .natset import (
     _EP_EMPTY,
 )
 from .reports import rational_text
+from .series import _add_bounds, _round_up, full_tail_upper
 from .sequences import (
     Piecewise,
     ScalarSeq,
@@ -119,9 +120,11 @@ class GreedyBlockSet(_ScannedSet):
             "_state",
             {
                 "product": tail_form(product) if product is not None else None,
-                "blocks": [],  # completed blocks, index arrays
+                "blocks": [],  # completed blocks, read-only index arrays
+                "sums": [],  # the s-sum of each completed block, as the scan added it
                 "current": [],  # index arrays of the block being filled
                 "current_sum": 0.0,
+                "reach": 256,  # the first piece length of a block's candidates
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
                 "known": self.horizon,  # membership is decided up to here
@@ -154,9 +157,9 @@ class GreedyBlockSet(_ScannedSet):
                 cut = int(nan.argmax())
                 st["known"] = upto = hi = lo + cut - 1
                 prod, sv = prod[:cut], sv[:cut]
-            pos = 0  # one past the index that closed the last block
+            pos = i = 0  # one past the index that closed the last block, and its place in cand
             width = hi - lo + 1
-            cand = None  # the offsets from pos on whose product passes the bar
+            cand = first = None  # the offsets passing the window's first bar, and that bar
             while pos < width:
                 if st["m"] >= sys.float_info.max_exp:
                     # a value of +inf does not say whether a(n)**p s(n) passes
@@ -164,53 +167,77 @@ class GreedyBlockSet(_ScannedSet):
                     st["known"] = upto = hi = lo + pos - 1
                     break
                 bar = 2.0 ** st["m"]
-                # the bar only rises inside a window: each block's candidates
-                # are among the last block's
-                cand = np.flatnonzero(prod > bar) if cand is None else cand[prod[cand] > bar]
-                k = self._fill_block(cand, sv, lo)
-                if k is None:
+                if cand is None:  # the bar only rises inside a window: every block's
+                    cand, first = np.flatnonzero(prod > bar), bar  # candidates are among these
+                cand, i = self._fill_block(cand, i, prod, sv, lo, bar if bar > first else None)
+                if i is None:
                     break
-                pos = int(cand[k]) + 1
-                cand = cand[k + 1 :]
+                pos = int(cand[i - 1]) + 1
             st["scan"] = hi
 
-    def _fill_block(self, cand, sv, lo: int) -> Optional[int]:
-        """Add the candidates at window offsets ``cand`` to the open block,
-        in pieces of doubling length, up to the one that closes it: its
-        position in ``cand``, or None when none does.
+    def _fill_block(self, cand, i: int, prod, sv, lo: int, bar: Optional[float]):
+        """Add the candidates from ``cand[i]`` on (window offsets) whose
+        product passes ``bar``, or all of them where it is None, to the open
+        block, in pieces of doubling length from the last block's span on,
+        up to the one that closes it.  Returns the candidates, narrowed to
+        ``bar`` at once where a whole piece fails it, and the position in
+        them past the closing one, or None when none closes.  A piece of
+        consecutive offsets is read through slices, and one whose terms are
+        all at most 1 needs no search for a large term.
 
         The open block's sum c stays below 1: a term t <= 1 joins it, 1 < t
         <= 2 - c joins and closes it, a larger t is skipped and leaves c
         alone.  So c is the running sum of the small terms only, left to
         right from the block's first index, carried from piece to piece as
         from window to window, and the first small term that lifts it to 1
-        closes the block unless a large term that fits comes first."""
+        closes the block unless a large term that fits comes first.  The
+        block's sum is c plus its closing term: the running sum of its
+        members' terms, as the report prints it."""
         st = self._state
-        start, reach = 0, 256
-        while start < cand.size:
-            piece = cand[start : start + reach]
-            terms = sv[piece]
+        start, reach = i, st["reach"]
+        while i < cand.size:
+            piece = cand[i : i + reach]
+            a, b = int(piece[0]), int(piece[-1]) + 1
+            at = slice(a, b) if b - a == piece.size else piece
+            sel = None  # where the piece passes the bar, if not everywhere
+            if bar is not None:
+                passes = prod[at] > bar
+                if not passes.all():
+                    sel = np.flatnonzero(passes)
+                    if not sel.size:  # the candidates thin out: narrow the rest at once
+                        rest = cand[i:]
+                        cand, i, start, bar = rest[prod[rest] > bar], 0, 0, None
+                        continue
+                    at = piece[sel]
+            terms = sv[at]
             small = terms <= 1.0
-            csum = np.cumsum(np.concatenate(([st["current_sum"]], np.where(small, terms, 0.0))))
+            few = bool(small.all())  # no large term to skip or take
+            csum = np.cumsum(np.concatenate(([st["current_sum"]],
+                                             terms if few else np.where(small, terms, 0.0))))
             k = int(np.searchsorted(csum[1:], 1.0))
-            fits = np.flatnonzero(~small[:k] & (csum[:k] + terms[:k] <= 2.0))
-            if fits.size:
-                k = int(fits[0])
-            elif k == len(terms):
-                st["current"].append(lo + piece[small])
+            if not few:
+                fits = np.flatnonzero(~small[:k] & (csum[:k] + terms[:k] <= 2.0))
+                k = int(fits[0]) if fits.size else k
+                small[k : k + 1] = True  # the closing term, small or not
+            n = min(k + 1, terms.size)  # the terms examined up to the closing one
+            members = np.arange(lo + a, lo + a + n) if type(at) is slice else lo + at[:n]
+            st["current"].append(members if few else members[small[:n]])
+            if k == terms.size:
                 st["current_sum"] = float(csum[-1])
-                start, reach = start + reach, 2 * reach
+                i, reach = i + reach, 2 * reach
                 continue
-            picked = small[: k + 1]
-            picked[k] = True  # the closing term, small or not
-            st["current"].append(lo + piece[: k + 1][picked])
-            self._close_block()
-            return start + k
-        return None
+            end = i + (k if sel is None else int(sel[k])) + 1
+            st["reach"] = max(256, end - start)
+            self._close_block(float(csum[k] + terms[k]))
+            return cand, end
+        return cand, None
 
-    def _close_block(self) -> None:
+    def _close_block(self, total: float) -> None:
         st = self._state
-        st["blocks"].append(np.concatenate(st["current"]))
+        block = np.concatenate(st["current"])
+        block.flags.writeable = False
+        st["blocks"].append(block)
+        st["sums"].append(total)
         st["current"] = []
         st["current_sum"] = 0.0
         st["m"] += 1
@@ -251,22 +278,20 @@ class GreedyBlockSet(_ScannedSet):
             st["count"] = min(_DEFAULT_BLOCKS, self._scan_for(_DEFAULT_BLOCKS))
         return st["blocks"][: st["count"]]
 
-    def materialized_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(blk.tolist()) for blk in self._blocks())
+    def materialized_blocks(self) -> tuple:
+        """The blocks, as the read-only index arrays the scan built."""
+        return tuple(self._blocks())
 
-    def _member_values(self, seq: ScalarSeq) -> np.ndarray:
-        """The values of ``seq`` at the members of the materialized blocks."""
-        return eval_at_indices(seq, np.concatenate(self._blocks()))
-
-    # Sums run left to right with the builtin sum, as the block scan adds;
-    # numpy's pairwise sum would change the last bits.
+    # Both sums run left to right from 0.0, as the block scan adds, where
+    # numpy's pairwise sum or Python 3.12's compensated builtin sum would
+    # change the last bits.
     def block_sums(self) -> list[float]:
-        ends = np.cumsum([blk.size for blk in self._blocks()])
-        return [sum(memoryview(v)) for v in np.split(self._member_values(self.weights), ends[:-1])]
+        return self._state["sums"][: len(self._blocks())]
 
     def prefix_inverse_sum(self) -> float:
         """Sum of a**(-p) over the materialized prefix of the set."""
-        return sum(memoryview(1.0 / self._member_values(self._state["target_p"])))
+        members = np.concatenate(self._blocks())
+        return float(np.add.accumulate(1.0 / eval_at_indices(self._state["target_p"], members))[-1])
 
     # set protocol -------------------------------------------------------------
 
@@ -307,6 +332,18 @@ class GreedyBlockSet(_ScannedSet):
         return _certified(w, ((self.weights, self._weights_diverge),
                               (seq_pow(self.target, -self.exponent),
                                lambda: SumVerdict.converges(Fraction(2)))))
+
+    def members_sum_upper(self, w, form: TailForm):
+        """For a weight w of tail form ``form`` whose sum over all n
+        converges: its sum over the members up to ``known_up_to``, rounded
+        up as a sum of that many terms, plus w's tail past there; +inf where
+        the members' float sum overflows."""
+        known = self.known_up_to()
+        members = self._members(known)
+        with np.errstate(over="ignore"):
+            total = float(eval_at_indices(w, members).sum())
+        return _add_bounds([_round_up(total, members.size), full_tail_upper(form, known + 1)]
+                           + [v for i, v in form.head if i > known])
 
 
 def _first_reaching(values: np.ndarray, start: int, bar: float, reach: int) -> Optional[int]:

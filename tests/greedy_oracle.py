@@ -13,29 +13,54 @@ call per sequence, the evaluation the scans are specified against.
 from __future__ import annotations
 
 import math
+import sys
 
 from fbasis.sequences import eval_vector, seq_pow
+
+
+def greedy_run(target, weights, p, horizon: int, count: int = -1):
+    """The complete blocks below ``horizon`` (the first ``count`` of them
+    with count >= 0), the indices of the block still open, each complete
+    block's sum of s, the sum of a**-p over the complete blocks as it
+    stands at each one's close, and the last index whose membership the
+    values decide: the horizon, or the index before a product of nan, or
+    the one that closed a block whose successor's threshold 2**m has no
+    float.  Every sum is added one index at a time from 0.0."""
+    s = eval_vector(weights, horizon)
+    a = eval_vector(seq_pow(target, p), horizon)
+    blocks: list[tuple[int, ...]] = []
+    current: list[int] = []
+    sums: list[float] = []
+    inverse: list[float] = []
+    total = inverse_total = 0.0
+    m = 1
+    known = horizon
+    for n in range(1, horizon + 1):
+        if len(blocks) == count:
+            break
+        s_n, a_n = float(s[n - 1]), float(a[n - 1])
+        if math.isnan(a_n * s_n):
+            known = n - 1
+            break
+        if a_n * s_n > 2.0 ** m and total + s_n <= 2.0:
+            current.append(n)
+            total += s_n
+            inverse_total += 1.0 / a_n
+            if total >= 1.0:
+                blocks.append(tuple(current))
+                sums.append(total)
+                inverse.append(inverse_total)
+                current, total, m = [], 0.0, m + 1
+                if m >= sys.float_info.max_exp:
+                    known = n
+                    break
+    return blocks, current, sums, inverse, known
 
 
 def greedy_scan(target, weights, p, count: int, horizon: int):
     """The first ``count`` complete blocks below ``horizon`` (or as many as
     complete there), and the indices of the block still open."""
-    s = eval_vector(weights, horizon)
-    a = eval_vector(seq_pow(target, p), horizon)
-    blocks: list[tuple[int, ...]] = []
-    current: list[int] = []
-    total = 0.0
-    m = 1
-    for n in range(1, horizon + 1):
-        if len(blocks) == count:
-            break
-        s_n = float(s[n - 1])
-        if float(a[n - 1]) * s_n > 2.0 ** m and total + s_n <= 2.0:
-            current.append(n)
-            total += s_n
-            if total >= 1.0:
-                blocks.append(tuple(current))
-                current, total, m = [], 0.0, m + 1
+    blocks, current, *_ = greedy_run(target, weights, p, horizon, count)
     return blocks, current
 
 

@@ -54,6 +54,8 @@ LAYERS = (
     ("lp_operators", "image_pairs"),
     ("admissibility", "check_admissible"),
     ("admissibility", "_library_sweep"),
+    ("admissibility", "nonadmissibility_witness"),
+    ("admissibility", "summable_criterion"),
     ("filters", "classify_set"),
     ("series", "weight_prefix_upper"),
     ("sequences", "to_float"),

@@ -1279,6 +1279,14 @@ def test_a_margin_outside_the_positive_floats_is_a_usage_error(margin, detail):
     assert (code, get_json(out)["detail"]) == (EXIT_USAGE, detail)
 
 
+def test_a_margin_reads_as_a_ratio_or_a_decimal():
+    """``--margin`` takes the ratio syntax of every other number option; 1/10
+    reads as the float of 0.1, so both print the same report."""
+    reports = [run(["separate", "--seq", "pow(1,2)", "--dual", "linf", "--margin", m])
+               for m in ("1/10", "0.1")]
+    assert reports[0] == reports[1] and reports[0][0] == EXIT_OK
+
+
 @pytest.mark.parametrize("grid", ["0", "-5", "10,0,100"])
 def test_a_grid_point_below_1_is_a_usage_error(grid):
     """``profile-lemma1`` averages over the indices 1 .. n: a grid point

@@ -127,7 +127,8 @@ class TestWitnessAtomTexts:
         w = nonadmissibility_witness(PowerLog(1, Fraction(2)), HARMONIC, 1)
         back = parse_set_expr(w.to_text())
         assert back == w
-        assert back.materialized_blocks() == w.materialized_blocks()
+        assert ([b.tolist() for b in back.materialized_blocks()]
+                == [b.tolist() for b in w.materialized_blocks()])
 
     def test_thresh_text_reparses(self):
         from fbasis import Frechet

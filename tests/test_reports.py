@@ -9,7 +9,7 @@ import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
-from fbasis.reports import _escape, to_json_bytes
+from fbasis.reports import _escape, _text, to_json_bytes
 
 import report_oracle
 from escape_oracle import escape_by_loop
@@ -182,3 +182,22 @@ def test_a_number_listed_many_times_is_formatted_once(monkeypatch):
         assert got == reports.to_json_bytes(copies)
         assert len(calls) == 51
         assert got == (report_oracle._text(doc, "") + "\n").encode("ascii")
+
+
+_EDGES = (0, 1, 9, 10, 11, 99, 100, 101, 999_999, 10 ** 6, 2 ** 31, 10 ** 18 - 1, 10 ** 18)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(_EDGES), st.integers(0, 10 ** 18)),
+                       max_size=200),
+       pad=st.sampled_from(("", "  ", "    ", "      ")))
+def test_an_index_array_renders_as_the_list_of_its_ints(values, pad):
+    """An ascending int64 array of non-negative integers, as the witness
+    blocks are, prints the bytes of the list of the same ints, whatever the
+    digit counts and the indent: empty, one element, 9/10 and 99/100, and
+    on either side of the 64 elements from which the arrays are rendered
+    as bytes."""
+    values.sort()
+    array = np.array(values, dtype=np.int64)
+    assert _text(array, pad) == _text(values, pad)
+    assert _text([array, array[:1]], pad) == _text([values, values[:1]], pad)

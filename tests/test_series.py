@@ -21,7 +21,7 @@ from fbasis import (
 )
 from fbasis.cli import load_config, run_command
 from fbasis.sequences import TailForm, eval_vector, tail_form
-from fbasis.series import _exp_upper, partial_sum, weight_prefix_upper
+from fbasis.series import _exp_upper, partial_sum, running_sum, weight_prefix_upper
 
 from series_oracle import exact_prefix_sum
 
@@ -318,9 +318,9 @@ _FLOATS = st.floats(min_value=0.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(_FLOATS, max_size=40))
 def test_buffer_sums_are_the_list_sums(values):
-    """The sums taken through an array's buffer, as ``weight_prefix_upper``,
-    ``_log_prefix_sum`` and ``GreedyBlockSet`` take them, are bit for bit
-    the sums of its ``tolist()``, empty arrays included."""
+    """The sums taken through an array's buffer, as ``weight_prefix_upper``
+    and ``_log_prefix_sum`` take them, are bit for bit the sums of its
+    ``tolist()``, empty arrays included."""
     a = np.array(values, dtype=float)
     assert repr(sum(memoryview(a))) == repr(sum(a.tolist()))
     try:
@@ -330,3 +330,27 @@ def test_buffer_sums_are_the_list_sums(values):
             math.fsum(memoryview(a))
         return
     assert repr(math.fsum(memoryview(a))) == repr(want)
+
+
+def test_running_sums_add_left_to_right_on_every_python():
+    """1 + 2**-53 rounds back to 1 at each step of a running sum, while a
+    compensated sum (Python 3.12's builtin sum, or fsum) keeps the two tiny
+    terms: the margins of a running sum need the running sum's bits."""
+    terms = [1.0, 2.0 ** -53, 2.0 ** -53]
+    assert running_sum(terms) == 1.0
+    assert math.fsum(terms) == 1.0 + 2.0 ** -52
+    assert running_sum([Fraction(1, 3)] * 3) == 1 and running_sum([]) == 0
+
+
+def test_a_convergent_prefix_is_bounded_by_its_finite_range():
+    """sum_{n <= 10**6} n**-alpha at alpha = 1 + 10**-15 is 14.39 (Hurwitz
+    zeta), far below the whole sum, about 10**15: past the float-summed
+    head the bound takes the integral over the finite range."""
+    import mpmath
+
+    alpha = 1 + Fraction(1, 10 ** 15)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(alpha.numerator) / alpha.denominator
+        want = mpmath.zeta(s) - mpmath.zeta(s, 10 ** 6 + 1)
+        got = weight_prefix_upper(TailForm(Fraction(1), -alpha, Fraction(0), 1), 10 ** 6)
+        assert want <= got <= want * (1 + mpmath.mpf(10) ** -4)
