@@ -30,7 +30,8 @@ from ._record import field, record
 from .admissibility import AdmissVerdict, check_admissible
 from .filters import (DEFAULT_EPS_SCHEDULE, FilterSpec, LimitVerdict, SetClass, classify_set,
                       epsilon_table)
-from .natset import NATURALS, Finite, GeometricIndex, Intersection, Shifted, canonicalize
+from .natset import (DEFAULT_HORIZON, NATURALS, Finite, GeometricIndex, Intersection, Shifted,
+                     canonicalize)
 from .lp_operators import (
     DimensionMismatch,
     SpaceKind,
@@ -241,8 +242,10 @@ def build_basis(
         defects.append(c)
     if float_from is not None:  # the float phase, from the first stage whose W is a float
         first = float_from[0]
-        mass = Fraction(num * gn, den * gd)  # S, a float from this stage on
-        head = [_as_float(v) for v in coeffs]
+        try:  # S and b_1 .. b_first, as floats
+            mass, head = num * gn / (den * gd), [_as_float(v) for v in coeffs]
+        except OverflowError:
+            raise DomainError(f"coefficient at stage {first} lies beyond the float range") from None
         bf = np.empty(n_max)  # b_1 .. b_{n_max}, filled stage by stage
         bf[:first] = head
         total, top = running_sum(head), max(head)  # b_1 + ... + b_n and max(b_1, ..., b_n)
@@ -254,7 +257,7 @@ def build_basis(
         for n, t in itertools.chain([float_from], stages):
             tf = _as_float(t)
             W = _prescribed_ratio(tf, p, eval_at(a_squared, n) if on_l2 else None)
-            nxt = mass / W  # b_{n+1}**p
+            nxt = mass / to_float(W)  # b_{n+1}**p; +inf past the range for W
             if not 0.0 < nxt < math.inf:  # mass or ratio past the range
                 raise DomainError(f"coefficient at stage {n} lies beyond the float range")
             W, mass = mass / nxt, mass + nxt
@@ -522,7 +525,7 @@ def _shifted_support(x: TestVector):
 def convergence_demo(
     sys: BasisSystem,
     x: TestVector,
-    horizon: int = 10 ** 6,
+    horizon: int = DEFAULT_HORIZON,
     under: Optional[FilterSpec] = None,
 ) -> ConvergenceReport:
     """Classify the defect terms of the rebuilt partial sums at x.
@@ -551,7 +554,7 @@ _CONVERGES = LimitVerdict.converges_to(0)
 _NO_SET = Finite(())
 
 
-def _classify_defects(sys: BasisSystem, x: TestVector, horizon: int = 10 ** 6,
+def _classify_defects(sys: BasisSystem, x: TestVector, horizon: int = DEFAULT_HORIZON,
                       under: Optional[FilterSpec] = None, verdict_only: bool = False):
     """The levels, over-sets, under-sets and classes of the epsilon table of
     ``convergence_demo``, one entry per level, and its limit verdict.

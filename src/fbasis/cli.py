@@ -26,7 +26,6 @@ Identical configurations produce byte-identical reports.
 
 from __future__ import annotations
 
-import os
 import re
 import sys
 from fractions import Fraction
@@ -154,7 +153,7 @@ def load_config(argv: list[str]) -> RunConfig:
     for option in table:
         if option in given and option != "config":
             options[option.replace("-", "_")] = given[option]
-    options.setdefault("horizon", os.environ.get("FBASIS_HORIZON") or str(DEFAULT_HORIZON))
+    options.setdefault("horizon", str(DEFAULT_HORIZON))
     options.setdefault("n_max", "32")
     options.setdefault("format", "json")
     return RunConfig(command, options)

@@ -37,6 +37,7 @@ from .natset import (
 from .sequences import (
     ScalarSeq,
     SpikeSeq,
+    compare_pointwise,
     limit_value,
     threshold_levels,
 )
@@ -408,8 +409,6 @@ def dominates(F1: FilterSpec, F2: FilterSpec) -> DominationVerdict:
     if isinstance(F1, Trace) and F1.base == F2:
         return DominationVerdict.proved("a trace filter dominates its base")
     if isinstance(F1, Summable) and isinstance(F2, Summable):
-        from .sequences import compare_pointwise
-
         cmp = compare_pointwise(F1.weights, F2.weights)
         if cmp is True:
             return DominationVerdict.proved(

@@ -21,19 +21,21 @@ from typing import Sequence
 
 from ._lazy_numpy import np
 from ._record import record
-from .natset import NATURALS
+from .natset import DEFAULT_HORIZON, NATURALS
 from .lp_operators import op_norm  # noqa: F401  (perfbench's tracer test calls separation.op_norm)
 from .sequences import (
     DomainError,
     ScalarSeq,
     eval_at,
+    eval_at_indices,
+    eval_vector,
     seq_mul,
     seq_pow,
     seq_scale,
     tail_form,
 )
 from .series import running_sum, sum_inverse_p_verdict
-from .vectors import TestVector
+from .vectors import TestVector, coordinate_vector, ln_norm_upper
 
 
 class NotSeparable(ValueError):
@@ -112,7 +114,7 @@ def cluster_witness(
     a: ScalarSeq,
     p_dual,
     xs: Sequence[TestVector],
-    horizon: int = 10 ** 6,
+    horizon: int = DEFAULT_HORIZON,
 ):
     """Smallest m <= horizon with max_k |a_m (x_k)_m| < 1.
 
@@ -121,9 +123,6 @@ def cluster_witness(
     running minimum, never treated as a refutation.  In the separator
     regime the search simply never succeeds.
     """
-    from .sequences import eval_vector
-    from .vectors import coordinate_vector
-
     if Fraction(p_dual) < 1:
         raise DomainError("the dual exponent must satisfy p >= 1")
     best = math.inf
@@ -176,9 +175,6 @@ def lemma1_profile(
     """
     if sum_inverse_p_verdict(a, 1, NATURALS).kind != "diverges":
         raise DomainError("the averaging profile needs a divergent inverse sum")
-    from .sequences import eval_vector
-    from .vectors import coordinate_vector
-
     norms = [float(x.norm_upper(1)) for x in xs]
     rows = []
     grid = sorted(set(int(n) for n in grid))
@@ -212,9 +208,6 @@ def _log_sums(a: ScalarSeq, xs: Sequence[TestVector], grid: list):
     """ln of the partial sums of a**-1 and of sum_k |(x_k)_m| up to each n
     of the grid, a pair by n, and ln of sum_k ||x_k||_1's bound: finite
     where the float sums saturate to +inf."""
-    from .sequences import eval_at_indices
-    from .vectors import coordinate_vector, ln_norm_upper
-
     top, at = grid[-1], [n - 1 for n in grid]
     ln_inv = np.logaddexp.accumulate(-eval_at_indices(a, np.arange(1, top + 1), logs=True))
     ln_coords = np.full(top, -math.inf)

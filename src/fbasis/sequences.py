@@ -23,6 +23,8 @@ from typing import Optional, Union as TUnion
 from ._lazy_numpy import np
 from ._record import record
 from .natset import (
+    DEFAULT_HORIZON,
+    NATURALS,
     Complement,
     Finite,
     Intersection,
@@ -31,6 +33,7 @@ from .natset import (
     Union,
     _as_fraction,
     is_certainly_finite,
+    is_certainly_infinite,
     member,
 )
 from .reports import rational_text
@@ -476,8 +479,6 @@ def pieces_with_forms(a: ScalarSeq) -> Optional[list[tuple[SetExpr, TailForm]]]:
     f = tail_form(a)
     if f is None:
         return None
-    from .natset import NATURALS
-
     return [(NATURALS, f)]
 
 
@@ -564,8 +565,6 @@ def is_bounded(a) -> Optional[bool]:
                 continue
             v = is_bounded(q)
             if v is False:
-                from .natset import is_certainly_infinite
-
                 if is_certainly_infinite(s):
                     return False
                 return None
@@ -658,12 +657,12 @@ def _monotone_start(f: TailForm) -> Optional[int]:
 _VECTOR_SCAN_MIN = 16
 
 
-def threshold_ge(a: ScalarSeq, t, horizon: int = 10 ** 6) -> Optional[SetExpr]:
+def threshold_ge(a: ScalarSeq, t, horizon: int = DEFAULT_HORIZON) -> Optional[SetExpr]:
     """The set {n : a(n) >= t} as a SetExpr, or None if undecidable."""
     return threshold_levels(a, (t,), horizon)[0]
 
 
-def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[SetExpr]]:
+def threshold_levels(a: ScalarSeq, ts, horizon: int = DEFAULT_HORIZON) -> list[Optional[SetExpr]]:
     """The sets {n : a(n) >= t} for each threshold t in ts, each a SetExpr
     or None if undecidable.
 
@@ -681,8 +680,6 @@ def threshold_levels(a: ScalarSeq, ts, horizon: int = 10 ** 6) -> list[Optional[
     f = tail_form(a)
     if f is None:
         return [None] * len(ts)
-    from .natset import NATURALS
-
     n0 = _monotone_start(f)
     if n0 is None or n0 > horizon:
         return [NATURALS if t <= 0 else None for t in ts]
@@ -807,8 +804,6 @@ def _assemble(hits, tail: Optional[Range]) -> SetExpr:
         return listed
     if not k:
         if tail.lo == 1 and tail.hi is None:
-            from .natset import NATURALS
-
             return NATURALS
         return tail
     return Union((listed, tail))

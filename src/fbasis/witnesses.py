@@ -29,6 +29,7 @@ from typing import Optional
 from ._lazy_numpy import np
 from ._record import field, record
 from .natset import (
+    DEFAULT_HORIZON,
     CriterionHolds,  # in natset, so that a parse can catch it without loading this module
     HorizonExceeded,
     SumVerdict,
@@ -56,7 +57,6 @@ from .sequences import (
 
 _DEFAULT_BLOCKS = 8
 _CERTIFICATE_BLOCKS = 2  # fewer is too thin a certificate
-_MATERIALIZE_CAP = 10 ** 6
 _CHUNK = 1 << 16
 
 
@@ -82,11 +82,12 @@ def _certified(w, defining) -> Optional[SumVerdict]:
 
 
 class _ScannedSet(_KnownUpTo):
-    """Scanned by ``_advance`` up to ``_state["known"]``: the horizon, or the
-    last index before a threshold left the float range."""
+    """Scanned by ``_advance`` up to ``_state["known"]``: ``DEFAULT_HORIZON``
+    as the set was built, or the last index before a threshold left the
+    float range."""
 
     def known_up_to(self) -> int:
-        self._advance(self.horizon)
+        self._advance(self._state["known"])
         return self._state["known"]
 
     def _known(self) -> int:
@@ -107,7 +108,6 @@ class GreedyBlockSet(_ScannedSet):
     target: ScalarSeq  # the sequence a
     weights: ScalarSeq  # the filter weights s
     exponent: Fraction  # p
-    horizon: int = _MATERIALIZE_CAP
     # summable_criterion's status, when the caller holds it; None: asked on first use
     criterion: Optional[str] = field(default=None, compare=False, repr=False)
 
@@ -127,7 +127,7 @@ class GreedyBlockSet(_ScannedSet):
                 "reach": 256,  # the first piece length of a block's candidates
                 "scan": 0,  # last examined index
                 "m": 1,  # threshold exponent of the current block
-                "known": self.horizon,  # membership is decided up to here
+                "known": DEFAULT_HORIZON,  # membership is decided up to here
                 "members": (None, None),  # (scan, the members up to it), rebuilt as it moves
                 "target_p": target_p,
                 "count": None,  # blocks to materialize; None until asked
@@ -263,7 +263,7 @@ class GreedyBlockSet(_ScannedSet):
         n0 = _monotone_start(f) if f is not None else None
         if n0 is None or n0 > lo:
             return False
-        top = max(power_log_ln(f.c, f.beta, f.gamma, n) for n in (lo, self.horizon))
+        top = max(power_log_ln(f.c, f.beta, f.gamma, n) for n in (lo, st["known"]))
         return top < st["m"] * math.log(2) - 1e-9
 
     # certificates ------------------------------------------------------------
@@ -364,7 +364,6 @@ def _first_reaching(values: np.ndarray, start: int, bar: float, reach: int) -> O
 class SparseThresholdSet(_ScannedSet):
     target: ScalarSeq
     exponent: Fraction
-    horizon: int = _MATERIALIZE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", Fraction(self.exponent))
@@ -377,7 +376,7 @@ class SparseThresholdSet(_ScannedSet):
                 "elements": [],
                 "scan": 0,
                 "k": 1,
-                "known": self.horizon,  # membership is decided up to here
+                "known": DEFAULT_HORIZON,  # membership is decided up to here
                 "target_p": seq_pow(self.target, self.exponent),
             },
         )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import os
 
 from fbasis import cli
 from fbasis.natset import DEFAULT_HORIZON
@@ -50,7 +49,7 @@ def parse(argv: list[str]):
     for key, value in vars(ns).items():
         if key not in ("command", "config") and value not in (None, False):
             options[key] = value
-    options.setdefault("horizon", os.environ.get("FBASIS_HORIZON") or str(DEFAULT_HORIZON))
+    options.setdefault("horizon", str(DEFAULT_HORIZON))
     options.setdefault("n_max", "32")
     options.setdefault("format", "json")
     return ns.command, list(options.items())

@@ -15,7 +15,9 @@ script imports ``fbasis`` and runs, in process:
   bounds over a sampled part, a sum over a shifted geometric set), one
   ``build-basis`` op whose spike verdict asks for the under-sets (a
   two-piece target has no limsup bound, and the spike's support is not
-  Frechet-negligible), one op read from a ``--config`` file, and ``--help``;
+  Frechet-negligible), one ``profile-lemma1`` op that sums a convergent
+  weight over a greedy set, one op read from a ``--config`` file, and
+  ``--help``;
 * the five scripts in ``demos/`` and the Python blocks of ``README.md``.
 
 It then prints each function defined in ``src/fbasis`` that none of these
@@ -114,6 +116,8 @@ def run_everything() -> None:
     _cli(["classify-set", "--set", "shift(geom(2),1)", "--filter", "summable(pow(1,-1/2))"])
     _cli(["build-basis", "--seq", "piece{residue(2,0)=>const(2);residue(2,1)=>const(3)}",
           "--space", "l1", "--filter", "frechet", "--n-max", "8"])
+    _cli(["profile-lemma1", "--seq", "pow(1,1/2)", "--grid", "10,100",
+          "--vectors", "spike(greedy(pow(1,5); pow(100,-2); 1); pow(100,-2))"])
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "query.cfg"
         cfg.write_text("set = residue(2,0)\nfilter = statistical\n", encoding="ascii")

@@ -314,7 +314,7 @@ class TestReports:
                          "--grid", "10,100"])
         assert code == EXIT_OK
         x = parse_test_vector(vector)
-        members = np.nonzero(x.support_set.mask(x.support_set.horizon))[0] + 1
+        members = np.nonzero(x.support_set.mask(x.support_set.known_up_to()))[0] + 1
         assert x.norm_upper(1) >= math.fsum((100.0 / members ** 2).tolist())
         for n, average, bound in get_json(out)["rows"]:
             s_n = math.fsum(m ** -0.5 for m in range(1, n + 1))
@@ -379,12 +379,19 @@ class TestConfig:
         assert code == EXIT_REFUTED
 
     def test_env_horizon(self, monkeypatch):
-        monkeypatch.setenv("FBASIS_HORIZON", "5000")
-        cfg = load_config(["classify-set", "--set", "geom(2)", "--filter", "statistical"])
-        assert cfg.get("horizon") == "5000"
-        monkeypatch.delenv("FBASIS_HORIZON")
-        cfg = load_config(["classify-set", "--set", "geom(2)", "--filter", "statistical"])
-        assert cfg.get("horizon") == "1000000"
+        """A report depends on its command line only: with FBASIS_HORIZON
+        set, well formed or not, ``--horizon`` keeps its default, and the
+        report's bytes and exit code stay those of the command line."""
+        argv = ["demo-convergence", "--seq", "const(2)", "--space", "l1", "--filter",
+                "statistical", "--n-max", "10",
+                "--vector", "spike(residue(3,0); powlog(1,1/2,-3))"]
+        monkeypatch.delenv("FBASIS_HORIZON", raising=False)
+        code, out = run(argv)
+        assert code == EXIT_OK and get_json(out)["verdict"]["kind"] == "does-not-converge"
+        for value in ("50", "abc"):
+            monkeypatch.setenv("FBASIS_HORIZON", value)
+            assert load_config(argv).get("horizon") == "1000000"
+            assert run(argv) == (code, out)
 
     def test_output_file(self, tmp_path):
         out_path = tmp_path / "report.json"
@@ -965,8 +972,17 @@ _TARGET_1 = "target norm at stage 1 lies beyond the float range"
      "the exponent lies beyond the float range"),
     (["build-basis", "--seq", "const(2)", "--space", "lp(1e400)", "--filter", "frechet",
       "--n-max", "4"], "the exponent lies beyond the float range"),
+    # the float phase: an exact W = a_n**2 - 1 past the float range after a float one
+    (["demo-convergence", "--a-squared", "piece{residue(2,0) => piece{residue(2,0) => "
+      f"powlog(100,-1/3,1/2); residue(2,1) => const(2)}}; residue(2,1) => const({_HUGE})}}",
+      "--space", "l2", "--filter", "frechet", "--n-max", "238", "--vector", "powtail(3)"],
+     "coefficient at stage 3 lies beyond the float range"),
+    # ... and exact l1 coefficients, with their mass S, past it before the first float target
+    (["build-basis", "--seq", "piece{range(1,1100) => const(101/100); "
+      "!range(1,1100) => powlog(3,0,1/2)}", "--space", "l1", "--filter", "statistical",
+      "--n-max", "1200"], "coefficient at stage 1101 lies beyond the float range"),
 ], ids=["argv0", "argv1", "mass-lp-3/2", "mass-lp-4", "exact-l2", "exact-l2-squares",
-        "ratio-lp-4", "p-admissible", "p-witness", "p-space"])
+        "ratio-lp-4", "p-admissible", "p-witness", "p-space", "float-ratio-l2", "float-head-l1"])
 def test_targets_beyond_the_float_range_are_usage_errors(capsys, argv, detail):
     code, out = run(argv)
     assert code == EXIT_USAGE

@@ -26,7 +26,7 @@ from fbasis import (
 from fbasis import admissibility, witnesses
 from fbasis.cli import load_config, run_command
 from fbasis.natset import HorizonExceeded, SumVerdict
-from fbasis.parsing import parse_scalar_seq
+from fbasis.parsing import parse_scalar_seq, parse_set_expr
 from fbasis.sequences import seq_pow
 from fbasis.series import partial_sum
 from fbasis.witnesses import GreedyBlockSet, SparseThresholdSet
@@ -67,6 +67,13 @@ def weights(draw):
 exponents = st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)))
 
 
+def _built_at(horizon, kind, *args):
+    """``kind(*args)``, a greedy or threshold set, scanned up to ``horizon``
+    in place of ``DEFAULT_HORIZON``: each set reads it once, when built."""
+    with mock.patch.object(witnesses, "DEFAULT_HORIZON", horizon):
+        return kind(*args)
+
+
 def _tuples(blocks):
     """Index arrays as tuples of ints, as the oracle lists blocks."""
     return tuple(tuple(b.tolist()) for b in blocks)
@@ -76,9 +83,9 @@ def _assert_matches_oracle(a, s, p, horizon):
     want, _, sums, inverse, known = greedy_run(a, s, p, horizon)
     if len(want) < 2:
         with pytest.raises(HorizonExceeded):
-            GreedyBlockSet(a, s, p, horizon=horizon)
+            _built_at(horizon, GreedyBlockSet, a, s, p)
         return None
-    g = GreedyBlockSet(a, s, p, horizon=horizon)
+    g = _built_at(horizon, GreedyBlockSet, a, s, p)
     count = min(8, len(want))
     assert _tuples(g.materialized_blocks()) == tuple(want[:count])
     # the sums add left to right, one index at a time, as the oracle's loop
@@ -86,7 +93,7 @@ def _assert_matches_oracle(a, s, p, horizon):
     assert g.prefix_inverse_sum() == inverse[count - 1]
     # a membership question first scans to the horizon; the count found
     # afterwards takes the same blocks
-    asked = GreedyBlockSet(a, s, p, horizon=horizon)
+    asked = _built_at(horizon, GreedyBlockSet, a, s, p)
     asked.mask(horizon)
     assert _tuples(asked.materialized_blocks()) == tuple(want[:count])
     assert asked.block_sums() == sums[:count]
@@ -132,7 +139,7 @@ def test_a_summable_weight_is_bounded_by_the_members_below_the_horizon():
     blocks, open_block, *_ = greedy_run(a, s, 1, horizon)
     members = [n for blk in blocks for n in blk] + open_block
     want = math.fsum(100 / n ** 2 for n in members)
-    got = weight_sum(GreedyBlockSet(a, s, 1, horizon=horizon), s)
+    got = weight_sum(_built_at(horizon, GreedyBlockSet, a, s, 1), s)
     assert got.kind == "converges"
     assert want <= got.bound <= want * (1 + 1e-9) + 100 / horizon
     code, out = run_command(load_config([
@@ -147,7 +154,7 @@ def test_membership_past_the_reported_blocks(a, s, p, horizon):
     """Indices past the last reported block are scanned on demand, with the
     same blocks as one scan to the horizon."""
     try:
-        g = GreedyBlockSet(a, s, p, horizon=horizon)
+        g = _built_at(horizon, GreedyBlockSet, a, s, p)
     except HorizonExceeded:
         return
     every, open_block = greedy_scan(a, s, p, horizon, horizon)
@@ -159,7 +166,7 @@ def test_membership_questions_match_the_per_index_scan():
     """member() scans on demand and knows nothing past the horizon; a sum the
     blocks do not certify falls back to the members below the horizon."""
     a, horizon = PowerLog(1, 2), 4096
-    g = GreedyBlockSet(a, HARMONIC, 1, horizon=horizon)
+    g = _built_at(horizon, GreedyBlockSet, a, HARMONIC, 1)
     every, open_block = greedy_scan(a, HARMONIC, 1, horizon, horizon)
     members = [n for blk in every for n in blk] + open_block
     assert [n for n in range(1, horizon + 1) if member(n, g)] == members
@@ -225,7 +232,7 @@ def test_thresh_stops_where_its_thresholds_leave_the_float_range():
 
 def test_thresh_membership_matches_a_direct_scan():
     # a(n)**p = n**4 reaches 2**k k**2 first at n = 2, 3, 4, 5, 7, ...
-    t = SparseThresholdSet(PowerLog(1, 2), 2, horizon=200)
+    t = _built_at(200, SparseThresholdSet, PowerLog(1, 2), 2)
     want, k = [], 1
     for n in range(1, 201):
         if n ** 4 >= 2 ** k * k * k:
@@ -233,6 +240,18 @@ def test_thresh_membership_matches_a_direct_scan():
             k += 1
     assert [n for n in range(1, 201) if member(n, t)] == want
     assert member(201, t) is None
+
+
+def test_a_set_built_at_another_horizon_equals_the_parse_of_its_text():
+    """A set's fields are the ones its text shows, the horizon none of them:
+    the parse of its text is equal, and scans to ``DEFAULT_HORIZON``."""
+    assert list(GreedyBlockSet.__annotations__) == ["target", "weights", "exponent", "criterion"]
+    assert list(SparseThresholdSet.__annotations__) == ["target", "exponent"]
+    for built in (_built_at(20_000, GreedyBlockSet, PowerLog(1, 2), HARMONIC, 1),
+                  _built_at(200, SparseThresholdSet, PowerLog(1, 2), 2)):
+        back = parse_set_expr(built.to_text())
+        assert back == built and hash(back) == hash(built)
+        assert back.known_up_to() == 10 ** 6 > built.known_up_to()
 
 
 @pytest.mark.parametrize("target,p,horizon", [
@@ -244,12 +263,12 @@ def test_thresh_membership_matches_a_direct_scan():
 ], ids=["pow60", "pow2", "powlog", "prefix", "piecewise"])
 def test_thresh_elements_match_the_per_index_scan(target, p, horizon):
     want = threshold_scan(target, p, horizon)
-    t = SparseThresholdSet(target, p, horizon=horizon)
+    t = _built_at(horizon, SparseThresholdSet, target, p)
     known = t.known_up_to()
     assert known == (horizon if known == horizon else want[-1])
     assert (np.flatnonzero(t.mask(known)) + 1).tolist() == [n for n in want if n <= known]
     # asked in steps, the windows end elsewhere: the same elements
-    stepped = SparseThresholdSet(target, p, horizon=horizon)
+    stepped = _built_at(horizon, SparseThresholdSet, target, p)
     for limit in (7, 1000, 70_001, known):
         member(min(limit, known), stepped)
     assert stepped.known_up_to() == known
@@ -409,8 +428,8 @@ def test_weight_sums_match_the_two_old_hooks(data, a, s, p, greedy, horizon):
     """``certified_weight_sum(w)`` answers every sum over a witness set as the
     old structural and tail-form hooks, asked in their old order, did."""
     try:
-        t = (GreedyBlockSet(a, s, p, horizon=horizon) if greedy
-             else SparseThresholdSet(a, p, horizon))
+        t = (_built_at(horizon, GreedyBlockSet, a, s, p) if greedy
+             else _built_at(horizon, SparseThresholdSet, a, p))
     except HorizonExceeded:
         return
     defining = (s, seq_pow(a, -p)) if greedy else (seq_pow(a, -p),)
@@ -433,12 +452,12 @@ def test_sets_known_up_to_a_horizon_answer_alike(data, kind, horizon):
     else:
         a, p = data.draw(targets()), data.draw(exponents)
         if kind == "thresh":
-            t = SparseThresholdSet(a, p, horizon)
+            t = _built_at(horizon, SparseThresholdSet, a, p)
             want = threshold_scan(a, p, horizon)
         else:
             s = data.draw(weights())
             try:
-                t = GreedyBlockSet(a, s, p, horizon=horizon)
+                t = _built_at(horizon, GreedyBlockSet, a, s, p)
             except HorizonExceeded:
                 return
             every, open_block = greedy_scan(a, s, p, horizon, horizon)
@@ -462,7 +481,7 @@ def test_sets_known_up_to_a_horizon_answer_alike(data, kind, horizon):
 def test_a_greedy_mask_holds_its_members_in_one_integer_array():
     """The mask of 99,998 greedy members takes the mask itself and one array
     of 8-byte indices at its peak, with no Python list of the members."""
-    g = GreedyBlockSet(PowerLog(1, 2), HARMONIC, 1, horizon=100_000)
+    g = _built_at(100_000, GreedyBlockSet, PowerLog(1, 2), HARMONIC, 1)
     assert g.known_up_to() == 100_000  # scanned first: the mask alone is measured
     tracemalloc.start()
     try:
